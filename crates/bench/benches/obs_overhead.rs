@@ -17,7 +17,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use starnuma::obs::{EventCategory, EventLevel, FieldValue, ObsSink};
-use starnuma::{Experiment, SystemKind, Workload};
+use starnuma::{Experiment, RunOptions, SystemKind, Workload};
 use starnuma_bench::banner;
 use starnuma_sim::access_class_labels;
 
@@ -96,7 +96,12 @@ fn main() {
     let phases = scale.phases;
     let experiment = Experiment::new(Workload::Bfs, SystemKind::StarNuma, scale);
     let (t_plain, plain) = timed(|| experiment.run());
-    let (t_obs, (observed, obs_report)) = timed(|| experiment.run_observed());
+    let observe = RunOptions {
+        observe: true,
+        ..RunOptions::default()
+    };
+    let (t_obs, (observed, obs_report)) = timed(|| experiment.run_with(&observe));
+    let obs_report = obs_report.expect("an observed run returns its report");
     assert_eq!(plain, observed, "observation changed the simulation result");
     // The run above had the online invariant monitors armed (they are part
     // of every observed run): they must have checked every phase barrier,

@@ -13,10 +13,9 @@ use starnuma::obs::{
 use starnuma::prof;
 use starnuma::report::{run_result_json, Json};
 use starnuma::{
-    geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunResult,
-    ScaleConfig, ScalePreset, SystemKind, TraceGenerator, Workload,
+    geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunOptions,
+    RunResult, ScaleConfig, ScalePreset, SystemKind, TraceGenerator, Workload,
 };
-use starnuma_migration::ReplicationConfig;
 use starnuma_topology::SystemParams;
 use starnuma_trace::{read_phase, write_phase, SharingHistogram};
 use starnuma_types::{digest_hex, fnv1a_digest, Location, SocketId};
@@ -90,15 +89,28 @@ fn preset_name(preset: ScalePreset) -> &'static str {
     }
 }
 
-/// Whether this invocation asked for observability output, and therefore
-/// whether the simulation should run with the [`starnuma::obs`] sink on.
-/// The ledger and the monitor flags all need the sink's report.
-fn wants_obs(args: &Args) -> bool {
-    args.get("trace-out").is_some()
-        || args.get("metrics-out").is_some()
-        || args.switch("strict-monitors")
-        || args.get("inject-monitor-fault").is_some()
-        || ledger_dir(args).is_some()
+/// The [`RunOptions`] this invocation asks for. The simulation runs with
+/// the [`starnuma::obs`] sink on whenever an output needs its report: the
+/// exports, the ledger, and the monitor flags. `--inject-monitor-fault`
+/// is validated against the monitor catalogue.
+fn run_options(args: &Args) -> Result<RunOptions, ArgError> {
+    let inject_fault = match args.get("inject-monitor-fault") {
+        None => None,
+        Some(name) if MONITOR_NAMES.contains(&name) => Some(name.to_string()),
+        Some(name) => {
+            return Err(ArgError(format!(
+                "unknown monitor '{name}' (expected one of: {})",
+                MONITOR_NAMES.join(", ")
+            )))
+        }
+    };
+    Ok(RunOptions {
+        observe: args.get("trace-out").is_some()
+            || args.get("metrics-out").is_some()
+            || args.switch("strict-monitors")
+            || ledger_dir(args).is_some(),
+        inject_fault,
+    })
 }
 
 /// Resolved ledger directory: `--ledger DIR` wins, else the
@@ -197,18 +209,6 @@ fn enforce_monitors(args: &Args, sections: &[(RunMeta, &ObsReport)]) -> ExitCode
     }
 }
 
-/// Validates `--inject-monitor-fault NAME` against the monitor catalogue.
-fn parse_fault(args: &Args) -> Result<Option<&str>, ArgError> {
-    match args.get("inject-monitor-fault") {
-        None => Ok(None),
-        Some(name) if MONITOR_NAMES.contains(&name) => Ok(Some(name)),
-        Some(name) => Err(ArgError(format!(
-            "unknown monitor '{name}' (expected one of: {})",
-            MONITOR_NAMES.join(", ")
-        ))),
-    }
-}
-
 /// The run-identity header stamped into every `--trace-out`/`--metrics-out`
 /// export. The version is the package version only — no git-describe, so
 /// identical source always produces identical files.
@@ -298,48 +298,25 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
     let workload = parse_workload(args.require("workload")?)?;
     let system = parse_system(args.get_or("system", "starnuma"))?;
     let scale = parse_scale(args)?;
-    let observed = wants_obs(args);
-    let fault = parse_fault(args)?;
+    let opts = run_options(args)?;
+    let mut experiment = Experiment::new(workload, system, scale.clone());
+    if let Some(frac) = args.get("replication") {
+        let frac: f64 = frac
+            .parse()
+            .map_err(|_| ArgError(format!("--replication expects a fraction, got '{frac}'")))?;
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(ArgError("--replication must be in [0, 1]".into()));
+        }
+        experiment = experiment.with_replication(frac);
+    }
     let ledger = ledger_session(args);
-    let (result, report, config_digest) = match args.get("replication") {
-        None => {
-            let e = Experiment::new(workload, system, scale.clone());
-            let digest = fnv1a_digest(format!("{:?}", e.run_config()).as_bytes());
-            if observed {
-                let (r, rep) = e.run_observed_faulted(fault);
-                (r, Some(rep), digest)
-            } else {
-                (e.run(), None, digest)
-            }
-        }
-        Some(frac) => {
-            let frac: f64 = frac
-                .parse()
-                .map_err(|_| ArgError(format!("--replication expects a fraction, got '{frac}'")))?;
-            if !(0.0..=1.0).contains(&frac) {
-                return Err(ArgError("--replication must be in [0, 1]".into()));
-            }
-            let mut cfg = Experiment::new(workload, system, scale.clone()).run_config();
-            cfg.replication = Some(ReplicationConfig::with_budget_frac(
-                workload.profile().footprint_pages,
-                frac,
-            ));
-            let digest = fnv1a_digest(format!("{cfg:?}").as_bytes());
-            let runner = starnuma::Runner::new(workload.profile(), cfg);
-            if observed {
-                let (r, rep) = runner.run_with_obs_faulted(fault);
-                (r, Some(rep), digest)
-            } else {
-                (runner.run(), None, digest)
-            }
-        }
-    };
+    let (result, report) = experiment.run_with(&opts);
     let mut exit = ExitCode::SUCCESS;
     if let Some(rep) = &report {
         let meta = run_meta(workload.name(), system, &scale);
         write_obs_outputs(args, &[(meta.clone(), rep)])?;
         if let Some(session) = ledger {
-            session.append(&[(meta.clone(), config_digest, &result, rep)])?;
+            session.append(&[(meta.clone(), experiment.config_digest(), &result, rep)])?;
         }
         exit = enforce_monitors(args, &[(meta, rep)]);
     }
@@ -407,7 +384,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         .map(parse_system)
         .collect::<Result<_, _>>()?;
     let scale = parse_scale(args)?;
-    let observed = wants_obs(args);
+    let opts = run_options(args)?;
     let ledger = ledger_session(args);
     // Fan every distinct system (plus the baseline, which anchors the
     // speedup column) out on the job pool; results are keyed for the
@@ -421,49 +398,39 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
     let computed: BTreeMap<SystemKind, (RunResult, Option<ObsReport>)> = JobPool::global()
         .run(distinct.clone(), |_, system| {
             let e = Experiment::new(workload, system, scale.clone());
-            if observed {
-                let (r, rep) = e.run_observed();
-                (system, (r, Some(rep)))
-            } else {
-                (system, (e.run(), None))
-            }
+            (system, e.run_with(&opts))
         })
         .into_iter()
         .collect();
-    let mut exit = ExitCode::SUCCESS;
-    if observed {
-        // One export section per distinct system, baseline first — the
-        // same deterministic order the fan-out used.
-        let sections: Vec<(RunMeta, &ObsReport)> = distinct
+    // One export section per distinct system, baseline first — the same
+    // deterministic order the fan-out used. Unobserved runs have none.
+    let sections: Vec<(RunMeta, &ObsReport)> = distinct
+        .iter()
+        .filter_map(|s| {
+            computed[s]
+                .1
+                .as_ref()
+                .map(|rep| (run_meta(workload.name(), *s, &scale), rep))
+        })
+        .collect();
+    write_obs_outputs(args, &sections)?;
+    if let Some(session) = ledger {
+        let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = distinct
             .iter()
             .filter_map(|s| {
-                computed[s]
-                    .1
-                    .as_ref()
-                    .map(|rep| (run_meta(workload.name(), *s, &scale), rep))
+                let (result, rep) = &computed[s];
+                let digest = Experiment::new(workload, *s, scale.clone()).config_digest();
+                Some((
+                    run_meta(workload.name(), *s, &scale),
+                    digest,
+                    result,
+                    rep.as_ref()?,
+                ))
             })
             .collect();
-        write_obs_outputs(args, &sections)?;
-        if let Some(session) = ledger {
-            let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = distinct
-                .iter()
-                .filter_map(|s| {
-                    let (result, rep) = &computed[s];
-                    let cfg = Experiment::new(workload, *s, scale.clone()).run_config();
-                    rep.as_ref().map(|rep| {
-                        (
-                            run_meta(workload.name(), *s, &scale),
-                            fnv1a_digest(format!("{cfg:?}").as_bytes()),
-                            result,
-                            rep,
-                        )
-                    })
-                })
-                .collect();
-            session.append(&entries)?;
-        }
-        exit = enforce_monitors(args, &sections);
+        session.append(&entries)?;
     }
+    let exit = enforce_monitors(args, &sections);
     let computed: BTreeMap<SystemKind, RunResult> =
         computed.into_iter().map(|(s, (r, _))| (s, r)).collect();
     let baseline = computed[&SystemKind::Baseline].clone();
@@ -528,52 +495,41 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
             .collect::<Result<_, _>>()?,
     };
     let scale = parse_scale(args)?;
-    let observed = wants_obs(args);
+    let opts = run_options(args)?;
     let ledger = ledger_session(args);
-    // One job per workload; each job runs the system and its baseline.
-    // When observability output was requested, each job also carries back
-    // the *system* run's result and report (the baseline anchors speedups
-    // only — the ledger records the system run).
-    type SweepRow = (Workload, f64, Option<(RunResult, ObsReport)>);
-    let rows: Vec<SweepRow> = JobPool::global().run(workloads, |_, w| {
-        if observed {
+    // One job per workload; each job runs the system and its baseline and
+    // carries back the *system* run (the baseline anchors speedups only —
+    // the ledger records the system run).
+    let rows: Vec<(Workload, f64, (RunResult, Option<ObsReport>))> =
+        JobPool::global().run(workloads, |_, w| {
             let (speedup, sys, _, sys_report, _) =
-                starnuma::speedup_vs_baseline_observed(w, system, &scale);
-            (w, speedup, Some((sys, sys_report)))
-        } else {
-            let (speedup, _, _) = starnuma::speedup_vs_baseline(w, system, &scale);
-            (w, speedup, None)
-        }
-    });
-    let mut exit = ExitCode::SUCCESS;
-    if observed {
-        let sections: Vec<(RunMeta, &ObsReport)> = rows
+                starnuma::speedup_vs_baseline(w, system, &scale, &opts);
+            (w, speedup, (sys, sys_report))
+        });
+    let sections: Vec<(RunMeta, &ObsReport)> = rows
+        .iter()
+        .filter_map(|(w, _, (_, rep))| {
+            rep.as_ref()
+                .map(|rep| (run_meta(w.name(), system, &scale), rep))
+        })
+        .collect();
+    write_obs_outputs(args, &sections)?;
+    if let Some(session) = ledger {
+        let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = rows
             .iter()
-            .filter_map(|(w, _, obs)| {
-                obs.as_ref()
-                    .map(|(_, r)| (run_meta(w.name(), system, &scale), r))
+            .filter_map(|(w, _, (result, rep))| {
+                let digest = Experiment::new(*w, system, scale.clone()).config_digest();
+                Some((
+                    run_meta(w.name(), system, &scale),
+                    digest,
+                    result,
+                    rep.as_ref()?,
+                ))
             })
             .collect();
-        write_obs_outputs(args, &sections)?;
-        if let Some(session) = ledger {
-            let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = rows
-                .iter()
-                .filter_map(|(w, _, obs)| {
-                    let cfg = Experiment::new(*w, system, scale.clone()).run_config();
-                    obs.as_ref().map(|(result, rep)| {
-                        (
-                            run_meta(w.name(), system, &scale),
-                            fnv1a_digest(format!("{cfg:?}").as_bytes()),
-                            result,
-                            rep,
-                        )
-                    })
-                })
-                .collect();
-            session.append(&entries)?;
-        }
-        exit = enforce_monitors(args, &sections);
+        session.append(&entries)?;
     }
+    let exit = enforce_monitors(args, &sections);
     let rows: Vec<(&str, f64)> = rows.iter().map(|(w, s, _)| (w.name(), *s)).collect();
     if args.switch("json") {
         // Self-describing output: a `meta` header (scale preset, worker

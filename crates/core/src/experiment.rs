@@ -1,10 +1,12 @@
 //! The paper's experimental configurations as a single enum, and the
 //! experiment runner.
 
+use starnuma_migration::ReplicationConfig;
 use starnuma_obs::ObsReport;
-use starnuma_sim::{MigrationMode, Modality, RunConfig, RunResult, Runner};
+use starnuma_sim::{MigrationMode, Modality, RunConfig, RunOptions, RunResult, Runner};
 use starnuma_topology::{BandwidthVariant, SystemParams};
 use starnuma_trace::Workload;
+use starnuma_types::fnv1a_digest;
 
 use crate::pool::JobPool;
 use crate::scale::ScaleConfig;
@@ -160,6 +162,7 @@ pub struct Experiment {
     workload: Workload,
     system: SystemKind,
     scale: ScaleConfig,
+    replication_budget_frac: Option<f64>,
 }
 
 impl Experiment {
@@ -169,7 +172,17 @@ impl Experiment {
             workload,
             system,
             scale,
+            replication_budget_frac: None,
         }
+    }
+
+    /// Adds §V-F selective replication of read-only, widely shared regions,
+    /// with a per-socket replica budget of `budget_frac` of the workload's
+    /// footprint. Every run of the experiment honours it, the baseline's
+    /// §IV-C candidate pair included.
+    pub fn with_replication(mut self, budget_frac: f64) -> Self {
+        self.replication_budget_frac = Some(budget_frac);
+        self
     }
 
     /// The underlying simulator configuration this experiment resolves to.
@@ -188,122 +201,79 @@ impl Experiment {
             modeled_migration_fraction: 1.0,
             modality: Modality::AllDetailed,
             seed: self.scale.seed,
-            replication: None,
+            replication: self.replication_budget_frac.map(|frac| {
+                ReplicationConfig::with_budget_frac(self.workload.profile().footprint_pages, frac)
+            }),
         }
     }
 
+    /// FNV-1a digest of [`Experiment::run_config`]'s `Debug` rendering:
+    /// the configuration identity the run ledger records.
+    pub fn config_digest(&self) -> u64 {
+        fnv1a_digest(format!("{:?}", self.run_config()).as_bytes())
+    }
+
     /// Runs the experiment to completion.
+    pub fn run(&self) -> RunResult {
+        self.run_with(&RunOptions::default()).0
+    }
+
+    /// Runs the experiment under `opts`, returning the report when
+    /// [`RunOptions::observes`].
     ///
     /// For the baseline systems this follows the paper's §IV-C protocol of
     /// *choosing the best-performing migration limit per workload-system
     /// combination, from 0 upward*: both the perfect-knowledge dynamic
     /// policy and the no-migration (limit 0, first-touch) variant are run
     /// — in parallel on the global [`JobPool`], since each is a pure
-    /// function of its config — and the better one is the baseline.
-    pub fn run(&self) -> RunResult {
-        let profile = self.workload.profile();
-        let tunes_limit = matches!(
-            self.system,
-            SystemKind::Baseline | SystemKind::BaselineIsoBw | SystemKind::Baseline2xBw
-        );
-        if tunes_limit {
-            let mut dynamic_cfg = self.run_config();
-            dynamic_cfg.migration = MigrationMode::OracleDynamic;
-            let mut zero_cfg = self.run_config();
-            zero_cfg.migration = MigrationMode::FirstTouchOnly;
-            let mut results = JobPool::global().run(vec![dynamic_cfg, zero_cfg], |_, cfg| {
-                Runner::new(profile.clone(), cfg).run()
-            });
-            // The pool returns exactly one result per job, in input order.
-            let zero = results.remove(1);
-            let dynamic = results.remove(0);
-            if zero.ipc > dynamic.ipc {
-                zero
-            } else {
-                dynamic
-            }
-        } else {
-            Runner::new(profile, self.run_config()).run()
-        }
-    }
-
-    /// Like [`Experiment::run`], but with the observability layer enabled:
-    /// also returns the run's [`ObsReport`] (per-socket latency histograms,
-    /// substrate counters, and the structured event journal).
-    ///
-    /// For the limit-tuned baselines both candidate runs are observed and
-    /// the winner's report is returned, so the report always describes the
+    /// function of its config — and the better one is the baseline. Both
+    /// candidates run under `opts`, so the report always describes the
     /// result that is reported.
-    pub fn run_observed(&self) -> (RunResult, ObsReport) {
-        self.run_observed_faulted(None)
-    }
-
-    /// [`Experiment::run_observed`] with an optional one-shot injected
-    /// monitor fault (`Some(monitor_name)`), armed on every candidate
-    /// run's sink — the deterministic hook `--inject-monitor-fault` and
-    /// the failure-injection tests use to prove violations surface.
-    pub fn run_observed_faulted(&self, fault: Option<&str>) -> (RunResult, ObsReport) {
+    pub fn run_with(&self, opts: &RunOptions) -> (RunResult, Option<ObsReport>) {
         let profile = self.workload.profile();
+        let cfg = self.run_config();
         let tunes_limit = matches!(
             self.system,
             SystemKind::Baseline | SystemKind::BaselineIsoBw | SystemKind::Baseline2xBw
         );
-        if tunes_limit {
-            let mut dynamic_cfg = self.run_config();
-            dynamic_cfg.migration = MigrationMode::OracleDynamic;
-            let mut zero_cfg = self.run_config();
-            zero_cfg.migration = MigrationMode::FirstTouchOnly;
-            let fault: Option<String> = fault.map(str::to_string);
-            let mut results = JobPool::global().run(vec![dynamic_cfg, zero_cfg], move |_, cfg| {
-                Runner::new(profile.clone(), cfg).run_with_obs_faulted(fault.as_deref())
-            });
-            // The pool returns exactly one result per job, in input order.
-            let zero = results.remove(1);
-            let dynamic = results.remove(0);
-            if zero.0.ipc > dynamic.0.ipc {
-                zero
-            } else {
-                dynamic
-            }
+        if !tunes_limit {
+            return Runner::new(profile, cfg).run_with(opts);
+        }
+        let mut dynamic_cfg = cfg.clone();
+        dynamic_cfg.migration = MigrationMode::OracleDynamic;
+        let mut zero_cfg = cfg;
+        zero_cfg.migration = MigrationMode::FirstTouchOnly;
+        let mut results = JobPool::global().run(vec![dynamic_cfg, zero_cfg], |_, cfg| {
+            Runner::new(profile.clone(), cfg).run_with(opts)
+        });
+        // The pool returns exactly one result per job, in input order.
+        let zero = results.remove(1);
+        let dynamic = results.remove(0);
+        if zero.0.ipc > dynamic.0.ipc {
+            zero
         } else {
-            Runner::new(profile, self.run_config()).run_with_obs_faulted(fault)
+            dynamic
         }
     }
 }
 
 /// Runs `workload` on `system` and on the §V-A baseline (in parallel on
-/// the global [`JobPool`]), returning
-/// `(speedup, system result, baseline result)`.
+/// the global [`JobPool`]), both under `opts`, returning `(speedup, system
+/// result, baseline result, system report, baseline report)`.
 pub fn speedup_vs_baseline(
     workload: Workload,
     system: SystemKind,
     scale: &ScaleConfig,
-) -> (f64, RunResult, RunResult) {
+    opts: &RunOptions,
+) -> (
+    f64,
+    RunResult,
+    RunResult,
+    Option<ObsReport>,
+    Option<ObsReport>,
+) {
     let mut results = JobPool::global().run(vec![SystemKind::Baseline, system], |_, kind| {
-        Experiment::new(workload, kind, scale.clone()).run()
-    });
-    // The pool returns exactly one result per job, in input order.
-    let sys = results.remove(1);
-    let base = results.remove(0);
-    let speedup = if base.ipc > 0.0 {
-        sys.ipc / base.ipc
-    } else {
-        0.0
-    };
-    (speedup, sys, base)
-}
-
-/// [`speedup_vs_baseline`] with the observability layer enabled on **both**
-/// runs, returning `(speedup, system result, baseline result, system
-/// report, baseline report)`. Harness paths that honor `--trace-out` /
-/// `--metrics-out` use this; everything else keeps the report-free variant.
-pub fn speedup_vs_baseline_observed(
-    workload: Workload,
-    system: SystemKind,
-    scale: &ScaleConfig,
-) -> (f64, RunResult, RunResult, ObsReport, ObsReport) {
-    let mut results = JobPool::global().run(vec![SystemKind::Baseline, system], |_, kind| {
-        Experiment::new(workload, kind, scale.clone()).run_observed()
+        Experiment::new(workload, kind, scale.clone()).run_with(opts)
     });
     // The pool returns exactly one result per job, in input order.
     let (sys, sys_report) = results.remove(1);

@@ -46,14 +46,16 @@ pub mod report;
 mod scale;
 pub mod sweep;
 
-pub use experiment::{speedup_vs_baseline, speedup_vs_baseline_observed, Experiment, SystemKind};
+pub use experiment::{speedup_vs_baseline, Experiment, SystemKind};
 pub use pool::{set_global_jobs, set_progress, JobPool};
 pub use scale::ScaleConfig;
 
 pub use starnuma_obs as obs;
 pub use starnuma_prof as prof;
 
-pub use starnuma_sim::{MigrationMode, Modality, PhaseStats, RunConfig, RunResult, Runner};
+pub use starnuma_sim::{
+    MigrationMode, Modality, PhaseStats, RunConfig, RunOptions, RunResult, Runner,
+};
 pub use starnuma_topology::{
     AccessClass, BandwidthVariant, CxlLatencyBreakdown, LatencyModel, Network, ScalePreset,
     SystemParams,

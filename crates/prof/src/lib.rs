@@ -21,7 +21,7 @@
 //! `Instant` reader in the workspace (lint SN002 enforces the boundary),
 //! and profiling never feeds back into simulation state — a profiled run
 //! produces bit-identical `RunResult`s and obs exports (the
-//! `prof_determinism` tier-1 gate proves it).
+//! tier-1 determinism gate proves it).
 //!
 //! # Examples
 //!

@@ -53,7 +53,7 @@ mod timing;
 
 pub use checkpoint::Checkpoint;
 pub use config::{MigrationMode, Modality, RunConfig};
-pub use pipeline::Runner;
+pub use pipeline::{RunOptions, Runner};
 pub use stats::{PhaseStats, RunResult};
 pub use timing::TimingSim;
 

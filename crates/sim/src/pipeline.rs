@@ -18,6 +18,30 @@ use crate::config::{MigrationMode, Modality, RunConfig};
 use crate::stats::{PhaseStats, RunResult};
 use crate::timing::TimingSim;
 
+/// How a run is observed — never what it simulates: a run's
+/// [`RunResult`] is the same under every option value.
+///
+/// The default is a plain run with the disabled sink, which costs one
+/// branch per record.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Record an [`ObsReport`]: per-socket/per-class latency histograms,
+    /// phase-barrier substrate counters, the structured event journal,
+    /// and the online invariant monitors' verdicts.
+    pub observe: bool,
+    /// Arm a one-shot injected monitor fault (a monitor name) before the
+    /// run starts — the deterministic way to prove the violation path
+    /// fires end to end. Setting it implies `observe`.
+    pub inject_fault: Option<String>,
+}
+
+impl RunOptions {
+    /// Whether the run records an [`ObsReport`].
+    pub fn observes(&self) -> bool {
+        self.observe || self.inject_fault.is_some()
+    }
+}
+
 /// Runs one complete experiment: a workload profile on a system
 /// configuration, through warm-up and all phases.
 ///
@@ -99,32 +123,27 @@ impl Runner {
         self.run_observed(&mut ObsSink::disabled())
     }
 
-    /// Executes the run with full observability: per-socket/per-class
-    /// latency histograms, phase-barrier substrate counters, and the
-    /// structured event journal. Returns the result alongside the report.
-    pub fn run_with_obs(self) -> (RunResult, ObsReport) {
-        self.run_with_obs_faulted(None)
-    }
-
-    /// [`Runner::run_with_obs`], optionally arming a one-shot injected
-    /// monitor fault (`Some(monitor_name)`) before the run starts — the
-    /// deterministic way to prove the violation path fires end to end.
-    pub fn run_with_obs_faulted(self, fault: Option<&str>) -> (RunResult, ObsReport) {
+    /// Executes the run under `opts`, returning the report when
+    /// [`RunOptions::observes`].
+    pub fn run_with(self, opts: &RunOptions) -> (RunResult, Option<ObsReport>) {
+        if !opts.observes() {
+            return (self.run(), None);
+        }
         let mut obs = ObsSink::enabled(
             self.config.params.num_sockets,
             crate::access_class_labels(),
             starnuma_obs::DEFAULT_JOURNAL_CAPACITY,
         );
-        if let Some(monitor) = fault {
+        if let Some(monitor) = &opts.inject_fault {
             obs.arm_monitor_fault(monitor);
         }
         let result = self.run_observed(&mut obs);
-        (result, obs.finish())
+        (result, Some(obs.finish()))
     }
 
-    /// Executes the run, recording into the caller's sink. With a
-    /// disabled sink this is exactly [`Runner::run`].
-    pub fn run_observed(self, obs: &mut ObsSink) -> RunResult {
+    /// Executes the run, recording into `obs`. With a disabled sink this
+    /// is exactly [`Runner::run`].
+    fn run_observed(self, obs: &mut ObsSink) -> RunResult {
         let params = &self.config.params;
         let n_sockets = params.num_sockets;
         let cps = params.cores_per_socket;

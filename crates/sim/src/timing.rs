@@ -201,36 +201,6 @@ impl TimingSim {
         modality: Modality,
         collect: bool,
     ) -> PhaseStats {
-        self.run_phase_with_replicas(
-            trace,
-            map,
-            modeled_moves,
-            cpi,
-            mlp,
-            instructions_per_core,
-            modality,
-            collect,
-            None,
-        )
-    }
-
-    /// [`TimingSim::run_phase`] with an optional §V-F replica directory:
-    /// reads served by a local replica cost a local access; writes to a
-    /// replicated region collapse its replicas (invalidation traffic to
-    /// every holder) before proceeding.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_phase_with_replicas(
-        &mut self,
-        trace: &PhaseTrace,
-        map: &mut PageMap,
-        modeled_moves: &[PageMove],
-        cpi: f64,
-        mlp: usize,
-        instructions_per_core: u64,
-        modality: Modality,
-        collect: bool,
-        replicas: Option<&mut ReplicaMap>,
-    ) -> PhaseStats {
         self.run_phase_observed(
             trace,
             map,
@@ -240,13 +210,16 @@ impl TimingSim {
             instructions_per_core,
             modality,
             collect,
-            replicas,
+            None,
             &mut ObsSink::disabled(),
         )
     }
 
-    /// [`TimingSim::run_phase_with_replicas`] recording per-access latency
-    /// samples into `obs` (one histogram per socket × access class). The
+    /// [`TimingSim::run_phase`] with an optional §V-F replica directory,
+    /// recording per-access latency samples into `obs` (one histogram per
+    /// socket × access class). Reads served by a local replica cost a
+    /// local access; writes to a replicated region collapse its replicas
+    /// (invalidation traffic to every holder) before proceeding. The
     /// disabled sink costs one branch per collected access.
     #[allow(clippy::too_many_arguments)]
     pub fn run_phase_observed(

@@ -1,86 +1,30 @@
-//! Tier-1 gate for the observability layer: traces and metrics must be
-//! bit-identical across worker counts. Each run owns its own `ObsSink`
-//! (runs are single-threaded internally; the `JobPool` only schedules
-//! whole runs), so the journal and the per-phase metric frames are pure
-//! functions of the run configuration — `--jobs 4` output must match
-//! `--jobs 1` byte for byte once rendered with a fixed [`RunMeta`].
-//!
-//! One `#[test]` owns everything: the worker-count override is
-//! process-global and concurrent tests must not flip it under each other.
+//! Determinism gate, export half: every row of the grid, run observed on
+//! four workers, must render traces and metrics that hash to the same
+//! [`gate::GOLDEN`] digests the `--jobs 1` cell of `index_equivalence`
+//! pins, and the traces must carry real content. See `tests/gate/mod.rs`.
 
-use starnuma::obs::{metrics_json, trace_jsonl, ObsReport, RunMeta};
-use starnuma::{set_global_jobs, Experiment, ScaleConfig, SystemKind, Workload};
+mod gate;
 
-fn tiny() -> ScaleConfig {
-    ScaleConfig {
-        phases: 2,
-        instructions_per_phase: 6_000,
-        warmup_instructions: 0,
-        ..ScaleConfig::quick()
-    }
-}
-
-/// A fixed export header: the rendered files must not depend on anything
-/// but the run itself, so the meta (which records the *harness* worker
-/// count by design) is pinned here.
-fn meta(system: SystemKind) -> RunMeta {
-    RunMeta {
-        workload: Workload::Tc.name().to_string(),
-        system: system.label().to_string(),
-        preset: "SC1".to_string(),
-        jobs: 0,
-        seed: 42,
-        version: "test".to_string(),
-    }
-}
-
-/// The `compare --trace-out`-style load: a limit-tuned baseline (whose
-/// tuning pair itself fans out on the pool) plus two StarNUMA variants,
-/// each rendered to the exact strings the CLI would write.
-fn observed_exports() -> Vec<(String, String)> {
-    [
-        SystemKind::Baseline,
-        SystemKind::StarNuma,
-        SystemKind::StarNumaT0,
-    ]
-    .into_iter()
-    .map(|kind| {
-        let (result, report): (_, ObsReport) =
-            Experiment::new(Workload::Tc, kind, tiny()).run_observed();
-        assert!(result.ipc > 0.0, "{kind}: run did nothing");
-        let m = meta(kind);
-        (trace_jsonl(&m, &report), metrics_json(&m, &report.metrics))
-    })
-    .collect()
-}
+use gate::{assert_golden, cell, fingerprints, meta, observe, rows};
+use starnuma::obs::trace_jsonl;
+use starnuma::{SystemKind, Workload};
 
 #[test]
 fn obs_output_is_bit_identical_across_worker_counts() {
-    set_global_jobs(1);
-    let sequential = observed_exports();
+    let runs = cell(4, &observe());
+    assert_golden("jobs 4", &fingerprints("jobs 4", &runs));
 
-    set_global_jobs(4);
-    let parallel = observed_exports();
-
-    for (i, (seq, par)) in sequential.iter().zip(&parallel).enumerate() {
-        assert_eq!(seq.0, par.0, "trace JSONL diverges for system #{i}");
-        assert_eq!(seq.1, par.1, "metrics JSON diverges for system #{i}");
+    let tc = rows()
+        .iter()
+        .position(|r| *r == (Workload::Tc, SystemKind::StarNuma))
+        .expect("TC on StarNUMA is a row");
+    let report = runs[tc].1.as_ref().expect("the cell observes");
+    let trace = trace_jsonl(&meta(Workload::Tc, SystemKind::StarNuma), report);
+    for needle in [
+        "\"type\":\"event\"",
+        "\"type\":\"hist\"",
+        "\"name\":\"phase_checkpoint\"",
+    ] {
+        assert!(trace.contains(needle), "TC trace lacks {needle}");
     }
-    assert_eq!(sequential.len(), parallel.len());
-
-    // The traces carry real content: the StarNUMA run observed pool
-    // migrations and produced per-socket histograms.
-    let starnuma_trace = &sequential[1].0;
-    assert!(
-        starnuma_trace.contains("\"type\":\"event\""),
-        "no events in the StarNUMA trace"
-    );
-    assert!(
-        starnuma_trace.contains("\"type\":\"hist\""),
-        "no histograms in the StarNUMA trace"
-    );
-    assert!(
-        starnuma_trace.contains("\"name\":\"phase_checkpoint\""),
-        "no checkpoint events in the StarNUMA trace"
-    );
 }

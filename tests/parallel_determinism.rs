@@ -1,73 +1,24 @@
-//! Tier-1 gate: the parallel execution engine must be invisible in the
-//! results. Every experiment is a pure function of its `(profile,
-//! RunConfig)` — simulated time is virtual and each run owns its RNG — so
-//! fanning independent runs across worker threads may only change
-//! wall-clock time, never a single bit of any `RunResult`. This test runs
-//! the same sweep and compare workloads with 1 and 4 workers and asserts
-//! exact (`==`, i.e. bit-level for every float) equality.
-//!
-//! All checks live in one `#[test]` because the worker-count override is
-//! process-global: concurrent tests must not flip it under each other.
+//! Determinism gate, sweep half: the `sweep`-style harness loads fan their
+//! points out on the pool with the baseline's §IV-C candidate pair nested
+//! inside, and must give identical points at `--jobs 1` and `--jobs 4`.
+//! The grid's rows (including the `compare` load on TC) are checked across
+//! worker counts by the other gate files. See `tests/gate/mod.rs`.
 
-use starnuma::sweep::{sweep_cxl_latency, sweep_pool_capacity, SweepPoint};
-use starnuma::{set_global_jobs, Experiment, RunResult, ScaleConfig, SystemKind, Workload};
+mod gate;
 
-fn tiny() -> ScaleConfig {
-    ScaleConfig {
-        phases: 1,
-        instructions_per_phase: 6_000,
-        warmup_instructions: 0,
-        ..ScaleConfig::quick()
-    }
-}
-
-/// The `compare`-style harness load: a few systems on one workload,
-/// including the baseline whose limit-tuning pair also runs on the pool.
-fn compare_results() -> Vec<RunResult> {
-    [
-        SystemKind::Baseline,
-        SystemKind::StarNuma,
-        SystemKind::StarNumaT0,
-    ]
-    .into_iter()
-    .map(|kind| Experiment::new(Workload::Tc, kind, tiny()).run())
-    .collect()
-}
-
-fn capacity_sweep() -> Vec<SweepPoint> {
-    sweep_pool_capacity(Workload::Bfs, &tiny(), &[0.05, 0.1, 0.2, 0.4])
-}
-
-fn latency_sweep() -> Vec<SweepPoint> {
-    sweep_cxl_latency(Workload::Bfs, &tiny(), &[50.0, 95.0, 140.0])
-}
+use gate::sweeps;
 
 #[test]
 fn parallel_runs_are_bit_identical_to_sequential() {
-    set_global_jobs(1);
-    let seq_compare = compare_results();
-    let seq_capacity = capacity_sweep();
-    let seq_latency = latency_sweep();
-
-    set_global_jobs(4);
-    let par_compare = compare_results();
-    let par_capacity = capacity_sweep();
-    let par_latency = latency_sweep();
-
+    let (capacity_seq, latency_seq) = sweeps(1);
+    let (capacity_par, latency_par) = sweeps(4);
     assert_eq!(
-        seq_compare, par_compare,
-        "compare runs diverge across worker counts"
-    );
-    assert_eq!(
-        seq_capacity, par_capacity,
+        capacity_seq, capacity_par,
         "capacity sweep diverges across worker counts"
     );
     assert_eq!(
-        seq_latency, par_latency,
+        latency_seq, latency_par,
         "latency sweep diverges across worker counts"
     );
-
-    // The runs did something: IPC is positive everywhere.
-    assert!(seq_compare.iter().all(|r| r.ipc > 0.0));
-    assert!(seq_capacity.iter().all(|p| p.speedup > 0.0));
+    assert!(capacity_seq.iter().all(|p| p.speedup > 0.0));
 }

@@ -1,97 +1,36 @@
-//! Tier-1 gate for the self-profiler's wall-clock isolation: enabling
-//! [`starnuma::prof`] must not change a single bit of any simulation
-//! output. The profiler only *reads* [`starnuma::prof::ProfClock`] —
-//! nothing it measures feeds back into simulated time — so for every
-//! workload the `RunResult`, the trace JSONL, and the metrics JSON must
-//! be identical profiled vs unprofiled, and identical again across
-//! worker counts while profiling is on.
-//!
-//! One `#[test]` owns everything: both the worker-count override and the
-//! profiler enable flag are process-global, and concurrent tests must
-//! not flip them under each other.
+//! Determinism gate, profiler half: every row of the grid, run observed
+//! with the profiler on at `--jobs 1` and at `--jobs 4`, must hash to the
+//! unprofiled [`gate::GOLDEN`] digests and write the same ledger lines, and
+//! the two passes must attribute the same profiler shape and `Timing` call
+//! counts. See `tests/gate/mod.rs`.
 
-use starnuma::obs::{metrics_json, trace_jsonl, RunMeta};
-use starnuma::{prof, set_global_jobs, Experiment, RunResult, ScaleConfig, SystemKind, Workload};
+mod gate;
 
-fn tiny() -> ScaleConfig {
-    ScaleConfig {
-        phases: 2,
-        instructions_per_phase: 6_000,
-        warmup_instructions: 0,
-        ..ScaleConfig::quick()
-    }
-}
-
-/// A fixed export header, as in `obs_determinism`: the rendered files
-/// must be pure functions of the run itself.
-fn meta(workload: Workload) -> RunMeta {
-    RunMeta {
-        workload: workload.name().to_string(),
-        system: SystemKind::StarNuma.label().to_string(),
-        preset: "SC1".to_string(),
-        jobs: 0,
-        seed: 42,
-        version: "test".to_string(),
-    }
-}
-
-/// Every workload on StarNUMA with observability on, rendered to the
-/// exact strings the CLI would write.
-fn all_workload_exports() -> Vec<(RunResult, String, String)> {
-    Workload::ALL
-        .into_iter()
-        .map(|w| {
-            let (result, report) = Experiment::new(w, SystemKind::StarNuma, tiny()).run_observed();
-            assert!(result.ipc > 0.0, "{w}: run did nothing");
-            let m = meta(w);
-            let trace = trace_jsonl(&m, &report);
-            let metrics = metrics_json(&m, &report.metrics);
-            (result, trace, metrics)
-        })
-        .collect()
-}
+use gate::{assert_golden, fingerprints, observe, profiled_cell, rows};
+use starnuma::prof;
 
 #[test]
 fn profiling_never_changes_simulation_output() {
-    // Reference: unprofiled, sequential.
-    set_global_jobs(1);
-    prof::set_enabled(false);
-    prof::reset();
-    let plain = all_workload_exports();
+    let (seq, prof_seq) = profiled_cell(1, &observe());
+    let (par, prof_par) = profiled_cell(4, &observe());
 
-    // Profiled, sequential.
-    prof::reset();
-    prof::set_enabled(true);
-    let profiled = all_workload_exports();
-    prof::set_enabled(false);
-    let report_seq = prof::take_report();
-
-    // Profiled, four workers: the worker threads flush their scope
-    // tables into the same global registry at exit.
-    set_global_jobs(4);
-    prof::reset();
-    prof::set_enabled(true);
-    let profiled_par = all_workload_exports();
-    prof::set_enabled(false);
-    let report_par = prof::take_report();
-
-    for (i, ((p, pr), par)) in plain.iter().zip(&profiled).zip(&profiled_par).enumerate() {
-        let w = Workload::ALL[i];
-        assert_eq!(p.0, pr.0, "{w}: RunResult diverges profiled vs not");
-        assert_eq!(p.1, pr.1, "{w}: trace JSONL diverges profiled vs not");
-        assert_eq!(p.2, pr.2, "{w}: metrics JSON diverges profiled vs not");
-        assert_eq!(p.0, par.0, "{w}: RunResult diverges at jobs=4 profiled");
-        assert_eq!(p.1, par.1, "{w}: trace JSONL diverges at jobs=4 profiled");
-        assert_eq!(p.2, par.2, "{w}: metrics JSON diverges at jobs=4 profiled");
+    let fp_seq = fingerprints("jobs 1 profiled", &seq);
+    let fp_par = fingerprints("jobs 4 profiled", &par);
+    assert_golden("jobs 1 profiled", &fp_seq);
+    for (((w, kind), s), p) in rows().iter().zip(&fp_seq).zip(&fp_par) {
+        assert_eq!(s, p, "{w} on {kind}: profiled output diverges at jobs 4");
     }
-    assert_eq!(plain.len(), Workload::ALL.len());
 
-    // The profiled passes actually recorded attribution, and the merged
-    // report is canonical: same sites in the same order either way.
-    // (Totals differ — wall time is nondeterministic by nature — but the
-    // *shape* of the attribution must not depend on scheduling.)
-    assert!(!report_seq.is_empty(), "sequential pass recorded nothing");
-    assert!(!report_par.is_empty(), "parallel pass recorded nothing");
+    // The attribution *shape* does not depend on scheduling (totals
+    // differ — wall time is nondeterministic by nature).
+    assert!(
+        !prof_seq.is_empty(),
+        "jobs-1 profiled pass recorded nothing"
+    );
+    assert!(
+        !prof_par.is_empty(),
+        "jobs-4 profiled pass recorded nothing"
+    );
     let shape = |r: &prof::ProfReport| {
         r.merged_edges()
             .iter()
@@ -99,8 +38,8 @@ fn profiling_never_changes_simulation_output() {
             .collect::<Vec<_>>()
     };
     assert_eq!(
-        shape(&report_seq),
-        shape(&report_par),
+        shape(&prof_seq),
+        shape(&prof_par),
         "attribution shape diverges across worker counts"
     );
     let timing_calls = |r: &prof::ProfReport| {
@@ -111,8 +50,8 @@ fn profiling_never_changes_simulation_output() {
             .sum::<u64>()
     };
     assert_eq!(
-        timing_calls(&report_seq),
-        timing_calls(&report_par),
+        timing_calls(&prof_seq),
+        timing_calls(&prof_par),
         "scope call counts diverge across worker counts"
     );
 }
