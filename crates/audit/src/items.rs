@@ -1,54 +1,18 @@
 //! Item-level fact extraction from a token stream.
 //!
 //! The lexer gives an exact token sequence; this module walks it once and
-//! records the facts the dataflow lints need: `use` edges, fn items with
-//! their call sites and iteration sites, `DetMap`-typed bindings, float
-//! accumulators in loops, and the suppression markers. Facts are designed
-//! to be (de)serializable via [`crate::json`] so the incremental cache can
-//! skip re-lexing unchanged files while still running whole-workspace
-//! graph passes.
+//! records the facts SN007 needs: fn items with the float accumulators in
+//! their loop bodies, whether each fn is test code, the suppression
+//! markers, and the lines carrying a canonical-order note.
 //!
 //! This is deliberately not a full parser. It tracks brace depth, gulps
 //! attributes / `use` statements / fn headers wholesale so their internal
 //! punctuation cannot confuse the depth tracker, and pattern-matches the
-//! handful of shapes the lints care about. Unknown constructs fall through
-//! harmlessly.
+//! handful of shapes the lint cares about. Unknown constructs fall through
+//! harmlessly, and any token sequence, however truncated, parses without
+//! panicking.
 
-use crate::json::{obj, JsonValue};
 use crate::lexer::{allow_lines, comment_lines_containing, Token, TokenKind};
-
-/// Iteration methods that expose a collection's internal order.
-pub const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "entries",
-];
-
-/// A `use` declaration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UseFact {
-    /// 1-based line of the `use` keyword.
-    pub line: usize,
-    /// Flattened path text, e.g. `std::collections::HashMap` or
-    /// `starnuma_types::{DetMap,SimRng}`.
-    pub path: String,
-}
-
-/// One iteration site inside a fn: a `for … in recv` loop or an explicit
-/// `.iter()` / `.drain()`-style call.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IterFact {
-    /// 1-based line of the site.
-    pub line: usize,
-    /// The receiver identifier being iterated (best effort).
-    pub recv: String,
-    /// The iteration method name, or empty for a bare `for x in recv`.
-    pub method: String,
-}
 
 /// A `name += …` float accumulation inside a loop body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -66,51 +30,18 @@ pub struct FnFact {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// Whether the fn is plain `pub` (restricted `pub(crate)` is not
-    /// public API and does not count).
-    pub is_pub: bool,
-    /// The return type's token text (space-joined), empty when none.
-    pub ret: String,
-    /// Every identifier invoked with `(` in the body (functions, methods,
-    /// macros) — the raw material for call edges.
-    pub calls: Vec<String>,
-    /// Iteration sites in the body.
-    pub iterations: Vec<IterFact>,
     /// Float accumulations inside loop bodies.
     pub accums: Vec<AccumFact>,
-    /// Identifiers bound to `DetMap` values in this fn (locals + params).
-    pub det_locals: Vec<String>,
     /// Whether the fn is inside a `#[cfg(test)]` module or carries a
     /// `#[test]` / `#[cfg(test)]` attribute itself.
     pub in_test: bool,
 }
 
-impl FnFact {
-    /// Whether the body calls `sorted_drain` (the canonical-order drain).
-    pub fn has_sorted_drain(&self) -> bool {
-        self.calls.iter().any(|c| c == "sorted_drain")
-    }
-
-    /// Whether the body sorts anything (`sort`, `sort_by_key`, …).
-    pub fn has_sort(&self) -> bool {
-        self.calls.iter().any(|c| c.starts_with("sort"))
-    }
-}
-
-/// Everything the lint passes need to know about one source file.
+/// Everything the SN007 pass needs to know about one source file.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FileFacts {
     /// Workspace-relative path label (as used in diagnostics).
     pub path: String,
-    /// The owning crate's directory name (empty for the root package).
-    pub crate_name: String,
-    /// Whether this is a crate root (`lib.rs` / `main.rs` under `src/`).
-    pub is_crate_root: bool,
-    /// All `use` declarations.
-    pub uses: Vec<UseFact>,
-    /// File-level identifiers bound to `DetMap` values (struct fields,
-    /// statics).
-    pub det_idents: Vec<String>,
     /// All fn items, in source order.
     pub fns: Vec<FnFact>,
     /// `audit:allow(SNxxx)` markers: (line, code).
@@ -127,16 +58,10 @@ impl FileFacts {
             .iter()
             .any(|(l, c)| c == code && (*l == line || l + 1 == line))
     }
-
-    /// Whether `ident` is known to hold a `DetMap` anywhere in this file
-    /// or specifically in `f`'s scope.
-    pub fn is_det_ident(&self, f: &FnFact, ident: &str) -> bool {
-        self.det_idents.iter().any(|d| d == ident) || f.det_locals.iter().any(|d| d == ident)
-    }
 }
 
 /// Extracts [`FileFacts`] from a lexed file.
-pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Token]) -> FileFacts {
+pub fn extract(path: &str, tokens: &[Token]) -> FileFacts {
     let sig: Vec<&Token> = tokens
         .iter()
         .filter(|t| {
@@ -148,8 +73,6 @@ pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Toke
         .collect();
     let mut facts = FileFacts {
         path: path.to_string(),
-        crate_name: crate_name.to_string(),
-        is_crate_root,
         allows: allow_lines(tokens),
         canonical_lines: comment_lines_containing(tokens, "canonical"),
         ..FileFacts::default()
@@ -223,14 +146,10 @@ pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Toke
             },
             TokenKind::Ident => match text {
                 "use" => {
-                    let line = t.line;
                     let mut j = i + 1;
-                    let mut buf = String::new();
                     while j < sig.len() && sig[j].text != ";" {
-                        buf.push_str(&sig[j].text);
                         j += 1;
                     }
-                    facts.uses.push(UseFact { line, path: buf });
                     pending_test_attr = false;
                     i = j + 1;
                 }
@@ -251,11 +170,11 @@ pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Toke
                     i += 1;
                 }
                 "while" if !impl_header => {
-                    i = gulp_loop_header(&sig, i + 1, None, &mut facts, &fn_stack);
+                    i = gulp_loop_header(&sig, i + 1);
                     awaiting_loop_brace = true;
                 }
                 "for" if !impl_header && sig.get(i + 1).is_none_or(|n| n.text != "<") => {
-                    i = gulp_loop_header(&sig, i + 1, Some(t.line), &mut facts, &fn_stack);
+                    i = gulp_loop_header(&sig, i + 1);
                     awaiting_loop_brace = true;
                 }
                 "fn" => {
@@ -277,12 +196,19 @@ pub fn extract(path: &str, crate_name: &str, is_crate_root: bool, tokens: &[Toke
                     pending_test_attr = false;
                     i += 1;
                 }
-                "DetMap" => {
-                    record_det_binding(&sig, i, &fn_stack, &mut facts);
-                    i += 1;
-                }
+                // A float `+=` accumulation inside a loop body.
                 _ => {
-                    scan_body_ident(&sig, i, &fn_stack, &loop_depths, &float_locals, &mut facts);
+                    if let Some(&(f, _)) = fn_stack.last() {
+                        if sig.get(i + 1).is_some_and(|n| n.text == "+=")
+                            && !loop_depths.is_empty()
+                            && float_locals.iter().any(|(ff, n)| *ff == f && n == text)
+                        {
+                            facts.fns[f].accums.push(AccumFact {
+                                name: t.text.clone(),
+                                line: t.line,
+                            });
+                        }
+                    }
                     i += 1;
                 }
             },
@@ -329,82 +255,29 @@ fn gulp_attribute(sig: &[&Token], start: usize, pending_test_attr: &mut bool) ->
     (j + 1).min(sig.len())
 }
 
-/// Scans a `for`/`while` header from just past the keyword to the body
-/// `{`, recording calls and (for `for` loops) the iteration site. Returns
-/// the index of the body `{` so the caller's `awaiting_loop_brace` fires.
-fn gulp_loop_header(
-    sig: &[&Token],
-    start: usize,
-    for_line: Option<usize>,
-    facts: &mut FileFacts,
-    fn_stack: &[(usize, i64)],
-) -> usize {
+/// Skips a `for`/`while` header from just past the keyword to the body
+/// `{`. Returns the index of the body `{` so the caller's
+/// `awaiting_loop_brace` fires.
+fn gulp_loop_header(sig: &[&Token], start: usize) -> usize {
     let mut j = start;
     let mut paren = 0i64;
-    let mut in_at: Option<usize> = None;
     while let Some(t) = sig.get(j) {
         match t.text.as_str() {
             "(" | "[" => paren += 1,
             ")" | "]" => paren -= 1,
-            "{" if paren == 0 => break,
-            ";" if paren == 0 => break,
-            "in" if paren == 0 && in_at.is_none() => in_at = Some(j),
+            "{" | ";" if paren == 0 => break,
             _ => {}
         }
         j += 1;
     }
-    let cur_fn = fn_stack.last().map(|&(f, _)| f);
-    // Calls inside the header expression.
-    let mut k = start;
-    while k + 1 < j {
-        if sig[k].kind == TokenKind::Ident && sig[k + 1].text == "(" {
-            if let Some(f) = cur_fn {
-                facts.fns[f].calls.push(sig[k].text.clone());
-            }
-        }
-        k += 1;
-    }
-    // The iteration site itself (for loops only).
-    if let (Some(line), Some(in_idx)) = (for_line, in_at) {
-        let expr = &sig[in_idx + 1..j.min(sig.len())];
-        let mut method = String::new();
-        let mut recv = String::new();
-        for (k, t) in expr.iter().enumerate() {
-            if t.kind == TokenKind::Ident
-                && ITER_METHODS.contains(&t.text.as_str())
-                && expr.get(k + 1).is_some_and(|n| n.text == "(")
-                && k >= 1
-                && expr[k - 1].text == "."
-            {
-                method = t.text.clone();
-                if k >= 2 && expr[k - 2].kind == TokenKind::Ident {
-                    recv = expr[k - 2].text.clone();
-                }
-                break;
-            }
-        }
-        if recv.is_empty() {
-            // Bare `for x in recv` / `for x in &self.recv`: the last
-            // identifier of the path not itself being called.
-            for (k, t) in expr.iter().enumerate() {
-                if t.kind == TokenKind::Ident && expr.get(k + 1).is_none_or(|n| n.text != "(") {
-                    recv = t.text.clone();
-                }
-            }
-        }
-        if let Some(f) = cur_fn {
-            facts.fns[f]
-                .iterations
-                .push(IterFact { line, recv, method });
-        }
-    }
     j
 }
 
-/// Parses a `fn` header starting at the `fn` keyword: name, visibility,
-/// generics, params (mining them for `DetMap` bindings), return type, and
-/// where clause. Pushes the new fn and, when a body opens, enters it.
-/// Returns the index past the body `{` or the `;`.
+/// Parses a `fn` header starting at the `fn` keyword: name, generics,
+/// params, return type, and where clause. Pushes the new fn and, when a
+/// body opens, enters it. Returns the index past the body `{` or the `;`.
+/// Every lookup is bounds-checked, so a header cut off anywhere (a file
+/// ending in `fn`) yields a nameless fn rather than a panic.
 fn parse_fn_header(
     sig: &[&Token],
     fn_idx_tok: usize,
@@ -413,7 +286,7 @@ fn parse_fn_header(
     depth: &mut i64,
     in_test: bool,
 ) -> usize {
-    let line = sig[fn_idx_tok].line;
+    let line = sig.get(fn_idx_tok).map_or(0, |t| t.line);
     let mut j = fn_idx_tok + 1;
     let name = sig
         .get(j)
@@ -421,65 +294,24 @@ fn parse_fn_header(
         .map(|t| t.text.clone())
         .unwrap_or_default();
     j += 1;
-    let is_pub = {
-        let mut k = fn_idx_tok;
-        // Skip qualifiers between the visibility and `fn`.
-        while k >= 1
-            && (matches!(sig[k - 1].text.as_str(), "const" | "async" | "extern")
-                || sig[k - 1].kind == TokenKind::Str)
-        {
-            k -= 1;
-        }
-        k >= 1 && sig[k - 1].text == "pub"
-    };
-    // Generics.
-    if sig.get(j).is_some_and(|t| t.text == "<") {
-        let mut angle = 0i64;
-        while let Some(t) = sig.get(j) {
-            match t.text.as_str() {
-                "<" => angle += 1,
-                ">" => {
-                    angle -= 1;
-                    if angle == 0 {
-                        j += 1;
+    // Generics, then params: skip one balanced `open … close` group.
+    for (open, close) in [("<", ">"), ("(", ")")] {
+        if sig.get(j).is_some_and(|t| t.text == open) {
+            let mut nest = 0i64;
+            while let Some(t) = sig.get(j) {
+                j += 1;
+                if t.text == open {
+                    nest += 1;
+                } else if t.text == close {
+                    nest -= 1;
+                    if nest == 0 {
                         break;
                     }
                 }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    // Params.
-    let params_start = j;
-    if sig.get(j).is_some_and(|t| t.text == "(") {
-        let mut paren = 0i64;
-        while let Some(t) = sig.get(j) {
-            match t.text.as_str() {
-                "(" => paren += 1,
-                ")" => {
-                    paren -= 1;
-                    if paren == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    let mut det_locals = Vec::new();
-    let params = &sig[params_start..j.min(sig.len())];
-    for (k, t) in params.iter().enumerate() {
-        if t.text == "DetMap" {
-            if let Some(n) = det_name_before(params, k) {
-                det_locals.push(n);
             }
         }
     }
     // Return type.
-    let mut ret = String::new();
     if sig.get(j).is_some_and(|t| t.text == "->") {
         j += 1;
         let (mut a, mut p) = (0i64, 0i64);
@@ -492,10 +324,6 @@ fn parse_fn_header(
                 ")" => p -= 1,
                 _ => {}
             }
-            if !ret.is_empty() && t.kind == TokenKind::Ident {
-                ret.push(' ');
-            }
-            ret.push_str(&t.text);
             j += 1;
         }
     }
@@ -507,9 +335,6 @@ fn parse_fn_header(
     facts.fns.push(FnFact {
         name,
         line,
-        is_pub,
-        ret,
-        det_locals,
         in_test,
         ..FnFact::default()
     });
@@ -521,46 +346,6 @@ fn parse_fn_header(
         }
         Some(";") => j + 1,
         _ => j,
-    }
-}
-
-/// Walks back from a `DetMap` token over its path (`a::b::DetMap`) and
-/// `&`/`mut`, expecting `name :` or `name =`; returns the bound name.
-fn det_name_before(sig: &[&Token], det_at: usize) -> Option<String> {
-    let mut j = det_at.checked_sub(1)?;
-    while sig[j].text == "::" {
-        j = j.checked_sub(2)?;
-    }
-    while matches!(sig[j].text.as_str(), "&" | "mut") {
-        j = j.checked_sub(1)?;
-    }
-    if !matches!(sig[j].text.as_str(), ":" | "=") {
-        return None;
-    }
-    let name_tok = sig.get(j.checked_sub(1)?)?;
-    if name_tok.kind == TokenKind::Ident {
-        Some(name_tok.text.clone())
-    } else {
-        None
-    }
-}
-
-/// Records a `DetMap`-typed binding at file level or fn level.
-fn record_det_binding(
-    sig: &[&Token],
-    det_at: usize,
-    fn_stack: &[(usize, i64)],
-    facts: &mut FileFacts,
-) {
-    let Some(name) = det_name_before(sig, det_at) else {
-        return;
-    };
-    if let Some(&(f, _)) = fn_stack.last() {
-        if !facts.fns[f].det_locals.contains(&name) {
-            facts.fns[f].det_locals.push(name);
-        }
-    } else if !facts.det_idents.contains(&name) {
-        facts.det_idents.push(name);
     }
 }
 
@@ -612,267 +397,21 @@ fn record_float_local(
     }
 }
 
-/// Handles a generic identifier in a body: call sites, explicit iteration
-/// calls, and float `+=` accumulations inside loops.
-fn scan_body_ident(
-    sig: &[&Token],
-    i: usize,
-    fn_stack: &[(usize, i64)],
-    loop_depths: &[i64],
-    float_locals: &[(usize, String)],
-    facts: &mut FileFacts,
-) {
-    let Some(&(f, _)) = fn_stack.last() else {
-        return;
-    };
-    let t = sig[i];
-    let next = sig.get(i + 1).map(|n| n.text.as_str());
-    let called =
-        next == Some("(") || (next == Some("!") && sig.get(i + 2).is_some_and(|n| n.text == "("));
-    if called {
-        facts.fns[f].calls.push(t.text.clone());
-        if ITER_METHODS.contains(&t.text.as_str()) && i >= 1 && sig[i - 1].text == "." {
-            let recv = sig
-                .get(i.wrapping_sub(2))
-                .filter(|r| r.kind == TokenKind::Ident)
-                .map(|r| r.text.clone())
-                .unwrap_or_default();
-            facts.fns[f].iterations.push(IterFact {
-                line: t.line,
-                recv,
-                method: t.text.clone(),
-            });
-        }
-        return;
-    }
-    if next == Some("+=")
-        && !loop_depths.is_empty()
-        && float_locals.iter().any(|(ff, n)| *ff == f && *n == t.text)
-    {
-        facts.fns[f].accums.push(AccumFact {
-            name: t.text.clone(),
-            line: t.line,
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// Cache (de)serialization.
-// ---------------------------------------------------------------------
-
-fn arr_of_strings(items: &[String]) -> JsonValue {
-    JsonValue::Arr(items.iter().map(|s| JsonValue::Str(s.clone())).collect())
-}
-
-fn strings_of_arr(v: Option<&JsonValue>) -> Vec<String> {
-    v.and_then(JsonValue::as_arr)
-        .map(|a| {
-            a.iter()
-                .filter_map(|x| x.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-impl FileFacts {
-    /// Serializes the facts for the incremental cache.
-    pub fn to_json(&self) -> JsonValue {
-        obj(vec![
-            ("path", JsonValue::Str(self.path.clone())),
-            ("crate", JsonValue::Str(self.crate_name.clone())),
-            ("root", JsonValue::Bool(self.is_crate_root)),
-            (
-                "uses",
-                JsonValue::Arr(
-                    self.uses
-                        .iter()
-                        .map(|u| {
-                            obj(vec![
-                                ("line", JsonValue::Num(u.line as f64)),
-                                ("path", JsonValue::Str(u.path.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("det", arr_of_strings(&self.det_idents)),
-            (
-                "fns",
-                JsonValue::Arr(self.fns.iter().map(fn_to_json).collect()),
-            ),
-            (
-                "allows",
-                JsonValue::Arr(
-                    self.allows
-                        .iter()
-                        .map(|(l, c)| {
-                            JsonValue::Arr(vec![
-                                JsonValue::Num(*l as f64),
-                                JsonValue::Str(c.clone()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "canon",
-                JsonValue::Arr(
-                    self.canonical_lines
-                        .iter()
-                        .map(|l| JsonValue::Num(*l as f64))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserializes facts from the incremental cache; `None` on any shape
-    /// mismatch (a stale cache must read as absent).
-    pub fn from_json(v: &JsonValue) -> Option<FileFacts> {
-        let mut facts = FileFacts {
-            path: v.get("path")?.as_str()?.to_string(),
-            crate_name: v.get("crate")?.as_str()?.to_string(),
-            is_crate_root: matches!(v.get("root"), Some(JsonValue::Bool(true))),
-            det_idents: strings_of_arr(v.get("det")),
-            ..FileFacts::default()
-        };
-        for u in v.get("uses")?.as_arr()? {
-            facts.uses.push(UseFact {
-                line: u.get("line")?.as_num()? as usize,
-                path: u.get("path")?.as_str()?.to_string(),
-            });
-        }
-        for f in v.get("fns")?.as_arr()? {
-            facts.fns.push(fn_from_json(f)?);
-        }
-        for a in v.get("allows")?.as_arr()? {
-            let pair = a.as_arr()?;
-            facts.allows.push((
-                pair.first()?.as_num()? as usize,
-                pair.get(1)?.as_str()?.to_string(),
-            ));
-        }
-        for l in v.get("canon")?.as_arr()? {
-            facts.canonical_lines.push(l.as_num()? as usize);
-        }
-        Some(facts)
-    }
-}
-
-fn fn_to_json(f: &FnFact) -> JsonValue {
-    obj(vec![
-        ("name", JsonValue::Str(f.name.clone())),
-        ("line", JsonValue::Num(f.line as f64)),
-        ("pub", JsonValue::Bool(f.is_pub)),
-        ("ret", JsonValue::Str(f.ret.clone())),
-        ("calls", arr_of_strings(&f.calls)),
-        (
-            "iters",
-            JsonValue::Arr(
-                f.iterations
-                    .iter()
-                    .map(|it| {
-                        obj(vec![
-                            ("line", JsonValue::Num(it.line as f64)),
-                            ("recv", JsonValue::Str(it.recv.clone())),
-                            ("method", JsonValue::Str(it.method.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "accums",
-            JsonValue::Arr(
-                f.accums
-                    .iter()
-                    .map(|a| {
-                        obj(vec![
-                            ("name", JsonValue::Str(a.name.clone())),
-                            ("line", JsonValue::Num(a.line as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("det", arr_of_strings(&f.det_locals)),
-        ("test", JsonValue::Bool(f.in_test)),
-    ])
-}
-
-fn fn_from_json(v: &JsonValue) -> Option<FnFact> {
-    let mut f = FnFact {
-        name: v.get("name")?.as_str()?.to_string(),
-        line: v.get("line")?.as_num()? as usize,
-        is_pub: matches!(v.get("pub"), Some(JsonValue::Bool(true))),
-        ret: v.get("ret")?.as_str()?.to_string(),
-        calls: strings_of_arr(v.get("calls")),
-        det_locals: strings_of_arr(v.get("det")),
-        in_test: matches!(v.get("test"), Some(JsonValue::Bool(true))),
-        ..FnFact::default()
-    };
-    for it in v.get("iters")?.as_arr()? {
-        f.iterations.push(IterFact {
-            line: it.get("line")?.as_num()? as usize,
-            recv: it.get("recv")?.as_str()?.to_string(),
-            method: it.get("method")?.as_str()?.to_string(),
-        });
-    }
-    for a in v.get("accums")?.as_arr()? {
-        f.accums.push(AccumFact {
-            name: a.get("name")?.as_str()?.to_string(),
-            line: a.get("line")?.as_num()? as usize,
-        });
-    }
-    Some(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
     fn facts_of(src: &str) -> FileFacts {
-        extract("t.rs", "sim", false, &lex(src))
+        extract("t.rs", &lex(src))
     }
 
     #[test]
-    fn extracts_uses_and_fn_shapes() {
-        let src = "use std::collections::BTreeMap;\nuse starnuma_types::{DetMap, SimRng};\n\npub fn merge_results(xs: &[u32]) -> Vec<u32> {\n    let mut out = Vec::new();\n    out.extend(xs.iter().copied());\n    out\n}\n\nfn helper() {}\n";
+    fn fn_headers_of_every_shape_are_entered() {
+        let src = "pub fn merge<'a, T: Into<u64>>(xs: &'a [T]) -> Vec<(u64, u64)> where T: Copy {\n    Vec::new()\n}\n\nfn helper() {}\nfn decl();\n";
         let f = facts_of(src);
-        assert_eq!(f.uses.len(), 2);
-        assert_eq!(f.uses[0].path, "std::collections::BTreeMap");
-        assert_eq!(f.uses[1].path, "starnuma_types::{DetMap,SimRng}");
-        assert_eq!(f.fns.len(), 2);
-        assert_eq!(f.fns[0].name, "merge_results");
-        assert!(f.fns[0].is_pub);
-        assert_eq!(f.fns[0].ret, "Vec< u32>");
-        assert!(f.fns[0].calls.iter().any(|c| c == "extend"));
-        assert!(!f.fns[1].is_pub);
-    }
-
-    #[test]
-    fn detmap_fields_locals_and_params_are_recorded() {
-        let src = "pub struct Dir {\n    entries: DetMap<u64, u32>,\n}\n\nfn f(masks: &DetMap<u64, u64>) {\n    let mut local = DetMap::new();\n    local.insert(1u64, 2u64);\n    let _ = masks.len();\n}\n";
-        let f = facts_of(src);
-        assert_eq!(f.det_idents, vec!["entries".to_string()]);
-        assert_eq!(
-            f.fns[0].det_locals,
-            vec!["masks".to_string(), "local".to_string()]
-        );
-    }
-
-    #[test]
-    fn iteration_sites_capture_receiver_and_method() {
-        let src = "fn g(m: &DetMap<u64, u64>) -> u64 {\n    let mut acc = 0u64;\n    for (k, v) in m.iter() {\n        acc += k + v;\n    }\n    let n: u64 = m.values().sum();\n    acc + n\n}\n";
-        let f = facts_of(src);
-        let iters = &f.fns[0].iterations;
-        assert!(iters
-            .iter()
-            .any(|it| it.recv == "m" && it.method == "iter" && it.line == 3));
-        assert!(iters
-            .iter()
-            .any(|it| it.recv == "m" && it.method == "values"));
+        let names: Vec<_> = f.fns.iter().map(|x| (x.name.as_str(), x.line)).collect();
+        assert_eq!(names, [("merge", 1), ("helper", 5), ("decl", 6)]);
     }
 
     #[test]
@@ -902,30 +441,21 @@ mod tests {
     }
 
     #[test]
-    fn impl_for_is_not_a_loop_and_sorted_drain_is_seen() {
-        let src = "struct S;\nimpl Iterator for S {\n    type Item = u32;\n    fn next(&mut self) -> Option<u32> { None }\n}\n\nfn export(m: &mut DetMap<u64, u64>) -> Vec<(u64, u64)> {\n    m.sorted_drain()\n}\n";
+    fn impl_for_is_not_a_loop() {
+        let src = "struct S;\nimpl Iterator for S {\n    type Item = u32;\n    fn next(&mut self) -> Option<u32> {\n        let mut t = 0.0;\n        t += 1.0;\n        None\n    }\n}\n";
         let f = facts_of(src);
-        let export = f.fns.iter().find(|x| x.name == "export").unwrap();
-        assert!(export.has_sorted_drain());
-        assert!(f.fns.iter().all(|x| x.accums.is_empty()));
+        assert_eq!(f.fns[0].name, "next");
+        assert!(f.fns[0].accums.is_empty());
     }
 
     #[test]
-    fn allows_and_canonical_lines_round_trip_through_json() {
+    fn allows_and_canonical_lines_are_recorded() {
         let src = "// audit:allow(SN007)\nfn f(xs: &[f64]) -> f64 {\n    // canonical order: sorted by id\n    let mut t = 0.0;\n    for x in xs {\n        t += x;\n    }\n    t\n}\n";
         let f = facts_of(src);
         assert_eq!(f.allows, vec![(1, "SN007".to_string())]);
         assert_eq!(f.canonical_lines, vec![3]);
-        let back = FileFacts::from_json(&f.to_json()).unwrap();
-        assert_eq!(back, f);
-    }
-
-    #[test]
-    fn pub_crate_does_not_count_as_public_api() {
-        let src = "pub(crate) fn internal() -> Vec<u32> { Vec::new() }\npub fn external() -> Vec<u32> { Vec::new() }\n";
-        let f = facts_of(src);
-        assert!(!f.fns[0].is_pub);
-        assert!(f.fns[1].is_pub);
+        assert!(f.allowed("SN007", 2));
+        assert!(!f.allowed("SN007", 3));
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! a crates.io dependency sneaking in, or a `main.rs` without the forbid.
 //!
 //! Suppression uses TOML comments: `# audit:allow(SN012)` on the line or
-//! the line above.
+//! the line above — for a table-form `[dependencies.<name>]` section, on
+//! or above its header.
 
 use std::fs;
 use std::path::Path;
 
-use starnuma_types::Diagnostic;
+use starnuma_types::{Diagnostic, StarNumaError};
 
-/// Section headers whose entries are dependencies.
+/// Section headers whose entries are dependencies, after any
+/// `target.<spec>.` prefix is stripped.
 const DEP_SECTIONS: &[&str] = &[
     "dependencies",
     "dev-dependencies",
@@ -23,10 +25,56 @@ const DEP_SECTIONS: &[&str] = &[
     "workspace.dependencies",
 ];
 
+/// How a manifest section relates to dependencies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum DepSection<'a> {
+    /// `[dependencies]`: every `key = value` line is one dependency.
+    Flat,
+    /// `[dependencies.rand]`: the whole section is the one named dependency.
+    Table(&'a str),
+}
+
+/// Classifies a section header (brackets stripped): `None` for sections
+/// that hold no dependencies. `target.'cfg(unix)'.dependencies` and
+/// friends count like their untargeted forms.
+fn dep_section(section: &str) -> Option<DepSection<'_>> {
+    let rest = match section.strip_prefix("target.") {
+        // The spec is a bare triple or a quoted `cfg(…)` that may itself
+        // contain dots.
+        Some(spec) => match spec.chars().next() {
+            Some(q @ ('\'' | '"')) => spec[1..].split_once(q)?.1.strip_prefix('.')?,
+            _ => spec.split_once('.')?.1,
+        },
+        None => section,
+    };
+    DEP_SECTIONS
+        .iter()
+        .find_map(|kind| match rest.strip_prefix(kind)? {
+            "" => Some(DepSection::Flat),
+            name => name.strip_prefix('.').map(DepSection::Table),
+        })
+}
+
+/// The SN012 finding for one dependency that is neither a workspace nor a
+/// path dependency.
+fn external_dep(label: &str, line_no: usize, name: &str, section: &str) -> Diagnostic {
+    Diagnostic::error(
+        "SN012",
+        format!("{label}:{line_no}"),
+        format!("dependency `{name}` in [{section}] is not a workspace/path dependency"),
+        "route shared deps through [workspace.dependencies] with a \
+         path (the workspace is zero-external-dependency by design), \
+         or mark `# audit:allow(SN012)`",
+    )
+}
+
 /// Lints one manifest's text. `label` names it in diagnostics.
 pub fn lint_manifest_source(label: &str, source: &str) -> Vec<Diagnostic> {
     let mut findings = Vec::new();
     let mut section = String::new();
+    // A `[dependencies.<name>]` table not yet shown to be in-repo: its
+    // name and header line. Reported when the section ends.
+    let mut open_table: Option<(String, usize)> = None;
     let mut prev_allowed = false;
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -38,10 +86,15 @@ pub fn lint_manifest_source(label: &str, source: &str) -> Vec<Diagnostic> {
             continue;
         }
         if line.starts_with('[') {
+            if let Some((name, at)) = open_table.take() {
+                findings.push(external_dep(label, at, &name, &section));
+            }
             section = line.trim_matches(|c| c == '[' || c == ']').to_string();
-            continue;
-        }
-        if !DEP_SECTIONS.contains(&section.as_str()) {
+            if let Some(DepSection::Table(name)) = dep_section(&section) {
+                if !allowed {
+                    open_table = Some((name.to_string(), line_no));
+                }
+            }
             continue;
         }
         let Some((name, value)) = line.split_once('=') else {
@@ -49,26 +102,30 @@ pub fn lint_manifest_source(label: &str, source: &str) -> Vec<Diagnostic> {
         };
         let name = name.trim();
         let value = value.trim();
-        // `foo.workspace = true` and `foo = { workspace = true }` both
-        // delegate to the root table; `path = …` entries are in-repo.
-        let is_workspace_ref = name.ends_with(".workspace") && value == "true"
-            || value.contains("workspace = true")
-            || value.contains("workspace=true");
-        let is_path_dep = value.contains("path =") || value.contains("path=");
-        if !is_workspace_ref && !is_path_dep && !allowed {
-            findings.push(Diagnostic::error(
-                "SN012",
-                format!("{label}:{line_no}"),
-                format!(
-                    "dependency `{}` in [{section}] is not a workspace/path \
-                     dependency",
-                    name.trim_end_matches(".workspace")
-                ),
-                "route shared deps through [workspace.dependencies] with a \
-                 path (the workspace is zero-external-dependency by design), \
-                 or mark `# audit:allow(SN012)`",
-            ));
+        match dep_section(&section) {
+            Some(DepSection::Flat) => {
+                // `foo.workspace = true` and `foo = { workspace = true }`
+                // both delegate to the root table; `path = …` entries are
+                // in-repo.
+                let is_workspace_ref = name.ends_with(".workspace") && value == "true"
+                    || value.contains("workspace = true")
+                    || value.contains("workspace=true");
+                let is_path_dep = value.contains("path =") || value.contains("path=");
+                if !is_workspace_ref && !is_path_dep && !allowed {
+                    let dep = name.trim_end_matches(".workspace");
+                    findings.push(external_dep(label, line_no, dep, &section));
+                }
+            }
+            Some(DepSection::Table(_))
+                if name == "path" || name == "workspace" && value == "true" =>
+            {
+                open_table = None;
+            }
+            _ => {}
         }
+    }
+    if let Some((name, at)) = open_table {
+        findings.push(external_dep(label, at, &name, &section));
     }
     findings
 }
@@ -77,12 +134,28 @@ pub fn lint_manifest_source(label: &str, source: &str) -> Vec<Diagnostic> {
 /// `crates/*/Cargo.toml`), and checks that every build-target root
 /// (`src/main.rs` next to a manifest) carries `#![forbid(unsafe_code)]` —
 /// `lib.rs` roots are already covered by SN004.
-pub fn lint_manifests(root: &Path) -> Vec<Diagnostic> {
+///
+/// # Errors
+///
+/// Returns [`StarNumaError::Io`] when the `crates/` directory, or a
+/// manifest or bin root that exists, cannot be read as UTF-8 text: a file
+/// the pass cannot see must not lint as clean.
+pub fn lint_manifests(root: &Path) -> Result<Vec<Diagnostic>, StarNumaError> {
+    let read = |path: &Path| {
+        fs::read_to_string(path).map_err(|e| StarNumaError::Io(format!("{}: {e}", path.display())))
+    };
+    let label = |path: &Path| {
+        path.strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .into_owned()
+    };
     let mut findings = Vec::new();
     let mut manifest_dirs = vec![root.to_path_buf()];
     let crates_dir = root.join("crates");
-    if let Ok(entries) = fs::read_dir(&crates_dir) {
-        let mut dirs: Vec<_> = entries
+    if crates_dir.is_dir() {
+        let mut dirs: Vec<_> = fs::read_dir(&crates_dir)
+            .map_err(|e| StarNumaError::Io(format!("{}: {e}", crates_dir.display())))?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.join("Cargo.toml").is_file())
             .collect();
@@ -91,42 +164,33 @@ pub fn lint_manifests(root: &Path) -> Vec<Diagnostic> {
     }
     for dir in manifest_dirs {
         let manifest = dir.join("Cargo.toml");
-        let Ok(text) = fs::read_to_string(&manifest) else {
-            continue;
-        };
-        let label = manifest
-            .strip_prefix(root)
-            .unwrap_or(&manifest)
-            .to_string_lossy()
-            .into_owned();
-        findings.extend(lint_manifest_source(&label, &text));
+        if manifest.is_file() {
+            findings.extend(lint_manifest_source(&label(&manifest), &read(&manifest)?));
+        }
         let main_rs = dir.join("src").join("main.rs");
-        if let Ok(main_src) = fs::read_to_string(&main_rs) {
-            // Check *code*, not raw text: an attribute named inside a doc
-            // comment must not satisfy the rule, and an allow marker is
-            // only honored in a real comment.
-            let tokens = crate::lexer::lex(&main_src);
-            let code = crate::lexer::code_lines(&main_src, &tokens).join("\n");
-            let allowed = crate::lexer::allow_lines(&tokens)
-                .iter()
-                .any(|(_, c)| c == "SN012");
-            if !code.contains("#![forbid(unsafe_code)]") && !allowed {
-                let main_label = main_rs
-                    .strip_prefix(root)
-                    .unwrap_or(&main_rs)
-                    .to_string_lossy()
-                    .into_owned();
-                findings.push(Diagnostic::error(
-                    "SN012",
-                    format!("{main_label}:1"),
-                    "binary root is missing `#![forbid(unsafe_code)]`",
-                    "bin targets are crate roots too; add the attribute \
-                     below the crate-level doc comment",
-                ));
-            }
+        if !main_rs.is_file() {
+            continue;
+        }
+        let main_src = read(&main_rs)?;
+        // Check *code*, not raw text: an attribute named inside a doc
+        // comment must not satisfy the rule, and an allow marker is only
+        // honored in a real comment.
+        let tokens = crate::lexer::lex(&main_src);
+        let code = crate::lexer::code_lines(&main_src, &tokens).join("\n");
+        let allowed = crate::lexer::allow_lines(&tokens)
+            .iter()
+            .any(|(_, c)| c == "SN012");
+        if !code.contains("#![forbid(unsafe_code)]") && !allowed {
+            findings.push(Diagnostic::error(
+                "SN012",
+                format!("{}:1", label(&main_rs)),
+                "binary root is missing `#![forbid(unsafe_code)]`",
+                "bin targets are crate roots too; add the attribute \
+                 below the crate-level doc comment",
+            ));
         }
     }
-    findings
+    Ok(findings)
 }
 
 #[cfg(test)]
@@ -135,8 +199,13 @@ mod tests {
 
     #[test]
     fn workspace_and_path_deps_are_clean() {
-        let src = "[package]\nname = \"x\"\n\n[dependencies]\nstarnuma-types = { workspace = true }\nstarnuma-sim.workspace = true\nlocal = { path = \"../local\" }\n";
-        assert!(lint_manifest_source("Cargo.toml", src).is_empty());
+        for src in [
+            "[package]\nname = \"x\"\n\n[dependencies]\nstarnuma-types = { workspace = true }\nstarnuma-sim.workspace = true\nlocal = { path = \"../local\" }\n",
+            "[dependencies.local]\npath = \"../local\"\nversion = \"0.1\"\n\n[dependencies.types]\nworkspace = true\n",
+            "[target.'cfg(unix)'.dependencies]\nstarnuma-types = { workspace = true }\n",
+        ] {
+            assert!(lint_manifest_source("Cargo.toml", src).is_empty(), "{src}");
+        }
     }
 
     #[test]
@@ -146,6 +215,22 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|d| d.code == "SN012"));
         assert!(f[0].message.contains("`serde`"));
+        // Table-form and target-specific sections: a table-form finding
+        // points at its section header.
+        for (src, lines) in [
+            (
+                "[dependencies.rand]\nversion = \"0.8\"\nfeatures = [\"small_rng\"]\n\n[dev-dependencies.criterion]\nversion = \"0.5\"\n",
+                vec!["Cargo.toml:1", "Cargo.toml:5"],
+            ),
+            (
+                "[target.'cfg(unix)'.dependencies]\nlibc = \"0.2\"\n\n[target.x86_64-pc-windows-msvc.dev-dependencies]\nwinapi = \"0.3\"\n\n[target.'cfg(target_os = \"linux\")'.dependencies.nix]\nversion = \"0.27\"\n",
+                vec!["Cargo.toml:2", "Cargo.toml:5", "Cargo.toml:7"],
+            ),
+        ] {
+            let f = lint_manifest_source("Cargo.toml", src);
+            let got: Vec<_> = f.iter().map(|d| d.location.as_str()).collect();
+            assert_eq!(got, lines, "{src}");
+        }
     }
 
     #[test]
@@ -156,8 +241,12 @@ mod tests {
 
     #[test]
     fn allow_comment_suppresses_same_and_next_line() {
-        let src = "[dependencies]\nserde = \"1.0\" # audit:allow(SN012)\n# audit:allow(SN012)\nrand = \"0.8\"\n";
-        assert!(lint_manifest_source("Cargo.toml", src).is_empty());
+        for src in [
+            "[dependencies]\nserde = \"1.0\" # audit:allow(SN012)\n# audit:allow(SN012)\nrand = \"0.8\"\n",
+            "# audit:allow(SN012)\n[dependencies.rayon]\nversion = \"1.8\"\n",
+        ] {
+            assert!(lint_manifest_source("Cargo.toml", src).is_empty(), "{src}");
+        }
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //!
 //! Three layers, in the order the driver runs them:
 //!
-//! * [`source`] — per-line token lints over one file (SN001–SN005 plus the
-//!   new SN008/SN009/SN011). Pure per-file, so their findings are safe to
-//!   cache by file digest.
-//! * [`dataflow`] — whole-workspace passes over the item graph
-//!   (SN006/SN007/SN010). Cheap once facts exist; always re-run.
-//! * [`manifest`] — `Cargo.toml` drift checks (SN012). Always re-run.
+//! * [`source`] — per-line token lints over one file (SN001–SN005, SN008,
+//!   SN009, SN011).
+//! * [`dataflow`] — the float-order lint (SN007) over one file's item
+//!   facts.
+//! * [`manifest`] — `Cargo.toml` drift checks (SN012).
 //!
 //! Crate-level scoping (which crates a rule applies to) lives here so the
 //! driver and the tests agree on one source of truth.
@@ -42,22 +41,6 @@ pub fn thread_topology_exempt() -> &'static [&'static str] {
 /// results instead of merely mis-rendering them.
 pub fn truncation_scope() -> &'static [&'static str] {
     &["sim", "types"]
-}
-
-/// Crates whose public APIs SN010 holds to order-stability: everything on
-/// the simulation side of the workspace. Front ends (cli/bench) and the
-/// analyzer itself are exempt.
-pub fn order_stable_api_scope() -> &'static [&'static str] {
-    &[
-        "sim",
-        "core",
-        "mem",
-        "cache",
-        "coherence",
-        "migration",
-        "topology",
-        "trace",
-    ]
 }
 
 /// Applies the crate-level scoping rules to one file's source-pass

@@ -3,9 +3,8 @@
 //! These run over the lexer's reconstructed *code lines* — comments gone,
 //! string/char contents blanked — so a forbidden token can never fire from
 //! inside text, no matter how many lines the literal or comment spans.
-//! The pass stays line-shaped on purpose: findings are cheap to cache per
-//! file, and the brace-depth `#[cfg(test)]` skip from the original
-//! scanner ports over unchanged.
+//! The pass stays line-shaped on purpose: the brace-depth `#[cfg(test)]`
+//! skip from the original scanner ports over unchanged.
 
 use starnuma_types::Diagnostic;
 

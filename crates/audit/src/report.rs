@@ -29,19 +29,14 @@ pub fn render_json(findings: &[Diagnostic]) -> String {
 }
 
 /// Schema version of the `lint --json` report object.
-pub const REPORT_SCHEMA_VERSION: u32 = 1;
+pub const REPORT_SCHEMA_VERSION: u32 = 2;
 
-/// Renders the versioned `lint --json` report object: the findings array
-/// plus counts the caller supplies (suppressed-by-baseline, files
-/// scanned). Callers pass findings already in stable (path, line, code)
+/// Renders the versioned `lint --json` report object around the findings
+/// array. Callers pass findings already in stable (path, line, code)
 /// order and deduplicated.
-pub fn render_json_report(
-    findings: &[Diagnostic],
-    suppressed: usize,
-    files_scanned: usize,
-) -> String {
+pub fn render_json_report(findings: &[Diagnostic]) -> String {
     format!(
-        "{{\"schema_version\":{REPORT_SCHEMA_VERSION},\"files_scanned\":{files_scanned},\"suppressed\":{suppressed},\"findings\":{}}}",
+        "{{\"schema_version\":{REPORT_SCHEMA_VERSION},\"findings\":{}}}",
         render_json(findings)
     )
 }
@@ -74,14 +69,11 @@ mod tests {
 
     #[test]
     fn json_report_is_versioned() {
-        let s = render_json_report(&sample(), 3, 42);
-        assert!(s.starts_with("{\"schema_version\":1,"));
-        assert!(s.contains("\"files_scanned\":42"));
-        assert!(s.contains("\"suppressed\":3"));
-        assert!(s.contains("\"findings\":[{"));
+        let s = render_json_report(&sample());
+        assert!(s.starts_with("{\"schema_version\":2,\"findings\":[{"));
         assert_eq!(
-            render_json_report(&[], 0, 1),
-            "{\"schema_version\":1,\"files_scanned\":1,\"suppressed\":0,\"findings\":[]}"
+            render_json_report(&[]),
+            "{\"schema_version\":2,\"findings\":[]}"
         );
     }
 

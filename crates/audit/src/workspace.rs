@@ -1,9 +1,8 @@
 //! The workspace lint driver.
 //!
 //! Discovers every `.rs` file (root `src/` plus `crates/*/src/`), runs the
-//! source pass per file (through the incremental cache when enabled),
-//! feeds the extracted facts to the dataflow pass, runs the manifest pass,
-//! and returns one deduplicated finding list in stable
+//! source pass and the SN007 float-order pass per file, runs the manifest
+//! pass, and returns one deduplicated finding list in stable
 //! (path, line, code, message) order.
 
 use std::fs;
@@ -11,66 +10,22 @@ use std::path::{Path, PathBuf};
 
 use starnuma_types::{Diagnostic, StarNumaError};
 
-use crate::cache::{digest64, Cache, CacheEntry};
-use crate::items::{extract, FileFacts};
+use crate::items::extract;
 use crate::lints::source::lint_source;
 use crate::lints::{dataflow::lint_dataflow, manifest::lint_manifests, scope_findings};
 
-/// Options for a workspace lint run.
-#[derive(Clone, Debug, Default)]
-pub struct LintOptions {
-    /// Cache file to read/write; `None` disables the cache entirely.
-    pub cache_path: Option<PathBuf>,
-}
-
-impl LintOptions {
-    /// The default cache location under a workspace root.
-    pub fn default_cache_path(root: &Path) -> PathBuf {
-        root.join("target").join("audit-cache.json")
-    }
-}
-
-/// What a workspace lint run produced.
-pub struct LintOutcome {
-    /// All findings, deduplicated and in stable (path, line, code) order.
-    pub findings: Vec<Diagnostic>,
-    /// How many source files were scanned.
-    pub files_scanned: usize,
-    /// How many files were served from the cache.
-    pub cache_hits: usize,
-}
-
-/// Scans a workspace rooted at `root` with default options (no cache).
-///
-/// Returns all findings in stable order. See [`lint_workspace_with`].
+/// Scans a workspace rooted at `root`: runs the source rules and SN007
+/// over every `.rs` file and SN012 over the manifests, then dedupes and
+/// sorts.
 ///
 /// # Errors
 ///
-/// Returns [`StarNumaError::Io`] when a source tree cannot be read, or
-/// when `root` contains no Rust sources at all — a mistyped path must not
-/// read as a clean scan.
+/// Returns [`StarNumaError::Io`] when a source tree or an existing
+/// manifest cannot be read, or when `root` contains no Rust sources at
+/// all — a mistyped path must not read as a clean scan.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, StarNumaError> {
-    lint_workspace_with(root, &LintOptions::default()).map(|o| o.findings)
-}
-
-/// Scans a workspace with explicit [`LintOptions`]: runs SN001–SN011 over
-/// sources and SN012 over manifests, dedupes, and sorts.
-///
-/// # Errors
-///
-/// Returns [`StarNumaError::Io`] under the same conditions as
-/// [`lint_workspace`]. Cache write failures are swallowed: a read-only
-/// `target/` must not fail a lint.
-pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<LintOutcome, StarNumaError> {
-    let mut cache = opts
-        .cache_path
-        .as_deref()
-        .map(Cache::load)
-        .unwrap_or_default();
     let mut findings: Vec<Diagnostic> = Vec::new();
-    let mut all_facts: Vec<FileFacts> = Vec::new();
     let mut files_scanned = 0usize;
-    let mut cache_hits = 0usize;
 
     for (src, crate_name) in source_dirs(root)? {
         let mut files = Vec::new();
@@ -85,35 +40,12 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<LintOutcom
                 .unwrap_or(&file)
                 .to_string_lossy()
                 .into_owned();
-            let digest = digest64(&source);
-            if let Some(entry) = cache.get(&label, &digest) {
-                cache_hits += 1;
-                findings.extend(entry.findings.clone());
-                all_facts.push(entry.facts.clone());
-                continue;
-            }
             let is_crate_root = file.file_name().is_some_and(|n| n == "lib.rs")
                 && file.parent().is_some_and(|p| p.ends_with("src"));
             let mut f = lint_source(&label, &source, is_crate_root);
             scope_findings(&mut f, &crate_name);
-            let facts = extract(
-                &label,
-                &crate_name,
-                is_crate_root,
-                &crate::lexer::lex(&source),
-            );
-            if opts.cache_path.is_some() {
-                cache.insert(
-                    label.clone(),
-                    CacheEntry {
-                        digest,
-                        findings: f.clone(),
-                        facts: facts.clone(),
-                    },
-                );
-            }
             findings.extend(f);
-            all_facts.push(facts);
+            findings.extend(lint_dataflow(&extract(&label, &crate::lexer::lex(&source))));
         }
     }
     if files_scanned == 0 {
@@ -123,20 +55,9 @@ pub fn lint_workspace_with(root: &Path, opts: &LintOptions) -> Result<LintOutcom
         )));
     }
 
-    findings.extend(lint_dataflow(&all_facts));
-    findings.extend(lint_manifests(root));
+    findings.extend(lint_manifests(root)?);
     sort_and_dedup(&mut findings);
-
-    if let Some(path) = opts.cache_path.as_deref() {
-        // Best effort: a read-only target tree must not fail the lint.
-        let _ = cache.save(path);
-    }
-
-    Ok(LintOutcome {
-        findings,
-        files_scanned,
-        cache_hits,
-    })
+    Ok(findings)
 }
 
 /// The source directories to scan: root `src/` plus every sorted

@@ -1,12 +1,13 @@
 //! End-to-end scan of the deliberately dirty fixture tree under
 //! `tests/fixture_ws` (which carries no workspace `Cargo.toml`, so cargo
 //! never compiles it — the analyzer sees it purely as text). The fixture
-//! fires every rule SN001–SN012 at least once and carries a clean twin
-//! for each of the new dataflow rules.
+//! fires every rule at least once and carries clean twins that must stay
+//! silent.
 
+use std::fs;
 use std::path::Path;
 
-use starnuma_audit::{lint_workspace, render_human, render_json, Baseline};
+use starnuma_audit::{lint_workspace, render_human, render_json};
 
 fn fixture_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixture_ws")
@@ -23,13 +24,11 @@ fn fixture_violations_are_found_with_exact_codes() {
         got,
         [
             ("crates/sim/Cargo.toml:12", "SN012"),
-            ("crates/sim/src/lib.rs:14", "SN006"),
-            ("crates/sim/src/lib.rs:29", "SN007"),
-            ("crates/sim/src/lib.rs:46", "SN008"),
-            ("crates/sim/src/lib.rs:51", "SN009"),
-            ("crates/sim/src/lib.rs:65", "SN010"),
-            ("crates/sim/src/lib.rs:78", "SN011"),
-            ("crates/sim/src/lib.rs:90", "SN005"),
+            ("crates/sim/src/lib.rs:14", "SN007"),
+            ("crates/sim/src/lib.rs:31", "SN008"),
+            ("crates/sim/src/lib.rs:36", "SN009"),
+            ("crates/sim/src/lib.rs:51", "SN011"),
+            ("crates/sim/src/lib.rs:63", "SN005"),
             ("crates/sim/src/main.rs:1", "SN012"),
             ("src/lib.rs:1", "SN004"),
             ("src/lib.rs:1", "SN004"),
@@ -56,8 +55,8 @@ fn every_rule_fires_in_the_fixture() {
     assert_eq!(
         codes,
         [
-            "SN001", "SN002", "SN003", "SN004", "SN005", "SN006", "SN007", "SN008", "SN009",
-            "SN010", "SN011", "SN012"
+            "SN001", "SN002", "SN003", "SN004", "SN005", "SN007", "SN008", "SN009", "SN011",
+            "SN012"
         ]
     );
 }
@@ -88,8 +87,8 @@ fn comments_strings_and_scoping_exemptions_hold() {
         .iter()
         .any(|d| d.code == "SN005" && d.location.starts_with("src/lib.rs")));
     // The clean twins in the sim crate stay silent: exactly one finding
-    // per new rule.
-    for code in ["SN006", "SN007", "SN008", "SN009", "SN010", "SN011"] {
+    // per rule.
+    for code in ["SN007", "SN008", "SN009", "SN011"] {
         assert_eq!(
             findings.iter().filter(|d| d.code == code).count(),
             1,
@@ -111,19 +110,32 @@ fn a_sourceless_root_is_an_error_not_a_clean_scan() {
 fn renderers_cover_every_finding() {
     let findings = lint_workspace(&fixture_root()).expect("fixture tree is readable");
     let human = render_human(&findings);
-    assert!(human.contains("18 finding(s)"), "summary in: {human}");
+    assert!(human.contains("16 finding(s)"), "summary in: {human}");
     assert!(human.contains("error[SN004]"));
     assert!(human.contains("error[SN012]"));
     let json = render_json(&findings);
     assert!(json.starts_with('[') && json.ends_with(']'));
-    assert_eq!(json.matches("\"code\"").count(), 18);
+    assert_eq!(json.matches("\"code\"").count(), 16);
 }
 
 #[test]
-fn a_baseline_built_from_the_fixture_suppresses_it_completely() {
-    let findings = lint_workspace(&fixture_root()).expect("fixture tree is readable");
-    let baseline = Baseline::from_findings(&findings);
-    let (remaining, suppressed) = baseline.apply(findings);
-    assert!(remaining.is_empty());
-    assert_eq!(suppressed.len(), 18);
+fn an_unreadable_manifest_is_an_error_not_a_clean_scan() {
+    // A manifest with a crates.io dependency and one byte of invalid
+    // UTF-8: skipping it would hide the SN012 finding.
+    let root = std::env::temp_dir().join(format!("starnuma-audit-badtoml-{}", std::process::id()));
+    fs::create_dir_all(root.join("src")).expect("temp tree");
+    fs::write(
+        root.join("src/lib.rs"),
+        "//! ok\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n",
+    )
+    .expect("write lib.rs");
+    fs::write(
+        root.join("Cargo.toml"),
+        b"[package]\nname = \"x\xff\"\n\n[dependencies]\nrand = \"0.8\"\n".as_slice(),
+    )
+    .expect("write Cargo.toml");
+    let result = lint_workspace(&root);
+    fs::remove_dir_all(&root).ok();
+    let err = result.expect_err("a non-UTF-8 manifest must not lint as clean");
+    assert!(err.to_string().contains("Cargo.toml"), "got: {err}");
 }

@@ -1,26 +1,11 @@
 //! A deliberately dirty simulation crate for the audit integration tests.
-//! Each of SN005–SN011 fires exactly once here; every rule also has a
-//! clean twin that must stay silent. Like the rest of the fixture tree,
-//! cargo never compiles this file — the analyzer sees it purely as text.
+//! Each of SN005, SN007–SN009 and SN011 fires exactly once here; clean
+//! twins next to SN007, SN009 and SN011 must stay silent. Like the rest of
+//! the fixture tree, cargo never compiles this file — the analyzer sees
+//! it purely as text.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use starnuma_types::DetMap;
-
-// SN006: insertion-order DetMap iteration inside an export boundary.
-pub fn export_counts(m: &DetMap<u64, u64>) -> u64 {
-    let mut n = 0u64;
-    for (_k, v) in m.iter() {
-        n += v;
-    }
-    n
-}
-
-// Clean twin: the boundary canonicalizes through sorted_drain.
-pub fn export_sorted(m: &mut DetMap<u64, u64>) -> Vec<(u64, u64)> {
-    m.sorted_drain()
-}
 
 // SN007: float accumulation in a loop without a canonical-order note.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -59,18 +44,6 @@ pub fn widen(x: u16) -> u64 {
 pub fn bounded(x: u64) -> u16 {
     // audit:allow(SN009) fixture: values are bounded below 2^16.
     x as u16
-}
-
-// SN010: a pub API returning a Vec in DetMap iteration order.
-pub fn snapshot(m: &DetMap<u64, u64>) -> Vec<u64> {
-    m.values().copied().collect()
-}
-
-// Clean twin: the Vec is sorted before it escapes.
-pub fn snapshot_sorted(m: &DetMap<u64, u64>) -> Vec<u64> {
-    let mut v: Vec<u64> = m.values().copied().collect();
-    v.sort();
-    v
 }
 
 // SN011: a keyed unstable sort (ties reorder freely).

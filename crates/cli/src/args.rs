@@ -34,11 +34,6 @@ const SWITCHES: &[&str] = &[
     "full-scale",
     "help",
     "progress",
-    "baseline",
-    "update-baseline",
-    "fix",
-    "fix-allow",
-    "no-cache",
     "strict-monitors",
     "markdown",
 ];

@@ -701,129 +701,19 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
     }
 }
 
-/// `starnuma lint [--root <path>] [--format human|json|sarif] [--json]
-/// [--sarif <path>] [--baseline] [--baseline-file <path>]
-/// [--update-baseline] [--fix] [--fix-allow] [--no-cache]`: runs the full
-/// SN001–SN012 analyzer over a workspace tree and exits non-zero when
-/// anything is found beyond the accepted baseline. Findings are not an
-/// `ArgError`: the invocation was fine, so no usage dump — just the
-/// report and the code.
+/// `starnuma lint [--root <path>] [--json]`: runs the static determinism
+/// analyzer over a workspace tree and exits non-zero when anything is
+/// found. Findings are not an `ArgError`: the invocation was fine, so no
+/// usage dump — just the report and the code.
 pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
-    args.expect_only(&[
-        "root",
-        "format",
-        "json",
-        "sarif",
-        "baseline",
-        "baseline-file",
-        "update-baseline",
-        "fix",
-        "fix-allow",
-        "no-cache",
-    ])?;
+    args.expect_only(&["root", "json"])?;
     let root = std::path::PathBuf::from(args.get_or("root", "."));
-    let format = match (args.switch("json"), args.get_or("format", "human")) {
-        (true, _) | (false, "json") => "json",
-        (false, "human") => "human",
-        (false, "sarif") => "sarif",
-        (false, other) => {
-            return Err(ArgError(format!(
-                "unknown format '{other}' (human|json|sarif)"
-            )))
-        }
-    };
-    let opts = starnuma_audit::LintOptions {
-        cache_path: if args.switch("no-cache") {
-            None
-        } else {
-            Some(starnuma_audit::LintOptions::default_cache_path(&root))
-        },
-    };
-    let scan = |opts: &starnuma_audit::LintOptions| {
-        starnuma_audit::lint_workspace_with(&root, opts)
-            .map_err(|e| ArgError(format!("cannot scan {}: {e}", root.display())))
-    };
-    let mut outcome = scan(&opts)?;
-
-    // Fix flow: apply the safe rewrites, re-lint, then (with --fix-allow)
-    // insert suppression markers for whatever is left and re-lint again,
-    // so the report below always describes the tree as it now stands.
-    if args.switch("fix") || args.switch("fix-allow") {
-        let report = starnuma_audit::apply_fixes(&root, &outcome.findings, false)
-            .map_err(|e| ArgError(format!("cannot fix under {}: {e}", root.display())))?;
-        if report.rewrites > 0 {
-            eprintln!(
-                "lint --fix: {} rewrite(s) in {} file(s)",
-                report.rewrites,
-                report.files_changed.len()
-            );
-            outcome = scan(&opts)?;
-        }
-        if args.switch("fix-allow") && !outcome.findings.is_empty() {
-            let report = starnuma_audit::apply_fixes(&root, &outcome.findings, true)
-                .map_err(|e| ArgError(format!("cannot fix under {}: {e}", root.display())))?;
-            eprintln!(
-                "lint --fix-allow: {} audit:allow marker(s) inserted",
-                report.allows_inserted
-            );
-            outcome = scan(&opts)?;
-        }
-    }
-
-    let baseline_path = args
-        .get("baseline-file")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| root.join("ci").join("lint_baseline.json"));
-    if args.switch("update-baseline") {
-        let baseline = starnuma_audit::Baseline::from_findings(&outcome.findings);
-        baseline
-            .save(&baseline_path)
-            .map_err(|e| ArgError(format!("cannot write {}: {e}", baseline_path.display())))?;
-        println!(
-            "lint: baseline updated ({} entr{}) at {}",
-            baseline.len(),
-            if baseline.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    let (findings, suppressed) = if args.switch("baseline") || args.get("baseline-file").is_some() {
-        let baseline = starnuma_audit::Baseline::load(&baseline_path).ok_or_else(|| {
-            ArgError(format!(
-                "cannot read baseline {}; regenerate with `starnuma lint --update-baseline`",
-                baseline_path.display()
-            ))
-        })?;
-        baseline.apply(outcome.findings)
+    let findings = starnuma_audit::lint_workspace(&root)
+        .map_err(|e| ArgError(format!("cannot scan {}: {e}", root.display())))?;
+    if args.switch("json") {
+        println!("{}", starnuma_audit::render_json_report(&findings));
     } else {
-        (outcome.findings, Vec::new())
-    };
-
-    match format {
-        "json" => println!(
-            "{}",
-            starnuma_audit::render_json_report(&findings, suppressed.len(), outcome.files_scanned)
-        ),
-        "sarif" => println!(
-            "{}",
-            starnuma_audit::render_sarif(&findings, env!("CARGO_PKG_VERSION"))
-        ),
-        _ => {
-            println!("{}", starnuma_audit::render_human(&findings));
-            if !suppressed.is_empty() {
-                println!(
-                    "audit: {} finding(s) suppressed by baseline",
-                    suppressed.len()
-                );
-            }
-        }
-    }
-    if let Some(path) = args.get("sarif") {
-        std::fs::write(
-            path,
-            starnuma_audit::render_sarif(&findings, env!("CARGO_PKG_VERSION")),
-        )
-        .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+        println!("{}", starnuma_audit::render_human(&findings));
     }
     if findings.is_empty() {
         Ok(ExitCode::SUCCESS)

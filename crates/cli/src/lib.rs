@@ -11,8 +11,7 @@
 //! starnuma profile  <run|compare|sweep> ... [--profile-out profile.json]
 //! starnuma bench-diff <old> <new> [--tolerance 0.2]
 //! starnuma inspect  trace.jsonl [--top N] [--chrome out.json] [--profile p.json]
-//! starnuma lint     [--root .] [--format human|json|sarif] [--baseline]
-//!                   [--update-baseline] [--fix] [--fix-allow] [--no-cache]
+//! starnuma lint     [--root .] [--json]
 //! ```
 //!
 //! All simulation commands accept `--scale quick|default|full`,
@@ -125,23 +124,12 @@ commands:
                                        duration spans)
               --profile <path>         render a profile.json attribution
                                        tree (trace file then optional)
-  lint      run the SN001–SN012 static analyzer over a workspace tree
-            (source lints, dataflow determinism lints, manifest drift)
+  lint      run the static determinism analyzer (SN001–SN005, SN007–SN009,
+            SN011, SN012) over a workspace tree; exits 1 on any finding
+            that no audit:allow marker covers
               --root <path>            (default .)
-              --format human|json|sarif (default human; --json is a
-                                       shorthand for --format json)
-              --sarif <path>           also write a SARIF 2.1.0 file
-              --baseline               subtract ci/lint_baseline.json from
-                                       the exit-code calculation
-              --baseline-file <path>   use a different baseline file
-              --update-baseline        rewrite the baseline from current
-                                       findings and exit 0
-              --fix                    apply safe rewrites (HashMap→DetMap,
-                                       keyed sort_unstable→stable, missing
-                                       crate-root attrs), then re-lint
-              --fix-allow              afterwards, insert audit:allow
-                                       markers for whatever remains
-              --no-cache               skip target/audit-cache.json
+              --json                   print a versioned JSON report
+                                       (schema_version 2, findings array)
 
 common simulation flags:
   --scale quick|default|full   --phases N   --instructions N   --seed N

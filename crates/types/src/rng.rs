@@ -69,6 +69,7 @@ impl SimRng {
 
     /// The next 32 raw bits (the high half of [`SimRng::next_u64`]).
     pub fn gen_u32(&mut self) -> u32 {
+        // audit:allow(SN009) the shift leaves 32 significant bits, so the cast keeps them all.
         (self.next_u64() >> 32) as u32
     }
 
@@ -135,6 +136,7 @@ impl SampleRange for core::ops::Range<u32> {
         if self.end <= self.start {
             return self.start;
         }
+        // audit:allow(SN009) bounded() returns less than the u32 span, so the draw fits u32.
         self.start + rng.bounded(u64::from(self.end - self.start)) as u32
     }
 }
@@ -145,6 +147,7 @@ impl SampleRange for core::ops::Range<u16> {
         if self.end <= self.start {
             return self.start;
         }
+        // audit:allow(SN009) bounded() returns less than the u16 span, so the draw fits u16.
         self.start + rng.bounded(u64::from(self.end - self.start)) as u16
     }
 }
@@ -156,6 +159,7 @@ impl SampleRange for core::ops::RangeInclusive<u16> {
         if end <= start {
             return start;
         }
+        // audit:allow(SN009) bounded() returns at most end - start, a u16 span, so the draw fits u16.
         start + rng.bounded(u64::from(end - start) + 1) as u16
     }
 }
