@@ -1,7 +1,7 @@
 //! Hot-path throughput baseline: the numbers `BENCH_hotpath.json` records
 //! so later PRs have a trajectory to regress against.
 //!
-//! Three sections:
+//! Two sections:
 //!
 //! 1. **Index microbenches** — `DetMap` vs the `BTreeMap` it replaced, fed
 //!    bit-identical SimRng key streams shaped like each hot path
@@ -11,8 +11,9 @@
 //! 2. **Substrate benches** — accesses/sec through the real components
 //!    (`Directory::access`, `Tlb::record_llc_miss`, LLC, DRAM), which now
 //!    run on `DetMap` internally.
-//! 3. **End-to-end** — full `Experiment` phases, in simulated instructions
-//!    per wall second.
+//!
+//! End-to-end simulator throughput is measured by the `e2e` benchmark in
+//! `e2ebench/`, with repeated trials on four workloads.
 //!
 //! Wall clock is allowed here (bench crate; SN002 exempts it). Output goes
 //! to `BENCH_hotpath.json` at the workspace root, or `$STARNUMA_BENCH_OUT`.
@@ -23,7 +24,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use starnuma::report::Json;
-use starnuma::{Experiment, ScaleConfig, SystemKind, Workload};
 use starnuma_cache::{CacheConfig, SetAssocCache, Tlb, TlbConfig};
 use starnuma_coherence::Directory;
 use starnuma_mem::{DramTimings, MemoryModule};
@@ -175,47 +175,6 @@ fn index_inflight_pattern(iters: u64) -> (String, Json) {
     index_entry("index_inflight_pattern", iters, det_ns, btree_ns)
 }
 
-fn bench_end_to_end(smoke: bool) -> Json {
-    let mut scale = ScaleConfig::quick();
-    if smoke {
-        scale.phases = 1;
-        scale.instructions_per_phase = 5_000;
-        scale.warmup_instructions = 0;
-    }
-    let mut runs = Vec::new();
-    for workload in [Workload::Bfs, Workload::Tpcc] {
-        let exp = Experiment::new(workload, SystemKind::StarNuma, scale.clone());
-        let start = Instant::now();
-        black_box(exp.run());
-        let secs = start.elapsed().as_secs_f64();
-        let core_instr =
-            (scale.phases as u64 * scale.instructions_per_phase + scale.warmup_instructions) as f64;
-        let minstr_per_sec = if secs > 0.0 {
-            core_instr / secs / 1e6
-        } else {
-            0.0
-        };
-        println!(
-            "end_to_end_{:<24} {core_instr:>9} instr/core {:>9.2} Minstr/s/core",
-            workload.name(),
-            minstr_per_sec
-        );
-        runs.push(Json::Obj(vec![
-            (
-                "workload".to_string(),
-                Json::Str(workload.name().to_string()),
-            ),
-            ("core_instructions".to_string(), Json::Num(core_instr)),
-            ("wall_seconds".to_string(), Json::Num(secs)),
-            (
-                "minstr_per_sec_per_core".to_string(),
-                Json::Num(minstr_per_sec),
-            ),
-        ]));
-    }
-    Json::Arr(runs)
-}
-
 fn main() {
     let smoke = std::env::var("STARNUMA_BENCH_SMOKE").is_ok();
     let iters: u64 = if smoke { 10_000 } else { 200_000 };
@@ -275,9 +234,6 @@ fn main() {
         substrates.push(substrate_entry("dram_module_access", iters, ns));
     }
 
-    println!();
-    let end_to_end = bench_end_to_end(smoke);
-
     let doc = Json::Obj(vec![
         (
             "meta".to_string(),
@@ -292,7 +248,6 @@ fn main() {
         ),
         ("index".to_string(), Json::Obj(index)),
         ("substrates".to_string(), Json::Obj(substrates)),
-        ("end_to_end".to_string(), end_to_end),
     ]);
 
     let out_path = std::env::var("STARNUMA_BENCH_OUT")
@@ -313,9 +268,8 @@ fn main() {
     starnuma_bench::append_history("hotpath", smoke, &flat);
 }
 
-/// Flattens every numeric leaf of a JSON document into `prefix.key` pairs
-/// (array elements use their index), producing the flat shape bench
-/// history entries require.
+/// Flattens every numeric leaf of a JSON document into `prefix.key` pairs,
+/// producing the flat shape bench history entries require.
 fn flatten(prefix: &str, j: &Json, out: &mut Vec<(String, f64)>) {
     let join = |key: &str| {
         if prefix.is_empty() {
@@ -329,11 +283,6 @@ fn flatten(prefix: &str, j: &Json, out: &mut Vec<(String, f64)>) {
         Json::Obj(fields) => {
             for (k, v) in fields {
                 flatten(&join(k), v, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, v) in items.iter().enumerate() {
-                flatten(&join(&i.to_string()), v, out);
             }
         }
         _ => {}

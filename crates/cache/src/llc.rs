@@ -98,31 +98,34 @@ impl Observe for CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64, // larger = more recently used
-}
-
-const INVALID: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
+/// Tag-word flag: the way holds a block.
+const VALID: u64 = 1;
+/// Tag-word flag: the block was written since it was filled.
+const DIRTY: u64 = 2;
+/// Flag bits below the tag in a tag word.
+const FLAG_BITS: u32 = 2;
 
 /// An LRU set-associative cache of 64 B blocks.
 ///
 /// Used as each socket's shared LLC: it filters the memory-access stream
 /// (only misses reach the interconnect) and tracks dirty state so evictions
 /// generate writeback traffic.
+///
+/// The ways live in two set-major arrays, so one set's lookup reads two
+/// short runs of words. A tag word holds `bfn >> log2(sets)` above a valid
+/// and a dirty flag, and is 0 for an invalid way. A stamp is the cache tick
+/// of the way's last access, and is 0 exactly when the way is invalid
+/// (ticks start at 1), so the LRU victim — the first invalid way, else the
+/// oldest — is simply the first way with the smallest stamp. Stamps are
+/// 32-bit; before the tick would wrap, each set's stamps are renumbered in
+/// the same order.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    lines: Vec<Line>,
-    tick: u64,
+    set_bits: u32,
+    tags: Vec<u64>,
+    stamps: Vec<u32>,
+    tick: u32,
     stats: CacheStats,
 }
 
@@ -140,7 +143,9 @@ impl SetAssocCache {
         );
         assert!(config.ways > 0, "associativity must be positive");
         SetAssocCache {
-            lines: vec![INVALID; config.sets * config.ways],
+            set_bits: config.sets.trailing_zeros(),
+            tags: vec![0; config.sets * config.ways],
+            stamps: vec![0; config.sets * config.ways],
             config,
             tick: 0,
             stats: CacheStats::default(),
@@ -157,84 +162,114 @@ impl SetAssocCache {
         self.stats
     }
 
-    fn set_range(&self, block: BlockAddr) -> (usize, u64) {
-        let set = (block.bfn() as usize) & (self.config.sets - 1);
-        (set * self.config.ways, block.bfn())
+    /// Returns `block`'s set and the tag word a valid copy of `block` has
+    /// with its dirty flag set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag does not fit in 62 bits, which no block of a 64-bit
+    /// physical address space (`bfn < 2^58`) reaches.
+    fn locate(&self, block: BlockAddr) -> (u64, u64) {
+        let bfn = block.bfn();
+        let tag = bfn >> self.set_bits;
+        assert!(
+            tag >> (u64::BITS - FLAG_BITS) == 0,
+            "{block:?} is outside the cache's tag range"
+        );
+        (
+            bfn & (self.config.sets as u64 - 1),
+            (tag << FLAG_BITS) | DIRTY | VALID,
+        )
+    }
+
+    /// The way indices of `set`.
+    fn ways(&self, set: u64) -> core::ops::Range<usize> {
+        let base = set as usize * self.config.ways;
+        base..base + self.config.ways
     }
 
     /// Accesses `block`; `is_write` marks the line dirty on hit or fill.
     pub fn access(&mut self, block: BlockAddr, is_write: bool) -> CacheOutcome {
+        if self.tick == u32::MAX {
+            self.renumber_stamps();
+        }
         self.tick += 1;
-        let (base, tag) = self.set_range(block);
-        let ways = self.config.ways;
+        let (set, key) = self.locate(block);
+        let ways = self.ways(set);
+        let dirty = if is_write { DIRTY } else { 0 };
+        let tags = &mut self.tags[ways.clone()];
+        let stamps = &mut self.stamps[ways];
         // Hit?
-        for i in base..base + ways {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= is_write;
-                self.stats.hits += 1;
-                return CacheOutcome::Hit;
-            }
+        if let Some(way) = tags.iter().position(|&t| t | DIRTY == key) {
+            tags[way] |= dirty;
+            stamps[way] = self.tick;
+            self.stats.hits += 1;
+            return CacheOutcome::Hit;
         }
-        // Miss: find invalid way or LRU victim.
+        // Miss: the first way with the smallest stamp is the first invalid
+        // way, or else the least recently used one.
         self.stats.misses += 1;
-        let mut victim = base;
-        let mut victim_lru = u64::MAX;
-        for i in base..base + ways {
-            if !self.lines[i].valid {
-                victim = i;
-                break;
-            }
-            if self.lines[i].lru < victim_lru {
-                victim = i;
-                victim_lru = self.lines[i].lru;
+        let mut victim = 0;
+        for (way, &stamp) in stamps.iter().enumerate().skip(1) {
+            if stamp < stamps[victim] {
+                victim = way;
             }
         }
-        let old = self.lines[victim];
-        let evicted = if old.valid {
-            if old.dirty {
+        let old = tags[victim];
+        let evicted = if old & VALID != 0 {
+            let was_dirty = old & DIRTY != 0;
+            if was_dirty {
                 self.stats.writebacks += 1;
             }
-            Some((BlockAddr::new(old.tag), old.dirty))
+            let bfn = ((old >> FLAG_BITS) << self.set_bits) | set;
+            Some((BlockAddr::new(bfn), was_dirty))
         } else {
             None
         };
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: self.tick,
-        };
+        tags[victim] = (key & !DIRTY) | dirty;
+        stamps[victim] = self.tick;
         CacheOutcome::Miss { evicted }
+    }
+
+    /// Renumbers each set's valid stamps to `1..=k` in their current order,
+    /// leaving invalid ways at 0, and restarts the tick above them. Victims
+    /// are chosen by comparing stamps within one set, so no choice changes.
+    fn renumber_stamps(&mut self) {
+        let mut order = Vec::with_capacity(self.config.ways);
+        for set in self.stamps.chunks_mut(self.config.ways) {
+            order.clear();
+            order.extend((0..set.len()).filter(|&way| set[way] != 0));
+            order.sort_by_key(|&way| set[way]);
+            for (rank, &way) in (1..).zip(&order) {
+                set[way] = rank;
+            }
+        }
+        self.tick = u32::try_from(self.config.ways).unwrap_or(u32::MAX);
     }
 
     /// Returns `true` if `block` is currently cached (no LRU update).
     pub fn contains(&self, block: BlockAddr) -> bool {
-        let (base, tag) = self.set_range(block);
-        self.lines[base..base + self.config.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (set, key) = self.locate(block);
+        self.tags[self.ways(set)].iter().any(|&t| t | DIRTY == key)
     }
 
     /// Invalidates `block` if present; returns whether it was dirty.
     ///
     /// Used for coherence back-invalidations.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let (base, tag) = self.set_range(block);
-        for i in base..base + self.config.ways {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                return Some(line.dirty);
-            }
-        }
-        None
+        let (set, key) = self.locate(block);
+        let ways = self.ways(set);
+        let i = ways.start + self.tags[ways].iter().position(|&t| t | DIRTY == key)?;
+        let was_dirty = self.tags[i] & DIRTY != 0;
+        self.tags[i] = 0;
+        self.stamps[i] = 0;
+        Some(was_dirty)
     }
 
     /// Empties the cache and clears statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(INVALID);
+        self.tags.fill(0);
+        self.stamps.fill(0);
         self.tick = 0;
         self.stats = CacheStats::default();
     }
@@ -391,6 +426,141 @@ mod proptests {
             let s = c.stats();
             assert_eq!(s.accesses(), len as u64);
             assert!((0.0..=1.0).contains(&s.miss_ratio()));
+        }
+    }
+
+    /// The one-struct-per-way layout the packed arrays replaced: the
+    /// reference model for `matches_reference_model`.
+    #[derive(Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        valid: bool,
+        dirty: bool,
+        lru: u64,
+    }
+
+    struct Reference {
+        sets: usize,
+        ways: usize,
+        lines: Vec<Line>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(config: CacheConfig) -> Self {
+            Reference {
+                sets: config.sets,
+                ways: config.ways,
+                lines: vec![Line::default(); config.sets * config.ways],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set(&self, block: BlockAddr) -> core::ops::Range<usize> {
+            let base = (block.bfn() as usize & (self.sets - 1)) * self.ways;
+            base..base + self.ways
+        }
+
+        fn access(&mut self, block: BlockAddr, is_write: bool) -> CacheOutcome {
+            self.tick += 1;
+            let set = self.set(block);
+            for i in set.clone() {
+                let line = &mut self.lines[i];
+                if line.valid && line.tag == block.bfn() {
+                    line.lru = self.tick;
+                    line.dirty |= is_write;
+                    self.stats.hits += 1;
+                    return CacheOutcome::Hit;
+                }
+            }
+            self.stats.misses += 1;
+            let mut victim = set.start;
+            let mut victim_lru = u64::MAX;
+            for i in set {
+                if !self.lines[i].valid {
+                    victim = i;
+                    break;
+                }
+                if self.lines[i].lru < victim_lru {
+                    victim = i;
+                    victim_lru = self.lines[i].lru;
+                }
+            }
+            let old = self.lines[victim];
+            let evicted = old.valid.then(|| {
+                self.stats.writebacks += u64::from(old.dirty);
+                (BlockAddr::new(old.tag), old.dirty)
+            });
+            self.lines[victim] = Line {
+                tag: block.bfn(),
+                valid: true,
+                dirty: is_write,
+                lru: self.tick,
+            };
+            CacheOutcome::Miss { evicted }
+        }
+
+        fn contains(&self, block: BlockAddr) -> bool {
+            self.lines[self.set(block)]
+                .iter()
+                .any(|l| l.valid && l.tag == block.bfn())
+        }
+
+        fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
+            let set = self.set(block);
+            let line = self.lines[set]
+                .iter_mut()
+                .find(|l| l.valid && l.tag == block.bfn())?;
+            line.valid = false;
+            Some(line.dirty)
+        }
+    }
+
+    /// The packed cache and the reference model agree call for call —
+    /// outcomes, evicted blocks with their dirty bits, and statistics — on a
+    /// seeded mix of accesses, invalidations and lookups, including blocks
+    /// with high tag bits and a wrap of the 32-bit tick.
+    #[test]
+    fn matches_reference_model() {
+        let mut rng = SimRng::seed_from_u64(0x11c3);
+        for (sets, ways, calls) in [
+            (1, 4, 4_000),
+            (2, 2, 4_000),
+            (4, 4, 4_000),
+            (8192, 16, 400_000),
+        ] {
+            let config = CacheConfig::tiny(sets, ways);
+            let mut cache = SetAssocCache::new(config);
+            if sets < 8192 {
+                // Wrap the 32-bit tick part-way through, so the stamps are
+                // renumbered under live traffic.
+                cache.tick = u32::MAX - 1_000;
+            }
+            let mut reference = Reference::new(config);
+            // Twice the capacity, so sets fill, evict and refill.
+            let span = 2 * config.capacity_blocks() as u64;
+            for _ in 0..calls {
+                let mut bfn = rng.gen_range(0..span);
+                if rng.gen_bool(0.1) {
+                    bfn |= rng.gen_range(1u64..1 << 16) << 40;
+                }
+                let block = BlockAddr::new(bfn);
+                match rng.gen_range(0u16..10) {
+                    0 => assert_eq!(cache.invalidate(block), reference.invalidate(block)),
+                    1 => assert_eq!(cache.contains(block), reference.contains(block)),
+                    _ => {
+                        let write = rng.gen_bool(0.3);
+                        assert_eq!(cache.access(block, write), reference.access(block, write));
+                    }
+                }
+            }
+            assert_eq!(cache.stats(), reference.stats);
+            assert!(
+                cache.stats().writebacks > 0,
+                "{sets}x{ways}: dirty evictions exercised"
+            );
         }
     }
 

@@ -108,15 +108,16 @@ struct Slot {
 /// tlb.record_llc_miss(PageId::new(1));
 /// tlb.record_llc_miss(PageId::new(2));
 /// // Capacity 2: inserting a third page flushes an existing annex.
-/// let flushes = tlb.record_llc_miss(PageId::new(3));
-/// assert_eq!(flushes.len(), 1);
-/// assert_eq!(flushes[0].count, 2);
+/// let flush = tlb.record_llc_miss(PageId::new(3)).unwrap();
+/// assert_eq!(flush.count, 2);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
     index: DetMap<PageId, usize>,
     slots: Vec<Slot>,
+    /// Slots invalidated by shootdown and not yet refilled.
+    invalid: usize,
     hand: usize,
     stats: TlbStats,
 }
@@ -133,6 +134,7 @@ impl Tlb {
             index: DetMap::new(),
             slots: Vec::with_capacity(config.entries),
             config,
+            invalid: 0,
             hand: 0,
             stats: TlbStats::default(),
         }
@@ -149,10 +151,11 @@ impl Tlb {
     }
 
     /// Records the completion of an LLC-missing load to `page`, incrementing
-    /// its annex counter. Returns any flushes the PTW performs (marker hit or
-    /// replacement on a TLB miss).
-    pub fn record_llc_miss(&mut self, page: PageId) -> Vec<AnnexFlush> {
-        let mut flushes = Vec::new();
+    /// its annex counter. Returns the flush the PTW performs, if any: a
+    /// marker hit on a TLB hit, or the replaced entry on a TLB miss — never
+    /// both.
+    pub fn record_llc_miss(&mut self, page: PageId) -> Option<AnnexFlush> {
+        let mut flush = None;
         if let Some(&slot_idx) = self.index.get(&page) {
             self.stats.hits += 1;
             let max = self.config.counter_max();
@@ -163,7 +166,7 @@ impl Tlb {
                 let flushed = slot.counter;
                 slot.counter = 0;
                 self.stats.flushes += 1;
-                flushes.push(AnnexFlush {
+                flush = Some(AnnexFlush {
                     page,
                     count: flushed,
                 });
@@ -173,7 +176,7 @@ impl Tlb {
             } else {
                 self.stats.saturated += 1;
             }
-            return flushes;
+            return flush;
         }
         // TLB miss → page walk; insert, replacing the clock-hand victim.
         self.stats.misses += 1;
@@ -187,31 +190,36 @@ impl Tlb {
             self.index.insert(page, self.slots.len());
             self.slots.push(fresh);
         } else {
-            // Find the next valid slot at or after the hand (shootdowns may
-            // have invalidated slots, which are reused first).
-            let idx = match self.slots[self.hand..]
-                .iter()
-                .chain(self.slots[..self.hand].iter())
-                .position(|s| !s.valid)
-            {
-                Some(off) => (self.hand + off) % self.slots.len(),
-                None => {
-                    let victim_idx = self.hand;
-                    let victim = self.slots[victim_idx];
-                    self.index.remove(&victim.page);
-                    self.stats.flushes += 1;
-                    flushes.push(AnnexFlush {
-                        page: victim.page,
-                        count: victim.counter,
-                    });
-                    self.hand = (self.hand + 1) % self.slots.len();
-                    victim_idx
-                }
+            // Slots invalidated by shootdown are reused first: the first one
+            // at or after the hand. Only when there are none does the hand's
+            // entry get replaced.
+            let reuse = if self.invalid > 0 {
+                self.slots[self.hand..]
+                    .iter()
+                    .chain(&self.slots[..self.hand])
+                    .position(|s| !s.valid)
+            } else {
+                None
+            };
+            let idx = if let Some(off) = reuse {
+                self.invalid -= 1;
+                (self.hand + off) % self.slots.len()
+            } else {
+                let victim_idx = self.hand;
+                let victim = self.slots[victim_idx];
+                self.index.remove(&victim.page);
+                self.stats.flushes += 1;
+                flush = Some(AnnexFlush {
+                    page: victim.page,
+                    count: victim.counter,
+                });
+                self.hand = (self.hand + 1) % self.slots.len();
+                victim_idx
             };
             self.slots[idx] = fresh;
             self.index.insert(page, idx);
         }
-        flushes
+        flush
     }
 
     /// Sets the marker bit on every entry. Called once per migration phase
@@ -249,6 +257,7 @@ impl Tlb {
         let slot_idx = self.index.remove(&page)?;
         let slot = &mut self.slots[slot_idx];
         slot.valid = false;
+        self.invalid += 1;
         self.stats.flushes += 1;
         Some(AnnexFlush {
             page: slot.page,
@@ -277,17 +286,17 @@ mod tests {
     fn counts_accumulate_until_eviction() {
         let mut t = tlb(2, 16);
         for _ in 0..5 {
-            assert!(t.record_llc_miss(PageId::new(1)).is_empty());
+            assert!(t.record_llc_miss(PageId::new(1)).is_none());
         }
         t.record_llc_miss(PageId::new(2));
         // Capacity 2: inserting page 3 evicts the clock victim (page 1).
         let f = t.record_llc_miss(PageId::new(3));
         assert_eq!(
             f,
-            vec![AnnexFlush {
+            Some(AnnexFlush {
                 page: PageId::new(1),
                 count: 5
-            }]
+            })
         );
     }
 
@@ -297,11 +306,10 @@ mod tests {
         t.record_llc_miss(PageId::new(9));
         t.record_llc_miss(PageId::new(9));
         t.set_markers();
-        let f = t.record_llc_miss(PageId::new(9));
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].count, 2);
+        let f = t.record_llc_miss(PageId::new(9)).unwrap();
+        assert_eq!(f.count, 2);
         // Marker cleared: next access flushes nothing.
-        assert!(t.record_llc_miss(PageId::new(9)).is_empty());
+        assert!(t.record_llc_miss(PageId::new(9)).is_none());
     }
 
     #[test]
@@ -312,10 +320,10 @@ mod tests {
         let f = t.record_llc_miss(PageId::new(2)); // evicts 1
         assert_eq!(
             f,
-            vec![AnnexFlush {
+            Some(AnnexFlush {
                 page: PageId::new(1),
                 count: 0
-            }]
+            })
         );
         assert_eq!(t.stats().saturated, 1, "T_0 saturates immediately");
     }
@@ -365,7 +373,7 @@ mod tests {
         t.shootdown(PageId::new(2));
         // The invalidated slot absorbs the new page: no flush of page 1.
         let f = t.record_llc_miss(PageId::new(3));
-        assert!(f.is_empty());
+        assert!(f.is_none());
         assert_eq!(t.resident(), 2);
     }
 
@@ -375,10 +383,10 @@ mod tests {
         t.record_llc_miss(PageId::new(1));
         t.record_llc_miss(PageId::new(2));
         t.record_llc_miss(PageId::new(1)); // hit: does not affect clock order
-        let f = t.record_llc_miss(PageId::new(3));
-        assert_eq!(f[0].page, PageId::new(1), "FIFO victim");
-        let f = t.record_llc_miss(PageId::new(4));
-        assert_eq!(f[0].page, PageId::new(2));
+        let f = t.record_llc_miss(PageId::new(3)).unwrap();
+        assert_eq!(f.page, PageId::new(1), "FIFO victim");
+        let f = t.record_llc_miss(PageId::new(4)).unwrap();
+        assert_eq!(f.page, PageId::new(2));
     }
 
     #[test]
@@ -436,7 +444,7 @@ mod proptests {
             let mut flushed: u64 = 0;
             for _ in 0..len {
                 let p = rng.gen_range(0u64..20);
-                for f in t.record_llc_miss(PageId::new(p)) {
+                if let Some(f) = t.record_llc_miss(PageId::new(p)) {
                     flushed += u64::from(f.count);
                 }
             }
@@ -493,7 +501,7 @@ mod proptests {
                     }
                     _ => {
                         recorded += 1;
-                        for f in t.record_llc_miss(PageId::new(p)) {
+                        if let Some(f) = t.record_llc_miss(PageId::new(p)) {
                             flushed += u64::from(f.count);
                         }
                     }
@@ -504,5 +512,54 @@ mod proptests {
             }
             assert_eq!(flushed, recorded);
         }
+    }
+
+    /// Slots freed by shootdown are reused before any entry is replaced,
+    /// the first one at or after the clock hand, and `resident()` plus the
+    /// invalid count always equals the number of filled slots — over a
+    /// seeded mix of recorded misses, shootdowns and phase markers.
+    #[test]
+    fn shootdown_slots_are_reused_from_the_hand() {
+        let mut rng = SimRng::seed_from_u64(0x71b3);
+        let mut reuses = 0;
+        for _case in 0..64 {
+            let cap = rng.gen_range(1usize..8);
+            let mut t = Tlb::new(TlbConfig {
+                entries: cap,
+                counter_bits: 16,
+            });
+            for _ in 0..rng.gen_range(1usize..300) {
+                let page = PageId::new(rng.gen_range(0u64..16));
+                match rng.gen_range(0u16..10) {
+                    0 => t.set_markers(),
+                    1 | 2 => {
+                        t.shootdown(page);
+                    }
+                    _ => {
+                        let before = t.clone();
+                        let flush = t.record_llc_miss(page);
+                        if let Some(&idx) = t.index.get(&page) {
+                            let reused = before.slots.len() == cap
+                                && !before.index.contains_key(&page)
+                                && before.invalid > 0;
+                            if reused {
+                                // The first invalid slot at or after the hand.
+                                let expected = (0..cap)
+                                    .map(|off| (before.hand + off) % cap)
+                                    .find(|&i| !before.slots[i].valid)
+                                    .unwrap();
+                                assert_eq!(idx, expected);
+                                assert_eq!(t.hand, before.hand, "reuse leaves the hand");
+                                assert!(flush.is_none(), "reuse flushes nothing");
+                                reuses += 1;
+                            }
+                        }
+                    }
+                }
+                assert_eq!(t.invalid, t.slots.iter().filter(|s| !s.valid).count());
+                assert_eq!(t.resident() + t.invalid, t.slots.len());
+            }
+        }
+        assert!(reuses > 100, "the reuse path is exercised ({reuses})");
     }
 }

@@ -36,6 +36,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use core::fmt;
+use core::ops::Deref;
+
 use starnuma_obs::{MetricsFrame, Observe};
 use starnuma_types::{BlockAddr, DetMap, Location, SocketId};
 
@@ -58,10 +61,66 @@ pub enum TransferKind {
 pub struct CoherenceOutcome {
     /// How the data was supplied.
     pub transfer: TransferKind,
-    /// Sockets whose cached copies must be invalidated (writes only).
-    /// Each entry generates an invalidation message on the interconnect and
-    /// a back-invalidation into that socket's LLC.
-    pub invalidations: Vec<SocketId>,
+    /// Sockets whose cached copies must be invalidated (writes only), in
+    /// socket order. Each entry generates an invalidation message on the
+    /// interconnect and a back-invalidation into that socket's LLC.
+    pub invalidations: SocketList,
+}
+
+/// An inline list of up to 32 sockets — the sharer-mask width, so any set
+/// of sharers fits without a heap allocation. Derefs to `[SocketId]`.
+#[derive(Clone, Copy)]
+pub struct SocketList {
+    len: u8,
+    sockets: [SocketId; 32],
+}
+
+impl SocketList {
+    /// The sockets whose bits are set in `mask`, in socket order.
+    fn from_mask(mut mask: u32) -> Self {
+        let mut list = SocketList {
+            len: 0,
+            sockets: [SocketId::new(0); 32],
+        };
+        while mask != 0 {
+            // audit:allow(SN009) trailing_zeros of a nonzero u32 is below 32.
+            list.sockets[usize::from(list.len)] = SocketId::new(mask.trailing_zeros() as u16);
+            list.len += 1;
+            mask &= mask - 1;
+        }
+        list
+    }
+}
+
+impl Deref for SocketList {
+    type Target = [SocketId];
+
+    fn deref(&self) -> &[SocketId] {
+        &self.sockets[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a SocketList {
+    type Item = &'a SocketId;
+    type IntoIter = core::slice::Iter<'a, SocketId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for SocketList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SocketList {}
+
+impl fmt::Debug for SocketList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Coherence-protocol statistics.
@@ -188,19 +247,16 @@ impl Directory {
             _ => TransferKind::FromMemory,
         };
 
-        let mut invalidations = Vec::new();
+        // A write invalidates all other copies.
+        let others = if is_write {
+            entry.sharers & !req_bit
+        } else {
+            0
+        };
+        let invalidations = SocketList::from_mask(others);
+        self.stats.invalidations += invalidations.len() as u64;
         if is_write {
-            // All other copies are invalidated; requester becomes owner.
-            let others = entry.sharers & !req_bit;
-            if others != 0 {
-                for s in 0..self.num_sockets as u16 {
-                    let sid = SocketId::new(s);
-                    if others & Self::bit(sid) != 0 {
-                        invalidations.push(sid);
-                    }
-                }
-            }
-            self.stats.invalidations += invalidations.len() as u64;
+            // The requester becomes owner.
             entry.sharers = req_bit;
             entry.owner = Some(requester);
         } else {
@@ -310,10 +366,27 @@ mod tests {
         d.access(b, s(1), false, HOME_SOCKET);
         d.access(b, s(3), false, HOME_SOCKET);
         let out = d.access(b, s(5), true, HOME_SOCKET);
-        assert_eq!(out.invalidations, vec![s(0), s(1), s(3)]);
+        assert_eq!(*out.invalidations, [s(0), s(1), s(3)]);
         assert_eq!(d.owner(b), Some(s(5)));
         assert_eq!(d.sharers(b), vec![s(5)]);
         assert_eq!(d.stats().invalidations, 3);
+    }
+
+    #[test]
+    fn socket_list_holds_any_sharer_set() {
+        let some = SocketList::from_mask(0b1010_0001);
+        assert_eq!(*some, [s(0), s(5), s(7)]);
+        assert_eq!((&some).into_iter().count(), 3);
+        assert_eq!(format!("{some:?}"), format!("{:?}", [s(0), s(5), s(7)]));
+        // A write in a full 32-socket system invalidates the other 31.
+        let mut d = Directory::new(32);
+        let b = BlockAddr::new(5);
+        for i in 0..32 {
+            d.access(b, s(i), false, HOME_SOCKET);
+        }
+        let out = d.access(b, s(0), true, HOME_SOCKET);
+        assert!(out.invalidations.iter().map(|x| x.index()).eq(1..32));
+        assert_eq!(d.stats().invalidations, 31);
     }
 
     #[test]
@@ -334,7 +407,7 @@ mod tests {
         d.access(b, s(0), true, Location::Pool); // 0 owns
         let out = d.access(b, s(8), true, Location::Pool); // 8 takes ownership
         assert_eq!(out.transfer, TransferKind::CacheToCache { owner: s(0) });
-        assert_eq!(out.invalidations, vec![s(0)]);
+        assert_eq!(*out.invalidations, [s(0)]);
         assert_eq!(d.owner(b), Some(s(8)));
     }
 

@@ -320,7 +320,7 @@ impl Runner {
                             let socket = CoreId::new(core).socket(cps);
                             let tlb = &mut tlbs[core_idx];
                             for a in stream {
-                                for f in tlb.record_llc_miss(a.addr.page()) {
+                                if let Some(f) = tlb.record_llc_miss(a.addr.page()) {
                                     if f.page.pfn() < fp {
                                         meta.record(f.page.region(), socket, f.count);
                                     }

@@ -450,12 +450,7 @@ impl TimingSim {
                         // Writeback traffic to the victim's home (off the
                         // critical path; consumes bandwidth + a DRAM write).
                         let home = map.location(victim.page());
-                        {
-                            let _prof = ProfScope::enter(Site::Coherence);
-                            for link in self.net.leg(Location::Socket(socket), home) {
-                                self.links[link.index()].enqueue(now, DATA_BYTES);
-                            }
-                        }
+                        self.enqueue_legs(now, &[(Location::Socket(socket), home, DATA_BYTES)]);
                         let _prof = ProfScope::enter(Site::Dram);
                         self.memory_contention(now, home, victim);
                     }
@@ -478,82 +473,79 @@ impl TimingSim {
                 }
             }
         }
-        let lat = self.net.latency().clone();
+        let lat = self.net.latency();
         match coh.transfer {
             TransferKind::FromMemory => {
                 let class = self.net.classify(socket, home);
                 let unloaded = lat.demand_access(socket, home);
                 let src = Location::Socket(socket);
-                let req_prop = lat.one_way(src, home).to_cycles().raw();
                 // All stages are charged at the issue time: a first-order
                 // queuing approximation that keeps every server's backlog
                 // bounded by its offered load (enqueueing at inflated
                 // downstream arrival times would let queuing delays compound
                 // across links into a runaway feedback).
-                let _ = req_prop;
-                let mut wait = 0u64;
-                {
-                    let _prof = ProfScope::enter(Site::Coherence);
-                    for link in self.net.leg(src, home) {
-                        wait += self.links[link.index()].enqueue(now, REQ_BYTES).raw();
-                    }
-                }
+                let mut wait = self.enqueue_legs(now, &[(src, home, REQ_BYTES)]);
                 {
                     let _prof = ProfScope::enter(Site::Dram);
                     wait += self.memory_contention(now, home, block);
                 }
-                {
-                    let _prof = ProfScope::enter(Site::Coherence);
-                    for link in self.net.leg(home, src) {
-                        wait += self.links[link.index()].enqueue(now, DATA_BYTES).raw();
-                    }
-                }
+                wait += self.enqueue_legs(now, &[(home, src, DATA_BYTES)]);
                 let measured = unloaded.to_cycles().raw() + wait;
                 (false, class, unloaded.raw(), measured)
             }
             TransferKind::CacheToCache { owner } => {
                 let r = Location::Socket(socket);
                 let o = Location::Socket(owner);
-                let (class, legs, unloaded_ns) = match home {
-                    Location::Pool => {
-                        // 4-hop via the pool: R→H, H→O, O→H, H→R.
-                        let legs = vec![
-                            (r, home, REQ_BYTES),
-                            (home, o, REQ_BYTES),
-                            (o, home, DATA_BYTES),
-                            (home, r, DATA_BYTES),
-                        ];
-                        let unloaded = lat.four_hop_pool_transfer() + self.net.params().mem_base;
-                        (AccessClass::BtPool, legs, unloaded)
-                    }
-                    Location::Socket(h) => {
-                        // 3-hop: R→H, H→O (forward), O→R (data).
-                        let legs = vec![
-                            (r, home, REQ_BYTES),
-                            (home, o, REQ_BYTES),
-                            (o, r, DATA_BYTES),
-                        ];
-                        let unloaded =
-                            lat.three_hop_transfer(socket, h, owner) + self.net.params().mem_base;
-                        (AccessClass::BtSocket, legs, unloaded)
-                    }
-                };
+                let mem_base = self.net.params().mem_base;
                 // No DRAM access: the data comes from the owner's cache and
                 // the home's coherence directory is SRAM (its 20 ns lookup is
                 // part of the unloaded latency, Fig. 3 / §V-A accounting).
-                let mut wait = 0u64;
-                {
-                    let _prof = ProfScope::enter(Site::Coherence);
-                    for (from, to, bytes) in legs {
-                        for link in self.net.leg(from, to) {
-                            wait += self.links[link.index()].enqueue(now, bytes).raw();
-                        }
+                let (class, unloaded_ns, wait) = match home {
+                    Location::Pool => {
+                        let unloaded = lat.four_hop_pool_transfer() + mem_base;
+                        // 4-hop via the pool: R→H, H→O, O→H, H→R.
+                        let wait = self.enqueue_legs(
+                            now,
+                            &[
+                                (r, home, REQ_BYTES),
+                                (home, o, REQ_BYTES),
+                                (o, home, DATA_BYTES),
+                                (home, r, DATA_BYTES),
+                            ],
+                        );
+                        (AccessClass::BtPool, unloaded, wait)
                     }
-                }
+                    Location::Socket(h) => {
+                        let unloaded = lat.three_hop_transfer(socket, h, owner) + mem_base;
+                        // 3-hop: R→H, H→O (forward), O→R (data).
+                        let wait = self.enqueue_legs(
+                            now,
+                            &[
+                                (r, home, REQ_BYTES),
+                                (home, o, REQ_BYTES),
+                                (o, r, DATA_BYTES),
+                            ],
+                        );
+                        (AccessClass::BtSocket, unloaded, wait)
+                    }
+                };
                 let measured = unloaded_ns.to_cycles().raw() + wait;
                 (false, class, unloaded_ns.raw(), measured)
             }
         }
+    }
+
+    /// Enqueues each `(from, to, bytes)` message on the links of its leg at
+    /// `now`, in order; returns the summed queuing delay in cycles.
+    fn enqueue_legs(&mut self, now: Cycles, legs: &[(Location, Location, u64)]) -> u64 {
+        let _prof = ProfScope::enter(Site::Coherence);
+        let mut wait = 0u64;
+        for &(from, to, bytes) in legs {
+            for link in self.net.leg(from, to) {
+                wait += self.links[link.index()].enqueue(now, bytes).raw();
+            }
+        }
+        wait
     }
 
     /// Charges one block access to the home node's memory; returns the

@@ -143,12 +143,49 @@ pub struct Network {
     latency: LatencyModel,
     kinds: Vec<LinkKind>,
     bandwidths: Vec<f64>,
+    /// Every leg's links, concatenated in endpoint-pair order.
+    route_links: Vec<LinkId>,
+    /// `(start, end)` of each leg in `route_links`, indexed by
+    /// `src * (n + 1) + dst` over the endpoint indices of an `n`-socket
+    /// system: the sockets, then the pool.
+    route_spans: Vec<(u32, u32)>,
+}
+
+/// Link ids by role; only used while [`Network::try_new`] builds the route
+/// table.
+#[derive(Default)]
+struct LinkRoles {
     upi_direct: BTreeMap<(SocketId, SocketId), LinkId>,
     upi_uplink: Vec<LinkId>,
     upi_downlink: Vec<LinkId>,
     numalink: BTreeMap<(ChassisId, ChassisId), LinkId>,
     cxl_up: Vec<LinkId>,
     cxl_down: Vec<LinkId>,
+}
+
+impl LinkRoles {
+    /// Appends the links of one one-way message from `src` to `dst` to
+    /// `out`. Pool legs are empty when the system has no pool.
+    fn leg_into(&self, src: Location, dst: Location, out: &mut Vec<LinkId>) {
+        match (src, dst) {
+            (Location::Pool, Location::Pool) => {}
+            (Location::Socket(s), Location::Pool) => {
+                out.extend(self.cxl_up.get(usize::from(s.index())));
+            }
+            (Location::Pool, Location::Socket(s)) => {
+                out.extend(self.cxl_down.get(usize::from(s.index())));
+            }
+            (Location::Socket(s), Location::Socket(t)) if s == t => {}
+            (Location::Socket(s), Location::Socket(t)) if s.same_chassis(t) => {
+                out.push(self.upi_direct[&(s, t)]);
+            }
+            (Location::Socket(s), Location::Socket(t)) => out.extend([
+                self.upi_uplink[usize::from(s.index())],
+                self.numalink[&(s.chassis(), t.chassis())],
+                self.upi_downlink[usize::from(t.index())],
+            ]),
+        }
+    }
 }
 
 impl Network {
@@ -163,7 +200,9 @@ impl Network {
         Self::try_new(params).expect("invalid system parameters")
     }
 
-    /// Builds the link database after running the Pass 2 model checks.
+    /// Builds the link database after running the Pass 2 model checks, and
+    /// the route table that [`Network::leg`] reads: every leg between two
+    /// endpoints (the sockets and the pool) is computed once, here.
     ///
     /// # Errors
     ///
@@ -178,35 +217,32 @@ impl Network {
         if !errors.is_empty() {
             return Err(StarNumaError::InvalidModel(errors));
         }
+        let n = params.num_sockets;
         let mut net = Network {
             latency: LatencyModel::new(params.clone()),
             kinds: Vec::new(),
             bandwidths: Vec::new(),
-            upi_direct: BTreeMap::new(),
-            upi_uplink: Vec::new(),
-            upi_downlink: Vec::new(),
-            numalink: BTreeMap::new(),
-            cxl_up: Vec::new(),
-            cxl_down: Vec::new(),
+            route_links: Vec::new(),
+            route_spans: Vec::with_capacity((n + 1) * (n + 1)),
         };
-        let n = params.num_sockets;
+        let mut roles = LinkRoles::default();
         // Direct intra-chassis UPI links (each direction its own server).
         for s in SocketId::all(n) {
             for t in SocketId::all(n) {
                 if s != t && s.same_chassis(t) {
                     let id = net.push(LinkKind::Upi, params.upi_bw.raw());
-                    net.upi_direct.insert((s, t), id);
+                    roles.upi_direct.insert((s, t), id);
                 }
             }
         }
         // Socket ↔ FLEX ASIC UPI connections.
         for _s in SocketId::all(n) {
             let up = net.push(LinkKind::Upi, params.upi_bw.raw());
-            net.upi_uplink.push(up);
+            roles.upi_uplink.push(up);
         }
         for _s in SocketId::all(n) {
             let down = net.push(LinkKind::Upi, params.upi_bw.raw());
-            net.upi_downlink.push(down);
+            roles.upi_downlink.push(down);
         }
         // Aggregated NUMALinks per ordered chassis pair.
         let numalink_bw = params.numalink_bw.raw() * params.numalinks_per_chassis_pair as f64;
@@ -215,7 +251,8 @@ impl Network {
             for d in 0..chassis {
                 if c != d {
                     let id = net.push(LinkKind::NumaLink, numalink_bw);
-                    net.numalink
+                    roles
+                        .numalink
                         .insert((ChassisId::new(c), ChassisId::new(d)), id);
                 }
             }
@@ -224,11 +261,23 @@ impl Network {
         if params.has_pool {
             for _s in SocketId::all(n) {
                 let id = net.push(LinkKind::Cxl, params.cxl_bw.raw());
-                net.cxl_up.push(id);
+                roles.cxl_up.push(id);
             }
             for _s in SocketId::all(n) {
                 let id = net.push(LinkKind::Cxl, params.cxl_bw.raw());
-                net.cxl_down.push(id);
+                roles.cxl_down.push(id);
+            }
+        }
+        // The route table, in endpoint-index order.
+        let endpoints: Vec<Location> = SocketId::all(n)
+            .map(Location::Socket)
+            .chain([Location::Pool])
+            .collect();
+        for &src in &endpoints {
+            for &dst in &endpoints {
+                let start = net.route_links.len() as u32;
+                roles.leg_into(src, dst, &mut net.route_links);
+                net.route_spans.push((start, net.route_links.len() as u32));
             }
         }
         Ok(net)
@@ -272,42 +321,30 @@ impl Network {
         (0..self.kinds.len() as u32).map(LinkId)
     }
 
-    /// The links traversed by one one-way message from `src` to `dst`.
+    /// The links traversed by one one-way message from `src` to `dst`, read
+    /// from the route table built by [`Network::try_new`].
     ///
     /// # Panics
     ///
-    /// Panics if a pool endpoint is used on a configuration without a pool.
-    pub fn leg(&self, src: Location, dst: Location) -> Vec<LinkId> {
-        match (src, dst) {
-            (Location::Pool, Location::Pool) => Vec::new(),
-            (Location::Socket(s), Location::Pool) => {
-                assert!(
-                    !self.cxl_up.is_empty(),
-                    "no memory pool in this configuration"
-                );
-                vec![self.cxl_up[s.index() as usize]]
+    /// Panics if a pool endpoint is used on a configuration without a pool,
+    /// or a socket endpoint is outside the configured socket count.
+    pub fn leg(&self, src: Location, dst: Location) -> &[LinkId] {
+        let params = self.params();
+        assert!(
+            params.has_pool || src.is_pool() == dst.is_pool(),
+            "no memory pool in this configuration"
+        );
+        let n = params.num_sockets;
+        let endpoint = |loc: Location| match loc {
+            Location::Socket(s) => {
+                let i = usize::from(s.index());
+                assert!(i < n, "socket {i} outside this {n}-socket network");
+                i
             }
-            (Location::Pool, Location::Socket(s)) => {
-                assert!(
-                    !self.cxl_down.is_empty(),
-                    "no memory pool in this configuration"
-                );
-                vec![self.cxl_down[s.index() as usize]]
-            }
-            (Location::Socket(s), Location::Socket(t)) => {
-                if s == t {
-                    Vec::new()
-                } else if s.same_chassis(t) {
-                    vec![self.upi_direct[&(s, t)]]
-                } else {
-                    vec![
-                        self.upi_uplink[s.index() as usize],
-                        self.numalink[&(s.chassis(), t.chassis())],
-                        self.upi_downlink[t.index() as usize],
-                    ]
-                }
-            }
-        }
+            Location::Pool => n,
+        };
+        let (start, end) = self.route_spans[endpoint(src) * (n + 1) + endpoint(dst)];
+        &self.route_links[start as usize..end as usize]
     }
 
     /// Classifies a demand access from `requester` to memory at `target`.
@@ -331,8 +368,8 @@ impl Network {
     pub fn route(&self, requester: SocketId, target: Location) -> Route {
         let src = Location::Socket(requester);
         Route {
-            request: self.leg(src, target),
-            response: self.leg(target, src),
+            request: self.leg(src, target).to_vec(),
+            response: self.leg(target, src).to_vec(),
             unloaded_total: self.latency.demand_access(requester, target),
             class: self.classify(requester, target),
         }
@@ -342,6 +379,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use starnuma_types::SOCKETS_PER_CHASSIS;
 
     fn starnuma_net() -> Network {
         Network::new(&SystemParams::scaled_starnuma())
@@ -407,6 +445,103 @@ mod tests {
     fn baseline_rejects_pool_routes() {
         let net = Network::new(&SystemParams::scaled_baseline());
         let _ = net.leg(Location::Socket(SocketId::new(0)), Location::Pool);
+    }
+
+    /// Expected legs for every ordered endpoint pair, built independently of
+    /// the route table: link ids are assigned by walking `link_ids()` in the
+    /// documented order (direct UPI per ordered same-chassis socket pair,
+    /// uplinks, downlinks, NUMALinks per ordered chassis pair, CXL up, CXL
+    /// down), checking each link's kind and bandwidth on the way, and legs
+    /// then follow the module doc's topology rules.
+    fn expected_legs(
+        net: &Network,
+        params: &SystemParams,
+    ) -> Vec<((Location, Location), Vec<LinkId>)> {
+        let n = params.num_sockets;
+        let mut ids = net.link_ids();
+        let mut take = |kind: LinkKind, bw: f64| {
+            let id = ids.next().unwrap();
+            assert_eq!(net.link_kind(id), kind);
+            assert_eq!(net.link_bandwidth_gbps(id), bw);
+            id
+        };
+        let per = SOCKETS_PER_CHASSIS as u16;
+        let upi = params.upi_bw.raw();
+        let mut direct = BTreeMap::new();
+        for s in SocketId::all(n) {
+            for t in SocketId::all(n).filter(|&t| t != s && t.index() / per == s.index() / per) {
+                direct.insert((s, t), take(LinkKind::Upi, upi));
+            }
+        }
+        let up: Vec<_> = SocketId::all(n).map(|_| take(LinkKind::Upi, upi)).collect();
+        let down: Vec<_> = SocketId::all(n).map(|_| take(LinkKind::Upi, upi)).collect();
+        let numa_bw = params.numalink_bw.raw() * params.numalinks_per_chassis_pair as f64;
+        let chassis = n.div_ceil(SOCKETS_PER_CHASSIS);
+        let mut numa = BTreeMap::new();
+        for c in 0..chassis {
+            for d in (0..chassis).filter(|&d| d != c) {
+                numa.insert((c, d), take(LinkKind::NumaLink, numa_bw));
+            }
+        }
+        let (mut cxl_up, mut cxl_down) = (Vec::new(), Vec::new());
+        if params.has_pool {
+            let cxl = params.cxl_bw.raw();
+            cxl_up = SocketId::all(n).map(|_| take(LinkKind::Cxl, cxl)).collect();
+            cxl_down = SocketId::all(n).map(|_| take(LinkKind::Cxl, cxl)).collect();
+        }
+        assert!(ids.next().is_none(), "every link is accounted for");
+
+        let mut out = vec![((Location::Pool, Location::Pool), Vec::new())];
+        for s in SocketId::all(n) {
+            let i = s.index() as usize;
+            if params.has_pool {
+                out.push(((Location::Socket(s), Location::Pool), vec![cxl_up[i]]));
+                out.push(((Location::Pool, Location::Socket(s)), vec![cxl_down[i]]));
+            }
+            for t in SocketId::all(n) {
+                let j = t.index() as usize;
+                let leg = if s == t {
+                    Vec::new()
+                } else if s.index() / per == t.index() / per {
+                    vec![direct[&(s, t)]]
+                } else {
+                    let (c, d) = (i / SOCKETS_PER_CHASSIS, j / SOCKETS_PER_CHASSIS);
+                    vec![up[i], numa[&(c, d)], down[j]]
+                };
+                out.push(((Location::Socket(s), Location::Socket(t)), leg));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn route_table_matches_topology_rules() {
+        let configs = [
+            SystemParams::scaled_baseline(),
+            SystemParams::scaled_starnuma(),
+            SystemParams::scaled_starnuma()
+                .with_num_sockets(32)
+                .unwrap(),
+        ];
+        for params in configs {
+            let net = Network::new(&params);
+            let n = params.num_sockets;
+            let expected = expected_legs(&net, &params);
+            let pairs = if params.has_pool {
+                (n + 1) * (n + 1)
+            } else {
+                n * n + 1
+            };
+            assert_eq!(expected.len(), pairs);
+            let mut used = vec![false; net.link_count()];
+            for ((src, dst), links) in expected {
+                assert_eq!(net.leg(src, dst), &links[..], "{src:?} -> {dst:?}");
+                for l in links {
+                    used[l.index()] = true;
+                }
+            }
+            assert!(used.iter().all(|&u| u), "every link lies on some leg");
+        }
     }
 
     #[test]
