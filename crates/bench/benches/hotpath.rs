@@ -8,9 +8,9 @@
 //!    (directory entry-or-default churn, TLB lookup/replace, in-flight
 //!    insert/probe, replica-mask membership). These prove the PR-5 swap
 //!    actually bought throughput.
-//! 2. **Substrate benches** — accesses/sec through the real components
-//!    (`Directory::access`, `Tlb::record_llc_miss`, LLC, DRAM), which now
-//!    run on `DetMap` internally.
+//! 2. **Substrate benches** — accesses/sec through the real components:
+//!    `Directory::access` (dense per-page chunks indexed by page frame
+//!    number), `Tlb::record_llc_miss` (a `DetMap` annex index), LLC, DRAM.
 //!
 //! End-to-end simulator throughput is measured by the `e2e` benchmark in
 //! `e2ebench/`, with repeated trials on four workloads.

@@ -40,7 +40,7 @@ use core::fmt;
 use core::ops::Deref;
 
 use starnuma_obs::{MetricsFrame, Observe};
-use starnuma_types::{BlockAddr, DetMap, Location, SocketId};
+use starnuma_types::{BlockAddr, Location, SocketId, BLOCK_SIZE, PAGE_SIZE};
 
 /// How the requested data was supplied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -155,13 +155,29 @@ impl Observe for DirectoryStats {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Entry {
-    /// Bitmask of sockets holding the block (Shared), or exactly the owner's
-    /// bit when `owner` is set (Modified/Exclusive).
-    sharers: u32,
-    /// Modified owner, if any.
-    owner: Option<SocketId>,
+/// Blocks per page, and so per directory chunk.
+const CHUNK_BLOCKS: usize = PAGE_SIZE / BLOCK_SIZE;
+
+// `Chunk::modified` has one bit per block of the page.
+const _: () = assert!(CHUNK_BLOCKS == 64);
+
+/// Directory state of the 64 blocks of one page.
+#[derive(Clone, Debug)]
+struct Chunk {
+    /// Per block, the bitmask of sockets holding it. A block has directory
+    /// state iff its mask is non-zero.
+    sharers: [u32; CHUNK_BLOCKS],
+    /// Per block, set when the block is Modified. Its owner is then the
+    /// single socket in its sharer mask, because a write leaves exactly the
+    /// writer's bit set.
+    modified: u64,
+}
+
+impl Chunk {
+    const EMPTY: Chunk = Chunk {
+        sharers: [0; CHUNK_BLOCKS],
+        modified: 0,
+    };
 }
 
 /// The distributed coherence directory.
@@ -169,10 +185,17 @@ struct Entry {
 /// One logical object models every home node's directory slice; per-home
 /// statistics are kept so the pool directory's transaction rate can be
 /// reported separately.
+///
+/// State is stored per page: `slots[pfn]` indexes the page's [`Chunk`] in
+/// `chunks`, which is allocated when the page's first block is accessed.
+/// Slot 0 is a chunk that always stays empty, so a page that was never
+/// accessed reads as untracked without a branch.
 #[derive(Clone, Debug)]
 pub struct Directory {
     num_sockets: usize,
-    entries: DetMap<BlockAddr, Entry>,
+    slots: Vec<u32>,
+    chunks: Vec<Chunk>,
+    tracked: usize,
     stats: DirectoryStats,
 }
 
@@ -190,7 +213,9 @@ impl Directory {
         );
         Directory {
             num_sockets,
-            entries: DetMap::new(),
+            slots: Vec::new(),
+            chunks: vec![Chunk::EMPTY],
+            tracked: 0,
             stats: DirectoryStats::default(),
         }
     }
@@ -202,20 +227,44 @@ impl Directory {
 
     /// Number of blocks with directory state.
     pub fn tracked_blocks(&self) -> usize {
-        self.entries.len()
+        self.tracked
     }
 
     fn bit(s: SocketId) -> u32 {
         1u32 << s.index()
     }
 
+    /// The block's page frame number and its index within the page.
+    fn split(block: BlockAddr) -> (usize, usize) {
+        let bfn = block.bfn() as usize;
+        (bfn / CHUNK_BLOCKS, bfn % CHUNK_BLOCKS)
+    }
+
+    /// The index in `chunks` of `pfn`'s chunk; 0 (the empty chunk) if the
+    /// page has none.
+    fn slot(&self, pfn: usize) -> usize {
+        self.slots.get(pfn).map_or(0, |&s| s as usize)
+    }
+
+    /// The block's sharer mask and whether it is Modified.
+    fn state(&self, block: BlockAddr) -> (u32, bool) {
+        let (pfn, i) = Self::split(block);
+        let chunk = &self.chunks[self.slot(pfn)];
+        (chunk.sharers[i], chunk.modified & (1 << i) != 0)
+    }
+
     /// Processes an LLC-missing access to `block` by `requester`, with the
     /// block's page homed at `home`. Returns how the data is supplied and
     /// which sockets must be invalidated.
     ///
+    /// The per-page slot table grows to the largest page frame number
+    /// accessed, at 4 B per page, so callers bound the block addresses they
+    /// pass; the simulator's come from pages its `PageMap` holds.
+    ///
     /// # Panics
     ///
-    /// Panics if `requester` is outside the configured socket count.
+    /// Panics if `requester` is outside the configured socket count, or if
+    /// more than `u32::MAX` distinct pages are accessed.
     pub fn access(
         &mut self,
         block: BlockAddr,
@@ -231,42 +280,54 @@ impl Directory {
         if home.is_pool() {
             self.stats.pool_transactions += 1;
         }
-        let entry = self.entries.entry_or_insert_with(block, Entry::default);
+        let (pfn, i) = Self::split(block);
+        if pfn >= self.slots.len() {
+            self.slots.resize(pfn + 1, 0);
+        }
+        if self.slots[pfn] == 0 {
+            let next = u32::try_from(self.chunks.len());
+            // audit:allow(SN001) documented panic: more than 2^32 pages touched.
+            self.slots[pfn] = next.expect("directory chunk index overflows u32");
+            self.chunks.push(Chunk::EMPTY);
+        }
+        let chunk = &mut self.chunks[self.slots[pfn] as usize];
+        let block_bit = 1u64 << i;
+        let mask = chunk.sharers[i];
+        if mask == 0 {
+            self.tracked += 1;
+        }
         let req_bit = Self::bit(requester);
 
-        // Determine data source.
-        let transfer = match entry.owner {
-            Some(owner) if owner != requester => {
-                if home.is_pool() {
-                    self.stats.bt_pool += 1;
-                } else {
-                    self.stats.bt_socket += 1;
-                }
-                TransferKind::CacheToCache { owner }
+        // Determine data source: a Modified block owned by another socket
+        // is forwarded from that socket's cache.
+        let forwarded = chunk.modified & block_bit != 0 && mask != req_bit;
+        let transfer = if forwarded {
+            if home.is_pool() {
+                self.stats.bt_pool += 1;
+            } else {
+                self.stats.bt_socket += 1;
             }
-            _ => TransferKind::FromMemory,
+            // audit:allow(SN009) trailing_zeros of a nonzero u32 is below 32.
+            let owner = SocketId::new(mask.trailing_zeros() as u16);
+            TransferKind::CacheToCache { owner }
+        } else {
+            TransferKind::FromMemory
         };
 
         // A write invalidates all other copies.
-        let others = if is_write {
-            entry.sharers & !req_bit
-        } else {
-            0
-        };
+        let others = if is_write { mask & !req_bit } else { 0 };
         let invalidations = SocketList::from_mask(others);
         self.stats.invalidations += invalidations.len() as u64;
         if is_write {
             // The requester becomes owner.
-            entry.sharers = req_bit;
-            entry.owner = Some(requester);
+            chunk.sharers[i] = req_bit;
+            chunk.modified |= block_bit;
         } else {
             // Read: previous owner (if different) downgrades to Shared.
-            if let Some(owner) = entry.owner {
-                if owner != requester {
-                    entry.owner = None;
-                }
+            if forwarded {
+                chunk.modified &= !block_bit;
             }
-            entry.sharers |= req_bit;
+            chunk.sharers[i] = mask | req_bit;
         }
         CoherenceOutcome {
             transfer,
@@ -275,41 +336,50 @@ impl Directory {
     }
 
     /// Records that `socket` evicted `block` from its LLC; `dirty` evictions
-    /// write data back to the home memory.
+    /// write data back to the home memory. Evicting a block with no
+    /// directory state does nothing.
     pub fn evict(&mut self, block: BlockAddr, socket: SocketId, dirty: bool) {
-        if let Some(entry) = self.entries.get_mut(&block) {
-            entry.sharers &= !Self::bit(socket);
-            if entry.owner == Some(socket) {
-                entry.owner = None;
-            }
-            if dirty {
-                self.stats.writebacks += 1;
-            }
-            if entry.sharers == 0 && entry.owner.is_none() {
-                self.entries.remove(&block);
-            }
+        let (pfn, i) = Self::split(block);
+        let slot = self.slot(pfn);
+        let chunk = &mut self.chunks[slot];
+        let mask = chunk.sharers[i];
+        if mask == 0 {
+            return;
+        }
+        let left = mask & !Self::bit(socket);
+        chunk.sharers[i] = left;
+        if left == 0 {
+            // A Modified block's only sharer is its owner, so the owner
+            // leaving empties the mask.
+            chunk.modified &= !(1u64 << i);
+            self.tracked -= 1;
+        }
+        if dirty {
+            self.stats.writebacks += 1;
         }
     }
 
     /// Current sharers of `block` (for tests and diagnostics).
     pub fn sharers(&self, block: BlockAddr) -> Vec<SocketId> {
-        match self.entries.get(&block) {
-            None => Vec::new(),
-            Some(e) => (0..self.num_sockets as u16)
-                .map(SocketId::new)
-                .filter(|s| e.sharers & Self::bit(*s) != 0)
-                .collect(),
-        }
+        let (mask, _) = self.state(block);
+        (0..self.num_sockets as u16)
+            .map(SocketId::new)
+            .filter(|s| mask & Self::bit(*s) != 0)
+            .collect()
     }
 
     /// Current Modified owner of `block`, if any.
     pub fn owner(&self, block: BlockAddr) -> Option<SocketId> {
-        self.entries.get(&block).and_then(|e| e.owner)
+        let (mask, modified) = self.state(block);
+        // audit:allow(SN009) trailing_zeros of a nonzero u32 is below 32.
+        modified.then(|| SocketId::new(mask.trailing_zeros() as u16))
     }
 
     /// Clears all directory state and statistics (between phases).
     pub fn reset(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.chunks.truncate(1);
+        self.tracked = 0;
         self.stats = DirectoryStats::default();
     }
 }
@@ -528,6 +598,193 @@ mod proptests {
                 assert!(!out.invalidations.contains(&sid));
                 if op.write {
                     assert_eq!(d.sharers(b), vec![sid]);
+                }
+            }
+        }
+    }
+}
+
+/// The directory as a `DetMap` of per-block entries: the layout the dense
+/// per-page directory replaced, kept as the reference it must match call
+/// for call.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use starnuma_types::{DetMap, SimRng};
+
+    #[derive(Clone, Copy, Debug, Default)]
+    struct Entry {
+        /// Bitmask of sockets holding the block (Shared), or exactly the
+        /// owner's bit when `owner` is set (Modified/Exclusive).
+        sharers: u32,
+        /// Modified owner, if any.
+        owner: Option<SocketId>,
+    }
+
+    struct RefDirectory {
+        num_sockets: usize,
+        entries: DetMap<BlockAddr, Entry>,
+        stats: DirectoryStats,
+    }
+
+    impl RefDirectory {
+        fn new(num_sockets: usize) -> Self {
+            RefDirectory {
+                num_sockets,
+                entries: DetMap::new(),
+                stats: DirectoryStats::default(),
+            }
+        }
+
+        fn access(
+            &mut self,
+            block: BlockAddr,
+            requester: SocketId,
+            is_write: bool,
+            home: Location,
+        ) -> CoherenceOutcome {
+            self.stats.transactions += 1;
+            if home.is_pool() {
+                self.stats.pool_transactions += 1;
+            }
+            let entry = self.entries.entry_or_insert_with(block, Entry::default);
+            let req_bit = Directory::bit(requester);
+            let transfer = match entry.owner {
+                Some(owner) if owner != requester => {
+                    if home.is_pool() {
+                        self.stats.bt_pool += 1;
+                    } else {
+                        self.stats.bt_socket += 1;
+                    }
+                    TransferKind::CacheToCache { owner }
+                }
+                _ => TransferKind::FromMemory,
+            };
+            let others = if is_write {
+                entry.sharers & !req_bit
+            } else {
+                0
+            };
+            let invalidations = SocketList::from_mask(others);
+            self.stats.invalidations += invalidations.len() as u64;
+            if is_write {
+                entry.sharers = req_bit;
+                entry.owner = Some(requester);
+            } else {
+                if let Some(owner) = entry.owner {
+                    if owner != requester {
+                        entry.owner = None;
+                    }
+                }
+                entry.sharers |= req_bit;
+            }
+            CoherenceOutcome {
+                transfer,
+                invalidations,
+            }
+        }
+
+        fn evict(&mut self, block: BlockAddr, socket: SocketId, dirty: bool) {
+            if let Some(entry) = self.entries.get_mut(&block) {
+                entry.sharers &= !Directory::bit(socket);
+                if entry.owner == Some(socket) {
+                    entry.owner = None;
+                }
+                if dirty {
+                    self.stats.writebacks += 1;
+                }
+                if entry.sharers == 0 && entry.owner.is_none() {
+                    self.entries.remove(&block);
+                }
+            }
+        }
+
+        fn sharers(&self, block: BlockAddr) -> Vec<SocketId> {
+            match self.entries.get(&block) {
+                None => Vec::new(),
+                Some(e) => (0..self.num_sockets as u16)
+                    .map(SocketId::new)
+                    .filter(|s| e.sharers & Directory::bit(*s) != 0)
+                    .collect(),
+            }
+        }
+
+        fn owner(&self, block: BlockAddr) -> Option<SocketId> {
+            self.entries.get(&block).and_then(|e| e.owner)
+        }
+
+        fn reset(&mut self) {
+            self.entries.clear();
+            self.stats = DirectoryStats::default();
+        }
+    }
+
+    /// A working set of blocks: some in a few dense pages, some in sparse
+    /// pages up to 2^20.
+    fn working_set(rng: &mut SimRng) -> Vec<BlockAddr> {
+        let page_blocks = CHUNK_BLOCKS as u64;
+        (0..rng.gen_range(4usize..40))
+            .map(|_| {
+                let pfn = if rng.gen_bool(0.6) {
+                    rng.gen_range(0u64..4)
+                } else {
+                    (1u64 << 20) - rng.gen_range(0u64..1 << 20)
+                };
+                BlockAddr::new(pfn * page_blocks + rng.gen_range(0..page_blocks))
+            })
+            .collect()
+    }
+
+    fn assert_same(dir: &Directory, model: &RefDirectory, block: BlockAddr) {
+        assert_eq!(dir.stats(), model.stats);
+        assert_eq!(dir.sharers(block), model.sharers(block), "{block:?}");
+        assert_eq!(dir.owner(block), model.owner(block), "{block:?}");
+        assert_eq!(dir.tracked_blocks(), model.entries.len());
+    }
+
+    /// Seeded `access`/`evict` streams on 1-, 16- and 32-socket systems
+    /// leave the dense directory observably identical to the `DetMap` one
+    /// after every call, and `reset` empties both.
+    #[test]
+    fn dense_directory_matches_detmap_reference() {
+        let mut rng = SimRng::seed_from_u64(0xd1_5ec7);
+        for &num_sockets in &[1usize, 16, 32] {
+            for _case in 0..48 {
+                let mut dir = Directory::new(num_sockets);
+                let mut model = RefDirectory::new(num_sockets);
+                let blocks = working_set(&mut rng);
+                let mut touched = Vec::new();
+                for _ in 0..rng.gen_range(1usize..400) {
+                    let block = if rng.gen_bool(0.05) {
+                        // Most likely a block with no state.
+                        BlockAddr::new(rng.gen_range(0u64..(1 << 26)))
+                    } else {
+                        blocks[rng.gen_range(0..blocks.len())]
+                    };
+                    let socket = SocketId::new(rng.gen_range(0..num_sockets as u16));
+                    let write = rng.gen_bool(0.4);
+                    if rng.gen_bool(0.3) {
+                        dir.evict(block, socket, write);
+                        model.evict(block, socket, write);
+                    } else {
+                        let home = if rng.gen_bool(0.5) {
+                            Location::Pool
+                        } else {
+                            Location::Socket(SocketId::new(rng.gen_range(0..num_sockets as u16)))
+                        };
+                        assert_eq!(
+                            dir.access(block, socket, write, home),
+                            model.access(block, socket, write, home)
+                        );
+                        touched.push(block);
+                    }
+                    assert_same(&dir, &model, block);
+                }
+                dir.reset();
+                model.reset();
+                assert_eq!(dir.tracked_blocks(), 0);
+                for &block in &touched {
+                    assert_same(&dir, &model, block);
                 }
             }
         }

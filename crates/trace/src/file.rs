@@ -26,6 +26,10 @@ use crate::generator::PhaseTrace;
 
 const MAGIC: &[u8; 4] = b"SNTR";
 const VERSION: u32 = 1;
+/// Upper bound on the records per core reserved on the word of a header's
+/// count field (64 Ki records ≈ 1.5 MiB); longer streams grow as records
+/// actually arrive.
+const PREALLOC_CAP: usize = 1 << 16;
 
 /// Serializes a phase trace. Pass `&mut writer` to keep using the writer
 /// afterwards.
@@ -97,7 +101,7 @@ pub fn read_phase<R: Read>(mut r: R) -> io::Result<PhaseTrace> {
     let mut per_core = Vec::with_capacity(cores);
     for core_idx in 0..cores {
         let count = read_u64(&mut r)? as usize;
-        let mut stream = Vec::with_capacity(count.min(1 << 24));
+        let mut stream = Vec::with_capacity(count.min(PREALLOC_CAP));
         for _ in 0..count {
             let addr = read_u64(&mut r)?;
             let icount = read_u64(&mut r)?;
@@ -281,6 +285,17 @@ mod tests {
         buf.push(7); // invalid kind
         let err = read_phase(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("bad access kind"));
+    }
+
+    #[test]
+    fn huge_count_without_records_is_an_error() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"SNTR");
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes()); // one core
+        buf.extend_from_slice(&(1u64 << 24).to_le_bytes()); // 2^24 records, none follow
+        let err = read_phase(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

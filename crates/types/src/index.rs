@@ -5,8 +5,10 @@
 //! per-access paths with `BTreeMap` to make iteration order (and therefore
 //! every `RunResult`) reproducible. That bought determinism at O(log n) per
 //! lookup with pointer-chasing node traversals — the dominant cost of the
-//! TLB-annex, coherence-directory, and in-flight-timing lookups. `DetMap`
-//! buys the speed back without reopening the determinism hole:
+//! TLB-annex, coherence-directory, and in-flight-timing lookups. (The
+//! directory now indexes dense per-page chunks by page frame number
+//! instead; see `starnuma-coherence`.) `DetMap` buys the speed back
+//! without reopening the determinism hole:
 //!
 //! * **Fixed seed, in-repo hash.** The hash is a SplitMix64-style finalizer
 //!   (the same mixer that seeds the workspace's xoshiro256** [`SimRng`])
