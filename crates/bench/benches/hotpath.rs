@@ -23,10 +23,10 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use starnuma::report::Json;
 use starnuma_cache::{CacheConfig, SetAssocCache, Tlb, TlbConfig};
 use starnuma_coherence::Directory;
 use starnuma_mem::{DramTimings, MemoryModule};
+use starnuma_types::json::Json;
 use starnuma_types::{BlockAddr, Cycles, DetMap, GbPerSec, Location, PageId, SimRng, SocketId};
 
 /// Times `iters` calls of `f` (after a 1/10 warm-up) and returns ns/op.

@@ -17,6 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use starnuma::{Experiment, JobPool, RunResult, ScaleConfig, SystemKind, Workload};
+use starnuma_types::json;
 
 /// Prints the standard bench banner.
 pub fn banner(artifact: &str, paper_ref: &str) {
@@ -136,14 +137,18 @@ pub fn append_history(bench: &str, smoke: bool, metrics: &[(String, f64)]) {
     use std::io::Write as _;
     let path = std::env::var("STARNUMA_BENCH_HISTORY")
         .unwrap_or_else(|_| format!("{}/../../BENCH_history.jsonl", env!("CARGO_MANIFEST_DIR")));
-    let mut line = format!(
-        "{{\"schema_version\":1,\"bench\":\"{bench}\",\"smoke\":{},\"version\":\"{}\"",
+    let mut line = String::from("{\"schema_version\":1,\"bench\":");
+    json::write_str(&mut line, bench);
+    line.push_str(&format!(
+        ",\"smoke\":{},\"version\":\"{}\"",
         u8::from(smoke),
         env!("CARGO_PKG_VERSION"),
-    );
+    ));
     for (key, value) in metrics {
-        let value = if value.is_finite() { *value } else { 0.0 };
-        line.push_str(&format!(",\"{key}\":{value}"));
+        line.push(',');
+        json::write_str(&mut line, key);
+        line.push(':');
+        json::write_num(&mut line, *value);
     }
     line.push_str("}\n");
     let written = std::fs::OpenOptions::new()

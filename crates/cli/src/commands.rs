@@ -7,17 +7,18 @@ use std::process::ExitCode;
 use std::collections::BTreeMap;
 
 use starnuma::obs::{
-    metrics_json, parse_flat_object, trace_jsonl, try_percentile_from_counts, JsonValue, ObsReport,
-    RunExtras, RunMeta, RunRecord, SiteSummary, LEDGER_FILE, MONITOR_NAMES,
+    metrics_json, parse_flat_object, trace_jsonl, try_percentile_from_counts, ObsReport, RunExtras,
+    RunMeta, RunRecord, SiteSummary, LEDGER_FILE, MONITOR_NAMES,
 };
 use starnuma::prof;
-use starnuma::report::{run_result_json, Json};
+use starnuma::report::run_result_json;
 use starnuma::{
     geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunOptions,
     RunResult, ScaleConfig, ScalePreset, SystemKind, TraceGenerator, Workload,
 };
 use starnuma_topology::SystemParams;
 use starnuma_trace::{read_phase, write_phase, SharingHistogram};
+use starnuma_types::json::Json;
 use starnuma_types::{digest_hex, fnv1a_digest, Location, SocketId};
 
 use crate::args::{ArgError, Args};
@@ -769,40 +770,90 @@ pub fn cmd_profile(args: &Args) -> Result<ExitCode, ArgError> {
     Ok(exit)
 }
 
+/// Bench metrics loaded by [`load_bench_metrics`], keyed `<bench>.<metric>`
+/// (`<bench>+trace.<metric>` for a traced line), or by the bare `<metric>`
+/// of a line with no `bench` field.
+#[derive(Default)]
+struct BenchMetrics {
+    /// The oldest value per key, which `starnuma report` diffs against the
+    /// newest.
+    first: BTreeMap<String, f64>,
+    /// The newest value per key, so a history compares at its most recent
+    /// state.
+    latest: BTreeMap<String, f64>,
+    /// Bare metric name → the bench-qualified keys that report it.
+    owners: BTreeMap<String, Vec<String>>,
+}
+
+impl BenchMetrics {
+    /// The latest values, with each bare key that `other` lacks renamed to
+    /// the one key of `other` reporting that metric, so a flat baseline such
+    /// as `ci/bench_baseline.json` compares against a history. A bare key
+    /// several benches report is an error naming the candidates.
+    fn resolved_against(self, other: &BenchMetrics) -> Result<BTreeMap<String, f64>, ArgError> {
+        let mut values = BTreeMap::new();
+        for (key, value) in self.latest {
+            let key = match other.owners.get(&key).map(Vec::as_slice) {
+                _ if other.latest.contains_key(&key) => key,
+                Some([one]) => one.clone(),
+                Some(several @ [_, _, ..]) => {
+                    return Err(ArgError(format!(
+                        "metric '{key}' is reported by several benches ({}); name one",
+                        several.join(", ")
+                    )))
+                }
+                _ => key,
+            };
+            values.insert(key, value);
+        }
+        Ok(values)
+    }
+}
+
 /// Loads bench metrics from a flat JSON object file or a
 /// `BENCH_history.jsonl` file. Every non-empty line must be a flat JSON
-/// object; numeric fields are merged across lines with later lines
-/// superseding earlier ones per key, so a history file compares at its
-/// most recent state. Identity fields (`bench`, `schema_version`,
-/// `smoke`, `version`) are not metrics and are dropped.
-fn load_bench_metrics(path: &str) -> Result<BTreeMap<String, f64>, ArgError> {
+/// object. A line's numeric fields are keyed by the bench that wrote it
+/// (see [`BenchMetrics`]), so workloads never overwrite one another and
+/// traced lines stay apart from untraced ones. Identity fields (`bench`,
+/// `schema_version`, `smoke`, `version`, `trace`) are not metrics.
+fn load_bench_metrics(path: &str) -> Result<BenchMetrics, ArgError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    let mut metrics = BTreeMap::new();
-    let mut parsed_any = false;
+    if text.trim().is_empty() {
+        return Err(ArgError(format!("{path}: no metric lines")));
+    }
+    let mut metrics = BenchMetrics::default();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         let obj = parse_flat_object(line)
             .ok_or_else(|| ArgError(format!("{path}:{}: not a flat JSON object line", i + 1)))?;
-        parsed_any = true;
-        for (key, value) in obj {
-            if matches!(
-                key.as_str(),
-                "bench" | "schema_version" | "smoke" | "version"
-            ) {
+        let bench = obj.get("bench").and_then(Json::as_str).map(|bench| {
+            let traced = obj.get("trace").and_then(Json::as_num).unwrap_or(0.0) != 0.0;
+            format!("{bench}{}", if traced { "+trace" } else { "" })
+        });
+        for (metric, value) in &obj {
+            if matches!(metric.as_str(), "schema_version" | "smoke" | "trace") {
                 continue;
             }
-            if let JsonValue::Num(n) = value {
-                if n.is_finite() {
-                    metrics.insert(key, n);
+            let Some(n) = value.as_num().filter(|n| n.is_finite()) else {
+                continue;
+            };
+            let key = match &bench {
+                Some(bench) => {
+                    let key = format!("{bench}.{metric}");
+                    let owners = metrics.owners.entry(metric.clone()).or_default();
+                    if !owners.contains(&key) {
+                        owners.push(key.clone());
+                    }
+                    key
                 }
-            }
+                None => metric.clone(),
+            };
+            metrics.first.entry(key.clone()).or_insert(n);
+            metrics.latest.insert(key, n);
         }
-    }
-    if !parsed_any {
-        return Err(ArgError(format!("{path}: no metric lines")));
     }
     Ok(metrics)
 }
@@ -830,14 +881,20 @@ fn bench_diff_report(
     use std::fmt::Write as _;
     let mut out = String::new();
     let mut regressions = 0usize;
+    // Bench-qualified keys run long; size the column to the longest.
+    let w = old
+        .keys()
+        .chain(new.keys())
+        .map(String::len)
+        .fold(44, usize::max);
     let _ = writeln!(
         out,
-        "{:<44} {:>12} {:>12} {:>8}  verdict",
+        "{:<w$} {:>12} {:>12} {:>8}  verdict",
         "metric", "old", "new", "delta"
     );
     for (key, &old_v) in old {
         let Some(&new_v) = new.get(key) else {
-            let _ = writeln!(out, "{key:<44} {old_v:>12.3} {:>12}  (metric removed)", "-");
+            let _ = writeln!(out, "{key:<w$} {old_v:>12.3} {:>12}  (metric removed)", "-");
             continue;
         };
         let delta = if old_v == 0.0 {
@@ -863,13 +920,13 @@ fn bench_diff_report(
         };
         let _ = writeln!(
             out,
-            "{key:<44} {old_v:>12.3} {new_v:>12.3} {:>+7.1}%  {verdict}",
+            "{key:<w$} {old_v:>12.3} {new_v:>12.3} {:>+7.1}%  {verdict}",
             delta * 100.0
         );
     }
     for (key, &new_v) in new {
         if !old.contains_key(key) {
-            let _ = writeln!(out, "{key:<44} {:>12} {new_v:>12.3}  (new metric)", "-");
+            let _ = writeln!(out, "{key:<w$} {:>12} {new_v:>12.3}  (new metric)", "-");
         }
     }
     (out, regressions)
@@ -911,9 +968,9 @@ pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
             "bench-diff needs two files: starnuma bench-diff <old> <new> [--tolerance FRAC]".into(),
         ));
     };
-    let old = load_bench_metrics(old_path)?;
     let new = load_bench_metrics(new_path)?;
-    let (table, regressions) = bench_diff_report(&old, &new, tolerance);
+    let old = load_bench_metrics(old_path)?.resolved_against(&new)?;
+    let (table, regressions) = bench_diff_report(&old, &new.latest, tolerance);
     println!(
         "bench-diff: {old_path} -> {new_path} (tolerance {:.0}%)",
         tolerance * 100.0
@@ -926,36 +983,6 @@ pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
         println!("{regressions} metric(s) regressed beyond the tolerance band");
         Ok(ExitCode::FAILURE)
     }
-}
-
-/// Like [`load_bench_metrics`], but keeps the *first* value seen per key
-/// — the history file's oldest state, which `starnuma report` diffs
-/// against the newest to show how the benches moved over the whole file.
-fn load_bench_first_state(path: &str) -> Result<BTreeMap<String, f64>, ArgError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    let mut metrics = BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = parse_flat_object(line)
-            .ok_or_else(|| ArgError(format!("{path}:{}: not a flat JSON object line", i + 1)))?;
-        for (key, value) in obj {
-            if matches!(
-                key.as_str(),
-                "bench" | "schema_version" | "smoke" | "version"
-            ) {
-                continue;
-            }
-            if let JsonValue::Num(n) = value {
-                if n.is_finite() {
-                    metrics.entry(key).or_insert(n);
-                }
-            }
-        }
-    }
-    Ok(metrics)
 }
 
 /// One (workload, system) trend group for `starnuma report`, in ledger
@@ -1104,9 +1131,9 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
         });
     let bench = match &bench_path {
         Some(path) => {
-            let first = load_bench_first_state(path)?;
-            let latest = load_bench_metrics(path)?;
-            let (table, regressions) = bench_diff_report(&first, &latest, tolerance);
+            let history = load_bench_metrics(path)?;
+            let (table, regressions) =
+                bench_diff_report(&history.first, &history.latest, tolerance);
             Some((path.clone(), table, regressions))
         }
         None => None,
@@ -1315,18 +1342,18 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
 /// `sweep --trace-out`) concatenates sections.
 #[derive(Default)]
 struct TraceSection {
-    meta: BTreeMap<String, JsonValue>,
-    events: Vec<BTreeMap<String, JsonValue>>,
-    hists: Vec<BTreeMap<String, JsonValue>>,
-    counters: BTreeMap<String, JsonValue>,
+    meta: BTreeMap<String, Json>,
+    events: Vec<BTreeMap<String, Json>>,
+    hists: Vec<BTreeMap<String, Json>>,
+    counters: BTreeMap<String, Json>,
 }
 
-fn num_of(obj: &BTreeMap<String, JsonValue>, key: &str) -> f64 {
-    obj.get(key).and_then(JsonValue::as_num).unwrap_or(0.0)
+fn num_of(obj: &BTreeMap<String, Json>, key: &str) -> f64 {
+    obj.get(key).and_then(Json::as_num).unwrap_or(0.0)
 }
 
-fn str_of<'a>(obj: &'a BTreeMap<String, JsonValue>, key: &str) -> &'a str {
-    obj.get(key).and_then(JsonValue::as_str).unwrap_or("?")
+fn str_of<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> &'a str {
+    obj.get(key).and_then(Json::as_str).unwrap_or("?")
 }
 
 /// Parses a `--trace-out` JSONL file into sections, one per `meta` line.
@@ -1340,7 +1367,7 @@ fn parse_trace_file(path: &str) -> Result<Vec<TraceSection>, ArgError> {
         }
         let obj = parse_flat_object(line)
             .ok_or_else(|| ArgError(format!("{path}:{}: not a flat JSON object line", i + 1)))?;
-        match obj.get("type").and_then(JsonValue::as_str) {
+        match obj.get("type").and_then(Json::as_str) {
             Some("meta") => sections.push(TraceSection {
                 meta: obj,
                 ..TraceSection::default()
@@ -1522,10 +1549,10 @@ fn render_section(section: &TraceSection, top: usize) {
     if !section.hists.is_empty() {
         println!("per-socket access-latency histograms (32 log2-ns buckets):");
         for h in &section.hists {
-            let buckets = match h.get("buckets") {
-                Some(JsonValue::Arr(b)) => b.clone(),
-                _ => Vec::new(),
-            };
+            let buckets: Vec<f64> = h
+                .get("buckets")
+                .and_then(Json::as_array)
+                .map_or_else(Vec::new, |b| b.iter().filter_map(Json::as_num).collect());
             // An empty histogram has no p95; render `-` rather than a
             // `0 ns` that is indistinguishable from a real measurement.
             let p95 = match try_percentile_from_counts(&buckets, 0.95) {
@@ -1555,7 +1582,7 @@ fn render_section(section: &TraceSection, top: usize) {
 /// The `args` payload for a Chrome event: every journal field except the
 /// envelope (`type`/`seq`/`phase`/`cat`/`name`) and the `edge` pairing
 /// marker, with `level` always first.
-fn chrome_args(e: &BTreeMap<String, JsonValue>) -> Json {
+fn chrome_args(e: &BTreeMap<String, Json>) -> Json {
     let mut event_args = vec![(
         "level".to_string(),
         Json::Str(str_of(e, "level").to_string()),
@@ -1567,20 +1594,17 @@ fn chrome_args(e: &BTreeMap<String, JsonValue>) -> Json {
         ) {
             continue;
         }
-        let value = match v {
-            JsonValue::Num(n) => Json::Num(*n),
-            JsonValue::Str(s) => Json::Str(s.clone()),
-            JsonValue::Arr(a) => Json::Arr(a.iter().map(|n| Json::Num(*n)).collect()),
-        };
-        event_args.push((k.clone(), value));
+        event_args.push((k.clone(), v.clone()));
     }
     Json::Obj(event_args)
 }
 
-/// Converts parsed event lines back into Chrome `trace_event` JSON,
-/// pairing `phase_checkpoint` begin/end edge markers into one duration
-/// (`"ph":"X"`) span per phase — the same pairing [`starnuma::obs`]'s own
-/// exporter performs. Unpaired or edge-less events stay instants.
+/// Converts parsed event lines into Chrome `trace_event` JSON (openable in
+/// `about://tracing` / Perfetto): each event becomes an instant whose
+/// timestamp is its sequence number (the model has no wall clock) on the
+/// track of its phase, except that each phase's first `phase_checkpoint`
+/// begin/end edge markers pair into one duration (`"ph":"X"`) span.
+/// Unpaired or edge-less events stay instants.
 fn chrome_from_sections(sections: &[TraceSection]) -> String {
     let mut trace_events = Vec::new();
     for section in sections {
@@ -1589,7 +1613,7 @@ fn chrome_from_sections(sections: &[TraceSection]) -> String {
             if str_of(e, "name") != "phase_checkpoint" {
                 continue;
             }
-            let Some(edge) = e.get("edge").and_then(JsonValue::as_str) else {
+            let Some(edge) = e.get("edge").and_then(Json::as_str) else {
                 continue;
             };
             let entry = spans
@@ -1743,25 +1767,94 @@ mod tests {
         assert!(table.contains("(new metric)"));
     }
 
-    #[test]
-    fn bench_metrics_load_merges_history_lines() {
+    /// Writes `text` to a per-test temp file and returns its path.
+    fn history(name: &str, text: &str) -> String {
         let dir = std::env::temp_dir().join("starnuma-cli-bench-load-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("history.jsonl");
-        let path_s = path.to_str().expect("utf-8 path");
-        std::fs::write(
-            &path,
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write history");
+        path.to_str().expect("utf-8 path").to_string()
+    }
+
+    #[test]
+    fn bench_metrics_load_merges_history_lines() {
+        let path = history(
+            "merge.jsonl",
             "{\"bench\": \"hot\", \"schema_version\": 1, \"a.x_ns\": 5}\n\
              {\"bench\": \"hot\", \"schema_version\": 1, \"a.x_ns\": 7, \"b.per_sec\": 2}\n",
-        )
-        .expect("write history");
-        let m = load_bench_metrics(path_s).expect("loads");
+        );
+        let m = load_bench_metrics(&path).expect("loads");
         // Later lines supersede earlier ones; identity keys are dropped.
-        assert_eq!(m.get("a.x_ns"), Some(&7.0));
-        assert_eq!(m.get("b.per_sec"), Some(&2.0));
-        assert!(!m.contains_key("bench"));
-        assert!(!m.contains_key("schema_version"));
+        assert_eq!(m.latest.get("hot.a.x_ns"), Some(&7.0));
+        assert_eq!(m.latest.get("hot.b.per_sec"), Some(&2.0));
+        assert_eq!(m.latest.len(), 2);
+        assert_eq!(m.first.get("hot.a.x_ns"), Some(&5.0));
         assert!(load_bench_metrics("/nonexistent/x").is_err());
-        let _ = std::fs::remove_file(path);
+        assert!(load_bench_metrics(&history("blank.jsonl", "\n \n")).is_err());
+    }
+
+    /// The four e2e workloads, traced and untraced, keep their identity: no
+    /// line overwrites another's metrics, and a bare baseline key that
+    /// several benches report is refused by name instead of resolving to
+    /// whichever line came last.
+    #[test]
+    fn bench_metrics_keep_bench_identity() {
+        let line = |bench: &str, trace: u8, metric: &str| {
+            format!(
+                "{{\"schema_version\":1,\"bench\":\"e2e.{bench}\",\"smoke\":0,\"version\":\"0.1.0\",\"seed\":42,\"trace\":{trace},\"{metric}\":1}}\n"
+            )
+        };
+        let mut text = String::new();
+        for w in [
+            "sssp-starnuma",
+            "poa-starnuma",
+            "bfs-baseline",
+            "tc-starnuma",
+        ] {
+            text += &line(w, 0, "accesses_per_sec");
+        }
+        text += &line("sssp-starnuma", 1, "accesses_per_sec");
+        text += "{\"schema_version\":1,\"bench\":\"hotpath\",\"smoke\":1,\"version\":\"0.1.0\",\"index.index_tlb_pattern.speedup\":2.5}\n";
+        let path = history("e2e.jsonl", &text);
+        let new = load_bench_metrics(&path).expect("loads");
+        let rates: Vec<&str> = new
+            .latest
+            .keys()
+            .filter(|k| k.ends_with(".accesses_per_sec"))
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            rates,
+            [
+                "e2e.bfs-baseline.accesses_per_sec",
+                "e2e.poa-starnuma.accesses_per_sec",
+                "e2e.sssp-starnuma+trace.accesses_per_sec",
+                "e2e.sssp-starnuma.accesses_per_sec",
+                "e2e.tc-starnuma.accesses_per_sec",
+            ]
+        );
+        assert!(!new.latest.keys().any(|k| k.ends_with(".trace")));
+
+        // An existing `ci/bench_baseline.json`-style floor still resolves.
+        let baseline = history(
+            "baseline.json",
+            "{\"note\": \"x\", \"index.index_tlb_pattern.speedup\": 1.8}",
+        );
+        let old = load_bench_metrics(&baseline).expect("loads");
+        let old = old.resolved_against(&new).expect("unique key resolves");
+        assert_eq!(
+            old.get("hotpath.index.index_tlb_pattern.speedup"),
+            Some(&1.8)
+        );
+
+        let ambiguous = history("ambiguous.json", "{\"accesses_per_sec\": 1e6}");
+        let old = load_bench_metrics(&ambiguous).expect("loads");
+        let err = old.resolved_against(&new).expect_err("ambiguous key");
+        assert!(
+            err.0.contains("e2e.bfs-baseline.accesses_per_sec")
+                && err.0.contains("e2e.tc-starnuma.accesses_per_sec"),
+            "{}",
+            err.0
+        );
     }
 }

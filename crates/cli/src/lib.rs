@@ -110,7 +110,9 @@ commands:
               --tolerance <frac>       bench regression band (default 0.2)
               --json | --markdown      machine-readable / markdown output
   bench-diff compare two bench-metric files (flat JSON object or
-            BENCH_history.jsonl; later history lines supersede earlier):
+            BENCH_history.jsonl, keyed <bench>.<metric>, later lines
+            superseding earlier; a bare key matches the one bench
+            reporting it):
             starnuma bench-diff <old> <new> [--tolerance FRAC]
             exits non-zero when a metric regresses beyond the band
             in its known-good direction (default tolerance 0.2)

@@ -4,9 +4,12 @@
 //! fixture directory as the working directory and pass `--ledger .`,
 //! so the paths the report prints are stable for byte-exact goldens.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use starnuma_types::json::{parse, Json};
 
 fn starnuma() -> Command {
     Command::new(env!("CARGO_BIN_EXE_starnuma"))
@@ -196,4 +199,111 @@ fn inspect_handles_sparse_and_empty_traces() {
         !stdout.contains("phase 0:") && !stdout.contains("phase 1:"),
         "eventless phases must not render placeholder rows: {stdout}"
     );
+}
+
+/// `inspect --chrome` on a real trace: every paired `phase_checkpoint`
+/// begin/end becomes one duration span lasting end seq − begin seq on its
+/// phase's track, the pairing marker stays out of `args`, and every other
+/// event stays an instant.
+#[test]
+fn inspect_chrome_pairs_checkpoint_edges_into_spans() {
+    let dir = temp_dir("starnuma-report-cli-chrome");
+    let run = starnuma()
+        .current_dir(&dir)
+        .args([
+            "run",
+            "--workload",
+            "bfs",
+            "--scale",
+            "quick",
+            "--jobs",
+            "1",
+        ])
+        .args(["--trace-out", "t.jsonl"])
+        .output()
+        .expect("binary runs");
+    assert!(run.status.success(), "run failed: {run:?}");
+    let inspect = starnuma()
+        .current_dir(&dir)
+        .args(["inspect", "t.jsonl", "--chrome", "c.json"])
+        .output()
+        .expect("binary runs");
+    assert!(inspect.status.success(), "inspect failed: {inspect:?}");
+
+    // Each phase's checkpoint edges in the trace: phase → (begin, end) seq.
+    let trace = fs::read_to_string(dir.join("t.jsonl")).expect("trace written");
+    let mut edges: BTreeMap<u64, (Option<f64>, Option<f64>)> = BTreeMap::new();
+    let mut events = 0;
+    for line in trace.lines() {
+        let e = parse(line).expect("trace line parses");
+        if field(&e, "type").as_str() != Some("event") {
+            continue;
+        }
+        events += 1;
+        if field(&e, "name").as_str() != Some("phase_checkpoint") {
+            continue;
+        }
+        let seq = field(&e, "seq").as_num();
+        let entry = edges.entry(num(&e, "phase") as u64).or_default();
+        match get(&e, "edge").and_then(Json::as_str) {
+            Some("begin") => entry.0 = seq,
+            Some("end") => entry.1 = seq,
+            _ => {}
+        }
+    }
+    let paired: BTreeMap<u64, (f64, f64)> = edges
+        .into_iter()
+        .filter_map(|(phase, (b, e))| Some((phase, (b?, e?))))
+        .collect();
+    assert!(
+        !paired.is_empty(),
+        "the run must checkpoint at least one phase"
+    );
+
+    let chrome = parse(&fs::read_to_string(dir.join("c.json")).expect("chrome written"))
+        .expect("chrome JSON parses");
+    let trace_events = field(&chrome, "traceEvents").as_array().expect("array");
+    let mut spans = BTreeMap::new();
+    for e in trace_events {
+        let args = field(e, "args").as_object().expect("args object");
+        assert!(args.iter().all(|(k, _)| k != "edge"), "edge leaked: {e:?}");
+        match field(e, "ph").as_str() {
+            Some("X") => {
+                assert_eq!(field(e, "name").as_str(), Some("phase_checkpoint"));
+                let phase = num(e, "tid") as u64;
+                assert!(
+                    spans.insert(phase, (num(e, "ts"), num(e, "dur"))).is_none(),
+                    "one span per phase"
+                );
+            }
+            Some("i") => {}
+            other => panic!("unexpected ph {other:?} in {e:?}"),
+        }
+    }
+    let expected: BTreeMap<u64, (f64, f64)> = paired
+        .iter()
+        .map(|(&phase, &(begin, end))| (phase, (begin, end - begin)))
+        .collect();
+    assert_eq!(spans, expected, "span per paired phase, dur = end − begin");
+    assert_eq!(
+        trace_events.len(),
+        events - paired.len(),
+        "two edges fold into one span"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn get<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
+    let (_, value) = v.as_object()?.iter().find(|(k, _)| k == key)?;
+    Some(value)
+}
+
+fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
+    get(v, key).unwrap_or_else(|| panic!("no {key} in {v:?}"))
+}
+
+fn num(v: &Json, key: &str) -> f64 {
+    field(v, key)
+        .as_num()
+        .unwrap_or_else(|| panic!("{key} not a number in {v:?}"))
 }

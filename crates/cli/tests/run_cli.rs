@@ -2,8 +2,10 @@
 
 use std::process::Command;
 
+use starnuma_types::json::{parse, Json};
+
 /// `run --json` on BFS at a tiny scale, plus `extra` flags.
-fn run_json(system: &str, extra: &[&str]) -> String {
+fn run_json(system: &str, extra: &[&str]) -> Json {
     let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
         .args([
             "run",
@@ -25,20 +27,20 @@ fn run_json(system: &str, extra: &[&str]) -> String {
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "run failed: {out:?}");
-    String::from_utf8(out.stdout).expect("utf-8 output")
+    let text = String::from_utf8(out.stdout).expect("utf-8 output");
+    parse(&text).unwrap_or_else(|| panic!("not JSON: {text}"))
 }
 
-/// The rendered value of a top-level numeric field of `run --json`.
-fn field<'a>(json: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":");
-    let start = json
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {json}"))
-        + pat.len();
-    let len = json[start..]
-        .find([',', '}'])
-        .unwrap_or_else(|| panic!("unterminated {key} in {json}"));
-    &json[start..start + len]
+/// A top-level number of `run --json`.
+fn field(json: &Json, key: &str) -> f64 {
+    let fields = json.as_object().expect("an object");
+    let (_, value) = fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no {key} in {json:?}"));
+    value
+        .as_num()
+        .unwrap_or_else(|| panic!("{key} is not a number"))
 }
 
 /// A zero replica budget is inert, so `--replication 0` must report the

@@ -1,98 +1,14 @@
-//! Machine-readable experiment reports.
-//!
-//! A tiny, dependency-free JSON emitter for [`RunResult`]s and experiment
-//! summaries, so harness output can be consumed by plotting scripts or CI
-//! checks. Only the subset of JSON we need is produced (objects, arrays,
-//! strings, finite numbers) — and everything emitted here is
-//! ASCII-escaped, so the output is always valid UTF-8 JSON.
+//! Machine-readable experiment reports: [`RunResult`]s and sweep curves
+//! as [`Json`] trees of the workspace codec, so harness output can be
+//! consumed by plotting scripts or CI checks.
 
 use starnuma_sim::RunResult;
 use starnuma_topology::AccessClass;
 use starnuma_trace::Workload;
+pub use starnuma_types::json::Json;
 
 use crate::experiment::SystemKind;
 use crate::sweep::SweepPoint;
-
-/// A minimal JSON value builder.
-#[derive(Clone, Debug)]
-pub enum Json {
-    /// A JSON number (must be finite).
-    Num(f64),
-    /// A JSON string.
-    Str(String),
-    /// A JSON boolean.
-    Bool(bool),
-    /// A JSON array.
-    Arr(Vec<Json>),
-    /// A JSON object with ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Serializes the value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a number is not finite (JSON cannot represent NaN/∞).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Num(n) => {
-                assert!(n.is_finite(), "JSON numbers must be finite, got {n}");
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
 
 /// Renders one run result as a JSON object.
 pub fn run_result_json(workload: Workload, system: SystemKind, r: &RunResult) -> Json {
@@ -174,33 +90,9 @@ mod tests {
     use crate::{Experiment, ScaleConfig};
 
     #[test]
-    fn json_primitives() {
-        assert_eq!(Json::Num(3.0).render(), "3");
-        assert_eq!(Json::Num(1.5).render(), "1.5");
-        assert_eq!(Json::Bool(true).render(), "true");
-        assert_eq!(
-            Json::Str("a\"b\\c\nd".into()).render(),
-            "\"a\\\"b\\\\c\\nd\""
-        );
-        assert_eq!(
-            Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]).render(),
-            "[1,2]"
-        );
-        assert_eq!(
-            Json::Obj(vec![("k".into(), Json::Num(1.0))]).render(),
-            "{\"k\":1}"
-        );
-    }
-
-    #[test]
-    fn control_chars_escaped() {
-        assert_eq!(Json::Str("\u{1}".into()).render(), "\"\\u0001\"");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn non_finite_rejected() {
-        let _ = Json::Num(f64::NAN).render();
+    fn non_finite_renders_null() {
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
+        assert_eq!(Json::Num(f64::INFINITY).render(), "null");
     }
 
     #[test]
@@ -224,14 +116,11 @@ mod tests {
     #[test]
     fn run_result_round_trips_structure() {
         let r = Experiment::new(Workload::Poa, SystemKind::StarNuma, ScaleConfig::quick()).run();
-        let json = run_result_json(Workload::Poa, SystemKind::StarNuma, &r).render();
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        let doc = run_result_json(Workload::Poa, SystemKind::StarNuma, &r);
+        let json = doc.render();
         assert!(json.contains("\"workload\":\"POA\""));
         assert!(json.contains("\"access_breakdown\":["));
         assert!(json.contains("\"pool_migration_fraction\":0"));
-        // Balanced braces (a weak well-formedness check without a parser).
-        let opens = json.matches('{').count() + json.matches('[').count();
-        let closes = json.matches('}').count() + json.matches(']').count();
-        assert_eq!(opens, closes);
+        assert_eq!(starnuma_types::json::parse(&json), Some(doc));
     }
 }

@@ -1,13 +1,17 @@
-//! Exporters: JSONL trace journal, metrics JSON, and Chrome `trace_event`
-//! output — plus the tiny flat-JSON parser `starnuma inspect` reads traces
-//! back with.
+//! Exporters: the JSONL trace journal and the metrics JSON document — plus
+//! [`parse_flat_object`], the flat-line reader `starnuma inspect`, the
+//! ledger and the bench-history loader share.
 //!
-//! All rendering is hand-rolled (this crate takes no dependencies) and
-//! deterministic: counters come from `BTreeMap`s, floats use Rust's
-//! shortest-roundtrip formatting, and nothing consults the host clock.
+//! Both exporters stream text through the workspace codec's writers
+//! ([`json::write_str`], [`json::write_num`]) rather than building a
+//! [`Json`] tree, because their counters are `u64`. Output is
+//! deterministic: counters come from `BTreeMap`s and nothing consults the
+//! host clock.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use starnuma_types::json::{self, Json};
 
 use crate::journal::{Event, FieldValue};
 use crate::metrics::{LatencyHistogram, MetricsFrame, MetricsRegistry};
@@ -31,56 +35,28 @@ pub struct RunMeta {
     pub version: String,
 }
 
-fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn num(v: f64, out: &mut String) {
-    debug_assert!(v.is_finite(), "non-finite value in obs export");
-    let v = if v.is_finite() { v } else { 0.0 };
-    if v == v.trunc() && v.abs() < 9.0e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
-    }
-}
-
 fn field(key: &str, value: &FieldValue, out: &mut String) {
-    esc(key, out);
+    json::write_str(out, key);
     out.push(':');
     match value {
         FieldValue::U64(u) => {
             let _ = write!(out, "{u}");
         }
-        FieldValue::F64(f) => num(*f, out),
-        FieldValue::Str(s) => esc(s, out),
+        FieldValue::F64(f) => json::write_num(out, *f),
+        FieldValue::Str(s) => json::write_str(out, s),
     }
 }
 
 fn meta_fields(meta: &RunMeta, out: &mut String) {
     out.push_str("\"workload\":");
-    esc(&meta.workload, out);
+    json::write_str(out, &meta.workload);
     out.push_str(",\"system\":");
-    esc(&meta.system, out);
+    json::write_str(out, &meta.system);
     out.push_str(",\"preset\":");
-    esc(&meta.preset, out);
+    json::write_str(out, &meta.preset);
     let _ = write!(out, ",\"jobs\":{},\"seed\":{}", meta.jobs, meta.seed);
     out.push_str(",\"version\":");
-    esc(&meta.version, out);
+    json::write_str(out, &meta.version);
 }
 
 fn event_line(e: &Event, out: &mut String) {
@@ -92,7 +68,7 @@ fn event_line(e: &Event, out: &mut String) {
         e.level.label(),
         e.category.label()
     );
-    esc(e.name, out);
+    json::write_str(out, e.name);
     for (k, v) in &e.fields {
         out.push(',');
         field(k, v, out);
@@ -102,9 +78,9 @@ fn event_line(e: &Event, out: &mut String) {
 
 fn hist_line(socket: usize, label: &str, h: &LatencyHistogram, out: &mut String) {
     let _ = write!(out, "{{\"type\":\"hist\",\"socket\":{socket},\"class\":");
-    esc(label, out);
+    json::write_str(out, label);
     let _ = write!(out, ",\"count\":{},\"mean_ns\":", h.count());
-    num(h.mean_ns(), out);
+    json::write_num(out, h.mean_ns());
     out.push_str(",\"buckets\":[");
     for (i, b) in h.buckets().iter().enumerate() {
         if i > 0 {
@@ -144,7 +120,7 @@ pub fn trace_jsonl(meta: &RunMeta, report: &ObsReport) -> String {
     out.push_str("{\"type\":\"counters\"");
     for (k, v) in &merged.counters {
         out.push(',');
-        esc(k, &mut out);
+        json::write_str(&mut out, k);
         let _ = write!(out, ":{v}");
     }
     out.push_str("}\n");
@@ -171,9 +147,9 @@ fn frame_json(
                 out.push(',');
             }
             first = false;
-            esc(labels[ci], out);
+            json::write_str(out, labels[ci]);
             let _ = write!(out, ":{{\"count\":{},\"mean_ns\":", h.count());
-            num(h.mean_ns(), out);
+            json::write_num(out, h.mean_ns());
             out.push_str(",\"buckets\":[");
             for (i, b) in h.buckets().iter().enumerate() {
                 if i > 0 {
@@ -190,7 +166,7 @@ fn frame_json(
         if i > 0 {
             out.push(',');
         }
-        esc(k, out);
+        json::write_str(out, k);
         let _ = write!(out, ":{v}");
     }
     out.push_str("}}");
@@ -216,281 +192,24 @@ pub fn metrics_json(meta: &RunMeta, registry: &MetricsRegistry) -> String {
     out
 }
 
-/// Renders the event journal in Chrome `trace_event` JSON (openable in
-/// `about://tracing` / Perfetto). Events become instant records whose
-/// timestamp is the monotonic sequence number (the model has no wall
-/// clock) and whose `tid` is the phase, so each phase renders as a track.
-pub fn chrome_trace_json(meta: &RunMeta, report: &ObsReport) -> String {
-    // Pair each phase's `phase_checkpoint` begin/end edge events into one
-    // duration (`"ph":"X"`) span so the phase's step-C work renders as a
-    // bar instead of two dots. Events without an `edge` field (including
-    // traces recorded before the edge fields existed) stay instants.
-    fn edge_of(e: &crate::Event) -> Option<&str> {
-        if e.name != "phase_checkpoint" {
-            return None;
-        }
-        e.fields.iter().find_map(|(k, v)| match v {
-            crate::FieldValue::Str(s) if *k == "edge" => Some(s.as_str()),
-            _ => None,
-        })
-    }
-    let mut spans: std::collections::BTreeMap<u32, (Option<usize>, Option<u64>)> =
-        std::collections::BTreeMap::new();
-    for (i, e) in report.events.iter().enumerate() {
-        match edge_of(e) {
-            Some("begin") => spans.entry(e.phase).or_default().0 = Some(i),
-            Some("end") => spans.entry(e.phase).or_default().1 = Some(e.seq),
-            _ => {}
-        }
-    }
-    // Only fully-paired phases collapse into spans.
-    spans.retain(|_, (b, e)| b.is_some() && e.is_some());
-
-    let mut out = String::new();
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    for e in &report.events {
-        if edge_of(e).is_some() && spans.contains_key(&e.phase) {
-            continue; // folded into the duration span below
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"name\":");
-        esc(e.name, &mut out);
-        let _ = write!(
-            out,
-            ",\"cat\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{",
-            e.category.label(),
-            e.seq,
-            e.phase
-        );
-        out.push_str("\"level\":");
-        esc(e.level.label(), &mut out);
-        for (k, v) in &e.fields {
-            out.push(',');
-            field(k, v, &mut out);
-        }
-        out.push_str("}}");
-    }
-    for (phase, (begin_idx, end_seq)) in &spans {
-        let (Some(bi), Some(end)) = (begin_idx, end_seq) else {
-            continue;
-        };
-        let begin = &report.events[*bi];
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"phase_checkpoint\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{phase},\"args\":{{",
-            begin.category.label(),
-            begin.seq,
-            end.saturating_sub(begin.seq)
-        );
-        out.push_str("\"level\":");
-        esc(begin.level.label(), &mut out);
-        for (k, v) in &begin.fields {
-            if *k == "edge" {
-                continue;
-            }
-            out.push(',');
-            field(k, v, &mut out);
-        }
-        out.push_str("}}");
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-    meta_fields(meta, &mut out);
-    out.push_str("}}");
-    out
-}
-
-/// A value parsed back from a flat JSON object line.
-#[derive(Clone, PartialEq, Debug)]
-pub enum JsonValue {
-    /// A number (integers included).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array of numbers (histogram buckets).
-    Arr(Vec<f64>),
-}
-
-impl JsonValue {
-    /// The value as f64, if numeric.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        if self.pos < self.bytes.len() && self.bytes[self.pos] == b {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if !self.eat(b'"') {
-            return None;
-        }
-        let mut s = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            match b {
-                b'"' => return Some(s),
-                b'\\' => {
-                    let e = *self.bytes.get(self.pos)?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        // Never emitted by our escaper (control chars go out
-                        // as \u00XX), but legal JSON: traces rewritten by
-                        // external tools must still read back.
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            self.pos += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            s.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                b => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if b < 0x80 {
-                        s.push(b as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let mut end = self.pos;
-                        while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                            end += 1;
-                        }
-                        s.push_str(std::str::from_utf8(&self.bytes[start..end]).ok()?);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-}
-
-/// Parses one flat JSON object line (string keys; number, string, or
-/// number-array values — exactly what the exporters above emit). Nested
-/// objects and non-numeric arrays are rejected. Returns `None` on any
-/// syntax error.
-pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, JsonValue>> {
-    let mut c = Cursor {
-        bytes: line.as_bytes(),
-        pos: 0,
+/// Parses one flat JSON object line: string keys with scalar values or
+/// arrays of numbers (histogram buckets) — the shape of every trace line,
+/// ledger record and bench-history entry. Nested objects and non-numeric
+/// arrays are rejected, as is any syntax error. A repeated key keeps its
+/// last value.
+pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Json>> {
+    let Json::Obj(fields) = json::parse(line)? else {
+        return None;
     };
-    if !c.eat(b'{') {
-        return None;
-    }
-    let mut map = BTreeMap::new();
-    if c.eat(b'}') {
-        return Some(map);
-    }
-    loop {
-        let key = c.string()?;
-        if !c.eat(b':') {
-            return None;
-        }
-        let value = match c.peek()? {
-            b'"' => JsonValue::Str(c.string()?),
-            b'[' => {
-                c.eat(b'[');
-                let mut arr = Vec::new();
-                if !c.eat(b']') {
-                    loop {
-                        arr.push(c.number()?);
-                        if c.eat(b']') {
-                            break;
-                        }
-                        if !c.eat(b',') {
-                            return None;
-                        }
-                    }
-                }
-                JsonValue::Arr(arr)
-            }
-            _ => JsonValue::Num(c.number()?),
-        };
-        map.insert(key, value);
-        if c.eat(b'}') {
-            break;
-        }
-        if !c.eat(b',') {
-            return None;
-        }
-    }
-    c.skip_ws();
-    if c.pos != c.bytes.len() {
-        return None;
-    }
-    Some(map)
+    let flat = |v: &Json| match v {
+        Json::Obj(_) => false,
+        Json::Arr(items) => items.iter().all(|item| item.as_num().is_some()),
+        _ => true,
+    };
+    fields
+        .iter()
+        .all(|(_, v)| flat(v))
+        .then(|| fields.into_iter().collect())
 }
 
 #[cfg(test)]
@@ -555,13 +274,9 @@ mod tests {
         assert_eq!(ev["frac"].as_num(), Some(0.25));
         let hist = parse_flat_object(lines[2]).unwrap();
         assert_eq!(hist["class"].as_str(), Some("1hop"));
-        match &hist["buckets"] {
-            JsonValue::Arr(b) => {
-                assert_eq!(b.len(), crate::metrics::HIST_BUCKETS);
-                assert_eq!(b.iter().sum::<f64>(), 1.0);
-            }
-            other => panic!("buckets not an array: {other:?}"),
-        }
+        let buckets = hist["buckets"].as_array().expect("buckets array");
+        assert_eq!(buckets.len(), crate::metrics::HIST_BUCKETS);
+        assert_eq!(buckets.iter().filter_map(Json::as_num).sum::<f64>(), 1.0);
         let counters = parse_flat_object(lines[4]).unwrap();
         assert_eq!(counters["dir.transactions"].as_num(), Some(12.0));
     }
@@ -576,95 +291,17 @@ mod tests {
         assert!(text.contains("\"dir.transactions\":12"));
     }
 
-    #[test]
-    fn chrome_trace_has_trace_event_shape() {
-        let text = chrome_trace_json(&meta(), &sample_report());
-        assert!(text.starts_with("{\"traceEvents\":["));
-        assert!(text.contains("\"ph\":\"i\""));
-        assert!(text.contains("\"ts\":0"));
-        assert!(text.contains("\"tid\":0"));
-        assert!(text.contains("\"name\":\"region_migrated\""));
-        assert!(text.ends_with("}}"));
-    }
-
-    #[test]
-    fn chrome_trace_pairs_checkpoint_edges_into_duration_spans() {
-        let mut sink = ObsSink::enabled(2, LABELS, 64);
-        sink.begin_phase(0);
-        sink.event(
-            EventLevel::Info,
-            EventCategory::Checkpoint,
-            "phase_checkpoint",
-            || {
-                vec![
-                    ("edge", FieldValue::Str("begin".to_string())),
-                    ("planned_moves", FieldValue::U64(3)),
-                ]
-            },
-        );
-        sink.event(EventLevel::Info, EventCategory::Migration, "mid", Vec::new);
-        sink.event(
-            EventLevel::Info,
-            EventCategory::Checkpoint,
-            "phase_checkpoint",
-            || vec![("edge", FieldValue::Str("end".to_string()))],
-        );
-        sink.end_phase();
-        let text = chrome_trace_json(&meta(), &sink.finish());
-        // The pair collapses into one duration event spanning begin → end.
-        assert!(text.contains("\"ph\":\"X\""), "{text}");
-        assert!(text.contains("\"dur\":2"), "{text}");
-        assert!(text.contains("\"planned_moves\":3"), "{text}");
-        // The edge instants are folded away; the mid event stays an instant.
-        assert_eq!(text.matches("phase_checkpoint").count(), 1, "{text}");
-        assert!(text.contains("\"name\":\"mid\""));
-        assert!(text.contains("\"ph\":\"i\""));
-        // The synthetic `edge` field does not leak into the span's args.
-        assert!(!text.contains("\"edge\""), "{text}");
-    }
-
-    #[test]
-    fn escaping_survives_round_trip() {
-        let mut out = String::new();
-        esc("a\"b\\c\nd\te\u{1}", &mut out);
-        let line = format!("{{\"k\":{out}}}");
-        let obj = parse_flat_object(&line).unwrap();
-        assert_eq!(obj["k"].as_str(), Some("a\"b\\c\nd\te\u{1}"));
-    }
-
-    /// Regression (PR 5): every control char below 0x20 must leave the
-    /// escaper as `\u00XX` (not raw bytes, which would be invalid JSON and
-    /// break `starnuma inspect` and Perfetto import) and round-trip through
-    /// the parser — exercised end to end with a backspace-bearing workload
-    /// name in a real trace.
+    /// Regression: a control char in a meta string must leave the trace
+    /// escaped (raw bytes would be invalid JSON and break `starnuma
+    /// inspect` and Perfetto import) and read back unchanged.
     #[test]
     fn control_chars_in_meta_strings_round_trip() {
-        for c in 0u32..0x20 {
-            let Some(ch) = char::from_u32(c) else {
-                continue;
-            };
-            let raw = format!("x{ch}y");
-            let mut out = String::new();
-            esc(&raw, &mut out);
-            // The rendered escape sequence must itself be control-char free.
-            assert!(
-                !out.chars().any(|c| (c as u32) < 0x20),
-                "raw control char {c:#x} leaked into JSON: {out:?}"
-            );
-            let obj = parse_flat_object(&format!("{{\"k\":{out}}}")).expect("line parses");
-            assert_eq!(obj["k"].as_str(), Some(raw.as_str()), "char {c:#x}");
-        }
-
-        // End to end: a workload name with an embedded backspace.
         let mut m = meta();
         m.workload = "bc\u{8}web".to_string();
         let text = trace_jsonl(&m, &sample_report());
         let meta_obj = parse_flat_object(text.lines().next().expect("meta line"))
             .expect("meta line with control char parses");
         assert_eq!(meta_obj["workload"].as_str(), Some("bc\u{8}web"));
-        // Standard short escapes from external tools read back too.
-        let obj = parse_flat_object("{\"k\":\"a\\bz\\ff\"}").expect("short escapes");
-        assert_eq!(obj["k"].as_str(), Some("a\u{8}z\u{c}f"));
     }
 
     #[test]
@@ -673,17 +310,14 @@ mod tests {
         assert!(parse_flat_object("{\"a\":}").is_none());
         assert!(parse_flat_object("{\"a\":1} trailing").is_none());
         assert!(parse_flat_object("{\"a\":[1,]}").is_none());
+        assert!(parse_flat_object("[1]").is_none());
+        assert!(parse_flat_object("{\"a\":{\"b\":1}}").is_none());
+        assert!(parse_flat_object("{\"a\":[1,\"x\"]}").is_none());
+        let obj = parse_flat_object("{\"b\":null,\"a\":1,\"a\":2}").expect("flat");
+        assert_eq!(obj.keys().collect::<Vec<_>>(), ["a", "b"], "sorted keys");
+        assert_eq!(obj["a"].as_num(), Some(2.0), "last value wins");
+        assert_eq!(obj["b"], Json::Null);
         assert_eq!(parse_flat_object("{}").map(|m| m.len()), Some(0));
         assert_eq!(parse_flat_object("{ }").map(|m| m.len()), Some(0));
-    }
-
-    #[test]
-    fn numbers_render_integers_without_fraction() {
-        let mut s = String::new();
-        num(3.0, &mut s);
-        assert_eq!(s, "3");
-        s.clear();
-        num(0.25, &mut s);
-        assert_eq!(s, "0.25");
     }
 }

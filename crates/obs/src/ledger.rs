@@ -3,21 +3,24 @@
 //! `starnuma run/compare/sweep --ledger DIR` append a [`RunRecord`] per
 //! run to `DIR/runs.jsonl`; `starnuma report` reads the file back and
 //! renders cross-run trends and determinism-drift flags. Records are
-//! *flat* JSON objects (dotted keys, like the bench history file) so
-//! [`parse_flat_object`](crate::parse_flat_object) can read them without
-//! a real JSON parser, and every field is deterministic except
-//! `wall_ns`, which callers obtain from the sanctioned
-//! `SessionTimer` path and pass in explicitly — determinism tests pass a
-//! fixed value and byte-compare whole lines.
+//! *flat* JSON objects (dotted keys, like the bench history file), written
+//! with the workspace codec's writers ([`starnuma_types::json`]) and read
+//! back with [`parse_flat_object`](crate::parse_flat_object). Every field
+//! is deterministic except `wall_ns`, which callers obtain from the
+//! sanctioned `SessionTimer` path and pass in explicitly — determinism
+//! tests pass a fixed value and byte-compare whole lines.
 //!
 //! 64-bit digests travel as `"0x..."` hex strings: JSON numbers are
-//! `f64` and silently lose integer precision above 2^53.
+//! `f64` and silently lose integer precision above 2^53. A non-finite
+//! float (IPC, AMAT, a percentile) is written as `null` and read back as
+//! NaN, so a line still re-renders byte-identically.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use starnuma_types::{digest_hex, json_escape, parse_digest_hex};
+use starnuma_types::json::{self, Json};
+use starnuma_types::{digest_hex, parse_digest_hex};
 
 use crate::export::{parse_flat_object, RunMeta};
 use crate::metrics::LatencyHistogram;
@@ -241,8 +244,8 @@ impl RunRecord {
     /// does not understand.
     pub fn from_json_line(line: &str) -> Option<Self> {
         let map = parse_flat_object(line)?;
-        let num = |key: &str| -> Option<f64> { map.get(key)?.as_num() };
-        let int = |key: &str| -> Option<u64> { num(key).map(to_u64) };
+        let num = |key: &str| -> Option<f64> { float(map.get(key)?) };
+        let int = |key: &str| -> Option<u64> { map.get(key)?.as_num().map(to_u64) };
         let text = |key: &str| -> Option<String> { Some(map.get(key)?.as_str()?.to_string()) };
         if int("schema_version")? != LEDGER_SCHEMA_VERSION {
             return None;
@@ -259,7 +262,7 @@ impl RunRecord {
                         label: label.to_string(),
                         ..ClassSummary::default()
                     });
-                apply_summary_field(entry, field, value.as_num()?)?;
+                apply_summary_field(entry, field, float(value)?)?;
             } else if let Some(rest) = key.strip_prefix("counter.") {
                 counters.insert(rest.to_string(), to_u64(value.as_num()?));
             } else if let Some(rest) = key.strip_prefix("site.") {
@@ -343,32 +346,30 @@ fn apply_summary_field(c: &mut ClassSummary, field: &str, value: f64) -> Option<
     Some(())
 }
 
+/// A numeric field's value; `null` is the rendering of a non-finite one.
+fn float(value: &Json) -> Option<f64> {
+    match value {
+        Json::Null => Some(f64::NAN),
+        other => other.as_num(),
+    }
+}
+
 fn push_key(out: &mut String, key: &str) {
     if out.len() > 1 {
         out.push(',');
     }
-    out.push('"');
-    out.push_str(&json_escape(key));
-    out.push_str("\":");
+    json::write_str(out, key);
+    out.push(':');
 }
 
 fn push_str(out: &mut String, key: &str, value: &str) {
     push_key(out, key);
-    out.push('"');
-    out.push_str(&json_escape(value));
-    out.push('"');
+    json::write_str(out, value);
 }
 
 fn push_num(out: &mut String, key: &str, value: f64) {
     push_key(out, key);
-    if value.is_finite() {
-        // `{}` is Rust's shortest-roundtrip rendering: parsing the text
-        // back yields the identical bits, which is what makes
-        // to_json_line(from_json_line(x)) == x byte-for-byte.
-        let _ = std::fmt::Write::write_fmt(out, format_args!("{value}"));
-    } else {
-        out.push('0');
-    }
+    json::write_num(out, value);
 }
 
 fn push_summary(out: &mut String, prefix: &str, c: &ClassSummary) {

@@ -15,11 +15,12 @@
 //! * a **structured event journal** ([`EventJournal`]): ring-buffered,
 //!   severity- and category-tagged records for migration decisions,
 //!   threshold crossings, pool-capacity pressure, and checkpoint events.
-//! * **exporters** ([`trace_jsonl`], [`metrics_json`],
-//!   [`chrome_trace_json`]): a self-describing JSONL journal, a metrics
-//!   JSON document, and the Chrome `trace_event` format so a run opens in
-//!   `about://tracing` / Perfetto — plus the tiny flat-JSON parser the
-//!   `starnuma inspect` subcommand reads traces back with.
+//! * **exporters** ([`trace_jsonl`], [`metrics_json`]): a self-describing
+//!   JSONL journal and a metrics JSON document, written through the
+//!   workspace codec ([`starnuma_types::json`]) — plus
+//!   [`parse_flat_object`], the flat-line reader `starnuma inspect` (which
+//!   also converts a trace to Chrome `trace_event` JSON), the run ledger
+//!   and the bench-history loader share.
 //!
 //! Everything is deterministic: events are ordered by a monotonic sequence
 //! number (never the host clock), counter maps are `BTreeMap`s, and every
@@ -52,9 +53,7 @@ mod metrics;
 mod monitor;
 mod sink;
 
-pub use export::{
-    chrome_trace_json, metrics_json, parse_flat_object, trace_jsonl, JsonValue, RunMeta,
-};
+pub use export::{metrics_json, parse_flat_object, trace_jsonl, RunMeta};
 pub use journal::{Event, EventCategory, EventJournal, EventLevel, FieldValue};
 pub use ledger::{
     ClassSummary, RunExtras, RunRecord, SiteSummary, LEDGER_FILE, LEDGER_SCHEMA_VERSION,

@@ -1,250 +1,2 @@
-//! A minimal recursive-descent JSON reader for `profile.json`.
-//!
-//! The obs crate's `parse_flat_object` deliberately handles only flat
-//! objects; profiles are nested (phases → edges), so the prof crate carries
-//! its own tiny reader. It accepts exactly what
-//! [`ProfReport::to_json`](crate::ProfReport::to_json) emits (objects,
-//! arrays, strings, numbers, `null`, booleans) and returns `None` on
-//! anything malformed — no panics, no external dependencies.
-
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonVal {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number, as `f64`.
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonVal>),
-    /// An object, fields in source order.
-    Obj(Vec<(String, JsonVal)>),
-}
-
-impl JsonVal {
-    /// The object fields, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonVal)]> {
-        match self {
-            JsonVal::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonVal]> {
-        match self {
-            JsonVal::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document. Trailing non-whitespace makes the parse fail.
-pub fn parse(text: &str) -> Option<JsonVal> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Some(value)
-    } else {
-        None
-    }
-}
-
-/// Nesting guard: profiles are 4 levels deep; anything past this is not
-/// one of ours.
-const MAX_DEPTH: usize = 32;
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn eat(bytes: &[u8], pos: &mut usize, expected: u8) -> Option<()> {
-    skip_ws(bytes, pos);
-    if *pos < bytes.len() && bytes[*pos] == expected {
-        *pos += 1;
-        Some(())
-    } else {
-        None
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<JsonVal> {
-    if depth > MAX_DEPTH {
-        return None;
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos)? {
-        b'{' => parse_object(bytes, pos, depth),
-        b'[' => parse_array(bytes, pos, depth),
-        b'"' => parse_string(bytes, pos).map(JsonVal::Str),
-        b'n' => parse_keyword(bytes, pos, "null", JsonVal::Null),
-        b't' => parse_keyword(bytes, pos, "true", JsonVal::Bool(true)),
-        b'f' => parse_keyword(bytes, pos, "false", JsonVal::Bool(false)),
-        _ => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: JsonVal) -> Option<JsonVal> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Some(value)
-    } else {
-        None
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<JsonVal> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-    {
-        *pos += 1;
-    }
-    if *pos == start {
-        return None;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()?
-        .parse::<f64>()
-        .ok()
-        .map(JsonVal::Num)
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    eat(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        let b = *bytes.get(*pos)?;
-        *pos += 1;
-        match b {
-            b'"' => return Some(out),
-            b'\\' => {
-                let esc = *bytes.get(*pos)?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = bytes.get(*pos..*pos + 4)?;
-                        *pos += 4;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                }
-            }
-            b => {
-                // Collect the raw UTF-8 bytes of a multi-byte char.
-                let len = match b {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let start = *pos - 1;
-                *pos = start + len;
-                out.push_str(std::str::from_utf8(bytes.get(start..*pos)?).ok()?);
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<JsonVal> {
-    eat(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Some(JsonVal::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b',' => *pos += 1,
-            b']' => {
-                *pos += 1;
-                return Some(JsonVal::Arr(items));
-            }
-            _ => return None,
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<JsonVal> {
-    eat(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Some(JsonVal::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        eat(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b',' => *pos += 1,
-            b'}' => {
-                *pos += 1;
-                return Some(JsonVal::Obj(fields));
-            }
-            _ => return None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_documents() {
-        let v = parse("{\"a\": [1, 2.5, null], \"b\": {\"c\": \"x\\ny\"}, \"d\": true}");
-        let v = match v {
-            Some(v) => v,
-            None => panic!("parse failed"),
-        };
-        let obj = v.as_object().unwrap_or(&[]);
-        assert_eq!(obj.len(), 3);
-        assert_eq!(obj[0].1.as_array().map(|a| a.len()), Some(3), "array arity");
-        assert_eq!(obj[0].1.as_array().and_then(|a| a[1].as_num()), Some(2.5));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in ["{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1 2"] {
-            assert_eq!(parse(bad), None, "accepted {bad:?}");
-        }
-    }
-}
+//! The workspace JSON codec, under the names `profile.json` readers use.
+pub use starnuma_types::json::{parse, Json as JsonVal};

@@ -13,6 +13,8 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use starnuma_types::json::{self, Json};
+
 use crate::site::Site;
 
 /// One attribution edge: inclusive time and call count for `site` while
@@ -201,7 +203,9 @@ impl ProfReport {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"command\": \"{}\",", escape(command));
+        out.push_str("  \"command\": ");
+        json::write_str(&mut out, command);
+        out.push_str(",\n");
         let _ = writeln!(out, "  \"wall_ns\": {wall_ns},");
         let _ = writeln!(out, "  \"attributed_ns\": {},", self.attributed_ns());
         out.push_str("  \"phases\": [\n");
@@ -239,7 +243,7 @@ impl ProfReport {
     /// Parse a `profile.json` written by [`ProfReport::to_json`]. Returns
     /// `None` on malformed input or an unknown schema version.
     pub fn from_json(text: &str) -> Option<SavedProfile> {
-        let value = crate::json::parse(text)?;
+        let value = json::parse(text)?;
         let obj = value.as_object()?;
         let schema = get(obj, "schema_version")?.as_num()?;
         if schema != 1.0 {
@@ -256,7 +260,7 @@ impl ProfReport {
                 let eobj = edge_val.as_object()?;
                 let site = Site::from_label(get(eobj, "site")?.as_str()?)?;
                 let parent = match get(eobj, "parent")? {
-                    crate::json::JsonVal::Null => None,
+                    Json::Null => None,
                     other => Some(Site::from_label(other.as_str()?)?),
                 };
                 edges.push(ProfEdge {
@@ -276,27 +280,8 @@ impl ProfReport {
     }
 }
 
-fn get<'a>(
-    obj: &'a [(String, crate::json::JsonVal)],
-    key: &str,
-) -> Option<&'a crate::json::JsonVal> {
+fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn children_ns(merged: &[ProfEdge], site: Site) -> u64 {

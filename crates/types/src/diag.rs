@@ -25,6 +25,8 @@
 
 use core::fmt;
 
+use crate::json::Json;
+
 /// How serious a diagnostic is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Severity {
@@ -97,16 +99,17 @@ impl Diagnostic {
         self.severity == Severity::Error
     }
 
-    /// Renders the diagnostic as one JSON object (no external serializer).
+    /// Renders the diagnostic as one JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"location\":\"{}\",\"message\":\"{}\",\"hint\":\"{}\"}}",
-            json_escape(self.code),
-            self.severity,
-            json_escape(&self.location),
-            json_escape(&self.message),
-            json_escape(&self.hint),
-        )
+        let field = |key: &str, value: String| (key.to_string(), Json::Str(value));
+        Json::Obj(vec![
+            field("code", self.code.to_string()),
+            field("severity", self.severity.to_string()),
+            field("location", self.location.clone()),
+            field("message", self.message.clone()),
+            field("hint", self.hint.clone()),
+        ])
+        .render()
     }
 }
 
@@ -118,25 +121,6 @@ impl fmt::Display for Diagnostic {
             self.severity, self.code, self.location, self.message, self.hint
         )
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
