@@ -131,8 +131,9 @@ impl Lab {
 /// Appends one schema-versioned, **flat** JSON entry to the bench history
 /// file (`BENCH_history.jsonl` at the workspace root, overridable via
 /// `STARNUMA_BENCH_HISTORY`). Each line is a flat object of dotted keys —
-/// exactly the shape `starnuma bench-diff` parses — so the one-off
-/// `BENCH_hotpath.json` snapshot becomes a tracked time series.
+/// exactly the shape `starnuma bench-diff` parses. The `e2e` benchmark
+/// (`e2ebench/`) and `prof_overhead` write through this, and CI gates the
+/// resulting history against `ci/bench_baseline.json`.
 pub fn append_history(bench: &str, smoke: bool, metrics: &[(String, f64)]) {
     use std::io::Write as _;
     let path = std::env::var("STARNUMA_BENCH_HISTORY")

@@ -781,33 +781,6 @@ struct BenchMetrics {
     /// The newest value per key, so a history compares at its most recent
     /// state.
     latest: BTreeMap<String, f64>,
-    /// Bare metric name → the bench-qualified keys that report it.
-    owners: BTreeMap<String, Vec<String>>,
-}
-
-impl BenchMetrics {
-    /// The latest values, with each bare key that `other` lacks renamed to
-    /// the one key of `other` reporting that metric, so a flat baseline such
-    /// as `ci/bench_baseline.json` compares against a history. A bare key
-    /// several benches report is an error naming the candidates.
-    fn resolved_against(self, other: &BenchMetrics) -> Result<BTreeMap<String, f64>, ArgError> {
-        let mut values = BTreeMap::new();
-        for (key, value) in self.latest {
-            let key = match other.owners.get(&key).map(Vec::as_slice) {
-                _ if other.latest.contains_key(&key) => key,
-                Some([one]) => one.clone(),
-                Some(several @ [_, _, ..]) => {
-                    return Err(ArgError(format!(
-                        "metric '{key}' is reported by several benches ({}); name one",
-                        several.join(", ")
-                    )))
-                }
-                _ => key,
-            };
-            values.insert(key, value);
-        }
-        Ok(values)
-    }
 }
 
 /// Loads bench metrics from a flat JSON object file or a
@@ -841,14 +814,7 @@ fn load_bench_metrics(path: &str) -> Result<BenchMetrics, ArgError> {
                 continue;
             };
             let key = match &bench {
-                Some(bench) => {
-                    let key = format!("{bench}.{metric}");
-                    let owners = metrics.owners.entry(metric.clone()).or_default();
-                    if !owners.contains(&key) {
-                        owners.push(key.clone());
-                    }
-                    key
-                }
+                Some(bench) => format!("{bench}.{metric}"),
                 None => metric.clone(),
             };
             metrics.first.entry(key.clone()).or_insert(n);
@@ -861,7 +827,7 @@ fn load_bench_metrics(path: &str) -> Result<BenchMetrics, ArgError> {
 /// The known-good direction of a bench metric, inferred from its key.
 /// Throughput-style metrics regress when they fall, latency/overhead
 /// metrics when they rise; anything else is reported without judgement.
-fn higher_is_better(key: &str) -> Option<bool> {
+pub fn higher_is_better(key: &str) -> Option<bool> {
     if key.contains("per_sec") || key.contains("speedup") || key.contains("minstr") {
         Some(true)
     } else if key.contains("_ns") || key.contains("ns_per") || key.ends_with("_ms") {
@@ -872,7 +838,9 @@ fn higher_is_better(key: &str) -> Option<bool> {
 }
 
 /// Renders the metric-by-metric comparison and counts regressions: shared
-/// keys whose value moved beyond the tolerance band in the bad direction.
+/// keys whose value moved beyond the tolerance band in the bad direction,
+/// and old keys that `new` does not report at all, so a floor no bench
+/// fills (a misspelt or retired key) fails instead of passing unchecked.
 fn bench_diff_report(
     old: &BTreeMap<String, f64>,
     new: &BTreeMap<String, f64>,
@@ -894,7 +862,12 @@ fn bench_diff_report(
     );
     for (key, &old_v) in old {
         let Some(&new_v) = new.get(key) else {
-            let _ = writeln!(out, "{key:<w$} {old_v:>12.3} {:>12}  (metric removed)", "-");
+            regressions += 1;
+            let _ = writeln!(
+                out,
+                "{key:<w$} {old_v:>12.3} {:>12}  MISSING (no bench reported it)",
+                "-"
+            );
             continue;
         };
         let delta = if old_v == 0.0 {
@@ -935,7 +908,8 @@ fn bench_diff_report(
 /// `starnuma bench-diff <old> <new> [--tolerance FRAC]`: compares two
 /// bench-metric files (flat JSON objects or `BENCH_history.jsonl`) and
 /// exits non-zero when any shared metric regressed beyond the tolerance
-/// band in its known-good direction — the CI perf-regression smoke gate.
+/// band in its known-good direction, or when `<new>` lacks a key of
+/// `<old>` — the CI perf gate.
 /// Takes raw tokens because the `Args` grammar has no second positional.
 pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
     let mut positionals: Vec<&str> = Vec::new();
@@ -968,9 +942,9 @@ pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
             "bench-diff needs two files: starnuma bench-diff <old> <new> [--tolerance FRAC]".into(),
         ));
     };
-    let new = load_bench_metrics(new_path)?;
-    let old = load_bench_metrics(old_path)?.resolved_against(&new)?;
-    let (table, regressions) = bench_diff_report(&old, &new.latest, tolerance);
+    let old = load_bench_metrics(old_path)?.latest;
+    let new = load_bench_metrics(new_path)?.latest;
+    let (table, regressions) = bench_diff_report(&old, &new, tolerance);
     println!(
         "bench-diff: {old_path} -> {new_path} (tolerance {:.0}%)",
         tolerance * 100.0
@@ -980,7 +954,7 @@ pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
         println!("no regressions beyond the tolerance band");
         Ok(ExitCode::SUCCESS)
     } else {
-        println!("{regressions} metric(s) regressed beyond the tolerance band");
+        println!("{regressions} metric(s) regressed beyond the tolerance band or went missing");
         Ok(ExitCode::FAILURE)
     }
 }
@@ -1757,13 +1731,19 @@ mod tests {
         assert_eq!(regressions, 0);
     }
 
+    /// A key of the old file that the new file lacks is a failure named on
+    /// its row: a misspelt or retired floor must not pass unchecked.
     #[test]
     fn bench_diff_reports_added_and_removed_metrics() {
         let old = metrics(&[("gone.speedup", 2.0)]);
         let new = metrics(&[("fresh.speedup", 3.0)]);
         let (table, regressions) = bench_diff_report(&old, &new, 0.2);
-        assert_eq!(regressions, 0);
-        assert!(table.contains("(metric removed)"));
+        assert_eq!(regressions, 1);
+        let missing = table
+            .lines()
+            .find(|l| l.contains("MISSING"))
+            .expect("missing row");
+        assert!(missing.starts_with("gone.speedup"), "{table}");
         assert!(table.contains("(new metric)"));
     }
 
@@ -1794,9 +1774,7 @@ mod tests {
     }
 
     /// The four e2e workloads, traced and untraced, keep their identity: no
-    /// line overwrites another's metrics, and a bare baseline key that
-    /// several benches report is refused by name instead of resolving to
-    /// whichever line came last.
+    /// line overwrites another's metrics.
     #[test]
     fn bench_metrics_keep_bench_identity() {
         let line = |bench: &str, trace: u8, metric: &str| {
@@ -1814,9 +1792,7 @@ mod tests {
             text += &line(w, 0, "accesses_per_sec");
         }
         text += &line("sssp-starnuma", 1, "accesses_per_sec");
-        text += "{\"schema_version\":1,\"bench\":\"hotpath\",\"smoke\":1,\"version\":\"0.1.0\",\"index.index_tlb_pattern.speedup\":2.5}\n";
-        let path = history("e2e.jsonl", &text);
-        let new = load_bench_metrics(&path).expect("loads");
+        let new = load_bench_metrics(&history("e2e.jsonl", &text)).expect("loads");
         let rates: Vec<&str> = new
             .latest
             .keys()
@@ -1834,27 +1810,5 @@ mod tests {
             ]
         );
         assert!(!new.latest.keys().any(|k| k.ends_with(".trace")));
-
-        // An existing `ci/bench_baseline.json`-style floor still resolves.
-        let baseline = history(
-            "baseline.json",
-            "{\"note\": \"x\", \"index.index_tlb_pattern.speedup\": 1.8}",
-        );
-        let old = load_bench_metrics(&baseline).expect("loads");
-        let old = old.resolved_against(&new).expect("unique key resolves");
-        assert_eq!(
-            old.get("hotpath.index.index_tlb_pattern.speedup"),
-            Some(&1.8)
-        );
-
-        let ambiguous = history("ambiguous.json", "{\"accesses_per_sec\": 1e6}");
-        let old = load_bench_metrics(&ambiguous).expect("loads");
-        let err = old.resolved_against(&new).expect_err("ambiguous key");
-        assert!(
-            err.0.contains("e2e.bfs-baseline.accesses_per_sec")
-                && err.0.contains("e2e.tc-starnuma.accesses_per_sec"),
-            "{}",
-            err.0
-        );
     }
 }

@@ -30,6 +30,7 @@ mod args;
 mod commands;
 
 pub use args::{ArgError, Args};
+pub use commands::higher_is_better;
 
 /// Dispatches one invocation and returns the process exit code to use.
 /// Commands that ran but found problems (`lint` with findings) report it
@@ -111,11 +112,11 @@ commands:
               --json | --markdown      machine-readable / markdown output
   bench-diff compare two bench-metric files (flat JSON object or
             BENCH_history.jsonl, keyed <bench>.<metric>, later lines
-            superseding earlier; a bare key matches the one bench
-            reporting it):
+            superseding earlier):
             starnuma bench-diff <old> <new> [--tolerance FRAC]
             exits non-zero when a metric regresses beyond the band
-            in its known-good direction (default tolerance 0.2)
+            in its known-good direction (default tolerance 0.2) or
+            when <new> lacks a key of <old>
   inspect   summarize a --trace-out JSONL file: run identity, the
             per-phase migration timeline, top migrated regions, and
             per-socket access-latency histograms (mean + p95)
@@ -333,8 +334,8 @@ mod tests {
         .expect("write old");
         std::fs::write(
             &new,
-            "{\"bench\": \"hot\", \"schema_version\": 1, \"hot.minstr_per_sec\": 95.0}\n\
-             {\"bench\": \"prof\", \"schema_version\": 1, \"prof.ns_per_scope\": 2.1}\n",
+            "{\"bench\": \"hot\", \"schema_version\": 1, \"minstr_per_sec\": 95.0}\n\
+             {\"bench\": \"prof\", \"schema_version\": 1, \"ns_per_scope\": 2.1}\n",
         )
         .expect("write new");
         assert!(run_tokens(&["bench-diff", old_s, new_s, "--tolerance", "0.25"]).is_ok());

@@ -74,7 +74,9 @@ pub fn write_phase<W: Write>(mut w: W, trace: &PhaseTrace) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidData`] on a bad magic, version, or
-/// record, and propagates I/O errors from `r`.
+/// record, or when a core's `icount` decreases (each stream must be sorted
+/// by `icount`, as [`PhaseTrace`] documents), and propagates I/O errors
+/// from `r`.
 pub fn read_phase<R: Read>(mut r: R) -> io::Result<PhaseTrace> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -101,10 +103,16 @@ pub fn read_phase<R: Read>(mut r: R) -> io::Result<PhaseTrace> {
     let mut per_core = Vec::with_capacity(cores);
     for core_idx in 0..cores {
         let count = read_u64(&mut r)? as usize;
-        let mut stream = Vec::with_capacity(count.min(PREALLOC_CAP));
+        let mut stream: Vec<MemAccess> = Vec::with_capacity(count.min(PREALLOC_CAP));
         for _ in 0..count {
             let addr = read_u64(&mut r)?;
             let icount = read_u64(&mut r)?;
+            if stream.last().is_some_and(|prev| icount < prev.icount) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("core {core_idx}: icount decreases to {icount}"),
+                ));
+            }
             let mut kind = [0u8; 1];
             r.read_exact(&mut kind)?;
             let kind = match kind[0] {
@@ -285,6 +293,23 @@ mod tests {
         buf.push(7); // invalid kind
         let err = read_phase(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("bad access kind"));
+    }
+
+    #[test]
+    fn decreasing_icount_rejected() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"SNTR");
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes()); // one core
+        buf.extend_from_slice(&2u64.to_le_bytes()); // two records
+        for icount in [9u64, 8] {
+            buf.extend_from_slice(&0u64.to_le_bytes()); // addr
+            buf.extend_from_slice(&icount.to_le_bytes());
+            buf.push(0);
+        }
+        let err = read_phase(&buf[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("icount decreases"), "{err}");
     }
 
     #[test]
