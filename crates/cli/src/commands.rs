@@ -7,19 +7,19 @@ use std::process::ExitCode;
 use std::collections::BTreeMap;
 
 use starnuma::obs::{
-    metrics_json, parse_flat_object, trace_jsonl, try_percentile_from_counts, ObsReport, RunExtras,
-    RunMeta, RunRecord, SiteSummary, LEDGER_FILE, MONITOR_NAMES,
+    parse_flat_object, trace_jsonl, try_percentile_from_counts, ObsReport, RunRecord, SiteSummary,
+    LEDGER_FILE, MAX_EXACT_INT, MONITOR_NAMES,
 };
 use starnuma::prof;
 use starnuma::report::run_result_json;
 use starnuma::{
     geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunOptions,
-    RunResult, ScaleConfig, ScalePreset, SystemKind, TraceGenerator, Workload,
+    RunResult, ScaleConfig, SystemKind, TraceGenerator, Workload,
 };
 use starnuma_topology::SystemParams;
 use starnuma_trace::{read_phase, write_phase, SharingHistogram};
 use starnuma_types::json::Json;
-use starnuma_types::{digest_hex, fnv1a_digest, Location, SocketId};
+use starnuma_types::{digest_hex, Location, SocketId};
 
 use crate::args::{ArgError, Args};
 
@@ -81,18 +81,9 @@ pub fn configure_jobs(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// The §V-G preset label stamped into observability exports.
-fn preset_name(preset: ScalePreset) -> &'static str {
-    match preset {
-        ScalePreset::Sc1 => "SC1",
-        ScalePreset::Sc2 => "SC2",
-        ScalePreset::Sc3 => "SC3",
-    }
-}
-
 /// The [`RunOptions`] this invocation asks for. The simulation runs with
 /// the [`starnuma::obs`] sink on whenever an output needs its report: the
-/// exports, the ledger, and the monitor flags. `--inject-monitor-fault`
+/// trace, the ledger, and the monitor flags. `--inject-monitor-fault`
 /// is validated against the monitor catalogue.
 fn run_options(args: &Args) -> Result<RunOptions, ArgError> {
     let inject_fault = match args.get("inject-monitor-fault") {
@@ -107,7 +98,6 @@ fn run_options(args: &Args) -> Result<RunOptions, ArgError> {
     };
     Ok(RunOptions {
         observe: args.get("trace-out").is_some()
-            || args.get("metrics-out").is_some()
             || args.switch("strict-monitors")
             || ledger_dir(args).is_some(),
         inject_fault,
@@ -124,135 +114,101 @@ fn ledger_dir(args: &Args) -> Option<String> {
     })
 }
 
-/// Per-command ledger state, created *before* the runs start so the wall
-/// timer covers them and the profiler can attribute their time.
-struct LedgerSession {
-    dir: std::path::PathBuf,
+/// One observed run: its record and the report its trace section is
+/// rendered from.
+type Observed = (RunRecord, ObsReport);
+
+/// Host-side state of one simulation command, started *before* its runs
+/// so the wall timer covers them and the profiler can attribute their
+/// time.
+struct Session {
     timer: prof::SessionTimer,
-    /// Whether this session turned the profiler on (and must drain it).
-    /// False under `starnuma profile`, which owns the report.
+    /// Whether this command turned the profiler on for the ledger's top
+    /// sites (and must drain it). False without `--ledger` and under
+    /// `starnuma profile`, which owns the report.
     owns_prof: bool,
 }
 
-/// Starts a ledger session when this invocation asked for one. Enables
-/// the profiler for top-site attribution unless an enclosing `profile`
-/// wrapper already owns it.
-fn ledger_session(args: &Args) -> Option<LedgerSession> {
-    let dir = ledger_dir(args)?;
-    let owns_prof = !prof::is_enabled();
-    if owns_prof {
-        prof::reset();
-        prof::set_enabled(true);
+impl Session {
+    /// Starts the wall timer, and the profiler when this invocation
+    /// writes a ledger and no enclosing `profile` wrapper already owns it.
+    fn start(args: &Args) -> Session {
+        let owns_prof = ledger_dir(args).is_some() && !prof::is_enabled();
+        if owns_prof {
+            prof::reset();
+            prof::set_enabled(true);
+        }
+        Session {
+            timer: prof::SessionTimer::start(),
+            owns_prof,
+        }
     }
-    Some(LedgerSession {
-        dir: dir.into(),
-        timer: prof::SessionTimer::start(),
-        owns_prof,
-    })
-}
 
-impl LedgerSession {
-    /// Appends one [`RunRecord`] per completed run to `dir/runs.jsonl`.
-    /// Wall time and profiler top sites are per *command*, shared by every
-    /// record of a batch (compare/sweep fan their runs out in parallel, so
-    /// per-run wall time does not exist).
-    fn append(self, entries: &[(RunMeta, u64, &RunResult, &ObsReport)]) -> Result<(), ArgError> {
+    /// Stamps the host fields on every observed run's record, then writes
+    /// the outputs that read from the records: the `--trace-out` file (one
+    /// section per run, each headed by its record line), one ledger line
+    /// per run, and the monitor messages on stderr. Wall time and profiler
+    /// top sites are per *command*, shared by every record of a batch
+    /// (compare/sweep fan their runs out in parallel, so per-run wall time
+    /// does not exist). Under `--strict-monitors` a violation fails the
+    /// command.
+    fn finish(
+        self,
+        args: &Args,
+        mut runs: Vec<(RunRecord, &ObsReport)>,
+    ) -> Result<ExitCode, ArgError> {
         let wall_ns = self.timer.elapsed_ns();
-        let top_sites: Vec<SiteSummary> = if self.owns_prof {
+        let mut top_sites: Vec<SiteSummary> = Vec::new();
+        if self.owns_prof {
             prof::set_enabled(false);
-            prof::take_report()
+            top_sites = prof::take_report()
                 .top_sites(5)
                 .into_iter()
                 .map(|(label, ns, calls)| SiteSummary { label, ns, calls })
-                .collect()
+                .collect();
+            top_sites.sort_by(|a, b| a.label.cmp(&b.label));
+        }
+        for (record, _) in &mut runs {
+            record.wall_ns = wall_ns;
+            record.top_sites.clone_from(&top_sites);
+        }
+        if let Some(path) = args.get("trace-out") {
+            let trace: String = runs
+                .iter()
+                .map(|(record, report)| trace_jsonl(record, report))
+                .collect();
+            write_out(path, &trace)?;
+        }
+        if let Some(dir) = ledger_dir(args) {
+            let dir = std::path::Path::new(&dir);
+            for (record, _) in &runs {
+                record
+                    .append_to(dir)
+                    .map_err(|e| ArgError(format!("cannot write ledger {}: {e}", dir.display())))?;
+            }
+        }
+        let mut violations = 0u64;
+        for (record, report) in &runs {
+            for v in &report.monitor.violations {
+                violations += 1;
+                eprintln!(
+                    "monitor violation: {} (phase {}, observed {}, limit {}) in {} on {}",
+                    v.monitor, v.phase, v.observed, v.limit, record.workload, record.system
+                );
+            }
+        }
+        if violations > 0 && args.switch("strict-monitors") {
+            eprintln!("strict-monitors: failing on {violations} violation(s)");
+            Ok(ExitCode::FAILURE)
         } else {
-            Vec::new()
-        };
-        for (meta, config_digest, result, report) in entries {
-            let extras = RunExtras {
-                config_digest: *config_digest,
-                result_digest: fnv1a_digest(format!("{result:?}").as_bytes()),
-                wall_ns,
-                ipc: result.ipc,
-                amat_ns: result.amat_ns,
-                pages_migrated: result.pages_migrated,
-                pages_to_pool: result.pages_to_pool,
-                top_sites: top_sites.clone(),
-            };
-            RunRecord::from_observed(meta, report, &report.monitor, &extras)
-                .append_to(&self.dir)
-                .map_err(|e| {
-                    ArgError(format!("cannot write ledger {}: {e}", self.dir.display()))
-                })?;
-        }
-        Ok(())
-    }
-}
-
-/// Prints every monitor violation to stderr; under `--strict-monitors` a
-/// non-empty set fails the command.
-fn enforce_monitors(args: &Args, sections: &[(RunMeta, &ObsReport)]) -> ExitCode {
-    let mut violations = 0u64;
-    for (meta, report) in sections {
-        for v in &report.monitor.violations {
-            violations += 1;
-            eprintln!(
-                "monitor violation: {} (phase {}, observed {}, limit {}) in {} on {}",
-                v.monitor, v.phase, v.observed, v.limit, meta.workload, meta.system
-            );
+            Ok(ExitCode::SUCCESS)
         }
     }
-    if violations > 0 && args.switch("strict-monitors") {
-        eprintln!("strict-monitors: failing on {violations} violation(s)");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
-/// The run-identity header stamped into every `--trace-out`/`--metrics-out`
-/// export. The version is the package version only — no git-describe, so
-/// identical source always produces identical files.
-fn run_meta(workload: &str, system: SystemKind, scale: &ScaleConfig) -> RunMeta {
-    RunMeta {
-        workload: workload.to_string(),
-        system: system.label().to_string(),
-        preset: preset_name(scale.preset).to_string(),
-        jobs: JobPool::global().workers() as u64,
-        seed: scale.seed,
-        version: env!("CARGO_PKG_VERSION").to_string(),
-    }
-}
-
-/// Writes an export file, mapping I/O failures onto [`ArgError`].
+/// Writes an output file, mapping I/O failures onto [`ArgError`].
 fn write_out(path: &str, contents: &str) -> Result<(), ArgError> {
     std::fs::write(path, contents).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
-}
-
-/// Honors `--trace-out`/`--metrics-out` for a batch of observed runs: the
-/// trace file is the concatenation of each run's self-describing JSONL
-/// section (one `meta` line each), the metrics file a JSON array with one
-/// object per run (a bare object for a single run).
-fn write_obs_outputs(args: &Args, sections: &[(RunMeta, &ObsReport)]) -> Result<(), ArgError> {
-    if let Some(path) = args.get("trace-out") {
-        let mut out = String::new();
-        for (meta, report) in sections {
-            out.push_str(&trace_jsonl(meta, report));
-        }
-        write_out(path, &out)?;
-    }
-    if let Some(path) = args.get("metrics-out") {
-        let rendered: Vec<String> = sections
-            .iter()
-            .map(|(meta, report)| metrics_json(meta, &report.metrics))
-            .collect();
-        let payload = match rendered.as_slice() {
-            [one] => one.clone(),
-            many => format!("[{}]", many.join(",")),
-        };
-        write_out(path, &payload)?;
-    }
-    Ok(())
 }
 
 /// Builds a [`ScaleConfig`] from `--scale/--phases/--instructions/--seed`.
@@ -270,11 +226,18 @@ pub fn parse_scale(args: &Args) -> Result<ScaleConfig, ArgError> {
     scale.phases = args.get_u64("phases", scale.phases as u64)? as usize;
     scale.instructions_per_phase = args.get_u64("instructions", scale.instructions_per_phase)?;
     scale.seed = args.get_u64("seed", scale.seed)?;
+    if scale.seed > MAX_EXACT_INT {
+        return Err(ArgError(format!(
+            "--seed must be at most 2^53 ({MAX_EXACT_INT}), the largest integer a run \
+             record holds exactly; got {}",
+            scale.seed
+        )));
+    }
     Ok(scale)
 }
 
 /// `starnuma run --workload W --system S [--replication FRAC] [--json]
-/// [--trace-out PATH] [--metrics-out PATH] [--ledger DIR]
+/// [--trace-out PATH] [--ledger DIR]
 /// [--strict-monitors] [--inject-monitor-fault NAME] [--progress]`
 pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
     args.expect_only(&[
@@ -288,7 +251,6 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
         "json",
         "replication",
         "trace-out",
-        "metrics-out",
         "ledger",
         "strict-monitors",
         "inject-monitor-fault",
@@ -310,17 +272,13 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
         }
         experiment = experiment.with_replication(frac);
     }
-    let ledger = ledger_session(args);
+    let session = Session::start(args);
     let (result, report) = experiment.run_with(&opts);
-    let mut exit = ExitCode::SUCCESS;
-    if let Some(rep) = &report {
-        let meta = run_meta(workload.name(), system, &scale);
-        write_obs_outputs(args, &[(meta.clone(), rep)])?;
-        if let Some(session) = ledger {
-            session.append(&[(meta.clone(), experiment.config_digest(), &result, rep)])?;
-        }
-        exit = enforce_monitors(args, &[(meta, rep)]);
-    }
+    let runs = report
+        .iter()
+        .map(|rep| (experiment.record(&result, rep), rep))
+        .collect();
+    let exit = session.finish(args, runs)?;
     if args.switch("json") {
         println!("{}", run_result_json(workload, system, &result).render());
         return Ok(exit);
@@ -358,7 +316,7 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
 }
 
 /// `starnuma compare --workload W [--systems a,b,...] [--json]
-/// [--trace-out PATH] [--metrics-out PATH] [--ledger DIR]
+/// [--trace-out PATH] [--ledger DIR]
 /// [--strict-monitors] [--progress]`
 pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
     args.expect_only(&[
@@ -371,7 +329,6 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         "jobs",
         "json",
         "trace-out",
-        "metrics-out",
         "ledger",
         "strict-monitors",
         "progress",
@@ -386,7 +343,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         .collect::<Result<_, _>>()?;
     let scale = parse_scale(args)?;
     let opts = run_options(args)?;
-    let ledger = ledger_session(args);
+    let session = Session::start(args);
     // Fan every distinct system (plus the baseline, which anchors the
     // speedup column) out on the job pool; results are keyed for the
     // requested row order below.
@@ -396,42 +353,23 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
             distinct.push(*s);
         }
     }
-    let computed: BTreeMap<SystemKind, (RunResult, Option<ObsReport>)> = JobPool::global()
+    let computed: BTreeMap<SystemKind, (RunResult, Option<Observed>)> = JobPool::global()
         .run(distinct.clone(), |_, system| {
             let e = Experiment::new(workload, system, scale.clone());
-            (system, e.run_with(&opts))
+            let (result, report) = e.run_with(&opts);
+            let observed = report.map(|rep| (e.record(&result, &rep), rep));
+            (system, (result, observed))
         })
         .into_iter()
         .collect();
-    // One export section per distinct system, baseline first — the same
-    // deterministic order the fan-out used. Unobserved runs have none.
-    let sections: Vec<(RunMeta, &ObsReport)> = distinct
+    // One record per observed run, baseline first — the same
+    // deterministic order the fan-out used.
+    let runs = distinct
         .iter()
-        .filter_map(|s| {
-            computed[s]
-                .1
-                .as_ref()
-                .map(|rep| (run_meta(workload.name(), *s, &scale), rep))
-        })
+        .filter_map(|s| computed[s].1.as_ref())
+        .map(|(record, rep)| (record.clone(), rep))
         .collect();
-    write_obs_outputs(args, &sections)?;
-    if let Some(session) = ledger {
-        let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = distinct
-            .iter()
-            .filter_map(|s| {
-                let (result, rep) = &computed[s];
-                let digest = Experiment::new(workload, *s, scale.clone()).config_digest();
-                Some((
-                    run_meta(workload.name(), *s, &scale),
-                    digest,
-                    result,
-                    rep.as_ref()?,
-                ))
-            })
-            .collect();
-        session.append(&entries)?;
-    }
-    let exit = enforce_monitors(args, &sections);
+    let exit = session.finish(args, runs)?;
     let computed: BTreeMap<SystemKind, RunResult> =
         computed.into_iter().map(|(s, (r, _))| (s, r)).collect();
     let baseline = computed[&SystemKind::Baseline].clone();
@@ -467,7 +405,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
 }
 
 /// `starnuma sweep --system S [--workloads a,b,...] [--json]
-/// [--trace-out PATH] [--metrics-out PATH] [--ledger DIR]
+/// [--trace-out PATH] [--ledger DIR]
 /// [--strict-monitors] [--progress]`
 pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
     args.expect_only(&[
@@ -480,7 +418,6 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
         "jobs",
         "json",
         "trace-out",
-        "metrics-out",
         "ledger",
         "strict-monitors",
         "progress",
@@ -497,40 +434,20 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
     };
     let scale = parse_scale(args)?;
     let opts = run_options(args)?;
-    let ledger = ledger_session(args);
+    let session = Session::start(args);
     // One job per workload; each job runs the system and its baseline and
     // carries back the *system* run (the baseline anchors speedups only —
-    // the ledger records the system run).
-    let rows: Vec<(Workload, f64, (RunResult, Option<ObsReport>))> =
-        JobPool::global().run(workloads, |_, w| {
-            let (speedup, sys, _, sys_report, _) =
-                starnuma::speedup_vs_baseline(w, system, &scale, &opts);
-            (w, speedup, (sys, sys_report))
-        });
-    let sections: Vec<(RunMeta, &ObsReport)> = rows
+    // the record describes the system run).
+    let rows: Vec<(Workload, f64, Option<Observed>)> = JobPool::global().run(workloads, |_, w| {
+        let (speedup, _, observed) = starnuma::speedup_vs_baseline(w, system, &scale, &opts);
+        (w, speedup, observed)
+    });
+    let runs = rows
         .iter()
-        .filter_map(|(w, _, (_, rep))| {
-            rep.as_ref()
-                .map(|rep| (run_meta(w.name(), system, &scale), rep))
-        })
+        .filter_map(|(_, _, observed)| observed.as_ref())
+        .map(|(record, rep)| (record.clone(), rep))
         .collect();
-    write_obs_outputs(args, &sections)?;
-    if let Some(session) = ledger {
-        let entries: Vec<(RunMeta, u64, &RunResult, &ObsReport)> = rows
-            .iter()
-            .filter_map(|(w, _, (result, rep))| {
-                let digest = Experiment::new(*w, system, scale.clone()).config_digest();
-                Some((
-                    run_meta(w.name(), system, &scale),
-                    digest,
-                    result,
-                    rep.as_ref()?,
-                ))
-            })
-            .collect();
-        session.append(&entries)?;
-    }
-    let exit = enforce_monitors(args, &sections);
+    let exit = session.finish(args, runs)?;
     let rows: Vec<(&str, f64)> = rows.iter().map(|(w, s, _)| (w.name(), *s)).collect();
     if args.switch("json") {
         // Self-describing output: a `meta` header (scale preset, worker
@@ -538,7 +455,7 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
         // artifact alone records how it was produced.
         let meta = Json::Obj(vec![
             ("system".into(), Json::Str(system.label().into())),
-            ("preset".into(), Json::Str(preset_name(scale.preset).into())),
+            ("preset".into(), Json::Str(scale.preset_label().into())),
             ("jobs".into(), Json::Num(JobPool::global().workers() as f64)),
             ("seed".into(), Json::Num(scale.seed as f64)),
             (
@@ -905,6 +822,19 @@ fn bench_diff_report(
     (out, regressions)
 }
 
+/// The `--tolerance` value of `report` and `bench-diff`: a finite,
+/// non-negative fraction.
+fn parse_tolerance(v: &str) -> Result<f64, ArgError> {
+    v.parse::<f64>()
+        .ok()
+        .filter(|t| t.is_finite() && *t >= 0.0)
+        .ok_or_else(|| {
+            ArgError(format!(
+                "--tolerance expects a non-negative fraction, got '{v}'"
+            ))
+        })
+}
+
 /// `starnuma bench-diff <old> <new> [--tolerance FRAC]`: compares two
 /// bench-metric files (flat JSON objects or `BENCH_history.jsonl`) and
 /// exits non-zero when any shared metric regressed beyond the tolerance
@@ -920,15 +850,7 @@ pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
             let v = iter
                 .next()
                 .ok_or_else(|| ArgError("flag --tolerance requires a value".into()))?;
-            tolerance = v
-                .parse::<f64>()
-                .ok()
-                .filter(|t| t.is_finite() && *t >= 0.0)
-                .ok_or_else(|| {
-                    ArgError(format!(
-                        "--tolerance expects a non-negative fraction, got '{v}'"
-                    ))
-                })?;
+            tolerance = parse_tolerance(v)?;
         } else if let Some(name) = token.strip_prefix("--") {
             return Err(ArgError(format!(
                 "unknown flag --{name} for command 'bench-diff'"
@@ -980,20 +902,13 @@ struct DriftFlag<'a> {
 }
 
 /// `starnuma report [--ledger DIR] [--bench-history PATH]
-/// [--tolerance FRAC] [--json|--markdown]`: cross-run trends from the
+/// [--tolerance FRAC] [--json]`: cross-run trends from the
 /// run ledger — per-experiment IPC/p95 series with sparklines, monitor
 /// totals, determinism-drift flags (same config digest + seed, different
 /// result digest), and a first-vs-latest bench-history diff. Exits
 /// non-zero on any monitor violation or drift flag, so CI can gate on it.
 pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
-    args.expect_only(&[
-        "ledger",
-        "bench-history",
-        "tolerance",
-        "json",
-        "markdown",
-        "jobs",
-    ])?;
+    args.expect_only(&["ledger", "bench-history", "tolerance", "json", "jobs"])?;
     let dir = ledger_dir(args).ok_or_else(|| {
         ArgError("report needs a ledger: pass --ledger DIR or set STARNUMA_LEDGER".into())
     })?;
@@ -1014,17 +929,7 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
             ))
         })?);
     }
-    let tolerance = {
-        let v = args.get_or("tolerance", "0.2");
-        v.parse::<f64>()
-            .ok()
-            .filter(|t| t.is_finite() && *t >= 0.0)
-            .ok_or_else(|| {
-                ArgError(format!(
-                    "--tolerance expects a non-negative fraction, got '{v}'"
-                ))
-            })?
-    };
+    let tolerance = parse_tolerance(args.get_or("tolerance", "0.2"))?;
 
     // Group into per-experiment trends, preserving file order inside each
     // group (the ledger is append-only, so file order is time order).
@@ -1204,58 +1109,6 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
             ));
         }
         println!("{}", Json::Obj(doc).render());
-    } else if args.switch("markdown") {
-        println!("# starnuma report");
-        println!();
-        println!("ledger `{shown_path}`: {} record(s)", records.len());
-        println!();
-        println!("| workload | system | runs | IPC (last) | ΔIPC | p95 ns (last) | IPC trend |");
-        println!("|---|---|---:|---:|---:|---:|---|");
-        for g in &groups {
-            let (last, delta, p95, spark) = trend_row(g);
-            println!(
-                "| {} | {} | {} | {last:.3} | {delta:+.3} | {p95:.0} | `{spark}` |",
-                g.workload,
-                g.system,
-                g.records.len(),
-            );
-        }
-        println!();
-        println!("monitors: {checks} check(s), {violations} violation(s)");
-        println!();
-        if drift.is_empty() {
-            println!("determinism drift: none");
-        } else {
-            println!("## determinism drift");
-            println!();
-            for d in &drift {
-                println!(
-                    "- **{} on {}** [{} seed {} config `{}`]: {} result digests ({}) across versions {}",
-                    d.workload,
-                    d.system,
-                    d.preset,
-                    d.seed,
-                    digest_hex(d.config_digest),
-                    d.result_digests.len(),
-                    d.result_digests
-                        .iter()
-                        .map(|x| digest_hex(*x))
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    d.versions.join(", "),
-                );
-            }
-        }
-        if let Some((path, table, regressions)) = &bench {
-            println!();
-            println!("## bench history `{path}` (first vs latest)");
-            println!();
-            println!("```");
-            print!("{table}");
-            println!("```");
-            println!();
-            println!("{regressions} regression(s) beyond the tolerance band");
-        }
     } else {
         println!("run ledger {shown_path}: {} record(s)", records.len());
         if !groups.is_empty() {
@@ -1311,15 +1164,15 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
     }
 }
 
-/// One run's worth of parsed trace lines: the `meta` header plus its
-/// `event`/`hist`/`counters` lines. A multi-run file (from `compare` or
-/// `sweep --trace-out`) concatenates sections.
-#[derive(Default)]
+/// One run's section of a `--trace-out` file: the run record that heads
+/// it, then its `event` and per-phase `hist` lines (its `counters` lines
+/// are accepted and skipped: the record carries the merged counters). A
+/// multi-run file (from `compare` or `sweep --trace-out`) concatenates
+/// sections.
 struct TraceSection {
-    meta: BTreeMap<String, Json>,
+    record: RunRecord,
     events: Vec<BTreeMap<String, Json>>,
     hists: Vec<BTreeMap<String, Json>>,
-    counters: BTreeMap<String, Json>,
 }
 
 fn num_of(obj: &BTreeMap<String, Json>, key: &str) -> f64 {
@@ -1330,52 +1183,49 @@ fn str_of<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> &'a str {
     obj.get(key).and_then(Json::as_str).unwrap_or("?")
 }
 
-/// Parses a `--trace-out` JSONL file into sections, one per `meta` line.
-fn parse_trace_file(path: &str) -> Result<Vec<TraceSection>, ArgError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+/// Parses the text of the `--trace-out` file at `path` into sections, one
+/// per `run` line.
+fn parse_trace(path: &str, text: &str) -> Result<Vec<TraceSection>, ArgError> {
     let mut sections: Vec<TraceSection> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
+        let at = || format!("{path}:{}", i + 1);
         let obj = parse_flat_object(line)
-            .ok_or_else(|| ArgError(format!("{path}:{}: not a flat JSON object line", i + 1)))?;
-        match obj.get("type").and_then(Json::as_str) {
-            Some("meta") => sections.push(TraceSection {
-                meta: obj,
-                ..TraceSection::default()
-            }),
-            Some(kind) => {
-                let section = sections.last_mut().ok_or_else(|| {
-                    ArgError(format!(
-                        "{path}:{}: '{kind}' line before any meta line",
-                        i + 1
-                    ))
-                })?;
-                match kind {
-                    "event" => section.events.push(obj),
-                    "hist" => section.hists.push(obj),
-                    "counters" => section.counters = obj,
-                    other => {
-                        return Err(ArgError(format!(
-                            "{path}:{}: unknown line type '{other}'",
-                            i + 1
-                        )))
-                    }
-                }
-            }
-            None => {
-                return Err(ArgError(format!(
-                    "{path}:{}: line has no type field",
-                    i + 1
-                )));
-            }
+            .ok_or_else(|| ArgError(format!("{}: not a flat JSON object line", at())))?;
+        let kind = obj
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or_else(|| ArgError(format!("{}: line has no type field", at())))?;
+        if kind == "run" {
+            let record = RunRecord::from_json_line(line).ok_or_else(|| {
+                ArgError(format!(
+                    "{}: not a valid run record (schema {})",
+                    at(),
+                    starnuma::obs::LEDGER_SCHEMA_VERSION
+                ))
+            })?;
+            sections.push(TraceSection {
+                record,
+                events: Vec::new(),
+                hists: Vec::new(),
+            });
+            continue;
+        }
+        let section = sections
+            .last_mut()
+            .ok_or_else(|| ArgError(format!("{}: '{kind}' line before any run line", at())))?;
+        match kind {
+            "event" => section.events.push(obj),
+            "hist" => section.hists.push(obj),
+            "counters" => {}
+            other => return Err(ArgError(format!("{}: unknown line type '{other}'", at()))),
         }
     }
     if sections.is_empty() {
         return Err(ArgError(format!(
-            "{path}: no meta line — not a starnuma trace"
+            "{path}: no run line — not a starnuma trace"
         )));
     }
     Ok(sections)
@@ -1400,96 +1250,93 @@ fn sparkline(buckets: &[f64]) -> String {
         .collect()
 }
 
-fn render_section(section: &TraceSection, top: usize) {
-    let m = &section.meta;
-    println!(
-        "== {} on {} [{} seed {} jobs {} v{}] — {} events ({} dropped)",
-        str_of(m, "workload"),
-        str_of(m, "system"),
-        str_of(m, "preset"),
-        num_of(m, "seed"),
-        num_of(m, "jobs"),
-        str_of(m, "version"),
-        num_of(m, "events"),
-        num_of(m, "dropped_events"),
+/// Renders one trace section as text: run identity and result digest,
+/// the per-phase migration-decision timeline, the most-migrated regions,
+/// and the per-socket latency histograms summed over phases.
+fn render_section(section: &TraceSection, top: usize) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let r = &section.record;
+    let _ = writeln!(
+        out,
+        "== {} on {} [{} seed {} jobs {} v{}] — {} events ({} dropped) — result {}",
+        r.workload,
+        r.system,
+        r.preset,
+        r.seed,
+        r.jobs,
+        r.version,
+        section.events.len(),
+        r.dropped_events,
+        digest_hex(r.result_digest),
     );
 
-    // Migration-decision timeline: per phase, the checkpoint summary plus
-    // aggregated policy events.
-    let max_phase = section
-        .events
-        .iter()
-        .map(|e| num_of(e, "phase") as u64)
-        .max();
-    if section.events.is_empty() {
+    // Migration-decision timeline: per phase that any event mentions, the
+    // checkpoint summary plus aggregated policy events.
+    let mut by_phase: BTreeMap<u64, Vec<&BTreeMap<String, Json>>> = BTreeMap::new();
+    for e in &section.events {
+        by_phase
+            .entry(num_of(e, "phase") as u64)
+            .or_default()
+            .push(e);
+    }
+    if by_phase.is_empty() {
         // Zero-event traces are legal (a run can complete without a single
         // journal event); say so instead of printing an empty timeline.
-        println!("  (no events recorded)");
+        let _ = writeln!(out, "  (no events recorded)");
+    } else {
+        let _ = writeln!(out, "migration timeline:");
     }
-    if let Some(max_phase) = max_phase {
-        println!("migration timeline:");
-        for phase in 0..=max_phase {
-            let in_phase: Vec<_> = section
-                .events
-                .iter()
-                .filter(|e| num_of(e, "phase") as u64 == phase)
-                .collect();
-            if in_phase.is_empty() {
-                // A phase no event mentions has nothing to report; a
-                // placeholder "0 regions -> 0 pages" row would just be
-                // noise.
-                continue;
-            }
-            let mut line = format!("  phase {phase}:");
-            if let Some(cp) = in_phase
-                .iter()
-                .find(|e| str_of(e, "name") == "phase_checkpoint")
-            {
-                line += &format!(
-                    " planned {} modeled {} (budget {})",
-                    num_of(cp, "planned_moves"),
-                    num_of(cp, "modeled_moves"),
-                    num_of(cp, "budget_pages"),
-                );
-            }
-            let migrated: Vec<_> = in_phase
-                .iter()
-                .filter(|e| str_of(e, "name") == "region_migrated")
-                .collect();
-            let pages: u64 = migrated.iter().map(|e| num_of(e, "pages") as u64).sum();
-            line += &format!(" | {} regions -> {pages} pages", migrated.len());
-            let evictions = in_phase
-                .iter()
-                .filter(|e| str_of(e, "name") == "pool_victim_evicted")
-                .count();
-            if evictions > 0 {
-                line += &format!(" | {evictions} evictions");
-            }
-            let pressure = in_phase
-                .iter()
-                .filter(|e| str_of(e, "cat") == "pool_pressure" && str_of(e, "level") == "warn")
-                .count();
-            if pressure > 0 {
-                line += &format!(" | {pressure} pool-pressure warnings");
-            }
-            if let Some(adapt) = in_phase
-                .iter()
-                .rfind(|e| str_of(e, "name") == "hi_threshold_adapted")
-            {
-                line += &format!(
-                    " | hi {} -> {}",
-                    num_of(adapt, "old_hi"),
-                    num_of(adapt, "new_hi")
-                );
-            }
-            if in_phase
-                .iter()
-                .any(|e| str_of(e, "name") == "migration_limit_reached")
-            {
-                line += " | LIMIT HIT";
-            }
-            println!("{line}");
+    for (phase, in_phase) in &by_phase {
+        let mut line = format!("  phase {phase}:");
+        if let Some(cp) = in_phase
+            .iter()
+            .find(|e| str_of(e, "name") == "phase_checkpoint")
+        {
+            line += &format!(
+                " planned {} modeled {} (budget {})",
+                num_of(cp, "planned_moves"),
+                num_of(cp, "modeled_moves"),
+                num_of(cp, "budget_pages"),
+            );
         }
+        let migrated: Vec<_> = in_phase
+            .iter()
+            .filter(|e| str_of(e, "name") == "region_migrated")
+            .collect();
+        let pages: u64 = migrated.iter().map(|e| num_of(e, "pages") as u64).sum();
+        line += &format!(" | {} regions -> {pages} pages", migrated.len());
+        let evictions = in_phase
+            .iter()
+            .filter(|e| str_of(e, "name") == "pool_victim_evicted")
+            .count();
+        if evictions > 0 {
+            line += &format!(" | {evictions} evictions");
+        }
+        let pressure = in_phase
+            .iter()
+            .filter(|e| str_of(e, "cat") == "pool_pressure" && str_of(e, "level") == "warn")
+            .count();
+        if pressure > 0 {
+            line += &format!(" | {pressure} pool-pressure warnings");
+        }
+        if let Some(adapt) = in_phase
+            .iter()
+            .rfind(|e| str_of(e, "name") == "hi_threshold_adapted")
+        {
+            line += &format!(
+                " | hi {} -> {}",
+                num_of(adapt, "old_hi"),
+                num_of(adapt, "new_hi")
+            );
+        }
+        if in_phase
+            .iter()
+            .any(|e| str_of(e, "name") == "migration_limit_reached")
+        {
+            line += " | LIMIT HIT";
+        }
+        let _ = writeln!(out, "{line}");
     }
 
     // Top-N migrated regions by pages moved.
@@ -1513,44 +1360,72 @@ fn render_section(section: &TraceSection, top: usize) {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
-        println!("top {} migrated regions (by pages):", top.min(ranked.len()));
+        let _ = writeln!(
+            out,
+            "top {} migrated regions (by pages):",
+            top.min(ranked.len())
+        );
         for (region, (pages, moves, dest)) in ranked.into_iter().take(top) {
-            println!("  region {region:<8} {pages:>8} pages  last dest {dest:<10} ({moves} moves)");
-        }
-    }
-
-    // Per-socket latency histograms (log2-ns buckets, 1 ns .. 2^31 ns).
-    if !section.hists.is_empty() {
-        println!("per-socket access-latency histograms (32 log2-ns buckets):");
-        for h in &section.hists {
-            let buckets: Vec<f64> = h
-                .get("buckets")
-                .and_then(Json::as_array)
-                .map_or_else(Vec::new, |b| b.iter().filter_map(Json::as_num).collect());
-            // An empty histogram has no p95; render `-` rather than a
-            // `0 ns` that is indistinguishable from a real measurement.
-            let p95 = match try_percentile_from_counts(&buckets, 0.95) {
-                Some(p) => format!("{p:>7.0}"),
-                None => format!("{:>7}", "-"),
-            };
-            println!(
-                "  socket {:>3} {:<10} count {:>10} mean {:>7.0} ns p95 {p95} ns |{}|",
-                num_of(h, "socket"),
-                str_of(h, "class"),
-                num_of(h, "count"),
-                num_of(h, "mean_ns"),
-                sparkline(&buckets),
+            let _ = writeln!(
+                out,
+                "  region {region:<8} {pages:>8} pages  last dest {dest:<10} ({moves} moves)"
             );
         }
     }
 
-    if section.counters.len() > 1 {
-        println!(
+    // Per-socket latency histograms (log2-ns buckets, 1 ns .. 2^31 ns):
+    // the phases' `hist` lines summed per (socket, class), classes in
+    // access-class order.
+    let mut merged = BTreeMap::new();
+    for h in &section.hists {
+        let class = str_of(h, "class");
+        let rank = AccessClass::ALL
+            .iter()
+            .position(|c| c.label() == class)
+            .unwrap_or(usize::MAX);
+        let (count, sum_ns, buckets): &mut (f64, f64, Vec<f64>) = merged
+            .entry((num_of(h, "socket") as u64, rank, class))
+            .or_default();
+        *count += num_of(h, "count");
+        *sum_ns += num_of(h, "count") * num_of(h, "mean_ns");
+        let phase_buckets = h.get("buckets").and_then(Json::as_array).unwrap_or(&[]);
+        if buckets.len() < phase_buckets.len() {
+            buckets.resize(phase_buckets.len(), 0.0);
+        }
+        for (acc, b) in buckets.iter_mut().zip(phase_buckets) {
+            *acc += b.as_num().unwrap_or(0.0);
+        }
+    }
+    if !merged.is_empty() {
+        let _ = writeln!(
+            out,
+            "per-socket access-latency histograms (32 log2-ns buckets):"
+        );
+        for ((socket, _, class), (count, sum_ns, buckets)) in &merged {
+            let mean = if *count > 0.0 { sum_ns / count } else { 0.0 };
+            // An empty histogram has no p95; render `-` rather than a
+            // `0 ns` that is indistinguishable from a real measurement.
+            let p95 = match try_percentile_from_counts(buckets, 0.95) {
+                Some(p) => format!("{p:>7.0}"),
+                None => format!("{:>7}", "-"),
+            };
+            let _ = writeln!(
+                out,
+                "  socket {socket:>3} {class:<10} count {count:>10} mean {mean:>7.0} ns p95 {p95} ns |{}|",
+                sparkline(buckets),
+            );
+        }
+    }
+
+    if !r.counters.is_empty() {
+        let _ = writeln!(
+            out,
             "substrate counters: {} keys (see --trace-out JSONL)",
-            section.counters.len() - 1
+            r.counters.len()
         );
     }
-    println!();
+    out.push('\n');
+    out
 }
 
 /// The `args` payload for a Chrome event: every journal field except the
@@ -1648,7 +1523,8 @@ fn chrome_from_sections(sections: &[TraceSection]) -> String {
 
 /// `starnuma inspect [<trace.jsonl>] [--top N] [--chrome PATH]
 /// [--profile PATH]`: renders a human summary of a `--trace-out` file —
-/// run identity, the per-phase migration-decision timeline, the
+/// run identity and result digest (to match each section to its ledger
+/// line), the per-phase migration-decision timeline, the
 /// most-migrated regions, and per-socket access-latency histograms — and
 /// can re-emit the journal as Chrome `trace_event` JSON for
 /// `about://tracing` / Perfetto. `--profile` renders a saved
@@ -1674,9 +1550,11 @@ pub fn cmd_inspect(args: &Args) -> Result<(), ArgError> {
         }
     };
     let top = args.get_u64("top", 10)? as usize;
-    let sections = parse_trace_file(path)?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+    let sections = parse_trace(path, &text)?;
     for section in &sections {
-        render_section(section, top);
+        print!("{}", render_section(section, top));
     }
     if let Some(out) = args.get("chrome") {
         write_out(out, &chrome_from_sections(&sections))?;
@@ -1688,6 +1566,59 @@ pub fn cmd_inspect(args: &Args) -> Result<(), ArgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Seeded fuzz of `inspect` (no input panics): 2,000 copies of a real
+    /// quick-scale BFS trace, each truncated or with one to three bytes
+    /// overwritten, go through the trace parser and the renderer. Each
+    /// must give an `ArgError` or text, never a panic, and both outcomes
+    /// must occur.
+    #[test]
+    fn damaged_traces_never_panic_inspect() {
+        use starnuma_types::SimRng;
+
+        let experiment = Experiment::new(Workload::Bfs, SystemKind::StarNuma, ScaleConfig::quick());
+        let observe = RunOptions {
+            observe: true,
+            ..RunOptions::default()
+        };
+        let (result, report) = experiment.run_with(&observe);
+        let report = report.expect("observed run");
+        let trace = trace_jsonl(&experiment.record(&result, &report), &report);
+        let intact = parse_trace("t.jsonl", &trace).expect("intact trace parses");
+        assert!(render_section(&intact[0], 10).contains("migration timeline:"));
+
+        let mut rng = SimRng::seed_from_u64(0x1A5_9EC7);
+        let (mut rendered, mut rejected) = (0, 0);
+        for case in 0..2_000 {
+            let mut bytes = trace.as_bytes().to_vec();
+            if rng.gen_bool(0.5) {
+                bytes.truncate(rng.gen_range(0..bytes.len()));
+            } else {
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] = rng.next_u64().to_le_bytes()[0];
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let outcome = std::panic::catch_unwind(|| {
+                parse_trace("t.jsonl", &text).map(|sections| {
+                    sections
+                        .iter()
+                        .map(|section| render_section(section, 10))
+                        .collect::<String>()
+                })
+            });
+            match outcome {
+                Ok(Ok(_)) => rendered += 1,
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panic!("case {case} panicked inspect"),
+            }
+        }
+        assert!(
+            rendered > 0 && rejected > 0,
+            "{rendered} rendered, {rejected} rejected"
+        );
+    }
 
     fn metrics(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()

@@ -17,9 +17,10 @@
 //! All simulation commands accept `--scale quick|default|full`,
 //! `--phases N`, `--instructions N`, `--seed N`, and `--jobs N` (worker
 //! threads for independent runs; `STARNUMA_JOBS` sets the default), plus
-//! the observability flags `--trace-out <path>` (structured JSONL event
-//! journal + latency histograms), `--metrics-out <path>` (per-phase and
-//! merged metrics JSON), and `--progress` (live run counts on stderr).
+//! the observability flags `--trace-out <path>` (per run: the run record
+//! line, the structured event journal, and per-phase latency histograms
+//! and counters), `--ledger <dir>` (the same run record appended to
+//! `<dir>/runs.jsonl`), and `--progress` (live run counts on stderr).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -109,7 +110,7 @@ commands:
                                        first-vs-latest (default: the file
                                        in the working directory, if any)
               --tolerance <frac>       bench regression band (default 0.2)
-              --json | --markdown      machine-readable / markdown output
+              --json                   machine-readable output
   bench-diff compare two bench-metric files (flat JSON object or
             BENCH_history.jsonl, keyed <bench>.<metric>, later lines
             superseding earlier):
@@ -117,9 +118,11 @@ commands:
             exits non-zero when a metric regresses beyond the band
             in its known-good direction (default tolerance 0.2) or
             when <new> lacks a key of <old>
-  inspect   summarize a --trace-out JSONL file: run identity, the
-            per-phase migration timeline, top migrated regions, and
-            per-socket access-latency histograms (mean + p95)
+  inspect   summarize a --trace-out JSONL file, one section per run:
+            run identity and result digest (matching its ledger
+            line), the per-phase migration timeline, top migrated
+            regions, and per-socket access-latency histograms summed
+            over phases (mean + p95)
               --top <n>                regions to list (default 10)
               --chrome <path>          also write Chrome trace_event JSON
                                        (open in about://tracing / Perfetto;
@@ -135,15 +138,16 @@ commands:
                                        (schema_version 2, findings array)
 
 common simulation flags:
-  --scale quick|default|full   --phases N   --instructions N   --seed N
+  --scale quick|default|full   --phases N   --instructions N
+  --seed N    base RNG seed, at most 2^53
   --jobs N    worker threads for independent runs (default: STARNUMA_JOBS,
               else all cores; results are bit-identical at any worker count)
 
 observability (run, compare, sweep):
-  --trace-out <path>    structured JSONL: events + per-socket histograms
-  --metrics-out <path>  per-phase + merged metrics JSON
+  --trace-out <path>    JSONL, one section per run: its run record line,
+                        then events and per-phase histograms + counters
   --progress            live `k/n runs complete` + ETA lines on stderr
-  --ledger <dir>        append one schema-versioned record per run to
+  --ledger <dir>        append each run's record (schema 2) to
                         <dir>/runs.jsonl (or set STARNUMA_LEDGER);
                         read it back with `starnuma report`
   --strict-monitors     exit non-zero if any online invariant monitor

@@ -201,6 +201,54 @@ fn inspect_handles_sparse_and_empty_traces() {
     );
 }
 
+/// Regression: `inspect` used to walk every phase number from 0 to the
+/// largest one an event names, so a corrupt `"phase":1e12` kept it busy
+/// indefinitely. It now visits only the phases that occur.
+#[test]
+fn inspect_renders_only_the_phases_that_occur() {
+    let out = starnuma()
+        .current_dir(fixtures())
+        .args(["inspect", "huge_phase_trace.jsonl"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "inspect failed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("  phase 1000000000000: | 1 regions -> 128 pages"),
+        "stdout: {stdout}"
+    );
+    assert_eq!(stdout.matches("  phase ").count(), 1, "stdout: {stdout}");
+}
+
+/// Regression: a negative count in a ledger line used to read back as 0,
+/// so `report` printed "0 violation(s)" and passed. A corrupt integer
+/// field now fails the report, naming the line.
+#[test]
+fn report_rejects_corrupt_integer_fields() {
+    let dir = temp_dir("starnuma-report-cli-corrupt");
+    let ledger = fs::read_to_string(fixtures().join("runs.jsonl")).expect("fixture ledger");
+    let mut lines: Vec<&str> = ledger.lines().collect();
+    let corrupt = lines[1].replacen("\"monitor.violations\":0", "\"monitor.violations\":-3", 1);
+    assert_ne!(corrupt, lines[1], "fixture carries the field");
+    lines[1] = &corrupt;
+    fs::write(dir.join("runs.jsonl"), lines.join("\n")).expect("write ledger");
+    let out = starnuma()
+        .current_dir(&dir)
+        .args(["report", "--ledger", "."])
+        .output()
+        .expect("binary runs");
+    assert!(
+        !out.status.success(),
+        "a corrupt count must fail the report"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("runs.jsonl:2: not a valid ledger record"),
+        "stderr: {stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// `inspect --chrome` on a real trace: every paired `phase_checkpoint`
 /// begin/end becomes one duration span lasting end seq − begin seq on its
 /// phase's track, the pairing marker stays out of `args`, and every other

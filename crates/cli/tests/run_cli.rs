@@ -60,3 +60,43 @@ fn zero_replication_matches_the_flagless_run() {
         }
     }
 }
+
+/// Regression: seeds above 2^53 lost precision in the run record (`u64::MAX`
+/// and `u64::MAX - 1` both wrote `18446744073709552000`), so `--seed` is
+/// capped at 2^53, which a trace and `inspect` carry exactly.
+#[test]
+fn seeds_are_capped_at_two_to_the_53_and_round_trip_there() {
+    let run = |seed: &str, extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_starnuma"))
+            .current_dir(std::env::temp_dir())
+            .args(["run", "--workload", "poa", "--scale", "quick"])
+            .args(["--phases", "1", "--instructions", "2000", "--jobs", "1"])
+            .args(["--seed", seed])
+            .args(extra)
+            .output()
+            .expect("binary runs")
+    };
+    for seed in ["18446744073709551615", "9007199254740993"] {
+        let out = run(seed, &[]);
+        assert!(!out.status.success(), "--seed {seed} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("at most 2^53"), "stderr: {stderr}");
+    }
+    let trace = std::env::temp_dir().join("starnuma-run-cli-seed.jsonl");
+    let trace_s = trace.to_str().expect("utf-8 path");
+    let out = run("9007199254740992", &["--trace-out", trace_s]);
+    assert!(out.status.success(), "--seed 2^53 must run: {out:?}");
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let run_line = text.lines().next().expect("run line");
+    assert!(
+        run_line.contains("\"seed\":9007199254740992,"),
+        "{run_line}"
+    );
+    let inspect = Command::new(env!("CARGO_BIN_EXE_starnuma"))
+        .args(["inspect", trace_s])
+        .output()
+        .expect("binary runs");
+    assert!(inspect.status.success());
+    assert!(String::from_utf8_lossy(&inspect.stdout).contains("seed 9007199254740992 "));
+    let _ = std::fs::remove_file(trace);
+}

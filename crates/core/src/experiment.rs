@@ -2,7 +2,7 @@
 //! experiment runner.
 
 use starnuma_migration::ReplicationConfig;
-use starnuma_obs::ObsReport;
+use starnuma_obs::{ClassSummary, LatencyHistogram, ObsReport, RunRecord, NUM_CLASSES};
 use starnuma_sim::{MigrationMode, Modality, RunConfig, RunOptions, RunResult, Runner};
 use starnuma_topology::{BandwidthVariant, SystemParams};
 use starnuma_trace::Workload;
@@ -213,6 +213,56 @@ impl Experiment {
         fnv1a_digest(format!("{:?}", self.run_config()).as_bytes())
     }
 
+    /// The run record of one observed run of this experiment: its identity
+    /// (workload, system, preset, seed, [`config_digest`](Self::config_digest),
+    /// package version, the global [`JobPool`]'s worker count), the FNV-1a
+    /// digest of `result`'s `Debug` rendering, its headline numbers, and
+    /// `report`'s monitor totals, per-class latency summaries and merged
+    /// counters. The host fields `wall_ns` and `top_sites` are left for
+    /// the caller to stamp.
+    pub fn record(&self, result: &RunResult, report: &ObsReport) -> RunRecord {
+        let merged = report.metrics.merged();
+        let mut overall = LatencyHistogram::default();
+        let mut by_class = [LatencyHistogram::default(); NUM_CLASSES];
+        for socket in &merged.sockets {
+            for (class, hist) in by_class.iter_mut().zip(&socket.class_hist) {
+                class.merge(hist);
+                overall.merge(hist);
+            }
+        }
+        let mut classes: Vec<ClassSummary> = report
+            .metrics
+            .class_labels()
+            .iter()
+            .zip(&by_class)
+            .map(|(label, hist)| ClassSummary::from_hist(label, hist))
+            .collect();
+        classes.sort_by(|a, b| a.label.cmp(&b.label));
+        RunRecord {
+            schema_version: starnuma_obs::LEDGER_SCHEMA_VERSION,
+            workload: self.workload.name().to_string(),
+            system: self.system.label().to_string(),
+            preset: self.scale.preset_label().to_string(),
+            jobs: JobPool::global().workers() as u64,
+            seed: self.scale.seed,
+            version: env!("CARGO_PKG_VERSION").to_string(),
+            config_digest: self.config_digest(),
+            result_digest: fnv1a_digest(format!("{result:?}").as_bytes()),
+            wall_ns: 0,
+            ipc: result.ipc,
+            amat_ns: result.amat_ns,
+            pages_migrated: result.pages_migrated,
+            pages_to_pool: result.pages_to_pool,
+            dropped_events: report.dropped_events,
+            monitor_checks: report.monitor.checks,
+            monitor_violations: report.monitor.violations.len() as u64,
+            overall: ClassSummary::from_hist("overall", &overall),
+            classes,
+            counters: merged.counters,
+            top_sites: Vec::new(),
+        }
+    }
+
     /// Runs the experiment to completion.
     pub fn run(&self) -> RunResult {
         self.run_with(&RunOptions::default()).0
@@ -258,32 +308,31 @@ impl Experiment {
 }
 
 /// Runs `workload` on `system` and on the §V-A baseline (in parallel on
-/// the global [`JobPool`]), both under `opts`, returning `(speedup, system
-/// result, baseline result, system report, baseline report)`.
+/// the global [`JobPool`]), both under `opts`, returning the speedup, the
+/// system's result, and — when `opts` observes — the system run's
+/// [`record`](Experiment::record) and report.
 pub fn speedup_vs_baseline(
     workload: Workload,
     system: SystemKind,
     scale: &ScaleConfig,
     opts: &RunOptions,
-) -> (
-    f64,
-    RunResult,
-    RunResult,
-    Option<ObsReport>,
-    Option<ObsReport>,
-) {
-    let mut results = JobPool::global().run(vec![SystemKind::Baseline, system], |_, kind| {
-        Experiment::new(workload, kind, scale.clone()).run_with(opts)
-    });
+) -> (f64, RunResult, Option<(RunRecord, ObsReport)>) {
+    let sys_experiment = Experiment::new(workload, system, scale.clone());
+    let pair = vec![
+        Experiment::new(workload, SystemKind::Baseline, scale.clone()),
+        sys_experiment.clone(),
+    ];
+    let mut results = JobPool::global().run(pair, |_, e| e.run_with(opts));
     // The pool returns exactly one result per job, in input order.
     let (sys, sys_report) = results.remove(1);
-    let (base, base_report) = results.remove(0);
+    let (base, _) = results.remove(0);
     let speedup = if base.ipc > 0.0 {
         sys.ipc / base.ipc
     } else {
         0.0
     };
-    (speedup, sys, base, sys_report, base_report)
+    let observed = sys_report.map(|rep| (sys_experiment.record(&sys, &rep), rep));
+    (speedup, sys, observed)
 }
 
 #[cfg(test)]

@@ -58,6 +58,15 @@ impl ScaleConfig {
         }
     }
 
+    /// The §V-G preset label (`SC1`/`SC2`/`SC3`) a run record carries.
+    pub fn preset_label(&self) -> &'static str {
+        match self.preset {
+            ScalePreset::Sc1 => "SC1",
+            ScalePreset::Sc2 => "SC2",
+            ScalePreset::Sc3 => "SC3",
+        }
+    }
+
     /// Reads `STARNUMA_SCALE` (`quick`, `default`, `full`); unset defaults
     /// to [`ScaleConfig::default_scale`].
     ///

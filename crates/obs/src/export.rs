@@ -1,12 +1,11 @@
-//! Exporters: the JSONL trace journal and the metrics JSON document — plus
-//! [`parse_flat_object`], the flat-line reader `starnuma inspect`, the
-//! ledger and the bench-history loader share.
+//! The trace exporter, [`trace_jsonl`], plus [`parse_flat_object`], the
+//! flat-line reader `starnuma inspect`, the ledger and the bench-history
+//! loader share.
 //!
-//! Both exporters stream text through the workspace codec's writers
+//! The exporter streams text through the workspace codec's writers
 //! ([`json::write_str`], [`json::write_num`]) rather than building a
-//! [`Json`] tree, because their counters are `u64`. Output is
-//! deterministic: counters come from `BTreeMap`s and nothing consults the
-//! host clock.
+//! [`Json`] tree, because its counters are `u64`. Output is deterministic:
+//! counters come from `BTreeMap`s and nothing consults the host clock.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,26 +13,9 @@ use std::fmt::Write as _;
 use starnuma_types::json::{self, Json};
 
 use crate::journal::{Event, FieldValue};
-use crate::metrics::{LatencyHistogram, MetricsFrame, MetricsRegistry};
+use crate::ledger::RunRecord;
+use crate::metrics::LatencyHistogram;
 use crate::sink::ObsReport;
-
-/// Self-describing run identity stamped into every export.
-#[derive(Clone, PartialEq, Debug)]
-pub struct RunMeta {
-    /// Workload label (e.g. `bc-web`).
-    pub workload: String,
-    /// System label (e.g. `starnuma-dyn`).
-    pub system: String,
-    /// Scale preset label (`SC1`/`SC2`/`SC3`).
-    pub preset: String,
-    /// Worker count the harness ran with.
-    pub jobs: u64,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Package version string (no git-describe, so builds stay
-    /// reproducible).
-    pub version: String,
-}
 
 fn field(key: &str, value: &FieldValue, out: &mut String) {
     json::write_str(out, key);
@@ -45,18 +27,6 @@ fn field(key: &str, value: &FieldValue, out: &mut String) {
         FieldValue::F64(f) => json::write_num(out, *f),
         FieldValue::Str(s) => json::write_str(out, s),
     }
-}
-
-fn meta_fields(meta: &RunMeta, out: &mut String) {
-    out.push_str("\"workload\":");
-    json::write_str(out, &meta.workload);
-    out.push_str(",\"system\":");
-    json::write_str(out, &meta.system);
-    out.push_str(",\"preset\":");
-    json::write_str(out, &meta.preset);
-    let _ = write!(out, ",\"jobs\":{},\"seed\":{}", meta.jobs, meta.seed);
-    out.push_str(",\"version\":");
-    json::write_str(out, &meta.version);
 }
 
 fn event_line(e: &Event, out: &mut String) {
@@ -76,8 +46,11 @@ fn event_line(e: &Event, out: &mut String) {
     out.push_str("}\n");
 }
 
-fn hist_line(socket: usize, label: &str, h: &LatencyHistogram, out: &mut String) {
-    let _ = write!(out, "{{\"type\":\"hist\",\"socket\":{socket},\"class\":");
+fn hist_line(phase: u32, socket: usize, label: &str, h: &LatencyHistogram, out: &mut String) {
+    let _ = write!(
+        out,
+        "{{\"type\":\"hist\",\"phase\":{phase},\"socket\":{socket},\"class\":"
+    );
     json::write_str(out, label);
     let _ = write!(out, ",\"count\":{},\"mean_ns\":", h.count());
     json::write_num(out, h.mean_ns());
@@ -91,104 +64,35 @@ fn hist_line(socket: usize, label: &str, h: &LatencyHistogram, out: &mut String)
     out.push_str("]}\n");
 }
 
-/// Renders a run's journal and merged metrics as self-describing JSONL:
-/// one `meta` line, one `event` line per retained event, one `hist` line
-/// per non-empty (socket, class) histogram of the merged run, and one
-/// `counters` line. This is the format `starnuma inspect` consumes.
-pub fn trace_jsonl(meta: &RunMeta, report: &ObsReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\"type\":\"meta\",");
-    meta_fields(meta, &mut out);
-    let _ = writeln!(
-        out,
-        ",\"events\":{},\"dropped_events\":{}}}",
-        report.events.len(),
-        report.dropped_events
-    );
+/// Renders one run's trace section as self-describing JSONL: the run's
+/// [`RunRecord`] line (`"type":"run"`), one `event` line per retained
+/// event, then per phase one `hist` line per non-empty (socket, class)
+/// histogram and one `counters` line. Summing the phases' `hist` lines
+/// gives the whole-run histograms; the record carries the merged counters.
+/// This is the format `starnuma inspect` consumes.
+pub fn trace_jsonl(record: &RunRecord, report: &ObsReport) -> String {
+    let mut out = record.to_json_line();
+    out.push('\n');
     for e in &report.events {
         event_line(e, &mut out);
     }
-    let merged = report.metrics.merged();
     let labels = report.metrics.class_labels();
-    for (socket, sm) in merged.sockets.iter().enumerate() {
-        for (class, h) in sm.class_hist.iter().enumerate() {
-            if h.count() > 0 {
-                hist_line(socket, labels[class], h, &mut out);
-            }
-        }
-    }
-    out.push_str("{\"type\":\"counters\"");
-    for (k, v) in &merged.counters {
-        out.push(',');
-        json::write_str(&mut out, k);
-        let _ = write!(out, ":{v}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-fn frame_json(
-    frame: &MetricsFrame,
-    labels: [&'static str; crate::metrics::NUM_CLASSES],
-    out: &mut String,
-) {
-    let _ = write!(out, "{{\"phase\":{},\"sockets\":[", frame.phase);
-    for (si, sm) in frame.sockets.iter().enumerate() {
-        if si > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        let mut first = true;
-        for (ci, h) in sm.class_hist.iter().enumerate() {
-            if h.count() == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            json::write_str(out, labels[ci]);
-            let _ = write!(out, ":{{\"count\":{},\"mean_ns\":", h.count());
-            json::write_num(out, h.mean_ns());
-            out.push_str(",\"buckets\":[");
-            for (i, b) in h.buckets().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+    for frame in report.metrics.frames() {
+        for (socket, sm) in frame.sockets.iter().enumerate() {
+            for (class, h) in sm.class_hist.iter().enumerate() {
+                if h.count() > 0 {
+                    hist_line(frame.phase, socket, labels[class], h, &mut out);
                 }
-                let _ = write!(out, "{b}");
             }
-            out.push_str("]}");
         }
-        out.push('}');
-    }
-    out.push_str("],\"counters\":{");
-    for (i, (k, v)) in frame.counters.iter().enumerate() {
-        if i > 0 {
+        let _ = write!(out, "{{\"type\":\"counters\",\"phase\":{}", frame.phase);
+        for (k, v) in &frame.counters {
             out.push(',');
+            json::write_str(&mut out, k);
+            let _ = write!(out, ":{v}");
         }
-        json::write_str(out, k);
-        let _ = write!(out, ":{v}");
+        out.push_str("}\n");
     }
-    out.push_str("}}");
-}
-
-/// Renders the full metrics registry (per-phase frames plus the merged
-/// whole-run frame) as one JSON object.
-pub fn metrics_json(meta: &RunMeta, registry: &MetricsRegistry) -> String {
-    let labels = registry.class_labels();
-    let mut out = String::new();
-    out.push_str("{\"meta\":{");
-    meta_fields(meta, &mut out);
-    out.push_str("},\"phases\":[");
-    for (i, frame) in registry.frames().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        frame_json(frame, labels, &mut out);
-    }
-    out.push_str("],\"merged\":");
-    frame_json(&registry.merged(), labels, &mut out);
-    out.push('}');
     out
 }
 
@@ -216,19 +120,39 @@ pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Json>> {
 mod tests {
     use super::*;
     use crate::journal::{EventCategory, EventLevel};
+    use crate::ledger::ClassSummary;
     use crate::metrics::NUM_CLASSES;
     use crate::sink::ObsSink;
 
     const LABELS: [&str; NUM_CLASSES] = ["local", "1hop", "2hop", "pool", "bts", "btp"];
 
-    fn meta() -> RunMeta {
-        RunMeta {
+    fn record() -> RunRecord {
+        let overall = ClassSummary {
+            label: "overall".to_string(),
+            ..ClassSummary::default()
+        };
+        RunRecord {
+            schema_version: crate::LEDGER_SCHEMA_VERSION,
             workload: "bc-web".to_string(),
             system: "starnuma-dyn".to_string(),
             preset: "SC1".to_string(),
             jobs: 4,
             seed: 42,
             version: "0.1.0".to_string(),
+            config_digest: 1,
+            result_digest: 2,
+            wall_ns: 0,
+            ipc: 1.5,
+            amat_ns: 200.0,
+            pages_migrated: 0,
+            pages_to_pool: 0,
+            dropped_events: 0,
+            monitor_checks: 1,
+            monitor_violations: 0,
+            overall,
+            classes: Vec::new(),
+            counters: BTreeMap::new(),
+            top_sites: Vec::new(),
         }
     }
 
@@ -256,52 +180,42 @@ mod tests {
 
     #[test]
     fn trace_jsonl_round_trips_through_the_parser() {
-        let text = trace_jsonl(&meta(), &sample_report());
+        let text = trace_jsonl(&record(), &sample_report());
         let lines: Vec<&str> = text.lines().collect();
-        // meta + 1 event + 2 hists + counters
+        // run + 1 event + 2 phase-0 hists + the phase-0 counters
         assert_eq!(lines.len(), 5);
         for line in &lines {
             let obj = parse_flat_object(line).expect("every line parses");
             assert!(obj.contains_key("type"));
         }
-        let meta_obj = parse_flat_object(lines[0]).unwrap();
-        assert_eq!(meta_obj["type"].as_str(), Some("meta"));
-        assert_eq!(meta_obj["preset"].as_str(), Some("SC1"));
-        assert_eq!(meta_obj["jobs"].as_num(), Some(4.0));
+        assert_eq!(RunRecord::from_json_line(lines[0]), Some(record()));
         let ev = parse_flat_object(lines[1]).unwrap();
         assert_eq!(ev["name"].as_str(), Some("region_migrated"));
         assert_eq!(ev["dest"].as_str(), Some("pool"));
         assert_eq!(ev["frac"].as_num(), Some(0.25));
         let hist = parse_flat_object(lines[2]).unwrap();
+        assert_eq!(hist["phase"].as_num(), Some(0.0));
         assert_eq!(hist["class"].as_str(), Some("1hop"));
         let buckets = hist["buckets"].as_array().expect("buckets array");
         assert_eq!(buckets.len(), crate::metrics::HIST_BUCKETS);
         assert_eq!(buckets.iter().filter_map(Json::as_num).sum::<f64>(), 1.0);
         let counters = parse_flat_object(lines[4]).unwrap();
+        assert_eq!(counters["type"].as_str(), Some("counters"));
+        assert_eq!(counters["phase"].as_num(), Some(0.0));
         assert_eq!(counters["dir.transactions"].as_num(), Some(12.0));
     }
 
-    #[test]
-    fn metrics_json_contains_phases_and_merged() {
-        let text = metrics_json(&meta(), &sample_report().metrics);
-        assert!(text.starts_with("{\"meta\":{"));
-        assert!(text.contains("\"phases\":["));
-        assert!(text.contains("\"merged\":"));
-        assert!(text.contains("\"1hop\":{\"count\":1"));
-        assert!(text.contains("\"dir.transactions\":12"));
-    }
-
-    /// Regression: a control char in a meta string must leave the trace
-    /// escaped (raw bytes would be invalid JSON and break `starnuma
+    /// Regression: a control char in a run-line string must leave the
+    /// trace escaped (raw bytes would be invalid JSON and break `starnuma
     /// inspect` and Perfetto import) and read back unchanged.
     #[test]
-    fn control_chars_in_meta_strings_round_trip() {
-        let mut m = meta();
-        m.workload = "bc\u{8}web".to_string();
-        let text = trace_jsonl(&m, &sample_report());
-        let meta_obj = parse_flat_object(text.lines().next().expect("meta line"))
-            .expect("meta line with control char parses");
-        assert_eq!(meta_obj["workload"].as_str(), Some("bc\u{8}web"));
+    fn control_chars_in_run_line_strings_round_trip() {
+        let mut r = record();
+        r.workload = "bc\u{8}web".to_string();
+        let text = trace_jsonl(&r, &sample_report());
+        let head = RunRecord::from_json_line(text.lines().next().expect("run line"))
+            .expect("run line with control char parses");
+        assert_eq!(head.workload, "bc\u{8}web");
     }
 
     #[test]

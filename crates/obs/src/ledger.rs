@@ -1,19 +1,25 @@
-//! The run ledger: one append-only JSONL record per completed run.
+//! The run record: one flat JSONL line per completed run, the single
+//! summary every per-run output points to.
 //!
 //! `starnuma run/compare/sweep --ledger DIR` append a [`RunRecord`] per
-//! run to `DIR/runs.jsonl`; `starnuma report` reads the file back and
-//! renders cross-run trends and determinism-drift flags. Records are
-//! *flat* JSON objects (dotted keys, like the bench history file), written
-//! with the workspace codec's writers ([`starnuma_types::json`]) and read
-//! back with [`parse_flat_object`](crate::parse_flat_object). Every field
-//! is deterministic except `wall_ns`, which callers obtain from the
-//! sanctioned `SessionTimer` path and pass in explicitly — determinism
-//! tests pass a fixed value and byte-compare whole lines.
+//! run to `DIR/runs.jsonl`, and the same line heads the run's section of a
+//! `--trace-out` file ([`trace_jsonl`](crate::trace_jsonl)); `starnuma
+//! report` reads the ledger back and renders cross-run trends and
+//! determinism-drift flags, `starnuma inspect` reads the trace header.
+//! Records are *flat* JSON objects (dotted keys, like the bench history
+//! file), written with the workspace codec's writers
+//! ([`starnuma_types::json`]) and read back with
+//! [`parse_flat_object`](crate::parse_flat_object). Every field is a pure
+//! function of the run's configuration except the host fields `jobs`,
+//! `wall_ns` and `site.*`; determinism tests pin those and byte-compare
+//! whole lines.
 //!
 //! 64-bit digests travel as `"0x..."` hex strings: JSON numbers are
-//! `f64` and silently lose integer precision above 2^53. A non-finite
-//! float (IPC, AMAT, a percentile) is written as `null` and read back as
-//! NaN, so a line still re-renders byte-identically.
+//! `f64` and silently lose integer precision above 2^53, so every integer
+//! field must be a non-negative integer no larger than 2^53 or the line
+//! is rejected. A non-finite float (IPC, AMAT, a percentile) is written as
+//! `null` and read back as NaN, so a line still re-renders
+//! byte-identically.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -22,16 +28,18 @@ use std::path::{Path, PathBuf};
 use starnuma_types::json::{self, Json};
 use starnuma_types::{digest_hex, parse_digest_hex};
 
-use crate::export::{parse_flat_object, RunMeta};
+use crate::export::parse_flat_object;
 use crate::metrics::LatencyHistogram;
-use crate::monitor::MonitorReport;
-use crate::sink::ObsReport;
 
-/// Version stamped into (and required of) every ledger line.
-pub const LEDGER_SCHEMA_VERSION: u64 = 1;
+/// Version stamped into (and required of) every record line.
+pub const LEDGER_SCHEMA_VERSION: u64 = 2;
 
 /// File name appended to the ledger directory.
 pub const LEDGER_FILE: &str = "runs.jsonl";
+
+/// The largest integer a record field may hold: every integer up to 2^53
+/// survives the codec's `f64` numbers exactly.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// Latency summary for one access class (or the all-class merge).
 /// Percentiles are 0 when `count` is 0 — the JSON rendering omits them
@@ -51,7 +59,8 @@ pub struct ClassSummary {
 }
 
 impl ClassSummary {
-    fn from_hist(label: &str, hist: &LatencyHistogram) -> Self {
+    /// Summarizes `hist` under `label`.
+    pub fn from_hist(label: &str, hist: &LatencyHistogram) -> Self {
         ClassSummary {
             label: label.to_string(),
             count: hist.count(),
@@ -73,33 +82,8 @@ pub struct SiteSummary {
     pub calls: u64,
 }
 
-/// Per-run scalars the CLI supplies alongside the [`ObsReport`]: the
-/// digests, result headline numbers, wall time, and profiler sites the
-/// observability layer cannot compute itself.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct RunExtras {
-    /// FNV-1a digest of the run configuration's Debug rendering.
-    pub config_digest: u64,
-    /// FNV-1a digest of the `RunResult` Debug rendering.
-    pub result_digest: u64,
-    /// Host wall time for the run, from `SessionTimer` (the one
-    /// sanctioned wall-clock path). Not deterministic; pass 0 in
-    /// determinism tests.
-    pub wall_ns: u64,
-    /// End-to-end instructions per cycle.
-    pub ipc: f64,
-    /// Average memory access time in ns.
-    pub amat_ns: f64,
-    /// Pages migrated over the whole run.
-    pub pages_migrated: u64,
-    /// Pages migrated into the CXL pool.
-    pub pages_to_pool: u64,
-    /// Top profiler sites by attributed time (empty when profiling was
-    /// off).
-    pub top_sites: Vec<SiteSummary>,
-}
-
-/// One completed run, as persisted in the ledger.
+/// One completed run, as persisted in the ledger and at the head of its
+/// trace section.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RunRecord {
     /// Ledger schema version ([`LEDGER_SCHEMA_VERSION`]).
@@ -110,7 +94,7 @@ pub struct RunRecord {
     pub system: String,
     /// Scale preset label.
     pub preset: String,
-    /// Worker count the harness ran with.
+    /// Worker count the harness ran with (a host field).
     pub jobs: u64,
     /// Base RNG seed.
     pub seed: u64,
@@ -120,7 +104,8 @@ pub struct RunRecord {
     pub config_digest: u64,
     /// FNV-1a digest of the `RunResult`.
     pub result_digest: u64,
-    /// Host wall time in ns (0 in determinism fixtures).
+    /// Host wall time of the command in ns (a host field; 0 in
+    /// determinism fixtures).
     pub wall_ns: u64,
     /// End-to-end IPC.
     pub ipc: f64,
@@ -130,6 +115,8 @@ pub struct RunRecord {
     pub pages_migrated: u64,
     /// Pages migrated into the CXL pool.
     pub pages_to_pool: u64,
+    /// Journal events the ring buffer shed.
+    pub dropped_events: u64,
     /// Phase barriers the monitors evaluated.
     pub monitor_checks: u64,
     /// Monitor violations over the run.
@@ -140,114 +127,61 @@ pub struct RunRecord {
     pub classes: Vec<ClassSummary>,
     /// Merged substrate counters.
     pub counters: BTreeMap<String, u64>,
-    /// Top profiler sites, sorted by label.
+    /// Top profiler sites, sorted by label (host fields; empty when the
+    /// profiler was off).
     pub top_sites: Vec<SiteSummary>,
 }
 
 impl RunRecord {
-    /// Builds a record from a run's identity, its observability report,
-    /// and the CLI-supplied extras.
-    pub fn from_observed(
-        meta: &RunMeta,
-        report: &ObsReport,
-        monitor: &MonitorReport,
-        extras: &RunExtras,
-    ) -> Self {
-        let merged = report.metrics.merged();
-        let labels = report.metrics.class_labels();
-        let mut overall_hist = LatencyHistogram::default();
-        let mut class_hists = [LatencyHistogram::default(); crate::NUM_CLASSES];
-        for socket in &merged.sockets {
-            for (i, hist) in socket.class_hist.iter().enumerate() {
-                class_hists[i].merge(hist);
-                overall_hist.merge(hist);
-            }
-        }
-        let mut classes: Vec<ClassSummary> = labels
-            .iter()
-            .zip(class_hists.iter())
-            .map(|(label, hist)| ClassSummary::from_hist(label, hist))
-            .collect();
-        classes.sort_by(|a, b| a.label.cmp(&b.label));
-        let mut top_sites = extras.top_sites.clone();
-        top_sites.sort_by(|a, b| a.label.cmp(&b.label));
-        RunRecord {
-            schema_version: LEDGER_SCHEMA_VERSION,
-            workload: meta.workload.clone(),
-            system: meta.system.clone(),
-            preset: meta.preset.clone(),
-            jobs: meta.jobs,
-            seed: meta.seed,
-            version: meta.version.clone(),
-            config_digest: extras.config_digest,
-            result_digest: extras.result_digest,
-            wall_ns: extras.wall_ns,
-            ipc: extras.ipc,
-            amat_ns: extras.amat_ns,
-            pages_migrated: extras.pages_migrated,
-            pages_to_pool: extras.pages_to_pool,
-            monitor_checks: monitor.checks,
-            monitor_violations: monitor.violations.len() as u64,
-            overall: ClassSummary::from_hist("overall", &overall_hist),
-            classes,
-            counters: merged.counters,
-            top_sites,
-        }
-    }
-
-    /// Renders the record as one flat JSON line (no trailing newline).
-    /// Field order is fixed, so identical records render byte-identically.
+    /// Renders the record as one flat JSON line (no trailing newline),
+    /// starting `{"type":"run",`. Field order is fixed, so identical records
+    /// render byte-identically.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(512);
-        out.push('{');
-        push_num(&mut out, "schema_version", self.schema_version as f64);
+        out.push_str("{\"type\":\"run\"");
+        push_int(&mut out, "schema_version", self.schema_version);
         push_str(&mut out, "workload", &self.workload);
         push_str(&mut out, "system", &self.system);
         push_str(&mut out, "preset", &self.preset);
-        push_num(&mut out, "jobs", self.jobs as f64);
-        push_num(&mut out, "seed", self.seed as f64);
+        push_int(&mut out, "jobs", self.jobs);
+        push_int(&mut out, "seed", self.seed);
         push_str(&mut out, "version", &self.version);
         push_str(&mut out, "config_digest", &digest_hex(self.config_digest));
         push_str(&mut out, "result_digest", &digest_hex(self.result_digest));
-        push_num(&mut out, "wall_ns", self.wall_ns as f64);
+        push_int(&mut out, "wall_ns", self.wall_ns);
         push_num(&mut out, "ipc", self.ipc);
         push_num(&mut out, "amat_ns", self.amat_ns);
-        push_num(&mut out, "pages_migrated", self.pages_migrated as f64);
-        push_num(&mut out, "pages_to_pool", self.pages_to_pool as f64);
-        push_num(&mut out, "monitor.checks", self.monitor_checks as f64);
-        push_num(
-            &mut out,
-            "monitor.violations",
-            self.monitor_violations as f64,
-        );
+        push_int(&mut out, "pages_migrated", self.pages_migrated);
+        push_int(&mut out, "pages_to_pool", self.pages_to_pool);
+        push_int(&mut out, "dropped_events", self.dropped_events);
+        push_int(&mut out, "monitor.checks", self.monitor_checks);
+        push_int(&mut out, "monitor.violations", self.monitor_violations);
         push_summary(&mut out, "overall", &self.overall);
         for class in &self.classes {
             push_summary(&mut out, &format!("class.{}", class.label), class);
         }
         for (key, value) in &self.counters {
-            push_num(&mut out, &format!("counter.{key}"), *value as f64);
+            push_int(&mut out, &format!("counter.{key}"), *value);
         }
         for site in &self.top_sites {
-            push_num(&mut out, &format!("site.{}.ns", site.label), site.ns as f64);
-            push_num(
-                &mut out,
-                &format!("site.{}.calls", site.label),
-                site.calls as f64,
-            );
+            push_int(&mut out, &format!("site.{}.ns", site.label), site.ns);
+            push_int(&mut out, &format!("site.{}.calls", site.label), site.calls);
         }
         out.push('}');
         out
     }
 
-    /// Parses a line written by [`to_json_line`]. `None` on syntax
-    /// errors, missing identity fields, or a schema version this build
-    /// does not understand.
+    /// Parses a line written by [`to_json_line`](Self::to_json_line).
+    /// `None` on syntax errors, a missing `"type":"run"` or identity
+    /// field, a schema version this build does not understand, or an
+    /// integer field that is negative, fractional, non-finite or above
+    /// [`MAX_EXACT_INT`].
     pub fn from_json_line(line: &str) -> Option<Self> {
         let map = parse_flat_object(line)?;
         let num = |key: &str| -> Option<f64> { float(map.get(key)?) };
-        let int = |key: &str| -> Option<u64> { map.get(key)?.as_num().map(to_u64) };
+        let int = |key: &str| -> Option<u64> { exact_int(map.get(key)?) };
         let text = |key: &str| -> Option<String> { Some(map.get(key)?.as_str()?.to_string()) };
-        if int("schema_version")? != LEDGER_SCHEMA_VERSION {
+        if map.get("type")?.as_str()? != "run" || int("schema_version")? != LEDGER_SCHEMA_VERSION {
             return None;
         }
         let mut classes: BTreeMap<String, ClassSummary> = BTreeMap::new();
@@ -262,9 +196,9 @@ impl RunRecord {
                         label: label.to_string(),
                         ..ClassSummary::default()
                     });
-                apply_summary_field(entry, field, float(value)?)?;
+                apply_summary_field(entry, field, value)?;
             } else if let Some(rest) = key.strip_prefix("counter.") {
-                counters.insert(rest.to_string(), to_u64(value.as_num()?));
+                counters.insert(rest.to_string(), exact_int(value)?);
             } else if let Some(rest) = key.strip_prefix("site.") {
                 let (label, field) = rest.rsplit_once('.')?;
                 let entry = sites.entry(label.to_string()).or_insert(SiteSummary {
@@ -273,8 +207,8 @@ impl RunRecord {
                     calls: 0,
                 });
                 match field {
-                    "ns" => entry.ns = to_u64(value.as_num()?),
-                    "calls" => entry.calls = to_u64(value.as_num()?),
+                    "ns" => entry.ns = exact_int(value)?,
+                    "calls" => entry.calls = exact_int(value)?,
                     _ => return None,
                 }
             }
@@ -302,6 +236,7 @@ impl RunRecord {
             amat_ns: num("amat_ns")?,
             pages_migrated: int("pages_migrated")?,
             pages_to_pool: int("pages_to_pool")?,
+            dropped_events: int("dropped_events")?,
             monitor_checks: int("monitor.checks")?,
             monitor_violations: int("monitor.violations")?,
             overall,
@@ -325,22 +260,20 @@ impl RunRecord {
     }
 }
 
-/// `f64` → `u64` for JSON counts: clamps negatives and non-finite
-/// values to 0 (ledger counts are always small non-negative integers).
-fn to_u64(v: f64) -> u64 {
-    if v.is_finite() && v >= 0.0 {
-        v as u64
-    } else {
-        0
-    }
+/// An integer field's value: `None` unless it is a non-negative integer
+/// no larger than [`MAX_EXACT_INT`] — a negative, fractional or
+/// non-finite count is corruption, not a number to clamp.
+fn exact_int(value: &Json) -> Option<u64> {
+    let v = value.as_num()?;
+    (v >= 0.0 && v.fract() == 0.0 && v <= MAX_EXACT_INT as f64).then_some(v as u64)
 }
 
-fn apply_summary_field(c: &mut ClassSummary, field: &str, value: f64) -> Option<()> {
+fn apply_summary_field(c: &mut ClassSummary, field: &str, value: &Json) -> Option<()> {
     match field {
-        "count" => c.count = to_u64(value),
-        "p50_ns" => c.p50_ns = value,
-        "p95_ns" => c.p95_ns = value,
-        "p99_ns" => c.p99_ns = value,
+        "count" => c.count = exact_int(value)?,
+        "p50_ns" => c.p50_ns = float(value)?,
+        "p95_ns" => c.p95_ns = float(value)?,
+        "p99_ns" => c.p99_ns = float(value)?,
         _ => return None,
     }
     Some(())
@@ -372,8 +305,12 @@ fn push_num(out: &mut String, key: &str, value: f64) {
     json::write_num(out, value);
 }
 
+fn push_int(out: &mut String, key: &str, value: u64) {
+    push_num(out, key, value as f64);
+}
+
 fn push_summary(out: &mut String, prefix: &str, c: &ClassSummary) {
-    push_num(out, &format!("{prefix}.count"), c.count as f64);
+    push_int(out, &format!("{prefix}.count"), c.count);
     if c.count > 0 {
         push_num(out, &format!("{prefix}.p50_ns"), c.p50_ns);
         push_num(out, &format!("{prefix}.p95_ns"), c.p95_ns);
@@ -401,6 +338,7 @@ mod tests {
             amat_ns: 97.5,
             pages_migrated: 100,
             pages_to_pool: 60,
+            dropped_events: 1,
             monitor_checks: 2,
             monitor_violations: 0,
             overall: ClassSummary {
@@ -459,12 +397,56 @@ mod tests {
     }
 
     #[test]
-    fn unknown_schema_version_is_rejected() {
-        let line =
-            sample()
-                .to_json_line()
-                .replacen("\"schema_version\":1", "\"schema_version\":99", 1);
-        assert!(RunRecord::from_json_line(&line).is_none());
+    fn unknown_schema_version_or_type_is_rejected() {
+        let line = sample().to_json_line();
+        assert!(line.starts_with("{\"type\":\"run\",\"schema_version\":2,"));
+        for (from, to) in [
+            ("\"schema_version\":2", "\"schema_version\":1"),
+            ("\"schema_version\":2", "\"schema_version\":99"),
+            ("\"type\":\"run\"", "\"type\":\"meta\""),
+            ("\"type\":\"run\",", ""),
+        ] {
+            let bad = line.replacen(from, to, 1);
+            assert!(RunRecord::from_json_line(&bad).is_none(), "{bad}");
+        }
+    }
+
+    /// Regression: a negative, fractional or huge integer field used to be
+    /// clamped or truncated into a valid-looking count (`-3` violations
+    /// read back as 0). Every integer field now rejects the whole line.
+    #[test]
+    fn corrupt_integer_fields_reject_the_line() {
+        let line = sample().to_json_line();
+        for (field, good) in [
+            ("\"monitor.violations\":", "0"),
+            ("\"seed\":", "42"),
+            ("\"jobs\":", "4"),
+            ("\"dropped_events\":", "1"),
+            ("\"class.local.count\":", "3"),
+            ("\"counter.dir.transactions\":", "7"),
+            ("\"site.timing.calls\":", "2"),
+        ] {
+            let intact = format!("{field}{good}");
+            assert!(line.contains(&intact), "{intact} not in {line}");
+            for bad in ["-3", "0.5", "1e300"] {
+                let corrupt = line.replacen(&intact, &format!("{field}{bad}"), 1);
+                assert!(
+                    RunRecord::from_json_line(&corrupt).is_none(),
+                    "{field}{bad} read back as a record"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn seeds_round_trip_exactly_up_to_two_to_the_53() {
+        let mut rec = sample();
+        rec.seed = MAX_EXACT_INT;
+        let line = rec.to_json_line();
+        assert!(line.contains("\"seed\":9007199254740992,"), "{line}");
+        assert_eq!(RunRecord::from_json_line(&line), Some(rec));
+        let above = line.replacen("9007199254740992", "9007199254740994", 1);
+        assert!(RunRecord::from_json_line(&above).is_none());
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //! * a **structured event journal** ([`EventJournal`]): ring-buffered,
 //!   severity- and category-tagged records for migration decisions,
 //!   threshold crossings, pool-capacity pressure, and checkpoint events.
-//! * **exporters** ([`trace_jsonl`], [`metrics_json`]): a self-describing
-//!   JSONL journal and a metrics JSON document, written through the
-//!   workspace codec ([`starnuma_types::json`]) — plus
+//! * **one run record** ([`RunRecord`]): the flat JSON line that states a
+//!   run's identity and summary (digests, IPC, AMAT, monitor totals,
+//!   per-class latency percentiles, merged counters). The run ledger
+//!   appends it, and it heads the run's section of the trace.
+//! * **one export** ([`trace_jsonl`]): the record line, then the journal's
+//!   `event` lines and per-phase `hist` and `counters` lines, written
+//!   through the workspace codec ([`starnuma_types::json`]) — plus
 //!   [`parse_flat_object`], the flat-line reader `starnuma inspect` (which
 //!   also converts a trace to Chrome `trace_event` JSON), the run ledger
 //!   and the bench-history loader share.
@@ -53,10 +57,10 @@ mod metrics;
 mod monitor;
 mod sink;
 
-pub use export::{metrics_json, parse_flat_object, trace_jsonl, RunMeta};
+pub use export::{parse_flat_object, trace_jsonl};
 pub use journal::{Event, EventCategory, EventJournal, EventLevel, FieldValue};
 pub use ledger::{
-    ClassSummary, RunExtras, RunRecord, SiteSummary, LEDGER_FILE, LEDGER_SCHEMA_VERSION,
+    ClassSummary, RunRecord, SiteSummary, LEDGER_FILE, LEDGER_SCHEMA_VERSION, MAX_EXACT_INT,
 };
 pub use metrics::{
     percentile_from_counts, try_percentile_from_counts, LatencyHistogram, MetricsFrame,

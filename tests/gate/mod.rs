@@ -10,9 +10,10 @@
 //! (whose §IV-C candidate pair fans out on the pool itself) and T0. A
 //! [`cell`] fans the rows out with [`JobPool::run`], so at `jobs 4` the
 //! runs execute on worker threads and the profiler's cross-thread flush is
-//! exercised. Every observed row's digest over (result, trace JSONL,
-//! metrics JSON) is pinned in [`GOLDEN`], so each cell is checked against
-//! the same table wherever it runs.
+//! exercised. Every observed row's digest over its trace JSONL — headed by
+//! the row's run record, which carries the result digest — is pinned in
+//! [`GOLDEN`], so each cell is checked against the same table wherever it
+//! runs.
 //!
 //! Each gate file runs the cells it needs in its own process, because the
 //! worker-count override and the profiler enable flag are process-global:
@@ -21,42 +22,42 @@
 //! |---|---|---|
 //! | `index_equivalence` | jobs 1 observed, jobs 4 unobserved | golden digests, results equal, observation never perturbs |
 //! | `obs_determinism` | jobs 4 observed | golden digests, trace content |
-//! | `prof_determinism` | jobs 1 and 4 observed + profiled | golden digests, equal ledger lines, profiler shape and `Timing` calls |
+//! | `prof_determinism` | jobs 1 and 4 observed + profiled | golden digests, equal traces, profiler shape and `Timing` calls |
 //! | `ledger_determinism` | jobs 1 observed, jobs 4 with a fault armed | golden digests, fault fires once, results unchanged |
 //! | `parallel_determinism` | capacity and latency sweeps | equal at jobs 1 and 4 |
 //!
 //! Every observed cell also asserts clean monitors with one check per phase
-//! and a lossless ledger round trip. Regenerating the table (only when an
+//! and a lossless run-record round trip. Regenerating the table (only when an
 //! *intentional* model or export-format change lands):
 //! `STARNUMA_BLESS=1 cargo test --test index_equivalence -- --nocapture`.
 
 // Each gate file uses a different subset of the harness.
 #![allow(dead_code)]
 
-use starnuma::obs::{metrics_json, trace_jsonl, ObsReport, RunExtras, RunMeta, RunRecord};
+use starnuma::obs::{trace_jsonl, ObsReport, RunRecord};
 use starnuma::sweep::{sweep_cxl_latency, sweep_pool_capacity, SweepPoint};
 use starnuma::{
     prof, set_global_jobs, Experiment, JobPool, RunOptions, RunResult, ScaleConfig, SystemKind,
     Workload,
 };
-use starnuma_types::{fnv1a, fnv1a_digest, FNV_OFFSET};
+use starnuma_types::fnv1a_digest;
 
-/// Golden FNV-1a digests of `(RunResult debug, trace JSONL, metrics JSON)`
-/// per row of [`rows`]. The StarNUMA rows were last blessed when the
-/// `phase_checkpoint` journal event gained paired begin/end `edge` markers
-/// (an intentional trace-format change; results were unchanged); the two
-/// TC rows on the baseline and T0 were first pinned with the same exports.
+/// Golden FNV-1a digests of each row's trace JSONL (its run record line,
+/// with the host field `jobs` pinned to 0, then its events and per-phase
+/// histograms and counters) per row of [`rows`]. Last blessed when the
+/// trace's `meta` header became the run record (an intentional
+/// export-format change; every row's `result_digest` was unchanged).
 pub const GOLDEN: [(&str, &str, u64); 10] = [
-    ("SSSP", "StarNUMA (T16)", 0x5e9e055a702c2421),
-    ("BFS", "StarNUMA (T16)", 0x827893079d93b9f1),
-    ("CC", "StarNUMA (T16)", 0x376fb4797964dabe),
-    ("TC", "StarNUMA (T16)", 0x631c9e5758b24d70),
-    ("Masstree", "StarNUMA (T16)", 0xa15f49dc35cd8da3),
-    ("TPCC", "StarNUMA (T16)", 0xb6016fe329e84dad),
-    ("FMI", "StarNUMA (T16)", 0xd70cb127a163a8f9),
-    ("POA", "StarNUMA (T16)", 0xd09527d41dee0dfe),
-    ("TC", "Baseline", 0x25e1bd155144ab4d),
-    ("TC", "StarNUMA (T0)", 0x57ade6cf7af6205d),
+    ("SSSP", "StarNUMA (T16)", 0xf30b7302e107dfa5),
+    ("BFS", "StarNUMA (T16)", 0xb7c2a00972d9fa8a),
+    ("CC", "StarNUMA (T16)", 0x2f526ce20bfc1adf),
+    ("TC", "StarNUMA (T16)", 0x5d2ca3d333dd5f18),
+    ("Masstree", "StarNUMA (T16)", 0xaa222ecedd5bfb5e),
+    ("TPCC", "StarNUMA (T16)", 0x47b5858262fd088d),
+    ("FMI", "StarNUMA (T16)", 0x4b6f8a907b627c7c),
+    ("POA", "StarNUMA (T16)", 0x7f0c9523758c329a),
+    ("TC", "Baseline", 0x7741f1b323978286),
+    ("TC", "StarNUMA (T0)", 0x3f90b6aa27759bf3),
 ];
 
 pub const PHASES: usize = 2;
@@ -80,19 +81,6 @@ pub fn rows() -> Vec<(Workload, SystemKind)> {
     rows.push((Workload::Tc, SystemKind::Baseline));
     rows.push((Workload::Tc, SystemKind::StarNumaT0));
     rows
-}
-
-/// A fixed export header: the rendered files must not depend on anything
-/// but the run itself, so the worker count it records is pinned to 0.
-pub fn meta(workload: Workload, system: SystemKind) -> RunMeta {
-    RunMeta {
-        workload: workload.name().to_string(),
-        system: system.label().to_string(),
-        preset: "SC1".to_string(),
-        jobs: 0,
-        seed: 42,
-        version: "gate".to_string(),
-    }
 }
 
 pub fn observe() -> RunOptions {
@@ -122,41 +110,20 @@ pub fn profiled_cell(
     (runs, prof::take_report())
 }
 
-/// One observed row's fingerprint: the golden digest and the ledger line
-/// with its host-time fields (`wall_ns`, profiler sites) pinned.
-#[derive(PartialEq, Debug)]
-pub struct Fingerprint {
-    pub digest: u64,
-    pub ledger: String,
+/// One observed row's trace, rendered from the record
+/// [`Experiment::record`] builds, with the host field `jobs` pinned so the
+/// text depends on nothing but the run (`wall_ns` and `top_sites` are
+/// left unstamped).
+pub fn trace((w, kind): (Workload, SystemKind), result: &RunResult, report: &ObsReport) -> String {
+    let mut record = Experiment::new(w, kind, tiny(PHASES)).record(result, report);
+    record.jobs = 0;
+    trace_jsonl(&record, report)
 }
 
-fn fingerprint(
-    (w, kind): (Workload, SystemKind),
-    result: &RunResult,
-    report: &ObsReport,
-) -> Fingerprint {
-    let m = meta(w, kind);
-    let mut digest = fnv1a(format!("{result:?}").as_bytes(), FNV_OFFSET);
-    digest = fnv1a(trace_jsonl(&m, report).as_bytes(), digest);
-    digest = fnv1a(metrics_json(&m, &report.metrics).as_bytes(), digest);
-    let extras = RunExtras {
-        config_digest: Experiment::new(w, kind, tiny(PHASES)).config_digest(),
-        result_digest: fnv1a_digest(format!("{result:?}").as_bytes()),
-        wall_ns: 0,
-        ipc: result.ipc,
-        amat_ns: result.amat_ns,
-        pages_migrated: result.pages_migrated,
-        pages_to_pool: result.pages_to_pool,
-        top_sites: Vec::new(),
-    };
-    let ledger = RunRecord::from_observed(&m, report, &report.monitor, &extras).to_json_line();
-    Fingerprint { digest, ledger }
-}
-
-/// Fingerprints an observed cell, checking that every row's run did work,
-/// passed every phase-barrier monitor check, and wrote a ledger line that
-/// survives a JSON round trip.
-pub fn fingerprints(name: &str, runs: &[(RunResult, Option<ObsReport>)]) -> Vec<Fingerprint> {
+/// Digests every row's [`trace`], checking that every row's run did work,
+/// passed every phase-barrier monitor check, and heads its trace with a
+/// run record that survives a JSON round trip.
+pub fn fingerprints(name: &str, runs: &[(RunResult, Option<ObsReport>)]) -> Vec<u64> {
     rows()
         .into_iter()
         .zip(runs)
@@ -174,24 +141,25 @@ pub fn fingerprints(name: &str, runs: &[(RunResult, Option<ObsReport>)]) -> Vec<
                 report.monitor.checks, PHASES as u64,
                 "cell {name}: {w} on {kind}: monitors must run once per phase barrier"
             );
-            let fp = fingerprint((w, kind), result, report);
-            // A ledger line re-read later must digest to the same report.
-            let reparsed = RunRecord::from_json_line(&fp.ledger).unwrap_or_else(|| {
-                panic!("cell {name}: {w} on {kind}: ledger line failed to re-parse")
+            let trace = trace((w, kind), result, report);
+            // The run line re-read later must render to the same text.
+            let run_line = trace.lines().next().unwrap_or_default();
+            let reparsed = RunRecord::from_json_line(run_line).unwrap_or_else(|| {
+                panic!("cell {name}: {w} on {kind}: run line failed to re-parse")
             });
             assert_eq!(
-                fp.ledger,
+                run_line,
                 reparsed.to_json_line(),
                 "cell {name}: {w} on {kind}: to_json_line/from_json_line round trip is lossy"
             );
-            fp
+            fnv1a_digest(trace.as_bytes())
         })
         .collect()
 }
 
 /// Asserts a fingerprinted cell against [`GOLDEN`]; with `STARNUMA_BLESS`
 /// set, prints the table it would pin instead.
-pub fn assert_golden(name: &str, fps: &[Fingerprint]) {
+pub fn assert_golden(name: &str, fps: &[u64]) {
     if std::env::var("STARNUMA_BLESS").is_ok() {
         println!("pub const GOLDEN: [(&str, &str, u64); {}] = [", fps.len());
         for ((w, kind), fp) in rows().iter().zip(fps) {
@@ -199,7 +167,7 @@ pub fn assert_golden(name: &str, fps: &[Fingerprint]) {
                 "    (\"{}\", \"{}\", {:#018x}),",
                 w.name(),
                 kind.label(),
-                fp.digest
+                fp
             );
         }
         println!("];");
@@ -213,11 +181,10 @@ pub fn assert_golden(name: &str, fps: &[Fingerprint]) {
             "golden table order drifted"
         );
         assert_eq!(
-            fp.digest, *gd,
-            "cell {name}: {w} on {kind}: result/export digest {:#018x} != golden {gd:#018x} — \
+            fp, gd,
+            "cell {name}: {w} on {kind}: trace digest {fp:#018x} != golden {gd:#018x} — \
              a model or export-format change altered observable output; if intentional, \
-             regenerate with STARNUMA_BLESS=1",
-            fp.digest
+             regenerate with STARNUMA_BLESS=1"
         );
     }
 }

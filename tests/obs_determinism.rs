@@ -1,12 +1,11 @@
 //! Determinism gate, export half: every row of the grid, run observed on
-//! four workers, must render traces and metrics that hash to the same
+//! four workers, must render traces that hash to the same
 //! [`gate::GOLDEN`] digests the `--jobs 1` cell of `index_equivalence`
 //! pins, and the traces must carry real content. See `tests/gate/mod.rs`.
 
 mod gate;
 
-use gate::{assert_golden, cell, fingerprints, meta, observe, rows};
-use starnuma::obs::trace_jsonl;
+use gate::{assert_golden, cell, fingerprints, observe, rows, trace};
 use starnuma::{SystemKind, Workload};
 
 #[test]
@@ -18,11 +17,14 @@ fn obs_output_is_bit_identical_across_worker_counts() {
         .iter()
         .position(|r| *r == (Workload::Tc, SystemKind::StarNuma))
         .expect("TC on StarNUMA is a row");
-    let report = runs[tc].1.as_ref().expect("the cell observes");
-    let trace = trace_jsonl(&meta(Workload::Tc, SystemKind::StarNuma), report);
+    let (result, report) = &runs[tc];
+    let report = report.as_ref().expect("the cell observes");
+    let trace = trace(rows()[tc], result, report);
     for needle in [
+        "\"type\":\"run\"",
         "\"type\":\"event\"",
         "\"type\":\"hist\"",
+        "\"type\":\"counters\"",
         "\"name\":\"phase_checkpoint\"",
     ] {
         assert!(trace.contains(needle), "TC trace lacks {needle}");

@@ -1,6 +1,6 @@
 //! Determinism gate, profiler half: every row of the grid, run observed
 //! with the profiler on at `--jobs 1` and at `--jobs 4`, must hash to the
-//! unprofiled [`gate::GOLDEN`] digests and write the same ledger lines, and
+//! unprofiled [`gate::GOLDEN`] digests and render the same traces, and
 //! the two passes must attribute the same profiler shape and `Timing` call
 //! counts. See `tests/gate/mod.rs`.
 
