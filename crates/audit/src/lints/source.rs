@@ -121,8 +121,8 @@ pub fn lint_source(label: &str, source: &str, is_crate_root: bool) -> Vec<Diagno
                 "SN003",
                 loc.clone(),
                 "hash collection in library code (iteration order is unstable)",
-                "use DetMap, BTreeMap/BTreeSet (all workspace keys are Ord), \
-                 or drain through a sorted Vec",
+                "use BTreeMap/BTreeSet (all workspace keys are Ord), a dense \
+                 Vec indexed by id, or drain through a sorted Vec",
             ));
         }
         // `println!(` is a suffix of `eprintln!(`, so one match covers both.
@@ -300,8 +300,8 @@ mod tests {
     }
 
     #[test]
-    fn detmap_is_accepted_where_hashmap_is_flagged() {
-        let clean = "use starnuma_types::DetMap;\nuse starnuma_types::BlockAddr;\npub struct Directory {\n    entries: DetMap<BlockAddr, u32>,\n}\n";
+    fn ordered_and_dense_maps_are_accepted_where_hashmap_is_flagged() {
+        let clean = "use std::collections::BTreeMap;\nuse starnuma_types::BlockAddr;\npub struct Directory {\n    entries: BTreeMap<BlockAddr, u32>,\n    slots: Vec<u32>,\n}\n";
         assert!(lint_source("f.rs", clean, false).is_empty());
         let dirty = "pub struct Directory {\n    entries: std::collections::HashMap<u64, u32>,\n    sharers: std::collections::HashSet<u64>,\n}\n";
         let codes: Vec<_> = lint_source("f.rs", dirty, false)

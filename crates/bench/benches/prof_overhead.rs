@@ -39,7 +39,7 @@ fn body(i: u64) -> u64 {
 fn main() {
     banner(
         "Profiler overhead — disabled ProfScope vs baseline vs enabled",
-        "extension: DESIGN.md §10 contract (disabled = one atomic load per scope)",
+        "extension: DESIGN.md §9 contract (disabled = one atomic load per scope)",
     );
     let smoke = std::env::var("STARNUMA_BENCH_SMOKE").is_ok();
     let scopes: u64 = if smoke { 2_000_000 } else { 20_000_000 };

@@ -17,7 +17,7 @@
 //! property that every counted access is eventually flushed, which holds
 //! under any replacement order (see the property tests).
 
-use starnuma_types::{DetMap, PageId};
+use starnuma_types::PageId;
 
 /// Configuration of a [`Tlb`] and its counter annex.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -46,12 +46,13 @@ impl TlbConfig {
         }
     }
 
-    /// Maximum annex counter value (`2^i − 1`).
+    /// Maximum annex counter value (`2^i − 1`), saturating at `u32::MAX`
+    /// for widths of 32 bits or more.
     pub fn counter_max(&self) -> u32 {
-        if self.counter_bits == 0 {
-            0
-        } else {
-            ((1u64 << self.counter_bits) - 1) as u32
+        match self.counter_bits {
+            0 => 0,
+            bits @ 1..=31 => (1u32 << bits) - 1,
+            _ => u32::MAX,
         }
     }
 }
@@ -87,12 +88,14 @@ pub struct TlbStats {
     pub saturated: u64,
 }
 
+/// Lanes compared per step of the TLB lookup.
+const LANES: usize = 8;
+
+/// One entry's annex: its saturating counter and its phase marker bit.
 #[derive(Clone, Copy, Debug)]
-struct Slot {
-    page: PageId,
+struct Annex {
     counter: u32,
     marker: bool,
-    valid: bool,
 }
 
 /// A TLB with the §III-D1 counter annex (clock replacement).
@@ -114,10 +117,11 @@ struct Slot {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    index: DetMap<PageId, usize>,
-    slots: Vec<Slot>,
-    /// Slots invalidated by shootdown and not yet refilled.
-    invalid: usize,
+    /// The resident pages, one per filled entry: a dense array the lookup
+    /// scans [`LANES`] at a time.
+    pages: Vec<PageId>,
+    /// Each entry's annex, parallel to `pages`.
+    annex: Vec<Annex>,
     hand: usize,
     stats: TlbStats,
 }
@@ -131,10 +135,9 @@ impl Tlb {
     pub fn new(config: TlbConfig) -> Self {
         assert!(config.entries > 0, "TLB needs at least one entry");
         Tlb {
-            index: DetMap::new(),
-            slots: Vec::with_capacity(config.entries),
+            pages: Vec::with_capacity(config.entries),
+            annex: Vec::with_capacity(config.entries),
             config,
-            invalid: 0,
             hand: 0,
             stats: TlbStats::default(),
         }
@@ -150,29 +153,44 @@ impl Tlb {
         self.stats
     }
 
+    /// The entry holding `page`, if resident. Each chunk of [`LANES`]
+    /// pages is compared whole, with no early exit inside it (which lets
+    /// the compiler vectorise the compare); only the chunk that hit is
+    /// searched for the lane.
+    fn find(&self, page: PageId) -> Option<usize> {
+        let mut chunks = self.pages.chunks_exact(LANES);
+        for (c, chunk) in chunks.by_ref().enumerate() {
+            if chunk.iter().fold(false, |hit, &p| hit | (p == page)) {
+                return chunk.iter().position(|&p| p == page).map(|i| c * LANES + i);
+            }
+        }
+        let rest = chunks.remainder();
+        let base = self.pages.len() - rest.len();
+        rest.iter().position(|&p| p == page).map(|i| base + i)
+    }
+
     /// Records the completion of an LLC-missing load to `page`, incrementing
     /// its annex counter. Returns the flush the PTW performs, if any: a
     /// marker hit on a TLB hit, or the replaced entry on a TLB miss — never
     /// both.
     pub fn record_llc_miss(&mut self, page: PageId) -> Option<AnnexFlush> {
-        let mut flush = None;
-        if let Some(&slot_idx) = self.index.get(&page) {
+        if let Some(idx) = self.find(page) {
             self.stats.hits += 1;
             let max = self.config.counter_max();
-            let slot = &mut self.slots[slot_idx];
-            if slot.marker {
+            let annex = &mut self.annex[idx];
+            let mut flush = None;
+            if annex.marker {
                 // First access of the phase to a marked entry: flush & reset.
-                slot.marker = false;
-                let flushed = slot.counter;
-                slot.counter = 0;
+                annex.marker = false;
                 self.stats.flushes += 1;
                 flush = Some(AnnexFlush {
                     page,
-                    count: flushed,
+                    count: annex.counter,
                 });
+                annex.counter = 0;
             }
-            if slot.counter < max {
-                slot.counter += 1;
+            if annex.counter < max {
+                annex.counter += 1;
             } else {
                 self.stats.saturated += 1;
             }
@@ -180,94 +198,36 @@ impl Tlb {
         }
         // TLB miss → page walk; insert, replacing the clock-hand victim.
         self.stats.misses += 1;
-        let fresh = Slot {
-            page,
+        let fresh = Annex {
             counter: if self.config.counter_bits > 0 { 1 } else { 0 },
             marker: false,
-            valid: true,
         };
-        if self.slots.len() < self.config.entries {
-            self.index.insert(page, self.slots.len());
-            self.slots.push(fresh);
-        } else {
-            // Slots invalidated by shootdown are reused first: the first one
-            // at or after the hand. Only when there are none does the hand's
-            // entry get replaced.
-            let reuse = if self.invalid > 0 {
-                self.slots[self.hand..]
-                    .iter()
-                    .chain(&self.slots[..self.hand])
-                    .position(|s| !s.valid)
-            } else {
-                None
-            };
-            let idx = if let Some(off) = reuse {
-                self.invalid -= 1;
-                (self.hand + off) % self.slots.len()
-            } else {
-                let victim_idx = self.hand;
-                let victim = self.slots[victim_idx];
-                self.index.remove(&victim.page);
-                self.stats.flushes += 1;
-                flush = Some(AnnexFlush {
-                    page: victim.page,
-                    count: victim.counter,
-                });
-                self.hand = (self.hand + 1) % self.slots.len();
-                victim_idx
-            };
-            self.slots[idx] = fresh;
-            self.index.insert(page, idx);
+        if self.pages.len() < self.config.entries {
+            self.pages.push(page);
+            self.annex.push(fresh);
+            return None;
         }
-        flush
+        let victim = self.hand;
+        self.hand = (self.hand + 1) % self.pages.len();
+        self.stats.flushes += 1;
+        Some(AnnexFlush {
+            page: std::mem::replace(&mut self.pages[victim], page),
+            count: std::mem::replace(&mut self.annex[victim], fresh).counter,
+        })
     }
 
     /// Sets the marker bit on every entry. Called once per migration phase
     /// (about once per second) so resident-forever hot pages still get their
     /// counters flushed on their next access.
     pub fn set_markers(&mut self) {
-        for slot in &mut self.slots {
-            if slot.valid {
-                slot.marker = true;
-            }
+        for annex in &mut self.annex {
+            annex.marker = true;
         }
-    }
-
-    /// Drains all annex counters (end of simulation): every valid entry is
-    /// flushed and reset.
-    pub fn drain(&mut self) -> Vec<AnnexFlush> {
-        let mut flushes = Vec::new();
-        for slot in &mut self.slots {
-            if slot.valid {
-                self.stats.flushes += 1;
-                flushes.push(AnnexFlush {
-                    page: slot.page,
-                    count: slot.counter,
-                });
-                slot.counter = 0;
-                slot.marker = false;
-            }
-        }
-        flushes
-    }
-
-    /// Invalidates the entry for `page` (a TLB shootdown), flushing its
-    /// counter if present.
-    pub fn shootdown(&mut self, page: PageId) -> Option<AnnexFlush> {
-        let slot_idx = self.index.remove(&page)?;
-        let slot = &mut self.slots[slot_idx];
-        slot.valid = false;
-        self.invalid += 1;
-        self.stats.flushes += 1;
-        Some(AnnexFlush {
-            page: slot.page,
-            count: slot.counter,
-        })
     }
 
     /// Number of currently valid entries.
     pub fn resident(&self) -> usize {
-        self.index.len()
+        self.pages.len()
     }
 }
 
@@ -337,44 +297,8 @@ mod tests {
         for _ in 0..10 {
             t.record_llc_miss(PageId::new(1));
         }
-        let f = t.drain();
-        assert_eq!(f[0].count, 3, "2-bit counter caps at 3");
+        assert_eq!(t.annex[0].counter, 3, "2-bit counter caps at 3");
         assert!(t.stats().saturated > 0);
-    }
-
-    #[test]
-    fn drain_flushes_everything() {
-        let mut t = tlb(8, 16);
-        t.record_llc_miss(PageId::new(1));
-        t.record_llc_miss(PageId::new(2));
-        let f = t.drain();
-        assert_eq!(f.len(), 2);
-        // After drain counters restart at zero.
-        let f2 = t.drain();
-        assert_eq!(f2.iter().map(|x| x.count).sum::<u32>(), 0);
-    }
-
-    #[test]
-    fn shootdown_removes_and_flushes() {
-        let mut t = tlb(8, 16);
-        t.record_llc_miss(PageId::new(5));
-        t.record_llc_miss(PageId::new(5));
-        let f = t.shootdown(PageId::new(5)).unwrap();
-        assert_eq!(f.count, 2);
-        assert_eq!(t.resident(), 0);
-        assert!(t.shootdown(PageId::new(5)).is_none());
-    }
-
-    #[test]
-    fn shootdown_slot_is_reused_before_eviction() {
-        let mut t = tlb(2, 16);
-        t.record_llc_miss(PageId::new(1));
-        t.record_llc_miss(PageId::new(2));
-        t.shootdown(PageId::new(2));
-        // The invalidated slot absorbs the new page: no flush of page 1.
-        let f = t.record_llc_miss(PageId::new(3));
-        assert!(f.is_none());
-        assert_eq!(t.resident(), 2);
     }
 
     #[test]
@@ -400,18 +324,27 @@ mod tests {
         assert_eq!(s.misses, 2);
     }
 
+    /// `2^i − 1`, saturating at `u32::MAX` from 32 bits on instead of
+    /// overflowing the shift.
     #[test]
     fn config_counter_max() {
         assert_eq!(TlbConfig::t16().counter_max(), 65535);
         assert_eq!(TlbConfig::t0().counter_max(), 0);
-        assert_eq!(
-            TlbConfig {
+        for (bits, max) in [
+            (0, 0),
+            (8, 255),
+            (16, 65_535),
+            (32, u32::MAX),
+            (40, u32::MAX),
+            (64, u32::MAX),
+            (255, u32::MAX),
+        ] {
+            let config = TlbConfig {
                 entries: 1,
-                counter_bits: 8
-            }
-            .counter_max(),
-            255
-        );
+                counter_bits: bits,
+            };
+            assert_eq!(config.counter_max(), max, "{bits} bits");
+        }
     }
 
     #[test]
@@ -428,6 +361,50 @@ mod tests {
 mod proptests {
     use super::*;
     use starnuma_types::SimRng;
+
+    /// Accesses still held in resident counters, not yet flushed.
+    fn resident_counts(t: &Tlb) -> u64 {
+        t.annex.iter().map(|a| u64::from(a.counter)).sum()
+    }
+
+    /// Golden: a seeded 200k-access stream over 200 pages (a hot quarter
+    /// takes 70 % of the accesses) into a 64-entry `T_16` TLB, with phase
+    /// markers every 1k accesses. The digest over the `(page, count)` flush
+    /// sequence and the final stats pin the lookup and replacement
+    /// behaviour bit for bit.
+    #[test]
+    fn flush_sequence_is_pinned() {
+        let mut rng = SimRng::seed_from_u64(0x71b9);
+        let mut t = Tlb::new(TlbConfig {
+            entries: 64,
+            counter_bits: 16,
+        });
+        let mut digest = starnuma_types::FNV_OFFSET;
+        for i in 0..200_000u32 {
+            if i % 1_000 == 0 {
+                t.set_markers();
+            }
+            let pfn = if rng.gen_bool(0.7) {
+                rng.gen_range(0u64..50)
+            } else {
+                rng.gen_range(0u64..200)
+            };
+            if let Some(f) = t.record_llc_miss(PageId::new(pfn)) {
+                digest = starnuma_types::fnv1a(&f.page.pfn().to_le_bytes(), digest);
+                digest = starnuma_types::fnv1a(&f.count.to_le_bytes(), digest);
+            }
+        }
+        assert_eq!(digest, 0x783e_e57b_5e6c_0f82);
+        assert_eq!(
+            t.stats(),
+            TlbStats {
+                hits: 118_659,
+                misses: 81_341,
+                flushes: 86_324,
+                saturated: 0,
+            }
+        );
+    }
 
     /// Conservation: every recorded LLC miss is eventually flushed
     /// exactly once (flushed counts + still-resident counts = accesses),
@@ -448,14 +425,31 @@ mod proptests {
                     flushed += u64::from(f.count);
                 }
             }
-            for f in t.drain() {
-                flushed += u64::from(f.count);
-            }
-            assert_eq!(flushed, len as u64);
+            assert_eq!(flushed + resident_counts(&t), len as u64);
         }
     }
 
-    /// Residency never exceeds capacity, with interleaved shootdowns.
+    /// The chunked lookup finds every resident page at its own entry and
+    /// no other page, for capacities with and without a partial last chunk.
+    #[test]
+    fn lookup_finds_exactly_the_resident_pages() {
+        let mut rng = SimRng::seed_from_u64(0x71b4);
+        for cap in 1usize..=20 {
+            let mut t = Tlb::new(TlbConfig {
+                entries: cap,
+                counter_bits: 16,
+            });
+            for _ in 0..200 {
+                t.record_llc_miss(PageId::new(rng.gen_range(0u64..40)));
+                for pfn in 0u64..40 {
+                    let page = PageId::new(pfn);
+                    assert_eq!(t.find(page), t.pages.iter().position(|&p| p == page));
+                }
+            }
+        }
+    }
+
+    /// Residency never exceeds capacity.
     #[test]
     fn residency_bounded() {
         let mut rng = SimRng::seed_from_u64(0x71b1);
@@ -467,18 +461,13 @@ mod proptests {
                 counter_bits: 16,
             });
             for _ in 0..len {
-                let p = rng.gen_range(0u64..100);
-                if rng.gen_bool(0.2) {
-                    t.shootdown(PageId::new(p));
-                } else {
-                    t.record_llc_miss(PageId::new(p));
-                }
+                t.record_llc_miss(PageId::new(rng.gen_range(0u64..100)));
                 assert!(t.resident() <= cap);
             }
         }
     }
 
-    /// Conservation also holds with markers and shootdowns interleaved.
+    /// Conservation also holds with phase markers interleaved.
     #[test]
     fn conservation_with_markers() {
         let mut rng = SimRng::seed_from_u64(0x71b2);
@@ -491,75 +480,16 @@ mod proptests {
             let mut flushed: u64 = 0;
             let mut recorded: u64 = 0;
             for _ in 0..len {
-                let p = rng.gen_range(0u64..12);
-                match rng.gen_range(0u16..10) {
-                    0 => t.set_markers(),
-                    1 => {
-                        if let Some(f) = t.shootdown(PageId::new(p)) {
-                            flushed += u64::from(f.count);
-                        }
-                    }
-                    _ => {
-                        recorded += 1;
-                        if let Some(f) = t.record_llc_miss(PageId::new(p)) {
-                            flushed += u64::from(f.count);
-                        }
+                if rng.gen_range(0u16..10) == 0 {
+                    t.set_markers();
+                } else {
+                    recorded += 1;
+                    if let Some(f) = t.record_llc_miss(PageId::new(rng.gen_range(0u64..12))) {
+                        flushed += u64::from(f.count);
                     }
                 }
             }
-            for f in t.drain() {
-                flushed += u64::from(f.count);
-            }
-            assert_eq!(flushed, recorded);
+            assert_eq!(flushed + resident_counts(&t), recorded);
         }
-    }
-
-    /// Slots freed by shootdown are reused before any entry is replaced,
-    /// the first one at or after the clock hand, and `resident()` plus the
-    /// invalid count always equals the number of filled slots — over a
-    /// seeded mix of recorded misses, shootdowns and phase markers.
-    #[test]
-    fn shootdown_slots_are_reused_from_the_hand() {
-        let mut rng = SimRng::seed_from_u64(0x71b3);
-        let mut reuses = 0;
-        for _case in 0..64 {
-            let cap = rng.gen_range(1usize..8);
-            let mut t = Tlb::new(TlbConfig {
-                entries: cap,
-                counter_bits: 16,
-            });
-            for _ in 0..rng.gen_range(1usize..300) {
-                let page = PageId::new(rng.gen_range(0u64..16));
-                match rng.gen_range(0u16..10) {
-                    0 => t.set_markers(),
-                    1 | 2 => {
-                        t.shootdown(page);
-                    }
-                    _ => {
-                        let before = t.clone();
-                        let flush = t.record_llc_miss(page);
-                        if let Some(&idx) = t.index.get(&page) {
-                            let reused = before.slots.len() == cap
-                                && !before.index.contains_key(&page)
-                                && before.invalid > 0;
-                            if reused {
-                                // The first invalid slot at or after the hand.
-                                let expected = (0..cap)
-                                    .map(|off| (before.hand + off) % cap)
-                                    .find(|&i| !before.slots[i].valid)
-                                    .unwrap();
-                                assert_eq!(idx, expected);
-                                assert_eq!(t.hand, before.hand, "reuse leaves the hand");
-                                assert!(flush.is_none(), "reuse flushes nothing");
-                                reuses += 1;
-                            }
-                        }
-                    }
-                }
-                assert_eq!(t.invalid, t.slots.iter().filter(|s| !s.valid).count());
-                assert_eq!(t.resident() + t.invalid, t.slots.len());
-            }
-        }
-        assert!(reuses > 100, "the reuse path is exercised ({reuses})");
     }
 }

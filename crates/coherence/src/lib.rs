@@ -604,13 +604,13 @@ mod proptests {
     }
 }
 
-/// The directory as a `DetMap` of per-block entries: the layout the dense
-/// per-page directory replaced, kept as the reference it must match call
-/// for call.
+/// The directory as an ordered map of per-block entries: the plain model
+/// the dense per-page directory must match call for call.
 #[cfg(test)]
 mod reference {
     use super::*;
-    use starnuma_types::{DetMap, SimRng};
+    use starnuma_types::SimRng;
+    use std::collections::BTreeMap;
 
     #[derive(Clone, Copy, Debug, Default)]
     struct Entry {
@@ -623,7 +623,7 @@ mod reference {
 
     struct RefDirectory {
         num_sockets: usize,
-        entries: DetMap<BlockAddr, Entry>,
+        entries: BTreeMap<BlockAddr, Entry>,
         stats: DirectoryStats,
     }
 
@@ -631,7 +631,7 @@ mod reference {
         fn new(num_sockets: usize) -> Self {
             RefDirectory {
                 num_sockets,
-                entries: DetMap::new(),
+                entries: BTreeMap::new(),
                 stats: DirectoryStats::default(),
             }
         }
@@ -647,7 +647,7 @@ mod reference {
             if home.is_pool() {
                 self.stats.pool_transactions += 1;
             }
-            let entry = self.entries.entry_or_insert_with(block, Entry::default);
+            let entry = self.entries.entry(block).or_default();
             let req_bit = Directory::bit(requester);
             let transfer = match entry.owner {
                 Some(owner) if owner != requester => {
@@ -743,10 +743,10 @@ mod reference {
     }
 
     /// Seeded `access`/`evict` streams on 1-, 16- and 32-socket systems
-    /// leave the dense directory observably identical to the `DetMap` one
-    /// after every call, and `reset` empties both.
+    /// leave the dense directory observably identical to the `BTreeMap`
+    /// model after every call, and `reset` empties both.
     #[test]
-    fn dense_directory_matches_detmap_reference() {
+    fn dense_directory_matches_btreemap_reference() {
         let mut rng = SimRng::seed_from_u64(0xd1_5ec7);
         for &num_sockets in &[1usize, 16, 32] {
             for _case in 0..48 {

@@ -9,7 +9,9 @@
 //! (BFS-style workloads), while capacity makes it expensive for TC-style
 //! workloads where 60 % of the dataset is widely shared.
 
-use starnuma_types::{DetMap, RegionId, SocketId, REGION_PAGES};
+use std::collections::BTreeMap;
+
+use starnuma_types::{RegionId, SocketId, REGION_PAGES};
 
 use crate::tracker::MetadataRegion;
 
@@ -51,7 +53,7 @@ pub struct ReplicationStats {
 #[derive(Clone, Debug)]
 pub struct ReplicaMap {
     config: ReplicationConfig,
-    masks: DetMap<RegionId, u32>,
+    masks: BTreeMap<RegionId, u32>,
     used_pages: Vec<u64>,
     total_pages: u64,
     stats: ReplicationStats,
@@ -62,7 +64,7 @@ impl ReplicaMap {
     pub fn new(num_sockets: usize, config: ReplicationConfig) -> Self {
         ReplicaMap {
             config,
-            masks: DetMap::new(),
+            masks: BTreeMap::new(),
             used_pages: vec![0; num_sockets],
             total_pages: 0,
             stats: ReplicationStats::default(),

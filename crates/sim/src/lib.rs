@@ -45,13 +45,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod checkpoint;
 mod config;
 mod pipeline;
 mod stats;
 mod timing;
 
-pub use checkpoint::Checkpoint;
 pub use config::{MigrationMode, Modality, RunConfig};
 pub use pipeline::{RunOptions, Runner};
 pub use stats::{PhaseStats, RunResult};

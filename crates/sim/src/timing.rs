@@ -23,7 +23,7 @@ use starnuma_obs::ObsSink;
 use starnuma_prof::{ProfScope, Site};
 use starnuma_topology::{AccessClass, Network};
 use starnuma_trace::PhaseTrace;
-use starnuma_types::{Cycles, DetMap, GbPerSec, Location, MemAccess, PageId, SocketId};
+use starnuma_types::{Cycles, GbPerSec, Location, MemAccess, PageId, SocketId};
 
 use crate::config::Modality;
 use crate::stats::PhaseStats;
@@ -248,7 +248,7 @@ impl TimingSim {
             done: u64,
             from: Location,
         }
-        let mut in_flight: DetMap<PageId, InFlight> = DetMap::new();
+        let mut in_flight: Vec<(PageId, InFlight)> = Vec::with_capacity(modeled_moves.len());
         let mut t_mig = 0u64;
         for mv in modeled_moves {
             let start = t_mig;
@@ -261,19 +261,23 @@ impl TimingSim {
             }
             let one_way = self.net.latency().one_way(mv.from, mv.to).to_cycles().raw();
             let done = t_mig + wait + one_way;
-            in_flight.insert(
+            in_flight.push((
                 mv.page,
                 InFlight {
                     start,
                     done,
                     from: mv.from,
                 },
-            );
+            ));
             map.move_page(mv.page, mv.to);
             if collect {
                 stats.migrations_modeled += 1;
             }
         }
+
+        // Sorted by page; the stable sort keeps a repeated page's moves in
+        // plan order, so the lookup below takes its last move.
+        in_flight.sort_by_key(|e| e.0);
 
         // --- Set up per-core replay state. ---
         let mut cores: Vec<CoreRun<'_>> = trace
@@ -328,7 +332,9 @@ impl TimingSim {
             }
             // In-flight migration stall: only while the page is moving.
             let mut home_override = None;
-            if let Some(f) = in_flight.get(&a.addr.page()) {
+            let page = a.addr.page();
+            let upto = in_flight.partition_point(|e| e.0 <= page);
+            if let Some((_, f)) = in_flight[..upto].last().filter(|e| e.0 == page) {
                 if t < f.start as f64 {
                     home_override = Some(f.from); // not yet moved
                 } else if t < f.done as f64 {
@@ -747,6 +753,65 @@ mod tests {
         for i in 0..64 {
             assert!(map.location(PageId::new(i)).is_pool());
         }
+    }
+
+    /// Golden: `modeled_moves` moves six pages the phase touches early,
+    /// one of them twice (socket 0 → pool → socket 3). A page moved twice
+    /// stalls on its *last* move, so the phase statistics are pinned bit
+    /// for bit over that rule.
+    #[test]
+    fn repeated_move_stalls_on_the_last_one() {
+        let profile = Workload::Bfs.profile();
+        let mut g = TraceGenerator::new(&profile, 16, 4, 3);
+        let trace = g.generate_phase(5_000);
+        let fp = profile.footprint_pages;
+        let mut map = PageMap::from_fn(fp, fp, |_| Location::Socket(SocketId::new(0)));
+        let mut pages: Vec<PageId> = Vec::new();
+        for a in trace.per_core.iter().flat_map(|s| s.iter().take(4)) {
+            if !pages.contains(&a.addr.page()) {
+                pages.push(a.addr.page());
+            }
+        }
+        let (socket0, socket3) = (
+            Location::Socket(SocketId::new(0)),
+            Location::Socket(SocketId::new(3)),
+        );
+        let mut moves: Vec<PageMove> = pages[..6]
+            .iter()
+            .map(|&page| PageMove {
+                page,
+                from: socket0,
+                to: Location::Pool,
+            })
+            .collect();
+        moves.insert(
+            4,
+            PageMove {
+                page: pages[1],
+                from: Location::Pool,
+                to: socket3,
+            },
+        );
+        let mut s = sim(SystemParams::scaled_starnuma());
+        let stats = s.run_phase(
+            &trace,
+            &mut map,
+            &moves,
+            profile.base_cpi(),
+            profile.mlp,
+            5_000,
+            Modality::AllDetailed,
+            true,
+        );
+        assert_eq!(map.location(pages[1]), socket3);
+        assert_eq!(stats.migrations_modeled, 7);
+        assert_eq!(stats.class_counts, [616, 1912, 7540, 76, 196, 4]);
+        assert_eq!(stats.core_cycles_sum, 21_298_923);
+        // The Debug rendering carries every float bit-exactly.
+        assert_eq!(
+            starnuma_types::fnv1a_digest(format!("{stats:?}").as_bytes()),
+            0x909b_925b_2ffb_0717
+        );
     }
 
     #[test]

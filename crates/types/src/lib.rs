@@ -25,7 +25,6 @@ mod diag;
 mod digest;
 mod error;
 mod ids;
-mod index;
 pub mod json;
 mod rng;
 mod units;
@@ -35,7 +34,6 @@ pub use diag::{Diagnostic, Severity};
 pub use digest::{digest_hex, fnv1a, fnv1a_digest, parse_digest_hex, FNV_OFFSET, FNV_PRIME};
 pub use error::{ConfigError, StarNumaError};
 pub use ids::{BlockAddr, ChassisId, CoreId, Location, PageId, PhysAddr, RegionId, SocketId};
-pub use index::{DetKey, DetMap};
 pub use rng::{SampleRange, SimRng};
 pub use units::{Bytes, Cycles, GbPerSec, Nanos, CORE_GHZ};
 

@@ -1,7 +1,8 @@
 //! Determinism gate, golden half: every row of the grid, run observed at
-//! `--jobs 1`, must hash to the pinned [`gate::GOLDEN`] digests — the
-//! `DetMap` index swap and every change since must be invisible in results
-//! and rendered exports — and the same rows run unobserved at `--jobs 4`
+//! `--jobs 1`, must hash to the pinned [`gate::GOLDEN`] digests — a change
+//! to how the simulator stores its keyed state (directory, TLB, in-flight
+//! migrations, replica masks) must be invisible in results and rendered
+//! exports — and the same rows run unobserved at `--jobs 4`
 //! must give identical `RunResult`s, so neither the worker count nor
 //! observation reaches the simulation. See `tests/gate/mod.rs`.
 //!
