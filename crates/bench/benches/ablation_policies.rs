@@ -6,6 +6,8 @@
 //! are attributable purely to the selection criterion; the full Algorithm 1
 //! (T16) runs on the real TLB-annex tracking stack.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{geomean, Experiment, MigrationMode, Runner, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, scale};
 use starnuma_migration::AblationPolicy;

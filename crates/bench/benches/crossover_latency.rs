@@ -8,6 +8,12 @@
 //! at or beyond 140 ns one-way for bandwidth-bound workloads, and near it
 //! for latency-bound ones.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "a bench prints its table and stops on a broken setup"
+)]
+
 use starnuma::sweep::{break_even, sweep_cxl_latency};
 use starnuma::Workload;
 use starnuma_bench::{banner, print_header, print_row, scale};

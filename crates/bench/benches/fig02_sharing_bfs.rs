@@ -2,6 +2,8 @@
 //! 16-socket system — the observation that motivates StarNUMA: few widely
 //! shared (vagabond) pages draw most memory accesses.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{SharingHistogram, TraceGenerator, Workload};
 use starnuma_bench::{banner, print_header, print_row, scale};
 

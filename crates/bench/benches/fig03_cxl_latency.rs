@@ -1,5 +1,7 @@
 //! Fig. 3: the CXL memory-pool access latency breakdown.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{CxlLatencyBreakdown, SystemParams};
 use starnuma_bench::banner;
 

@@ -2,6 +2,8 @@
 //! socket-home vs 4-hop via the pool — and the counter-intuitive result
 //! that the 4-hop pool path is faster on average.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{LatencyModel, SystemParams};
 use starnuma_bench::banner;
 use starnuma_types::SocketId;

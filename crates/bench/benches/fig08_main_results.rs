@@ -5,6 +5,8 @@
 //! * (c) memory-access breakdown by type (local / 1-hop / 2-hop / pool /
 //!   block transfers).
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::chart::speedup_chart;
 use starnuma::{geomean, AccessClass, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, Lab};

@@ -7,6 +7,8 @@
 //! baseline — a NUMA machine without a pool architecturally lacks a good
 //! home for vagabond pages, no matter how clever placement is.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{geomean, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, Lab};
 

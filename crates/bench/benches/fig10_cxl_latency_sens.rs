@@ -2,6 +2,8 @@
 //! 100 ns CXL penalty vs 190 ns (an intermediate CXL switch, 270 ns
 //! end-to-end pool access).
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{geomean, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, Lab};
 

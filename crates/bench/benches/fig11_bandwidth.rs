@@ -2,6 +2,8 @@
 //! bandwidth? (§V-D: no — boosting a conventional system's links is
 //! *neither necessary nor sufficient*.)
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{geomean, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, Lab};
 

@@ -1,6 +1,8 @@
 //! Fig. 12: sensitivity to memory-pool capacity — a chassis-sized pool
 //! (1/5 of the footprint) vs a single-socket-sized pool (1/17).
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{geomean, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, Lab};
 

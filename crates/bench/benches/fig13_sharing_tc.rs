@@ -2,6 +2,8 @@
 //! widely-shared end of the spectrum (vs BFS's read-write sharing in
 //! Fig. 2), framing the §V-F replication-vs-pooling discussion.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{SharingHistogram, TraceGenerator, Workload};
 use starnuma_bench::{banner, print_header, print_row, scale};
 

@@ -10,6 +10,8 @@
 //! detailed socket, 15 light IPC-regulated injectors) is compared against
 //! the default all-detailed model.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{Experiment, Modality, Runner, ScaleConfig, ScalePreset, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, scale};
 use starnuma_types::SocketId;

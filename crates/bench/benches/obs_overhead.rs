@@ -13,6 +13,13 @@
 //!    simulation) and the slowdown is printed for eyeballing against
 //!    run-to-run noise.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    clippy::disallowed_types,
+    reason = "a bench times real work on the host clock and prints it"
+)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

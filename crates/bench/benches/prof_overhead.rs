@@ -17,6 +17,12 @@
 //! Appends `disabled_ns_per_scope` / `enabled_ns_per_scope` to
 //! `BENCH_history.jsonl` so `starnuma bench-diff` tracks the trajectory.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::disallowed_types,
+    reason = "a bench times real work on the host clock and prints it"
+)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

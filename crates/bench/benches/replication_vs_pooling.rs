@@ -5,6 +5,12 @@
 //! dataset per socket), fails for BFS-style read-write sharing (constant
 //! software-coherence collapses), and *composes* with the pool.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "a bench prints its table and stops on a broken setup"
+)]
+
 use starnuma::{Experiment, MigrationMode, Runner, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, scale};
 use starnuma_migration::ReplicationConfig;

@@ -3,6 +3,12 @@
 //! bench builds the 8-chassis, 32-socket machine and measures whether the
 //! pool still pays off at the higher pool latency.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "a bench prints its table and stops on a broken setup"
+)]
+
 use starnuma::{Experiment, MigrationMode, Runner, ScaleConfig, SystemKind, Workload};
 use starnuma_bench::{banner, fmt_speedup, print_header, print_row, scale};
 use starnuma_topology::SystemParams;

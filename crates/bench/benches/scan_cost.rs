@@ -1,6 +1,8 @@
 //! §III-D4: the metadata-region scan cost of Algorithm 1 — the only
 //! migration-mechanism overhead left in software.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma_bench::banner;
 use starnuma_migration::scan_cost_cycles;
 use starnuma_types::Nanos;

@@ -1,6 +1,8 @@
 //! Table I / Table II: system parameters of the full-scale machine and the
 //! scaled-down simulation configuration.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::SystemParams;
 use starnuma_bench::banner;
 

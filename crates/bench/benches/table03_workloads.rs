@@ -6,6 +6,8 @@
 //! this table doubles as the core-model calibration check: the 2–10×
 //! single-vs-16-socket IPC gap of the paper must reappear.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{SystemKind, Workload};
 use starnuma_bench::{banner, print_header, print_row, Lab};
 

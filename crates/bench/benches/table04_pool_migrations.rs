@@ -1,5 +1,7 @@
 //! Table IV: fraction of migrated pages that StarNUMA moves to the pool.
 
+#![allow(clippy::print_stdout, reason = "a bench prints its table to stdout")]
+
 use starnuma::{SystemKind, Workload};
 use starnuma_bench::{banner, print_header, print_row, Lab};
 

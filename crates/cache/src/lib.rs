@@ -22,9 +22,6 @@
 //! assert!(matches!(llc.access(BlockAddr::new(7), false), CacheOutcome::Hit));
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod llc;
 mod tlb;
 

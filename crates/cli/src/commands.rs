@@ -14,12 +14,12 @@ use starnuma::prof;
 use starnuma::report::run_result_json;
 use starnuma::{
     geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunOptions,
-    RunResult, ScaleConfig, SystemKind, TraceGenerator, Workload,
+    RunResult, Runner, ScaleConfig, SystemKind, TraceGenerator, Workload,
 };
 use starnuma_topology::SystemParams;
 use starnuma_trace::{read_phase, write_phase, SharingHistogram};
 use starnuma_types::json::Json;
-use starnuma_types::{digest_hex, Location, SocketId};
+use starnuma_types::{digest_hex, Diagnostic, Location, SocketId};
 
 use crate::args::{ArgError, Args};
 
@@ -236,6 +236,24 @@ pub fn parse_scale(args: &Args) -> Result<ScaleConfig, ArgError> {
     Ok(scale)
 }
 
+/// Runs the pre-run model checks on `experiment` of `workload`, so a
+/// configuration the simulator would reject is an [`ArgError`] naming its
+/// findings instead of a panic mid-run.
+fn preflight(workload: Workload, experiment: &Experiment) -> Result<(), ArgError> {
+    let errors: Vec<String> = Runner::preflight(&workload.profile(), &experiment.run_config())
+        .iter()
+        .filter(|d| d.is_error())
+        .map(Diagnostic::to_string)
+        .collect();
+    if errors.is_empty() {
+        return Ok(());
+    }
+    Err(ArgError(format!(
+        "invalid configuration:\n{}",
+        errors.join("\n")
+    )))
+}
+
 /// `starnuma run --workload W --system S [--replication FRAC] [--json]
 /// [--trace-out PATH] [--ledger DIR]
 /// [--strict-monitors] [--inject-monitor-fault NAME] [--progress]`
@@ -272,6 +290,7 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
         }
         experiment = experiment.with_replication(frac);
     }
+    preflight(workload, &experiment)?;
     let session = Session::start(args);
     let (result, report) = experiment.run_with(&opts);
     let runs = report
@@ -352,6 +371,9 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         if !distinct.contains(s) {
             distinct.push(*s);
         }
+    }
+    for &system in &distinct {
+        preflight(workload, &Experiment::new(workload, system, scale.clone()))?;
     }
     let computed: BTreeMap<SystemKind, (RunResult, Option<Observed>)> = JobPool::global()
         .run(distinct.clone(), |_, system| {
@@ -434,6 +456,11 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
     };
     let scale = parse_scale(args)?;
     let opts = run_options(args)?;
+    for &w in &workloads {
+        for s in [system, SystemKind::Baseline] {
+            preflight(w, &Experiment::new(w, s, scale.clone()))?;
+        }
+    }
     let session = Session::start(args);
     // One job per workload; each job runs the system and its baseline and
     // carries back the *system* run (the baseline anchors speedups only —
@@ -574,8 +601,15 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
             let out = args.require("out")?;
             let instructions = args.get_u64("instructions", 100_000)?;
             let seed = args.get_u64("seed", 42)?;
-            let sockets = args.get_u64("sockets", 16)? as usize;
-            let mut gen = TraceGenerator::new(&workload.profile(), sockets, 4, seed);
+            let params = SystemParams::scaled_baseline()
+                .with_num_sockets(args.get_u64("sockets", 16)? as usize)
+                .map_err(|e| ArgError(e.to_string()))?;
+            let mut gen = TraceGenerator::new(
+                &workload.profile(),
+                params.num_sockets,
+                params.cores_per_socket,
+                seed,
+            );
             let phase = gen.generate_phase(instructions);
             let file =
                 File::create(out).map_err(|e| ArgError(format!("cannot create {out}: {e}")))?;
@@ -616,27 +650,6 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
         other => Err(ArgError(format!(
             "trace needs a subcommand gen|info, got {other:?}"
         ))),
-    }
-}
-
-/// `starnuma lint [--root <path>] [--json]`: runs the static determinism
-/// analyzer over a workspace tree and exits non-zero when anything is
-/// found. Findings are not an `ArgError`: the invocation was fine, so no
-/// usage dump — just the report and the code.
-pub fn cmd_lint(args: &Args) -> Result<ExitCode, ArgError> {
-    args.expect_only(&["root", "json"])?;
-    let root = std::path::PathBuf::from(args.get_or("root", "."));
-    let findings = starnuma_audit::lint_workspace(&root)
-        .map_err(|e| ArgError(format!("cannot scan {}: {e}", root.display())))?;
-    if args.switch("json") {
-        println!("{}", starnuma_audit::render_json_report(&findings));
-    } else {
-        println!("{}", starnuma_audit::render_human(&findings));
-    }
-    if findings.is_empty() {
-        Ok(ExitCode::SUCCESS)
-    } else {
-        Ok(ExitCode::FAILURE)
     }
 }
 

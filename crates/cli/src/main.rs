@@ -1,6 +1,9 @@
 //! `starnuma` — command-line front end for the StarNUMA reproduction.
 
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::print_stderr,
+    reason = "the CLI is the operator-facing front end"
+)]
 
 use std::process::ExitCode;
 

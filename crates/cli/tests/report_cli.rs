@@ -4,6 +4,12 @@
 //! fixture directory as the working directory and pass `--ledger .`,
 //! so the paths the report prints are stable for byte-exact goldens.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -1,5 +1,11 @@
 //! `starnuma run` through the real binary.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use std::process::Command;
 
 use starnuma_types::json::{parse, Json};
@@ -99,4 +105,50 @@ fn seeds_are_capped_at_two_to_the_53_and_round_trip_there() {
     assert!(inspect.status.success());
     assert!(String::from_utf8_lossy(&inspect.stdout).contains("seed 9007199254740992 "));
     let _ = std::fs::remove_file(trace);
+}
+
+/// Regression: arguments the model checks reject panicked (exit 101) in
+/// `Runner::new` or the trace generator; each must be a typed usage error
+/// (exit 1) that names the finding.
+#[test]
+fn arguments_that_fail_model_checks_are_usage_errors() {
+    let out_path = std::env::temp_dir().join("starnuma-run-cli-bad.sntr");
+    let out_s = out_path.to_str().expect("utf-8 path");
+    let _ = std::fs::remove_file(&out_path);
+    let run = |extra: &[&'static str]| {
+        let base = [
+            "run",
+            "--workload",
+            "bfs",
+            "--scale",
+            "quick",
+            "--jobs",
+            "1",
+        ];
+        [&base[..], extra].concat()
+    };
+    let gen = |sockets| {
+        let base = ["trace", "gen", "--workload", "bfs", "--out", out_s];
+        [&base[..], &["--sockets", sockets]].concat()
+    };
+    let cases = [
+        (run(&["--phases", "0"]), "SN106"),
+        (run(&["--instructions", "0"]), "SN106"),
+        (gen("0"), "socket count"),
+        (gen("3"), "socket count"),
+        (gen("1028"), "socket count"),
+    ];
+    for (args, finding) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(finding), "{args:?}: {stderr}");
+    }
+    assert!(
+        !out_path.exists(),
+        "a rejected trace gen must not write a file"
+    );
 }

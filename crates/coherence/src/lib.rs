@@ -33,9 +33,6 @@
 //! assert_eq!(r.transfer, TransferKind::CacheToCache { owner: SocketId::new(0) });
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 use core::fmt;
 use core::ops::Deref;
 
@@ -83,7 +80,6 @@ impl SocketList {
             sockets: [SocketId::new(0); 32],
         };
         while mask != 0 {
-            // audit:allow(SN009) trailing_zeros of a nonzero u32 is below 32.
             list.sockets[usize::from(list.len)] = SocketId::new(mask.trailing_zeros() as u16);
             list.len += 1;
             mask &= mask - 1;
@@ -265,6 +261,10 @@ impl Directory {
     ///
     /// Panics if `requester` is outside the configured socket count, or if
     /// more than `u32::MAX` distinct pages are accessed.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: more than 2^32 pages touched"
+    )]
     pub fn access(
         &mut self,
         block: BlockAddr,
@@ -286,7 +286,6 @@ impl Directory {
         }
         if self.slots[pfn] == 0 {
             let next = u32::try_from(self.chunks.len());
-            // audit:allow(SN001) documented panic: more than 2^32 pages touched.
             self.slots[pfn] = next.expect("directory chunk index overflows u32");
             self.chunks.push(Chunk::EMPTY);
         }
@@ -307,7 +306,6 @@ impl Directory {
             } else {
                 self.stats.bt_socket += 1;
             }
-            // audit:allow(SN009) trailing_zeros of a nonzero u32 is below 32.
             let owner = SocketId::new(mask.trailing_zeros() as u16);
             TransferKind::CacheToCache { owner }
         } else {
@@ -371,7 +369,6 @@ impl Directory {
     /// Current Modified owner of `block`, if any.
     pub fn owner(&self, block: BlockAddr) -> Option<SocketId> {
         let (mask, modified) = self.state(block);
-        // audit:allow(SN009) trailing_zeros of a nonzero u32 is below 32.
         modified.then(|| SocketId::new(mask.trailing_zeros() as u16))
     }
 

@@ -36,9 +36,6 @@
 //! assert!(speedup > 1.0, "the pool accelerates BFS (paper: 1.7x)");
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod chart;
 mod experiment;
 pub mod pool;

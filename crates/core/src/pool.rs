@@ -3,7 +3,7 @@
 //! The paper's evaluation is dozens of independent `(profile, RunConfig) →
 //! RunResult` simulations — per workload, per system variant, per sweep
 //! point. Each run is a pure function of its configuration and seed (the
-//! same-seed bit-identity guarantee from the audit PR), so fanning them out
+//! same-seed bit-identity guarantee the tier-1 gate pins), so fanning them out
 //! across threads cannot change any result; it only changes wall-clock
 //! time. [`JobPool`] exploits that: a zero-dependency work-sharing pool
 //! over [`std::thread::scope`] that executes a job list on a bounded
@@ -31,7 +31,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant; // audit:allow(SN002) — ProgressMeter's operator ETA only
+#[expect(clippy::disallowed_types, reason = "ProgressMeter's operator ETA only")]
+use std::time::Instant;
 
 use starnuma_types::{ConfigError, StarNumaError};
 
@@ -73,32 +74,33 @@ pub fn set_progress(enabled: bool) {
 struct ProgressMeter {
     total: usize,
     done: AtomicUsize,
-    start: Instant, // audit:allow(SN002) — operator ETA only
+    #[expect(clippy::disallowed_types, reason = "operator ETA only")]
+    start: Instant,
 }
 
 impl ProgressMeter {
+    #[expect(clippy::disallowed_types, reason = "operator ETA only")]
     fn new(total: usize) -> Self {
         ProgressMeter {
             total,
             done: AtomicUsize::new(0),
-            start: Instant::now(), // audit:allow(SN002) — operator ETA only
+            start: Instant::now(),
         }
     }
 
     /// Records one finished job and reports. Called from worker threads;
     /// `eprintln!` takes a lock per call, so concurrent lines never shear.
+    #[expect(clippy::print_stderr, reason = "operator-facing progress, stderr only")]
     fn tick(&self) {
         let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
         let elapsed = self.start.elapsed().as_secs_f64();
         if done < self.total {
             let eta = elapsed / done as f64 * (self.total - done) as f64;
-            // audit:allow(SN005) — operator-facing progress, stderr only
             eprintln!(
                 "starnuma: {done}/{} runs complete, ETA ~{eta:.0}s",
                 self.total
             );
         } else {
-            // audit:allow(SN005) — operator-facing progress, stderr only
             eprintln!(
                 "starnuma: {done}/{} runs complete in {elapsed:.1}s",
                 self.total
@@ -127,8 +129,11 @@ fn env_jobs() -> Result<Option<usize>, StarNumaError> {
 }
 
 /// The host's available parallelism, defaulting to 1 when unknown.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sizes the worker pool only; merge order is fixed, results never differ"
+)]
 fn default_parallelism() -> usize {
-    // audit:allow(SN008) sizes the worker pool only; merge order is fixed, results never differ.
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

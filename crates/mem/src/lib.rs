@@ -30,9 +30,6 @@
 //! assert_eq!(second, Cycles::new(7)); // waits behind the first transfer
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod dram;
 mod server;
 

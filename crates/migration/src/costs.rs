@@ -32,7 +32,7 @@ impl MigrationCosts {
         self.initiator_cycles_per_page * pages
     }
 
-    /// Pre-run validation of the cost model (audit Pass 2, `SN105`).
+    /// Pre-run validation of the cost model (`SN105`).
     ///
     /// A page that moves zero bytes breaks the bandwidth model (error);
     /// free shootdowns merely make migration optimistic (warning).

@@ -27,9 +27,6 @@
 //! assert_eq!(meta.sharer_count(RegionId::new(0)), 1);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod ablation;
 mod costs;
 mod oracle;

@@ -114,8 +114,7 @@ impl PolicyConfig {
         }
     }
 
-    /// Pre-run validation of Algorithm 1's threshold structure (audit
-    /// Pass 2, `SN103`).
+    /// Pre-run validation of Algorithm 1's threshold structure (`SN103`).
     ///
     /// The adaptive thresholds only make sense when their bounds nest:
     /// `hi_min ≤ hi_init ≤ hi_max` and `lo_init ≤ lo_max`. A zero migration

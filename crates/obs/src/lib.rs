@@ -47,9 +47,6 @@
 //! assert_eq!(report.metrics.merged().sockets[0].class_hist[1].count(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod export;
 mod journal;
 mod ledger;

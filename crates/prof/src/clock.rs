@@ -1,21 +1,25 @@
 //! The single sanctioned wall-clock reader in the workspace.
 //!
-//! Simulation crates must never read host time (lint SN002): results are
-//! functions of simulated time only. Profiling needs host time, so it is
-//! funneled through exactly one type — [`ProfClock`] — whose internals
-//! carry the `audit:allow(SN002)` escape. Everything else (the RAII scopes
-//! in hot paths, the CLI's session timer) asks this clock, and when
-//! profiling is disabled the scopes never ask at all, so a normal run
-//! performs zero wall-clock reads outside the job-pool progress meter.
+//! Simulation crates must never read host time (`clippy.toml` disallows
+//! `Instant` and `SystemTime`): results are functions of simulated time
+//! only. Profiling needs host time, so it is funneled through exactly one
+//! type — [`ProfClock`] — whose module carries the one `#[expect]` for
+//! it. Everything else (the RAII scopes in hot paths, the CLI's session
+//! timer) asks this clock, and when profiling is disabled the scopes never
+//! ask at all, so a normal run performs zero wall-clock reads outside the
+//! job-pool progress meter.
 
-// The two lines below are the profiler's sanctioned wall-clock access;
-// every other crate goes through ProfClock (lint SN002 enforces this).
-use std::time::Instant; // audit:allow(SN002) — ProfClock is the sole sanctioned reader
+#![expect(
+    clippy::disallowed_types,
+    reason = "ProfClock is the sole sanctioned wall-clock reader"
+)]
+
+use std::time::Instant;
 
 /// An opaque wall-clock stamp taken by [`ProfClock`].
 #[derive(Clone, Copy, Debug)]
 pub struct ClockStamp {
-    at: Instant, // audit:allow(SN002) — ProfClock internals only
+    at: Instant,
 }
 
 /// The injected wall clock: the only way simulation code is allowed to
@@ -27,9 +31,7 @@ impl ProfClock {
     /// Take a stamp of the current host time.
     #[inline]
     pub fn stamp() -> ClockStamp {
-        ClockStamp {
-            at: Instant::now(), // audit:allow(SN002) — ProfClock internals only
-        }
+        ClockStamp { at: Instant::now() }
     }
 
     /// Nanoseconds elapsed since `stamp` was taken, saturating at `u64::MAX`.

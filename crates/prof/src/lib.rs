@@ -18,10 +18,10 @@
 //!   folded stacks for flamegraph tooling.
 //!
 //! Wall-clock isolation: [`ProfClock`] is the *only* sanctioned
-//! `Instant` reader in the workspace (lint SN002 enforces the boundary),
-//! and profiling never feeds back into simulation state — a profiled run
-//! produces bit-identical `RunResult`s and obs exports (the
-//! tier-1 determinism gate proves it).
+//! `Instant` reader in the workspace (`clippy.toml`'s `disallowed-types`
+//! enforces the boundary), and profiling never feeds back into simulation
+//! state — a profiled run produces bit-identical `RunResult`s and obs
+//! exports (the tier-1 determinism gate proves it).
 //!
 //! # Examples
 //!
@@ -39,9 +39,6 @@
 //! assert!(!report.is_empty());
 //! assert!(report.render_tree(1_000_000).contains("timing"));
 //! ```
-
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod clock;
 pub mod json;

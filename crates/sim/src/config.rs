@@ -99,6 +99,10 @@ impl Default for RunConfig {
 
 impl RunConfig {
     /// Pool capacity in pages for a given footprint.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a fraction in [0, 1] (SN102) keeps the product within footprint_pages"
+    )]
     pub fn pool_capacity_pages(&self, footprint_pages: u64) -> u64 {
         if self.params.has_pool {
             ((footprint_pages as f64) * self.pool_capacity_frac).round() as u64
@@ -107,7 +111,7 @@ impl RunConfig {
         }
     }
 
-    /// Pre-run model validation (audit Pass 2).
+    /// Pre-run model validation.
     ///
     /// Aggregates [`SystemParams::diagnostics`] with run-level checks:
     /// `SN102` for a pool-capacity fraction outside `[0, 1]` and `SN106`

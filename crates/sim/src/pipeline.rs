@@ -73,12 +73,15 @@ impl Runner {
     ///
     /// Panics if the model fails validation; use [`Runner::try_new`] to get
     /// the findings as structured diagnostics instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience wrapper"
+    )]
     pub fn new(profile: WorkloadProfile, config: RunConfig) -> Self {
-        // audit:allow(SN001) — documented panicking convenience wrapper.
         Self::try_new(profile, config).expect("invalid model configuration")
     }
 
-    /// Creates a runner after running the Pass 2 model checks.
+    /// Creates a runner after running the pre-run model checks.
     ///
     /// # Errors
     ///
@@ -103,6 +106,10 @@ impl Runner {
         let mut out = config.diagnostics();
         if config.params.has_pool && config.pool_capacity_frac.is_finite() {
             let cap = config.pool_capacity_pages(profile.footprint_pages);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "hot_page_frac <= 1 keeps the product within footprint_pages"
+            )]
             let hot = (profile.footprint_pages as f64 * profile.hot_page_frac).round() as u64;
             if cap < hot {
                 out.push(Diagnostic::warning(
@@ -149,6 +156,10 @@ impl Runner {
         let cps = params.cores_per_socket;
         let fp = self.profile.footprint_pages;
         let pool_cap = self.config.pool_capacity_pages(fp);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the run allocates state per page, so the page count fits usize"
+        )]
         let num_regions = (fp as usize).div_ceil(REGION_PAGES);
 
         let mut gen = {
@@ -229,6 +240,10 @@ impl Runner {
             MigrationMode::Threshold { t0 } => (t0, true),
             _ => (false, false),
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a per-region mean access count is far below 2^64"
+        )]
         let mean_region_accesses = (self.config.instructions_per_phase as f64 * self.profile.mpki
             / 1000.0
             * (n_sockets * cps) as f64
@@ -240,11 +255,14 @@ impl Runner {
         };
         policy_cfg.migration_limit_pages = self.config.migration_limit_pages;
         let mut policy = ThresholdPolicy::new(policy_cfg, num_regions, params.has_pool);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float-to-int `as` saturates deterministically"
+        )]
         let mut oracle = OracleDynamicPolicy::new(
             ((self.config.instructions_per_phase as f64 * self.profile.mpki / 1000.0
                 * (n_sockets * cps) as f64)
                 / fp as f64)
-                // audit:allow(SN009) float-to-int `as` saturates deterministically.
                 .max(2.0) as u32,
             self.config.migration_limit_pages,
         );
@@ -384,7 +402,15 @@ impl Runner {
             // schedule fits in ~10 % of the phase, and let the rest take
             // effect between phases.
             let phase_cycles = self.config.instructions_per_phase as f64 * self.profile.base_cpi();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a page budget of 10% of one phase is far below usize::MAX"
+            )]
             let budget_pages = (phase_cycles * 0.1 / 3_000.0).floor() as usize;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a fraction of the plan's length is at most that length"
+            )]
             let modeled_count = ((plan.moves.len() as f64 * self.config.modeled_migration_fraction)
                 .round() as usize)
                 .min(plan.moves.len())
@@ -508,9 +534,10 @@ impl Runner {
             _ => (0, 0),
         };
         // Preflight (SN106) rejects empty run shapes, so >= 1 measured phase.
+        #[expect(clippy::expect_used, reason = "preflight guarantees a measured phase")]
         let mut result =
             RunResult::from_phases(phase_stats, migrated, to_pool, sim.directory_stats())
-                .expect("preflight guarantees at least one measured phase"); // audit:allow(SN001)
+                .expect("preflight guarantees at least one measured phase");
         if let Some(reps) = replicas {
             result.replication = Some(reps.stats());
         }

@@ -346,6 +346,10 @@ impl TimingSim {
             // migration stall), defer this core and let earlier accesses
             // enqueue first. Without this, far-future enqueues inflate every
             // earlier access's queuing delay, a runaway feedback.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "simulated times are far below 2^64 cycles, about 240 years at 2.4 GHz"
+            )]
             if let Some(&Reverse((next_t, _))) = heap.peek() {
                 if (t as u64) > next_t && (t as u64) > event_t {
                     heap.push(Reverse((t as u64, ci)));
@@ -355,6 +359,10 @@ impl TimingSim {
             if !core.light && core.outstanding.len() >= mlp {
                 core.outstanding.pop();
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "simulated times are far below 2^64 cycles, about 240 years at 2.4 GHz"
+            )]
             let now = Cycles::new(t as u64);
             // §V-F replication: local replica reads; write-collapse.
             if let Some(reps) = replicas.as_deref_mut() {
@@ -396,6 +404,10 @@ impl TimingSim {
             if !core.light && !hit {
                 let extra = measured_cycles.saturating_sub(self.local_unloaded_cycles);
                 if extra > 0 {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "simulated times are far below 2^64 cycles, about 240 years at 2.4 GHz"
+                    )]
                     core.outstanding.push(Reverse(t as u64 + extra));
                 }
             }
@@ -405,12 +417,20 @@ impl TimingSim {
             if core.next < core.stream.len() {
                 let next_icount = core.stream[core.next].icount;
                 let est = t + (next_icount - a.icount) as f64 * eff_cpi;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "simulated times are far below 2^64 cycles, about 240 years at 2.4 GHz"
+                )]
                 heap.push(Reverse((est as u64, ci)));
             }
         }
 
         // --- Finish: cores retire their remaining instructions. ---
         if collect {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "simulated times are far below 2^64 cycles, about 240 years at 2.4 GHz"
+            )]
             for core in &cores {
                 let eff_cpi = if core.light { self.light_cpi } else { cpi };
                 let mut finish =

@@ -27,9 +27,6 @@
 //! assert_eq!(route.unloaded_total.raw(), 180.0);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod dot;
 pub mod latency;
 mod network;

@@ -195,12 +195,15 @@ impl Network {
     ///
     /// Panics if `params` fails [`SystemParams::diagnostics`]; use
     /// [`Network::try_new`] to get the findings instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking convenience wrapper"
+    )]
     pub fn new(params: &SystemParams) -> Self {
-        // audit:allow(SN001) — documented panicking convenience wrapper.
         Self::try_new(params).expect("invalid system parameters")
     }
 
-    /// Builds the link database after running the Pass 2 model checks, and
+    /// Builds the link database after running the pre-run model checks, and
     /// the route table that [`Network::leg`] reads: every leg between two
     /// endpoints (the sockets and the pool) is computed once, here.
     ///

@@ -206,17 +206,16 @@ impl SystemParams {
         self
     }
 
-    /// Expands the system to `n` sockets (must be a multiple of four).
-    /// Used by the §V-C 32-socket discussion.
+    /// Expands the system to `n` sockets (a multiple of four, at most
+    /// 1024). Used by the §V-C 32-socket discussion.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `n` is zero or not a multiple of four.
+    /// Returns [`ConfigError`] if `n` is zero, not a multiple of four, or
+    /// above 1024.
     pub fn with_num_sockets(mut self, n: usize) -> Result<Self, ConfigError> {
-        if n == 0 || !n.is_multiple_of(SOCKETS_PER_CHASSIS) {
-            return Err(ConfigError::new(format!(
-                "socket count must be a positive multiple of {SOCKETS_PER_CHASSIS}, got {n}"
-            )));
+        if let Some(problem) = socket_count_problem(n) {
+            return Err(ConfigError::new(problem));
         }
         self.num_sockets = n;
         Ok(self)
@@ -232,7 +231,7 @@ impl SystemParams {
         self.num_sockets * self.cores_per_socket
     }
 
-    /// Pre-run physical-consistency checks (audit Pass 2).
+    /// Pre-run physical-consistency checks.
     ///
     /// Returns *every* problem as a structured [`Diagnostic`] instead of
     /// stopping at the first: `SN101` for non-physical scalar parameters
@@ -240,14 +239,11 @@ impl SystemParams {
     /// chassis cannot reach each other.
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        if self.num_sockets == 0 || !self.num_sockets.is_multiple_of(SOCKETS_PER_CHASSIS) {
+        if let Some(problem) = socket_count_problem(self.num_sockets) {
             out.push(Diagnostic::error(
                 "SN101",
                 "SystemParams.num_sockets",
-                format!(
-                    "socket count must be a positive multiple of {SOCKETS_PER_CHASSIS}, got {}",
-                    self.num_sockets
-                ),
+                problem,
                 "the glueless mesh is built from whole 4-socket chassis; use with_num_sockets",
             ));
         }
@@ -333,6 +329,19 @@ impl Default for SystemParams {
     fn default() -> Self {
         Self::scaled_starnuma()
     }
+}
+
+/// The most sockets a topology can have: a chassis index is a `u8`.
+const MAX_SOCKETS: usize = (u8::MAX as usize + 1) * SOCKETS_PER_CHASSIS;
+
+/// Why `n` sockets cannot form a topology of whole chassis, if they cannot.
+fn socket_count_problem(n: usize) -> Option<String> {
+    (n == 0 || !n.is_multiple_of(SOCKETS_PER_CHASSIS) || n > MAX_SOCKETS).then(|| {
+        format!(
+            "socket count must be a positive multiple of {SOCKETS_PER_CHASSIS} \
+             up to {MAX_SOCKETS}, got {n}"
+        )
+    })
 }
 
 #[cfg(test)]
@@ -465,6 +474,27 @@ mod tests {
         p.numalinks_per_chassis_pair = 0;
         let codes: Vec<_> = p.diagnostics().iter().map(|d| d.code).collect();
         assert_eq!(codes, vec!["SN101", "SN101", "SN104"]);
+    }
+
+    #[test]
+    fn socket_counts_above_the_chassis_id_range_are_rejected() {
+        let p = SystemParams::scaled_baseline();
+        assert!(p.clone().with_num_sockets(1028).is_err());
+        let mut raw = p.clone();
+        raw.num_sockets = 1028;
+        let diags = raw.diagnostics();
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, "SN101");
+        assert!(diags[0].location.contains("num_sockets"));
+        assert!(matches!(
+            crate::Network::try_new(&raw),
+            Err(starnuma_types::StarNumaError::InvalidModel(_))
+        ));
+
+        let max = p
+            .with_num_sockets(1024)
+            .expect("1024 sockets fit the u8 chassis ids");
+        assert!(max.diagnostics().is_empty());
     }
 
     #[test]

@@ -318,7 +318,7 @@ fn partial_shuffle(v: &mut [u16], k: usize, rng: &mut SimRng) {
 mod tests {
     use super::*;
     use crate::profile::Workload;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn generator(w: Workload) -> TraceGenerator {
         TraceGenerator::new(&w.profile(), 16, 4, 42)
@@ -388,11 +388,11 @@ mod tests {
     fn poa_pages_are_socket_private() {
         let mut g = generator(Workload::Poa);
         let phase = g.generate_phase(5_000);
-        let mut sharer_counts = HashSet::new();
+        let mut sharer_counts = BTreeSet::new();
         for a in phase.iter() {
             sharer_counts.insert(g.page_sharers(a.addr.page()).len());
         }
-        assert_eq!(sharer_counts, HashSet::from([1]));
+        assert_eq!(sharer_counts, BTreeSet::from([1]));
     }
 
     #[test]
@@ -417,7 +417,7 @@ mod tests {
             let sharers = g.page_sharers(page);
             let cls = &g.profile().classes[g.page_class(page)];
             if cls.within_chassis && sharers.len() > 1 {
-                let chassis: HashSet<u8> = sharers.iter().map(|s| s.chassis().index()).collect();
+                let chassis: BTreeSet<u8> = sharers.iter().map(|s| s.chassis().index()).collect();
                 assert_eq!(chassis.len(), 1, "within-chassis class spans chassis");
             }
         }

@@ -30,9 +30,6 @@
 //! assert!(!phase.per_core[0].is_empty());
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod file;
 mod generator;
 mod profile;

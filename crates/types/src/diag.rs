@@ -1,8 +1,8 @@
-//! Structured diagnostics shared by the audit scanner and model validators.
+//! Structured diagnostics reported by the model validators.
 //!
-//! Both static-analysis passes report through one [`Diagnostic`] shape: a
-//! stable `SNxxx` code, a severity, a location (file:line for source lints,
-//! a parameter path for model checks), a human message, and a fix hint.
+//! Every pre-run model check reports through one [`Diagnostic`] shape: a
+//! stable `SNxxx` code, a severity, a location (a parameter path), a human
+//! message, and a fix hint.
 //! Returning these instead of panicking lets callers surface *every*
 //! problem with a configuration before a run starts, render them for
 //! humans or machines, and test for exact codes.
@@ -25,8 +25,6 @@
 
 use core::fmt;
 
-use crate::json::Json;
-
 /// How serious a diagnostic is.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Severity {
@@ -45,15 +43,14 @@ impl fmt::Display for Severity {
     }
 }
 
-/// One finding from a lint pass or a model validator.
+/// One finding from a model validator.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
-    /// Stable rule code (`SN001`–`SN004` source lints, `SN1xx` model checks).
+    /// Stable rule code (`SN1xx` model checks).
     pub code: &'static str,
     /// Finding severity.
     pub severity: Severity,
-    /// Where: `path/to/file.rs:line` or a parameter path like
-    /// `RunConfig.pool_capacity_frac`.
+    /// Where: a parameter path like `RunConfig.pool_capacity_frac`.
     pub location: String,
     /// What is wrong.
     pub message: String,
@@ -98,19 +95,6 @@ impl Diagnostic {
     pub fn is_error(&self) -> bool {
         self.severity == Severity::Error
     }
-
-    /// Renders the diagnostic as one JSON object.
-    pub fn to_json(&self) -> String {
-        let field = |key: &str, value: String| (key.to_string(), Json::Str(value));
-        Json::Obj(vec![
-            field("code", self.code.to_string()),
-            field("severity", self.severity.to_string()),
-            field("location", self.location.clone()),
-            field("message", self.message.clone()),
-            field("hint", self.hint.clone()),
-        ])
-        .render()
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -146,16 +130,6 @@ mod tests {
         let w = Diagnostic::warning("SN105", "x", "m", "h");
         assert!(!w.is_error());
         assert!(Diagnostic::error("SN105", "x", "m", "h").is_error());
-    }
-
-    #[test]
-    fn json_is_escaped() {
-        let d = Diagnostic::error("SN001", "a\"b", "line\nbreak", "tab\there");
-        let j = d.to_json();
-        assert!(j.contains("a\\\"b"));
-        assert!(j.contains("line\\nbreak"));
-        assert!(j.contains("tab\\there"));
-        assert!(j.starts_with('{') && j.ends_with('}'));
     }
 
     #[test]

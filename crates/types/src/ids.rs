@@ -32,8 +32,11 @@ impl SocketId {
     }
 
     /// Returns the chassis this socket belongs to (four sockets per chassis).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "validated topologies have at most 1024 sockets (SN101), so socket / 4 fits u8"
+    )]
     pub const fn chassis(self) -> ChassisId {
-        // audit:allow(SN009) socket index / 4 fits u8: validated topologies stay far below 1024.
         ChassisId((self.0 as usize / SOCKETS_PER_CHASSIS) as u8)
     }
 
@@ -83,7 +86,10 @@ impl ChassisId {
 
     /// Returns the sockets housed in this chassis.
     pub fn sockets(self) -> impl Iterator<Item = SocketId> {
-        // audit:allow(SN009) SOCKETS_PER_CHASSIS is the constant 4.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "SOCKETS_PER_CHASSIS is the constant 4"
+        )]
         let per = SOCKETS_PER_CHASSIS as u16;
         let base = u16::from(self.0) * per;
         (base..base + per).map(SocketId)
@@ -120,8 +126,11 @@ impl CoreId {
     }
 
     /// Returns the socket this core belongs to, given `cores_per_socket`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "core / cores-per-socket is a socket index, far below 2^16"
+    )]
     pub const fn socket(self, cores_per_socket: usize) -> SocketId {
-        // audit:allow(SN009) core/cores-per-socket is a socket index, always far below 2^16.
         SocketId((self.0 as usize / cores_per_socket) as u16)
     }
 }

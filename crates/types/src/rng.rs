@@ -69,7 +69,6 @@ impl SimRng {
 
     /// The next 32 raw bits (the high half of [`SimRng::next_u64`]).
     pub fn gen_u32(&mut self) -> u32 {
-        // audit:allow(SN009) the shift leaves 32 significant bits, so the cast keeps them all.
         (self.next_u64() >> 32) as u32
     }
 
@@ -112,6 +111,10 @@ pub trait SampleRange {
 
 impl SampleRange for core::ops::Range<usize> {
     type Output = usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded() returns less than a span that came from usize"
+    )]
     fn sample(self, rng: &mut SimRng) -> usize {
         if self.end <= self.start {
             return self.start;
@@ -132,34 +135,43 @@ impl SampleRange for core::ops::Range<u64> {
 
 impl SampleRange for core::ops::Range<u32> {
     type Output = u32;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded() returns less than the u32 span"
+    )]
     fn sample(self, rng: &mut SimRng) -> u32 {
         if self.end <= self.start {
             return self.start;
         }
-        // audit:allow(SN009) bounded() returns less than the u32 span, so the draw fits u32.
         self.start + rng.bounded(u64::from(self.end - self.start)) as u32
     }
 }
 
 impl SampleRange for core::ops::Range<u16> {
     type Output = u16;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded() returns less than the u16 span"
+    )]
     fn sample(self, rng: &mut SimRng) -> u16 {
         if self.end <= self.start {
             return self.start;
         }
-        // audit:allow(SN009) bounded() returns less than the u16 span, so the draw fits u16.
         self.start + rng.bounded(u64::from(self.end - self.start)) as u16
     }
 }
 
 impl SampleRange for core::ops::RangeInclusive<u16> {
     type Output = u16;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded() returns at most end - start, a u16 span"
+    )]
     fn sample(self, rng: &mut SimRng) -> u16 {
         let (start, end) = (*self.start(), *self.end());
         if end <= start {
             return start;
         }
-        // audit:allow(SN009) bounded() returns at most end - start, a u16 span, so the draw fits u16.
         start + rng.bounded(u64::from(end - start) + 1) as u16
     }
 }

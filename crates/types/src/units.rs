@@ -137,6 +137,10 @@ impl Nanos {
     }
 
     /// Converts to core cycles at 2.4 GHz, rounding to the nearest cycle.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "model latencies are far below 2^64 cycles"
+    )]
     pub fn to_cycles(self) -> Cycles {
         Cycles((self.0 * CORE_GHZ).round() as u64)
     }
@@ -298,6 +302,10 @@ impl GbPerSec {
     /// `bytes`, i.e. the occupancy of one transfer on a FIFO link server.
     ///
     /// At 2.4 GHz, one GB/s moves `1/2.4` bytes per cycle.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "one transfer's occupancy is far below 2^64 cycles"
+    )]
     pub fn service_cycles(self, bytes: u64) -> Cycles {
         let bytes_per_cycle = self.0 / CORE_GHZ; // GB/s ÷ Gcycle/s = bytes/cycle
         Cycles((bytes as f64 / bytes_per_cycle).ceil() as u64)

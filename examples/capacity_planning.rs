@@ -7,6 +7,12 @@
 //! STARNUMA_SCALE=quick cargo run --release --example capacity_planning
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its results"
+)]
+
 use starnuma::chart::{render_bars, Bar};
 use starnuma::sweep::{break_even, sweep_cxl_latency, sweep_pool_capacity};
 use starnuma::{ScaleConfig, Workload};

@@ -9,6 +9,12 @@
 //! cargo run --release --example graph_analytics
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its results"
+)]
+
 use starnuma::{
     geomean, Experiment, ScaleConfig, SharingHistogram, SystemKind, TraceGenerator, Workload,
 };

@@ -6,6 +6,12 @@
 //! cargo run --release --example memory_pool_tuning
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its results"
+)]
+
 use starnuma::{Experiment, ScaleConfig, SystemKind, Workload};
 
 fn main() {

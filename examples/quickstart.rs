@@ -7,6 +7,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example prints its results"
+)]
+
 use starnuma::{AccessClass, Experiment, ScaleConfig, SystemKind, Workload};
 
 fn main() {

@@ -6,6 +6,12 @@
 //! cargo run --release --example topology_explorer
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example prints its results"
+)]
+
 use starnuma::{CxlLatencyBreakdown, LatencyModel, Network, SystemParams};
 use starnuma_types::{Location, SocketId};
 

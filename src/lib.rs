@@ -4,7 +4,4 @@
 //! directories; the actual library lives in the [`starnuma`] crate and the
 //! substrate crates it re-exports.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use starnuma;

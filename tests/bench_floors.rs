@@ -4,6 +4,12 @@
 //! floor on a key `higher_is_better` cannot classify would be reported as
 //! `info` and never trip, so both are caught here, before CI runs.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use starnuma_cli::higher_is_better;
 use starnuma_types::json::{parse, Json};
 

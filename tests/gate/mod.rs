@@ -31,6 +31,11 @@
 //! *intentional* model or export-format change lands):
 //! `STARNUMA_BLESS=1 cargo test --test index_equivalence -- --nocapture`.
 
+#![allow(
+    clippy::panic,
+    clippy::print_stdout,
+    reason = "gate helpers fail the test by panicking and print the GOLDEN table when asked"
+)]
 // Each gate file uses a different subset of the harness.
 #![allow(dead_code)]
 

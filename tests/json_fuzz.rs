@@ -4,6 +4,11 @@
 //! artifacts must never panic a reader; and a non-finite number must keep
 //! a ledger line byte-stable through the `null` it renders as.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail the test by panicking"
+)]
+
 use std::panic::catch_unwind;
 
 use starnuma::obs::{parse_flat_object, RunRecord};
