@@ -24,7 +24,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use starnuma::obs::{EventCategory, EventLevel, FieldValue, ObsSink};
-use starnuma::{Experiment, RunOptions, SystemKind, Workload};
+use starnuma::{Experiment, SystemKind, Workload};
 use starnuma_bench::banner;
 use starnuma_sim::access_class_labels;
 
@@ -76,11 +76,10 @@ fn main() {
     let mut enabled = ObsSink::enabled(16, access_class_labels(), 65_536);
     enabled.begin_phase(0);
     let (t_enabled, en_acc) = timed(|| record_loop(&mut enabled));
-    enabled.end_phase();
     let report = enabled.finish();
     assert_eq!(base_acc, dis_acc);
     assert_eq!(base_acc, en_acc);
-    assert_eq!(report.metrics.merged().sockets.len(), 16);
+    assert_eq!(report.metrics.sockets.len(), 16);
 
     let per = 1e9 / RECORDS as f64;
     println!();
@@ -99,29 +98,15 @@ fn main() {
 
     // Macro: a fig08-style run, observed and not. Bit-identical results
     // are the hard requirement; the slowdown is informational.
-    let scale = starnuma::ScaleConfig::quick();
-    let phases = scale.phases;
-    let experiment = Experiment::new(Workload::Bfs, SystemKind::StarNuma, scale);
+    let experiment = Experiment::new(
+        Workload::Bfs,
+        SystemKind::StarNuma,
+        starnuma::ScaleConfig::quick(),
+    );
     let (t_plain, plain) = timed(|| experiment.run());
-    let observe = RunOptions {
-        observe: true,
-        ..RunOptions::default()
-    };
-    let (t_obs, (observed, obs_report)) = timed(|| experiment.run_with(&observe));
+    let (t_obs, (observed, obs_report)) = timed(|| experiment.run_with(true));
     let obs_report = obs_report.expect("an observed run returns its report");
     assert_eq!(plain, observed, "observation changed the simulation result");
-    // The run above had the online invariant monitors armed (they are part
-    // of every observed run): they must have checked every phase barrier,
-    // found nothing, and — per the assert_eq above — perturbed nothing.
-    assert_eq!(
-        obs_report.monitor.checks, phases as u64,
-        "monitors must run once per phase barrier"
-    );
-    assert!(
-        obs_report.monitor.is_clean(),
-        "healthy run tripped a monitor: {:?}",
-        obs_report.monitor.violations
-    );
     println!();
     println!("macro (BFS on StarNUMA, quick scale):");
     println!("  unobserved run    {:>8.1} ms", t_plain * 1e3);
@@ -131,7 +116,6 @@ fn main() {
         obs_report.events.len(),
         obs_report
             .metrics
-            .merged()
             .sockets
             .iter()
             .map(|s| s.total_count())

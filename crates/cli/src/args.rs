@@ -29,7 +29,7 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["json", "full-scale", "help", "progress", "strict-monitors"];
+const SWITCHES: &[&str] = &["json", "full-scale", "help", "progress"];
 
 impl Args {
     /// Parses raw arguments (without the program name).

@@ -8,13 +8,13 @@ use std::collections::BTreeMap;
 
 use starnuma::obs::{
     parse_flat_object, trace_jsonl, try_percentile_from_counts, ObsReport, RunRecord, SiteSummary,
-    LEDGER_FILE, MAX_EXACT_INT, MONITOR_NAMES,
+    LEDGER_FILE, MAX_EXACT_INT,
 };
 use starnuma::prof;
 use starnuma::report::run_result_json;
 use starnuma::{
-    geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunOptions,
-    RunResult, Runner, ScaleConfig, SystemKind, TraceGenerator, Workload,
+    geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunResult,
+    Runner, ScaleConfig, SystemKind, TraceGenerator, Workload,
 };
 use starnuma_topology::SystemParams;
 use starnuma_trace::{read_phase, write_phase, SharingHistogram};
@@ -81,27 +81,10 @@ pub fn configure_jobs(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// The [`RunOptions`] this invocation asks for. The simulation runs with
-/// the [`starnuma::obs`] sink on whenever an output needs its report: the
-/// trace, the ledger, and the monitor flags. `--inject-monitor-fault`
-/// is validated against the monitor catalogue.
-fn run_options(args: &Args) -> Result<RunOptions, ArgError> {
-    let inject_fault = match args.get("inject-monitor-fault") {
-        None => None,
-        Some(name) if MONITOR_NAMES.contains(&name) => Some(name.to_string()),
-        Some(name) => {
-            return Err(ArgError(format!(
-                "unknown monitor '{name}' (expected one of: {})",
-                MONITOR_NAMES.join(", ")
-            )))
-        }
-    };
-    Ok(RunOptions {
-        observe: args.get("trace-out").is_some()
-            || args.switch("strict-monitors")
-            || ledger_dir(args).is_some(),
-        inject_fault,
-    })
+/// Whether this invocation runs with the [`starnuma::obs`] sink on: an
+/// output needs its report when the command writes a trace or a ledger.
+fn observes(args: &Args) -> bool {
+    args.get("trace-out").is_some() || ledger_dir(args).is_some()
 }
 
 /// Resolved ledger directory: `--ledger DIR` wins, else the
@@ -146,17 +129,11 @@ impl Session {
 
     /// Stamps the host fields on every observed run's record, then writes
     /// the outputs that read from the records: the `--trace-out` file (one
-    /// section per run, each headed by its record line), one ledger line
-    /// per run, and the monitor messages on stderr. Wall time and profiler
-    /// top sites are per *command*, shared by every record of a batch
-    /// (compare/sweep fan their runs out in parallel, so per-run wall time
-    /// does not exist). Under `--strict-monitors` a violation fails the
-    /// command.
-    fn finish(
-        self,
-        args: &Args,
-        mut runs: Vec<(RunRecord, &ObsReport)>,
-    ) -> Result<ExitCode, ArgError> {
+    /// section per run, each headed by its record line) and one ledger
+    /// line per run. Wall time and profiler top sites are per *command*,
+    /// shared by every record of a batch (compare/sweep fan their runs out
+    /// in parallel, so per-run wall time does not exist).
+    fn finish(self, args: &Args, mut runs: Vec<(RunRecord, &ObsReport)>) -> Result<(), ArgError> {
         let wall_ns = self.timer.elapsed_ns();
         let mut top_sites: Vec<SiteSummary> = Vec::new();
         if self.owns_prof {
@@ -187,22 +164,7 @@ impl Session {
                     .map_err(|e| ArgError(format!("cannot write ledger {}: {e}", dir.display())))?;
             }
         }
-        let mut violations = 0u64;
-        for (record, report) in &runs {
-            for v in &report.monitor.violations {
-                violations += 1;
-                eprintln!(
-                    "monitor violation: {} (phase {}, observed {}, limit {}) in {} on {}",
-                    v.monitor, v.phase, v.observed, v.limit, record.workload, record.system
-                );
-            }
-        }
-        if violations > 0 && args.switch("strict-monitors") {
-            eprintln!("strict-monitors: failing on {violations} violation(s)");
-            Ok(ExitCode::FAILURE)
-        } else {
-            Ok(ExitCode::SUCCESS)
-        }
+        Ok(())
     }
 }
 
@@ -255,9 +217,8 @@ fn preflight(workload: Workload, experiment: &Experiment) -> Result<(), ArgError
 }
 
 /// `starnuma run --workload W --system S [--replication FRAC] [--json]
-/// [--trace-out PATH] [--ledger DIR]
-/// [--strict-monitors] [--inject-monitor-fault NAME] [--progress]`
-pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
+/// [--trace-out PATH] [--ledger DIR] [--progress]`
+pub fn cmd_run(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "workload",
         "system",
@@ -270,8 +231,6 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
         "replication",
         "trace-out",
         "ledger",
-        "strict-monitors",
-        "inject-monitor-fault",
         "progress",
     ])?;
     configure_jobs(args)?;
@@ -279,7 +238,6 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
     let workload = parse_workload(args.require("workload")?)?;
     let system = parse_system(args.get_or("system", "starnuma"))?;
     let scale = parse_scale(args)?;
-    let opts = run_options(args)?;
     let mut experiment = Experiment::new(workload, system, scale.clone());
     if let Some(frac) = args.get("replication") {
         let frac: f64 = frac
@@ -292,15 +250,15 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
     }
     preflight(workload, &experiment)?;
     let session = Session::start(args);
-    let (result, report) = experiment.run_with(&opts);
+    let (result, report) = experiment.run_with(observes(args));
     let runs = report
         .iter()
         .map(|rep| (experiment.record(&result, rep), rep))
         .collect();
-    let exit = session.finish(args, runs)?;
+    session.finish(args, runs)?;
     if args.switch("json") {
         println!("{}", run_result_json(workload, system, &result).render());
-        return Ok(exit);
+        return Ok(());
     }
     println!("{workload} on {system}");
     println!("  per-core IPC      {:.3}", result.ipc);
@@ -331,13 +289,12 @@ pub fn cmd_run(args: &Args) -> Result<ExitCode, ArgError> {
             reps.regions_replicated, reps.peak_replica_pages, reps.collapses
         );
     }
-    Ok(exit)
+    Ok(())
 }
 
 /// `starnuma compare --workload W [--systems a,b,...] [--json]
-/// [--trace-out PATH] [--ledger DIR]
-/// [--strict-monitors] [--progress]`
-pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
+/// [--trace-out PATH] [--ledger DIR] [--progress]`
+pub fn cmd_compare(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "workload",
         "systems",
@@ -349,7 +306,6 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         "json",
         "trace-out",
         "ledger",
-        "strict-monitors",
         "progress",
     ])?;
     configure_jobs(args)?;
@@ -361,7 +317,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         .map(parse_system)
         .collect::<Result<_, _>>()?;
     let scale = parse_scale(args)?;
-    let opts = run_options(args)?;
+    let observe = observes(args);
     let session = Session::start(args);
     // Fan every distinct system (plus the baseline, which anchors the
     // speedup column) out on the job pool; results are keyed for the
@@ -378,7 +334,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
     let computed: BTreeMap<SystemKind, (RunResult, Option<Observed>)> = JobPool::global()
         .run(distinct.clone(), |_, system| {
             let e = Experiment::new(workload, system, scale.clone());
-            let (result, report) = e.run_with(&opts);
+            let (result, report) = e.run_with(observe);
             let observed = report.map(|rep| (e.record(&result, &rep), rep));
             (system, (result, observed))
         })
@@ -391,7 +347,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
         .filter_map(|s| computed[s].1.as_ref())
         .map(|(record, rep)| (record.clone(), rep))
         .collect();
-    let exit = session.finish(args, runs)?;
+    session.finish(args, runs)?;
     let computed: BTreeMap<SystemKind, RunResult> =
         computed.into_iter().map(|(s, (r, _))| (s, r)).collect();
     let baseline = computed[&SystemKind::Baseline].clone();
@@ -406,7 +362,7 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
                 .collect(),
         );
         println!("{}", arr.render());
-        return Ok(exit);
+        return Ok(());
     }
     println!("{workload}: comparison against {}", SystemKind::Baseline);
     println!(
@@ -423,13 +379,12 @@ pub fn cmd_compare(args: &Args) -> Result<ExitCode, ArgError> {
             r.ipc / baseline.ipc
         );
     }
-    Ok(exit)
+    Ok(())
 }
 
 /// `starnuma sweep --system S [--workloads a,b,...] [--json]
-/// [--trace-out PATH] [--ledger DIR]
-/// [--strict-monitors] [--progress]`
-pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
+/// [--trace-out PATH] [--ledger DIR] [--progress]`
+pub fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
         "system",
         "workloads",
@@ -441,7 +396,6 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
         "json",
         "trace-out",
         "ledger",
-        "strict-monitors",
         "progress",
     ])?;
     configure_jobs(args)?;
@@ -455,7 +409,7 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
             .collect::<Result<_, _>>()?,
     };
     let scale = parse_scale(args)?;
-    let opts = run_options(args)?;
+    let observe = observes(args);
     for &w in &workloads {
         for s in [system, SystemKind::Baseline] {
             preflight(w, &Experiment::new(w, s, scale.clone()))?;
@@ -466,7 +420,7 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
     // carries back the *system* run (the baseline anchors speedups only —
     // the record describes the system run).
     let rows: Vec<(Workload, f64, Option<Observed>)> = JobPool::global().run(workloads, |_, w| {
-        let (speedup, _, observed) = starnuma::speedup_vs_baseline(w, system, &scale, &opts);
+        let (speedup, _, observed) = starnuma::speedup_vs_baseline(w, system, &scale, observe);
         (w, speedup, observed)
     });
     let runs = rows
@@ -474,7 +428,7 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
         .filter_map(|(_, _, observed)| observed.as_ref())
         .map(|(record, rep)| (record.clone(), rep))
         .collect();
-    let exit = session.finish(args, runs)?;
+    session.finish(args, runs)?;
     let rows: Vec<(&str, f64)> = rows.iter().map(|(w, s, _)| (w.name(), *s)).collect();
     if args.switch("json") {
         // Self-describing output: a `meta` header (scale preset, worker
@@ -503,7 +457,7 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
         );
         let doc = Json::Obj(vec![("meta".into(), meta), ("results".into(), results)]);
         println!("{}", doc.render());
-        return Ok(exit);
+        return Ok(());
     }
     println!(
         "speedup of {system} over {} per workload:\n",
@@ -512,7 +466,7 @@ pub fn cmd_sweep(args: &Args) -> Result<ExitCode, ArgError> {
     print!("{}", starnuma::chart::speedup_chart(&rows, 40));
     let speedups: Vec<f64> = rows.iter().map(|(_, s)| *s).collect();
     println!("{:<10} geomean {:.2}x", "", geomean(&speedups));
-    Ok(exit)
+    Ok(())
 }
 
 /// `starnuma topology [--sockets N] [--full-scale] [--dot PATH]`
@@ -660,7 +614,7 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
 /// (plus optional folded stacks for flamegraph tooling). Profiling never
 /// feeds back into the simulation, so the wrapped command's outputs are
 /// bit-identical to an unprofiled invocation.
-pub fn cmd_profile(args: &Args) -> Result<ExitCode, ArgError> {
+pub fn cmd_profile(args: &Args) -> Result<(), ArgError> {
     let sub = args
         .subcommand()
         .filter(|s| matches!(*s, "run" | "compare" | "sweep"))
@@ -685,7 +639,7 @@ pub fn cmd_profile(args: &Args) -> Result<ExitCode, ArgError> {
     let wall_ns = timer.elapsed_ns();
     prof::set_enabled(false);
     let report = prof::take_report();
-    let exit = dispatched?;
+    dispatched?;
     println!();
     print!("{}", report.render_tree(wall_ns));
     write_out(
@@ -697,35 +651,25 @@ pub fn cmd_profile(args: &Args) -> Result<ExitCode, ArgError> {
         write_out(path, &report.folded())?;
         println!("wrote folded stacks to {path}");
     }
-    Ok(exit)
-}
-
-/// Bench metrics loaded by [`load_bench_metrics`], keyed `<bench>.<metric>`
-/// (`<bench>+trace.<metric>` for a traced line), or by the bare `<metric>`
-/// of a line with no `bench` field.
-#[derive(Default)]
-struct BenchMetrics {
-    /// The oldest value per key, which `starnuma report` diffs against the
-    /// newest.
-    first: BTreeMap<String, f64>,
-    /// The newest value per key, so a history compares at its most recent
-    /// state.
-    latest: BTreeMap<String, f64>,
+    Ok(())
 }
 
 /// Loads bench metrics from a flat JSON object file or a
 /// `BENCH_history.jsonl` file. Every non-empty line must be a flat JSON
-/// object. A line's numeric fields are keyed by the bench that wrote it
-/// (see [`BenchMetrics`]), so workloads never overwrite one another and
-/// traced lines stay apart from untraced ones. Identity fields (`bench`,
-/// `schema_version`, `smoke`, `version`, `trace`) are not metrics.
-fn load_bench_metrics(path: &str) -> Result<BenchMetrics, ArgError> {
+/// object. A line's numeric fields are keyed `<bench>.<metric>`
+/// (`<bench>+trace.<metric>` for a traced line), or by the bare `<metric>`
+/// of a line with no `bench` field, so workloads never overwrite one
+/// another and traced lines stay apart from untraced ones. A later line
+/// supersedes an earlier one's value, so a history compares at its most
+/// recent state. Identity fields (`bench`, `schema_version`, `smoke`,
+/// `version`, `trace`) are not metrics.
+fn load_bench_metrics(path: &str) -> Result<BTreeMap<String, f64>, ArgError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     if text.trim().is_empty() {
         return Err(ArgError(format!("{path}: no metric lines")));
     }
-    let mut metrics = BenchMetrics::default();
+    let mut metrics = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -747,8 +691,7 @@ fn load_bench_metrics(path: &str) -> Result<BenchMetrics, ArgError> {
                 Some(bench) => format!("{bench}.{metric}"),
                 None => metric.clone(),
             };
-            metrics.first.entry(key.clone()).or_insert(n);
-            metrics.latest.insert(key, n);
+            metrics.insert(key, n);
         }
     }
     Ok(metrics)
@@ -835,8 +778,8 @@ fn bench_diff_report(
     (out, regressions)
 }
 
-/// The `--tolerance` value of `report` and `bench-diff`: a finite,
-/// non-negative fraction.
+/// The `--tolerance` value of `bench-diff`: a finite, non-negative
+/// fraction.
 fn parse_tolerance(v: &str) -> Result<f64, ArgError> {
     v.parse::<f64>()
         .ok()
@@ -877,8 +820,8 @@ pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
             "bench-diff needs two files: starnuma bench-diff <old> <new> [--tolerance FRAC]".into(),
         ));
     };
-    let old = load_bench_metrics(old_path)?.latest;
-    let new = load_bench_metrics(new_path)?.latest;
+    let old = load_bench_metrics(old_path)?;
+    let new = load_bench_metrics(new_path)?;
     let (table, regressions) = bench_diff_report(&old, &new, tolerance);
     println!(
         "bench-diff: {old_path} -> {new_path} (tolerance {:.0}%)",
@@ -914,14 +857,12 @@ struct DriftFlag<'a> {
     versions: Vec<&'a str>,
 }
 
-/// `starnuma report [--ledger DIR] [--bench-history PATH]
-/// [--tolerance FRAC] [--json]`: cross-run trends from the
-/// run ledger — per-experiment IPC/p95 series with sparklines, monitor
-/// totals, determinism-drift flags (same config digest + seed, different
-/// result digest), and a first-vs-latest bench-history diff. Exits
-/// non-zero on any monitor violation or drift flag, so CI can gate on it.
+/// `starnuma report [--ledger DIR] [--json]`: cross-run trends from the
+/// run ledger — per-experiment IPC/p95 series with sparklines and
+/// determinism-drift flags (same config digest + seed, different result
+/// digest). Exits non-zero on any drift flag, so CI can gate on it.
 pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
-    args.expect_only(&["ledger", "bench-history", "tolerance", "json", "jobs"])?;
+    args.expect_only(&["ledger", "json", "jobs"])?;
     let dir = ledger_dir(args).ok_or_else(|| {
         ArgError("report needs a ledger: pass --ledger DIR or set STARNUMA_LEDGER".into())
     })?;
@@ -942,7 +883,6 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
             ))
         })?);
     }
-    let tolerance = parse_tolerance(args.get_or("tolerance", "0.2"))?;
 
     // Group into per-experiment trends, preserving file order inside each
     // group (the ledger is append-only, so file order is time order).
@@ -1001,35 +941,6 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
             },
         )
         .collect();
-
-    let checks: u64 = records.iter().map(|r| r.monitor_checks).sum();
-    let violations: u64 = records.iter().map(|r| r.monitor_violations).sum();
-
-    // Bench history: explicit flag wins, then the env override, then the
-    // default file name if it exists in the working directory.
-    let bench_path = args
-        .get("bench-history")
-        .map(str::to_string)
-        .or_else(|| {
-            std::env::var("STARNUMA_BENCH_HISTORY")
-                .ok()
-                .filter(|v| !v.is_empty())
-        })
-        .or_else(|| {
-            let default = "BENCH_history.jsonl";
-            std::path::Path::new(default)
-                .exists()
-                .then(|| default.to_string())
-        });
-    let bench = match &bench_path {
-        Some(path) => {
-            let history = load_bench_metrics(path)?;
-            let (table, regressions) =
-                bench_diff_report(&history.first, &history.latest, tolerance);
-            Some((path.clone(), table, regressions))
-        }
-        None => None,
-    };
 
     let trend_row = |g: &TrendGroup| -> (f64, f64, f64, String) {
         let ipc_series: Vec<f64> = g.records.iter().map(|r| r.ipc).collect();
@@ -1099,28 +1010,12 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
                 })
                 .collect(),
         );
-        let mut doc = vec![
+        let doc = vec![
             ("ledger".into(), Json::Str(shown_path.clone())),
             ("records".into(), Json::Num(records.len() as f64)),
             ("experiments".into(), experiments),
-            (
-                "monitors".into(),
-                Json::Obj(vec![
-                    ("checks".into(), Json::Num(checks as f64)),
-                    ("violations".into(), Json::Num(violations as f64)),
-                ]),
-            ),
             ("drift".into(), drift_json),
         ];
-        if let Some((path, _, regressions)) = &bench {
-            doc.push((
-                "bench".into(),
-                Json::Obj(vec![
-                    ("history".into(), Json::Str(path.clone())),
-                    ("regressions".into(), Json::Num(*regressions as f64)),
-                ]),
-            ));
-        }
         println!("{}", Json::Obj(doc).render());
     } else {
         println!("run ledger {shown_path}: {} record(s)", records.len());
@@ -1140,7 +1035,6 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
                 );
             }
         }
-        println!("monitors: {checks} check(s), {violations} violation(s)");
         if drift.is_empty() {
             println!("determinism drift: none");
         } else {
@@ -1161,16 +1055,8 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
                 }
             }
         }
-        if let Some((path, table, regressions)) = &bench {
-            println!(
-                "bench history {path} (first vs latest, tolerance {:.0}%):",
-                tolerance * 100.0
-            );
-            print!("{table}");
-            println!("{regressions} regression(s) beyond the tolerance band");
-        }
     }
-    if violations > 0 || !drift.is_empty() {
+    if !drift.is_empty() {
         Ok(ExitCode::FAILURE)
     } else {
         Ok(ExitCode::SUCCESS)
@@ -1178,10 +1064,8 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
 }
 
 /// One run's section of a `--trace-out` file: the run record that heads
-/// it, then its `event` and per-phase `hist` lines (its `counters` lines
-/// are accepted and skipped: the record carries the merged counters). A
-/// multi-run file (from `compare` or `sweep --trace-out`) concatenates
-/// sections.
+/// it, then its `event` and `hist` lines. A multi-run file (from
+/// `compare` or `sweep --trace-out`) concatenates sections.
 struct TraceSection {
     record: RunRecord,
     events: Vec<BTreeMap<String, Json>>,
@@ -1232,7 +1116,6 @@ fn parse_trace(path: &str, text: &str) -> Result<Vec<TraceSection>, ArgError> {
         match kind {
             "event" => section.events.push(obj),
             "hist" => section.hists.push(obj),
-            "counters" => {}
             other => return Err(ArgError(format!("{}: unknown line type '{other}'", at()))),
         }
     }
@@ -1265,7 +1148,7 @@ fn sparkline(buckets: &[f64]) -> String {
 
 /// Renders one trace section as text: run identity and result digest,
 /// the per-phase migration-decision timeline, the most-migrated regions,
-/// and the per-socket latency histograms summed over phases.
+/// and the run's per-socket latency histograms.
 fn render_section(section: &TraceSection, top: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -1386,46 +1269,46 @@ fn render_section(section: &TraceSection, top: usize) -> String {
         }
     }
 
-    // Per-socket latency histograms (log2-ns buckets, 1 ns .. 2^31 ns):
-    // the phases' `hist` lines summed per (socket, class), classes in
-    // access-class order.
-    let mut merged = BTreeMap::new();
-    for h in &section.hists {
-        let class = str_of(h, "class");
-        let rank = AccessClass::ALL
-            .iter()
-            .position(|c| c.label() == class)
-            .unwrap_or(usize::MAX);
-        let (count, sum_ns, buckets): &mut (f64, f64, Vec<f64>) = merged
-            .entry((num_of(h, "socket") as u64, rank, class))
-            .or_default();
-        *count += num_of(h, "count");
-        *sum_ns += num_of(h, "count") * num_of(h, "mean_ns");
-        let phase_buckets = h.get("buckets").and_then(Json::as_array).unwrap_or(&[]);
-        if buckets.len() < phase_buckets.len() {
-            buckets.resize(phase_buckets.len(), 0.0);
-        }
-        for (acc, b) in buckets.iter_mut().zip(phase_buckets) {
-            *acc += b.as_num().unwrap_or(0.0);
-        }
-    }
-    if !merged.is_empty() {
+    // Per-socket latency histograms (log2-ns buckets, 1 ns .. 2^31 ns),
+    // classes in access-class order.
+    let mut hists: Vec<_> = section
+        .hists
+        .iter()
+        .map(|h| {
+            let class = str_of(h, "class");
+            let rank = AccessClass::ALL
+                .iter()
+                .position(|c| c.label() == class)
+                .unwrap_or(usize::MAX);
+            (num_of(h, "socket") as u64, rank, class, h)
+        })
+        .collect();
+    hists.sort_by_key(|&(socket, rank, class, _)| (socket, rank, class));
+    if !hists.is_empty() {
         let _ = writeln!(
             out,
             "per-socket access-latency histograms (32 log2-ns buckets):"
         );
-        for ((socket, _, class), (count, sum_ns, buckets)) in &merged {
-            let mean = if *count > 0.0 { sum_ns / count } else { 0.0 };
+        for (socket, _, class, h) in hists {
+            let buckets: Vec<f64> = h
+                .get("buckets")
+                .and_then(Json::as_array)
+                .unwrap_or(&[])
+                .iter()
+                .map(|b| b.as_num().unwrap_or(0.0))
+                .collect();
             // An empty histogram has no p95; render `-` rather than a
             // `0 ns` that is indistinguishable from a real measurement.
-            let p95 = match try_percentile_from_counts(buckets, 0.95) {
+            let p95 = match try_percentile_from_counts(&buckets, 0.95) {
                 Some(p) => format!("{p:>7.0}"),
                 None => format!("{:>7}", "-"),
             };
             let _ = writeln!(
                 out,
-                "  socket {socket:>3} {class:<10} count {count:>10} mean {mean:>7.0} ns p95 {p95} ns |{}|",
-                sparkline(buckets),
+                "  socket {socket:>3} {class:<10} count {:>10} mean {:>7.0} ns p95 {p95} ns |{}|",
+                num_of(h, "count"),
+                num_of(h, "mean_ns"),
+                sparkline(&buckets),
             );
         }
     }
@@ -1590,11 +1473,7 @@ mod tests {
         use starnuma_types::SimRng;
 
         let experiment = Experiment::new(Workload::Bfs, SystemKind::StarNuma, ScaleConfig::quick());
-        let observe = RunOptions {
-            observe: true,
-            ..RunOptions::default()
-        };
-        let (result, report) = experiment.run_with(&observe);
+        let (result, report) = experiment.run_with(true);
         let report = report.expect("observed run");
         let trace = trace_jsonl(&experiment.record(&result, &report), &report);
         let intact = parse_trace("t.jsonl", &trace).expect("intact trace parses");
@@ -1709,10 +1588,9 @@ mod tests {
         );
         let m = load_bench_metrics(&path).expect("loads");
         // Later lines supersede earlier ones; identity keys are dropped.
-        assert_eq!(m.latest.get("hot.a.x_ns"), Some(&7.0));
-        assert_eq!(m.latest.get("hot.b.per_sec"), Some(&2.0));
-        assert_eq!(m.latest.len(), 2);
-        assert_eq!(m.first.get("hot.a.x_ns"), Some(&5.0));
+        assert_eq!(m.get("hot.a.x_ns"), Some(&7.0));
+        assert_eq!(m.get("hot.b.per_sec"), Some(&2.0));
+        assert_eq!(m.len(), 2);
         assert!(load_bench_metrics("/nonexistent/x").is_err());
         assert!(load_bench_metrics(&history("blank.jsonl", "\n \n")).is_err());
     }
@@ -1738,7 +1616,6 @@ mod tests {
         text += &line("sssp-starnuma", 1, "accesses_per_sec");
         let new = load_bench_metrics(&history("e2e.jsonl", &text)).expect("loads");
         let rates: Vec<&str> = new
-            .latest
             .keys()
             .filter(|k| k.ends_with(".accesses_per_sec"))
             .map(String::as_str)
@@ -1753,6 +1630,6 @@ mod tests {
                 "e2e.tc-starnuma.accesses_per_sec",
             ]
         );
-        assert!(!new.latest.keys().any(|k| k.ends_with(".trace")));
+        assert!(!new.keys().any(|k| k.ends_with(".trace")));
     }
 }

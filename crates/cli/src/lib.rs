@@ -17,8 +17,8 @@
 //! `--phases N`, `--instructions N`, `--seed N`, and `--jobs N` (worker
 //! threads for independent runs; `STARNUMA_JOBS` sets the default), plus
 //! the observability flags `--trace-out <path>` (per run: the run record
-//! line, the structured event journal, and per-phase latency histograms
-//! and counters), `--ledger <dir>` (the same run record appended to
+//! line, the structured event journal, and the run's per-socket latency
+//! histograms), `--ledger <dir>` (the same run record appended to
 //! `<dir>/runs.jsonl`), and `--progress` (live run counts on stderr).
 
 #![allow(
@@ -56,10 +56,10 @@ pub fn run(raw: Vec<String>) -> Result<ExitCode, ArgError> {
     }
     let args = Args::parse(raw)?;
     match args.command() {
-        "run" => commands::cmd_run(&args),
-        "profile" => commands::cmd_profile(&args),
-        "compare" => commands::cmd_compare(&args),
-        "sweep" => commands::cmd_sweep(&args),
+        "run" => commands::cmd_run(&args).map(|()| ExitCode::SUCCESS),
+        "profile" => commands::cmd_profile(&args).map(|()| ExitCode::SUCCESS),
+        "compare" => commands::cmd_compare(&args).map(|()| ExitCode::SUCCESS),
+        "sweep" => commands::cmd_sweep(&args).map(|()| ExitCode::SUCCESS),
         "report" => commands::cmd_report(&args),
         "topology" => commands::cmd_topology(&args).map(|()| ExitCode::SUCCESS),
         "workloads" => commands::cmd_workloads(&args).map(|()| ExitCode::SUCCESS),
@@ -104,15 +104,10 @@ commands:
               --profile-out <path>     attribution JSON (default profile.json)
               --folded-out <path>      folded stacks for flamegraph tooling
   report    cross-run trends from the run ledger: per-experiment IPC
-            and p95 series with sparklines, monitor totals, and
-            determinism-drift flags (same config digest + seed but a
-            different result digest); exits non-zero on any monitor
-            violation or drift flag
+            and p95 series with sparklines, and determinism-drift flags
+            (same config digest + seed but a different result digest);
+            exits non-zero on any drift flag
               --ledger <dir>           ledger directory (or STARNUMA_LEDGER)
-              --bench-history <path>   also diff a BENCH_history.jsonl
-                                       first-vs-latest (default: the file
-                                       in the working directory, if any)
-              --tolerance <frac>       bench regression band (default 0.2)
               --json                   machine-readable output
   bench-diff compare two bench-metric files (flat JSON object or
             BENCH_history.jsonl, keyed <bench>.<metric>, later lines
@@ -124,8 +119,8 @@ commands:
   inspect   summarize a --trace-out JSONL file, one section per run:
             run identity and result digest (matching its ledger
             line), the per-phase migration timeline, top migrated
-            regions, and per-socket access-latency histograms summed
-            over phases (mean + p95)
+            regions, and the run's per-socket access-latency
+            histograms (mean + p95)
               --top <n>                regions to list (default 10)
               --chrome <path>          also write Chrome trace_event JSON
                                        (open in about://tracing / Perfetto;
@@ -142,16 +137,11 @@ common simulation flags:
 
 observability (run, compare, sweep):
   --trace-out <path>    JSONL, one section per run: its run record line,
-                        then events and per-phase histograms + counters
+                        then events and per-socket latency histograms
   --progress            live `k/n runs complete` + ETA lines on stderr
-  --ledger <dir>        append each run's record (schema 2) to
+  --ledger <dir>        append each run's record (schema 3) to
                         <dir>/runs.jsonl (or set STARNUMA_LEDGER);
                         read it back with `starnuma report`
-  --strict-monitors     exit non-zero if any online invariant monitor
-                        (pool occupancy, migration limit, histogram
-                        totals, counter monotonicity) fires
-  --inject-monitor-fault <name>  (run only) force the named monitor to
-                        fire once, to test the monitoring path itself
 
 systems: baseline, first-touch, isobw, 2xbw, baseline-static,
          starnuma (t16), t0, halfbw, cxlswitch, smallpool, starnuma-static"

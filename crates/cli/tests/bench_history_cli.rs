@@ -1,7 +1,7 @@
 //! Bench-history lines written by `starnuma_bench::append_history` read
 //! back through `starnuma bench-diff`. This is the only test in its binary
-//! because it points `STARNUMA_BENCH_HISTORY` at a temp file, which would
-//! leak into any other test's `starnuma report` child process.
+//! because it sets `STARNUMA_BENCH_HISTORY` for the whole process: a test
+//! running beside it would race the `set_var` and append to its file.
 
 use std::fs;
 use std::process::Command;
@@ -10,7 +10,7 @@ use std::process::Command;
 /// the keys the benches use today are written byte for byte as before.
 #[test]
 fn appended_history_round_trips_through_bench_diff() {
-    let dir = std::env::temp_dir().join("starnuma-bench-history-cli");
+    let dir = std::env::temp_dir().join("starnuma-appended-history-cli");
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("temp dir");
     let history = dir.join("history.jsonl");

@@ -3,7 +3,7 @@
 
 use starnuma_migration::ReplicationConfig;
 use starnuma_obs::{ClassSummary, LatencyHistogram, ObsReport, RunRecord, NUM_CLASSES};
-use starnuma_sim::{MigrationMode, Modality, RunConfig, RunOptions, RunResult, Runner};
+use starnuma_sim::{MigrationMode, Modality, RunConfig, RunResult, Runner};
 use starnuma_topology::{BandwidthVariant, SystemParams};
 use starnuma_trace::Workload;
 use starnuma_types::fnv1a_digest;
@@ -217,22 +217,19 @@ impl Experiment {
     /// (workload, system, preset, seed, [`config_digest`](Self::config_digest),
     /// package version, the global [`JobPool`]'s worker count), the FNV-1a
     /// digest of `result`'s `Debug` rendering, its headline numbers, and
-    /// `report`'s monitor totals, per-class latency summaries and merged
-    /// counters. The host fields `wall_ns` and `top_sites` are left for
-    /// the caller to stamp.
+    /// `report`'s per-class latency summaries and counters. The host
+    /// fields `wall_ns` and `top_sites` are left for the caller to stamp.
     pub fn record(&self, result: &RunResult, report: &ObsReport) -> RunRecord {
-        let merged = report.metrics.merged();
         let mut overall = LatencyHistogram::default();
         let mut by_class = [LatencyHistogram::default(); NUM_CLASSES];
-        for socket in &merged.sockets {
+        for socket in &report.metrics.sockets {
             for (class, hist) in by_class.iter_mut().zip(&socket.class_hist) {
                 class.merge(hist);
                 overall.merge(hist);
             }
         }
         let mut classes: Vec<ClassSummary> = report
-            .metrics
-            .class_labels()
+            .class_labels
             .iter()
             .zip(&by_class)
             .map(|(label, hist)| ClassSummary::from_hist(label, hist))
@@ -254,22 +251,20 @@ impl Experiment {
             pages_migrated: result.pages_migrated,
             pages_to_pool: result.pages_to_pool,
             dropped_events: report.dropped_events,
-            monitor_checks: report.monitor.checks,
-            monitor_violations: report.monitor.violations.len() as u64,
             overall: ClassSummary::from_hist("overall", &overall),
             classes,
-            counters: merged.counters,
+            counters: report.metrics.counters.clone(),
             top_sites: Vec::new(),
         }
     }
 
     /// Runs the experiment to completion.
     pub fn run(&self) -> RunResult {
-        self.run_with(&RunOptions::default()).0
+        self.run_with(false).0
     }
 
-    /// Runs the experiment under `opts`, returning the report when
-    /// [`RunOptions::observes`].
+    /// Runs the experiment, returning the report too when `observe` is
+    /// set (see [`Runner::run_with`]).
     ///
     /// For the baseline systems this follows the paper's §IV-C protocol of
     /// *choosing the best-performing migration limit per workload-system
@@ -277,9 +272,9 @@ impl Experiment {
     /// policy and the no-migration (limit 0, first-touch) variant are run
     /// — in parallel on the global [`JobPool`], since each is a pure
     /// function of its config — and the better one is the baseline. Both
-    /// candidates run under `opts`, so the report always describes the
+    /// candidates run observed alike, so the report always describes the
     /// result that is reported.
-    pub fn run_with(&self, opts: &RunOptions) -> (RunResult, Option<ObsReport>) {
+    pub fn run_with(&self, observe: bool) -> (RunResult, Option<ObsReport>) {
         let profile = self.workload.profile();
         let cfg = self.run_config();
         let tunes_limit = matches!(
@@ -287,14 +282,14 @@ impl Experiment {
             SystemKind::Baseline | SystemKind::BaselineIsoBw | SystemKind::Baseline2xBw
         );
         if !tunes_limit {
-            return Runner::new(profile, cfg).run_with(opts);
+            return Runner::new(profile, cfg).run_with(observe);
         }
         let mut dynamic_cfg = cfg.clone();
         dynamic_cfg.migration = MigrationMode::OracleDynamic;
         let mut zero_cfg = cfg;
         zero_cfg.migration = MigrationMode::FirstTouchOnly;
         let mut results = JobPool::global().run(vec![dynamic_cfg, zero_cfg], |_, cfg| {
-            Runner::new(profile.clone(), cfg).run_with(opts)
+            Runner::new(profile.clone(), cfg).run_with(observe)
         });
         // The pool returns exactly one result per job, in input order.
         let zero = results.remove(1);
@@ -308,21 +303,21 @@ impl Experiment {
 }
 
 /// Runs `workload` on `system` and on the §V-A baseline (in parallel on
-/// the global [`JobPool`]), both under `opts`, returning the speedup, the
-/// system's result, and — when `opts` observes — the system run's
-/// [`record`](Experiment::record) and report.
+/// the global [`JobPool`]), both observed when `observe` is set, returning
+/// the speedup, the system's result, and — when observed — the system
+/// run's [`record`](Experiment::record) and report.
 pub fn speedup_vs_baseline(
     workload: Workload,
     system: SystemKind,
     scale: &ScaleConfig,
-    opts: &RunOptions,
+    observe: bool,
 ) -> (f64, RunResult, Option<(RunRecord, ObsReport)>) {
     let sys_experiment = Experiment::new(workload, system, scale.clone());
     let pair = vec![
         Experiment::new(workload, SystemKind::Baseline, scale.clone()),
         sys_experiment.clone(),
     ];
-    let mut results = JobPool::global().run(pair, |_, e| e.run_with(opts));
+    let mut results = JobPool::global().run(pair, |_, e| e.run_with(observe));
     // The pool returns exactly one result per job, in input order.
     let (sys, sys_report) = results.remove(1);
     let (base, _) = results.remove(0);

@@ -50,9 +50,7 @@ pub use scale::ScaleConfig;
 pub use starnuma_obs as obs;
 pub use starnuma_prof as prof;
 
-pub use starnuma_sim::{
-    MigrationMode, Modality, PhaseStats, RunConfig, RunOptions, RunResult, Runner,
-};
+pub use starnuma_sim::{MigrationMode, Modality, PhaseStats, RunConfig, RunResult, Runner};
 pub use starnuma_topology::{
     AccessClass, BandwidthVariant, CxlLatencyBreakdown, LatencyModel, Network, ScalePreset,
     SystemParams,

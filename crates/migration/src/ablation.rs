@@ -41,6 +41,8 @@ impl AblationPolicy {
     /// Decides one phase of pool-fill migrations under `limit_pages`,
     /// mutating `map` and returning the plan. Never evicts (ablations only
     /// fill spare pool capacity, which isolates the *selection* question).
+    /// Like Algorithm 1, the limit is checked before each region, so a
+    /// phase may exceed it by up to `REGION_PAGES − 1` pages.
     pub fn decide(
         &self,
         meta: &MetadataRegion,

@@ -20,6 +20,11 @@ pub struct PageMap {
 
 impl PageMap {
     /// Creates a map with every page placed by `placer`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `placer` puts more pages in the pool than it holds, the
+    /// same limit [`move_page`](Self::move_page) enforces.
     pub fn from_fn(
         footprint_pages: u64,
         pool_capacity_pages: u64,
@@ -29,6 +34,10 @@ impl PageMap {
             .map(|p| placer(PageId::new(p)))
             .collect();
         let pool_pages = locations.iter().filter(|l| l.is_pool()).count() as u64;
+        assert!(
+            pool_pages <= pool_capacity_pages,
+            "pool capacity exceeded: {pool_pages} pages placed in a {pool_capacity_pages}-page pool"
+        );
         PageMap {
             locations,
             pool_pages,
@@ -203,6 +212,12 @@ mod tests {
         let mut m = PageMap::from_fn(4, 1, |_| socket(0));
         m.move_page(PageId::new(0), Location::Pool);
         m.move_page(PageId::new(1), Location::Pool);
+    }
+
+    #[test]
+    #[should_panic(expected = "pool capacity exceeded")]
+    fn initial_placement_cannot_overfill_the_pool() {
+        let _ = PageMap::from_fn(4, 2, |_| Location::Pool);
     }
 
     #[test]

@@ -71,7 +71,9 @@ pub struct PolicyConfig {
     pub lo_init: u64,
     /// Upper bound of the adaptive LO threshold.
     pub lo_max: u64,
-    /// Per-phase migration limit in 4 KiB pages.
+    /// Per-phase migration limit in 4 KiB pages. Algorithm 1 checks it
+    /// before each region (lines 29–31) and then moves the whole region,
+    /// so a phase may exceed it by up to `REGION_PAGES − 1` pages.
     pub migration_limit_pages: u64,
     /// Regions touched by at least this many sockets go to the pool
     /// (Algorithm 1 line 8: `count(region.sharers) ≥ 8`).
@@ -577,6 +579,25 @@ mod tests {
         let mut p = ThresholdPolicy::new(cfg, 4, true);
         let plan = p.decide(&meta, &mut m, &mut rng());
         assert_eq!(plan.total(), 128, "stops at the limit");
+    }
+
+    /// The limit is checked before each region, never inside one: with
+    /// 100 pages of budget the first hot region moves whole (128 pages,
+    /// past the limit) and the scan then stops migrating.
+    #[test]
+    fn migration_limit_is_checked_per_region() {
+        let mut meta = MetadataRegion::new(4, 16, 16);
+        for r in 0..4 {
+            record_sharers(&mut meta, r, 16, 50);
+        }
+        let mut m = PageMap::from_fn(512, 512, |_| socket(0));
+        let mut cfg = config();
+        cfg.migration_limit_pages = 100;
+        let mut p = ThresholdPolicy::new(cfg, 4, true);
+        let plan = p.decide(&meta, &mut m, &mut rng());
+        assert_eq!(plan.total(), 128, "one whole region, then stop");
+        assert_eq!(m.region_location(RegionId::new(0)), Location::Pool);
+        assert!((1..4).all(|r| m.region_location(RegionId::new(r)) == socket(0)));
     }
 
     #[test]

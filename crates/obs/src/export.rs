@@ -1,11 +1,11 @@
 //! The trace exporter, [`trace_jsonl`], plus [`parse_flat_object`], the
-//! flat-line reader `starnuma inspect`, the ledger and the bench-history
+//! flat-line reader `starnuma inspect`, the ledger and the bench history
 //! loader share.
 //!
 //! The exporter streams text through the workspace codec's writers
 //! ([`json::write_str`], [`json::write_num`]) rather than building a
-//! [`Json`] tree, because its counters are `u64`. Output is deterministic:
-//! counters come from `BTreeMap`s and nothing consults the host clock.
+//! [`Json`] tree, because its bucket counts are `u64`. Output is
+//! deterministic: nothing consults the host clock.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -46,11 +46,8 @@ fn event_line(e: &Event, out: &mut String) {
     out.push_str("}\n");
 }
 
-fn hist_line(phase: u32, socket: usize, label: &str, h: &LatencyHistogram, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"type\":\"hist\",\"phase\":{phase},\"socket\":{socket},\"class\":"
-    );
+fn hist_line(socket: usize, label: &str, h: &LatencyHistogram, out: &mut String) {
+    let _ = write!(out, "{{\"type\":\"hist\",\"socket\":{socket},\"class\":");
     json::write_str(out, label);
     let _ = write!(out, ",\"count\":{},\"mean_ns\":", h.count());
     json::write_num(out, h.mean_ns());
@@ -66,39 +63,28 @@ fn hist_line(phase: u32, socket: usize, label: &str, h: &LatencyHistogram, out: 
 
 /// Renders one run's trace section as self-describing JSONL: the run's
 /// [`RunRecord`] line (`"type":"run"`), one `event` line per retained
-/// event, then per phase one `hist` line per non-empty (socket, class)
-/// histogram and one `counters` line. Summing the phases' `hist` lines
-/// gives the whole-run histograms; the record carries the merged counters.
-/// This is the format `starnuma inspect` consumes.
+/// event, then one `hist` line per non-empty (socket, class) histogram of
+/// the whole run. The record carries the run's counters. This is the
+/// format `starnuma inspect` consumes.
 pub fn trace_jsonl(record: &RunRecord, report: &ObsReport) -> String {
     let mut out = record.to_json_line();
     out.push('\n');
     for e in &report.events {
         event_line(e, &mut out);
     }
-    let labels = report.metrics.class_labels();
-    for frame in report.metrics.frames() {
-        for (socket, sm) in frame.sockets.iter().enumerate() {
-            for (class, h) in sm.class_hist.iter().enumerate() {
-                if h.count() > 0 {
-                    hist_line(frame.phase, socket, labels[class], h, &mut out);
-                }
+    for (socket, sm) in report.metrics.sockets.iter().enumerate() {
+        for (class, h) in sm.class_hist.iter().enumerate() {
+            if h.count() > 0 {
+                hist_line(socket, report.class_labels[class], h, &mut out);
             }
         }
-        let _ = write!(out, "{{\"type\":\"counters\",\"phase\":{}", frame.phase);
-        for (k, v) in &frame.counters {
-            out.push(',');
-            json::write_str(&mut out, k);
-            let _ = write!(out, ":{v}");
-        }
-        out.push_str("}\n");
     }
     out
 }
 
 /// Parses one flat JSON object line: string keys with scalar values or
 /// arrays of numbers (histogram buckets) — the shape of every trace line,
-/// ledger record and bench-history entry. Nested objects and non-numeric
+/// ledger record and bench history entry. Nested objects and non-numeric
 /// arrays are rejected, as is any syntax error. A repeated key keeps its
 /// last value.
 pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Json>> {
@@ -147,8 +133,6 @@ mod tests {
             pages_migrated: 0,
             pages_to_pool: 0,
             dropped_events: 0,
-            monitor_checks: 1,
-            monitor_violations: 0,
             overall,
             classes: Vec::new(),
             counters: BTreeMap::new(),
@@ -174,7 +158,6 @@ mod tests {
                 ]
             },
         );
-        sink.end_phase();
         sink.finish()
     }
 
@@ -182,8 +165,8 @@ mod tests {
     fn trace_jsonl_round_trips_through_the_parser() {
         let text = trace_jsonl(&record(), &sample_report());
         let lines: Vec<&str> = text.lines().collect();
-        // run + 1 event + 2 phase-0 hists + the phase-0 counters
-        assert_eq!(lines.len(), 5);
+        // run + 1 event + 2 hists
+        assert_eq!(lines.len(), 4);
         for line in &lines {
             let obj = parse_flat_object(line).expect("every line parses");
             assert!(obj.contains_key("type"));
@@ -194,15 +177,15 @@ mod tests {
         assert_eq!(ev["dest"].as_str(), Some("pool"));
         assert_eq!(ev["frac"].as_num(), Some(0.25));
         let hist = parse_flat_object(lines[2]).unwrap();
-        assert_eq!(hist["phase"].as_num(), Some(0.0));
+        assert!(!hist.contains_key("phase"));
+        assert_eq!(hist["socket"].as_num(), Some(0.0));
         assert_eq!(hist["class"].as_str(), Some("1hop"));
         let buckets = hist["buckets"].as_array().expect("buckets array");
         assert_eq!(buckets.len(), crate::metrics::HIST_BUCKETS);
         assert_eq!(buckets.iter().filter_map(Json::as_num).sum::<f64>(), 1.0);
-        let counters = parse_flat_object(lines[4]).unwrap();
-        assert_eq!(counters["type"].as_str(), Some("counters"));
-        assert_eq!(counters["phase"].as_num(), Some(0.0));
-        assert_eq!(counters["dir.transactions"].as_num(), Some(12.0));
+        let hist = parse_flat_object(lines[3]).unwrap();
+        assert_eq!(hist["socket"].as_num(), Some(1.0));
+        assert_eq!(hist["class"].as_str(), Some("pool"));
     }
 
     /// Regression: a control char in a run-line string must leave the

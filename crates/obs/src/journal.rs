@@ -43,8 +43,6 @@ pub enum EventCategory {
     Checkpoint,
     /// Harness progress (sweep/compare bookkeeping).
     Progress,
-    /// Online invariant monitors (phase-barrier violation records).
-    Monitor,
 }
 
 impl EventCategory {
@@ -56,7 +54,6 @@ impl EventCategory {
             EventCategory::PoolPressure => "pool_pressure",
             EventCategory::Checkpoint => "checkpoint",
             EventCategory::Progress => "progress",
-            EventCategory::Monitor => "monitor",
         }
     }
 }

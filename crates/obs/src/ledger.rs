@@ -32,7 +32,7 @@ use crate::export::parse_flat_object;
 use crate::metrics::LatencyHistogram;
 
 /// Version stamped into (and required of) every record line.
-pub const LEDGER_SCHEMA_VERSION: u64 = 2;
+pub const LEDGER_SCHEMA_VERSION: u64 = 3;
 
 /// File name appended to the ledger directory.
 pub const LEDGER_FILE: &str = "runs.jsonl";
@@ -117,15 +117,11 @@ pub struct RunRecord {
     pub pages_to_pool: u64,
     /// Journal events the ring buffer shed.
     pub dropped_events: u64,
-    /// Phase barriers the monitors evaluated.
-    pub monitor_checks: u64,
-    /// Monitor violations over the run.
-    pub monitor_violations: u64,
     /// All-class, all-socket latency summary.
     pub overall: ClassSummary,
     /// Per-class summaries, sorted by label.
     pub classes: Vec<ClassSummary>,
-    /// Merged substrate counters.
+    /// The run's substrate counters.
     pub counters: BTreeMap<String, u64>,
     /// Top profiler sites, sorted by label (host fields; empty when the
     /// profiler was off).
@@ -154,8 +150,6 @@ impl RunRecord {
         push_int(&mut out, "pages_migrated", self.pages_migrated);
         push_int(&mut out, "pages_to_pool", self.pages_to_pool);
         push_int(&mut out, "dropped_events", self.dropped_events);
-        push_int(&mut out, "monitor.checks", self.monitor_checks);
-        push_int(&mut out, "monitor.violations", self.monitor_violations);
         push_summary(&mut out, "overall", &self.overall);
         for class in &self.classes {
             push_summary(&mut out, &format!("class.{}", class.label), class);
@@ -237,8 +231,6 @@ impl RunRecord {
             pages_migrated: int("pages_migrated")?,
             pages_to_pool: int("pages_to_pool")?,
             dropped_events: int("dropped_events")?,
-            monitor_checks: int("monitor.checks")?,
-            monitor_violations: int("monitor.violations")?,
             overall,
             classes: classes.into_values().collect(),
             counters,
@@ -339,8 +331,6 @@ mod tests {
             pages_migrated: 100,
             pages_to_pool: 60,
             dropped_events: 1,
-            monitor_checks: 2,
-            monitor_violations: 0,
             overall: ClassSummary {
                 label: "overall".to_string(),
                 count: 3,
@@ -399,10 +389,11 @@ mod tests {
     #[test]
     fn unknown_schema_version_or_type_is_rejected() {
         let line = sample().to_json_line();
-        assert!(line.starts_with("{\"type\":\"run\",\"schema_version\":2,"));
+        assert!(line.starts_with("{\"type\":\"run\",\"schema_version\":3,"));
         for (from, to) in [
-            ("\"schema_version\":2", "\"schema_version\":1"),
-            ("\"schema_version\":2", "\"schema_version\":99"),
+            ("\"schema_version\":3", "\"schema_version\":1"),
+            ("\"schema_version\":3", "\"schema_version\":2"),
+            ("\"schema_version\":3", "\"schema_version\":99"),
             ("\"type\":\"run\"", "\"type\":\"meta\""),
             ("\"type\":\"run\",", ""),
         ] {
@@ -412,13 +403,13 @@ mod tests {
     }
 
     /// Regression: a negative, fractional or huge integer field used to be
-    /// clamped or truncated into a valid-looking count (`-3` violations
+    /// clamped or truncated into a valid-looking count (`-3` pages
     /// read back as 0). Every integer field now rejects the whole line.
     #[test]
     fn corrupt_integer_fields_reject_the_line() {
         let line = sample().to_json_line();
         for (field, good) in [
-            ("\"monitor.violations\":", "0"),
+            ("\"pages_migrated\":", "100"),
             ("\"seed\":", "42"),
             ("\"jobs\":", "4"),
             ("\"dropped_events\":", "1"),

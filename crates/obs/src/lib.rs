@@ -6,25 +6,23 @@
 //! saw. End-of-run aggregates cannot answer those questions, so this crate
 //! provides the layer the rest of the stack records into:
 //!
-//! * a **metrics registry** ([`MetricsRegistry`]): monotonic counters plus
-//!   fixed-bucket log2 latency histograms ([`LatencyHistogram`]), keyed by
-//!   socket, phase, and access class. Hot paths record through an
-//!   [`ObsSink`] handle whose disabled form costs one branch per record;
-//!   per-phase frames are merged deterministically at phase barriers, so
-//!   `--jobs N` output is bit-identical to a sequential run.
+//! * **one metrics frame** per run ([`MetricsFrame`]): monotonic counters
+//!   plus fixed-bucket log2 latency histograms ([`LatencyHistogram`]),
+//!   keyed by socket and access class. Hot paths record through an
+//!   [`ObsSink`] handle whose disabled form costs one branch per record.
 //! * a **structured event journal** ([`EventJournal`]): ring-buffered,
 //!   severity- and category-tagged records for migration decisions,
 //!   threshold crossings, pool-capacity pressure, and checkpoint events.
 //! * **one run record** ([`RunRecord`]): the flat JSON line that states a
-//!   run's identity and summary (digests, IPC, AMAT, monitor totals,
-//!   per-class latency percentiles, merged counters). The run ledger
-//!   appends it, and it heads the run's section of the trace.
+//!   run's identity and summary (digests, IPC, AMAT, per-class latency
+//!   percentiles, counters). The run ledger appends it, and it heads the
+//!   run's section of the trace.
 //! * **one export** ([`trace_jsonl`]): the record line, then the journal's
-//!   `event` lines and per-phase `hist` and `counters` lines, written
+//!   `event` lines and the run's per-socket, per-class `hist` lines, written
 //!   through the workspace codec ([`starnuma_types::json`]) — plus
 //!   [`parse_flat_object`], the flat-line reader `starnuma inspect` (which
 //!   also converts a trace to Chrome `trace_event` JSON), the run ledger
-//!   and the bench-history loader share.
+//!   and the bench history loader share.
 //!
 //! Everything is deterministic: events are ordered by a monotonic sequence
 //! number (never the host clock), counter maps are `BTreeMap`s, and every
@@ -41,17 +39,15 @@
 //! sink.event(EventLevel::Info, EventCategory::Checkpoint, "phase_checkpoint", || {
 //!     vec![("planned_moves", FieldValue::U64(0))]
 //! });
-//! sink.end_phase();
 //! let report = sink.finish();
 //! assert_eq!(report.events.len(), 1);
-//! assert_eq!(report.metrics.merged().sockets[0].class_hist[1].count(), 1);
+//! assert_eq!(report.metrics.sockets[0].class_hist[1].count(), 1);
 //! ```
 
 mod export;
 mod journal;
 mod ledger;
 mod metrics;
-mod monitor;
 mod sink;
 
 pub use export::{parse_flat_object, trace_jsonl};
@@ -60,8 +56,7 @@ pub use ledger::{
     ClassSummary, RunRecord, SiteSummary, LEDGER_FILE, LEDGER_SCHEMA_VERSION, MAX_EXACT_INT,
 };
 pub use metrics::{
-    percentile_from_counts, try_percentile_from_counts, LatencyHistogram, MetricsFrame,
-    MetricsRegistry, Observe, SocketMetrics, HIST_BUCKETS, NUM_CLASSES,
+    percentile_from_counts, try_percentile_from_counts, LatencyHistogram, MetricsFrame, Observe,
+    SocketMetrics, HIST_BUCKETS, NUM_CLASSES,
 };
-pub use monitor::{MonitorReport, MonitorSet, MonitorViolation, PhaseCheck, MONITOR_NAMES};
 pub use sink::{ObsReport, ObsSink, DEFAULT_JOURNAL_CAPACITY};

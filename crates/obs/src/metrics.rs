@@ -1,10 +1,10 @@
-//! The metrics registry: monotonic counters and log2 latency histograms,
-//! keyed by socket, phase, and access class.
+//! A run's metrics: monotonic counters and log2 latency histograms,
+//! keyed by socket and access class.
 //!
 //! Recording is allocation-free on the hot path (fixed bucket arrays); the
-//! only allocations happen at phase barriers, when counter maps are filled
-//! and frames are pushed into the registry. Everything derives `PartialEq`
-//! so determinism gates can assert two runs produced bit-identical metrics.
+//! only allocations happen when counter keys are first inserted.
+//! Everything derives `PartialEq` so determinism gates can assert two runs
+//! produced bit-identical metrics.
 
 use std::collections::BTreeMap;
 
@@ -213,31 +213,22 @@ impl SocketMetrics {
     pub fn total_count(&self) -> u64 {
         self.class_hist.iter().map(LatencyHistogram::count).sum()
     }
-
-    fn merge(&mut self, other: &SocketMetrics) {
-        for i in 0..NUM_CLASSES {
-            self.class_hist[i].merge(&other.class_hist[i]);
-        }
-    }
 }
 
-/// One phase's worth of metrics: per-socket histograms plus named counters.
+/// One run's metrics: per-socket histograms plus named counters.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MetricsFrame {
-    /// The phase this frame covers.
-    pub phase: u32,
     /// Per-socket histogram banks, indexed by socket.
     pub sockets: Vec<SocketMetrics>,
-    /// Named monotonic counters (per-phase deltas; keys are dotted paths
-    /// like `dir.transactions`). `BTreeMap` keeps export order stable.
+    /// Named monotonic counters (keys are dotted paths like
+    /// `dir.transactions`). `BTreeMap` keeps export order stable.
     pub counters: BTreeMap<String, u64>,
 }
 
 impl MetricsFrame {
     /// An empty frame for `num_sockets` sockets.
-    pub fn new(phase: u32, num_sockets: usize) -> Self {
+    pub fn new(num_sockets: usize) -> Self {
         MetricsFrame {
-            phase,
             sockets: vec![SocketMetrics::default(); num_sockets],
             counters: BTreeMap::new(),
         }
@@ -260,88 +251,13 @@ impl MetricsFrame {
             *self.counters.entry(key.to_string()).or_insert(0) += delta;
         }
     }
-
-    /// Folds another frame into this one (socket-wise histogram merge,
-    /// counter addition).
-    pub fn merge(&mut self, other: &MetricsFrame) {
-        if self.sockets.len() < other.sockets.len() {
-            self.sockets
-                .resize(other.sockets.len(), SocketMetrics::default());
-        }
-        for (dst, src) in self.sockets.iter_mut().zip(&other.sockets) {
-            dst.merge(src);
-        }
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-
-    /// Whether this frame recorded anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.sockets.iter().all(|s| s.total_count() == 0)
-    }
-}
-
-/// All frames of one run, pushed in phase order at phase barriers.
-///
-/// Each simulation run is single-threaded and owns its registry, so the
-/// frame sequence depends only on the run's configuration — merging at
-/// phase barriers is what makes `--jobs N` output bit-identical to
-/// sequential execution.
-#[derive(Clone, PartialEq, Debug)]
-pub struct MetricsRegistry {
-    num_sockets: usize,
-    class_labels: [&'static str; NUM_CLASSES],
-    frames: Vec<MetricsFrame>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry for `num_sockets` sockets; `class_labels` name the
-    /// histogram columns in exports (the simulator passes
-    /// `AccessClass::ALL` labels).
-    pub fn new(num_sockets: usize, class_labels: [&'static str; NUM_CLASSES]) -> Self {
-        MetricsRegistry {
-            num_sockets,
-            class_labels,
-            frames: Vec::new(),
-        }
-    }
-
-    /// Appends a completed phase frame.
-    pub fn push_frame(&mut self, frame: MetricsFrame) {
-        self.frames.push(frame);
-    }
-
-    /// The frames recorded so far, in phase order.
-    pub fn frames(&self) -> &[MetricsFrame] {
-        &self.frames
-    }
-
-    /// The access-class labels used in exports.
-    pub fn class_labels(&self) -> [&'static str; NUM_CLASSES] {
-        self.class_labels
-    }
-
-    /// The socket count this registry was sized for.
-    pub fn num_sockets(&self) -> usize {
-        self.num_sockets
-    }
-
-    /// Merges every frame into one whole-run frame (phase 0).
-    pub fn merged(&self) -> MetricsFrame {
-        let mut out = MetricsFrame::new(0, self.num_sockets);
-        for f in &self.frames {
-            out.merge(f);
-        }
-        out
-    }
 }
 
 /// A statistics source that can contribute named counters to a frame.
 ///
 /// The substrate crates (`mem`, `cache`, `coherence`) implement this for
-/// their stats types so the simulator can pour per-phase deltas into the
-/// registry at phase barriers without knowing their field layouts.
+/// their stats types so the simulator can pour their counts into a run's
+/// frame without knowing their field layouts.
 pub trait Observe {
     /// Writes this source's counters into `frame`, prefixing every key
     /// with `prefix` (e.g. `link.cxl.transfers`).
@@ -351,8 +267,6 @@ pub trait Observe {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const LABELS: [&str; NUM_CLASSES] = ["local", "1hop", "2hop", "pool", "bts", "btp"];
 
     /// Regression (PR 5): a NaN/-1.0/inf sample used to be added raw to
     /// `sum_ns`, permanently poisoning `mean_ns` and every merge downstream.
@@ -464,39 +378,21 @@ mod tests {
 
     #[test]
     fn frame_guards_out_of_range_indices() {
-        let mut f = MetricsFrame::new(0, 2);
+        let mut f = MetricsFrame::new(2);
         f.record_access(0, 0, 80.0);
         f.record_access(7, 0, 80.0); // no such socket: ignored
         f.record_access(0, 99, 80.0); // no such class: ignored
         assert_eq!(f.sockets[0].total_count(), 1);
+        assert_eq!(f.sockets[1].total_count(), 0);
     }
 
     #[test]
-    fn registry_merges_frames_deterministically() {
-        let mut reg = MetricsRegistry::new(2, LABELS);
-        let mut f0 = MetricsFrame::new(0, 2);
-        f0.record_access(0, 1, 100.0);
-        f0.add_counter("dir.transactions", 5);
-        let mut f1 = MetricsFrame::new(1, 2);
-        f1.record_access(0, 1, 300.0);
-        f1.record_access(1, 0, 80.0);
-        f1.add_counter("dir.transactions", 7);
-        reg.push_frame(f0);
-        reg.push_frame(f1);
-        let m = reg.merged();
-        assert_eq!(m.sockets[0].class_hist[1].count(), 2);
-        assert_eq!(m.sockets[1].class_hist[0].count(), 1);
-        assert_eq!(m.counters["dir.transactions"], 12);
-        // Bit-identical under re-merge.
-        assert_eq!(reg.merged(), m);
-    }
-
-    #[test]
-    fn zero_counter_deltas_are_not_stored() {
-        let mut f = MetricsFrame::new(0, 1);
+    fn counters_accumulate_and_skip_zero_deltas() {
+        let mut f = MetricsFrame::new(1);
         f.add_counter("x", 0);
-        assert!(f.is_empty());
+        assert!(f.counters.is_empty());
         f.add_counter("x", 2);
-        assert!(!f.is_empty());
+        f.add_counter("x", 5);
+        assert_eq!(f.counters["x"], 7);
     }
 }

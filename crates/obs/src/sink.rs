@@ -1,33 +1,30 @@
 //! The recording handle hot paths write through.
 //!
-//! An [`ObsSink`] is either *enabled* (owning a metrics frame, a registry,
-//! and an event journal) or *disabled*. Every recording method checks the
+//! An [`ObsSink`] is either *enabled* (owning the run's metrics frame and
+//! an event journal) or *disabled*. Every recording method checks the
 //! enabled flag first and returns immediately when off, so instrumented
 //! code pays one predictable branch per record — verified by the
 //! `obs_overhead` bench. Event payloads are built by closures, so a
 //! disabled sink never allocates field vectors either.
 
 use crate::journal::{EventCategory, EventJournal, EventLevel, FieldValue};
-use crate::metrics::{MetricsFrame, MetricsRegistry, Observe, NUM_CLASSES};
-use crate::monitor::{MonitorReport, MonitorSet, PhaseCheck};
+use crate::metrics::{MetricsFrame, Observe, NUM_CLASSES};
 
 /// Default event-journal ring capacity used by the harness.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
 
-/// Everything one run observed: merged-at-barrier metrics plus the
-/// retained tail of the event journal.
+/// Everything one run observed: its metrics frame plus the retained tail
+/// of the event journal.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ObsReport {
-    /// Per-phase metrics frames (merge with [`MetricsRegistry::merged`]).
-    pub metrics: MetricsRegistry,
+    /// The run's per-socket × per-class histograms and counters.
+    pub metrics: MetricsFrame,
+    /// Names of the histogram columns, in class-index order.
+    pub class_labels: [&'static str; NUM_CLASSES],
     /// Retained events, oldest first, seq-ordered.
     pub events: Vec<crate::journal::Event>,
     /// Events the ring buffer shed.
     pub dropped_events: u64,
-    /// Verdict of the online invariant monitors (all-zero when the sink
-    /// never saw a phase barrier, e.g. in unit tests driving the sink
-    /// directly).
-    pub monitor: MonitorReport,
 }
 
 /// The per-run observability handle.
@@ -41,9 +38,8 @@ pub struct ObsSink {
     enabled: bool,
     phase: u32,
     frame: MetricsFrame,
-    registry: MetricsRegistry,
+    class_labels: [&'static str; NUM_CLASSES],
     journal: EventJournal,
-    monitors: MonitorSet,
 }
 
 impl ObsSink {
@@ -52,10 +48,9 @@ impl ObsSink {
         ObsSink {
             enabled: false,
             phase: 0,
-            frame: MetricsFrame::new(0, 0),
-            registry: MetricsRegistry::new(0, [""; NUM_CLASSES]),
+            frame: MetricsFrame::new(0),
+            class_labels: [""; NUM_CLASSES],
             journal: EventJournal::new(1),
-            monitors: MonitorSet::new(),
         }
     }
 
@@ -70,10 +65,9 @@ impl ObsSink {
         ObsSink {
             enabled: true,
             phase: 0,
-            frame: MetricsFrame::new(0, num_sockets),
-            registry: MetricsRegistry::new(num_sockets, class_labels),
+            frame: MetricsFrame::new(num_sockets),
+            class_labels,
             journal: EventJournal::new(journal_capacity),
-            monitors: MonitorSet::new(),
         }
     }
 
@@ -82,33 +76,15 @@ impl ObsSink {
         self.enabled
     }
 
-    /// The phase currently being recorded.
-    pub fn phase(&self) -> u32 {
-        self.phase
-    }
-
-    /// Starts a new phase frame.
+    /// Stamps `phase` on the events recorded from now on.
     pub fn begin_phase(&mut self, phase: u32) {
         if !self.enabled {
             return;
         }
         self.phase = phase;
-        self.frame = MetricsFrame::new(phase, self.registry.num_sockets());
     }
 
-    /// Seals the current frame into the registry (the phase barrier).
-    pub fn end_phase(&mut self) {
-        if !self.enabled {
-            return;
-        }
-        let sealed = std::mem::replace(
-            &mut self.frame,
-            MetricsFrame::new(self.phase, self.registry.num_sockets()),
-        );
-        self.registry.push_frame(sealed);
-    }
-
-    /// Records one memory-access latency sample into the current frame.
+    /// Records one memory-access latency sample.
     #[inline]
     pub fn record_access(&mut self, socket: usize, class: usize, measured_ns: f64) {
         if !self.enabled {
@@ -117,7 +93,7 @@ impl ObsSink {
         self.frame.record_access(socket, class, measured_ns);
     }
 
-    /// Adds `delta` to a named counter in the current frame.
+    /// Adds `delta` to a named counter.
     #[inline]
     pub fn counter(&mut self, key: &str, delta: u64) {
         if !self.enabled {
@@ -126,8 +102,7 @@ impl ObsSink {
         self.frame.add_counter(key, delta);
     }
 
-    /// Pours a stats source's counters into the current frame under
-    /// `prefix`.
+    /// Adds a stats source's counters under `prefix`.
     pub fn observe(&mut self, prefix: &str, source: &dyn Observe) {
         if !self.enabled {
             return;
@@ -154,58 +129,14 @@ impl ObsSink {
             .push(self.phase, level, category, name, fields());
     }
 
-    /// Arms a one-shot injected monitor fault (test/CLI hook; see
-    /// [`MonitorSet::arm_fault`]). No-op on a disabled sink.
-    pub fn arm_monitor_fault(&mut self, monitor: &str) {
-        if !self.enabled {
-            return;
-        }
-        self.monitors.arm_fault(monitor);
-    }
-
-    /// Evaluates the invariant monitors against one phase-barrier
-    /// snapshot. Call before [`end_phase`](Self::end_phase) so the
-    /// in-flight frame's histogram total is still addressable. Violations
-    /// become Warn-level `monitor_violation` journal events; healthy
-    /// barriers emit nothing, so enabling monitors never changes the
-    /// exports of a clean run.
-    pub fn check_monitors(&mut self, check: &PhaseCheck) {
-        if !self.enabled {
-            return;
-        }
-        let recorded: u64 = self
-            .frame
-            .sockets
-            .iter()
-            .map(crate::metrics::SocketMetrics::total_count)
-            .sum();
-        for v in self.monitors.evaluate(check, recorded) {
-            self.journal.push(
-                self.phase,
-                EventLevel::Warn,
-                EventCategory::Monitor,
-                "monitor_violation",
-                vec![
-                    ("monitor", FieldValue::Str(v.monitor.to_string())),
-                    ("observed", FieldValue::U64(v.observed)),
-                    ("limit", FieldValue::U64(v.limit)),
-                ],
-            );
-        }
-    }
-
-    /// Finishes the run: seals any non-empty in-flight frame and returns
-    /// the report.
-    pub fn finish(mut self) -> ObsReport {
-        if self.enabled && !self.frame.is_empty() {
-            self.end_phase();
-        }
+    /// Finishes the run and returns the report.
+    pub fn finish(self) -> ObsReport {
         let (events, dropped_events) = self.journal.into_parts();
         ObsReport {
-            metrics: self.registry,
+            metrics: self.frame,
+            class_labels: self.class_labels,
             events,
             dropped_events,
-            monitor: self.monitors.into_report(),
         }
     }
 }
@@ -225,38 +156,27 @@ mod tests {
         sink.event(EventLevel::Info, EventCategory::Migration, "e", || {
             panic!("field closure must not run on a disabled sink")
         });
-        sink.end_phase();
         let report = sink.finish();
         assert!(report.events.is_empty());
-        assert!(report.metrics.frames().is_empty());
+        assert!(report.metrics.sockets.is_empty());
+        assert!(report.metrics.counters.is_empty());
         assert_eq!(report.dropped_events, 0);
     }
 
     #[test]
-    fn phases_produce_one_frame_each() {
+    fn phases_accumulate_into_one_frame() {
         let mut sink = ObsSink::enabled(2, LABELS, 64);
         for phase in 0..3u32 {
             sink.begin_phase(phase);
             sink.record_access(0, 0, 80.0);
             sink.counter("dir.transactions", u64::from(phase));
-            sink.end_phase();
         }
         let report = sink.finish();
-        assert_eq!(report.metrics.frames().len(), 3);
-        assert_eq!(report.metrics.frames()[2].phase, 2);
-        assert_eq!(report.metrics.merged().sockets[0].class_hist[0].count(), 3);
-        assert_eq!(report.metrics.merged().counters["dir.transactions"], 3);
-    }
-
-    #[test]
-    fn finish_seals_in_flight_frame() {
-        let mut sink = ObsSink::enabled(1, LABELS, 64);
-        sink.begin_phase(5);
-        sink.record_access(0, 2, 300.0);
-        // no end_phase before finish
-        let report = sink.finish();
-        assert_eq!(report.metrics.frames().len(), 1);
-        assert_eq!(report.metrics.frames()[0].phase, 5);
+        assert_eq!(report.metrics.sockets.len(), 2);
+        assert_eq!(report.metrics.sockets[0].class_hist[0].count(), 3);
+        assert_eq!(report.metrics.sockets[1].total_count(), 0);
+        assert_eq!(report.metrics.counters["dir.transactions"], 3);
+        assert_eq!(report.class_labels, LABELS);
     }
 
     #[test]
@@ -285,51 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn monitor_violations_become_journal_events() {
-        use crate::monitor::PhaseCheck;
-        let healthy = PhaseCheck {
-            phase: 0,
-            pool_pages: 1,
-            pool_capacity_pages: 8,
-            planned_moves: 0,
-            migration_limit_pages: 4,
-            memory_accesses: 1,
-            substrate_counters_monotone: true,
-        };
-        // Clean barrier: checks counted, no events, report stays clean.
-        let mut sink = ObsSink::enabled(1, LABELS, 64);
-        sink.begin_phase(0);
-        sink.record_access(0, 0, 100.0);
-        sink.check_monitors(&healthy);
-        sink.end_phase();
-        let report = sink.finish();
-        assert_eq!(report.monitor.checks, 1);
-        assert!(report.monitor.is_clean());
-        assert!(report.events.is_empty());
-
-        // Histogram mismatch fires and lands in the journal.
-        let mut sink = ObsSink::enabled(1, LABELS, 64);
-        sink.begin_phase(0);
-        sink.check_monitors(&healthy); // 0 recorded != 1 counted
-        sink.end_phase();
-        let report = sink.finish();
-        assert_eq!(report.monitor.violations.len(), 1);
-        assert_eq!(report.monitor.violations[0].monitor, "histogram_total");
-        assert_eq!(report.events.len(), 1);
-        assert_eq!(report.events[0].name, "monitor_violation");
-        assert_eq!(report.events[0].category, EventCategory::Monitor);
-
-        // Disabled sinks ignore both arming and checking.
-        let mut off = ObsSink::disabled();
-        off.arm_monitor_fault("pool_occupancy");
-        off.check_monitors(&healthy);
-        assert_eq!(
-            off.finish().monitor,
-            crate::monitor::MonitorReport::default()
-        );
-    }
-
-    #[test]
     fn identical_recordings_compare_equal() {
         let run = || {
             let mut sink = ObsSink::enabled(2, LABELS, 8);
@@ -339,7 +214,6 @@ mod tests {
             sink.event(EventLevel::Debug, EventCategory::Threshold, "t", || {
                 vec![("hi", FieldValue::F64(1.5))]
             });
-            sink.end_phase();
             sink.finish()
         };
         assert_eq!(run(), run());

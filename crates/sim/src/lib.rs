@@ -52,7 +52,7 @@ mod stats;
 mod timing;
 
 pub use config::{MigrationMode, Modality, RunConfig};
-pub use pipeline::{RunOptions, Runner};
+pub use pipeline::Runner;
 pub use stats::{PhaseStats, RunResult};
 pub use timing::TimingSim;
 

@@ -7,7 +7,7 @@ use starnuma_migration::{
     static_oracle_placement_with_sharers, MetadataRegion, MigrationCosts, OracleDynamicPolicy,
     PageAccessCounts, PageMap, PolicyConfig, ReplicaMap, ThresholdPolicy,
 };
-use starnuma_obs::{EventCategory, EventLevel, FieldValue, ObsReport, ObsSink, PhaseCheck};
+use starnuma_obs::{EventCategory, EventLevel, FieldValue, ObsReport, ObsSink};
 use starnuma_prof::{ProfScope, Site};
 use starnuma_topology::Network;
 use starnuma_trace::{TraceGenerator, WorkloadProfile};
@@ -17,30 +17,6 @@ use starnuma_types::{Diagnostic, Location, SimRng, StarNumaError};
 use crate::config::{MigrationMode, Modality, RunConfig};
 use crate::stats::{PhaseStats, RunResult};
 use crate::timing::TimingSim;
-
-/// How a run is observed — never what it simulates: a run's
-/// [`RunResult`] is the same under every option value.
-///
-/// The default is a plain run with the disabled sink, which costs one
-/// branch per record.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Record an [`ObsReport`]: per-socket/per-class latency histograms,
-    /// phase-barrier substrate counters, the structured event journal,
-    /// and the online invariant monitors' verdicts.
-    pub observe: bool,
-    /// Arm a one-shot injected monitor fault (a monitor name) before the
-    /// run starts — the deterministic way to prove the violation path
-    /// fires end to end. Setting it implies `observe`.
-    pub inject_fault: Option<String>,
-}
-
-impl RunOptions {
-    /// Whether the run records an [`ObsReport`].
-    pub fn observes(&self) -> bool {
-        self.observe || self.inject_fault.is_some()
-    }
-}
 
 /// Runs one complete experiment: a workload profile on a system
 /// configuration, through warm-up and all phases.
@@ -130,10 +106,13 @@ impl Runner {
         self.run_observed(&mut ObsSink::disabled())
     }
 
-    /// Executes the run under `opts`, returning the report when
-    /// [`RunOptions::observes`].
-    pub fn run_with(self, opts: &RunOptions) -> (RunResult, Option<ObsReport>) {
-        if !opts.observes() {
+    /// Executes the run, and when `observe` is set also records an
+    /// [`ObsReport`]: the run's per-socket × per-class latency histograms,
+    /// its substrate counters, and the structured event journal. The
+    /// [`RunResult`] is the same either way; unobserved, the disabled sink
+    /// costs one branch per record.
+    pub fn run_with(self, observe: bool) -> (RunResult, Option<ObsReport>) {
+        if !observe {
             return (self.run(), None);
         }
         let mut obs = ObsSink::enabled(
@@ -141,9 +120,6 @@ impl Runner {
             crate::access_class_labels(),
             starnuma_obs::DEFAULT_JOURNAL_CAPACITY,
         );
-        if let Some(monitor) = &opts.inject_fault {
-            obs.arm_monitor_fault(monitor);
-        }
         let result = self.run_observed(&mut obs);
         (result, Some(obs.finish()))
     }
@@ -304,10 +280,10 @@ impl Runner {
         let mut ablation_migrated = 0u64;
         let mut ablation_to_pool = 0u64;
         let mut phase_stats: Vec<PhaseStats> = Vec::with_capacity(self.config.phases);
-        // Cumulative-substrate snapshots so phase barriers can export
-        // per-phase deltas (LLCs and the directory persist across phases).
-        let mut prev_llc = sim.llc_stats();
-        let mut prev_dir = sim.directory_stats();
+        // LLCs and the directory persist across phases: the run's counters
+        // are their growth since warm-up.
+        let warm_llc = sim.llc_stats();
+        let warm_dir = sim.directory_stats();
         for _phase in 0..self.config.phases {
             let phase_no = u32::try_from(_phase).unwrap_or(u32::MAX);
             obs.begin_phase(phase_no);
@@ -448,48 +424,10 @@ impl Runner {
                     sim.set_light_cpi(1.0 / ipc);
                 }
             }
-            // Phase barrier: pour the substrate counters into this phase's
-            // frame (links/DRAM reset each phase, so their stats *are* the
-            // phase deltas; LLCs and directory accumulate, so subtract).
+            // Phase barrier: links and DRAM reset each phase, so pour their
+            // stats in before the reset.
             if obs.is_enabled() {
                 let _prof = ProfScope::enter(Site::ObsExport);
-                let llc_now = sim.llc_stats();
-                let dir_now = sim.directory_stats();
-                // The cumulative substrates must never count backwards —
-                // checked before the saturating-looking subtractions below
-                // would hide a regression by underflowing.
-                let substrate_counters_monotone = llc_now.hits >= prev_llc.hits
-                    && llc_now.misses >= prev_llc.misses
-                    && llc_now.writebacks >= prev_llc.writebacks
-                    && dir_now.transactions >= prev_dir.transactions
-                    && dir_now.pool_transactions >= prev_dir.pool_transactions
-                    && dir_now.bt_socket >= prev_dir.bt_socket
-                    && dir_now.bt_pool >= prev_dir.bt_pool
-                    && dir_now.invalidations >= prev_dir.invalidations
-                    && dir_now.writebacks >= prev_dir.writebacks;
-                obs.observe(
-                    "llc",
-                    &starnuma_cache::CacheStats {
-                        hits: llc_now.hits.saturating_sub(prev_llc.hits),
-                        misses: llc_now.misses.saturating_sub(prev_llc.misses),
-                        writebacks: llc_now.writebacks.saturating_sub(prev_llc.writebacks),
-                    },
-                );
-                prev_llc = llc_now;
-                obs.observe(
-                    "dir",
-                    &starnuma_coherence::DirectoryStats {
-                        transactions: dir_now.transactions.saturating_sub(prev_dir.transactions),
-                        pool_transactions: dir_now
-                            .pool_transactions
-                            .saturating_sub(prev_dir.pool_transactions),
-                        bt_socket: dir_now.bt_socket.saturating_sub(prev_dir.bt_socket),
-                        bt_pool: dir_now.bt_pool.saturating_sub(prev_dir.bt_pool),
-                        invalidations: dir_now.invalidations.saturating_sub(prev_dir.invalidations),
-                        writebacks: dir_now.writebacks.saturating_sub(prev_dir.writebacks),
-                    },
-                );
-                prev_dir = dir_now;
                 let [upi, numalink, cxl] = sim.link_stats();
                 obs.observe("link.upi", &upi);
                 obs.observe("link.numalink", &numalink);
@@ -499,18 +437,6 @@ impl Runner {
                 if let Some(pool) = pool_mem {
                     obs.observe("mem.pool", &pool);
                 }
-                // Online invariant monitors (phase barrier): a healthy run
-                // fires nothing, so the exports of a clean run are
-                // unchanged by this call.
-                obs.check_monitors(&PhaseCheck {
-                    phase: phase_no,
-                    pool_pages: map.pool_pages(),
-                    pool_capacity_pages: map.pool_capacity_pages(),
-                    planned_moves: plan.total(),
-                    migration_limit_pages: self.config.migration_limit_pages,
-                    memory_accesses: stats.memory_accesses(),
-                    substrate_counters_monotone,
-                });
             }
             sim.reset_servers();
             phase_stats.push(stats);
@@ -523,9 +449,34 @@ impl Runner {
                 "phase_checkpoint",
                 || vec![("edge", FieldValue::Str("end".to_string()))],
             );
-            obs.end_phase();
         }
         starnuma_prof::clear_phase();
+        if obs.is_enabled() {
+            let _prof = ProfScope::enter(Site::ObsExport);
+            let llc = sim.llc_stats();
+            let dir = sim.directory_stats();
+            obs.observe(
+                "llc",
+                &starnuma_cache::CacheStats {
+                    hits: llc.hits.saturating_sub(warm_llc.hits),
+                    misses: llc.misses.saturating_sub(warm_llc.misses),
+                    writebacks: llc.writebacks.saturating_sub(warm_llc.writebacks),
+                },
+            );
+            obs.observe(
+                "dir",
+                &starnuma_coherence::DirectoryStats {
+                    transactions: dir.transactions.saturating_sub(warm_dir.transactions),
+                    pool_transactions: dir
+                        .pool_transactions
+                        .saturating_sub(warm_dir.pool_transactions),
+                    bt_socket: dir.bt_socket.saturating_sub(warm_dir.bt_socket),
+                    bt_pool: dir.bt_pool.saturating_sub(warm_dir.bt_pool),
+                    invalidations: dir.invalidations.saturating_sub(warm_dir.invalidations),
+                    writebacks: dir.writebacks.saturating_sub(warm_dir.writebacks),
+                },
+            );
+        }
 
         let (migrated, to_pool) = match self.config.migration {
             MigrationMode::Threshold { .. } => (policy.pages_migrated, policy.pages_to_pool),

@@ -2,8 +2,8 @@
 //! configuration may reach its output. Every experiment is a pure function
 //! of `(profile, RunConfig)` — simulated time is virtual, each run owns its
 //! RNG and its `ObsSink`, and the profiler only *reads* the host clock — so
-//! neither the worker count, nor observation, nor profiling, nor a firing
-//! monitor may change a single bit of any result or rendered export.
+//! neither the worker count, nor observation, nor profiling may change a
+//! single bit of any result or rendered export.
 //!
 //! One grid proves it. Its rows are every workload on StarNUMA plus the
 //! `compare` load's other two systems on TC: the limit-tuned baseline
@@ -23,12 +23,12 @@
 //! | `index_equivalence` | jobs 1 observed, jobs 4 unobserved | golden digests, results equal, observation never perturbs |
 //! | `obs_determinism` | jobs 4 observed | golden digests, trace content |
 //! | `prof_determinism` | jobs 1 and 4 observed + profiled | golden digests, equal traces, profiler shape and `Timing` calls |
-//! | `ledger_determinism` | jobs 1 observed, jobs 4 with a fault armed | golden digests, fault fires once, results unchanged |
 //! | `parallel_determinism` | capacity and latency sweeps | equal at jobs 1 and 4 |
 //!
-//! Every observed cell also asserts clean monitors with one check per phase
-//! and a lossless run-record round trip. Regenerating the table (only when an
-//! *intentional* model or export-format change lands):
+//! Every observed cell also asserts that the record's histogram total
+//! equals the accesses the timing model counted, and a lossless run-record
+//! round trip. Regenerating the table (only when an *intentional* model or
+//! export-format change lands):
 //! `STARNUMA_BLESS=1 cargo test --test index_equivalence -- --nocapture`.
 
 #![allow(
@@ -42,27 +42,29 @@
 use starnuma::obs::{trace_jsonl, ObsReport, RunRecord};
 use starnuma::sweep::{sweep_cxl_latency, sweep_pool_capacity, SweepPoint};
 use starnuma::{
-    prof, set_global_jobs, Experiment, JobPool, RunOptions, RunResult, ScaleConfig, SystemKind,
+    prof, set_global_jobs, Experiment, JobPool, PhaseStats, RunResult, ScaleConfig, SystemKind,
     Workload,
 };
 use starnuma_types::fnv1a_digest;
 
 /// Golden FNV-1a digests of each row's trace JSONL (its run record line,
-/// with the host field `jobs` pinned to 0, then its events and per-phase
-/// histograms and counters) per row of [`rows`]. Last blessed when the
-/// trace's `meta` header became the run record (an intentional
-/// export-format change; every row's `result_digest` was unchanged).
+/// with the host field `jobs` pinned to 0, then its events and run-level
+/// histograms) per row of [`rows`]. Last blessed when the per-phase
+/// `hist` and `counters` lines became one run-level `hist` line per
+/// (socket, class) and the record lost its check and violation totals
+/// (ledger schema 3; an intentional export-format change, every row's
+/// `result_digest`, `class.*` and `counter.*` field unchanged).
 pub const GOLDEN: [(&str, &str, u64); 10] = [
-    ("SSSP", "StarNUMA (T16)", 0xf30b7302e107dfa5),
-    ("BFS", "StarNUMA (T16)", 0xb7c2a00972d9fa8a),
-    ("CC", "StarNUMA (T16)", 0x2f526ce20bfc1adf),
-    ("TC", "StarNUMA (T16)", 0x5d2ca3d333dd5f18),
-    ("Masstree", "StarNUMA (T16)", 0xaa222ecedd5bfb5e),
-    ("TPCC", "StarNUMA (T16)", 0x47b5858262fd088d),
-    ("FMI", "StarNUMA (T16)", 0x4b6f8a907b627c7c),
-    ("POA", "StarNUMA (T16)", 0x7f0c9523758c329a),
-    ("TC", "Baseline", 0x7741f1b323978286),
-    ("TC", "StarNUMA (T0)", 0x3f90b6aa27759bf3),
+    ("SSSP", "StarNUMA (T16)", 0x3fd1d6ea955d2173),
+    ("BFS", "StarNUMA (T16)", 0x5c2795b86981cf19),
+    ("CC", "StarNUMA (T16)", 0x86b58d192f08ceae),
+    ("TC", "StarNUMA (T16)", 0xa47c186ba044c30c),
+    ("Masstree", "StarNUMA (T16)", 0xf008038a42a320ee),
+    ("TPCC", "StarNUMA (T16)", 0xb2fb3e8b1c3ec7b3),
+    ("FMI", "StarNUMA (T16)", 0xc36df05824c71c88),
+    ("POA", "StarNUMA (T16)", 0x8298830e0e9e9fd6),
+    ("TC", "Baseline", 0x559873bfc2a52f6b),
+    ("TC", "StarNUMA (T0)", 0xdff064692c5cffe3),
 ];
 
 pub const PHASES: usize = 2;
@@ -88,29 +90,22 @@ pub fn rows() -> Vec<(Workload, SystemKind)> {
     rows
 }
 
-pub fn observe() -> RunOptions {
-    RunOptions {
-        observe: true,
-        ..RunOptions::default()
-    }
-}
-
-/// Runs every row at `jobs` workers under `opts`.
-pub fn cell(jobs: usize, opts: &RunOptions) -> Vec<(RunResult, Option<ObsReport>)> {
+/// Runs every row at `jobs` workers, observed when `observe` is set.
+pub fn cell(jobs: usize, observe: bool) -> Vec<(RunResult, Option<ObsReport>)> {
     set_global_jobs(jobs);
     JobPool::global().run(rows(), |_, (w, kind)| {
-        Experiment::new(w, kind, tiny(PHASES)).run_with(opts)
+        Experiment::new(w, kind, tiny(PHASES)).run_with(observe)
     })
 }
 
 /// [`cell`] with the profiler on, returning its merged report too.
 pub fn profiled_cell(
     jobs: usize,
-    opts: &RunOptions,
+    observe: bool,
 ) -> (Vec<(RunResult, Option<ObsReport>)>, prof::ProfReport) {
     prof::reset();
     prof::set_enabled(true);
-    let runs = cell(jobs, opts);
+    let runs = cell(jobs, observe);
     prof::set_enabled(false);
     (runs, prof::take_report())
 }
@@ -126,8 +121,8 @@ pub fn trace((w, kind): (Workload, SystemKind), result: &RunResult, report: &Obs
 }
 
 /// Digests every row's [`trace`], checking that every row's run did work,
-/// passed every phase-barrier monitor check, and heads its trace with a
-/// run record that survives a JSON round trip.
+/// recorded one latency sample per access the timing model counted, and
+/// heads its trace with a run record that survives a JSON round trip.
 pub fn fingerprints(name: &str, runs: &[(RunResult, Option<ObsReport>)]) -> Vec<u64> {
     rows()
         .into_iter()
@@ -137,15 +132,6 @@ pub fn fingerprints(name: &str, runs: &[(RunResult, Option<ObsReport>)]) -> Vec<
                 .as_ref()
                 .unwrap_or_else(|| panic!("cell {name}: {w} on {kind} returned no report"));
             assert!(result.ipc > 0.0, "cell {name}: {w} on {kind} did nothing");
-            assert!(
-                report.monitor.is_clean(),
-                "cell {name}: {w} on {kind}: unexpected monitor violations {:?}",
-                report.monitor.violations
-            );
-            assert_eq!(
-                report.monitor.checks, PHASES as u64,
-                "cell {name}: {w} on {kind}: monitors must run once per phase barrier"
-            );
             let trace = trace((w, kind), result, report);
             // The run line re-read later must render to the same text.
             let run_line = trace.lines().next().unwrap_or_default();
@@ -156,6 +142,15 @@ pub fn fingerprints(name: &str, runs: &[(RunResult, Option<ObsReport>)]) -> Vec<
                 run_line,
                 reparsed.to_json_line(),
                 "cell {name}: {w} on {kind}: to_json_line/from_json_line round trip is lossy"
+            );
+            assert_eq!(
+                reparsed.overall.count,
+                result
+                    .phases
+                    .iter()
+                    .map(PhaseStats::memory_accesses)
+                    .sum::<u64>(),
+                "cell {name}: {w} on {kind}: histogram total != accesses the timing model counted"
             );
             fnv1a_digest(trace.as_bytes())
         })

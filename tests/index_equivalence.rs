@@ -11,13 +11,12 @@
 
 mod gate;
 
-use gate::{assert_golden, cell, fingerprints, observe, rows};
-use starnuma::RunOptions;
+use gate::{assert_golden, cell, fingerprints, rows};
 
 #[test]
 fn index_swap_is_bit_identical_across_workloads_and_jobs() {
-    let observed = cell(1, &observe());
-    let unobserved = cell(4, &RunOptions::default());
+    let observed = cell(1, true);
+    let unobserved = cell(4, false);
 
     assert_golden("jobs 1", &fingerprints("jobs 1", &observed));
     for (((w, kind), (a, _)), (d, report)) in rows().iter().zip(&observed).zip(&unobserved) {

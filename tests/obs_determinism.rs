@@ -5,12 +5,12 @@
 
 mod gate;
 
-use gate::{assert_golden, cell, fingerprints, observe, rows, trace};
+use gate::{assert_golden, cell, fingerprints, rows, trace};
 use starnuma::{SystemKind, Workload};
 
 #[test]
 fn obs_output_is_bit_identical_across_worker_counts() {
-    let runs = cell(4, &observe());
+    let runs = cell(4, true);
     assert_golden("jobs 4", &fingerprints("jobs 4", &runs));
 
     let tc = rows()
@@ -24,7 +24,6 @@ fn obs_output_is_bit_identical_across_worker_counts() {
         "\"type\":\"run\"",
         "\"type\":\"event\"",
         "\"type\":\"hist\"",
-        "\"type\":\"counters\"",
         "\"name\":\"phase_checkpoint\"",
     ] {
         assert!(trace.contains(needle), "TC trace lacks {needle}");

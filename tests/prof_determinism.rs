@@ -6,13 +6,13 @@
 
 mod gate;
 
-use gate::{assert_golden, fingerprints, observe, profiled_cell, rows};
+use gate::{assert_golden, fingerprints, profiled_cell, rows};
 use starnuma::prof;
 
 #[test]
 fn profiling_never_changes_simulation_output() {
-    let (seq, prof_seq) = profiled_cell(1, &observe());
-    let (par, prof_par) = profiled_cell(4, &observe());
+    let (seq, prof_seq) = profiled_cell(1, true);
+    let (par, prof_par) = profiled_cell(4, true);
 
     let fp_seq = fingerprints("jobs 1 profiled", &seq);
     let fp_par = fingerprints("jobs 4 profiled", &par);
