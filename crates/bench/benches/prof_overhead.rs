@@ -79,10 +79,10 @@ fn main() {
         acc
     });
     prof::set_enabled(false);
-    let report = prof::take_report();
+    let report = prof::snapshot();
     assert_eq!(base_acc, dis_acc, "scope guard changed the computation");
     let _ = en_acc;
-    let recorded: u64 = report.merged_edges().iter().map(|e| e.calls).sum();
+    let recorded: u64 = report.edges.iter().map(|e| e.calls).sum();
     assert_eq!(recorded, enabled_scopes, "enabled scopes must all record");
 
     let per = 1e9 / scopes as f64;
@@ -126,7 +126,7 @@ fn main() {
     prof::set_enabled(true);
     let (t_prof, profiled) = timed(|| experiment.run());
     prof::set_enabled(false);
-    let run_report = prof::take_report();
+    let run_report = prof::snapshot();
     assert_eq!(plain, profiled, "profiling changed the simulation result");
     assert!(!run_report.is_empty(), "profiled run recorded no scopes");
     println!();
@@ -136,7 +136,7 @@ fn main() {
         "  profiled run      {:>8.1} ms  ({} sites attributed)",
         t_prof * 1e3,
         run_report
-            .merged_edges()
+            .edges
             .iter()
             .filter(|e| e.parent.is_none())
             .count()

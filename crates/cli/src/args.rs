@@ -123,16 +123,11 @@ impl Args {
     }
 
     /// Re-targets a wrapper invocation at its inner command:
-    /// `profile run --workload bfs --profile-out p.json` dispatches as
-    /// `run --workload bfs` once the wrapper's own flags are stripped.
-    pub(crate) fn rewrap(&self, inner: &str, strip: &[&str]) -> Args {
+    /// `profile run --workload bfs` dispatches as `run --workload bfs`.
+    pub(crate) fn rewrap(&self, inner: &str) -> Args {
         let mut rewrapped = self.clone();
         rewrapped.command = inner.to_string();
         rewrapped.subcommand = None;
-        for name in strip {
-            rewrapped.flags.remove(*name);
-            rewrapped.switches.retain(|s| s != name);
-        }
         rewrapped
     }
 
@@ -217,21 +212,12 @@ mod tests {
     }
 
     #[test]
-    fn rewrap_retargets_and_strips_wrapper_flags() {
-        let a = parse(&[
-            "profile",
-            "run",
-            "--workload",
-            "bfs",
-            "--profile-out",
-            "p.json",
-        ])
-        .unwrap();
-        let inner = a.rewrap("run", &["profile-out", "folded-out"]);
+    fn rewrap_retargets_at_the_inner_command() {
+        let a = parse(&["profile", "run", "--workload", "bfs"]).unwrap();
+        let inner = a.rewrap("run");
         assert_eq!(inner.command(), "run");
         assert_eq!(inner.subcommand(), None);
         assert_eq!(inner.get("workload"), Some("bfs"));
-        assert_eq!(inner.get("profile-out"), None);
     }
 
     #[test]

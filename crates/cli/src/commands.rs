@@ -107,14 +107,14 @@ type Observed = (RunRecord, ObsReport);
 struct Session {
     timer: prof::SessionTimer,
     /// Whether this command turned the profiler on for the ledger's top
-    /// sites (and must drain it). False without `--ledger` and under
-    /// `starnuma profile`, which owns the report.
+    /// sites (and must turn it off). False without `--ledger` and under
+    /// `starnuma profile`, which already turned it on.
     owns_prof: bool,
 }
 
 impl Session {
     /// Starts the wall timer, and the profiler when this invocation
-    /// writes a ledger and no enclosing `profile` wrapper already owns it.
+    /// writes a ledger and no enclosing `profile` wrapper already did.
     fn start(args: &Args) -> Session {
         let owns_prof = ledger_dir(args).is_some() && !prof::is_enabled();
         if owns_prof {
@@ -132,13 +132,18 @@ impl Session {
     /// section per run, each headed by its record line) and one ledger
     /// line per run. Wall time and profiler top sites are per *command*,
     /// shared by every record of a batch (compare/sweep fan their runs out
-    /// in parallel, so per-run wall time does not exist).
+    /// in parallel, so per-run wall time does not exist). The top sites
+    /// are filled whenever the profiler is on and a ledger is written,
+    /// whoever turned it on.
     fn finish(self, args: &Args, mut runs: Vec<(RunRecord, &ObsReport)>) -> Result<(), ArgError> {
         let wall_ns = self.timer.elapsed_ns();
-        let mut top_sites: Vec<SiteSummary> = Vec::new();
+        let profiled = prof::is_enabled();
         if self.owns_prof {
             prof::set_enabled(false);
-            top_sites = prof::take_report()
+        }
+        let mut top_sites: Vec<SiteSummary> = Vec::new();
+        if profiled && ledger_dir(args).is_some() {
+            top_sites = prof::snapshot()
                 .top_sites(5)
                 .into_iter()
                 .map(|(label, ns, calls)| SiteSummary { label, ns, calls })
@@ -607,13 +612,11 @@ pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
     }
 }
 
-/// `starnuma profile <run|compare|sweep> <wrapped flags>
-/// [--profile-out PATH] [--folded-out PATH]`: runs the wrapped command
-/// under the deterministic self-profiler, renders the top-down wall-time
-/// attribution tree, and writes the schema-versioned `profile.json`
-/// (plus optional folded stacks for flamegraph tooling). Profiling never
-/// feeds back into the simulation, so the wrapped command's outputs are
-/// bit-identical to an unprofiled invocation.
+/// `starnuma profile <run|compare|sweep> <wrapped flags>`: runs the
+/// wrapped command under the deterministic self-profiler and prints the
+/// top-down wall-time attribution tree. Profiling never feeds back into
+/// the simulation, so the wrapped command's outputs are bit-identical to
+/// an unprofiled invocation.
 pub fn cmd_profile(args: &Args) -> Result<(), ArgError> {
     let sub = args
         .subcommand()
@@ -625,9 +628,7 @@ pub fn cmd_profile(args: &Args) -> Result<(), ArgError> {
                     .into(),
             )
         })?;
-    let profile_out = args.get_or("profile-out", "profile.json").to_string();
-    let folded_out = args.get("folded-out").map(str::to_string);
-    let inner = args.rewrap(sub, &["profile-out", "folded-out"]);
+    let inner = args.rewrap(sub);
     prof::reset();
     prof::set_enabled(true);
     let timer = prof::SessionTimer::start();
@@ -638,19 +639,10 @@ pub fn cmd_profile(args: &Args) -> Result<(), ArgError> {
     };
     let wall_ns = timer.elapsed_ns();
     prof::set_enabled(false);
-    let report = prof::take_report();
+    let report = prof::snapshot();
     dispatched?;
     println!();
     print!("{}", report.render_tree(wall_ns));
-    write_out(
-        &profile_out,
-        &report.to_json(&format!("profile {sub}"), wall_ns),
-    )?;
-    println!("wrote {profile_out}");
-    if let Some(path) = &folded_out {
-        write_out(path, &report.folded())?;
-        println!("wrote folded stacks to {path}");
-    }
     Ok(())
 }
 
@@ -862,7 +854,7 @@ struct DriftFlag<'a> {
 /// determinism-drift flags (same config digest + seed, different result
 /// digest). Exits non-zero on any drift flag, so CI can gate on it.
 pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
-    args.expect_only(&["ledger", "json", "jobs"])?;
+    args.expect_only(&["ledger", "json"])?;
     let dir = ledger_dir(args).ok_or_else(|| {
         ArgError("report needs a ledger: pass --ledger DIR or set STARNUMA_LEDGER".into())
     })?;
@@ -1324,137 +1316,22 @@ fn render_section(section: &TraceSection, top: usize) -> String {
     out
 }
 
-/// The `args` payload for a Chrome event: every journal field except the
-/// envelope (`type`/`seq`/`phase`/`cat`/`name`) and the `edge` pairing
-/// marker, with `level` always first.
-fn chrome_args(e: &BTreeMap<String, Json>) -> Json {
-    let mut event_args = vec![(
-        "level".to_string(),
-        Json::Str(str_of(e, "level").to_string()),
-    )];
-    for (k, v) in e {
-        if matches!(
-            k.as_str(),
-            "type" | "seq" | "phase" | "level" | "cat" | "name" | "edge"
-        ) {
-            continue;
-        }
-        event_args.push((k.clone(), v.clone()));
-    }
-    Json::Obj(event_args)
-}
-
-/// Converts parsed event lines into Chrome `trace_event` JSON (openable in
-/// `about://tracing` / Perfetto): each event becomes an instant whose
-/// timestamp is its sequence number (the model has no wall clock) on the
-/// track of its phase, except that each phase's first `phase_checkpoint`
-/// begin/end edge markers pair into one duration (`"ph":"X"`) span.
-/// Unpaired or edge-less events stay instants.
-fn chrome_from_sections(sections: &[TraceSection]) -> String {
-    let mut trace_events = Vec::new();
-    for section in sections {
-        let mut spans: BTreeMap<u64, (Option<usize>, Option<usize>)> = BTreeMap::new();
-        for (i, e) in section.events.iter().enumerate() {
-            if str_of(e, "name") != "phase_checkpoint" {
-                continue;
-            }
-            let Some(edge) = e.get("edge").and_then(Json::as_str) else {
-                continue;
-            };
-            let entry = spans
-                .entry(num_of(e, "phase") as u64)
-                .or_insert((None, None));
-            match edge {
-                "begin" if entry.0.is_none() => entry.0 = Some(i),
-                "end" if entry.1.is_none() => entry.1 = Some(i),
-                _ => {}
-            }
-        }
-        let mut paired: Vec<(u64, usize, usize)> = Vec::new();
-        let mut consumed = vec![false; section.events.len()];
-        for (phase, (begin, end)) in spans {
-            if let (Some(bi), Some(ei)) = (begin, end) {
-                consumed[bi] = true;
-                consumed[ei] = true;
-                paired.push((phase, bi, ei));
-            }
-        }
-        for (i, e) in section.events.iter().enumerate() {
-            if consumed[i] {
-                continue;
-            }
-            trace_events.push(Json::Obj(vec![
-                ("name".into(), Json::Str(str_of(e, "name").into())),
-                ("cat".into(), Json::Str(str_of(e, "cat").into())),
-                ("ph".into(), Json::Str("i".into())),
-                ("ts".into(), Json::Num(num_of(e, "seq"))),
-                ("pid".into(), Json::Num(0.0)),
-                ("tid".into(), Json::Num(num_of(e, "phase"))),
-                ("s".into(), Json::Str("t".into())),
-                ("args".into(), chrome_args(e)),
-            ]));
-        }
-        for (phase, bi, ei) in paired {
-            let begin = &section.events[bi];
-            let end = &section.events[ei];
-            let dur = (num_of(end, "seq") - num_of(begin, "seq")).max(0.0);
-            trace_events.push(Json::Obj(vec![
-                ("name".into(), Json::Str(str_of(begin, "name").into())),
-                ("cat".into(), Json::Str(str_of(begin, "cat").into())),
-                ("ph".into(), Json::Str("X".into())),
-                ("ts".into(), Json::Num(num_of(begin, "seq"))),
-                ("dur".into(), Json::Num(dur)),
-                ("pid".into(), Json::Num(0.0)),
-                ("tid".into(), Json::Num(phase as f64)),
-                ("args".into(), chrome_args(begin)),
-            ]));
-        }
-    }
-    Json::Obj(vec![
-        ("traceEvents".into(), Json::Arr(trace_events)),
-        ("displayTimeUnit".into(), Json::Str("ms".into())),
-    ])
-    .render()
-}
-
-/// `starnuma inspect [<trace.jsonl>] [--top N] [--chrome PATH]
-/// [--profile PATH]`: renders a human summary of a `--trace-out` file —
-/// run identity and result digest (to match each section to its ledger
-/// line), the per-phase migration-decision timeline, the
-/// most-migrated regions, and per-socket access-latency histograms — and
-/// can re-emit the journal as Chrome `trace_event` JSON for
-/// `about://tracing` / Perfetto. `--profile` renders a saved
-/// `profile.json` attribution tree (alone, or alongside a trace).
+/// `starnuma inspect <trace.jsonl> [--top N]`: renders a human summary
+/// of a `--trace-out` file — run identity and result digest (to match
+/// each section to its ledger line), the per-phase migration-decision
+/// timeline, the most-migrated regions, and per-socket access-latency
+/// histograms.
 pub fn cmd_inspect(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&["top", "chrome", "profile"])?;
-    if let Some(profile_path) = args.get("profile") {
-        let text = std::fs::read_to_string(profile_path)
-            .map_err(|e| ArgError(format!("cannot read {profile_path}: {e}")))?;
-        let saved = prof::ProfReport::from_json(&text)
-            .ok_or_else(|| ArgError(format!("{profile_path}: not a starnuma profile.json")))?;
-        println!("{profile_path}: `starnuma {}`", saved.command);
-        print!("{}", saved.report.render_tree(saved.wall_ns));
-        println!();
-    }
-    let path = match args.subcommand() {
-        Some(path) => path,
-        None if args.get("profile").is_some() => return Ok(()),
-        None => {
-            return Err(ArgError(
-                "inspect needs a trace file: starnuma inspect <trace.jsonl>".into(),
-            ))
-        }
-    };
+    args.expect_only(&["top"])?;
+    let path = args.subcommand().ok_or_else(|| {
+        ArgError("inspect needs a trace file: starnuma inspect <trace.jsonl>".into())
+    })?;
     let top = args.get_u64("top", 10)? as usize;
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let sections = parse_trace(path, &text)?;
     for section in &sections {
         print!("{}", render_section(section, top));
-    }
-    if let Some(out) = args.get("chrome") {
-        write_out(out, &chrome_from_sections(&sections))?;
-        println!("wrote Chrome trace_event JSON to {out}");
     }
     Ok(())
 }

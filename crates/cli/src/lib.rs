@@ -8,9 +8,10 @@
 //! starnuma workloads
 //! starnuma trace gen  --workload bfs --out bfs.sntr [--instructions N]
 //! starnuma trace info --in bfs.sntr
-//! starnuma profile  <run|compare|sweep> ... [--profile-out profile.json]
+//! starnuma profile  <run|compare|sweep> ...
+//! starnuma report   [--ledger DIR] [--json]
 //! starnuma bench-diff <old> <new> [--tolerance 0.2]
-//! starnuma inspect  trace.jsonl [--top N] [--chrome out.json] [--profile p.json]
+//! starnuma inspect  trace.jsonl [--top N]
 //! ```
 //!
 //! All simulation commands accept `--scale quick|default|full`,
@@ -101,8 +102,6 @@ commands:
             starnuma profile <run|compare|sweep> <that command's flags>
             prints the top-down wall-time attribution tree (% wall,
             total, calls, ns/call); results stay bit-identical
-              --profile-out <path>     attribution JSON (default profile.json)
-              --folded-out <path>      folded stacks for flamegraph tooling
   report    cross-run trends from the run ledger: per-experiment IPC
             and p95 series with sparklines, and determinism-drift flags
             (same config digest + seed but a different result digest);
@@ -122,12 +121,6 @@ commands:
             regions, and the run's per-socket access-latency
             histograms (mean + p95)
               --top <n>                regions to list (default 10)
-              --chrome <path>          also write Chrome trace_event JSON
-                                       (open in about://tracing / Perfetto;
-                                       checkpoint begin/end pairs render as
-                                       duration spans)
-              --profile <path>         render a profile.json attribution
-                                       tree (trace file then optional)
 
 common simulation flags:
   --scale quick|default|full   --phases N   --instructions N
@@ -272,14 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn profile_wraps_a_run_and_roundtrips_through_inspect() {
-        let dir = std::env::temp_dir().join("starnuma-cli-profile-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let out = dir.join("profile.json");
-        let folded = dir.join("profile.folded");
-        let out_s = out.to_str().expect("utf-8 path");
-        let folded_s = folded.to_str().expect("utf-8 path");
-        assert!(run_tokens(&[
+    fn profile_wraps_a_run() {
+        let quick_run = [
             "profile",
             "run",
             "--workload",
@@ -292,22 +279,18 @@ mod tests {
             "4000",
             "--jobs",
             "1",
-            "--profile-out",
-            out_s,
-            "--folded-out",
-            folded_s,
-        ])
-        .is_ok());
-        let saved = std::fs::read_to_string(&out).expect("profile.json written");
-        assert!(saved.contains("\"schema_version\": 1"));
-        assert!(saved.contains("timing"));
-        let stacks = std::fs::read_to_string(&folded).expect("folded written");
-        assert!(stacks.lines().all(|l| l.starts_with("starnuma")));
-        assert!(run_tokens(&["inspect", "--profile", out_s]).is_ok());
+        ];
+        assert!(run_tokens(&quick_run).is_ok());
         assert!(run_tokens(&["profile", "topology"]).is_err());
         assert!(run_tokens(&["profile"]).is_err());
-        let _ = std::fs::remove_file(out);
-        let _ = std::fs::remove_file(folded);
+        for retired in [
+            [&quick_run[..], &["--profile-out", "p.json"]].concat(),
+            vec!["inspect", "--profile", "p.json"],
+            vec!["inspect", "t.jsonl", "--chrome", "c.json"],
+        ] {
+            let err = run_tokens(&retired).expect_err("retired flag accepted");
+            assert!(err.to_string().contains("unknown flag"), "{err}");
+        }
     }
 
     #[test]

@@ -10,12 +10,9 @@
     reason = "test helpers outside #[test] fns fail the test by panicking"
 )]
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-
-use starnuma_types::json::{parse, Json};
 
 fn starnuma() -> Command {
     Command::new(env!("CARGO_BIN_EXE_starnuma"))
@@ -77,14 +74,17 @@ fn report_flags_determinism_drift() {
     assert!(stdout.contains("0xdeadbeefdeadbeef"), "stdout: {stdout}");
 }
 
-/// A real run appends a parseable record per run; `report --json` over
-/// the fresh ledger succeeds and counts them.
+/// A real run appends a parseable record per run, carrying the
+/// profiler's top sites whether `--ledger` or a `profile` wrapper turned
+/// the profiler on; `report --json` over the fresh ledger succeeds, counts
+/// them, and finds no drift between the profiled and unprofiled runs.
 #[test]
 fn run_appends_ledger_records_report_reads_back() {
     let dir = temp_dir("starnuma-report-cli-ledger");
     let dir_s = dir.to_str().expect("utf-8");
-    for jobs in ["1", "2"] {
+    for (wrapper, jobs) in [(None, "1"), (None, "2"), (Some("profile"), "1")] {
         let out = starnuma()
+            .args(wrapper)
             .args([
                 "run",
                 "--workload",
@@ -105,7 +105,10 @@ fn run_appends_ledger_records_report_reads_back() {
         assert!(out.status.success(), "run with --ledger must succeed");
     }
     let ledger = fs::read_to_string(dir.join("runs.jsonl")).expect("ledger written");
-    assert_eq!(ledger.lines().count(), 2, "one record per run");
+    assert_eq!(ledger.lines().count(), 3, "one record per run");
+    for line in ledger.lines() {
+        assert!(line.contains("\"site.timing.ns\""), "no top sites: {line}");
+    }
     let out = starnuma()
         .args(["report", "--ledger", dir_s, "--json"])
         .output()
@@ -116,7 +119,7 @@ fn run_appends_ledger_records_report_reads_back() {
         String::from_utf8_lossy(&out.stdout)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"records\":2"), "stdout: {stdout}");
+    assert!(stdout.contains("\"records\":3"), "stdout: {stdout}");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -167,11 +170,12 @@ fn inspect_renders_only_the_phases_that_occur() {
     assert_eq!(stdout.matches("  phase ").count(), 1, "stdout: {stdout}");
 }
 
-/// Regression: a negative count in a ledger line used to read back as 0,
-/// and `report` passed. A corrupt integer field now fails the report,
-/// naming the line.
+/// Bad input to `report` is a usage error (exit 1, the reason on stderr).
+/// Regressions: a negative count in a ledger line used to read back as 0
+/// and pass, and now names its line; `--jobs`, which `report` accepted
+/// and ignored although it runs nothing, is now an unknown flag.
 #[test]
-fn report_rejects_corrupt_integer_fields() {
+fn report_rejects_corrupt_ledgers_and_unknown_flags() {
     let dir = temp_dir("starnuma-report-cli-corrupt");
     let ledger = fs::read_to_string(fixtures().join("runs.jsonl")).expect("fixture ledger");
     let mut lines: Vec<&str> = ledger.lines().collect();
@@ -179,126 +183,27 @@ fn report_rejects_corrupt_integer_fields() {
     assert_ne!(corrupt, lines[1], "fixture carries the field");
     lines[1] = &corrupt;
     fs::write(dir.join("runs.jsonl"), lines.join("\n")).expect("write ledger");
-    let out = starnuma()
-        .current_dir(&dir)
-        .args(["report", "--ledger", "."])
-        .output()
-        .expect("binary runs");
-    assert!(
-        !out.status.success(),
-        "a corrupt count must fail the report"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("runs.jsonl:2: not a valid ledger record"),
-        "stderr: {stderr}"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// `inspect --chrome` on a real trace: every paired `phase_checkpoint`
-/// begin/end becomes one duration span lasting end seq − begin seq on its
-/// phase's track, the pairing marker stays out of `args`, and every other
-/// event stays an instant.
-#[test]
-fn inspect_chrome_pairs_checkpoint_edges_into_spans() {
-    let dir = temp_dir("starnuma-report-cli-chrome");
-    let run = starnuma()
-        .current_dir(&dir)
-        .args([
-            "run",
-            "--workload",
-            "bfs",
-            "--scale",
-            "quick",
-            "--jobs",
-            "1",
-        ])
-        .args(["--trace-out", "t.jsonl"])
-        .output()
-        .expect("binary runs");
-    assert!(run.status.success(), "run failed: {run:?}");
-    let inspect = starnuma()
-        .current_dir(&dir)
-        .args(["inspect", "t.jsonl", "--chrome", "c.json"])
-        .output()
-        .expect("binary runs");
-    assert!(inspect.status.success(), "inspect failed: {inspect:?}");
-
-    // Each phase's checkpoint edges in the trace: phase → (begin, end) seq.
-    let trace = fs::read_to_string(dir.join("t.jsonl")).expect("trace written");
-    let mut edges: BTreeMap<u64, (Option<f64>, Option<f64>)> = BTreeMap::new();
-    let mut events = 0;
-    for line in trace.lines() {
-        let e = parse(line).expect("trace line parses");
-        if field(&e, "type").as_str() != Some("event") {
-            continue;
-        }
-        events += 1;
-        if field(&e, "name").as_str() != Some("phase_checkpoint") {
-            continue;
-        }
-        let seq = field(&e, "seq").as_num();
-        let entry = edges.entry(num(&e, "phase") as u64).or_default();
-        match get(&e, "edge").and_then(Json::as_str) {
-            Some("begin") => entry.0 = seq,
-            Some("end") => entry.1 = seq,
-            _ => {}
-        }
+    let cases: [(&Path, &[&str], &str); 2] = [
+        (
+            &dir,
+            &["report", "--ledger", "."],
+            "runs.jsonl:2: not a valid ledger record",
+        ),
+        (
+            &fixtures(),
+            &["report", "--ledger", ".", "--jobs", "2"],
+            "unknown flag --jobs for command 'report'",
+        ),
+    ];
+    for (cwd, args, expected) in cases {
+        let out = starnuma()
+            .current_dir(cwd)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
     }
-    let paired: BTreeMap<u64, (f64, f64)> = edges
-        .into_iter()
-        .filter_map(|(phase, (b, e))| Some((phase, (b?, e?))))
-        .collect();
-    assert!(
-        !paired.is_empty(),
-        "the run must checkpoint at least one phase"
-    );
-
-    let chrome = parse(&fs::read_to_string(dir.join("c.json")).expect("chrome written"))
-        .expect("chrome JSON parses");
-    let trace_events = field(&chrome, "traceEvents").as_array().expect("array");
-    let mut spans = BTreeMap::new();
-    for e in trace_events {
-        let args = field(e, "args").as_object().expect("args object");
-        assert!(args.iter().all(|(k, _)| k != "edge"), "edge leaked: {e:?}");
-        match field(e, "ph").as_str() {
-            Some("X") => {
-                assert_eq!(field(e, "name").as_str(), Some("phase_checkpoint"));
-                let phase = num(e, "tid") as u64;
-                assert!(
-                    spans.insert(phase, (num(e, "ts"), num(e, "dur"))).is_none(),
-                    "one span per phase"
-                );
-            }
-            Some("i") => {}
-            other => panic!("unexpected ph {other:?} in {e:?}"),
-        }
-    }
-    let expected: BTreeMap<u64, (f64, f64)> = paired
-        .iter()
-        .map(|(&phase, &(begin, end))| (phase, (begin, end - begin)))
-        .collect();
-    assert_eq!(spans, expected, "span per paired phase, dur = end − begin");
-    assert_eq!(
-        trace_events.len(),
-        events - paired.len(),
-        "two edges fold into one span"
-    );
     let _ = fs::remove_dir_all(&dir);
-}
-
-fn get<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
-    let (_, value) = v.as_object()?.iter().find(|(k, _)| k == key)?;
-    Some(value)
-}
-
-fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
-    get(v, key).unwrap_or_else(|| panic!("no {key} in {v:?}"))
-}
-
-fn num(v: &Json, key: &str) -> f64 {
-    field(v, key)
-        .as_num()
-        .unwrap_or_else(|| panic!("{key} not a number in {v:?}"))
 }

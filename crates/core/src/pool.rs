@@ -266,9 +266,9 @@ impl JobPool {
                                 m.tick();
                             }
                         }
-                        // Merge this worker's profiler tables before the
+                        // Merge this worker's profiler table before the
                         // scoped thread exits (no-op when profiling is off);
-                        // the caller's `take_report` then sees every
+                        // the caller's `snapshot` then sees every
                         // worker's counts, merged in canonical site order.
                         starnuma_prof::flush_thread();
                         done

@@ -190,7 +190,7 @@ mod tests {
 
     /// Regression: a control char in a run-line string must leave the
     /// trace escaped (raw bytes would be invalid JSON and break `starnuma
-    /// inspect` and Perfetto import) and read back unchanged.
+    /// inspect`) and read back unchanged.
     #[test]
     fn control_chars_in_run_line_strings_round_trip() {
         let mut r = record();

@@ -20,9 +20,8 @@
 //! * **one export** ([`trace_jsonl`]): the record line, then the journal's
 //!   `event` lines and the run's per-socket, per-class `hist` lines, written
 //!   through the workspace codec ([`starnuma_types::json`]) — plus
-//!   [`parse_flat_object`], the flat-line reader `starnuma inspect` (which
-//!   also converts a trace to Chrome `trace_event` JSON), the run ledger
-//!   and the bench history loader share.
+//!   [`parse_flat_object`], the flat-line reader `starnuma inspect`, the
+//!   run ledger and the bench history loader share.
 //!
 //! Everything is deterministic: events are ordered by a monotonic sequence
 //! number (never the host clock), counter maps are `BTreeMap`s, and every

@@ -1,2 +1,3 @@
-//! The workspace JSON codec, under the names `profile.json` readers use.
+//! The workspace JSON codec, re-exported under the names the e2ebench
+//! spec reader imports.
 pub use starnuma_types::json::{parse, Json as JsonVal};

@@ -11,11 +11,13 @@
 //! * **Scopes** ([`ProfScope`]): RAII guards placed in the simulation hot
 //!   paths. Disabled (the default) a scope is one relaxed atomic load;
 //!   enabled it stamps [`ProfClock`] and charges inclusive ns + a call to
-//!   a `(phase, site, parent)` edge in a thread-local table. Workers flush
-//!   via [`flush_thread`]; [`take_report`] drains the merged registry.
-//! * **Reports** ([`ProfReport`]): the top-down attribution tree
-//!   (`% wall`, ns/call, calls), schema-versioned `profile.json`, and
-//!   folded stacks for flamegraph tooling.
+//!   a `(parent, site)` edge in a thread-local table. Workers flush via
+//!   [`flush_thread`]; [`snapshot`] reads the merged registry without
+//!   clearing it, and [`reset`] clears it.
+//! * **Reports** ([`ProfReport`]): one run-level edge table, rendered as
+//!   the top-down attribution tree (`% wall`, ns/call, calls) that
+//!   `starnuma profile` prints, and summarized as the top sites the run
+//!   ledger stores as `site.*` fields.
 //!
 //! Wall-clock isolation: [`ProfClock`] is the *only* sanctioned
 //! `Instant` reader in the workspace (`clippy.toml`'s `disallowed-types`
@@ -26,7 +28,7 @@
 //! # Examples
 //!
 //! ```
-//! use starnuma_prof::{set_enabled, take_report, ProfScope, Site};
+//! use starnuma_prof::{set_enabled, snapshot, ProfScope, Site};
 //!
 //! starnuma_prof::reset();
 //! set_enabled(true);
@@ -35,7 +37,7 @@
 //!     let _llc = ProfScope::enter(Site::Llc);
 //! }
 //! set_enabled(false);
-//! let report = take_report();
+//! let report = snapshot();
 //! assert!(!report.is_empty());
 //! assert!(report.render_tree(1_000_000).contains("timing"));
 //! ```
@@ -47,9 +49,6 @@ mod scope;
 mod site;
 
 pub use clock::{ClockStamp, ProfClock, SessionTimer};
-pub use report::{PhaseProfile, ProfEdge, ProfReport, SavedProfile};
-pub use scope::{
-    clear_phase, flush_thread, is_enabled, reset, set_enabled, set_phase, take_report, ProfScope,
-    SETUP_KEY,
-};
+pub use report::{ProfEdge, ProfReport};
+pub use scope::{flush_thread, is_enabled, reset, set_enabled, snapshot, ProfScope};
 pub use site::{Site, NUM_SITES};

@@ -4,10 +4,10 @@
 //! (the default), [`ProfScope::enter`] reads a flag and returns an inert
 //! guard — no wall-clock read, no thread-local access, no allocation.
 //! When enabled, each scope stamps the clock on entry, and on drop charges
-//! the elapsed nanoseconds to a `(phase, site, parent-site)` edge in a
+//! the elapsed nanoseconds to a `(parent-site, site)` edge in a
 //! thread-local table of fixed site-indexed arrays. Workers flush their
 //! tables into a process-global registry ([`flush_thread`], called by the
-//! `JobPool` worker loop), and [`take_report`] drains the registry into a
+//! `JobPool` worker loop), and [`snapshot`] reads the registry into a
 //! [`ProfReport`](crate::ProfReport) whose edges are emitted in canonical
 //! site order — merges are commutative sums over a fixed universe, so the
 //! *call counts* in a report are independent of worker scheduling, exactly
@@ -18,30 +18,28 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::clock::{ClockStamp, ProfClock};
-use crate::report::{PhaseProfile, ProfEdge, ProfReport};
+use crate::report::{ProfEdge, ProfReport};
 use crate::site::{Site, NUM_SITES};
 
-/// Phase key for work outside any simulation phase (setup, warmup,
-/// scouting, teardown). Real phases are stored at `phase + 1`.
-pub const SETUP_KEY: u32 = 0;
-
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 struct Cell {
     ns: u64,
     calls: u64,
 }
 
-/// One phase's `(parent, site)` edge matrix. Parent slot 0 is the root
-/// (no enclosing scope); slot `1 + s.index()` is site `s`.
+const ZERO: Cell = Cell { ns: 0, calls: 0 };
+
+/// The `(parent, site)` edge matrix. Parent slot 0 is the root (no
+/// enclosing scope); slot `1 + s.index()` is site `s`.
 #[derive(Clone)]
-struct PhaseTable {
+struct EdgeTable {
     cells: [[Cell; NUM_SITES]; NUM_SITES + 1],
 }
 
-impl PhaseTable {
-    fn new() -> PhaseTable {
-        PhaseTable {
-            cells: [[Cell::default(); NUM_SITES]; NUM_SITES + 1],
+impl EdgeTable {
+    const fn new() -> EdgeTable {
+        EdgeTable {
+            cells: [[ZERO; NUM_SITES]; NUM_SITES + 1],
         }
     }
 
@@ -50,35 +48,37 @@ impl PhaseTable {
             .iter()
             .all(|row| row.iter().all(|c| c.calls == 0 && c.ns == 0))
     }
-}
 
-struct ThreadAcc {
-    /// Current phase key (`SETUP_KEY` or `phase + 1`), set by [`set_phase`].
-    phase_key: usize,
-    /// Stack of currently-open sites on this thread (for parent edges).
-    stack: Vec<Site>,
-    /// Per-phase-key tables, indexed by phase key.
-    tables: Vec<PhaseTable>,
-}
-
-impl ThreadAcc {
-    const fn new() -> ThreadAcc {
-        ThreadAcc {
-            phase_key: SETUP_KEY as usize,
-            stack: Vec::new(),
-            tables: Vec::new(),
+    fn add(&mut self, other: &EdgeTable) {
+        for (drow, srow) in self.cells.iter_mut().zip(&other.cells) {
+            for (d, s) in drow.iter_mut().zip(srow) {
+                d.ns = d.ns.saturating_add(s.ns);
+                d.calls = d.calls.saturating_add(s.calls);
+            }
         }
     }
 }
 
+struct ThreadAcc {
+    /// Stack of currently-open sites on this thread (for parent edges).
+    stack: Vec<Site>,
+    /// Edges recorded on this thread since its last flush.
+    table: EdgeTable,
+}
+
 thread_local! {
-    static ACC: RefCell<ThreadAcc> = const { RefCell::new(ThreadAcc::new()) };
+    static ACC: RefCell<ThreadAcc> = const {
+        RefCell::new(ThreadAcc {
+            stack: Vec::new(),
+            table: EdgeTable::new(),
+        })
+    };
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: Mutex<Vec<PhaseTable>> = Mutex::new(Vec::new());
+static GLOBAL: Mutex<EdgeTable> = Mutex::new(EdgeTable::new());
 
-fn lock_global() -> MutexGuard<'static, Vec<PhaseTable>> {
+fn lock_global() -> MutexGuard<'static, EdgeTable> {
     match GLOBAL.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -95,32 +95,6 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Attribute subsequent scopes on this thread to simulation phase `phase`.
-/// No-op while profiling is disabled.
-pub fn set_phase(phase: u32) {
-    if !is_enabled() {
-        return;
-    }
-    ACC.with(|a| {
-        if let Ok(mut a) = a.try_borrow_mut() {
-            a.phase_key = phase.saturating_add(1) as usize;
-        }
-    });
-}
-
-/// Return this thread to the setup/global phase key (between phases and
-/// after the phase loop).
-pub fn clear_phase() {
-    if !is_enabled() {
-        return;
-    }
-    ACC.with(|a| {
-        if let Ok(mut a) = a.try_borrow_mut() {
-            a.phase_key = SETUP_KEY as usize;
-        }
-    });
 }
 
 /// An RAII scoped timer: charges the wall time between construction and
@@ -179,98 +153,65 @@ fn record_exit(site: Site, ns: u64) {
             a.stack.remove(pos);
         }
         let parent_slot = a.stack.last().map(|s| 1 + s.index()).unwrap_or(0);
-        let key = a.phase_key;
-        while a.tables.len() <= key {
-            a.tables.push(PhaseTable::new());
-        }
-        let cell = &mut a.tables[key].cells[parent_slot][site.index()];
+        let cell = &mut a.table.cells[parent_slot][site.index()];
         cell.ns = cell.ns.saturating_add(ns);
         cell.calls = cell.calls.saturating_add(1);
     });
 }
 
-/// Merge this thread's accumulated tables into the process-global registry
-/// and clear them. The `JobPool` worker loop calls this before a worker
-/// thread exits; [`take_report`] calls it for the reporting thread.
+/// Merge this thread's accumulated table into the process-global registry
+/// and clear it. The `JobPool` worker loop calls this before a worker
+/// thread exits; [`snapshot`] calls it for the reading thread.
 pub fn flush_thread() {
     ACC.with(|a| {
         let Ok(mut a) = a.try_borrow_mut() else {
             return;
         };
-        if a.tables.iter().all(PhaseTable::is_empty) {
-            a.tables.clear();
+        if a.table.is_empty() {
             return;
         }
-        let tables = std::mem::take(&mut a.tables);
-        let mut global = lock_global();
-        while global.len() < tables.len() {
-            global.push(PhaseTable::new());
-        }
-        for (dst, src) in global.iter_mut().zip(&tables) {
-            for (drow, srow) in dst.cells.iter_mut().zip(&src.cells) {
-                for (d, s) in drow.iter_mut().zip(srow) {
-                    d.ns = d.ns.saturating_add(s.ns);
-                    d.calls = d.calls.saturating_add(s.calls);
-                }
-            }
-        }
+        lock_global().add(&a.table);
+        a.table = EdgeTable::new();
     });
 }
 
-/// Drain everything recorded so far into a report. Edges are emitted in
-/// canonical order: phase keys ascending, parents root-first then in
-/// [`Site::ALL`] order, sites in [`Site::ALL`] order — so two reports built
-/// from the same merged counts render identically regardless of which
-/// worker recorded what.
-pub fn take_report() -> ProfReport {
+/// Read everything recorded since the last [`reset`] into a report,
+/// without clearing it. Edges are emitted in canonical order: parents
+/// root-first then in [`Site::ALL`] order, sites in [`Site::ALL`] order —
+/// so two reports built from the same merged counts render identically
+/// regardless of which worker recorded what.
+pub fn snapshot() -> ProfReport {
     flush_thread();
-    let tables = {
-        let mut global = lock_global();
-        std::mem::take(&mut *global)
-    };
-    let mut phases = Vec::new();
-    for (key, table) in tables.iter().enumerate() {
-        let mut edges = Vec::new();
-        for parent_slot in 0..=NUM_SITES {
-            let parent = if parent_slot == 0 {
-                None
-            } else {
-                Some(Site::ALL[parent_slot - 1])
-            };
-            for site in Site::ALL {
-                let cell = table.cells[parent_slot][site.index()];
-                if cell.calls > 0 || cell.ns > 0 {
-                    edges.push(ProfEdge {
-                        site,
-                        parent,
-                        ns: cell.ns,
-                        calls: cell.calls,
-                    });
-                }
+    let table = lock_global().clone();
+    let mut edges = Vec::new();
+    for (parent_slot, row) in table.cells.iter().enumerate() {
+        let parent = parent_slot.checked_sub(1).map(|i| Site::ALL[i]);
+        for site in Site::ALL {
+            let cell = row[site.index()];
+            if cell.calls > 0 || cell.ns > 0 {
+                edges.push(ProfEdge {
+                    site,
+                    parent,
+                    ns: cell.ns,
+                    calls: cell.calls,
+                });
             }
         }
-        if !edges.is_empty() {
-            phases.push(PhaseProfile {
-                key: key as u32,
-                edges,
-            });
-        }
     }
-    ProfReport { phases }
+    ProfReport { edges }
 }
 
-/// Discard everything recorded so far (this thread's tables, the global
-/// registry, and this thread's phase key). The profiling CLI calls this
-/// before enabling so a report covers exactly one command.
+/// Discard everything recorded so far (this thread's table and open-scope
+/// stack, and the global registry). A command that profiles calls this
+/// before enabling so its report covers exactly that command.
 pub fn reset() {
     ACC.with(|a| {
         if let Ok(mut a) = a.try_borrow_mut() {
-            a.tables.clear();
+            a.table = EdgeTable::new();
             a.stack.clear();
-            a.phase_key = SETUP_KEY as usize;
         }
     });
-    lock_global().clear();
+    *lock_global() = EdgeTable::new();
 }
 
 #[cfg(test)]
@@ -296,7 +237,7 @@ mod tests {
         for _ in 0..100 {
             let _s = ProfScope::enter(Site::Timing);
         }
-        assert!(take_report().phases.is_empty());
+        assert!(snapshot().is_empty());
     }
 
     #[test]
@@ -304,7 +245,6 @@ mod tests {
         let _l = locked();
         reset();
         set_enabled(true);
-        set_phase(3);
         {
             let _outer = ProfScope::enter(Site::Timing);
             let _inner = ProfScope::enter(Site::Llc);
@@ -312,13 +252,8 @@ mod tests {
         {
             let _solo = ProfScope::enter(Site::TraceGen);
         }
-        clear_phase();
         set_enabled(false);
-        let report = take_report();
-        assert_eq!(report.phases.len(), 1);
-        let phase = &report.phases[0];
-        assert_eq!(phase.key, 4, "phase 3 stores at key 3+1");
-        let shape: Vec<(Site, Option<Site>, u64)> = phase
+        let shape: Vec<(Site, Option<Site>, u64)> = snapshot()
             .edges
             .iter()
             .map(|e| (e.site, e.parent, e.calls))
@@ -342,7 +277,6 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
-                    set_phase(0);
                     for _ in 0..5 {
                         let _s = ProfScope::enter(Site::Dram);
                     }
@@ -351,24 +285,28 @@ mod tests {
             }
         });
         set_enabled(false);
-        let report = take_report();
-        assert_eq!(report.phases.len(), 1);
-        let edge = &report.phases[0].edges[0];
+        let report = snapshot();
+        assert_eq!(report.edges.len(), 1);
+        let edge = &report.edges[0];
         assert_eq!((edge.site, edge.parent), (Site::Dram, None));
         assert_eq!(edge.calls, 15, "3 workers x 5 scopes");
     }
 
     #[test]
-    fn setup_work_lands_in_the_setup_key() {
+    fn snapshots_accumulate_until_reset() {
         let _l = locked();
         reset();
         set_enabled(true);
         {
             let _s = ProfScope::enter(Site::Checkpoint);
         }
+        assert_eq!(snapshot().edges[0].calls, 1);
+        {
+            let _s = ProfScope::enter(Site::Checkpoint);
+        }
         set_enabled(false);
-        let report = take_report();
-        assert_eq!(report.phases.len(), 1);
-        assert_eq!(report.phases[0].key, SETUP_KEY);
+        assert_eq!(snapshot().edges[0].calls, 2, "a snapshot does not drain");
+        reset();
+        assert!(snapshot().is_empty());
     }
 }

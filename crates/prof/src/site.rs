@@ -54,8 +54,8 @@ impl Site {
         Site::ObsExport,
     ];
 
-    /// Stable kebab-case label used in reports, `profile.json`, and folded
-    /// stacks.
+    /// Stable kebab-case label used in the attribution tree and the
+    /// ledger's `site.*` fields.
     pub fn label(self) -> &'static str {
         match self {
             Site::TraceGen => "trace-gen",
@@ -86,12 +86,6 @@ impl Site {
             Site::ObsExport => 9,
         }
     }
-
-    /// Inverse of [`Site::label`]; `None` for unknown labels (e.g. a
-    /// `profile.json` written by a newer schema).
-    pub fn from_label(label: &str) -> Option<Site> {
-        Site::ALL.iter().copied().find(|s| s.label() == label)
-    }
 }
 
 #[cfg(test)]
@@ -103,14 +97,6 @@ mod tests {
         for (i, s) in Site::ALL.iter().enumerate() {
             assert_eq!(s.index(), i, "{s:?} out of canonical order");
         }
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for s in Site::ALL {
-            assert_eq!(Site::from_label(s.label()), Some(s));
-        }
-        assert_eq!(Site::from_label("no-such-site"), None);
     }
 
     #[test]

@@ -284,10 +284,8 @@ impl Runner {
         // are their growth since warm-up.
         let warm_llc = sim.llc_stats();
         let warm_dir = sim.directory_stats();
-        for _phase in 0..self.config.phases {
-            let phase_no = u32::try_from(_phase).unwrap_or(u32::MAX);
-            obs.begin_phase(phase_no);
-            starnuma_prof::set_phase(phase_no);
+        for phase in 0..self.config.phases {
+            obs.begin_phase(u32::try_from(phase).unwrap_or(u32::MAX));
             let trace = {
                 let _prof = ProfScope::enter(Site::TraceGen);
                 gen.generate_phase(self.config.instructions_per_phase)
@@ -397,7 +395,6 @@ impl Runner {
                 "phase_checkpoint",
                 || {
                     vec![
-                        ("edge", FieldValue::Str("begin".to_string())),
                         ("planned_moves", FieldValue::U64(plan.moves.len() as u64)),
                         ("modeled_moves", FieldValue::U64(modeled_count as u64)),
                         ("budget_pages", FieldValue::U64(budget_pages as u64)),
@@ -440,17 +437,7 @@ impl Runner {
             }
             sim.reset_servers();
             phase_stats.push(stats);
-            // Close the checkpoint span opened above: the matching "end"
-            // edge lets the Chrome exporter pair the two into a duration
-            // event spanning the phase's step-C work.
-            obs.event(
-                EventLevel::Info,
-                EventCategory::Checkpoint,
-                "phase_checkpoint",
-                || vec![("edge", FieldValue::Str("end".to_string()))],
-            );
         }
-        starnuma_prof::clear_phase();
         if obs.is_enabled() {
             let _prof = ProfScope::enter(Site::ObsExport);
             let llc = sim.llc_stats();

@@ -1,9 +1,8 @@
 //! The workspace's one JSON codec.
 //!
 //! Every JSON artifact the reproduction writes or reads back — the trace
-//! JSONL, the metrics document, the run ledger, `profile.json`, the bench
-//! history, `--json` reports and Chrome `trace_event` files — goes through
-//! this module. [`Json`] is the value type, [`parse`] the reader and
+//! JSONL, the run ledger, the bench history and `--json` reports — goes
+//! through this module. [`Json`] is the value type, [`parse`] the reader and
 //! [`Json::render`] the tree writer. Exporters whose counters are `u64`
 //! (which [`Json::Num`]'s `f64` cannot hold exactly) stream text instead,
 //! through the same two primitives the tree writer uses: [`write_str`] and
@@ -23,8 +22,8 @@
 
 use std::fmt::Write as _;
 
-/// Nesting limit of [`parse`]: the deepest artifact (`profile.json`) is 4
-/// levels deep, so anything past this is not one of ours.
+/// Nesting limit of [`parse`]: no artifact the reproduction writes nests
+/// more than a few levels deep, so anything past this is not one of ours.
 const MAX_DEPTH: usize = 32;
 
 /// A JSON value.

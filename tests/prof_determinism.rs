@@ -32,7 +32,7 @@ fn profiling_never_changes_simulation_output() {
         "jobs-4 profiled pass recorded nothing"
     );
     let shape = |r: &prof::ProfReport| {
-        r.merged_edges()
+        r.edges
             .iter()
             .map(|e| (e.parent, e.site))
             .collect::<Vec<_>>()
@@ -43,7 +43,7 @@ fn profiling_never_changes_simulation_output() {
         "attribution shape diverges across worker counts"
     );
     let timing_calls = |r: &prof::ProfReport| {
-        r.merged_edges()
+        r.edges
             .iter()
             .filter(|e| e.site == prof::Site::Timing)
             .map(|e| e.calls)
