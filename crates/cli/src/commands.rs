@@ -690,12 +690,18 @@ fn load_bench_metrics(path: &str) -> Result<BTreeMap<String, f64>, ArgError> {
 }
 
 /// The known-good direction of a bench metric, inferred from its key.
-/// Throughput-style metrics regress when they fall, latency/overhead
-/// metrics when they rise; anything else is reported without judgement.
+/// Throughput-style metrics regress when they fall; latency, overhead,
+/// set-up time (`_s`) and memory (`_mib`) when they rise; anything else
+/// is reported without judgement.
 pub fn higher_is_better(key: &str) -> Option<bool> {
     if key.contains("per_sec") || key.contains("speedup") || key.contains("minstr") {
         Some(true)
-    } else if key.contains("_ns") || key.contains("ns_per") || key.ends_with("_ms") {
+    } else if key.contains("_ns")
+        || key.contains("ns_per")
+        || key.ends_with("_ms")
+        || key.ends_with("_s")
+        || key.ends_with("_mib")
+    {
         Some(false)
     } else {
         None
@@ -1398,21 +1404,32 @@ mod tests {
         let old = metrics(&[
             ("hot.minstr_per_sec", 100.0),
             ("prof.disabled_ns_per_scope", 2.0),
+            ("e2e.bfs.peak_rss_mib", 100.0),
+            ("e2e.bfs.setup_s", 0.2),
             ("misc.count", 10.0),
         ]);
-        // Throughput down 30% and overhead up 50%: both regress at 20%.
+        // Throughput down 30%, overhead up 50%, memory up 40% and set-up
+        // time up 50%: all four regress at 20%.
         let new = metrics(&[
             ("hot.minstr_per_sec", 70.0),
             ("prof.disabled_ns_per_scope", 3.0),
+            ("e2e.bfs.peak_rss_mib", 140.0),
+            ("e2e.bfs.setup_s", 0.3),
             ("misc.count", 99.0),
         ]);
         let (table, regressions) = bench_diff_report(&old, &new, 0.2);
-        assert_eq!(regressions, 2);
+        assert_eq!(regressions, 4);
+        assert!(table
+            .lines()
+            .any(|l| l.starts_with("e2e.bfs.peak_rss_mib") && l.ends_with("REGRESSION")));
+        assert!(table
+            .lines()
+            .any(|l| l.starts_with("e2e.bfs.setup_s") && l.ends_with("REGRESSION")));
         assert!(table.contains("REGRESSION"));
         // The direction-less key is informational however far it moves.
         assert!(table.contains("misc.count"));
         assert!(table.contains("info"));
-        // Generous tolerance clears both.
+        // Generous tolerance clears all four.
         let (_, regressions) = bench_diff_report(&old, &new, 0.6);
         assert_eq!(regressions, 0);
     }
@@ -1422,10 +1439,14 @@ mod tests {
         let old = metrics(&[
             ("hot.minstr_per_sec", 100.0),
             ("prof.disabled_ns_per_scope", 2.0),
+            ("e2e.bfs.peak_rss_mib", 100.0),
+            ("e2e.bfs.setup_s", 0.2),
         ]);
         let new = metrics(&[
             ("hot.minstr_per_sec", 300.0),
             ("prof.disabled_ns_per_scope", 0.5),
+            ("e2e.bfs.peak_rss_mib", 60.0),
+            ("e2e.bfs.setup_s", 0.1),
         ]);
         let (_, regressions) = bench_diff_report(&old, &new, 0.05);
         assert_eq!(regressions, 0);

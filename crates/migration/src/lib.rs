@@ -5,7 +5,8 @@
 //! * [`MetadataRegion`]: the in-memory region trackers — per 512 KiB region,
 //!   one bit per socket plus an `i`-bit access counter (`T_16`, `T_0`);
 //! * [`PageMap`]: the page→location mapping with first-touch initial
-//!   placement and pool-capacity accounting;
+//!   placement and pool-capacity accounting, and [`FirstTouch`], the
+//!   whole-run first-touch fold one phase trace at a time;
 //! * [`ThresholdPolicy`]: Algorithm 1 — threshold-based migration candidate
 //!   selection with dynamic HI/LO adjustment, ping-pong suppression, victim
 //!   eviction when a destination is full, and a per-phase migration limit;
@@ -41,7 +42,7 @@ pub use oracle::{
     static_oracle_placement, static_oracle_placement_with_sharers, OracleDynamicPolicy,
     PageAccessCounts,
 };
-pub use page_map::PageMap;
+pub use page_map::{FirstTouch, PageMap};
 pub use policy::{MigrationPlan, PageMove, PolicyConfig, ThresholdPolicy};
 pub use replication::{ReplicaMap, ReplicationConfig, ReplicationStats};
 pub use tracker::{MetadataRegion, TrackerEntry};

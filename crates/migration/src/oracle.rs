@@ -21,8 +21,8 @@ pub struct PageAccessCounts {
 }
 
 impl PageAccessCounts {
-    /// An all-zero tally: the identity element for
-    /// [`PageAccessCounts::merge`].
+    /// An all-zero tally, to fold phases into with
+    /// [`PageAccessCounts::add_trace`].
     pub fn new(footprint_pages: u64, num_sockets: usize) -> Self {
         PageAccessCounts {
             num_sockets,
@@ -37,15 +37,25 @@ impl PageAccessCounts {
         num_sockets: usize,
         cores_per_socket: usize,
     ) -> Self {
-        let mut counts = vec![0u32; footprint_pages as usize * num_sockets];
+        let mut counts = Self::new(footprint_pages, num_sockets);
+        counts.add_trace(trace, cores_per_socket);
+        counts
+    }
+
+    /// Adds a phase trace's accesses to this tally in place, saturating at
+    /// `u32::MAX`: folding every phase of a run through here gives the
+    /// whole-run counts (the §V-B static oracle's knowledge) without a
+    /// per-phase array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace touches a page outside the footprint.
+    pub fn add_trace(&mut self, trace: &PhaseTrace, cores_per_socket: usize) {
         for a in trace.iter() {
             let p = a.addr.page().pfn() as usize;
             let s = a.core.socket(cores_per_socket).index() as usize;
-            counts[p * num_sockets + s] += 1;
-        }
-        PageAccessCounts {
-            num_sockets,
-            counts,
+            let c = &mut self.counts[p * self.num_sockets + s];
+            *c = c.saturating_add(1);
         }
     }
 
@@ -91,20 +101,6 @@ impl PageAccessCounts {
     /// Footprint size in pages.
     pub fn footprint_pages(&self) -> u64 {
         (self.counts.len() / self.num_sockets) as u64
-    }
-
-    /// Accumulates another phase's counts into this one (whole-run oracle
-    /// knowledge for the §V-B static placement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the footprints or socket counts differ.
-    pub fn merge(&mut self, other: &PageAccessCounts) {
-        assert_eq!(self.num_sockets, other.num_sockets, "socket count mismatch");
-        assert_eq!(self.counts.len(), other.counts.len(), "footprint mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a = a.saturating_add(*b);
-        }
     }
 }
 

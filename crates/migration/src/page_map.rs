@@ -2,7 +2,7 @@
 //! accounting.
 
 use starnuma_trace::PhaseTrace;
-use starnuma_types::{Location, PageId, RegionId, SocketId, REGION_PAGES};
+use starnuma_types::{CoreId, Location, PageId, RegionId, SocketId, REGION_PAGES};
 
 /// Maps every page of the footprint to the memory that currently holds it.
 ///
@@ -45,9 +45,10 @@ impl PageMap {
         }
     }
 
-    /// First-touch placement: each page lives on the socket whose core first
-    /// accessed it (ties broken by lowest icount, then lowest core id).
-    /// Untouched pages are distributed round-robin.
+    /// First-touch placement over one trace: each page lives on the socket
+    /// whose core first accessed it (ties broken by lowest icount, then
+    /// lowest core id). Untouched pages are distributed round-robin. A
+    /// whole run is folded phase by phase with [`FirstTouch`].
     pub fn first_touch(
         footprint_pages: u64,
         pool_capacity_pages: u64,
@@ -55,28 +56,9 @@ impl PageMap {
         cores_per_socket: usize,
         num_sockets: usize,
     ) -> Self {
-        let mut first: Vec<Option<(u64, u32)>> = vec![None; footprint_pages as usize];
-        for a in trace.iter() {
-            let p = a.addr.page().pfn() as usize;
-            let key = (a.icount, a.core.index());
-            match first[p] {
-                Some(existing) if existing <= key => {}
-                _ => first[p] = Some(key),
-            }
-        }
-        let mut rr = 0u16;
-        Self::from_fn(footprint_pages, pool_capacity_pages, |page| {
-            match first[page.pfn() as usize] {
-                Some((_, core)) => {
-                    Location::Socket(starnuma_types::CoreId::new(core).socket(cores_per_socket))
-                }
-                None => {
-                    let s = SocketId::new(rr % num_sockets as u16);
-                    rr += 1;
-                    Location::Socket(s)
-                }
-            }
-        })
+        let mut first = FirstTouch::new(footprint_pages);
+        first.add(trace);
+        first.finish(pool_capacity_pages, cores_per_socket, num_sockets)
     }
 
     /// Number of pages in the footprint.
@@ -169,10 +151,89 @@ impl PageMap {
     }
 }
 
+/// First-touch placement over a whole run, folded one phase trace at a
+/// time so the run never has to be held in memory at once.
+///
+/// Each access is keyed `(icount + base[core], core)`, and a page goes to
+/// the socket of its smallest key. `base[core]` starts at 0; after each
+/// phase it becomes one past that core's last keyed icount, and a core
+/// with no accesses in the phase keeps its base. Every core thus runs its
+/// own clock: a core that stopped touching memory early in a phase starts
+/// the next phase with a small base, so one of its later-phase accesses
+/// can take a page ahead of another core's late access in an earlier
+/// phase. Folding `add` over the phases is exactly
+/// [`PageMap::first_touch`] over the traces concatenated per core with
+/// those offsets.
+#[derive(Debug)]
+pub struct FirstTouch {
+    /// Per page, the smallest `(run icount, core)` key seen so far.
+    first: Vec<Option<(u64, u32)>>,
+    /// Per core, the offset added to the next phase's icounts.
+    base: Vec<u64>,
+}
+
+impl FirstTouch {
+    /// An empty fold over a footprint of `footprint_pages` pages.
+    pub fn new(footprint_pages: u64) -> Self {
+        FirstTouch {
+            first: vec![None; footprint_pages as usize],
+            base: Vec::new(),
+        }
+    }
+
+    /// Folds in the next phase's trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace touches a page outside the footprint.
+    pub fn add(&mut self, trace: &PhaseTrace) {
+        if self.base.len() < trace.per_core.len() {
+            self.base.resize(trace.per_core.len(), 0);
+        }
+        for (stream, base) in trace.per_core.iter().zip(&mut self.base) {
+            for a in stream {
+                let key = (a.icount + *base, a.core.index());
+                let slot = &mut self.first[a.addr.page().pfn() as usize];
+                match slot {
+                    Some(existing) if *existing <= key => {}
+                    _ => *slot = Some(key),
+                }
+            }
+            if let Some(last) = stream.last() {
+                *base += last.icount + 1;
+            }
+        }
+    }
+
+    /// Lays out the footprint: each touched page on its first toucher's
+    /// socket, untouched pages round-robin over the sockets.
+    pub fn finish(
+        self,
+        pool_capacity_pages: u64,
+        cores_per_socket: usize,
+        num_sockets: usize,
+    ) -> PageMap {
+        let mut rr = 0u16;
+        PageMap::from_fn(
+            self.first.len() as u64,
+            pool_capacity_pages,
+            |page| match self.first[page.pfn() as usize] {
+                Some((_, core)) => Location::Socket(CoreId::new(core).socket(cores_per_socket)),
+                None => {
+                    let s = SocketId::new(rr % num_sockets as u16);
+                    rr += 1;
+                    Location::Socket(s)
+                }
+            },
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use starnuma_trace::{TraceGenerator, Workload};
+    use starnuma_types::{AccessType, MemAccess};
 
     fn socket(i: u16) -> Location {
         Location::Socket(SocketId::new(i))
@@ -267,5 +328,36 @@ mod tests {
             }
         }
         assert!(counts.iter().all(|&c| c == 2));
+    }
+
+    /// Each core's clock runs on from its own last access, so a later
+    /// phase can take a page. Core 1 (socket 1) last accesses memory at
+    /// icount 10 in phase 0, so its phase-1 access to page 0 at icount 5
+    /// keys 11 + 5 = 16 and beats core 0's phase-0 access at icount 900.
+    #[test]
+    fn a_later_phase_can_take_first_touch() {
+        let access = |core: u32, page: u64, icount: u64| {
+            MemAccess::new(
+                CoreId::new(core),
+                PageId::new(page).base_addr(),
+                AccessType::Read,
+                icount,
+            )
+        };
+        let phase0 = PhaseTrace {
+            per_core: vec![vec![access(0, 0, 900)], vec![access(1, 1, 10)]],
+        };
+        let phase1 = PhaseTrace {
+            per_core: vec![vec![], vec![access(1, 0, 5)]],
+        };
+        let mut first = FirstTouch::new(2);
+        first.add(&phase0);
+        first.add(&phase1);
+        let m = first.finish(0, 1, 2);
+        assert_eq!(m.location(PageId::new(0)), socket(1));
+        assert_eq!(m.location(PageId::new(1)), socket(1));
+        // Alone, phase 0 gives page 0 to core 0.
+        let m = PageMap::first_touch(2, 0, &phase0, 1, 2);
+        assert_eq!(m.location(PageId::new(0)), socket(0));
     }
 }

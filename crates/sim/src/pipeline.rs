@@ -4,8 +4,8 @@
 
 use starnuma_cache::{Tlb, TlbConfig};
 use starnuma_migration::{
-    static_oracle_placement_with_sharers, MetadataRegion, MigrationCosts, OracleDynamicPolicy,
-    PageAccessCounts, PageMap, PolicyConfig, ReplicaMap, ThresholdPolicy,
+    static_oracle_placement_with_sharers, FirstTouch, MetadataRegion, MigrationCosts,
+    OracleDynamicPolicy, PageAccessCounts, PolicyConfig, ReplicaMap, ThresholdPolicy,
 };
 use starnuma_obs::{EventCategory, EventLevel, FieldValue, ObsReport, ObsSink};
 use starnuma_prof::{ProfScope, Site};
@@ -151,53 +151,45 @@ impl Runner {
             None
         };
 
-        // --- Initial placement (step B bootstrap). ---
+        // --- Initial placement (step B bootstrap). --- Both scouts replay
+        // every phase with a cloned generator (deterministic) and fold each
+        // phase in as it is generated, so only one phase trace is live.
         let placement_prof = ProfScope::enter(Site::MigrationPolicy);
-        let mut map = match self.config.migration {
-            MigrationMode::StaticOracle => {
-                // Whole-run oracle: tally every phase with a cloned
-                // generator (deterministic), then lay out once. The sharing
-                // degree comes from the generator's ground truth — the §V-B
-                // oracle has a-priori knowledge of the access pattern.
-                let mut scout = gen.clone();
-                let mut counts = PageAccessCounts::new(fp, n_sockets);
-                for _ in 0..self.config.phases {
-                    let t = {
-                        let _prof = ProfScope::enter(Site::TraceGen);
-                        scout.generate_phase(self.config.instructions_per_phase)
-                    };
-                    counts.merge(&PageAccessCounts::from_trace(&t, fp, n_sockets, cps));
-                }
-                static_oracle_placement_with_sharers(&counts, pool_cap, 8, |p| {
-                    u32::try_from(scout.page_sharers(p).len()).unwrap_or(u32::MAX)
-                })
-            }
-            _ => {
-                // True first-touch semantics: a page lives where its first
-                // toucher over the *whole run* (warm-up + all phases) sits —
-                // a page is not allocated until someone touches it.
-                let mut scout = gen.clone();
-                let mut combined = warmup_trace.clone().unwrap_or_default();
-                for _ in 0..self.config.phases {
-                    let t = {
-                        let _prof = ProfScope::enter(Site::TraceGen);
-                        scout.generate_phase(self.config.instructions_per_phase)
-                    };
-                    if combined.per_core.is_empty() {
-                        combined = t;
-                    } else {
-                        // Later phases cannot steal first-touch from earlier
-                        // ones: offset icounts by a full phase ordering key.
-                        for (dst, src) in combined.per_core.iter_mut().zip(t.per_core) {
-                            let base = dst.last().map_or(0, |a| a.icount + 1);
-                            dst.extend(src.into_iter().map(|mut a| {
-                                a.icount += base;
-                                a
-                            }));
-                        }
+        let mut map = {
+            let mut scout = gen.clone();
+            let mut scout_phase = || {
+                let _prof = ProfScope::enter(Site::TraceGen);
+                scout.generate_phase(self.config.instructions_per_phase)
+            };
+            match self.config.migration {
+                MigrationMode::StaticOracle => {
+                    // Whole-run oracle: tally every phase, then lay out once.
+                    // The sharing degree comes from the generator's ground
+                    // truth — the §V-B oracle has a-priori knowledge of the
+                    // access pattern.
+                    let mut counts = PageAccessCounts::new(fp, n_sockets);
+                    for _ in 0..self.config.phases {
+                        counts.add_trace(&scout_phase(), cps);
                     }
+                    static_oracle_placement_with_sharers(&counts, pool_cap, 8, |p| {
+                        u32::try_from(scout.page_sharers(p).len()).unwrap_or(u32::MAX)
+                    })
                 }
-                PageMap::first_touch(fp, pool_cap, &combined, cps, n_sockets)
+                _ => {
+                    // True first-touch semantics: a page lives where its first
+                    // toucher over the *whole run* (warm-up + all phases) sits —
+                    // a page is not allocated until someone touches it. Each
+                    // core's icounts run on from its own last access, so a
+                    // later phase can win a page (see `FirstTouch`).
+                    let mut first = FirstTouch::new(fp);
+                    if let Some(w) = &warmup_trace {
+                        first.add(w);
+                    }
+                    for _ in 0..self.config.phases {
+                        first.add(&scout_phase());
+                    }
+                    first.finish(pool_cap, cps, n_sockets)
+                }
             }
         };
         drop(placement_prof);
@@ -258,9 +250,9 @@ impl Runner {
         let mut rng = SimRng::seed_from_u64(self.config.seed ^ 0x6d69_6772);
 
         // --- Warm-up (populates LLCs/directory; no stats, no migration). ---
-        if let Some(w) = &warmup_trace {
+        if let Some(w) = warmup_trace {
             sim.run_phase(
-                w,
+                &w,
                 &mut map,
                 &[],
                 self.profile.base_cpi(),

@@ -102,3 +102,24 @@ fn committed_floors_name_reported_metrics_in_their_direction() {
         );
     }
 }
+
+/// `bench-diff` judges every end-to-end metric of `BENCHMARK.json` in the
+/// direction its `better` field states, under the key each workload's
+/// history line gives it, so a regression on any of them can fail CI.
+#[test]
+fn every_end_to_end_metric_has_its_stated_direction() {
+    let spec = load(include_str!("../BENCHMARK.json"), "BENCHMARK.json");
+    let workloads = field(&spec, "workloads")
+        .as_array()
+        .expect("a workload list");
+    for (metric, better) in metrics(&spec, "end_to_end") {
+        for w in workloads {
+            let key = format!("e2e.{}.{metric}", text(w, "name"));
+            assert_eq!(
+                higher_is_better(&key),
+                Some(better == "higher"),
+                "{key}: BENCHMARK.json says '{better}' is better"
+            );
+        }
+    }
+}

@@ -2,9 +2,11 @@
 //! pipeline (cross-crate invariants that unit tests can't see), driven by a
 //! seeded in-repo PRNG for full determinism.
 
-use starnuma_migration::{MetadataRegion, PageMap, PolicyConfig, ThresholdPolicy};
-use starnuma_trace::{TraceGenerator, Workload};
-use starnuma_types::{Location, PageId, RegionId, SimRng, SocketId, REGION_PAGES};
+use starnuma_migration::{
+    FirstTouch, MetadataRegion, PageAccessCounts, PageMap, PolicyConfig, ThresholdPolicy,
+};
+use starnuma_trace::{PhaseTrace, TraceGenerator, Workload};
+use starnuma_types::{Location, MemAccess, PageId, RegionId, SimRng, SocketId, REGION_PAGES};
 
 /// Pool occupancy never exceeds capacity across arbitrary multi-phase
 /// migration histories, and every page is always somewhere valid.
@@ -80,6 +82,73 @@ fn first_touch_is_socket_only_and_deterministic() {
         assert_eq!(a.pool_pages(), 0);
         for pfn in (0..profile.footprint_pages).step_by(131) {
             assert_eq!(a.location(PageId::new(pfn)), b.location(PageId::new(pfn)));
+        }
+    }
+}
+
+/// A whole run as one trace: each later phase appended per core, its
+/// icounts offset to one past that core's last offset icount so far.
+fn concatenate(run: &[PhaseTrace]) -> PhaseTrace {
+    let mut combined = PhaseTrace::default();
+    for t in run {
+        if combined.per_core.is_empty() {
+            combined = t.clone();
+            continue;
+        }
+        for (dst, src) in combined.per_core.iter_mut().zip(&t.per_core) {
+            let base = dst.last().map_or(0, |a| a.icount + 1);
+            dst.extend(src.iter().map(|a| MemAccess {
+                icount: a.icount + base,
+                ..*a
+            }));
+        }
+    }
+    combined
+}
+
+/// The streamed step-A scouts equal their whole-run forms: folding
+/// `FirstTouch` phase by phase places every page where first touch over
+/// the concatenated run does, and tallying in place with `add_trace`
+/// equals summing per-phase `from_trace` tallies. Every workload, with and without a
+/// warm-up, with one core's stream emptied in the first phase and
+/// another's in a middle phase.
+#[test]
+fn streamed_scouts_equal_whole_run_placement() {
+    for (i, wl) in Workload::ALL.iter().enumerate() {
+        let profile = wl.profile();
+        let fp = profile.footprint_pages;
+        let cap = fp / 5;
+        let mut gen = TraceGenerator::new(&profile, 16, 4, 42 + i as u64);
+        let warmup = gen.generate_phase(1_000);
+        let mut phases: Vec<PhaseTrace> = (0..3).map(|_| gen.generate_phase(3_000)).collect();
+        phases[0].per_core[i].clear();
+        phases[1].per_core[i + 8].clear();
+        let with_warmup: Vec<PhaseTrace> = std::iter::once(warmup).chain(phases.clone()).collect();
+        for run in [phases, with_warmup] {
+            let mut first = FirstTouch::new(fp);
+            let mut folded = PageAccessCounts::new(fp, 16);
+            for t in &run {
+                first.add(t);
+                folded.add_trace(t, 4);
+            }
+            let tallies: Vec<PageAccessCounts> = run
+                .iter()
+                .map(|t| PageAccessCounts::from_trace(t, fp, 16, 4))
+                .collect();
+            let streamed = first.finish(cap, 4, 16);
+            let whole = PageMap::first_touch(fp, cap, &concatenate(&run), 4, 16);
+            for pfn in 0..fp {
+                let page = PageId::new(pfn);
+                assert_eq!(
+                    streamed.location(page),
+                    whole.location(page),
+                    "{wl:?}: page {pfn}"
+                );
+                for s in SocketId::all(16) {
+                    let summed: u32 = tallies.iter().map(|c| c.count(page, s)).sum();
+                    assert_eq!(folded.count(page, s), summed, "{wl:?}: page {pfn}");
+                }
+            }
         }
     }
 }
