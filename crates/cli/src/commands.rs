@@ -19,7 +19,7 @@ use starnuma::{
 use starnuma_topology::SystemParams;
 use starnuma_trace::{read_phase, write_phase, SharingHistogram};
 use starnuma_types::json::Json;
-use starnuma_types::{digest_hex, Diagnostic, Location, SocketId};
+use starnuma_types::{digest_hex, Location, SocketId};
 
 use crate::args::{ArgError, Args};
 
@@ -204,21 +204,12 @@ pub fn parse_scale(args: &Args) -> Result<ScaleConfig, ArgError> {
 }
 
 /// Runs the pre-run model checks on `experiment` of `workload`, so a
-/// configuration the simulator would reject is an [`ArgError`] naming its
-/// findings instead of a panic mid-run.
+/// configuration the simulator would reject is an [`ArgError`] listing its
+/// problems instead of a panic mid-run.
 fn preflight(workload: Workload, experiment: &Experiment) -> Result<(), ArgError> {
-    let errors: Vec<String> = Runner::preflight(&workload.profile(), &experiment.run_config())
-        .iter()
-        .filter(|d| d.is_error())
-        .map(Diagnostic::to_string)
-        .collect();
-    if errors.is_empty() {
-        return Ok(());
-    }
-    Err(ArgError(format!(
-        "invalid configuration:\n{}",
-        errors.join("\n")
-    )))
+    Runner::try_new(workload.profile(), experiment.run_config())
+        .map(drop)
+        .map_err(|e| ArgError(e.to_string()))
 }
 
 /// `starnuma run --workload W --system S [--replication FRAC] [--json]

@@ -132,11 +132,42 @@ fn arguments_that_fail_model_checks_are_usage_errors() {
         [&base[..], &["--sockets", sockets]].concat()
     };
     let cases = [
-        (run(&["--phases", "0"]), "SN106"),
-        (run(&["--instructions", "0"]), "SN106"),
-        (gen("0"), "socket count"),
-        (gen("3"), "socket count"),
-        (gen("1028"), "socket count"),
+        (run(&["--phases", "0"]), "RunConfig.phases = 0"),
+        (
+            run(&["--instructions", "0"]),
+            "RunConfig.instructions_per_phase = 0",
+        ),
+        (gen("0"), "num_sockets = 0"),
+        (gen("3"), "num_sockets = 3"),
+        (gen("1028"), "num_sockets = 1028"),
+        (
+            vec!["topology", "--sockets", "13"],
+            "SystemParams.num_sockets = 13",
+        ),
+        (
+            vec![
+                "compare",
+                "--workload",
+                "tc",
+                "--jobs",
+                "1",
+                "--phases",
+                "0",
+            ],
+            "RunConfig.phases = 0",
+        ),
+        (
+            vec![
+                "sweep",
+                "--workloads",
+                "tc",
+                "--jobs",
+                "1",
+                "--instructions",
+                "0",
+            ],
+            "RunConfig.instructions_per_phase = 0",
+        ),
     ];
     for (args, finding) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))

@@ -182,7 +182,7 @@ impl Chunk {
 /// statistics are kept so the pool directory's transaction rate can be
 /// reported separately.
 ///
-/// State is stored per page: `slots[pfn]` indexes the page's [`Chunk`] in
+/// State is stored per page: `slots[pfn]` indexes the page's `Chunk` in
 /// `chunks`, which is allocated when the page's first block is accessed.
 /// Slot 0 is a chunk that always stays empty, so a page that was never
 /// accessed reads as untracked without a branch.

@@ -34,7 +34,7 @@ use std::sync::Mutex;
 #[expect(clippy::disallowed_types, reason = "ProgressMeter's operator ETA only")]
 use std::time::Instant;
 
-use starnuma_types::{ConfigError, StarNumaError};
+use starnuma_types::StarNumaError;
 
 /// Process-wide worker-count override; 0 means "not set".
 static GLOBAL_JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -113,7 +113,7 @@ impl ProgressMeter {
 ///
 /// # Errors
 ///
-/// Returns [`StarNumaError::Config`] when the variable is set but is not a
+/// Returns [`StarNumaError`] when the variable is set but is not a
 /// positive integer — a misconfigured harness run must not silently fall
 /// back to a default.
 fn env_jobs() -> Result<Option<usize>, StarNumaError> {
@@ -121,9 +121,9 @@ fn env_jobs() -> Result<Option<usize>, StarNumaError> {
         Err(_) => Ok(None),
         Ok(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(StarNumaError::Config(ConfigError::new(format!(
-                "invalid STARNUMA_JOBS '{v}' (expected a positive integer)"
-            )))),
+            _ => Err(StarNumaError::new(format!(
+                "STARNUMA_JOBS = '{v}': must be a positive integer"
+            ))),
         },
     }
 }
@@ -169,7 +169,7 @@ impl JobPool {
     ///
     /// # Errors
     ///
-    /// Returns [`StarNumaError::Config`] when `STARNUMA_JOBS` is set to
+    /// Returns [`StarNumaError`] when `STARNUMA_JOBS` is set to
     /// anything but a positive integer.
     pub fn from_env() -> Result<Self, StarNumaError> {
         Ok(match env_jobs()? {

@@ -1,7 +1,7 @@
 //! Simulation-scale presets: how many phases, how long each is.
 
 use starnuma_topology::ScalePreset;
-use starnuma_types::{ConfigError, StarNumaError};
+use starnuma_types::StarNumaError;
 
 /// Controls simulation length and the §V-G methodology preset.
 ///
@@ -72,7 +72,7 @@ impl ScaleConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`StarNumaError::Config`] on any other value — a typo like
+    /// Returns [`StarNumaError`] on any other value — a typo like
     /// `ful` must fail the run, not silently fall back to the default and
     /// mislabel an entire benchmark campaign.
     pub fn from_env() -> Result<Self, StarNumaError> {
@@ -81,9 +81,9 @@ impl ScaleConfig {
             Ok("quick") => Ok(Self::quick()),
             Ok("default") => Ok(Self::default_scale()),
             Ok("full") => Ok(Self::full()),
-            Ok(other) => Err(StarNumaError::Config(ConfigError::new(format!(
-                "unknown STARNUMA_SCALE '{other}' (quick|default|full)"
-            )))),
+            Ok(other) => Err(StarNumaError::new(format!(
+                "STARNUMA_SCALE = '{other}': must be quick, default or full"
+            ))),
         }
     }
 

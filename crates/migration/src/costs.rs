@@ -1,6 +1,6 @@
 //! Migration overhead models (§III-D3, §III-D4, §IV-C).
 
-use starnuma_types::{Cycles, Diagnostic, Nanos, PAGE_SIZE};
+use starnuma_types::{Cycles, Nanos, PAGE_SIZE};
 
 /// Cost parameters of performing migrations.
 ///
@@ -30,31 +30,6 @@ impl MigrationCosts {
     /// Total initiator-core busy time for `pages` migrations.
     pub fn initiator_cost(&self, pages: u64) -> Cycles {
         self.initiator_cycles_per_page * pages
-    }
-
-    /// Pre-run validation of the cost model (`SN105`).
-    ///
-    /// A page that moves zero bytes breaks the bandwidth model (error);
-    /// free shootdowns merely make migration optimistic (warning).
-    pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        if self.bytes_per_page == 0 {
-            out.push(Diagnostic::error(
-                "SN105",
-                "MigrationCosts.bytes_per_page",
-                "a migrated page must move a positive number of bytes",
-                "the paper moves the whole 4 KiB page over the interconnect",
-            ));
-        }
-        if self.initiator_cycles_per_page.raw() == 0 {
-            out.push(Diagnostic::warning(
-                "SN105",
-                "MigrationCosts.initiator_cycles_per_page",
-                "zero initiator cycles per page: migrations are modeled as free",
-                "the paper charges 3 000 cycles per page on the initiating core",
-            ));
-        }
-        out
     }
 }
 

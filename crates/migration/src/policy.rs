@@ -1,7 +1,7 @@
 //! Algorithm 1: threshold-based migration candidate selection.
 
 use starnuma_obs::{EventCategory, EventLevel, FieldValue, ObsSink};
-use starnuma_types::{Diagnostic, Location, PageId, RegionId, SimRng, REGION_PAGES};
+use starnuma_types::{Location, PageId, RegionId, SimRng, REGION_PAGES};
 
 use crate::page_map::PageMap;
 use crate::tracker::MetadataRegion;
@@ -114,47 +114,6 @@ impl PolicyConfig {
             pool_sharer_threshold: num_sockets,
             t0: true,
         }
-    }
-
-    /// Pre-run validation of Algorithm 1's threshold structure (`SN103`).
-    ///
-    /// The adaptive thresholds only make sense when their bounds nest:
-    /// `hi_min ≤ hi_init ≤ hi_max` and `lo_init ≤ lo_max`. A zero migration
-    /// limit is legal (it freezes placement) but almost always a mistake, so
-    /// it is reported as a warning.
-    pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        if !(self.hi_min <= self.hi_init && self.hi_init <= self.hi_max) {
-            out.push(Diagnostic::error(
-                "SN103",
-                "PolicyConfig.hi_init",
-                format!(
-                    "HI thresholds must nest as hi_min <= hi_init <= hi_max, got {} / {} / {}",
-                    self.hi_min, self.hi_init, self.hi_max
-                ),
-                "start from PolicyConfig::t16_scaled, which derives consistent bounds",
-            ));
-        }
-        if self.lo_init > self.lo_max {
-            out.push(Diagnostic::error(
-                "SN103",
-                "PolicyConfig.lo_init",
-                format!(
-                    "LO thresholds must nest as lo_init <= lo_max, got {} / {}",
-                    self.lo_init, self.lo_max
-                ),
-                "start from PolicyConfig::t16_scaled, which derives consistent bounds",
-            ));
-        }
-        if self.migration_limit_pages == 0 {
-            out.push(Diagnostic::warning(
-                "SN103",
-                "PolicyConfig.migration_limit_pages",
-                "migration limit of 0 pages: the policy can never move a page",
-                "set a positive per-phase limit (the paper migrates up to 16 K pages/phase)",
-            ));
-        }
-        out
     }
 }
 

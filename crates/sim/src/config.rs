@@ -1,7 +1,7 @@
 //! Run configuration: which system, how many phases, which migration policy.
 
 use starnuma_topology::SystemParams;
-use starnuma_types::{Diagnostic, SocketId};
+use starnuma_types::{SocketId, StarNumaError};
 
 /// Which data-placement machinery runs during the simulation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,7 +101,7 @@ impl RunConfig {
     /// Pool capacity in pages for a given footprint.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "a fraction in [0, 1] (SN102) keeps the product within footprint_pages"
+        reason = "a fraction in [0, 1] (`RunConfig::check`) keeps the product within footprint_pages"
     )]
     pub fn pool_capacity_pages(&self, footprint_pages: u64) -> u64 {
         if self.params.has_pool {
@@ -111,67 +111,59 @@ impl RunConfig {
         }
     }
 
-    /// Pre-run model validation.
+    /// Pre-run model validation: [`SystemParams::check`], then the
+    /// run-level checks (the pool-capacity and migration fractions within
+    /// `[0, 1]`, a non-empty run, a detailed socket that exists).
     ///
-    /// Aggregates [`SystemParams::diagnostics`] with run-level checks:
-    /// `SN102` for a pool-capacity fraction outside `[0, 1]` and `SN106`
-    /// for run-shape problems (empty runs, a migration fraction outside
-    /// `[0, 1]`, a detailed socket that does not exist).
-    pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        let mut out = self.params.diagnostics();
+    /// # Errors
+    ///
+    /// Returns [`StarNumaError`] listing every problem of both layers,
+    /// the parameters' first.
+    pub fn check(&self) -> Result<(), StarNumaError> {
+        let mut problems = StarNumaError::problems_of(self.params.check());
         if !self.pool_capacity_frac.is_finite() || !(0.0..=1.0).contains(&self.pool_capacity_frac) {
-            out.push(Diagnostic::error(
-                "SN102",
-                "RunConfig.pool_capacity_frac",
-                format!(
-                    "pool capacity fraction must lie in [0, 1], got {}",
-                    self.pool_capacity_frac
-                ),
-                "the paper sizes the pool at 20% of the footprint (1/17 in the small-pool study)",
+            problems.push(format!(
+                "RunConfig.pool_capacity_frac = {}: must lie in [0, 1] (the paper sizes \
+                 the pool at 0.2 of the footprint, 1/17 in the small-pool study)",
+                self.pool_capacity_frac
             ));
         }
         if !self.modeled_migration_fraction.is_finite()
             || !(0.0..=1.0).contains(&self.modeled_migration_fraction)
         {
-            out.push(Diagnostic::error(
-                "SN106",
-                "RunConfig.modeled_migration_fraction",
-                format!(
-                    "modeled migration fraction must lie in [0, 1], got {}",
-                    self.modeled_migration_fraction
-                ),
-                "1.0 models the whole plan in timing simulation; 0.1 mimics the paper's windows",
+            problems.push(format!(
+                "RunConfig.modeled_migration_fraction = {}: must lie in [0, 1] (1.0 models \
+                 the whole plan in timing simulation; 0.1 mimics the paper's windows)",
+                self.modeled_migration_fraction
             ));
         }
-        if self.phases == 0 || self.instructions_per_phase == 0 {
-            // An error (not a warning) since PR 4: an empty run produces no
-            // phase statistics, so `RunResult::from_phases` has nothing to
-            // aggregate (SN107) — reject the shape before simulating.
-            out.push(Diagnostic::error(
-                "SN106",
-                "RunConfig.phases",
-                format!(
-                    "empty run: {} phase(s) of {} instruction(s) simulate nothing",
-                    self.phases, self.instructions_per_phase
-                ),
-                "the paper simulates 5-10 phases; the scaled default is 4 x 120 K instructions",
-            ));
+        // An empty run produces no phase statistics, so
+        // `RunResult::from_phases` has nothing to aggregate: reject the
+        // shape before simulating.
+        if self.phases == 0 {
+            problems.push(
+                "RunConfig.phases = 0: must be at least 1 (the paper simulates 5-10 \
+                 phases; the scaled default is 4)"
+                    .into(),
+            );
+        }
+        if self.instructions_per_phase == 0 {
+            problems.push(
+                "RunConfig.instructions_per_phase = 0: must be positive (the scaled \
+                 default is 120000 per core)"
+                    .into(),
+            );
         }
         if let Modality::Mixed { detailed_socket } = self.modality {
             if usize::from(detailed_socket.index()) >= self.params.num_sockets {
-                out.push(Diagnostic::error(
-                    "SN106",
-                    "RunConfig.modality",
-                    format!(
-                        "detailed socket {} does not exist in a {}-socket system",
-                        detailed_socket.index(),
-                        self.params.num_sockets
-                    ),
-                    "pick a detailed socket below num_sockets",
+                problems.push(format!(
+                    "RunConfig.modality detailed_socket = {}: must be below num_sockets ({})",
+                    detailed_socket.index(),
+                    self.params.num_sockets
                 ));
             }
         }
-        out
+        StarNumaError::check(problems)
     }
 }
 
@@ -194,10 +186,10 @@ mod tests {
             phases: 0,
             ..RunConfig::default()
         };
-        assert!(c
-            .diagnostics()
-            .iter()
-            .any(|d| d.code == "SN106" && d.is_error()));
+        let found = StarNumaError::problems_of(c.check());
+        assert_eq!(found.len(), 1);
+        assert!(found[0].starts_with("RunConfig.phases = 0"), "{found:?}");
+        assert!(RunConfig::default().check().is_ok());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use starnuma_prof::{ProfScope, Site};
 use starnuma_topology::Network;
 use starnuma_trace::{TraceGenerator, WorkloadProfile};
 use starnuma_types::{CoreId, REGION_PAGES};
-use starnuma_types::{Diagnostic, Location, SimRng, StarNumaError};
+use starnuma_types::{Location, SimRng, StarNumaError};
 
 use crate::config::{MigrationMode, Modality, RunConfig};
 use crate::stats::{PhaseStats, RunResult};
@@ -48,7 +48,7 @@ impl Runner {
     /// # Panics
     ///
     /// Panics if the model fails validation; use [`Runner::try_new`] to get
-    /// the findings as structured diagnostics instead.
+    /// the problems as an error instead.
     #[expect(
         clippy::expect_used,
         reason = "documented panicking convenience wrapper"
@@ -57,48 +57,15 @@ impl Runner {
         Self::try_new(profile, config).expect("invalid model configuration")
     }
 
-    /// Creates a runner after running the pre-run model checks.
+    /// Creates a runner after running the pre-run model checks
+    /// ([`RunConfig::check`], which runs the parameters' first).
     ///
     /// # Errors
     ///
-    /// Returns [`StarNumaError::InvalidModel`] listing every error-severity
-    /// finding of [`Runner::preflight`]; warnings do not block the run.
+    /// Returns [`StarNumaError`] listing every problem found.
     pub fn try_new(profile: WorkloadProfile, config: RunConfig) -> Result<Self, StarNumaError> {
-        let errors: Vec<Diagnostic> = Self::preflight(&profile, &config)
-            .into_iter()
-            .filter(Diagnostic::is_error)
-            .collect();
-        if !errors.is_empty() {
-            return Err(StarNumaError::InvalidModel(errors));
-        }
+        config.check()?;
         Ok(Runner { profile, config })
-    }
-
-    /// All pre-run diagnostics for `profile` under `config`, warnings
-    /// included: [`RunConfig::diagnostics`] plus the workload-dependent
-    /// `SN102` capacity check (a pool smaller than the workload's hot set
-    /// forces socket-to-socket fallback migrations).
-    pub fn preflight(profile: &WorkloadProfile, config: &RunConfig) -> Vec<Diagnostic> {
-        let mut out = config.diagnostics();
-        if config.params.has_pool && config.pool_capacity_frac.is_finite() {
-            let cap = config.pool_capacity_pages(profile.footprint_pages);
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "hot_page_frac <= 1 keeps the product within footprint_pages"
-            )]
-            let hot = (profile.footprint_pages as f64 * profile.hot_page_frac).round() as u64;
-            if cap < hot {
-                out.push(Diagnostic::warning(
-                    "SN102",
-                    "RunConfig.pool_capacity_frac",
-                    format!(
-                        "pool capacity ({cap} pages) is below the workload's hot set (~{hot} pages)"
-                    ),
-                    "raise pool_capacity_frac, or expect socket-to-socket fallback migrations",
-                ));
-            }
-        }
-        out
     }
 
     /// Executes the run and aggregates the results.
@@ -204,10 +171,7 @@ impl Runner {
         drop(model_prof);
 
         // --- Tracking + policy state. ---
-        let (t0, tracking) = match self.config.migration {
-            MigrationMode::Threshold { t0 } => (t0, true),
-            _ => (false, false),
-        };
+        let t0 = matches!(self.config.migration, MigrationMode::Threshold { t0: true });
         #[expect(
             clippy::cast_possible_truncation,
             reason = "a per-region mean access count is far below 2^64"
@@ -293,7 +257,7 @@ impl Runner {
             // Step B: tracking + migration decisions.
             let step_b_prof = ProfScope::enter(Site::MigrationPolicy);
             let plan = match self.config.migration {
-                MigrationMode::Threshold { .. } if tracking => {
+                MigrationMode::Threshold { .. } => {
                     {
                         let _prof = ProfScope::enter(Site::Tlb);
                         for tlb in &mut tlbs {
@@ -463,11 +427,14 @@ impl Runner {
             MigrationMode::Ablation(_) => (ablation_migrated, ablation_to_pool),
             _ => (0, 0),
         };
-        // Preflight (SN106) rejects empty run shapes, so >= 1 measured phase.
-        #[expect(clippy::expect_used, reason = "preflight guarantees a measured phase")]
+        // `RunConfig::check` rejects empty run shapes, so >= 1 measured phase.
+        #[expect(
+            clippy::expect_used,
+            reason = "the config check guarantees a measured phase"
+        )]
         let mut result =
             RunResult::from_phases(phase_stats, migrated, to_pool, sim.directory_stats())
-                .expect("preflight guarantees at least one measured phase");
+                .expect("the config check guarantees at least one measured phase");
         if let Some(reps) = replicas {
             result.replication = Some(reps.stats());
         }

@@ -2,7 +2,7 @@
 
 use starnuma_coherence::DirectoryStats;
 use starnuma_topology::AccessClass;
-use starnuma_types::{Diagnostic, StarNumaError};
+use starnuma_types::StarNumaError;
 
 /// Statistics collected over one simulated phase.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -119,10 +119,10 @@ impl RunResult {
     ///
     /// # Errors
     ///
-    /// Returns [`StarNumaError::InvalidModel`] with an `SN107` diagnostic
-    /// when `phases` is empty: an empty run has no accesses or cycles, so
-    /// every derived ratio (`amat_ns`, `ipc`, `mpki`) would silently
-    /// degenerate to zero and masquerade as a measurement.
+    /// Returns [`StarNumaError`] when `phases` is empty: an empty run has
+    /// no accesses or cycles, so every derived ratio (`amat_ns`, `ipc`,
+    /// `mpki`) would silently degenerate to zero and masquerade as a
+    /// measurement.
     pub fn from_phases(
         phases: Vec<PhaseStats>,
         pages_migrated: u64,
@@ -130,13 +130,11 @@ impl RunResult {
         directory: DirectoryStats,
     ) -> Result<Self, StarNumaError> {
         if phases.is_empty() {
-            return Err(StarNumaError::InvalidModel(vec![Diagnostic::error(
-                "SN107",
-                "RunResult::from_phases",
-                "run produced no phase statistics; AMAT/IPC/MPKI are undefined",
-                "configure at least one measured phase (phases >= 1 with nonzero \
+            return Err(StarNumaError::new(
+                "RunResult::from_phases phases = []: must hold at least one phase's \
+                 statistics, or AMAT/IPC/MPKI are undefined (run phases >= 1 with nonzero \
                  instructions_per_phase)",
-            )]));
+            ));
         }
         let mut agg = PhaseStats::default();
         for p in &phases {
@@ -269,13 +267,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_phase_list_is_rejected_with_sn107() {
+    fn empty_phase_list_is_rejected() {
         let err = RunResult::from_phases(vec![], 0, 0, DirectoryStats::default())
             .expect_err("an empty run must not aggregate");
-        let diags = err.diagnostics();
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SN107");
-        assert!(err.to_string().contains("SN107"));
+        assert_eq!(err.problems().len(), 1);
+        assert!(err.to_string().contains("phases = []"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
-use starnuma_types::{ChassisId, Diagnostic, Location, Nanos, SocketId, StarNumaError};
+use starnuma_types::{ChassisId, Location, Nanos, SocketId};
 
 use crate::latency::LatencyModel;
 use crate::params::SystemParams;
@@ -151,7 +151,7 @@ pub struct Network {
     route_spans: Vec<(u32, u32)>,
 }
 
-/// Link ids by role; only used while [`Network::try_new`] builds the route
+/// Link ids by role; only used while [`Network::new`] builds the route
 /// table.
 #[derive(Default)]
 struct LinkRoles {
@@ -189,37 +189,18 @@ impl LinkRoles {
 }
 
 impl Network {
-    /// Builds the link database for the given parameters.
+    /// Builds the link database for the given parameters after running
+    /// [`SystemParams::check`], and the route table that [`Network::leg`]
+    /// reads: every leg between two endpoints (the sockets and the pool)
+    /// is computed once, here.
     ///
     /// # Panics
     ///
-    /// Panics if `params` fails [`SystemParams::diagnostics`]; use
-    /// [`Network::try_new`] to get the findings instead.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panicking convenience wrapper"
-    )]
+    /// Panics if `params` fails [`SystemParams::check`]; a caller that
+    /// takes parameters from a user runs the check first.
     pub fn new(params: &SystemParams) -> Self {
-        Self::try_new(params).expect("invalid system parameters")
-    }
-
-    /// Builds the link database after running the pre-run model checks, and
-    /// the route table that [`Network::leg`] reads: every leg between two
-    /// endpoints (the sockets and the pool) is computed once, here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StarNumaError::InvalidModel`] carrying every error-severity
-    /// [`SystemParams::diagnostics`] finding.
-    pub fn try_new(params: &SystemParams) -> Result<Self, StarNumaError> {
-        let errors: Vec<_> = params
-            .diagnostics()
-            .into_iter()
-            .filter(Diagnostic::is_error)
-            .collect();
-        if !errors.is_empty() {
-            return Err(StarNumaError::InvalidModel(errors));
-        }
+        #[expect(clippy::panic, reason = "documented: bad parameters are a caller bug")]
+        params.check().unwrap_or_else(|e| panic!("{e}"));
         let n = params.num_sockets;
         let mut net = Network {
             latency: LatencyModel::new(params.clone()),
@@ -283,7 +264,7 @@ impl Network {
                 net.route_spans.push((start, net.route_links.len() as u32));
             }
         }
-        Ok(net)
+        net
     }
 
     fn push(&mut self, kind: LinkKind, bw: f64) -> LinkId {
@@ -325,7 +306,7 @@ impl Network {
     }
 
     /// The links traversed by one one-way message from `src` to `dst`, read
-    /// from the route table built by [`Network::try_new`].
+    /// from the route table built by [`Network::new`].
     ///
     /// # Panics
     ///

@@ -1,7 +1,7 @@
 //! System parameter sets: Table I (full scale), Table II (scaled down for
 //! simulation), and the sensitivity-study variants of §V-C, §V-D, and §V-G.
 
-use starnuma_types::{ConfigError, Diagnostic, GbPerSec, Nanos, SOCKETS_PER_CHASSIS};
+use starnuma_types::{GbPerSec, Nanos, StarNumaError, SOCKETS_PER_CHASSIS};
 
 /// Bandwidth-provisioning variants studied in §V-D of the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -211,11 +211,11 @@ impl SystemParams {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `n` is zero, not a multiple of four, or
+    /// Returns [`StarNumaError`] if `n` is zero, not a multiple of four, or
     /// above 1024.
-    pub fn with_num_sockets(mut self, n: usize) -> Result<Self, ConfigError> {
+    pub fn with_num_sockets(mut self, n: usize) -> Result<Self, StarNumaError> {
         if let Some(problem) = socket_count_problem(n) {
-            return Err(ConfigError::new(problem));
+            return Err(StarNumaError::new(problem));
         }
         self.num_sockets = n;
         Ok(self)
@@ -231,29 +231,23 @@ impl SystemParams {
         self.num_sockets * self.cores_per_socket
     }
 
-    /// Pre-run physical-consistency checks.
+    /// Pre-run physical-consistency checks: positive counts, positive
+    /// finite latencies and bandwidths, and chassis that can reach each
+    /// other.
     ///
-    /// Returns *every* problem as a structured [`Diagnostic`] instead of
-    /// stopping at the first: `SN101` for non-physical scalar parameters
-    /// (counts, latencies, bandwidths) and `SN104` for a topology whose
-    /// chassis cannot reach each other.
-    pub fn diagnostics(&self) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        if let Some(problem) = socket_count_problem(self.num_sockets) {
-            out.push(Diagnostic::error(
-                "SN101",
-                "SystemParams.num_sockets",
-                problem,
-                "the glueless mesh is built from whole 4-socket chassis; use with_num_sockets",
-            ));
-        }
+    /// # Errors
+    ///
+    /// Returns [`StarNumaError`] listing *every* problem, not just the
+    /// first.
+    pub fn check(&self) -> Result<(), StarNumaError> {
+        let mut problems: Vec<String> =
+            socket_count_problem(self.num_sockets).into_iter().collect();
         if self.cores_per_socket == 0 {
-            out.push(Diagnostic::error(
-                "SN101",
-                "SystemParams.cores_per_socket",
-                "cores_per_socket must be positive",
-                "Table I uses 28 cores per socket, Table II uses 4",
-            ));
+            problems.push(
+                "SystemParams.cores_per_socket = 0: must be positive \
+                 (Table I uses 28 cores per socket, Table II uses 4)"
+                    .into(),
+            );
         }
         let latencies: [(&str, Nanos); 4] = [
             ("mem_base", self.mem_base),
@@ -263,14 +257,10 @@ impl SystemParams {
         ];
         for (field, lat) in latencies {
             if !lat.raw().is_finite() || lat.raw() <= 0.0 {
-                out.push(Diagnostic::error(
-                    "SN101",
-                    format!("SystemParams.{field}"),
-                    format!(
-                        "latency must be a positive finite time, got {} ns",
-                        lat.raw()
-                    ),
-                    "see Table I/II and Fig. 3 for the paper's latency components",
+                problems.push(format!(
+                    "SystemParams.{field} = {} ns: must be a positive finite time \
+                     (Table I/II and Fig. 3 give the paper's latency components)",
+                    lat.raw()
                 ));
             }
         }
@@ -285,42 +275,21 @@ impl SystemParams {
         }
         for (field, bw) in bandwidths {
             if !bw.raw().is_finite() || bw.raw() <= 0.0 {
-                out.push(Diagnostic::error(
-                    "SN101",
-                    format!("SystemParams.{field}"),
-                    format!(
-                        "bandwidth must be a positive finite rate, got {} GB/s",
-                        bw.raw()
-                    ),
-                    "see Table I/II for the paper's per-direction link bandwidths",
+                problems.push(format!(
+                    "SystemParams.{field} = {} GB/s: must be a positive finite rate \
+                     (Table I/II give the paper's per-direction link bandwidths)",
+                    bw.raw()
                 ));
             }
         }
         if self.num_chassis() > 1 && self.numalinks_per_chassis_pair == 0 {
-            out.push(Diagnostic::error(
-                "SN104",
-                "SystemParams.numalinks_per_chassis_pair",
-                format!(
-                    "{} chassis but zero NUMALinks between each pair: the topology is disconnected",
-                    self.num_chassis()
-                ),
-                "the paper's FLEX ASICs provide 4 links per chassis pair",
+            problems.push(format!(
+                "SystemParams.numalinks_per_chassis_pair = 0: must be positive, or the {} \
+                 chassis are disconnected (the paper's FLEX ASICs provide 4 per pair)",
+                self.num_chassis()
             ));
         }
-        out
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] carrying the first error-severity finding of
-    /// [`SystemParams::diagnostics`].
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        match self.diagnostics().into_iter().find(Diagnostic::is_error) {
-            Some(d) => Err(ConfigError::new(format!("{}: {}", d.location, d.message))),
-            None => Ok(()),
-        }
+        StarNumaError::check(problems)
     }
 }
 
@@ -338,8 +307,9 @@ const MAX_SOCKETS: usize = (u8::MAX as usize + 1) * SOCKETS_PER_CHASSIS;
 fn socket_count_problem(n: usize) -> Option<String> {
     (n == 0 || !n.is_multiple_of(SOCKETS_PER_CHASSIS) || n > MAX_SOCKETS).then(|| {
         format!(
-            "socket count must be a positive multiple of {SOCKETS_PER_CHASSIS} \
-             up to {MAX_SOCKETS}, got {n}"
+            "SystemParams.num_sockets = {n}: must be a positive multiple of \
+             {SOCKETS_PER_CHASSIS} up to {MAX_SOCKETS} (the glueless mesh is built \
+             from whole {SOCKETS_PER_CHASSIS}-socket chassis)"
         )
     })
 }
@@ -424,56 +394,74 @@ mod tests {
     #[test]
     fn socket_count_validation() {
         assert!(SystemParams::scaled_starnuma().with_num_sockets(32).is_ok());
-        assert!(SystemParams::scaled_starnuma()
+        let err = SystemParams::scaled_starnuma()
             .with_num_sockets(13)
-            .is_err());
+            .unwrap_err();
+        assert!(err.to_string().contains("num_sockets = 13"), "{err}");
         assert!(SystemParams::scaled_starnuma().with_num_sockets(0).is_err());
         let p = SystemParams::scaled_starnuma()
             .with_num_sockets(32)
             .unwrap();
         assert_eq!(p.num_chassis(), 8);
-        assert!(p.validate().is_ok());
+        assert!(p.check().is_ok());
+    }
+
+    /// The problems `p.check()` reports.
+    fn problems(p: &SystemParams) -> Vec<String> {
+        StarNumaError::problems_of(p.check())
     }
 
     #[test]
-    fn validate_rejects_zero_cores() {
+    fn check_rejects_zero_cores() {
         let mut p = SystemParams::scaled_baseline();
         p.cores_per_socket = 0;
-        assert!(p.validate().is_err());
+        let found = problems(&p);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].starts_with("SystemParams.cores_per_socket = 0"));
     }
 
     #[test]
-    fn diagnostics_flag_negative_latency_as_sn101() {
+    fn check_names_a_negative_latency_and_its_value() {
         let mut p = SystemParams::scaled_starnuma();
         p.mem_base = Nanos::new(-5.0);
-        let diags = p.diagnostics();
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SN101");
-        assert!(diags[0].is_error());
-        assert!(diags[0].location.contains("mem_base"));
-        assert!(p.validate().is_err());
+        let found = problems(&p);
+        assert_eq!(found.len(), 1);
+        assert!(
+            found[0].starts_with("SystemParams.mem_base = -5 ns"),
+            "{found:?}"
+        );
     }
 
     #[test]
-    fn diagnostics_flag_disconnected_topology_as_sn104() {
+    fn check_flags_a_disconnected_topology() {
         let mut p = SystemParams::scaled_baseline();
         p.numalinks_per_chassis_pair = 0;
-        let diags = p.diagnostics();
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SN104");
-        assert!(diags[0].is_error());
+        let found = problems(&p);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].starts_with("SystemParams.numalinks_per_chassis_pair = 0"));
+        assert!(found[0].contains("disconnected"));
     }
 
     #[test]
-    fn diagnostics_collect_every_problem() {
+    fn check_collects_every_problem() {
         let mut p = SystemParams::scaled_starnuma();
         // GbPerSec::new rejects non-positive rates, but Default is 0.0 —
-        // exactly the bypass the SN101 check exists to catch.
+        // exactly the bypass this check exists to catch.
         p.upi_bw = GbPerSec::default();
         p.cxl_one_way = Nanos::new(f64::NAN);
         p.numalinks_per_chassis_pair = 0;
-        let codes: Vec<_> = p.diagnostics().iter().map(|d| d.code).collect();
-        assert_eq!(codes, vec!["SN101", "SN101", "SN104"]);
+        let fields: Vec<String> = problems(&p)
+            .iter()
+            .map(|line| line.split(' ').next().unwrap_or("").to_string())
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                "SystemParams.cxl_one_way",
+                "SystemParams.upi_bw",
+                "SystemParams.numalinks_per_chassis_pair"
+            ]
+        );
     }
 
     #[test]
@@ -482,19 +470,15 @@ mod tests {
         assert!(p.clone().with_num_sockets(1028).is_err());
         let mut raw = p.clone();
         raw.num_sockets = 1028;
-        let diags = raw.diagnostics();
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SN101");
-        assert!(diags[0].location.contains("num_sockets"));
-        assert!(matches!(
-            crate::Network::try_new(&raw),
-            Err(starnuma_types::StarNumaError::InvalidModel(_))
-        ));
+        let found = problems(&raw);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].starts_with("SystemParams.num_sockets = 1028"));
+        assert!(std::panic::catch_unwind(|| crate::Network::new(&raw)).is_err());
 
         let max = p
             .with_num_sockets(1024)
             .expect("1024 sockets fit the u8 chassis ids");
-        assert!(max.diagnostics().is_empty());
+        assert!(max.check().is_ok());
     }
 
     #[test]
@@ -502,7 +486,6 @@ mod tests {
         let mut p = SystemParams::scaled_baseline();
         p.cxl_bw = GbPerSec::default();
         p.pool_mem_bw = GbPerSec::default();
-        assert!(p.diagnostics().is_empty());
-        assert!(p.validate().is_ok());
+        assert!(p.check().is_ok());
     }
 }

@@ -137,86 +137,6 @@ pub fn read_phase<R: Read>(mut r: R) -> io::Result<PhaseTrace> {
     Ok(PhaseTrace { per_core })
 }
 
-/// Metadata of a multi-phase trace run (the full step-A artifact for one
-/// workload execution).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RunHeader {
-    /// Workload name the run was generated from.
-    pub workload: String,
-    /// Generator seed (runs are reproducible from name + seed alone).
-    pub seed: u64,
-}
-
-const RUN_MAGIC: &[u8; 4] = b"SNRN";
-
-/// Serializes a whole run: header plus one [`write_phase`] block per phase.
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects workload names longer than 255 bytes.
-pub fn write_run<W: Write>(mut w: W, header: &RunHeader, phases: &[PhaseTrace]) -> io::Result<()> {
-    w.write_all(RUN_MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    let name = header.workload.as_bytes();
-    if name.len() > 255 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "workload name too long",
-        ));
-    }
-    w.write_all(&[name.len() as u8])?;
-    w.write_all(name)?;
-    w.write_all(&header.seed.to_le_bytes())?;
-    w.write_all(&(phases.len() as u32).to_le_bytes())?;
-    for phase in phases {
-        write_phase(&mut w, phase)?;
-    }
-    Ok(())
-}
-
-/// Deserializes a run written by [`write_run`].
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidData`] on format violations and
-/// propagates I/O errors.
-pub fn read_run<R: Read>(mut r: R) -> io::Result<(RunHeader, Vec<PhaseTrace>)> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != RUN_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a StarNUMA run file (bad magic)",
-        ));
-    }
-    let version = read_u32(&mut r)?;
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported run version {version}"),
-        ));
-    }
-    let mut len = [0u8; 1];
-    r.read_exact(&mut len)?;
-    let mut name = vec![0u8; len[0] as usize];
-    r.read_exact(&mut name)?;
-    let workload = String::from_utf8(name)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 workload name"))?;
-    let seed = read_u64(&mut r)?;
-    let count = read_u32(&mut r)? as usize;
-    if count > 10_000 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "implausible phase count",
-        ));
-    }
-    let mut phases = Vec::with_capacity(count);
-    for _ in 0..count {
-        phases.push(read_phase(&mut r)?);
-    }
-    Ok((RunHeader { workload, seed }, phases))
-}
-
 fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
@@ -321,39 +241,6 @@ mod tests {
         buf.extend_from_slice(&(1u64 << 24).to_le_bytes()); // 2^24 records, none follow
         let err = read_phase(&buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn run_roundtrip() {
-        let mut gen = TraceGenerator::new(&Workload::Cc.profile(), 16, 4, 5);
-        let phases: Vec<PhaseTrace> = (0..3).map(|_| gen.generate_phase(2_000)).collect();
-        let header = RunHeader {
-            workload: "CC".into(),
-            seed: 5,
-        };
-        let mut buf = Vec::new();
-        write_run(&mut buf, &header, &phases).expect("write");
-        let (h, ps) = read_run(&buf[..]).expect("read");
-        assert_eq!(h, header);
-        assert_eq!(ps.len(), 3);
-        for (a, b) in phases.iter().zip(&ps) {
-            assert_eq!(a.per_core, b.per_core);
-        }
-    }
-
-    #[test]
-    fn run_bad_magic_rejected() {
-        assert!(read_run(&b"SNTRxxxx"[..]).is_err());
-    }
-
-    #[test]
-    fn run_name_length_capped() {
-        let header = RunHeader {
-            workload: "x".repeat(300),
-            seed: 0,
-        };
-        let err = write_run(Vec::new(), &header, &[]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -1,141 +1,108 @@
-//! Error types shared across the workspace.
+//! The workspace's one error type.
 
 use core::fmt;
 use std::error::Error;
 
-/// Returned when a system or experiment configuration is invalid.
+/// Why a configuration was rejected: every problem the checks found, one
+/// line each, in the order they ran (`SystemParams`, then `RunConfig`).
+/// Each line names the field, its bad value and what is accepted.
 ///
 /// # Examples
 ///
 /// ```
-/// use starnuma_types::ConfigError;
-/// let err = ConfigError::new("socket count must be a multiple of 4");
-/// assert!(err.to_string().contains("multiple of 4"));
+/// use starnuma_types::StarNumaError;
+///
+/// assert_eq!(StarNumaError::check(Vec::new()), Ok(()));
+/// let err = StarNumaError::check(vec![
+///     "SystemParams.num_sockets = 13: must be a positive multiple of 4".to_string(),
+/// ])
+/// .unwrap_err();
+/// assert_eq!(err.problems().len(), 1);
+/// assert!(err.to_string().contains("num_sockets = 13"));
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ConfigError {
-    message: String,
-}
-
-impl ConfigError {
-    /// Creates a configuration error with the given message.
-    pub fn new(message: impl Into<String>) -> Self {
-        ConfigError {
-            message: message.into(),
-        }
-    }
-
-    /// Returns the error message.
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid configuration: {}", self.message)
-    }
-}
-
-impl Error for ConfigError {}
-
-/// The workspace-wide error type: everything a library entry point can
-/// return instead of panicking.
-///
-/// # Examples
-///
-/// ```
-/// use starnuma_types::{ConfigError, StarNumaError};
-///
-/// let e: StarNumaError = ConfigError::new("bad socket count").into();
-/// assert!(e.to_string().contains("bad socket count"));
-/// ```
-#[derive(Clone, PartialEq, Debug)]
-pub enum StarNumaError {
-    /// A configuration value is malformed (shape-level problem).
-    Config(ConfigError),
-    /// Model validation found physically inconsistent parameters; each
-    /// diagnostic carries its `SNxxx` code, location, and fix hint.
-    InvalidModel(Vec<crate::Diagnostic>),
-    /// An I/O operation (trace files, source scanning) failed.
-    Io(String),
+pub struct StarNumaError {
+    problems: Vec<String>,
 }
 
 impl StarNumaError {
-    /// The validation diagnostics, if this is an [`StarNumaError::InvalidModel`].
-    pub fn diagnostics(&self) -> &[crate::Diagnostic] {
-        match self {
-            StarNumaError::InvalidModel(d) => d,
-            _ => &[],
+    /// An error with one problem.
+    pub fn new(problem: impl Into<String>) -> Self {
+        StarNumaError {
+            problems: vec![problem.into()],
         }
+    }
+
+    /// `Ok` when `problems` is empty, else the error listing all of them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error when at least one problem was found.
+    pub fn check(problems: Vec<String>) -> Result<(), Self> {
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(StarNumaError { problems })
+        }
+    }
+
+    /// The problems, in the order they were found.
+    pub fn problems(&self) -> &[String] {
+        &self.problems
+    }
+
+    /// The problems a check's outcome carries, for a later layer to
+    /// append its own to: empty when the check passed.
+    pub fn problems_of(outcome: Result<(), Self>) -> Vec<String> {
+        outcome.err().map_or_else(Vec::new, |e| e.problems)
     }
 }
 
 impl fmt::Display for StarNumaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StarNumaError::Config(e) => write!(f, "{e}"),
-            StarNumaError::InvalidModel(diags) => {
-                write!(f, "model validation failed ({} finding(s))", diags.len())?;
-                for d in diags {
-                    write!(f, "\n{d}")?;
+        write!(f, "invalid configuration")?;
+        match self.problems.as_slice() {
+            [one] => write!(f, ": {one}"),
+            many => {
+                write!(f, " ({} problems):", many.len())?;
+                for p in many {
+                    write!(f, "\n  {p}")?;
                 }
                 Ok(())
             }
-            StarNumaError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
 }
 
 impl Error for StarNumaError {}
 
-impl From<ConfigError> for StarNumaError {
-    fn from(e: ConfigError) -> Self {
-        StarNumaError::Config(e)
-    }
-}
-
-impl From<std::io::Error> for StarNumaError {
-    fn from(e: std::io::Error) -> Self {
-        StarNumaError::Io(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Diagnostic;
 
     #[test]
-    fn display_includes_message() {
-        let e = ConfigError::new("boom");
+    fn one_problem_renders_on_one_line() {
+        let e = StarNumaError::new("boom");
         assert_eq!(e.to_string(), "invalid configuration: boom");
-        assert_eq!(e.message(), "boom");
+        assert_eq!(e.problems(), ["boom"]);
     }
 
     #[test]
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ConfigError>();
         assert_send_sync::<StarNumaError>();
     }
 
     #[test]
-    fn invalid_model_lists_every_diagnostic() {
-        let e = StarNumaError::InvalidModel(vec![
-            Diagnostic::error("SN101", "a", "m1", "h1"),
-            Diagnostic::error("SN102", "b", "m2", "h2"),
-        ]);
-        let s = e.to_string();
-        assert!(s.contains("2 finding(s)"));
-        assert!(s.contains("SN101") && s.contains("SN102"));
-        assert_eq!(e.diagnostics().len(), 2);
-    }
-
-    #[test]
-    fn config_error_converts() {
-        let e: StarNumaError = ConfigError::new("x").into();
-        assert!(matches!(e, StarNumaError::Config(_)));
-        assert!(e.diagnostics().is_empty());
+    fn every_problem_is_listed_in_order() {
+        let e = StarNumaError::check(vec!["a = 1: bad".into(), "b = 2: bad".into()]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "invalid configuration (2 problems):\n  a = 1: bad\n  b = 2: bad"
+        );
+        let mut later = StarNumaError::problems_of(Err(e));
+        later.push("c = 3: bad".into());
+        assert_eq!(later, ["a = 1: bad", "b = 2: bad", "c = 3: bad"]);
+        assert!(StarNumaError::problems_of(Ok(())).is_empty());
     }
 }

@@ -34,7 +34,7 @@ impl SocketId {
     /// Returns the chassis this socket belongs to (four sockets per chassis).
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "validated topologies have at most 1024 sockets (SN101), so socket / 4 fits u8"
+        reason = "checked topologies have at most 1024 sockets (`SystemParams::check`), so socket / 4 fits u8"
     )]
     pub const fn chassis(self) -> ChassisId {
         ChassisId((self.0 as usize / SOCKETS_PER_CHASSIS) as u8)

@@ -22,7 +22,6 @@
 #![warn(clippy::cast_possible_truncation)]
 
 mod access;
-mod diag;
 mod digest;
 mod error;
 mod ids;
@@ -31,9 +30,8 @@ mod rng;
 mod units;
 
 pub use access::{AccessType, MemAccess, RwMix};
-pub use diag::{Diagnostic, Severity};
 pub use digest::{digest_hex, fnv1a, fnv1a_digest, parse_digest_hex, FNV_OFFSET, FNV_PRIME};
-pub use error::{ConfigError, StarNumaError};
+pub use error::StarNumaError;
 pub use ids::{BlockAddr, ChassisId, CoreId, Location, PageId, PhysAddr, RegionId, SocketId};
 pub use rng::{SampleRange, SimRng};
 pub use units::{Bytes, Cycles, GbPerSec, Nanos, CORE_GHZ};

@@ -1,6 +1,7 @@
 //! Tier-1 audit gate: the two determinism rules clippy cannot express must
-//! hold, invalid models must surface exact `SNxxx` diagnostics *before*
-//! simulation starts, and same-seed runs must be bit-identical.
+//! hold, invalid models must be rejected *before* simulation starts with
+//! every problem named by its field, and same-seed runs must be
+//! bit-identical.
 //!
 //! Every other rule is a stock lint: `[workspace.lints]` in the root
 //! `Cargo.toml` and `clippy.toml` configure them, and CI's clippy step
@@ -27,7 +28,7 @@ use starnuma_migration::PolicyConfig;
 use starnuma_sim::{RunConfig, Runner};
 use starnuma_topology::{Network, SystemParams};
 use starnuma_trace::Workload;
-use starnuma_types::{Nanos, Severity, StarNumaError};
+use starnuma_types::{Nanos, StarNumaError};
 
 /// How many lines above a float accumulation a `canonical` comment still
 /// covers it.
@@ -422,11 +423,13 @@ fn manifest_scan_requires_in_repo_deps_and_the_lints_opt_in() {
     );
 }
 
-fn invalid_model_codes(err: StarNumaError) -> Vec<&'static str> {
-    match err {
-        StarNumaError::InvalidModel(diags) => diags.iter().map(|d| d.code).collect(),
-        other => panic!("expected InvalidModel, got {other}"),
-    }
+/// The field each problem line of `err` names, in order: the text before
+/// its ` = `.
+fn rejected_fields(err: &StarNumaError) -> Vec<&str> {
+    err.problems()
+        .iter()
+        .map(|line| line.split(" = ").next().unwrap_or(line))
+        .collect()
 }
 
 #[test]
@@ -434,7 +437,7 @@ fn negative_latency_is_rejected_with_sn101() {
     let mut config = RunConfig::default();
     config.params.mem_base = Nanos::new(-1.0);
     let err = Runner::try_new(Workload::Bfs.profile(), config).expect_err("invalid");
-    assert_eq!(invalid_model_codes(err), ["SN101"]);
+    assert_eq!(rejected_fields(&err), ["SystemParams.mem_base"]);
 }
 
 #[test]
@@ -444,51 +447,57 @@ fn out_of_range_pool_fraction_is_rejected_with_sn102() {
         ..RunConfig::default()
     };
     let err = Runner::try_new(Workload::Tpcc.profile(), config).expect_err("invalid");
-    assert_eq!(invalid_model_codes(err), ["SN102"]);
+    assert_eq!(rejected_fields(&err), ["RunConfig.pool_capacity_frac"]);
 }
 
 #[test]
-fn pool_below_hot_set_warns_sn102_but_still_runs() {
+fn pool_below_hot_set_still_runs() {
+    // The small-pool study and the failure-injection tests size the pool
+    // below the workload's hot set on purpose.
     let config = RunConfig {
         pool_capacity_frac: 0.01,
         ..RunConfig::default()
     };
     let profile = Workload::Bfs.profile();
-    let diags = Runner::preflight(&profile, &config);
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.code == "SN102" && d.severity == Severity::Warning),
-        "expected an SN102 capacity warning, got: {diags:?}"
-    );
-    assert!(
-        Runner::try_new(profile, config).is_ok(),
-        "warnings must not block the run"
-    );
+    let cap = config.pool_capacity_pages(profile.footprint_pages) as f64;
+    assert!(cap < profile.footprint_pages as f64 * profile.hot_page_frac);
+    assert!(Runner::try_new(profile, config).is_ok());
 }
 
 #[test]
-fn non_monotone_thresholds_are_rejected_with_sn103() {
-    let mut cfg = PolicyConfig::t16_scaled(100);
-    cfg.hi_init = cfg.hi_max + 1;
-    cfg.lo_init = cfg.lo_max + 1;
-    let codes: Vec<&str> = cfg.diagnostics().iter().map(|d| d.code).collect();
-    assert_eq!(codes, ["SN103", "SN103"]);
-    assert!(PolicyConfig::t16_scaled(100).diagnostics().is_empty());
-    assert!(PolicyConfig::t0(16).diagnostics().is_empty());
+fn policy_presets_nest_their_thresholds() {
+    // Algorithm 1's adaptive thresholds only make sense when their bounds
+    // nest; the presets are the only way the pipeline builds a policy.
+    let nests =
+        |c: PolicyConfig| c.hi_min <= c.hi_init && c.hi_init <= c.hi_max && c.lo_init <= c.lo_max;
+    for mean in [0, 1, 2, 15, 16, 100, 20_000, 1 << 40] {
+        assert!(nests(PolicyConfig::t16_scaled(mean)), "t16_scaled({mean})");
+    }
+    for sockets in [4, 16, 1024] {
+        assert!(nests(PolicyConfig::t0(sockets)), "t0({sockets})");
+    }
+    let mut hi = PolicyConfig::t16_scaled(100);
+    hi.hi_init = hi.hi_max + 1;
+    let mut lo = PolicyConfig::t16_scaled(100);
+    lo.lo_init = lo.lo_max + 1;
+    assert!(!nests(hi) && !nests(lo));
 }
 
 #[test]
 fn disconnected_topology_is_rejected_with_sn104() {
     let mut params = SystemParams::scaled_baseline();
     params.numalinks_per_chassis_pair = 0;
-    let err = Network::try_new(&params).expect_err("invalid");
-    let StarNumaError::InvalidModel(diags) = err else {
-        panic!("expected InvalidModel");
-    };
-    assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].code, "SN104");
-    assert!(diags[0].message.contains("disconnected"));
+    let err = params.check().expect_err("invalid");
+    assert_eq!(
+        rejected_fields(&err),
+        ["SystemParams.numalinks_per_chassis_pair"]
+    );
+    assert!(err.problems()[0].contains("disconnected"));
+    let built = std::panic::catch_unwind(|| Network::new(&params));
+    assert!(
+        built.is_err(),
+        "Network::new must refuse the same parameters"
+    );
 }
 
 #[test]
@@ -498,7 +507,14 @@ fn diagnostics_accumulate_across_layers() {
     config.params.numalinks_per_chassis_pair = 0;
     config.pool_capacity_frac = -0.5;
     let err = Runner::try_new(Workload::Cc.profile(), config).expect_err("invalid");
-    assert_eq!(invalid_model_codes(err), ["SN101", "SN104", "SN102"]);
+    assert_eq!(
+        rejected_fields(&err),
+        [
+            "SystemParams.upi_one_way",
+            "SystemParams.numalinks_per_chassis_pair",
+            "RunConfig.pool_capacity_frac"
+        ]
+    );
 }
 
 #[test]
