@@ -22,15 +22,6 @@ impl CacheConfig {
         }
     }
 
-    /// The full-scale per-socket LLC of Table I: 28 cores × 2 MB/core,
-    /// 16-way → 57344 blocks… rounded to the next power-of-two set count.
-    pub fn full_scale_llc() -> Self {
-        CacheConfig {
-            sets: 65536,
-            ways: 16,
-        }
-    }
-
     /// A small cache for unit tests.
     pub fn tiny(sets: usize, ways: usize) -> Self {
         CacheConfig { sets, ways }

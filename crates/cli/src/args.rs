@@ -47,7 +47,7 @@ impl Args {
             command,
             ..Args::default()
         };
-        // `trace gen` / `trace info` style subcommand.
+        // `profile run` / `inspect <path>` style subcommand.
         if let Some(next) = iter.peek() {
             if !next.starts_with("--") {
                 args.subcommand = iter.next();
@@ -78,7 +78,7 @@ impl Args {
         &self.command
     }
 
-    /// The optional subcommand (`trace gen` → `gen`).
+    /// The optional subcommand (`profile run` → `run`).
     pub fn subcommand(&self) -> Option<&str> {
         self.subcommand.as_deref()
     }
@@ -174,9 +174,9 @@ mod tests {
 
     #[test]
     fn parses_subcommand() {
-        let a = parse(&["trace", "gen", "--workload", "tc"]).unwrap();
-        assert_eq!(a.command(), "trace");
-        assert_eq!(a.subcommand(), Some("gen"));
+        let a = parse(&["profile", "run", "--workload", "tc"]).unwrap();
+        assert_eq!(a.command(), "profile");
+        assert_eq!(a.subcommand(), Some("run"));
         assert_eq!(a.get("workload"), Some("tc"));
     }
 

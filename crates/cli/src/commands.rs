@@ -1,7 +1,5 @@
 //! Implementation of the CLI commands.
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 use std::collections::BTreeMap;
@@ -14,10 +12,9 @@ use starnuma::prof;
 use starnuma::report::run_result_json;
 use starnuma::{
     geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunResult,
-    Runner, ScaleConfig, SystemKind, TraceGenerator, Workload,
+    Runner, ScaleConfig, SystemKind, Workload,
 };
 use starnuma_topology::SystemParams;
-use starnuma_trace::{read_phase, write_phase, SharingHistogram};
 use starnuma_types::json::Json;
 use starnuma_types::{digest_hex, Location, SocketId};
 
@@ -540,67 +537,6 @@ pub fn cmd_workloads(args: &Args) -> Result<(), ArgError> {
         );
     }
     Ok(())
-}
-
-/// `starnuma trace gen|info ...`
-pub fn cmd_trace(args: &Args) -> Result<(), ArgError> {
-    match args.subcommand() {
-        Some("gen") => {
-            args.expect_only(&["workload", "out", "instructions", "seed", "sockets"])?;
-            let workload = parse_workload(args.require("workload")?)?;
-            let out = args.require("out")?;
-            let instructions = args.get_u64("instructions", 100_000)?;
-            let seed = args.get_u64("seed", 42)?;
-            let params = SystemParams::scaled_baseline()
-                .with_num_sockets(args.get_u64("sockets", 16)? as usize)
-                .map_err(|e| ArgError(e.to_string()))?;
-            let mut gen = TraceGenerator::new(
-                &workload.profile(),
-                params.num_sockets,
-                params.cores_per_socket,
-                seed,
-            );
-            let phase = gen.generate_phase(instructions);
-            let file =
-                File::create(out).map_err(|e| ArgError(format!("cannot create {out}: {e}")))?;
-            write_phase(BufWriter::new(file), &phase)
-                .map_err(|e| ArgError(format!("write failed: {e}")))?;
-            println!(
-                "wrote {} accesses from {} cores to {out}",
-                phase.total_accesses(),
-                phase.per_core.len()
-            );
-            Ok(())
-        }
-        Some("info") => {
-            args.expect_only(&["in"])?;
-            let path = args.require("in")?;
-            let file =
-                File::open(path).map_err(|e| ArgError(format!("cannot open {path}: {e}")))?;
-            let phase = read_phase(BufReader::new(file))
-                .map_err(|e| ArgError(format!("read failed: {e}")))?;
-            let h = SharingHistogram::from_trace(&phase, 4);
-            println!(
-                "{path}: {} cores, {} accesses, {} pages touched",
-                phase.per_core.len(),
-                phase.total_accesses(),
-                h.touched_pages
-            );
-            println!("observed sharing bins (pages / accesses):");
-            for (i, bin) in h.bins().iter().enumerate() {
-                println!(
-                    "  {:>5}: {:>5.1}% / {:>5.1}%",
-                    SharingHistogram::LABELS[i],
-                    bin.page_frac * 100.0,
-                    bin.access_frac * 100.0
-                );
-            }
-            Ok(())
-        }
-        other => Err(ArgError(format!(
-            "trace needs a subcommand gen|info, got {other:?}"
-        ))),
-    }
 }
 
 /// `starnuma profile <run|compare|sweep> <wrapped flags>`: runs the

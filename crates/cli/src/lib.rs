@@ -6,8 +6,6 @@
 //! starnuma sweep    --system starnuma [--workloads bfs,tc]
 //! starnuma topology [--sockets 32] [--full-scale]
 //! starnuma workloads
-//! starnuma trace gen  --workload bfs --out bfs.sntr [--instructions N]
-//! starnuma trace info --in bfs.sntr
 //! starnuma profile  <run|compare|sweep> ...
 //! starnuma report   [--ledger DIR] [--json]
 //! starnuma bench-diff <old> <new> [--tolerance 0.2]
@@ -43,8 +41,9 @@ pub use commands::higher_is_better;
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] for unknown commands, bad flags, or I/O failures
-/// (trace files).
+/// Returns [`ArgError`] for unknown commands, bad flags, configurations
+/// the model checks reject, or I/O failures on the files a command reads
+/// or writes.
 pub fn run(raw: Vec<String>) -> Result<ExitCode, ArgError> {
     if raw.is_empty() || raw[0] == "help" || raw.iter().any(|a| a == "--help") {
         println!("{}", usage());
@@ -64,7 +63,6 @@ pub fn run(raw: Vec<String>) -> Result<ExitCode, ArgError> {
         "report" => commands::cmd_report(&args),
         "topology" => commands::cmd_topology(&args).map(|()| ExitCode::SUCCESS),
         "workloads" => commands::cmd_workloads(&args).map(|()| ExitCode::SUCCESS),
-        "trace" => commands::cmd_trace(&args).map(|()| ExitCode::SUCCESS),
         "inspect" => commands::cmd_inspect(&args).map(|()| ExitCode::SUCCESS),
         other => Err(ArgError(format!("unknown command '{other}'"))),
     }
@@ -93,11 +91,6 @@ commands:
               --full-scale             Table I instead of Table II parameters
               --dot <path>             write a GraphViz rendering instead
   workloads list the workload profiles
-  trace gen  generate a trace file
-              --workload <name> --out <path> [--instructions N] [--seed N]
-              [--sockets N]
-  trace info inspect a trace file
-              --in <path>
   profile   run a command under the deterministic self-profiler:
             starnuma profile <run|compare|sweep> <that command's flags>
             prints the top-down wall-time attribution tree (% wall,
@@ -243,28 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_roundtrip_via_cli() {
-        let dir = std::env::temp_dir().join("starnuma-cli-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("t.sntr");
-        let path_s = path.to_str().expect("utf-8 path");
-        assert!(run_tokens(&[
-            "trace",
-            "gen",
-            "--workload",
-            "tpcc",
-            "--out",
-            path_s,
-            "--instructions",
-            "3000",
-        ])
-        .is_ok());
-        assert!(run_tokens(&["trace", "info", "--in", path_s]).is_ok());
-        assert!(run_tokens(&["trace", "info", "--in", "/nonexistent/x"]).is_err());
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
     fn profile_wraps_a_run() {
         let quick_run = [
             "profile",
@@ -322,8 +293,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_requires_subcommand() {
-        let e = run_tokens(&["trace", "--workload", "bfs"]).unwrap_err();
-        assert!(e.to_string().contains("subcommand"));
+    fn retired_trace_command_is_unknown() {
+        for retired in [
+            vec!["trace", "gen", "--workload", "bfs", "--out", "t.sntr"],
+            vec!["trace", "info", "--in", "t.sntr"],
+        ] {
+            let err = run_tokens(&retired).expect_err("retired command accepted");
+            assert!(err.to_string().contains("unknown command 'trace'"), "{err}");
+        }
     }
 }

@@ -108,13 +108,10 @@ fn seeds_are_capped_at_two_to_the_53_and_round_trip_there() {
 }
 
 /// Regression: arguments the model checks reject panicked (exit 101) in
-/// `Runner::new` or the trace generator; each must be a typed usage error
-/// (exit 1) that names the finding.
+/// `Runner::new` or the system-parameter checks; each must be a typed
+/// usage error (exit 1) that names the finding.
 #[test]
 fn arguments_that_fail_model_checks_are_usage_errors() {
-    let out_path = std::env::temp_dir().join("starnuma-run-cli-bad.sntr");
-    let out_s = out_path.to_str().expect("utf-8 path");
-    let _ = std::fs::remove_file(&out_path);
     let run = |extra: &[&'static str]| {
         let base = [
             "run",
@@ -127,23 +124,17 @@ fn arguments_that_fail_model_checks_are_usage_errors() {
         ];
         [&base[..], extra].concat()
     };
-    let gen = |sockets| {
-        let base = ["trace", "gen", "--workload", "bfs", "--out", out_s];
-        [&base[..], &["--sockets", sockets]].concat()
-    };
+    let topology = |sockets| vec!["topology", "--sockets", sockets];
     let cases = [
         (run(&["--phases", "0"]), "RunConfig.phases = 0"),
         (
             run(&["--instructions", "0"]),
             "RunConfig.instructions_per_phase = 0",
         ),
-        (gen("0"), "num_sockets = 0"),
-        (gen("3"), "num_sockets = 3"),
-        (gen("1028"), "num_sockets = 1028"),
-        (
-            vec!["topology", "--sockets", "13"],
-            "SystemParams.num_sockets = 13",
-        ),
+        (topology("0"), "SystemParams.num_sockets = 0"),
+        (topology("3"), "SystemParams.num_sockets = 3"),
+        (topology("13"), "SystemParams.num_sockets = 13"),
+        (topology("1028"), "SystemParams.num_sockets = 1028"),
         (
             vec![
                 "compare",
@@ -178,8 +169,4 @@ fn arguments_that_fail_model_checks_are_usage_errors() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(finding), "{args:?}: {stderr}");
     }
-    assert!(
-        !out_path.exists(),
-        "a rejected trace gen must not write a file"
-    );
 }

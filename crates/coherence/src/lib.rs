@@ -64,12 +64,16 @@ pub struct CoherenceOutcome {
     pub invalidations: SocketList,
 }
 
-/// An inline list of up to 32 sockets — the sharer-mask width, so any set
-/// of sharers fits without a heap allocation. Derefs to `[SocketId]`.
+/// The most sockets a [`Directory`] tracks: the width of its `u32` sharer
+/// mask. The paper targets 8–32 sockets.
+pub const MAX_SOCKETS: usize = 32;
+
+/// An inline list of up to [`MAX_SOCKETS`] sockets, so any set of sharers
+/// fits without a heap allocation. Derefs to `[SocketId]`.
 #[derive(Clone, Copy)]
 pub struct SocketList {
     len: u8,
-    sockets: [SocketId; 32],
+    sockets: [SocketId; MAX_SOCKETS],
 }
 
 impl SocketList {
@@ -77,7 +81,7 @@ impl SocketList {
     fn from_mask(mut mask: u32) -> Self {
         let mut list = SocketList {
             len: 0,
-            sockets: [SocketId::new(0); 32],
+            sockets: [SocketId::new(0); MAX_SOCKETS],
         };
         while mask != 0 {
             list.sockets[usize::from(list.len)] = SocketId::new(mask.trailing_zeros() as u16);
@@ -200,12 +204,11 @@ impl Directory {
     ///
     /// # Panics
     ///
-    /// Panics if `num_sockets` is zero or exceeds 32 (the sharer bitmask
-    /// width; the paper targets 8–32 sockets).
+    /// Panics if `num_sockets` is zero or exceeds [`MAX_SOCKETS`].
     pub fn new(num_sockets: usize) -> Self {
         assert!(
-            (1..=32).contains(&num_sockets),
-            "socket count must be in 1..=32, got {num_sockets}"
+            (1..=MAX_SOCKETS).contains(&num_sockets),
+            "socket count must be in 1..={MAX_SOCKETS}, got {num_sockets}"
         );
         Directory {
             num_sockets,

@@ -1,5 +1,6 @@
 //! Run configuration: which system, how many phases, which migration policy.
 
+use starnuma_coherence::MAX_SOCKETS;
 use starnuma_topology::SystemParams;
 use starnuma_types::{SocketId, StarNumaError};
 
@@ -121,6 +122,17 @@ impl RunConfig {
     /// the parameters' first.
     pub fn check(&self) -> Result<(), StarNumaError> {
         let mut problems = StarNumaError::problems_of(self.params.check());
+        // `SystemParams` describes machines up to 1024 sockets, but the
+        // directory, the page tracker and the replication masks keep one
+        // bit per socket in a `u32`.
+        if self.params.num_sockets > MAX_SOCKETS {
+            problems.push(format!(
+                "RunConfig.params.num_sockets = {}: the simulator models at most \
+                 {MAX_SOCKETS} sockets (one bit per socket in the directory's sharer \
+                 mask; the paper targets 8-32)",
+                self.params.num_sockets
+            ));
+        }
         if !self.pool_capacity_frac.is_finite() || !(0.0..=1.0).contains(&self.pool_capacity_frac) {
             problems.push(format!(
                 "RunConfig.pool_capacity_frac = {}: must lie in [0, 1] (the paper sizes \

@@ -18,6 +18,12 @@
 //! remain mostly homogeneous, as the paper's region-granularity mechanism
 //! implicitly assumes.
 //!
+//! A trace exists only in memory, as the [`PhaseTrace`] that
+//! [`TraceGenerator::generate_phase`] returns. The paper writes its Pin
+//! traces to files once and replays them; here each core's stream is a
+//! pure function of (seed, core, phase), so every step that needs a phase
+//! regenerates it instead of reading a file.
+//!
 //! # Examples
 //!
 //! ```
@@ -30,12 +36,10 @@
 //! assert!(!phase.per_core[0].is_empty());
 //! ```
 
-mod file;
 mod generator;
 mod profile;
 pub mod stats;
 
-pub use file::{read_phase, write_phase};
 pub use generator::{PhaseTrace, TraceGenerator};
 pub use profile::{PageClass, ProfileBuilder, SharerCount, Workload, WorkloadProfile};
 pub use stats::{SharingBin, SharingHistogram};

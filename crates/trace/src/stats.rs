@@ -11,8 +11,8 @@ use crate::generator::PhaseTrace;
 /// One sharing-degree bin of the Fig. 2 / Fig. 13 histograms.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct SharingBin {
-    /// Fraction of touched pages whose observed sharer count falls in the
-    /// bin (Fig. 2a / Fig. 13a).
+    /// Fraction of touched pages whose sharer count falls in the bin
+    /// (Fig. 2a / Fig. 13a).
     pub page_frac: f64,
     /// Fraction of all accesses that target pages in the bin
     /// (Fig. 2b / Fig. 13b).
@@ -37,77 +37,17 @@ impl SharingHistogram {
     /// Bin labels, in order.
     pub const LABELS: [&'static str; 5] = ["1", "2-4", "5-8", "9-15", "16"];
 
-    /// Computes the histogram from a phase trace. The sharer count of a page
-    /// is the number of distinct *sockets* that accessed it in the trace
-    /// (LLC-missing operations, as in the paper's Fig. 2 caption).
-    pub fn from_trace(trace: &PhaseTrace, cores_per_socket: usize) -> Self {
-        struct PageObs {
-            sockets: u32,
-            accesses: u64,
-            written: bool,
-        }
-        let mut pages: BTreeMap<PageId, PageObs> = BTreeMap::new();
-        let mut total = 0u64;
-        for a in trace.iter() {
-            let socket = a.core.socket(cores_per_socket);
-            let e = pages.entry(a.addr.page()).or_insert(PageObs {
-                sockets: 0,
-                accesses: 0,
-                written: false,
-            });
-            e.sockets |= 1u32 << socket.index();
-            e.accesses += 1;
-            e.written |= a.kind.is_write();
-            total += 1;
-        }
-        let mut bins = [SharingBin::default(); 5];
-        let mut bin_rw_accesses = [0u64; 5];
-        let mut bin_accesses = [0u64; 5];
-        let mut bin_pages = [0u64; 5];
-        for obs in pages.values() {
-            let sharers = obs.sockets.count_ones();
-            let b = Self::bin_of(sharers);
-            bin_pages[b] += 1;
-            bin_accesses[b] += obs.accesses;
-            if obs.written {
-                bin_rw_accesses[b] += obs.accesses;
-            }
-        }
-        let touched = pages.len() as u64;
-        for i in 0..5 {
-            bins[i].page_frac = if touched == 0 {
-                0.0
-            } else {
-                bin_pages[i] as f64 / touched as f64
-            };
-            bins[i].access_frac = if total == 0 {
-                0.0
-            } else {
-                bin_accesses[i] as f64 / total as f64
-            };
-            bins[i].rw_access_frac = if bin_accesses[i] == 0 {
-                0.0
-            } else {
-                bin_rw_accesses[i] as f64 / bin_accesses[i] as f64
-            };
-        }
-        SharingHistogram {
-            bins,
-            touched_pages: touched,
-            total_accesses: total,
-        }
-    }
-
-    /// Like [`SharingHistogram::from_trace`], but bins each page by its
-    /// *assigned* sharer count (`sharers_of`) instead of the sharers observed
-    /// in the window.
+    /// Computes the histogram from a phase trace, binning each touched page
+    /// by its sharer count `sharers_of(page)`: the number of distinct
+    /// sockets that share it.
     ///
-    /// The paper's Fig. 2/Fig. 13 are measured over one billion instructions
-    /// per core; at the scaled-down window lengths used here, low-MPKI
-    /// workloads do not touch every page from every sharing socket, so the
-    /// observed histogram under-reports sharing degree. Using the
-    /// generator's ground-truth sharer sets recovers the long-run
-    /// distribution the paper reports.
+    /// Callers pass the generator's *assigned* sharer sets rather than the
+    /// sockets observed in the window. The paper's Fig. 2/Fig. 13 are
+    /// measured over one billion instructions per core; at the scaled-down
+    /// window lengths used here, low-MPKI workloads do not touch every page
+    /// from every sharing socket, so an observed histogram under-reports
+    /// sharing degree. The generator's ground-truth sharer sets recover the
+    /// long-run distribution the paper reports.
     pub fn from_trace_with_truth(
         trace: &PhaseTrace,
         mut sharers_of: impl FnMut(PageId) -> u32,
@@ -193,14 +133,30 @@ impl SharingHistogram {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::generator::TraceGenerator;
     use crate::profile::Workload;
+    use starnuma_types::SocketId;
+
+    /// Bins `t` by the sharers *observed* in it: the distinct sockets whose
+    /// cores (`cores_per_socket` each) touched the page.
+    fn observed(t: &PhaseTrace, cores_per_socket: usize) -> SharingHistogram {
+        let mut sockets: BTreeMap<PageId, BTreeSet<SocketId>> = BTreeMap::new();
+        for a in t.iter() {
+            sockets
+                .entry(a.addr.page())
+                .or_default()
+                .insert(a.core.socket(cores_per_socket));
+        }
+        SharingHistogram::from_trace_with_truth(t, |p| sockets[&p].len() as u32)
+    }
 
     fn histogram(w: Workload, instr: u64) -> SharingHistogram {
         let mut g = TraceGenerator::new(&w.profile(), 16, 4, 11);
         let t = g.generate_phase(instr);
-        SharingHistogram::from_trace(&t, 4)
+        observed(&t, 4)
     }
 
     #[test]
@@ -265,7 +221,7 @@ mod tests {
     #[test]
     fn empty_trace_yields_zero_histogram() {
         let t = PhaseTrace::default();
-        let h = SharingHistogram::from_trace(&t, 4);
+        let h = observed(&t, 4);
         assert_eq!(h.total_accesses, 0);
         assert_eq!(h.touched_pages, 0);
         assert_eq!(h.wide_access_frac(), 0.0);

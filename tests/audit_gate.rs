@@ -518,6 +518,36 @@ fn diagnostics_accumulate_across_layers() {
 }
 
 #[test]
+fn socket_counts_beyond_the_sharer_mask_are_rejected() {
+    // `SystemParams` accepts up to 1024 sockets, but the simulator keeps
+    // one bit per socket in a `u32`, so `try_new` must refuse a wider
+    // machine instead of letting `run` panic.
+    for sockets in [36, 64] {
+        let params = SystemParams::scaled_starnuma()
+            .with_num_sockets(sockets)
+            .expect("a valid machine description");
+        let config = RunConfig {
+            params,
+            ..RunConfig::default()
+        };
+        let err = Runner::try_new(Workload::Bfs.profile(), config).expect_err("too wide");
+        assert_eq!(
+            rejected_fields(&err),
+            ["RunConfig.params.num_sockets"],
+            "{sockets}"
+        );
+    }
+    let params = SystemParams::scaled_starnuma()
+        .with_num_sockets(32)
+        .expect("a valid machine description");
+    let config = RunConfig {
+        params,
+        ..RunConfig::default()
+    };
+    assert!(Runner::try_new(Workload::Bfs.profile(), config).is_ok());
+}
+
+#[test]
 fn same_seed_runs_are_bit_identical() {
     let config = RunConfig {
         phases: 2,
