@@ -1,15 +1,14 @@
 //! Implementation of the CLI commands.
 
-use std::process::ExitCode;
-
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::process::ExitCode;
 
 use starnuma::obs::{
     parse_flat_object, trace_jsonl, try_percentile_from_counts, ObsReport, RunRecord, SiteSummary,
     LEDGER_FILE, MAX_EXACT_INT,
 };
 use starnuma::prof;
-use starnuma::report::run_result_json;
 use starnuma::{
     geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunResult,
     Runner, ScaleConfig, SystemKind, Workload,
@@ -78,12 +77,6 @@ pub fn configure_jobs(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Whether this invocation runs with the [`starnuma::obs`] sink on: an
-/// output needs its report when the command writes a trace or a ledger.
-fn observes(args: &Args) -> bool {
-    args.get("trace-out").is_some() || ledger_dir(args).is_some()
-}
-
 /// Resolved ledger directory: `--ledger DIR` wins, else the
 /// `STARNUMA_LEDGER` environment variable; `None` when neither is set.
 fn ledger_dir(args: &Args) -> Option<String> {
@@ -103,43 +96,58 @@ type Observed = (RunRecord, ObsReport);
 /// time.
 struct Session {
     timer: prof::SessionTimer,
-    /// Whether this command turned the profiler on for the ledger's top
-    /// sites (and must turn it off). False without `--ledger` and under
-    /// `starnuma profile`, which already turned it on.
+    /// Whether the command emits run records, which carry the profiler's
+    /// top sites: to a ledger, or on stdout (`run`/`compare --json`).
+    emits_records: bool,
+    /// Whether the runs must be observed: an output needs their reports
+    /// when the command emits records or writes a trace.
+    observes: bool,
+    /// Whether this command turned the profiler on for the records' top
+    /// sites (and must turn it off). False when it emits no record and
+    /// under `starnuma profile`, which already turned it on.
     owns_prof: bool,
 }
 
 impl Session {
-    /// Starts the wall timer, and the profiler when this invocation
-    /// writes a ledger and no enclosing `profile` wrapper already did.
-    fn start(args: &Args) -> Session {
-        let owns_prof = ledger_dir(args).is_some() && !prof::is_enabled();
+    /// Starts the wall timer, and the profiler when this invocation emits
+    /// run records (to a ledger, or on stdout when `prints_records`) and
+    /// no enclosing `profile` wrapper already turned it on.
+    fn start(args: &Args, prints_records: bool) -> Session {
+        let emits_records = prints_records || ledger_dir(args).is_some();
+        let owns_prof = emits_records && !prof::is_enabled();
         if owns_prof {
             prof::reset();
             prof::set_enabled(true);
         }
         Session {
             timer: prof::SessionTimer::start(),
+            emits_records,
+            observes: emits_records || args.get("trace-out").is_some(),
             owns_prof,
         }
     }
 
-    /// Stamps the host fields on every observed run's record, then writes
-    /// the outputs that read from the records: the `--trace-out` file (one
+    /// Stamps the host fields on every observed run's record, writes the
+    /// outputs that read from the records — the `--trace-out` file (one
     /// section per run, each headed by its record line) and one ledger
-    /// line per run. Wall time and profiler top sites are per *command*,
-    /// shared by every record of a batch (compare/sweep fan their runs out
-    /// in parallel, so per-run wall time does not exist). The top sites
-    /// are filled whenever the profiler is on and a ledger is written,
-    /// whoever turned it on.
-    fn finish(self, args: &Args, mut runs: Vec<(RunRecord, &ObsReport)>) -> Result<(), ArgError> {
+    /// line per run — and returns the stamped records in `runs` order.
+    /// Wall time and profiler top sites are per *command*, shared by every
+    /// record of a batch (compare/sweep fan their runs out in parallel, so
+    /// per-run wall time does not exist). The top sites are filled
+    /// whenever the profiler is on and the command emits records, whoever
+    /// turned it on.
+    fn finish(
+        self,
+        args: &Args,
+        mut runs: Vec<(RunRecord, &ObsReport)>,
+    ) -> Result<Vec<RunRecord>, ArgError> {
         let wall_ns = self.timer.elapsed_ns();
         let profiled = prof::is_enabled();
         if self.owns_prof {
             prof::set_enabled(false);
         }
         let mut top_sites: Vec<SiteSummary> = Vec::new();
-        if profiled && ledger_dir(args).is_some() {
+        if profiled && self.emits_records {
             top_sites = prof::snapshot()
                 .top_sites(5)
                 .into_iter()
@@ -166,7 +174,7 @@ impl Session {
                     .map_err(|e| ArgError(format!("cannot write ledger {}: {e}", dir.display())))?;
             }
         }
-        Ok(())
+        Ok(runs.into_iter().map(|(record, _)| record).collect())
     }
 }
 
@@ -211,7 +219,7 @@ fn preflight(workload: Workload, experiment: &Experiment) -> Result<(), ArgError
 
 /// `starnuma run --workload W --system S [--replication FRAC] [--json]
 /// [--trace-out PATH] [--ledger DIR] [--progress]`
-pub fn cmd_run(args: &Args) -> Result<(), ArgError> {
+pub fn cmd_run(args: &Args, out: &mut String) -> Result<(), ArgError> {
     args.expect_only(&[
         "workload",
         "system",
@@ -242,33 +250,39 @@ pub fn cmd_run(args: &Args) -> Result<(), ArgError> {
         experiment = experiment.with_replication(frac);
     }
     preflight(workload, &experiment)?;
-    let session = Session::start(args);
-    let (result, report) = experiment.run_with(observes(args));
+    let json = args.switch("json");
+    let session = Session::start(args, json);
+    let (result, report) = experiment.run_with(session.observes);
     let runs = report
         .iter()
         .map(|rep| (experiment.record(&result, rep), rep))
         .collect();
-    session.finish(args, runs)?;
-    if args.switch("json") {
-        println!("{}", run_result_json(workload, system, &result).render());
+    let records = session.finish(args, runs)?;
+    if json {
+        for record in &records {
+            let _ = writeln!(out, "{}", record.to_json_line());
+        }
         return Ok(());
     }
-    println!("{workload} on {system}");
-    println!("  per-core IPC      {:.3}", result.ipc);
-    println!(
+    let _ = writeln!(out, "{workload} on {system}");
+    let _ = writeln!(out, "  per-core IPC      {:.3}", result.ipc);
+    let _ = writeln!(
+        out,
         "  AMAT              {:.0} ns ({:.0} unloaded + {:.0} contention)",
         result.amat_ns, result.unloaded_amat_ns, result.contention_ns
     );
-    println!("  observed MPKI     {:.1}", result.mpki);
-    println!(
+    let _ = writeln!(out, "  observed MPKI     {:.1}", result.mpki);
+    let _ = writeln!(
+        out,
         "  migrations        {} pages ({:.0}% to pool)",
         result.pages_migrated,
         result.pool_migration_frac() * 100.0
     );
-    println!("  access breakdown:");
+    let _ = writeln!(out, "  access breakdown:");
     for (i, class) in AccessClass::ALL.iter().enumerate() {
         if result.class_fracs[i] > 0.0005 {
-            println!(
+            let _ = writeln!(
+                out,
                 "    {:<10} {:>5.1}%  (mean {:.0} ns)",
                 class.label(),
                 result.class_fracs[i] * 100.0,
@@ -277,7 +291,8 @@ pub fn cmd_run(args: &Args) -> Result<(), ArgError> {
         }
     }
     if let Some(reps) = result.replication {
-        println!(
+        let _ = writeln!(
+            out,
             "  replication       {} regions, peak {} pages, {} collapses",
             reps.regions_replicated, reps.peak_replica_pages, reps.collapses
         );
@@ -287,7 +302,7 @@ pub fn cmd_run(args: &Args) -> Result<(), ArgError> {
 
 /// `starnuma compare --workload W [--systems a,b,...] [--json]
 /// [--trace-out PATH] [--ledger DIR] [--progress]`
-pub fn cmd_compare(args: &Args) -> Result<(), ArgError> {
+pub fn cmd_compare(args: &Args, out: &mut String) -> Result<(), ArgError> {
     args.expect_only(&[
         "workload",
         "systems",
@@ -310,8 +325,9 @@ pub fn cmd_compare(args: &Args) -> Result<(), ArgError> {
         .map(parse_system)
         .collect::<Result<_, _>>()?;
     let scale = parse_scale(args)?;
-    let observe = observes(args);
-    let session = Session::start(args);
+    let json = args.switch("json");
+    let session = Session::start(args, json);
+    let observe = session.observes;
     // Fan every distinct system (plus the baseline, which anchors the
     // speedup column) out on the job pool; results are keyed for the
     // requested row order below.
@@ -340,7 +356,16 @@ pub fn cmd_compare(args: &Args) -> Result<(), ArgError> {
         .filter_map(|s| computed[s].1.as_ref())
         .map(|(record, rep)| (record.clone(), rep))
         .collect();
-    session.finish(args, runs)?;
+    let records = session.finish(args, runs)?;
+    if json {
+        // `--json` observes every run, so there is one record per distinct
+        // system, in `distinct` order; print them in the requested order.
+        let by_system: BTreeMap<&SystemKind, &RunRecord> = distinct.iter().zip(&records).collect();
+        for system in &systems {
+            let _ = writeln!(out, "{}", by_system[system].to_json_line());
+        }
+        return Ok(());
+    }
     let computed: BTreeMap<SystemKind, RunResult> =
         computed.into_iter().map(|(s, (r, _))| (s, r)).collect();
     let baseline = computed[&SystemKind::Baseline].clone();
@@ -348,22 +373,19 @@ pub fn cmd_compare(args: &Args) -> Result<(), ArgError> {
         .into_iter()
         .map(|s| (s, computed[&s].clone()))
         .collect();
-    if args.switch("json") {
-        let arr = Json::Arr(
-            rows.iter()
-                .map(|(s, r)| run_result_json(workload, *s, r))
-                .collect(),
-        );
-        println!("{}", arr.render());
-        return Ok(());
-    }
-    println!("{workload}: comparison against {}", SystemKind::Baseline);
-    println!(
+    let _ = writeln!(
+        out,
+        "{workload}: comparison against {}",
+        SystemKind::Baseline
+    );
+    let _ = writeln!(
+        out,
         "{:<30} {:>8} {:>9} {:>9} {:>8}",
         "system", "IPC", "AMAT(ns)", "cont.(ns)", "speedup"
     );
     for (system, r) in &rows {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<30} {:>8.3} {:>9.0} {:>9.0} {:>7.2}x",
             system.label(),
             r.ipc,
@@ -377,7 +399,7 @@ pub fn cmd_compare(args: &Args) -> Result<(), ArgError> {
 
 /// `starnuma sweep --system S [--workloads a,b,...] [--json]
 /// [--trace-out PATH] [--ledger DIR] [--progress]`
-pub fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
+pub fn cmd_sweep(args: &Args, out: &mut String) -> Result<(), ArgError> {
     args.expect_only(&[
         "system",
         "workloads",
@@ -402,13 +424,15 @@ pub fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
             .collect::<Result<_, _>>()?,
     };
     let scale = parse_scale(args)?;
-    let observe = observes(args);
     for &w in &workloads {
         for s in [system, SystemKind::Baseline] {
             preflight(w, &Experiment::new(w, s, scale.clone()))?;
         }
     }
-    let session = Session::start(args);
+    // `sweep --json` prints speedups, which compare two runs: no record
+    // holds one, so the records go only to the ledger and the trace.
+    let session = Session::start(args, false);
+    let observe = session.observes;
     // One job per workload; each job runs the system and its baseline and
     // carries back the *system* run (the baseline anchors speedups only —
     // the record describes the system run).
@@ -449,21 +473,22 @@ pub fn cmd_sweep(args: &Args) -> Result<(), ArgError> {
                 .collect(),
         );
         let doc = Json::Obj(vec![("meta".into(), meta), ("results".into(), results)]);
-        println!("{}", doc.render());
+        let _ = writeln!(out, "{}", doc.render());
         return Ok(());
     }
-    println!(
+    let _ = writeln!(
+        out,
         "speedup of {system} over {} per workload:\n",
         SystemKind::Baseline
     );
-    print!("{}", starnuma::chart::speedup_chart(&rows, 40));
+    out.push_str(&starnuma::chart::speedup_chart(&rows, 40));
     let speedups: Vec<f64> = rows.iter().map(|(_, s)| *s).collect();
-    println!("{:<10} geomean {:.2}x", "", geomean(&speedups));
+    let _ = writeln!(out, "{:<10} geomean {:.2}x", "", geomean(&speedups));
     Ok(())
 }
 
 /// `starnuma topology [--sockets N] [--full-scale] [--dot PATH]`
-pub fn cmd_topology(args: &Args) -> Result<(), ArgError> {
+pub fn cmd_topology(args: &Args, out: &mut String) -> Result<(), ArgError> {
     args.expect_only(&["sockets", "full-scale", "dot"])?;
     let sockets = args.get_u64("sockets", 16)? as usize;
     let base = if args.switch("full-scale") {
@@ -477,35 +502,44 @@ pub fn cmd_topology(args: &Args) -> Result<(), ArgError> {
     if let Some(path) = args.get("dot") {
         std::fs::write(path, starnuma_topology::to_dot(&params))
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        println!("wrote GraphViz topology to {path}");
+        let _ = writeln!(out, "wrote GraphViz topology to {path}");
         return Ok(());
     }
     let m = LatencyModel::new(params.clone());
-    println!(
+    let _ = writeln!(
+        out,
         "{} sockets in {} chassis, {} cores, pool: yes",
         params.num_sockets,
         params.num_chassis(),
         params.total_cores()
     );
     let s0 = SocketId::new(0);
-    println!("unloaded latencies from socket 0:");
-    println!("  local   {}", m.demand_access(s0, Location::Socket(s0)));
-    println!(
+    let _ = writeln!(out, "unloaded latencies from socket 0:");
+    let _ = writeln!(
+        out,
+        "  local   {}",
+        m.demand_access(s0, Location::Socket(s0))
+    );
+    let _ = writeln!(
+        out,
         "  1-hop   {}",
         m.demand_access(s0, Location::Socket(SocketId::new(1)))
     );
-    println!(
+    let _ = writeln!(
+        out,
         "  2-hop   {}",
         m.demand_access(s0, Location::Socket(SocketId::new(4)))
     );
-    println!("  pool    {}", m.demand_access(s0, Location::Pool));
-    println!(
+    let _ = writeln!(out, "  pool    {}", m.demand_access(s0, Location::Pool));
+    let _ = writeln!(
+        out,
         "block transfers: 3-hop avg {}, 4-hop via pool {}",
         m.average_three_hop_transfer(),
         m.four_hop_pool_transfer()
     );
     let b = CxlLatencyBreakdown::paper();
-    println!(
+    let _ = writeln!(
+        out,
         "CXL breakdown: {} + {} + {} + {} + {} = {} penalty",
         b.cpu_port,
         b.mhd_port,
@@ -518,15 +552,17 @@ pub fn cmd_topology(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `starnuma workloads`
-pub fn cmd_workloads(args: &Args) -> Result<(), ArgError> {
+pub fn cmd_workloads(args: &Args, out: &mut String) -> Result<(), ArgError> {
     args.expect_only(&[])?;
-    println!(
+    let _ = writeln!(
+        out,
         "{:<10} {:>7} {:>8} {:>5} {:>12} {:>8}",
         "workload", "MPKI", "IPC(1s)", "MLP", "footprint", "classes"
     );
     for w in Workload::ALL {
         let p = w.profile();
-        println!(
+        let _ = writeln!(
+            out,
             "{:<10} {:>7.1} {:>8.2} {:>5} {:>9} pg {:>8}",
             w.name(),
             p.mpki,
@@ -544,7 +580,7 @@ pub fn cmd_workloads(args: &Args) -> Result<(), ArgError> {
 /// top-down wall-time attribution tree. Profiling never feeds back into
 /// the simulation, so the wrapped command's outputs are bit-identical to
 /// an unprofiled invocation.
-pub fn cmd_profile(args: &Args) -> Result<(), ArgError> {
+pub fn cmd_profile(args: &Args, out: &mut String) -> Result<(), ArgError> {
     let sub = args
         .subcommand()
         .filter(|s| matches!(*s, "run" | "compare" | "sweep"))
@@ -560,16 +596,16 @@ pub fn cmd_profile(args: &Args) -> Result<(), ArgError> {
     prof::set_enabled(true);
     let timer = prof::SessionTimer::start();
     let dispatched = match sub {
-        "run" => cmd_run(&inner),
-        "compare" => cmd_compare(&inner),
-        _ => cmd_sweep(&inner),
+        "run" => cmd_run(&inner, out),
+        "compare" => cmd_compare(&inner, out),
+        _ => cmd_sweep(&inner, out),
     };
     let wall_ns = timer.elapsed_ns();
     prof::set_enabled(false);
     let report = prof::snapshot();
     dispatched?;
-    println!();
-    print!("{}", report.render_tree(wall_ns));
+    let _ = writeln!(out);
+    out.push_str(&report.render_tree(wall_ns));
     Ok(())
 }
 
@@ -644,7 +680,6 @@ fn bench_diff_report(
     new: &BTreeMap<String, f64>,
     tolerance: f64,
 ) -> (String, usize) {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let mut regressions = 0usize;
     // Bench-qualified keys run long; size the column to the longest.
@@ -722,7 +757,7 @@ fn parse_tolerance(v: &str) -> Result<f64, ArgError> {
 /// band in its known-good direction, or when `<new>` lacks a key of
 /// `<old>` — the CI perf gate.
 /// Takes raw tokens because the `Args` grammar has no second positional.
-pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
+pub fn cmd_bench_diff(raw: &[String], out: &mut String) -> Result<ExitCode, ArgError> {
     let mut positionals: Vec<&str> = Vec::new();
     let mut tolerance = 0.2_f64;
     let mut iter = raw.iter();
@@ -748,16 +783,20 @@ pub fn cmd_bench_diff(raw: &[String]) -> Result<ExitCode, ArgError> {
     let old = load_bench_metrics(old_path)?;
     let new = load_bench_metrics(new_path)?;
     let (table, regressions) = bench_diff_report(&old, &new, tolerance);
-    println!(
+    let _ = writeln!(
+        out,
         "bench-diff: {old_path} -> {new_path} (tolerance {:.0}%)",
         tolerance * 100.0
     );
-    print!("{table}");
+    out.push_str(&table);
     if regressions == 0 {
-        println!("no regressions beyond the tolerance band");
+        let _ = writeln!(out, "no regressions beyond the tolerance band");
         Ok(ExitCode::SUCCESS)
     } else {
-        println!("{regressions} metric(s) regressed beyond the tolerance band or went missing");
+        let _ = writeln!(
+            out,
+            "{regressions} metric(s) regressed beyond the tolerance band or went missing"
+        );
         Ok(ExitCode::FAILURE)
     }
 }
@@ -786,7 +825,7 @@ struct DriftFlag<'a> {
 /// run ledger — per-experiment IPC/p95 series with sparklines and
 /// determinism-drift flags (same config digest + seed, different result
 /// digest). Exits non-zero on any drift flag, so CI can gate on it.
-pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
+pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
     args.expect_only(&["ledger", "json"])?;
     let dir = ledger_dir(args).ok_or_else(|| {
         ArgError("report needs a ledger: pass --ledger DIR or set STARNUMA_LEDGER".into())
@@ -941,18 +980,20 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
             ("experiments".into(), experiments),
             ("drift".into(), drift_json),
         ];
-        println!("{}", Json::Obj(doc).render());
+        let _ = writeln!(out, "{}", Json::Obj(doc).render());
     } else {
-        println!("run ledger {shown_path}: {} record(s)", records.len());
+        let _ = writeln!(out, "run ledger {shown_path}: {} record(s)", records.len());
         if !groups.is_empty() {
-            println!("experiment trends (oldest -> newest):");
-            println!(
+            let _ = writeln!(out, "experiment trends (oldest -> newest):");
+            let _ = writeln!(
+                out,
                 "{:<10} {:<30} {:>5} {:>10} {:>8} {:>10}  trend",
                 "workload", "system", "runs", "IPC last", "dIPC", "p95(ns)"
             );
             for g in &groups {
                 let (last, delta, p95, spark) = trend_row(g);
-                println!(
+                let _ = writeln!(
+                    out,
                     "{:<10} {:<30} {:>5} {last:>10.3} {delta:>+8.3} {p95:>10.0}  |{spark}|",
                     g.workload,
                     g.system,
@@ -961,11 +1002,12 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
             }
         }
         if drift.is_empty() {
-            println!("determinism drift: none");
+            let _ = writeln!(out, "determinism drift: none");
         } else {
-            println!("determinism drift: {} flag(s)", drift.len());
+            let _ = writeln!(out, "determinism drift: {} flag(s)", drift.len());
             for d in &drift {
-                println!(
+                let _ = writeln!(
+                    out,
                     "  {} on {} [{} seed {} config {}]: {} result digests across versions {}",
                     d.workload,
                     d.system,
@@ -976,7 +1018,7 @@ pub fn cmd_report(args: &Args) -> Result<ExitCode, ArgError> {
                     d.versions.join(", "),
                 );
                 for x in &d.result_digests {
-                    println!("    {}", digest_hex(*x));
+                    let _ = writeln!(out, "    {}", digest_hex(*x));
                 }
             }
         }
@@ -1075,7 +1117,6 @@ fn sparkline(buckets: &[f64]) -> String {
 /// the per-phase migration-decision timeline, the most-migrated regions,
 /// and the run's per-socket latency histograms.
 fn render_section(section: &TraceSection, top: usize) -> String {
-    use std::fmt::Write as _;
     let mut out = String::new();
     let r = &section.record;
     let _ = writeln!(
@@ -1254,7 +1295,7 @@ fn render_section(section: &TraceSection, top: usize) -> String {
 /// each section to its ledger line), the per-phase migration-decision
 /// timeline, the most-migrated regions, and per-socket access-latency
 /// histograms.
-pub fn cmd_inspect(args: &Args) -> Result<(), ArgError> {
+pub fn cmd_inspect(args: &Args, out: &mut String) -> Result<(), ArgError> {
     args.expect_only(&["top"])?;
     let path = args.subcommand().ok_or_else(|| {
         ArgError("inspect needs a trace file: starnuma inspect <trace.jsonl>".into())
@@ -1264,7 +1305,7 @@ pub fn cmd_inspect(args: &Args) -> Result<(), ArgError> {
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let sections = parse_trace(path, &text)?;
     for section in &sections {
-        print!("{}", render_section(section, top));
+        out.push_str(&render_section(section, top));
     }
     Ok(())
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! starnuma run      --workload bfs --system starnuma [--json]
-//! starnuma compare  --workload bfs [--systems baseline,starnuma,t0]
-//! starnuma sweep    --system starnuma [--workloads bfs,tc]
+//! starnuma compare  --workload bfs [--systems baseline,starnuma,t0] [--json]
+//! starnuma sweep    --system starnuma [--workloads bfs,tc] [--json]
 //! starnuma topology [--sockets 32] [--full-scale]
 //! starnuma workloads
 //! starnuma profile  <run|compare|sweep> ...
@@ -19,13 +19,9 @@
 //! line, the structured event journal, and the run's per-socket latency
 //! histograms), `--ledger <dir>` (the same run record appended to
 //! `<dir>/runs.jsonl`), and `--progress` (live run counts on stderr).
+//! `run --json` and `compare --json` print that record, one line per run.
 
-#![allow(
-    clippy::print_stdout,
-    clippy::print_stderr,
-    reason = "the CLI is the operator-facing front end"
-)]
-
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 mod args;
@@ -34,36 +30,59 @@ mod commands;
 pub use args::{ArgError, Args};
 pub use commands::higher_is_better;
 
-/// Dispatches one invocation and returns the process exit code to use.
-/// Commands that ran but found problems (`bench-diff` with a regression,
-/// `report` with a drift flag) report it through the code, not through an
-/// [`ArgError`].
+/// Dispatches one invocation, writes its output to stdout, and returns the
+/// process exit code to use. Commands that ran but found problems
+/// (`bench-diff` with a regression, `report` with a drift flag) report it
+/// through the code, not through an [`ArgError`].
+///
+/// Every command renders its output into one buffer, written here in one
+/// place. A reader that closes the pipe early (`starnuma topology | head
+/// -1`) has taken what it wanted: the write's broken pipe ends the command
+/// with its own exit code, not with an error.
 ///
 /// # Errors
 ///
 /// Returns [`ArgError`] for unknown commands, bad flags, configurations
 /// the model checks reject, or I/O failures on the files a command reads
-/// or writes.
+/// or writes, stdout included.
 pub fn run(raw: Vec<String>) -> Result<ExitCode, ArgError> {
+    let mut out = String::new();
+    let code = dispatch(raw, &mut out)?;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(ArgError(format!("cannot write to stdout: {e}")))
+        }
+        _ => Ok(code),
+    }
+}
+
+/// Runs the command `raw` names, rendering its output into `out`.
+fn dispatch(raw: Vec<String>, out: &mut String) -> Result<ExitCode, ArgError> {
     if raw.is_empty() || raw[0] == "help" || raw.iter().any(|a| a == "--help") {
-        println!("{}", usage());
+        out.push_str(usage());
+        out.push('\n');
         return Ok(ExitCode::SUCCESS);
     }
     // `bench-diff <old> <new>` takes two positionals, which the `Args`
     // grammar does not — dispatch it on the raw tokens.
     if raw[0] == "bench-diff" {
-        return commands::cmd_bench_diff(&raw[1..]);
+        return commands::cmd_bench_diff(&raw[1..], out);
     }
     let args = Args::parse(raw)?;
+    let done = |result: Result<(), ArgError>| result.map(|()| ExitCode::SUCCESS);
     match args.command() {
-        "run" => commands::cmd_run(&args).map(|()| ExitCode::SUCCESS),
-        "profile" => commands::cmd_profile(&args).map(|()| ExitCode::SUCCESS),
-        "compare" => commands::cmd_compare(&args).map(|()| ExitCode::SUCCESS),
-        "sweep" => commands::cmd_sweep(&args).map(|()| ExitCode::SUCCESS),
-        "report" => commands::cmd_report(&args),
-        "topology" => commands::cmd_topology(&args).map(|()| ExitCode::SUCCESS),
-        "workloads" => commands::cmd_workloads(&args).map(|()| ExitCode::SUCCESS),
-        "inspect" => commands::cmd_inspect(&args).map(|()| ExitCode::SUCCESS),
+        "run" => done(commands::cmd_run(&args, out)),
+        "profile" => done(commands::cmd_profile(&args, out)),
+        "compare" => done(commands::cmd_compare(&args, out)),
+        "sweep" => done(commands::cmd_sweep(&args, out)),
+        "report" => commands::cmd_report(&args, out),
+        "topology" => done(commands::cmd_topology(&args, out)),
+        "workloads" => done(commands::cmd_workloads(&args, out)),
+        "inspect" => done(commands::cmd_inspect(&args, out)),
         other => Err(ArgError(format!("unknown command '{other}'"))),
     }
 }
@@ -78,14 +97,17 @@ commands:
               --system <name>          (default starnuma; see `compare`)
               --replication <frac>     enable §V-F replication with the given
                                        per-socket capacity fraction
-              --json                   machine-readable output
+              --json                   print the run's record: the line
+                                       --ledger appends (schema 4)
   compare   compare systems on one workload
               --workload <name>        (required)
               --systems a,b,c          (default baseline,starnuma,t0)
+              --json                   print one record line per system,
+                                       in --systems order
   sweep     one system across workloads
               --system <name>          (default starnuma)
               --workloads a,b,c        (default: all eight)
-              --json                   machine-readable output
+              --json                   speedups as one JSON document
   topology  print the machine's latency structure
               --sockets <n>            (default 16; a multiple of 4, at most 1024)
               --full-scale             Table I instead of Table II parameters
@@ -125,7 +147,7 @@ observability (run, compare, sweep):
   --trace-out <path>    JSONL, one section per run: its run record line,
                         then events and per-socket latency histograms
   --progress            live `k/n runs complete` + ETA lines on stderr
-  --ledger <dir>        append each run's record (schema 3) to
+  --ledger <dir>        append each run's record (schema 4) to
                         <dir>/runs.jsonl (or set STARNUMA_LEDGER);
                         read it back with `starnuma report`
 

@@ -6,47 +6,50 @@
     reason = "test helpers outside #[test] fns fail the test by panicking"
 )]
 
-use std::process::Command;
+use std::io::Read as _;
+use std::process::{Command, Stdio};
 
-use starnuma_types::json::{parse, Json};
+use starnuma::obs::RunRecord;
 
-/// `run --json` on BFS at a tiny scale, plus `extra` flags.
-fn run_json(system: &str, extra: &[&str]) -> Json {
-    let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
-        .args([
-            "run",
-            "--workload",
-            "bfs",
-            "--system",
-            system,
-            "--scale",
-            "quick",
-            "--phases",
-            "2",
-            "--instructions",
-            "6000",
-            "--jobs",
-            "1",
-            "--json",
-        ])
-        .args(extra)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "run failed: {out:?}");
-    let text = String::from_utf8(out.stdout).expect("utf-8 output");
-    parse(&text).unwrap_or_else(|| panic!("not JSON: {text}"))
+/// The flags of a tiny `run --json` of BFS on `system`, plus `extra`.
+fn run_json_args<'a>(system: &'a str, extra: &[&'a str]) -> Vec<&'a str> {
+    let base = [
+        "run",
+        "--workload",
+        "bfs",
+        "--system",
+        system,
+        "--scale",
+        "quick",
+        "--phases",
+        "2",
+        "--instructions",
+        "6000",
+        "--jobs",
+        "1",
+        "--json",
+    ];
+    [&base[..], extra].concat()
 }
 
-/// A top-level number of `run --json`.
-fn field(json: &Json, key: &str) -> f64 {
-    let fields = json.as_object().expect("an object");
-    let (_, value) = fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .unwrap_or_else(|| panic!("no {key} in {json:?}"));
-    value
-        .as_num()
-        .unwrap_or_else(|| panic!("{key} is not a number"))
+/// Runs the binary with `args`, asserts success, and returns its stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{args:?} failed: {out:?}");
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+/// `run --json` on BFS at a tiny scale, plus `extra` flags: the run's
+/// record, printed as one line.
+fn run_json(system: &str, extra: &[&str]) -> RunRecord {
+    let text = stdout_of(&run_json_args(system, extra));
+    let line = text
+        .strip_suffix('\n')
+        .expect("one newline-terminated line");
+    RunRecord::from_json_line(line).unwrap_or_else(|| panic!("not a run record: {text}"))
 }
 
 /// A zero replica budget is inert, so `--replication 0` must report the
@@ -57,13 +60,95 @@ fn zero_replication_matches_the_flagless_run() {
     for system in ["baseline", "starnuma"] {
         let plain = run_json(system, &[]);
         let replicated = run_json(system, &["--replication", "0"]);
-        for key in ["ipc", "amat_ns", "pages_migrated"] {
-            assert_eq!(
-                field(&plain, key),
-                field(&replicated, key),
-                "{system}: {key} differs with --replication 0"
-            );
-        }
+        let headline = |r: &RunRecord| (r.ipc, r.amat_ns, r.pages_migrated);
+        assert_eq!(
+            headline(&plain),
+            headline(&replicated),
+            "{system}: (ipc, amat_ns, pages_migrated) differ with --replication 0"
+        );
+    }
+}
+
+/// `run --json` prints the record `--ledger` appends, byte for byte, host
+/// fields included, and nothing else.
+#[test]
+fn run_json_prints_the_ledger_record() {
+    let dir = std::env::temp_dir().join(format!("starnuma-run-cli-json-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().expect("utf-8 path");
+    let printed = stdout_of(&run_json_args("starnuma", &["--ledger", dir_s]));
+    let ledger = std::fs::read_to_string(dir.join("runs.jsonl")).expect("ledger written");
+    let last = ledger.lines().last().expect("a ledger line");
+    assert_eq!(printed, format!("{last}\n"));
+    let record = RunRecord::from_json_line(last).expect("a run record");
+    assert_eq!((record.workload.as_str(), record.jobs), ("BFS", 1));
+    assert!(record.wall_ns > 0, "host wall time stamped");
+    assert!(
+        last.contains("\"site.timing.ns\""),
+        "top sites stamped: {last}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `compare --json` prints one record line per requested system, in the
+/// requested order, even when the baseline is not listed first.
+#[test]
+fn compare_json_prints_one_record_per_requested_system() {
+    let text = stdout_of(&[
+        "compare",
+        "--workload",
+        "tc",
+        "--systems",
+        "starnuma,baseline",
+        "--scale",
+        "quick",
+        "--phases",
+        "1",
+        "--instructions",
+        "3000",
+        "--jobs",
+        "1",
+        "--json",
+    ]);
+    let systems: Vec<String> = text
+        .lines()
+        .map(|line| {
+            RunRecord::from_json_line(line)
+                .unwrap_or_else(|| panic!("not a run record: {line}"))
+                .system
+        })
+        .collect();
+    assert_eq!(systems, ["StarNUMA (T16)", "Baseline"]);
+}
+
+/// A reader that closes the pipe before the output arrives (`starnuma
+/// topology | head -1`) ends the command quietly with exit 0, where
+/// printing used to panic with "failed printing to stdout: Broken pipe"
+/// (exit 101).
+#[test]
+fn a_closed_stdout_pipe_is_not_a_failure() {
+    for args in [
+        vec!["topology", "--sockets", "64"],
+        vec!["workloads"],
+        run_json_args("starnuma", &[]),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_starnuma"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary starts");
+        drop(child.stdout.take());
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("stderr readable");
+        let status = child.wait().expect("binary exits");
+        assert_eq!(status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 

@@ -216,9 +216,11 @@ impl Experiment {
     /// The run record of one observed run of this experiment: its identity
     /// (workload, system, preset, seed, [`config_digest`](Self::config_digest),
     /// package version, the global [`JobPool`]'s worker count), the FNV-1a
-    /// digest of `result`'s `Debug` rendering, its headline numbers, and
-    /// `report`'s per-class latency summaries and counters. The host
-    /// fields `wall_ns` and `top_sites` are left for the caller to stamp.
+    /// digest of `result`'s `Debug` rendering, its headline numbers (IPC,
+    /// AMAT with its unloaded/contention split, MPKI), per class `result`'s
+    /// mean latency with `report`'s sample count and percentiles, and
+    /// `report`'s counters. The host fields `wall_ns` and `top_sites` are
+    /// left for the caller to stamp.
     pub fn record(&self, result: &RunResult, report: &ObsReport) -> RunRecord {
         let mut overall = LatencyHistogram::default();
         let mut by_class = [LatencyHistogram::default(); NUM_CLASSES];
@@ -232,7 +234,11 @@ impl Experiment {
             .class_labels
             .iter()
             .zip(&by_class)
-            .map(|(label, hist)| ClassSummary::from_hist(label, hist))
+            .zip(result.class_mean_ns)
+            .map(|((label, hist), mean_ns)| ClassSummary {
+                mean_ns,
+                ..ClassSummary::from_hist(label, hist)
+            })
             .collect();
         classes.sort_by(|a, b| a.label.cmp(&b.label));
         RunRecord {
@@ -248,6 +254,9 @@ impl Experiment {
             wall_ns: 0,
             ipc: result.ipc,
             amat_ns: result.amat_ns,
+            unloaded_amat_ns: result.unloaded_amat_ns,
+            contention_ns: result.contention_ns,
+            mpki: result.mpki,
             pages_migrated: result.pages_migrated,
             pages_to_pool: result.pages_to_pool,
             dropped_events: report.dropped_events,

@@ -12,7 +12,8 @@
 //!   eviction when a destination is full, and a per-phase migration limit;
 //! * [`OracleDynamicPolicy`]: the favored baseline of §IV-C — *zero-cost,
 //!   perfect per-socket knowledge of all accesses to every 4 KiB page*;
-//! * [`static_oracle_placement`]: the §V-B a-priori oracular static layout;
+//! * [`static_oracle_placement_with_sharers`]: the §V-B a-priori oracular
+//!   static layout;
 //! * [`MigrationCosts`] and [`scan_cost_cycles`]: the §III-D3/§III-D4
 //!   overhead models (3 k-cycle initiator cost per page with
 //!   hardware-supported TLB shootdowns; metadata-scan runtime).
@@ -38,10 +39,7 @@ mod tracker;
 
 pub use ablation::AblationPolicy;
 pub use costs::{scan_cost_cycles, MigrationCosts};
-pub use oracle::{
-    static_oracle_placement, static_oracle_placement_with_sharers, OracleDynamicPolicy,
-    PageAccessCounts,
-};
+pub use oracle::{static_oracle_placement_with_sharers, OracleDynamicPolicy, PageAccessCounts};
 pub use page_map::{FirstTouch, PageMap};
 pub use policy::{MigrationPlan, PageMove, PolicyConfig, ThresholdPolicy};
 pub use replication::{ReplicaMap, ReplicationConfig, ReplicationStats};

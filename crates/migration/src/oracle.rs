@@ -166,29 +166,16 @@ impl OracleDynamicPolicy {
 ///
 /// * Baseline systems (`pool_capacity_pages == 0`): every page sits on the
 ///   socket that accesses it most.
-/// * StarNUMA: pages shared by at least `pool_sharer_threshold` sockets are
-///   pool candidates; the hottest candidates fill the pool, everything else
-///   goes to its best socket.
-pub fn static_oracle_placement(
-    counts: &PageAccessCounts,
-    pool_capacity_pages: u64,
-    pool_sharer_threshold: u32,
-) -> PageMap {
-    let sharer_of = |p: PageId| counts.sharer_count(p);
-    static_oracle_placement_with_sharers(
-        counts,
-        pool_capacity_pages,
-        pool_sharer_threshold,
-        sharer_of,
-    )
-}
-
-/// [`static_oracle_placement`] with an external ground-truth sharer count.
+/// * StarNUMA: pages that `sharers_of` says at least
+///   `pool_sharer_threshold` sockets share are pool candidates; the
+///   hottest candidates fill the pool, everything else goes to its best
+///   socket.
 ///
 /// The §V-B oracle has *a-priori knowledge of each workload's access
 /// pattern*; at scaled-down window lengths, sharing observed in the traces
 /// under-reports the true sharing degree for low-MPKI workloads, so the
-/// pipeline passes the generator's ground-truth sharer sets here.
+/// pipeline passes the generator's ground-truth sharer sets as
+/// `sharers_of` rather than [`PageAccessCounts::sharer_count`].
 pub fn static_oracle_placement_with_sharers(
     counts: &PageAccessCounts,
     pool_capacity_pages: u64,
@@ -318,7 +305,7 @@ mod tests {
         accesses.push((4, 0));
         let t = synthetic_trace(&accesses);
         let c = PageAccessCounts::from_trace(&t, 4, 16, 4);
-        let map = static_oracle_placement(&c, 2, 8);
+        let map = static_oracle_placement_with_sharers(&c, 2, 8, |p| c.sharer_count(p));
         assert_eq!(map.location(PageId::new(2)), Location::Pool);
         assert!(!map.location(PageId::new(0)).is_pool(), "2 sharers < 8");
         assert_eq!(map.pool_pages(), 1);
@@ -328,7 +315,7 @@ mod tests {
     fn static_placement_baseline_mode() {
         let t = synthetic_trace(&[(0, 0), (4, 1), (4, 1)]);
         let c = PageAccessCounts::from_trace(&t, 3, 16, 4);
-        let map = static_oracle_placement(&c, 0, 8);
+        let map = static_oracle_placement_with_sharers(&c, 0, 8, |p| c.sharer_count(p));
         assert_eq!(
             map.location(PageId::new(0)),
             Location::Socket(SocketId::new(0))
@@ -349,7 +336,7 @@ mod tests {
         let fp = g.profile().footprint_pages;
         let c = PageAccessCounts::from_trace(&t, fp, 16, 4);
         let cap = fp / 17;
-        let map = static_oracle_placement(&c, cap, 8);
+        let map = static_oracle_placement_with_sharers(&c, cap, 8, |p| c.sharer_count(p));
         assert!(map.pool_pages() <= cap);
         assert!(map.pool_pages() > 0, "BFS has widely shared pages");
     }

@@ -130,6 +130,9 @@ mod tests {
             wall_ns: 0,
             ipc: 1.5,
             amat_ns: 200.0,
+            unloaded_amat_ns: 150.0,
+            contention_ns: 50.0,
+            mpki: 10.0,
             pages_migrated: 0,
             pages_to_pool: 0,
             dropped_events: 0,
@@ -145,7 +148,6 @@ mod tests {
         sink.begin_phase(0);
         sink.record_access(0, 1, 180.0);
         sink.record_access(1, 3, 400.0);
-        sink.counter("dir.transactions", 12);
         sink.event(
             EventLevel::Info,
             EventCategory::Migration,

@@ -2,10 +2,14 @@
 //! summary every per-run output points to.
 //!
 //! `starnuma run/compare/sweep --ledger DIR` append a [`RunRecord`] per
-//! run to `DIR/runs.jsonl`, and the same line heads the run's section of a
-//! `--trace-out` file ([`trace_jsonl`](crate::trace_jsonl)); `starnuma
-//! report` reads the ledger back and renders cross-run trends and
-//! determinism-drift flags, `starnuma inspect` reads the trace header.
+//! run to `DIR/runs.jsonl`, `starnuma run/compare --json` print the same
+//! line, and it heads the run's section of a `--trace-out` file
+//! ([`trace_jsonl`](crate::trace_jsonl)); `starnuma report` reads the
+//! ledger back and renders cross-run trends and determinism-drift flags,
+//! `starnuma inspect` reads the trace header. A record states a result
+//! the way the paper's Fig 8 does: AMAT split into unloaded latency plus
+//! contention, and per access class a sample count (its share is the
+//! count over `overall.count`), mean latency and percentiles.
 //! Records are *flat* JSON objects (dotted keys, like the bench history
 //! file), written with the workspace codec's writers
 //! ([`starnuma_types::json`]) and read back with
@@ -32,7 +36,7 @@ use crate::export::parse_flat_object;
 use crate::metrics::LatencyHistogram;
 
 /// Version stamped into (and required of) every record line.
-pub const LEDGER_SCHEMA_VERSION: u64 = 3;
+pub const LEDGER_SCHEMA_VERSION: u64 = 4;
 
 /// File name appended to the ledger directory.
 pub const LEDGER_FILE: &str = "runs.jsonl";
@@ -42,14 +46,19 @@ pub const LEDGER_FILE: &str = "runs.jsonl";
 pub const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// Latency summary for one access class (or the all-class merge).
-/// Percentiles are 0 when `count` is 0 — the JSON rendering omits them
-/// in that case, so an empty class cannot masquerade as a 0 ns one.
+/// The mean and percentiles are 0 when `count` is 0 — the JSON rendering
+/// omits them in that case, so an empty class cannot masquerade as a 0 ns
+/// one. A class's share of accesses is not stored: it is `count` over the
+/// overall summary's `count`.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ClassSummary {
     /// Access-class label (`local`, `pool`, …) or `overall`.
     pub label: String,
     /// Samples recorded.
     pub count: u64,
+    /// Mean latency in ns, as the timing model measured it (per-class
+    /// summaries only; the overall mean is the record's `amat_ns`).
+    pub mean_ns: f64,
     /// Median latency in ns.
     pub p50_ns: f64,
     /// 95th-percentile latency in ns.
@@ -59,11 +68,13 @@ pub struct ClassSummary {
 }
 
 impl ClassSummary {
-    /// Summarizes `hist` under `label`.
+    /// Summarizes `hist` under `label`, with no mean (the caller sets a
+    /// class's `mean_ns`).
     pub fn from_hist(label: &str, hist: &LatencyHistogram) -> Self {
         ClassSummary {
             label: label.to_string(),
             count: hist.count(),
+            mean_ns: 0.0,
             p50_ns: hist.try_percentile_ns(0.50).unwrap_or(0.0),
             p95_ns: hist.try_percentile_ns(0.95).unwrap_or(0.0),
             p99_ns: hist.try_percentile_ns(0.99).unwrap_or(0.0),
@@ -111,6 +122,12 @@ pub struct RunRecord {
     pub ipc: f64,
     /// Average memory access time in ns.
     pub amat_ns: f64,
+    /// The part of `amat_ns` an unloaded machine would see (Fig 8b).
+    pub unloaded_amat_ns: f64,
+    /// The contention part of `amat_ns` (`amat_ns − unloaded_amat_ns`).
+    pub contention_ns: f64,
+    /// Memory accesses per thousand instructions.
+    pub mpki: f64,
     /// Pages migrated over the whole run.
     pub pages_migrated: u64,
     /// Pages migrated into the CXL pool.
@@ -147,12 +164,15 @@ impl RunRecord {
         push_int(&mut out, "wall_ns", self.wall_ns);
         push_num(&mut out, "ipc", self.ipc);
         push_num(&mut out, "amat_ns", self.amat_ns);
+        push_num(&mut out, "unloaded_amat_ns", self.unloaded_amat_ns);
+        push_num(&mut out, "contention_ns", self.contention_ns);
+        push_num(&mut out, "mpki", self.mpki);
         push_int(&mut out, "pages_migrated", self.pages_migrated);
         push_int(&mut out, "pages_to_pool", self.pages_to_pool);
         push_int(&mut out, "dropped_events", self.dropped_events);
-        push_summary(&mut out, "overall", &self.overall);
+        push_summary(&mut out, "overall", &self.overall, false);
         for class in &self.classes {
-            push_summary(&mut out, &format!("class.{}", class.label), class);
+            push_summary(&mut out, &format!("class.{}", class.label), class, true);
         }
         for (key, value) in &self.counters {
             push_int(&mut out, &format!("counter.{key}"), *value);
@@ -228,6 +248,9 @@ impl RunRecord {
             wall_ns: int("wall_ns")?,
             ipc: num("ipc")?,
             amat_ns: num("amat_ns")?,
+            unloaded_amat_ns: num("unloaded_amat_ns")?,
+            contention_ns: num("contention_ns")?,
+            mpki: num("mpki")?,
             pages_migrated: int("pages_migrated")?,
             pages_to_pool: int("pages_to_pool")?,
             dropped_events: int("dropped_events")?,
@@ -263,6 +286,7 @@ fn exact_int(value: &Json) -> Option<u64> {
 fn apply_summary_field(c: &mut ClassSummary, field: &str, value: &Json) -> Option<()> {
     match field {
         "count" => c.count = exact_int(value)?,
+        "mean_ns" => c.mean_ns = float(value)?,
         "p50_ns" => c.p50_ns = float(value)?,
         "p95_ns" => c.p95_ns = float(value)?,
         "p99_ns" => c.p99_ns = float(value)?,
@@ -301,9 +325,14 @@ fn push_int(out: &mut String, key: &str, value: u64) {
     push_num(out, key, value as f64);
 }
 
-fn push_summary(out: &mut String, prefix: &str, c: &ClassSummary) {
+/// Writes a summary's count and, for a non-empty one, its percentiles,
+/// preceded by its mean when `with_mean` is set.
+fn push_summary(out: &mut String, prefix: &str, c: &ClassSummary, with_mean: bool) {
     push_int(out, &format!("{prefix}.count"), c.count);
     if c.count > 0 {
+        if with_mean {
+            push_num(out, &format!("{prefix}.mean_ns"), c.mean_ns);
+        }
         push_num(out, &format!("{prefix}.p50_ns"), c.p50_ns);
         push_num(out, &format!("{prefix}.p95_ns"), c.p95_ns);
         push_num(out, &format!("{prefix}.p99_ns"), c.p99_ns);
@@ -328,12 +357,16 @@ mod tests {
             wall_ns: 1_234_567,
             ipc: 1.25,
             amat_ns: 97.5,
+            unloaded_amat_ns: 80.25,
+            contention_ns: 17.25,
+            mpki: 12.5,
             pages_migrated: 100,
             pages_to_pool: 60,
             dropped_events: 1,
             overall: ClassSummary {
                 label: "overall".to_string(),
                 count: 3,
+                mean_ns: 0.0,
                 p50_ns: 90.0,
                 p95_ns: 180.5,
                 p99_ns: 360.0,
@@ -342,6 +375,7 @@ mod tests {
                 ClassSummary {
                     label: "local".to_string(),
                     count: 3,
+                    mean_ns: 97.5,
                     p50_ns: 90.0,
                     p95_ns: 180.5,
                     p99_ns: 360.0,
@@ -379,21 +413,59 @@ mod tests {
     }
 
     #[test]
-    fn empty_class_omits_percentile_keys() {
+    fn empty_class_omits_mean_and_percentile_keys() {
         let line = sample().to_json_line();
         assert!(line.contains("\"class.pool.count\":0"));
+        assert!(!line.contains("class.pool.mean_ns"));
         assert!(!line.contains("class.pool.p50_ns"));
+        assert!(line.contains("\"class.local.mean_ns\":97.5"));
         assert!(line.contains("\"class.local.p99_ns\":360"));
+        // The overall mean is `amat_ns`; it is not stored twice.
+        assert!(!line.contains("overall.mean_ns"));
+    }
+
+    /// Schema 4 carries the Fig 8b split, MPKI and per-class means; each
+    /// survives the round trip exactly, and a line missing one is rejected.
+    #[test]
+    fn schema_4_fields_round_trip() {
+        let mut rec = sample();
+        rec.unloaded_amat_ns = 0.1 + 0.2;
+        rec.contention_ns = 97.5 - rec.unloaded_amat_ns;
+        rec.mpki = 1.0 / 3.0;
+        rec.classes[0].mean_ns = 2.0_f64.sqrt() * 100.0;
+        let line = rec.to_json_line();
+        let parsed = RunRecord::from_json_line(&line).expect("line parses");
+        assert_eq!(
+            parsed.unloaded_amat_ns.to_bits(),
+            rec.unloaded_amat_ns.to_bits()
+        );
+        assert_eq!(parsed.contention_ns.to_bits(), rec.contention_ns.to_bits());
+        assert_eq!(parsed.mpki.to_bits(), rec.mpki.to_bits());
+        assert_eq!(
+            parsed.classes[0].mean_ns.to_bits(),
+            rec.classes[0].mean_ns.to_bits()
+        );
+        assert_eq!(parsed, rec);
+        for key in ["unloaded_amat_ns", "contention_ns", "mpki"] {
+            let at = line.find(&format!(",\"{key}\":")).expect("key present");
+            let end = at + 1 + line[at + 1..].find(',').expect("not the last key");
+            let without = format!("{}{}", &line[..at], &line[end..]);
+            assert!(
+                RunRecord::from_json_line(&without).is_none(),
+                "a line without {key} read back"
+            );
+        }
     }
 
     #[test]
     fn unknown_schema_version_or_type_is_rejected() {
         let line = sample().to_json_line();
-        assert!(line.starts_with("{\"type\":\"run\",\"schema_version\":3,"));
+        assert!(line.starts_with("{\"type\":\"run\",\"schema_version\":4,"));
         for (from, to) in [
-            ("\"schema_version\":3", "\"schema_version\":1"),
-            ("\"schema_version\":3", "\"schema_version\":2"),
-            ("\"schema_version\":3", "\"schema_version\":99"),
+            ("\"schema_version\":4", "\"schema_version\":1"),
+            ("\"schema_version\":4", "\"schema_version\":2"),
+            ("\"schema_version\":4", "\"schema_version\":3"),
+            ("\"schema_version\":4", "\"schema_version\":99"),
             ("\"type\":\"run\"", "\"type\":\"meta\""),
             ("\"type\":\"run\",", ""),
         ] {

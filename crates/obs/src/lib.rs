@@ -14,9 +14,10 @@
 //!   severity- and category-tagged records for migration decisions,
 //!   threshold crossings, pool-capacity pressure, and checkpoint events.
 //! * **one run record** ([`RunRecord`]): the flat JSON line that states a
-//!   run's identity and summary (digests, IPC, AMAT, per-class latency
-//!   percentiles, counters). The run ledger appends it, and it heads the
-//!   run's section of the trace.
+//!   run's identity and summary (digests, IPC, AMAT and its
+//!   unloaded/contention split, MPKI, per-class counts, mean latencies and
+//!   percentiles, counters). The run ledger appends it, `--json` prints
+//!   it, and it heads the run's section of the trace.
 //! * **one export** ([`trace_jsonl`]): the record line, then the journal's
 //!   `event` lines and the run's per-socket, per-class `hist` lines, written
 //!   through the workspace codec ([`starnuma_types::json`]) — plus
@@ -55,7 +56,7 @@ pub use ledger::{
     ClassSummary, RunRecord, SiteSummary, LEDGER_FILE, LEDGER_SCHEMA_VERSION, MAX_EXACT_INT,
 };
 pub use metrics::{
-    percentile_from_counts, try_percentile_from_counts, LatencyHistogram, MetricsFrame, Observe,
-    SocketMetrics, HIST_BUCKETS, NUM_CLASSES,
+    try_percentile_from_counts, LatencyHistogram, MetricsFrame, Observe, SocketMetrics,
+    HIST_BUCKETS, NUM_CLASSES,
 };
 pub use sink::{ObsReport, ObsSink, DEFAULT_JOURNAL_CAPACITY};

@@ -109,52 +109,29 @@ impl LatencyHistogram {
         &self.buckets
     }
 
-    /// The `p`-th percentile latency in ns (`p` in `[0, 1]`), estimated by
-    /// linear interpolation within the covering log2 bucket. 0 when empty.
-    pub fn percentile_ns(&self, p: f64) -> f64 {
-        let counts: Vec<f64> = self.buckets.iter().map(|&c| c as f64).collect();
-        percentile_from_counts(&counts, p)
-    }
-
-    /// Median latency in ns.
-    pub fn p50_ns(&self) -> f64 {
-        self.percentile_ns(0.50)
-    }
-
-    /// 95th-percentile latency in ns.
-    pub fn p95_ns(&self) -> f64 {
-        self.percentile_ns(0.95)
-    }
-
-    /// 99th-percentile latency in ns.
-    pub fn p99_ns(&self) -> f64 {
-        self.percentile_ns(0.99)
-    }
-
-    /// Like [`percentile_ns`](Self::percentile_ns), but `None` for an
-    /// empty histogram — distinguishing "no samples" from a true 0 ns
-    /// percentile.
+    /// The `p`-th percentile latency in ns (`p` in `[0, 1]`), estimated as
+    /// [`try_percentile_from_counts`] does; `None` for an empty histogram,
+    /// distinguishing "no samples" from a true 0 ns percentile.
     pub fn try_percentile_ns(&self, p: f64) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.percentile_ns(p))
-        }
+        let counts: Vec<f64> = self.buckets.iter().map(|&c| c as f64).collect();
+        try_percentile_from_counts(&counts, p)
     }
 }
 
 /// Percentile estimation over raw log2 bucket counts (the shape exported
 /// in trace JSONL `hist` lines, so the CLI can compute percentiles from a
-/// parsed trace without rebuilding a [`LatencyHistogram`]).
+/// parsed trace without rebuilding a [`LatencyHistogram`]). `None` when
+/// the histogram holds no samples, so a caller that renders percentiles
+/// can show `-` instead of a misleading `0`.
 ///
 /// The rank `p * total` is located in its covering bucket and linearly
 /// interpolated between the bucket's floor and ceiling — the standard
 /// estimator for log2 histograms (HdrHistogram-style): exact at bucket
 /// edges, at most a factor-2 bucket width off inside.
-pub fn percentile_from_counts(counts: &[f64], p: f64) -> f64 {
+pub fn try_percentile_from_counts(counts: &[f64], p: f64) -> Option<f64> {
     let total: f64 = counts.iter().copied().filter(|c| c.is_finite()).sum();
     if total <= 0.0 {
-        return 0.0;
+        return None;
     }
     let rank = (p.clamp(0.0, 1.0) * total).min(total);
     let mut cumulative = 0.0;
@@ -171,26 +148,13 @@ pub fn percentile_from_counts(counts: &[f64], p: f64) -> f64 {
                 (2 * LatencyHistogram::bucket_floor_ns(i)) as f64
             };
             let frac = ((rank - cumulative) / c).clamp(0.0, 1.0);
-            return floor + (ceil - floor) * frac;
+            return Some(floor + (ceil - floor) * frac);
         }
         cumulative = next;
     }
-    // rank == total with trailing zero buckets: the last non-empty bucket's
-    // ceiling was returned above; reaching here means all buckets were
-    // empty or non-finite.
-    0.0
-}
-
-/// Like [`percentile_from_counts`], but `None` when the histogram holds
-/// no samples — callers that render percentiles can show `-` instead of
-/// a misleading `0`.
-pub fn try_percentile_from_counts(counts: &[f64], p: f64) -> Option<f64> {
-    let total: f64 = counts.iter().copied().filter(|c| c.is_finite()).sum();
-    if total <= 0.0 {
-        None
-    } else {
-        Some(percentile_from_counts(counts, p))
-    }
+    // Not reached: `rank <= total`, and the positive finite counts the loop
+    // accumulates sum to at least `total`.
+    Some(0.0)
 }
 
 /// Per-socket metrics: one latency histogram per access class.
@@ -328,14 +292,15 @@ mod tests {
         // 100 identical samples at 100 ns: bucket 7 covers [64, 128). Every
         // percentile interpolates inside that one bucket, so p50 < p95 <
         // p99 and all stay within the bucket's bounds.
+        let pct = |h: &LatencyHistogram, p: f64| h.try_percentile_ns(p).expect("samples");
         let mut h = LatencyHistogram::default();
         for _ in 0..100 {
             h.record(100.0);
         }
-        for p in [h.p50_ns(), h.p95_ns(), h.p99_ns()] {
+        for p in [pct(&h, 0.50), pct(&h, 0.95), pct(&h, 0.99)] {
             assert!((64.0..=128.0).contains(&p), "degenerate percentile {p}");
         }
-        assert!(h.p50_ns() < h.p95_ns() && h.p95_ns() < h.p99_ns());
+        assert!(pct(&h, 0.50) < pct(&h, 0.95) && pct(&h, 0.95) < pct(&h, 0.99));
 
         // 90 samples in [64,128) + 10 in [1024,2048): p50 sits in the low
         // bucket, p95 and p99 in the tail bucket.
@@ -346,18 +311,22 @@ mod tests {
         for _ in 0..10 {
             h.record(1_500.0);
         }
-        assert!((64.0..=128.0).contains(&h.p50_ns()), "p50 {}", h.p50_ns());
         assert!(
-            (1024.0..=2048.0).contains(&h.p95_ns()),
+            (64.0..=128.0).contains(&pct(&h, 0.50)),
+            "p50 {}",
+            pct(&h, 0.50)
+        );
+        assert!(
+            (1024.0..=2048.0).contains(&pct(&h, 0.95)),
             "p95 {}",
-            h.p95_ns()
+            pct(&h, 0.95)
         );
         assert!(
-            (1024.0..=2048.0).contains(&h.p99_ns()),
+            (1024.0..=2048.0).contains(&pct(&h, 0.99)),
             "p99 {}",
-            h.p99_ns()
+            pct(&h, 0.99)
         );
-        assert!(h.p95_ns() < h.p99_ns());
+        assert!(pct(&h, 0.95) < pct(&h, 0.99));
 
         // Exact bucket-edge ranks: 50 samples in [64,128), 50 in [128,256);
         // p50 lands exactly on the first bucket's ceiling (128 ns).
@@ -368,12 +337,22 @@ mod tests {
         for _ in 0..50 {
             h.record(200.0);
         }
-        assert!((h.p50_ns() - 128.0).abs() < 1e-9, "p50 {}", h.p50_ns());
+        assert!(
+            (pct(&h, 0.50) - 128.0).abs() < 1e-9,
+            "p50 {}",
+            pct(&h, 0.50)
+        );
 
         // Empty histogram and degenerate inputs.
-        assert_eq!(LatencyHistogram::default().p95_ns(), 0.0);
-        assert_eq!(percentile_from_counts(&[], 0.95), 0.0);
-        assert_eq!(percentile_from_counts(&[f64::NAN, 0.0], 0.5), 0.0);
+        assert_eq!(LatencyHistogram::default().try_percentile_ns(0.95), None);
+        assert_eq!(try_percentile_from_counts(&[], 0.95), None);
+        assert_eq!(try_percentile_from_counts(&[f64::NAN, 0.0], 0.5), None);
+        // The bucket-count form agrees with the histogram's own.
+        let counts: Vec<f64> = h.buckets().iter().map(|&c| c as f64).collect();
+        assert_eq!(
+            try_percentile_from_counts(&counts, 0.5),
+            Some(pct(&h, 0.50))
+        );
     }
 
     #[test]

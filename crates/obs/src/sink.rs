@@ -93,15 +93,6 @@ impl ObsSink {
         self.frame.record_access(socket, class, measured_ns);
     }
 
-    /// Adds `delta` to a named counter.
-    #[inline]
-    pub fn counter(&mut self, key: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.frame.add_counter(key, delta);
-    }
-
     /// Adds a stats source's counters under `prefix`.
     pub fn observe(&mut self, prefix: &str, source: &dyn Observe) {
         if !self.enabled {
@@ -147,12 +138,21 @@ mod tests {
 
     const LABELS: [&str; NUM_CLASSES] = ["a", "b", "c", "d", "e", "f"];
 
+    /// A stats source with one counter, `transactions`.
+    struct Transactions(u64);
+
+    impl Observe for Transactions {
+        fn observe(&self, prefix: &str, frame: &mut MetricsFrame) {
+            frame.add_counter(&format!("{prefix}.transactions"), self.0);
+        }
+    }
+
     #[test]
     fn disabled_sink_records_nothing_and_never_builds_fields() {
         let mut sink = ObsSink::disabled();
         sink.begin_phase(0);
         sink.record_access(0, 0, 100.0);
-        sink.counter("x", 1);
+        sink.observe("x", &Transactions(1));
         sink.event(EventLevel::Info, EventCategory::Migration, "e", || {
             panic!("field closure must not run on a disabled sink")
         });
@@ -169,7 +169,7 @@ mod tests {
         for phase in 0..3u32 {
             sink.begin_phase(phase);
             sink.record_access(0, 0, 80.0);
-            sink.counter("dir.transactions", u64::from(phase));
+            sink.observe("dir", &Transactions(u64::from(phase)));
         }
         let report = sink.finish();
         assert_eq!(report.metrics.sockets.len(), 2);
@@ -210,7 +210,7 @@ mod tests {
             let mut sink = ObsSink::enabled(2, LABELS, 8);
             sink.begin_phase(0);
             sink.record_access(1, 3, 250.0);
-            sink.counter("c", 2);
+            sink.observe("c", &Transactions(2));
             sink.event(EventLevel::Debug, EventCategory::Threshold, "t", || {
                 vec![("hi", FieldValue::F64(1.5))]
             });

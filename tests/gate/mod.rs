@@ -26,8 +26,9 @@
 //! | `parallel_determinism` | capacity and latency sweeps | equal at jobs 1 and 4 |
 //!
 //! Every observed cell also asserts that the record's histogram total
-//! equals the accesses the timing model counted, and a lossless run-record
-//! round trip. Regenerating the table (only when an *intentional* model or
+//! equals the accesses the timing model counted, a lossless run-record
+//! round trip, and that the re-read record states the result's AMAT split,
+//! MPKI and per-class shares and means bit for bit. Regenerating the table (only when an *intentional* model or
 //! export-format change lands):
 //! `STARNUMA_BLESS=1 cargo test --test index_equivalence -- --nocapture`.
 
@@ -42,28 +43,28 @@
 use starnuma::obs::{trace_jsonl, ObsReport, RunRecord};
 use starnuma::sweep::{sweep_cxl_latency, sweep_pool_capacity, SweepPoint};
 use starnuma::{
-    prof, set_global_jobs, Experiment, JobPool, PhaseStats, RunResult, ScaleConfig, SystemKind,
-    Workload,
+    prof, set_global_jobs, AccessClass, Experiment, JobPool, PhaseStats, RunResult, ScaleConfig,
+    SystemKind, Workload,
 };
 use starnuma_types::fnv1a_digest;
 
 /// Golden FNV-1a digests of each row's trace JSONL (its run record line,
 /// with the host field `jobs` pinned to 0, then its events and run-level
-/// histograms) per row of [`rows`]. Last blessed when the journal lost its
-/// `phase_checkpoint` pairing markers (the `edge` field and the `end`
-/// event); an intentional export-format change, every row's run line and
-/// `hist` lines unchanged.
+/// histograms) per row of [`rows`]. Last blessed when the run record moved
+/// to schema 4 (`unloaded_amat_ns`, `contention_ns`, `mpki` and per-class
+/// `mean_ns`); an intentional export-format change, every row's `event`
+/// and `hist` lines unchanged.
 pub const GOLDEN: [(&str, &str, u64); 10] = [
-    ("SSSP", "StarNUMA (T16)", 0x07e435fbac6cee41),
-    ("BFS", "StarNUMA (T16)", 0x2fe88cdf234e26bd),
-    ("CC", "StarNUMA (T16)", 0xe1ac9a1f9f89c352),
-    ("TC", "StarNUMA (T16)", 0x10e4e5143fb1deb6),
-    ("Masstree", "StarNUMA (T16)", 0x38c29563112834da),
-    ("TPCC", "StarNUMA (T16)", 0xcf7579056d2220a9),
-    ("FMI", "StarNUMA (T16)", 0xfe4ec6e991572182),
-    ("POA", "StarNUMA (T16)", 0x8e0ecd3626e03731),
-    ("TC", "Baseline", 0x9e268e8630b22fe1),
-    ("TC", "StarNUMA (T0)", 0x94630c07bbde1f17),
+    ("SSSP", "StarNUMA (T16)", 0x0ce4b6f7e8244ac2),
+    ("BFS", "StarNUMA (T16)", 0x63040a258c33ae97),
+    ("CC", "StarNUMA (T16)", 0x14e4c3f01444f200),
+    ("TC", "StarNUMA (T16)", 0xbddc502c9f074120),
+    ("Masstree", "StarNUMA (T16)", 0x98a77a4bd1331c73),
+    ("TPCC", "StarNUMA (T16)", 0x0ccc4bd11a5f3088),
+    ("FMI", "StarNUMA (T16)", 0xe692867d02e9f1c8),
+    ("POA", "StarNUMA (T16)", 0x8b4f8a5b9a18782a),
+    ("TC", "Baseline", 0x0beed4ec436de62c),
+    ("TC", "StarNUMA (T0)", 0x15aee0d41b785d73),
 ];
 
 pub const PHASES: usize = 2;
@@ -151,9 +152,50 @@ pub fn fingerprints(name: &str, runs: &[(RunResult, Option<ObsReport>)]) -> Vec<
                     .sum::<u64>(),
                 "cell {name}: {w} on {kind}: histogram total != accesses the timing model counted"
             );
+            assert_record_explains(&format!("cell {name}: {w} on {kind}"), &reparsed, result);
             fnv1a_digest(trace.as_bytes())
         })
         .collect()
+}
+
+/// Asserts that a run's re-read record states its result's AMAT split,
+/// MPKI and access-class mix bit for bit: each class's share of accesses
+/// is its sample count over the overall count, and its mean latency is
+/// the result's.
+pub fn assert_record_explains(what: &str, record: &RunRecord, result: &RunResult) {
+    let bits = |record: f64, result: f64, field: &str| {
+        assert_eq!(
+            record.to_bits(),
+            result.to_bits(),
+            "{what}: record {field} {record} != result {result}"
+        );
+    };
+    bits(record.amat_ns, result.amat_ns, "amat_ns");
+    bits(
+        record.unloaded_amat_ns,
+        result.unloaded_amat_ns,
+        "unloaded_amat_ns",
+    );
+    bits(record.contention_ns, result.contention_ns, "contention_ns");
+    bits(record.mpki, result.mpki, "mpki");
+    for (i, class) in AccessClass::ALL.iter().enumerate() {
+        let summary = record
+            .classes
+            .iter()
+            .find(|c| c.label == class.label())
+            .unwrap_or_else(|| panic!("{what}: no class {} in the record", class.label()));
+        let frac = summary.count as f64 / record.overall.count as f64;
+        bits(
+            frac,
+            result.class_fracs[i],
+            &format!("{} share", class.label()),
+        );
+        bits(
+            summary.mean_ns,
+            result.class_mean_ns[i],
+            &format!("{} mean_ns", class.label()),
+        );
+    }
 }
 
 /// Asserts a fingerprinted cell against [`GOLDEN`]; with `STARNUMA_BLESS`
