@@ -5,8 +5,8 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use starnuma::obs::{
-    parse_flat_object, trace_jsonl, try_percentile_from_counts, ObsReport, RunRecord, SiteSummary,
-    LEDGER_FILE, MAX_EXACT_INT,
+    parse_flat_object, trace_jsonl, try_percentile_from_counts, ObsReport, RunRecord, LEDGER_FILE,
+    MAX_EXACT_INT,
 };
 use starnuma::prof;
 use starnuma::{
@@ -92,72 +92,42 @@ fn ledger_dir(args: &Args) -> Option<String> {
 type Observed = (RunRecord, ObsReport);
 
 /// Host-side state of one simulation command, started *before* its runs
-/// so the wall timer covers them and the profiler can attribute their
-/// time.
+/// so the wall timer covers them.
 struct Session {
     timer: prof::SessionTimer,
-    /// Whether the command emits run records, which carry the profiler's
-    /// top sites: to a ledger, or on stdout (`run`/`compare --json`).
-    emits_records: bool,
     /// Whether the runs must be observed: an output needs their reports
-    /// when the command emits records or writes a trace.
+    /// when the command emits records (`--json`, a ledger) or writes a
+    /// trace.
     observes: bool,
-    /// Whether this command turned the profiler on for the records' top
-    /// sites (and must turn it off). False when it emits no record and
-    /// under `starnuma profile`, which already turned it on.
-    owns_prof: bool,
 }
 
 impl Session {
-    /// Starts the wall timer, and the profiler when this invocation emits
-    /// run records (to a ledger, or on stdout when `prints_records`) and
-    /// no enclosing `profile` wrapper already turned it on.
+    /// Starts the wall timer; `prints_records` is set when the command
+    /// prints its run records on stdout.
     fn start(args: &Args, prints_records: bool) -> Session {
-        let emits_records = prints_records || ledger_dir(args).is_some();
-        let owns_prof = emits_records && !prof::is_enabled();
-        if owns_prof {
-            prof::reset();
-            prof::set_enabled(true);
-        }
         Session {
             timer: prof::SessionTimer::start(),
-            emits_records,
-            observes: emits_records || args.get("trace-out").is_some(),
-            owns_prof,
+            observes: prints_records
+                || ledger_dir(args).is_some()
+                || args.get("trace-out").is_some(),
         }
     }
 
-    /// Stamps the host fields on every observed run's record, writes the
-    /// outputs that read from the records — the `--trace-out` file (one
-    /// section per run, each headed by its record line) and one ledger
-    /// line per run — and returns the stamped records in `runs` order.
-    /// Wall time and profiler top sites are per *command*, shared by every
-    /// record of a batch (compare/sweep fan their runs out in parallel, so
-    /// per-run wall time does not exist). The top sites are filled
-    /// whenever the profiler is on and the command emits records, whoever
-    /// turned it on.
+    /// Stamps the command's wall time on every observed run's record,
+    /// writes the outputs that read from the records — the `--trace-out`
+    /// file (one section per run, each headed by its record line) and one
+    /// ledger line per run — and returns the stamped records in `runs`
+    /// order. Wall time is per *command*, shared by every record of a
+    /// batch (compare/sweep fan their runs out in parallel, so per-run
+    /// wall time does not exist).
     fn finish(
         self,
         args: &Args,
         mut runs: Vec<(RunRecord, &ObsReport)>,
     ) -> Result<Vec<RunRecord>, ArgError> {
         let wall_ns = self.timer.elapsed_ns();
-        let profiled = prof::is_enabled();
-        if self.owns_prof {
-            prof::set_enabled(false);
-        }
-        let mut top_sites: Vec<SiteSummary> = Vec::new();
-        if profiled && self.emits_records {
-            top_sites = prof::snapshot()
-                .top_sites(5)
-                .into_iter()
-                .map(|(label, ns, calls)| SiteSummary { label, ns, calls })
-                .collect();
-            top_sites.sort_by(|a, b| a.label.cmp(&b.label));
-        }
         for (record, _) in &mut runs {
             record.wall_ns = wall_ns;
-            record.top_sites.clone_from(&top_sites);
         }
         if let Some(path) = args.get("trace-out") {
             let trace: String = runs
@@ -801,30 +771,40 @@ pub fn cmd_bench_diff(raw: &[String], out: &mut String) -> Result<ExitCode, ArgE
     }
 }
 
-/// One (workload, system) trend group for `starnuma report`, in ledger
-/// file order (oldest first).
-struct TrendGroup<'a> {
-    workload: &'a str,
-    system: &'a str,
-    records: Vec<&'a RunRecord>,
+/// The identity fields of `r`'s experiment, which `starnuma report`
+/// groups trends by, as JSON object members.
+fn identity_json(r: &RunRecord) -> Vec<(String, Json)> {
+    vec![
+        ("workload".into(), Json::Str(r.workload.clone())),
+        ("system".into(), Json::Str(r.system.clone())),
+        ("preset".into(), Json::Str(r.preset.clone())),
+        ("seed".into(), Json::Num(r.seed as f64)),
+        (
+            "config_digest".into(),
+            Json::Str(digest_hex(r.config_digest)),
+        ),
+    ]
 }
 
-/// One determinism-drift flag: the same (workload, system, preset,
-/// config digest, seed) produced more than one result digest.
-struct DriftFlag<'a> {
-    workload: &'a str,
-    system: &'a str,
-    preset: &'a str,
-    seed: u64,
-    config_digest: u64,
-    result_digests: Vec<u64>,
-    versions: Vec<&'a str>,
+/// The distinct values of `key` over `records`, in ledger order.
+fn distinct<'a, T: PartialEq>(
+    records: &[&'a RunRecord],
+    key: impl Fn(&'a RunRecord) -> T,
+) -> Vec<T> {
+    let mut values = Vec::new();
+    for &r in records {
+        let value = key(r);
+        if !values.contains(&value) {
+            values.push(value);
+        }
+    }
+    values
 }
 
 /// `starnuma report [--ledger DIR] [--json]`: cross-run trends from the
 /// run ledger — per-experiment IPC/p95 series with sparklines and
-/// determinism-drift flags (same config digest + seed, different result
-/// digest). Exits non-zero on any drift flag, so CI can gate on it.
+/// determinism-drift flags (one experiment, more than one result digest).
+/// Exits non-zero on any drift flag, so CI can gate on it.
 pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
     args.expect_only(&["ledger", "json"])?;
     let dir = ledger_dir(args).ok_or_else(|| {
@@ -849,72 +829,40 @@ pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
     }
 
     // Group into per-experiment trends, preserving file order inside each
-    // group (the ledger is append-only, so file order is time order).
-    let mut groups: BTreeMap<(&str, &str), Vec<&RunRecord>> = BTreeMap::new();
+    // group (the ledger is append-only, so file order is time order). An
+    // experiment is one (workload, system, preset, seed, config digest):
+    // records that differ in any of these never form one trend.
+    type Identity<'a> = (&'a str, &'a str, &'a str, u64, u64);
+    let mut groups: BTreeMap<Identity, Vec<&RunRecord>> = BTreeMap::new();
     for r in &records {
-        groups
-            .entry((r.workload.as_str(), r.system.as_str()))
-            .or_default()
-            .push(r);
-    }
-    let groups: Vec<TrendGroup> = groups
-        .into_iter()
-        .map(|((workload, system), records)| TrendGroup {
-            workload,
-            system,
-            records,
-        })
-        .collect();
-
-    // Determinism drift: identical (workload, system, preset, config
-    // digest, seed) must always reproduce the same result digest.
-    // (workload, system, preset, config digest, seed) → the distinct
-    // result digests and crate versions that identity produced.
-    type DriftKey<'a> = (&'a str, &'a str, &'a str, u64, u64);
-    let mut by_identity: BTreeMap<DriftKey, (Vec<u64>, Vec<&str>)> = BTreeMap::new();
-    for r in &records {
-        let key = (
+        let identity = (
             r.workload.as_str(),
             r.system.as_str(),
             r.preset.as_str(),
-            r.config_digest,
             r.seed,
+            r.config_digest,
         );
-        let (digests, versions) = by_identity.entry(key).or_default();
-        if !digests.contains(&r.result_digest) {
-            digests.push(r.result_digest);
-        }
-        if !versions.contains(&r.version.as_str()) {
-            versions.push(r.version.as_str());
-        }
+        groups.entry(identity).or_default().push(r);
     }
-    let drift: Vec<DriftFlag> = by_identity
-        .into_iter()
-        .filter(|(_, (digests, _))| digests.len() > 1)
-        .map(
-            |((workload, system, preset, config_digest, seed), (result_digests, versions))| {
-                DriftFlag {
-                    workload,
-                    system,
-                    preset,
-                    seed,
-                    config_digest,
-                    result_digests,
-                    versions,
-                }
-            },
-        )
+    // Every group holds at least one record; its first names the experiment.
+    let groups: Vec<Vec<&RunRecord>> = groups.into_values().collect();
+    // One experiment must always reproduce one result: more than one
+    // result digest in a group is determinism drift.
+    let drift: Vec<(&[&RunRecord], Vec<u64>)> = groups
+        .iter()
+        .map(|g| (g.as_slice(), distinct(g, |r| r.result_digest)))
+        .filter(|(_, digests)| digests.len() > 1)
         .collect();
 
-    let trend_row = |g: &TrendGroup| -> (f64, f64, f64, String) {
-        let ipc_series: Vec<f64> = g.records.iter().map(|r| r.ipc).collect();
+    let trend_row = |g: &[&RunRecord]| -> (f64, f64, f64, String) {
+        let ipc_series: Vec<f64> = g.iter().map(|r| r.ipc).collect();
         let last = *ipc_series.last().unwrap_or(&0.0);
         let delta = if ipc_series.len() >= 2 {
             last - ipc_series[ipc_series.len() - 2]
         } else {
             0.0
         };
-        let p95 = g.records.last().map_or(0.0, |r| r.overall.p95_ns);
+        let p95 = g.last().map_or(0.0, |r| r.overall.p95_ns);
         (last, delta, p95, sparkline(&ipc_series))
     };
 
@@ -924,53 +872,42 @@ pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
                 .iter()
                 .map(|g| {
                     let (last, delta, p95, _) = trend_row(g);
-                    Json::Obj(vec![
-                        ("workload".into(), Json::Str(g.workload.into())),
-                        ("system".into(), Json::Str(g.system.into())),
-                        ("runs".into(), Json::Num(g.records.len() as f64)),
+                    let mut members = identity_json(g[0]);
+                    members.extend([
+                        ("runs".into(), Json::Num(g.len() as f64)),
                         ("ipc_last".into(), Json::Num(last)),
                         ("ipc_delta".into(), Json::Num(delta)),
                         ("p95_ns_last".into(), Json::Num(p95)),
                         (
                             "ipc_series".into(),
-                            Json::Arr(g.records.iter().map(|r| Json::Num(r.ipc)).collect()),
+                            Json::Arr(g.iter().map(|r| Json::Num(r.ipc)).collect()),
                         ),
-                    ])
+                    ]);
+                    Json::Obj(members)
                 })
                 .collect(),
         );
         let drift_json = Json::Arr(
             drift
                 .iter()
-                .map(|d| {
-                    Json::Obj(vec![
-                        ("workload".into(), Json::Str(d.workload.into())),
-                        ("system".into(), Json::Str(d.system.into())),
-                        ("preset".into(), Json::Str(d.preset.into())),
-                        ("seed".into(), Json::Num(d.seed as f64)),
-                        (
-                            "config_digest".into(),
-                            Json::Str(digest_hex(d.config_digest)),
-                        ),
+                .map(|(g, digests)| {
+                    let mut members = identity_json(g[0]);
+                    members.extend([
                         (
                             "result_digests".into(),
-                            Json::Arr(
-                                d.result_digests
-                                    .iter()
-                                    .map(|x| Json::Str(digest_hex(*x)))
-                                    .collect(),
-                            ),
+                            Json::Arr(digests.iter().map(|x| Json::Str(digest_hex(*x))).collect()),
                         ),
                         (
                             "versions".into(),
                             Json::Arr(
-                                d.versions
-                                    .iter()
-                                    .map(|v| Json::Str((*v).to_string()))
+                                distinct(g, |r| r.version.as_str())
+                                    .into_iter()
+                                    .map(|v| Json::Str(v.to_string()))
                                     .collect(),
                             ),
                         ),
-                    ])
+                    ]);
+                    Json::Obj(members)
                 })
                 .collect(),
         );
@@ -987,17 +924,30 @@ pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
             let _ = writeln!(out, "experiment trends (oldest -> newest):");
             let _ = writeln!(
                 out,
-                "{:<10} {:<30} {:>5} {:>10} {:>8} {:>10}  trend",
-                "workload", "system", "runs", "IPC last", "dIPC", "p95(ns)"
+                "{:<10} {:<30} {:<6} {:>5} {:<18} {:>5} {:>10} {:>8} {:>10}  trend",
+                "workload",
+                "system",
+                "preset",
+                "seed",
+                "config",
+                "runs",
+                "IPC last",
+                "dIPC",
+                "p95(ns)"
             );
             for g in &groups {
                 let (last, delta, p95, spark) = trend_row(g);
+                let r = g[0];
                 let _ = writeln!(
                     out,
-                    "{:<10} {:<30} {:>5} {last:>10.3} {delta:>+8.3} {p95:>10.0}  |{spark}|",
-                    g.workload,
-                    g.system,
-                    g.records.len(),
+                    "{:<10} {:<30} {:<6} {:>5} {:<18} {:>5} {last:>10.3} {delta:>+8.3} \
+                     {p95:>10.0}  |{spark}|",
+                    r.workload,
+                    r.system,
+                    r.preset,
+                    r.seed,
+                    digest_hex(r.config_digest),
+                    g.len(),
                 );
             }
         }
@@ -1005,19 +955,20 @@ pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
             let _ = writeln!(out, "determinism drift: none");
         } else {
             let _ = writeln!(out, "determinism drift: {} flag(s)", drift.len());
-            for d in &drift {
+            for (g, digests) in &drift {
+                let r = g[0];
                 let _ = writeln!(
                     out,
                     "  {} on {} [{} seed {} config {}]: {} result digests across versions {}",
-                    d.workload,
-                    d.system,
-                    d.preset,
-                    d.seed,
-                    digest_hex(d.config_digest),
-                    d.result_digests.len(),
-                    d.versions.join(", "),
+                    r.workload,
+                    r.system,
+                    r.preset,
+                    r.seed,
+                    digest_hex(r.config_digest),
+                    digests.len(),
+                    distinct(g, |r| r.version.as_str()).join(", "),
                 );
-                for x in &d.result_digests {
+                for x in digests {
                     let _ = writeln!(out, "    {}", digest_hex(*x));
                 }
             }

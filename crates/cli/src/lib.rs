@@ -20,6 +20,8 @@
 //! histograms), `--ledger <dir>` (the same run record appended to
 //! `<dir>/runs.jsonl`), and `--progress` (live run counts on stderr).
 //! `run --json` and `compare --json` print that record, one line per run.
+//! Recording a run does not profile it: only `profile` switches the
+//! self-profiler on, and the record's `wall_ns` is the command's wall time.
 
 use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
@@ -117,9 +119,10 @@ commands:
             starnuma profile <run|compare|sweep> <that command's flags>
             prints the top-down wall-time attribution tree (% wall,
             total, calls, ns/call); results stay bit-identical
-  report    cross-run trends from the run ledger: per-experiment IPC
-            and p95 series with sparklines, and determinism-drift flags
-            (same config digest + seed but a different result digest);
+  report    cross-run trends from the run ledger, one row per experiment
+            (workload, system, preset, seed, config digest): IPC and
+            p95 series with sparklines, and a determinism-drift flag
+            for an experiment with more than one result digest;
             exits non-zero on any drift flag
               --ledger <dir>           ledger directory (or STARNUMA_LEDGER)
               --json                   machine-readable output

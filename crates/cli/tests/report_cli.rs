@@ -74,10 +74,10 @@ fn report_flags_determinism_drift() {
     assert!(stdout.contains("0xdeadbeefdeadbeef"), "stdout: {stdout}");
 }
 
-/// A real run appends a parseable record per run, carrying the
-/// profiler's top sites whether `--ledger` or a `profile` wrapper turned
-/// the profiler on; `report --json` over the fresh ledger succeeds, counts
-/// them, and finds no drift between the profiled and unprofiled runs.
+/// A real run appends a parseable record per run, with no profiler
+/// `site.*` fields even under a `profile` wrapper; `report --json` over
+/// the fresh ledger succeeds, counts them, and finds no drift between the
+/// profiled and unprofiled runs.
 #[test]
 fn run_appends_ledger_records_report_reads_back() {
     let dir = temp_dir("starnuma-report-cli-ledger");
@@ -107,7 +107,7 @@ fn run_appends_ledger_records_report_reads_back() {
     let ledger = fs::read_to_string(dir.join("runs.jsonl")).expect("ledger written");
     assert_eq!(ledger.lines().count(), 3, "one record per run");
     for line in ledger.lines() {
-        assert!(line.contains("\"site.timing.ns\""), "no top sites: {line}");
+        assert!(!line.contains("\"site."), "profiler fields: {line}");
     }
     let out = starnuma()
         .args(["report", "--ledger", dir_s, "--json"])
@@ -120,6 +120,59 @@ fn run_appends_ledger_records_report_reads_back() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"records\":3"), "stdout: {stdout}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Regression: trends were keyed by (workload, system) alone, so two run
+/// sizes of one system printed as one trend whose IPC delta was the size
+/// change. Each configuration digest is now its own row.
+#[test]
+fn report_keeps_configurations_apart() {
+    let dir = temp_dir("starnuma-report-cli-configs");
+    let dir_s = dir.to_str().expect("utf-8");
+    for instructions in ["3000", "40000"] {
+        let out = starnuma()
+            .args([
+                "run",
+                "--workload",
+                "poa",
+                "--scale",
+                "quick",
+                "--phases",
+                "1",
+                "--instructions",
+                instructions,
+                "--jobs",
+                "1",
+                "--ledger",
+                dir_s,
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "run failed: {out:?}");
+    }
+    let report = |json: bool| {
+        let out = starnuma()
+            .args(["report", "--ledger", dir_s])
+            .args(json.then_some("--json"))
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "report failed: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    let json = report(true);
+    assert_eq!(json.matches("\"runs\":1,").count(), 2, "{json}");
+    assert_eq!(json.matches("\"config_digest\":").count(), 2, "{json}");
+    let text = report(false);
+    let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("POA ")).collect();
+    assert_eq!(rows.len(), 2, "{text}");
+    let config = |row: &str| {
+        row.split_whitespace()
+            .find(|t| t.starts_with("0x"))
+            .map(str::to_owned)
+    };
+    assert!(config(rows[0]).is_some(), "rows name their config: {text}");
+    assert_ne!(config(rows[0]), config(rows[1]), "{text}");
     let _ = fs::remove_dir_all(&dir);
 }
 

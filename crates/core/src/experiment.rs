@@ -219,8 +219,8 @@ impl Experiment {
     /// digest of `result`'s `Debug` rendering, its headline numbers (IPC,
     /// AMAT with its unloaded/contention split, MPKI), per class `result`'s
     /// mean latency with `report`'s sample count and percentiles, and
-    /// `report`'s counters. The host fields `wall_ns` and `top_sites` are
-    /// left for the caller to stamp.
+    /// `report`'s counters. The host field `wall_ns` is left for the
+    /// caller to stamp.
     pub fn record(&self, result: &RunResult, report: &ObsReport) -> RunRecord {
         let mut overall = LatencyHistogram::default();
         let mut by_class = [LatencyHistogram::default(); NUM_CLASSES];
@@ -263,7 +263,6 @@ impl Experiment {
             overall: ClassSummary::from_hist("overall", &overall),
             classes,
             counters: report.metrics.counters.clone(),
-            top_sites: Vec::new(),
         }
     }
 

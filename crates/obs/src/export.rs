@@ -139,7 +139,6 @@ mod tests {
             overall,
             classes: Vec::new(),
             counters: BTreeMap::new(),
-            top_sites: Vec::new(),
         }
     }
 

@@ -14,9 +14,10 @@
 //! file), written with the workspace codec's writers
 //! ([`starnuma_types::json`]) and read back with
 //! [`parse_flat_object`](crate::parse_flat_object). Every field is a pure
-//! function of the run's configuration except the host fields `jobs`,
-//! `wall_ns` and `site.*`; determinism tests pin those and byte-compare
-//! whole lines.
+//! function of the run's configuration except the host fields `jobs` and
+//! `wall_ns`; determinism tests pin those and byte-compare whole lines.
+//! Keys this build does not know — the `site.*` profiler fields older
+//! schema-4 lines carry — are skipped on read.
 //!
 //! 64-bit digests travel as `"0x..."` hex strings: JSON numbers are
 //! `f64` and silently lose integer precision above 2^53, so every integer
@@ -82,17 +83,6 @@ impl ClassSummary {
     }
 }
 
-/// One profiler site's attributed time, as stored in a record.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SiteSummary {
-    /// Site label (`timing`, `trace_gen`, …).
-    pub label: String,
-    /// Attributed nanoseconds.
-    pub ns: u64,
-    /// Enter count.
-    pub calls: u64,
-}
-
 /// One completed run, as persisted in the ledger and at the head of its
 /// trace section.
 #[derive(Clone, PartialEq, Debug)]
@@ -140,9 +130,6 @@ pub struct RunRecord {
     pub classes: Vec<ClassSummary>,
     /// The run's substrate counters.
     pub counters: BTreeMap<String, u64>,
-    /// Top profiler sites, sorted by label (host fields; empty when the
-    /// profiler was off).
-    pub top_sites: Vec<SiteSummary>,
 }
 
 impl RunRecord {
@@ -177,10 +164,6 @@ impl RunRecord {
         for (key, value) in &self.counters {
             push_int(&mut out, &format!("counter.{key}"), *value);
         }
-        for site in &self.top_sites {
-            push_int(&mut out, &format!("site.{}.ns", site.label), site.ns);
-            push_int(&mut out, &format!("site.{}.calls", site.label), site.calls);
-        }
         out.push('}');
         out
     }
@@ -200,7 +183,6 @@ impl RunRecord {
         }
         let mut classes: BTreeMap<String, ClassSummary> = BTreeMap::new();
         let mut counters = BTreeMap::new();
-        let mut sites: BTreeMap<String, SiteSummary> = BTreeMap::new();
         for (key, value) in &map {
             if let Some(rest) = key.strip_prefix("class.") {
                 let (label, field) = rest.rsplit_once('.')?;
@@ -213,18 +195,6 @@ impl RunRecord {
                 apply_summary_field(entry, field, value)?;
             } else if let Some(rest) = key.strip_prefix("counter.") {
                 counters.insert(rest.to_string(), exact_int(value)?);
-            } else if let Some(rest) = key.strip_prefix("site.") {
-                let (label, field) = rest.rsplit_once('.')?;
-                let entry = sites.entry(label.to_string()).or_insert(SiteSummary {
-                    label: label.to_string(),
-                    ns: 0,
-                    calls: 0,
-                });
-                match field {
-                    "ns" => entry.ns = exact_int(value)?,
-                    "calls" => entry.calls = exact_int(value)?,
-                    _ => return None,
-                }
             }
         }
         let mut overall = ClassSummary {
@@ -257,7 +227,6 @@ impl RunRecord {
             overall,
             classes: classes.into_values().collect(),
             counters,
-            top_sites: sites.into_values().collect(),
         })
     }
 
@@ -387,11 +356,6 @@ mod tests {
                 },
             ],
             counters: [("dir.transactions".to_string(), 7u64)].into(),
-            top_sites: vec![SiteSummary {
-                label: "timing".to_string(),
-                ns: 555,
-                calls: 2,
-            }],
         }
     }
 
@@ -487,7 +451,6 @@ mod tests {
             ("\"dropped_events\":", "1"),
             ("\"class.local.count\":", "3"),
             ("\"counter.dir.transactions\":", "7"),
-            ("\"site.timing.calls\":", "2"),
         ] {
             let intact = format!("{field}{good}");
             assert!(line.contains(&intact), "{intact} not in {line}");
@@ -499,6 +462,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A schema-4 line written while records still carried the
+    /// profiler's `site.*` fields reads back, and re-renders as the same
+    /// line with only those pairs removed.
+    #[test]
+    fn legacy_site_fields_are_skipped() {
+        let ledger = include_str!("../../cli/tests/fixtures/report/runs.jsonl");
+        let line = ledger.lines().next().expect("fixture has a line");
+        assert!(line.contains(",\"site.timing.ns\":"), "{line}");
+        let mut expected = line.to_string();
+        while let Some(at) = expected.find(",\"site.") {
+            let len = 1 + expected[at + 1..].find([',', '}']).expect("value ends");
+            expected.replace_range(at..at + len, "");
+        }
+        let record = RunRecord::from_json_line(line).expect("legacy line parses");
+        assert_eq!(record.to_json_line(), expected);
     }
 
     #[test]

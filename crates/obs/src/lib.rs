@@ -52,9 +52,7 @@ mod sink;
 
 pub use export::{parse_flat_object, trace_jsonl};
 pub use journal::{Event, EventCategory, EventJournal, EventLevel, FieldValue};
-pub use ledger::{
-    ClassSummary, RunRecord, SiteSummary, LEDGER_FILE, LEDGER_SCHEMA_VERSION, MAX_EXACT_INT,
-};
+pub use ledger::{ClassSummary, RunRecord, LEDGER_FILE, LEDGER_SCHEMA_VERSION, MAX_EXACT_INT};
 pub use metrics::{
     try_percentile_from_counts, LatencyHistogram, MetricsFrame, Observe, SocketMetrics,
     HIST_BUCKETS, NUM_CLASSES,

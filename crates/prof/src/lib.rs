@@ -16,8 +16,9 @@
 //!   clearing it, and [`reset`] clears it.
 //! * **Reports** ([`ProfReport`]): one run-level edge table, rendered as
 //!   the top-down attribution tree (`% wall`, ns/call, calls) that
-//!   `starnuma profile` prints, and summarized as the top sites the run
-//!   ledger stores as `site.*` fields.
+//!   `starnuma profile` prints. That command is the one place the
+//!   profiler is switched on outside benches and tests; run records carry
+//!   no profiler fields.
 //!
 //! Wall-clock isolation: [`ProfClock`] is the *only* sanctioned
 //! `Instant` reader in the workspace (`clippy.toml`'s `disallowed-types`
@@ -50,5 +51,5 @@ mod site;
 
 pub use clock::{ClockStamp, ProfClock, SessionTimer};
 pub use report::{ProfEdge, ProfReport};
-pub use scope::{flush_thread, is_enabled, reset, set_enabled, snapshot, ProfScope};
+pub use scope::{flush_thread, reset, set_enabled, snapshot, ProfScope};
 pub use site::{Site, NUM_SITES};

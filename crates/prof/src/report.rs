@@ -1,5 +1,4 @@
-//! Profile reports: the top-down attribution tree and the ledger's
-//! top-site summary.
+//! Profile reports: the top-down attribution tree.
 //!
 //! A report is one run-level edge set. An *edge* is
 //! `(site, parent-site, inclusive ns, calls)` — the accumulator records
@@ -53,25 +52,6 @@ impl ProfReport {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
-    }
-
-    /// The `n` hottest top-level sites: `(label, inclusive ns, calls)`
-    /// tuples for root-parented edges, heaviest first (ties broken by site
-    /// order, so the ranking is deterministic). This is the summary the
-    /// run ledger persists per run.
-    pub fn top_sites(&self, n: usize) -> Vec<(String, u64, u64)> {
-        let mut roots: Vec<ProfEdge> = self
-            .edges
-            .iter()
-            .filter(|e| e.parent.is_none())
-            .copied()
-            .collect();
-        roots.sort_by_key(|e| (std::cmp::Reverse(e.ns), e.site.index()));
-        roots
-            .into_iter()
-            .take(n)
-            .map(|e| (e.site.label().to_string(), e.ns, e.calls))
-            .collect()
     }
 
     /// Total nanoseconds attributed at the top level (root-parented
@@ -184,21 +164,6 @@ mod tests {
     #[test]
     fn attributed_sums_root_edges_only() {
         assert_eq!(sample().attributed_ns(), 10_000);
-    }
-
-    #[test]
-    fn top_sites_ranks_root_edges_by_time() {
-        let top = sample().top_sites(5);
-        assert_eq!(
-            top,
-            vec![
-                ("timing".to_string(), 8_000, 2),
-                ("migration-policy".to_string(), 2_000, 1),
-            ]
-        );
-        // Child edges never appear, and `n` truncates the ranking.
-        assert_eq!(sample().top_sites(1).len(), 1);
-        assert_eq!(sample().top_sites(1)[0].0, "timing");
     }
 
     #[test]

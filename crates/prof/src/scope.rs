@@ -91,12 +91,6 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether profiling is currently enabled.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// An RAII scoped timer: charges the wall time between construction and
 /// drop to `site`, parented under whatever scope encloses it on this
 /// thread. Inert (one atomic load) when profiling is disabled.

@@ -54,8 +54,7 @@ impl Site {
         Site::ObsExport,
     ];
 
-    /// Stable kebab-case label used in the attribution tree and the
-    /// ledger's `site.*` fields.
+    /// Stable kebab-case label used in the attribution tree.
     pub fn label(self) -> &'static str {
         match self {
             Site::TraceGen => "trace-gen",

@@ -112,8 +112,7 @@ pub fn profiled_cell(
 
 /// One observed row's trace, rendered from the record
 /// [`Experiment::record`] builds, with the host field `jobs` pinned so the
-/// text depends on nothing but the run (`wall_ns` and `top_sites` are
-/// left unstamped).
+/// text depends on nothing but the run (`wall_ns` is left unstamped).
 pub fn trace((w, kind): (Workload, SystemKind), result: &RunResult, report: &ObsReport) -> String {
     let mut record = Experiment::new(w, kind, tiny(PHASES)).record(result, report);
     record.jobs = 0;
