@@ -155,30 +155,10 @@ impl Observe for DirectoryStats {
     }
 }
 
-/// Blocks per page, and so per directory chunk.
-const CHUNK_BLOCKS: usize = PAGE_SIZE / BLOCK_SIZE;
+/// Blocks per page: the bits of one `modified` word.
+const PAGE_BLOCKS: usize = PAGE_SIZE / BLOCK_SIZE;
 
-// `Chunk::modified` has one bit per block of the page.
-const _: () = assert!(CHUNK_BLOCKS == 64);
-
-/// Directory state of the 64 blocks of one page.
-#[derive(Clone, Debug)]
-struct Chunk {
-    /// Per block, the bitmask of sockets holding it. A block has directory
-    /// state iff its mask is non-zero.
-    sharers: [u32; CHUNK_BLOCKS],
-    /// Per block, set when the block is Modified. Its owner is then the
-    /// single socket in its sharer mask, because a write leaves exactly the
-    /// writer's bit set.
-    modified: u64,
-}
-
-impl Chunk {
-    const EMPTY: Chunk = Chunk {
-        sharers: [0; CHUNK_BLOCKS],
-        modified: 0,
-    };
-}
+const _: () = assert!(PAGE_BLOCKS == 64);
 
 /// The distributed coherence directory.
 ///
@@ -186,15 +166,16 @@ impl Chunk {
 /// statistics are kept so the pool directory's transaction rate can be
 /// reported separately.
 ///
-/// State is stored per page: `slots[pfn]` indexes the page's `Chunk` in
-/// `chunks`, which is allocated when the page's first block is accessed.
-/// Slot 0 is a chunk that always stays empty, so a page that was never
-/// accessed reads as untracked without a branch.
+/// State is indexed by block frame number: `sharers[bfn]` is the bitmask
+/// of sockets holding the block, and the block has directory state iff it
+/// is non-zero. Bit `bfn % 64` of `modified[bfn / 64]`, one word per page,
+/// is set when the block is Modified. Its owner is then the single socket
+/// in its sharer mask, because a write leaves exactly the writer's bit set.
 #[derive(Clone, Debug)]
 pub struct Directory {
     num_sockets: usize,
-    slots: Vec<u32>,
-    chunks: Vec<Chunk>,
+    sharers: Vec<u32>,
+    modified: Vec<u64>,
     tracked: usize,
     stats: DirectoryStats,
 }
@@ -212,10 +193,30 @@ impl Directory {
         );
         Directory {
             num_sockets,
-            slots: Vec::new(),
-            chunks: vec![Chunk::EMPTY],
+            sharers: Vec::new(),
+            modified: Vec::new(),
             tracked: 0,
             stats: DirectoryStats::default(),
+        }
+    }
+
+    /// Sizes the state arrays for pages `0..pages` at once, zeroed, so
+    /// accesses to those pages never grow them. Does nothing if they
+    /// already cover `pages`.
+    pub fn reserve_pages(&mut self, pages: usize) {
+        if pages > self.modified.len() {
+            let mut sharers = vec![0; pages * PAGE_BLOCKS];
+            // Copy only pages with state, so untouched ones stay unmapped.
+            let old = self.sharers.chunks_exact(PAGE_BLOCKS);
+            for (new, old) in sharers.chunks_exact_mut(PAGE_BLOCKS).zip(old) {
+                if old.iter().any(|&m| m != 0) {
+                    new.copy_from_slice(old);
+                }
+            }
+            let mut modified = vec![0; pages];
+            modified[..self.modified.len()].copy_from_slice(&self.modified);
+            self.sharers = sharers;
+            self.modified = modified;
         }
     }
 
@@ -233,41 +234,28 @@ impl Directory {
         1u32 << s.index()
     }
 
-    /// The block's page frame number and its index within the page.
-    fn split(block: BlockAddr) -> (usize, usize) {
-        let bfn = block.bfn() as usize;
-        (bfn / CHUNK_BLOCKS, bfn % CHUNK_BLOCKS)
-    }
-
-    /// The index in `chunks` of `pfn`'s chunk; 0 (the empty chunk) if the
-    /// page has none.
-    fn slot(&self, pfn: usize) -> usize {
-        self.slots.get(pfn).map_or(0, |&s| s as usize)
-    }
-
     /// The block's sharer mask and whether it is Modified.
     fn state(&self, block: BlockAddr) -> (u32, bool) {
-        let (pfn, i) = Self::split(block);
-        let chunk = &self.chunks[self.slot(pfn)];
-        (chunk.sharers[i], chunk.modified & (1 << i) != 0)
+        let bfn = block.bfn() as usize;
+        let modified = self.modified.get(bfn / PAGE_BLOCKS).copied().unwrap_or(0);
+        (
+            self.sharers.get(bfn).copied().unwrap_or(0),
+            modified & (1 << (bfn % PAGE_BLOCKS)) != 0,
+        )
     }
 
     /// Processes an LLC-missing access to `block` by `requester`, with the
     /// block's page homed at `home`. Returns how the data is supplied and
     /// which sockets must be invalidated.
     ///
-    /// The per-page slot table grows to the largest page frame number
-    /// accessed, at 4 B per page, so callers bound the block addresses they
-    /// pass; the simulator's come from pages its `PageMap` holds.
+    /// The state arrays grow past the largest page accessed, at 4 B per
+    /// block plus 8 B per page, so callers bound the block addresses they
+    /// pass; the simulator's come from pages its `PageMap` holds, and
+    /// [`Directory::reserve_pages`] sizes the arrays for them up front.
     ///
     /// # Panics
     ///
-    /// Panics if `requester` is outside the configured socket count, or if
-    /// more than `u32::MAX` distinct pages are accessed.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panic: more than 2^32 pages touched"
-    )]
+    /// Panics if `requester` is outside the configured socket count.
     pub fn access(
         &mut self,
         block: BlockAddr,
@@ -283,26 +271,22 @@ impl Directory {
         if home.is_pool() {
             self.stats.pool_transactions += 1;
         }
-        let (pfn, i) = Self::split(block);
-        if pfn >= self.slots.len() {
-            self.slots.resize(pfn + 1, 0);
+        let bfn = block.bfn() as usize;
+        let pfn = bfn / PAGE_BLOCKS;
+        if pfn >= self.modified.len() {
+            self.reserve_pages((pfn + 1).max(2 * self.modified.len()));
         }
-        if self.slots[pfn] == 0 {
-            let next = u32::try_from(self.chunks.len());
-            self.slots[pfn] = next.expect("directory chunk index overflows u32");
-            self.chunks.push(Chunk::EMPTY);
-        }
-        let chunk = &mut self.chunks[self.slots[pfn] as usize];
-        let block_bit = 1u64 << i;
-        let mask = chunk.sharers[i];
+        let block_bit = 1u64 << (bfn % PAGE_BLOCKS);
+        let mask = self.sharers[bfn];
         if mask == 0 {
             self.tracked += 1;
         }
         let req_bit = Self::bit(requester);
+        let modified = &mut self.modified[pfn];
 
         // Determine data source: a Modified block owned by another socket
         // is forwarded from that socket's cache.
-        let forwarded = chunk.modified & block_bit != 0 && mask != req_bit;
+        let forwarded = *modified & block_bit != 0 && mask != req_bit;
         let transfer = if forwarded {
             if home.is_pool() {
                 self.stats.bt_pool += 1;
@@ -321,14 +305,14 @@ impl Directory {
         self.stats.invalidations += invalidations.len() as u64;
         if is_write {
             // The requester becomes owner.
-            chunk.sharers[i] = req_bit;
-            chunk.modified |= block_bit;
+            self.sharers[bfn] = req_bit;
+            *modified |= block_bit;
         } else {
             // Read: previous owner (if different) downgrades to Shared.
             if forwarded {
-                chunk.modified &= !block_bit;
+                *modified &= !block_bit;
             }
-            chunk.sharers[i] = mask | req_bit;
+            self.sharers[bfn] = mask | req_bit;
         }
         CoherenceOutcome {
             transfer,
@@ -340,19 +324,15 @@ impl Directory {
     /// write data back to the home memory. Evicting a block with no
     /// directory state does nothing.
     pub fn evict(&mut self, block: BlockAddr, socket: SocketId, dirty: bool) {
-        let (pfn, i) = Self::split(block);
-        let slot = self.slot(pfn);
-        let chunk = &mut self.chunks[slot];
-        let mask = chunk.sharers[i];
-        if mask == 0 {
+        let bfn = block.bfn() as usize;
+        let Some(mask) = self.sharers.get_mut(bfn).filter(|m| **m != 0) else {
             return;
-        }
-        let left = mask & !Self::bit(socket);
-        chunk.sharers[i] = left;
-        if left == 0 {
+        };
+        *mask &= !Self::bit(socket);
+        if *mask == 0 {
             // A Modified block's only sharer is its owner, so the owner
             // leaving empties the mask.
-            chunk.modified &= !(1u64 << i);
+            self.modified[bfn / PAGE_BLOCKS] &= !(1u64 << (bfn % PAGE_BLOCKS));
             self.tracked -= 1;
         }
         if dirty {
@@ -377,10 +357,9 @@ impl Directory {
 
     /// Clears all directory state and statistics (between phases).
     pub fn reset(&mut self) {
-        self.slots.clear();
-        self.chunks.truncate(1);
-        self.tracked = 0;
-        self.stats = DirectoryStats::default();
+        let pages = self.modified.len();
+        *self = Directory::new(self.num_sockets);
+        self.reserve_pages(pages);
     }
 }
 
@@ -602,6 +581,57 @@ mod proptests {
             }
         }
     }
+
+    /// A directory sized up front by `reserve_pages`, and grown again by
+    /// it while holding state, answers every `access`/`evict` call like one
+    /// that grows on demand, including calls past either reservation.
+    #[test]
+    fn reserved_directory_matches_one_grown_on_demand() {
+        let mut rng = SimRng::seed_from_u64(0xd1_5e55);
+        let mut transfers = 0;
+        for _case in 0..64 {
+            let pages = rng.gen_range(1usize..1 << 12);
+            let span = (pages * PAGE_BLOCKS) as u64;
+            let blocks: Vec<u64> = (0..32).map(|_| rng.gen_range(0..span)).collect();
+            let mut grown = Directory::new(16);
+            let mut reserved = Directory::new(16);
+            reserved.reserve_pages(rng.gen_range(1..pages + 1));
+            let calls = rng.gen_range(1usize..600);
+            let regrow_at = rng.gen_range(0..calls);
+            for call in 0..calls {
+                if call == regrow_at {
+                    reserved.reserve_pages(rng.gen_range(1..2 * pages));
+                }
+                let block = BlockAddr::new(if rng.gen_bool(0.9) {
+                    blocks[rng.gen_range(0..blocks.len())]
+                } else {
+                    rng.gen_range(0..span)
+                });
+                let socket = SocketId::new(rng.gen_range(0u16..16));
+                let write = rng.gen_bool(0.4);
+                if rng.gen_bool(0.3) {
+                    grown.evict(block, socket, write);
+                    reserved.evict(block, socket, write);
+                } else {
+                    let home = if rng.gen_bool(0.5) {
+                        Location::Pool
+                    } else {
+                        Location::Socket(SocketId::new(rng.gen_range(0u16..16)))
+                    };
+                    assert_eq!(
+                        grown.access(block, socket, write, home),
+                        reserved.access(block, socket, write, home)
+                    );
+                }
+                assert_eq!(grown.stats(), reserved.stats());
+                assert_eq!(grown.tracked_blocks(), reserved.tracked_blocks());
+                assert_eq!(grown.sharers(block), reserved.sharers(block));
+                assert_eq!(grown.owner(block), reserved.owner(block));
+            }
+            transfers += grown.stats().bt_socket + grown.stats().bt_pool;
+        }
+        assert!(transfers > 0, "cache-to-cache transfers exercised");
+    }
 }
 
 /// The directory as an ordered map of per-block entries: the plain model
@@ -722,7 +752,7 @@ mod reference {
     /// A working set of blocks: some in a few dense pages, some in sparse
     /// pages up to 2^20.
     fn working_set(rng: &mut SimRng) -> Vec<BlockAddr> {
-        let page_blocks = CHUNK_BLOCKS as u64;
+        let page_blocks = PAGE_BLOCKS as u64;
         (0..rng.gen_range(4usize..40))
             .map(|_| {
                 let pfn = if rng.gen_bool(0.6) {

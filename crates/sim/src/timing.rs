@@ -238,6 +238,10 @@ impl TimingSim {
         // One scope for the whole step-C replay; the per-access substrate
         // scopes in `one_access` nest under it.
         let _prof = ProfScope::enter(Site::Timing);
+        // Sized once, zeroed, for every page of the map: warm-up and replay
+        // never grow the directory.
+        self.dir
+            .reserve_pages(usize::try_from(map.len()).unwrap_or(usize::MAX));
         let mut stats = PhaseStats::default();
         // --- Schedule the modeled migrations (serialized on the initiator,
         // 3 k cycles per page; data moves over the interconnect). A page in
