@@ -549,7 +549,8 @@ pub fn cmd_workloads(args: &Args, out: &mut String) -> Result<(), ArgError> {
 /// wrapped command under the deterministic self-profiler and prints the
 /// top-down wall-time attribution tree. Profiling never feeds back into
 /// the simulation, so the wrapped command's outputs are bit-identical to
-/// an unprofiled invocation.
+/// an unprofiled invocation. `--json` is rejected: the tree follows the
+/// wrapped command's output, so stdout would not be JSON.
 pub fn cmd_profile(args: &Args, out: &mut String) -> Result<(), ArgError> {
     let sub = args
         .subcommand()
@@ -561,6 +562,13 @@ pub fn cmd_profile(args: &Args, out: &mut String) -> Result<(), ArgError> {
                     .into(),
             )
         })?;
+    if args.switch("json") {
+        return Err(ArgError(format!(
+            "profile cannot take --json: it prints the attribution tree after \
+             the {sub} output, so stdout would not be JSON; drop profile to get \
+             the JSON, or --json to get the tree"
+        )));
+    }
     let inner = args.rewrap(sub);
     prof::reset();
     prof::set_enabled(true);

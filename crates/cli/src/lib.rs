@@ -118,7 +118,8 @@ commands:
   profile   run a command under the deterministic self-profiler:
             starnuma profile <run|compare|sweep> <that command's flags>
             prints the top-down wall-time attribution tree (% wall,
-            total, calls, ns/call); results stay bit-identical
+            total, calls, ns/call); results stay bit-identical;
+            takes no --json (the tree would follow the JSON)
   report    cross-run trends from the run ledger, one row per experiment
             (workload, system, preset, seed, config digest): IPC and
             p95 series with sparklines, and a determinism-drift flag

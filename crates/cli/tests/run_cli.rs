@@ -253,3 +253,24 @@ fn arguments_that_fail_model_checks_are_usage_errors() {
         assert!(stderr.contains(finding), "{args:?}: {stderr}");
     }
 }
+
+/// `profile` prints its attribution tree after the wrapped command's
+/// output, so with `--json` stdout would be a record line followed by
+/// text. Each wrapped command rejects the pair with exit 1, runs nothing
+/// and prints nothing to stdout.
+#[test]
+fn profile_rejects_json() {
+    for sub in ["run", "compare", "sweep"] {
+        let mut args = run_json_args("starnuma", &[]);
+        args[0] = sub;
+        args.insert(0, "profile");
+        let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("profile cannot take --json"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+}
