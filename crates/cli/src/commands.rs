@@ -1330,16 +1330,16 @@ mod tests {
     fn bench_diff_is_direction_aware() {
         let old = metrics(&[
             ("hot.minstr_per_sec", 100.0),
-            ("prof.disabled_ns_per_scope", 2.0),
+            ("e2e.sssp+trace.cache.llc_ns_per_call", 2.0),
             ("e2e.bfs.peak_rss_mib", 100.0),
             ("e2e.bfs.setup_s", 0.2),
             ("misc.count", 10.0),
         ]);
-        // Throughput down 30%, overhead up 50%, memory up 40% and set-up
-        // time up 50%: all four regress at 20%.
+        // Throughput down 30%, LLC ns per call up 50%, memory up 40% and
+        // set-up time up 50%: all four regress at 20%.
         let new = metrics(&[
             ("hot.minstr_per_sec", 70.0),
-            ("prof.disabled_ns_per_scope", 3.0),
+            ("e2e.sssp+trace.cache.llc_ns_per_call", 3.0),
             ("e2e.bfs.peak_rss_mib", 140.0),
             ("e2e.bfs.setup_s", 0.3),
             ("misc.count", 99.0),
@@ -1365,13 +1365,13 @@ mod tests {
     fn bench_diff_improvements_are_not_regressions() {
         let old = metrics(&[
             ("hot.minstr_per_sec", 100.0),
-            ("prof.disabled_ns_per_scope", 2.0),
+            ("e2e.sssp+trace.cache.llc_ns_per_call", 2.0),
             ("e2e.bfs.peak_rss_mib", 100.0),
             ("e2e.bfs.setup_s", 0.2),
         ]);
         let new = metrics(&[
             ("hot.minstr_per_sec", 300.0),
-            ("prof.disabled_ns_per_scope", 0.5),
+            ("e2e.sssp+trace.cache.llc_ns_per_call", 0.5),
             ("e2e.bfs.peak_rss_mib", 60.0),
             ("e2e.bfs.setup_s", 0.1),
         ]);

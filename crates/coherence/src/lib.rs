@@ -205,14 +205,10 @@ impl Directory {
     /// already cover `pages`.
     pub fn reserve_pages(&mut self, pages: usize) {
         if pages > self.modified.len() {
+            // `vec![0; n]` takes zeroed pages from the allocator, so pages
+            // past the old state stay unmapped until touched.
             let mut sharers = vec![0; pages * PAGE_BLOCKS];
-            // Copy only pages with state, so untouched ones stay unmapped.
-            let old = self.sharers.chunks_exact(PAGE_BLOCKS);
-            for (new, old) in sharers.chunks_exact_mut(PAGE_BLOCKS).zip(old) {
-                if old.iter().any(|&m| m != 0) {
-                    new.copy_from_slice(old);
-                }
-            }
+            sharers[..self.sharers.len()].copy_from_slice(&self.sharers);
             let mut modified = vec![0; pages];
             modified[..self.modified.len()].copy_from_slice(&self.modified);
             self.sharers = sharers;
@@ -749,8 +745,12 @@ mod reference {
         }
     }
 
+    /// The largest workload footprint in pages (Masstree's): no page the
+    /// simulator hands the directory lies beyond it.
+    const MAX_PAGES: u64 = 49_152;
+
     /// A working set of blocks: some in a few dense pages, some in sparse
-    /// pages up to 2^20.
+    /// pages up to [`MAX_PAGES`].
     fn working_set(rng: &mut SimRng) -> Vec<BlockAddr> {
         let page_blocks = PAGE_BLOCKS as u64;
         (0..rng.gen_range(4usize..40))
@@ -758,7 +758,7 @@ mod reference {
                 let pfn = if rng.gen_bool(0.6) {
                     rng.gen_range(0u64..4)
                 } else {
-                    (1u64 << 20) - rng.gen_range(0u64..1 << 20)
+                    rng.gen_range(4..MAX_PAGES)
                 };
                 BlockAddr::new(pfn * page_blocks + rng.gen_range(0..page_blocks))
             })
@@ -787,7 +787,7 @@ mod reference {
                 for _ in 0..rng.gen_range(1usize..400) {
                     let block = if rng.gen_bool(0.05) {
                         // Most likely a block with no state.
-                        BlockAddr::new(rng.gen_range(0u64..(1 << 26)))
+                        BlockAddr::new(rng.gen_range(0..MAX_PAGES * PAGE_BLOCKS as u64))
                     } else {
                         blocks[rng.gen_range(0..blocks.len())]
                     };

@@ -4,7 +4,7 @@
 //! `Instant` and `SystemTime`): results are functions of simulated time
 //! only. Profiling needs host time, so it is funneled through exactly one
 //! type — [`ProfClock`] — whose module carries the one `#[expect]` for
-//! it. Everything else (the RAII scopes in hot paths, the CLI's session
+//! it. Everything else (the RAII stage scopes, the CLI's session
 //! timer) asks this clock, and when profiling is disabled the scopes never
 //! ask at all, so a normal run performs zero wall-clock reads outside the
 //! job-pool progress meter.

@@ -3,13 +3,15 @@
 //! Answers "where does the wall time go?" without compromising the repo's
 //! determinism contract. Three pieces:
 //!
-//! * **Sites** ([`Site`]): a closed, ordered registry of simulation
-//!   components (trace generation, TLB tracking, LLC, directory, DRAM,
-//!   coherence, the timing loop, migration policy, checkpointing, obs
-//!   export). Closed and ordered is the point — it makes cross-worker
-//!   merges and rendered reports canonical, like the obs metric registry.
-//! * **Scopes** ([`ProfScope`]): RAII guards placed in the simulation hot
-//!   paths. Disabled (the default) a scope is one relaxed atomic load;
+//! * **Sites** ([`Site`]): a closed, ordered registry of pipeline stages
+//!   (trace generation, TLB tracking, the timing loop, migration policy,
+//!   checkpointing, obs export). Closed and ordered is the point — it
+//!   makes cross-worker merges and rendered reports canonical, like the
+//!   obs metric registry. A scope opens a few times per phase, never per
+//!   access: per-layer costs inside the timing loop come from the `e2e`
+//!   benchmark's traced probes, which do not perturb the loop.
+//! * **Scopes** ([`ProfScope`]): RAII guards around those stages.
+//!   Disabled (the default) a scope is one relaxed atomic load;
 //!   enabled it stamps [`ProfClock`] and charges inclusive ns + a call to
 //!   a `(parent, site)` edge in a thread-local table. Workers flush via
 //!   [`flush_thread`]; [`snapshot`] reads the merged registry without
@@ -34,13 +36,13 @@
 //! starnuma_prof::reset();
 //! set_enabled(true);
 //! {
-//!     let _timing = ProfScope::enter(Site::Timing);
-//!     let _llc = ProfScope::enter(Site::Llc);
+//!     let _policy = ProfScope::enter(Site::MigrationPolicy);
+//!     let _scout = ProfScope::enter(Site::TraceGen);
 //! }
 //! set_enabled(false);
 //! let report = snapshot();
 //! assert!(!report.is_empty());
-//! assert!(report.render_tree(1_000_000).contains("timing"));
+//! assert!(report.render_tree(1_000_000).contains("trace-gen"));
 //! ```
 
 mod clock;

@@ -3,8 +3,8 @@
 //! A report is one run-level edge set. An *edge* is
 //! `(site, parent-site, inclusive ns, calls)` — the accumulator records
 //! only one level of ancestry, which is exact for this codebase because
-//! every site that has children (`timing`, `migration-policy`) appears in
-//! a single parent context. Edges are always stored and rendered in
+//! the one site that has children (`migration-policy`) appears in a
+//! single parent context. Edges are always stored and rendered in
 //! canonical order (root-parented edges first, then parents in
 //! [`Site::ALL`] order; sites in [`Site::ALL`] order), which is what makes
 //! two reports over the same merged counts byte-identical.
@@ -152,10 +152,10 @@ mod tests {
                     calls: 1,
                 },
                 ProfEdge {
-                    site: Site::Llc,
-                    parent: Some(Site::Timing),
-                    ns: 3_000,
-                    calls: 40,
+                    site: Site::TraceGen,
+                    parent: Some(Site::MigrationPolicy),
+                    ns: 1_500,
+                    calls: 2,
                 },
             ],
         }
@@ -171,7 +171,7 @@ mod tests {
         let tree = sample().render_tree(20_000);
         assert!(tree.contains("(50.0%)"), "attribution header: {tree}");
         assert!(tree.contains("timing"), "{tree}");
-        assert!(tree.contains("  llc"), "child indented: {tree}");
+        assert!(tree.contains("\n    trace-gen"), "child indented: {tree}");
         assert!(tree.contains("migration-policy"), "{tree}");
     }
 }

@@ -240,11 +240,11 @@ mod tests {
         reset();
         set_enabled(true);
         {
-            let _outer = ProfScope::enter(Site::Timing);
-            let _inner = ProfScope::enter(Site::Llc);
+            let _outer = ProfScope::enter(Site::MigrationPolicy);
+            let _inner = ProfScope::enter(Site::TraceGen);
         }
         {
-            let _solo = ProfScope::enter(Site::TraceGen);
+            let _solo = ProfScope::enter(Site::Timing);
         }
         set_enabled(false);
         let shape: Vec<(Site, Option<Site>, u64)> = snapshot()
@@ -256,9 +256,9 @@ mod tests {
         assert_eq!(
             shape,
             vec![
-                (Site::TraceGen, None, 1),
                 (Site::Timing, None, 1),
-                (Site::Llc, Some(Site::Timing), 1),
+                (Site::MigrationPolicy, None, 1),
+                (Site::TraceGen, Some(Site::MigrationPolicy), 1),
             ]
         );
     }
@@ -272,7 +272,7 @@ mod tests {
             for _ in 0..3 {
                 s.spawn(|| {
                     for _ in 0..5 {
-                        let _s = ProfScope::enter(Site::Dram);
+                        let _s = ProfScope::enter(Site::Tlb);
                     }
                     flush_thread();
                 });
@@ -282,7 +282,7 @@ mod tests {
         let report = snapshot();
         assert_eq!(report.edges.len(), 1);
         let edge = &report.edges[0];
-        assert_eq!((edge.site, edge.parent), (Site::Dram, None));
+        assert_eq!((edge.site, edge.parent), (Site::Tlb, None));
         assert_eq!(edge.calls, 15, "3 workers x 5 scopes");
     }
 

@@ -1,10 +1,10 @@
 //! The static site registry: every scoped timer attributes its time to one
-//! of these fixed simulation components. The set is closed on purpose —
+//! of these fixed pipeline stages. The set is closed on purpose —
 //! a fixed, ordered universe is what makes cross-worker merges and the
 //! rendered attribution tree deterministic (same reasoning as the obs
 //! metric registry's canonical key order).
 
-/// A profiling site: one component of the simulation stack that scoped
+/// A profiling site: one stage of the simulation pipeline that scoped
 /// timers attribute wall time to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Site {
@@ -14,15 +14,6 @@ pub enum Site {
     /// Hardware tracking: per-core TLB counter annexes feeding the
     /// metadata region (step B input side).
     Tlb,
-    /// Per-socket last-level cache lookups and evictions.
-    Llc,
-    /// The distributed MESI directory (lookup, eviction bookkeeping).
-    Directory,
-    /// DRAM channel contention: socket-local and pool memory modules.
-    Dram,
-    /// Coherence traffic: invalidations, cache-to-cache transfers, and
-    /// interconnect link legs.
-    Coherence,
     /// The step-C event-driven timing loop as a whole.
     Timing,
     /// Migration/replication policy decisions and initial placement
@@ -36,7 +27,7 @@ pub enum Site {
 }
 
 /// Number of registered sites. Array-backed accumulators are sized by this.
-pub const NUM_SITES: usize = 10;
+pub const NUM_SITES: usize = 6;
 
 impl Site {
     /// Every site in canonical order — the order reports render in and the
@@ -44,10 +35,6 @@ impl Site {
     pub const ALL: [Site; NUM_SITES] = [
         Site::TraceGen,
         Site::Tlb,
-        Site::Llc,
-        Site::Directory,
-        Site::Dram,
-        Site::Coherence,
         Site::Timing,
         Site::MigrationPolicy,
         Site::Checkpoint,
@@ -59,10 +46,6 @@ impl Site {
         match self {
             Site::TraceGen => "trace-gen",
             Site::Tlb => "tlb",
-            Site::Llc => "llc",
-            Site::Directory => "directory",
-            Site::Dram => "dram",
-            Site::Coherence => "coherence",
             Site::Timing => "timing",
             Site::MigrationPolicy => "migration-policy",
             Site::Checkpoint => "checkpoint",
@@ -75,14 +58,10 @@ impl Site {
         match self {
             Site::TraceGen => 0,
             Site::Tlb => 1,
-            Site::Llc => 2,
-            Site::Directory => 3,
-            Site::Dram => 4,
-            Site::Coherence => 5,
-            Site::Timing => 6,
-            Site::MigrationPolicy => 7,
-            Site::Checkpoint => 8,
-            Site::ObsExport => 9,
+            Site::Timing => 2,
+            Site::MigrationPolicy => 3,
+            Site::Checkpoint => 4,
+            Site::ObsExport => 5,
         }
     }
 }

@@ -235,8 +235,7 @@ impl TimingSim {
         mut replicas: Option<&mut ReplicaMap>,
         obs: &mut ObsSink,
     ) -> PhaseStats {
-        // One scope for the whole step-C replay; the per-access substrate
-        // scopes in `one_access` nest under it.
+        // One scope for the whole step-C replay.
         let _prof = ProfScope::enter(Site::Timing);
         // Sized once, zeroed, for every page of the map: warm-up and replay
         // never grow the directory.
@@ -462,45 +461,31 @@ impl TimingSim {
         let socket = a.core.socket(self.cores_per_socket);
         let block = a.addr.block();
         // LLC filter + dirty/eviction tracking.
-        let outcome = {
-            let _prof = ProfScope::enter(Site::Llc);
-            self.llcs[socket.index() as usize].access(block, a.kind.is_write())
-        };
-        match outcome {
+        match self.llcs[socket.index() as usize].access(block, a.kind.is_write()) {
             CacheOutcome::Hit => {
                 return (true, AccessClass::Local, 0.0, 0);
             }
             CacheOutcome::Miss { evicted } => {
                 if let Some((victim, dirty)) = evicted {
-                    {
-                        let _prof = ProfScope::enter(Site::Directory);
-                        self.dir.evict(victim, socket, dirty);
-                    }
+                    self.dir.evict(victim, socket, dirty);
                     if dirty && victim.page().pfn() < map.len() {
                         // Writeback traffic to the victim's home (off the
                         // critical path; consumes bandwidth + a DRAM write).
                         let home = map.location(victim.page());
                         self.enqueue_legs(now, &[(Location::Socket(socket), home, DATA_BYTES)]);
-                        let _prof = ProfScope::enter(Site::Dram);
                         self.memory_contention(now, home, victim);
                     }
                 }
             }
         }
         let home = home_override.unwrap_or_else(|| map.location(a.addr.page()));
-        let coh = {
-            let _prof = ProfScope::enter(Site::Directory);
-            self.dir.access(block, socket, a.kind.is_write(), home)
-        };
+        let coh = self.dir.access(block, socket, a.kind.is_write(), home);
         // Invalidations: traffic + back-invalidation of remote LLC copies
         // (off the critical path, as writes complete on ownership grant).
-        if !coh.invalidations.is_empty() {
-            let _prof = ProfScope::enter(Site::Coherence);
-            for inv in &coh.invalidations {
-                self.llcs[inv.index() as usize].invalidate(block);
-                for link in self.net.leg(home, Location::Socket(*inv)) {
-                    self.links[link.index()].enqueue(now, REQ_BYTES);
-                }
+        for inv in &coh.invalidations {
+            self.llcs[inv.index() as usize].invalidate(block);
+            for link in self.net.leg(home, Location::Socket(*inv)) {
+                self.links[link.index()].enqueue(now, REQ_BYTES);
             }
         }
         let lat = self.net.latency();
@@ -515,10 +500,7 @@ impl TimingSim {
                 // downstream arrival times would let queuing delays compound
                 // across links into a runaway feedback).
                 let mut wait = self.enqueue_legs(now, &[(src, home, REQ_BYTES)]);
-                {
-                    let _prof = ProfScope::enter(Site::Dram);
-                    wait += self.memory_contention(now, home, block);
-                }
+                wait += self.memory_contention(now, home, block);
                 wait += self.enqueue_legs(now, &[(home, src, DATA_BYTES)]);
                 let measured = unloaded.to_cycles().raw() + wait;
                 (false, class, unloaded.raw(), measured)
@@ -568,7 +550,6 @@ impl TimingSim {
     /// Enqueues each `(from, to, bytes)` message on the links of its leg at
     /// `now`, in order; returns the summed queuing delay in cycles.
     fn enqueue_legs(&mut self, now: Cycles, legs: &[(Location, Location, u64)]) -> u64 {
-        let _prof = ProfScope::enter(Site::Coherence);
         let mut wait = 0u64;
         for &(from, to, bytes) in legs {
             for link in self.net.leg(from, to) {

@@ -63,16 +63,10 @@ fn committed_floors_name_reported_metrics_in_their_direction() {
         let v = value.as_num().unwrap_or(f64::NAN);
         assert!(v.is_finite() && v > 0.0, "{key}: floor {v} is not positive");
         let direction = higher_is_better(key);
-        if let Some(metric) = key.strip_prefix("prof_overhead.prof.") {
-            assert!(direction.is_some(), "{key}: no direction for '{metric}'");
-            continue;
-        }
         let (bench, metric) = key
             .strip_prefix("e2e.")
             .and_then(|rest| rest.split_once('.'))
-            .unwrap_or_else(|| {
-                panic!("{key}: not e2e.<workload>.<metric> or prof_overhead.prof.*")
-            });
+            .unwrap_or_else(|| panic!("{key}: not e2e.<workload>.<metric>"));
         let (workload, list) = match bench.strip_suffix("+trace") {
             Some(w) => (w, &per_layer),
             None => (bench, &end_to_end),

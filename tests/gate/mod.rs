@@ -22,7 +22,7 @@
 //! |---|---|---|
 //! | `index_equivalence` | jobs 1 observed, jobs 4 unobserved | golden digests, results equal, observation never perturbs |
 //! | `obs_determinism` | jobs 4 observed | golden digests, trace content |
-//! | `prof_determinism` | jobs 1 and 4 observed + profiled | golden digests, equal traces, profiler shape and `Timing` calls |
+//! | `prof_determinism` | jobs 1 and 4 observed + profiled | golden digests, equal traces, profiler shape, `Timing` calls, per-stage call bound |
 //! | `parallel_determinism` | capacity and latency sweeps | equal at jobs 1 and 4 |
 //!
 //! Every observed cell also asserts that the record's histogram total

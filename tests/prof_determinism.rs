@@ -2,12 +2,13 @@
 //! with the profiler on at `--jobs 1` and at `--jobs 4`, must hash to the
 //! unprofiled [`gate::GOLDEN`] digests and render the same traces, and
 //! the two passes must attribute the same profiler shape and `Timing` call
-//! counts. See `tests/gate/mod.rs`.
+//! counts. The profiler times pipeline stages, so no edge may count more
+//! than a few calls per run and phase. See `tests/gate/mod.rs`.
 
 mod gate;
 
-use gate::{assert_golden, fingerprints, profiled_cell, rows};
-use starnuma::prof;
+use gate::{assert_golden, fingerprints, profiled_cell, rows, PHASES};
+use starnuma::{prof, SystemKind};
 
 #[test]
 fn profiling_never_changes_simulation_output() {
@@ -54,4 +55,30 @@ fn profiling_never_changes_simulation_output() {
         timing_calls(&prof_par),
         "scope call counts diverge across worker counts"
     );
+    assert_stage_scopes_only("jobs 1 profiled", &prof_seq);
+    assert_stage_scopes_only("jobs 4 profiled", &prof_par);
+}
+
+/// Asserts that no edge of `report` counts more calls than a stage scope
+/// can. A stage scope opens a few times per run and phase: once for
+/// setup, once per phase, once more for the scouts that replay every
+/// phase. A scope in the timing loop's per-access path would count one
+/// call per access instead, thousands per run even at tiny scale.
+fn assert_stage_scopes_only(name: &str, report: &prof::ProfReport) {
+    // The §IV-C baseline runs a candidate pair: one extra run per row.
+    let runs = rows()
+        .iter()
+        .map(|(_, kind)| if *kind == SystemKind::Baseline { 2 } else { 1 })
+        .sum::<u64>();
+    let bound = 4 * runs * PHASES as u64;
+    for e in &report.edges {
+        assert!(
+            e.calls <= bound,
+            "{name}: {} under {:?} counts {} calls for {runs} runs of {PHASES} phases \
+             (bound {bound}); a per-access scope perturbs the loop it times",
+            e.site.label(),
+            e.parent.map(prof::Site::label),
+            e.calls
+        );
+    }
 }
