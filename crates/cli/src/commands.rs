@@ -457,9 +457,9 @@ pub fn cmd_sweep(args: &Args, out: &mut String) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `starnuma topology [--sockets N] [--full-scale] [--dot PATH]`
+/// `starnuma topology [--sockets N] [--full-scale]`
 pub fn cmd_topology(args: &Args, out: &mut String) -> Result<(), ArgError> {
-    args.expect_only(&["sockets", "full-scale", "dot"])?;
+    args.expect_only(&["sockets", "full-scale"])?;
     let sockets = args.get_u64("sockets", 16)? as usize;
     let base = if args.switch("full-scale") {
         SystemParams::full_scale_starnuma()
@@ -469,12 +469,6 @@ pub fn cmd_topology(args: &Args, out: &mut String) -> Result<(), ArgError> {
     let params = base
         .with_num_sockets(sockets)
         .map_err(|e| ArgError(e.to_string()))?;
-    if let Some(path) = args.get("dot") {
-        std::fs::write(path, starnuma_topology::to_dot(&params))
-            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "wrote GraphViz topology to {path}");
-        return Ok(());
-    }
     let m = LatencyModel::new(params.clone());
     let _ = writeln!(
         out,

@@ -113,7 +113,6 @@ commands:
   topology  print the machine's latency structure
               --sockets <n>            (default 16; a multiple of 4, at most 1024)
               --full-scale             Table I instead of Table II parameters
-              --dot <path>             write a GraphViz rendering instead
   workloads list the workload profiles
   profile   run a command under the deterministic self-profiler:
             starnuma profile <run|compare|sweep> <that command's flags>

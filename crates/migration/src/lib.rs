@@ -29,7 +29,6 @@
 //! assert_eq!(meta.sharer_count(RegionId::new(0)), 1);
 //! ```
 
-mod ablation;
 mod costs;
 mod oracle;
 mod page_map;
@@ -37,7 +36,6 @@ mod policy;
 mod replication;
 mod tracker;
 
-pub use ablation::AblationPolicy;
 pub use costs::{scan_cost_cycles, MigrationCosts};
 pub use oracle::{static_oracle_placement_with_sharers, OracleDynamicPolicy, PageAccessCounts};
 pub use page_map::{FirstTouch, PageMap};

@@ -3,9 +3,11 @@
 //! An [`ObsSink`] is either *enabled* (owning the run's metrics frame and
 //! an event journal) or *disabled*. Every recording method checks the
 //! enabled flag first and returns immediately when off, so instrumented
-//! code pays one predictable branch per record — verified by the
-//! `obs_overhead` bench. Event payloads are built by closures, so a
-//! disabled sink never allocates field vectors either.
+//! code pays one predictable branch per record. The e2ebench untraced
+//! throughput floors run with a disabled sink on every access, and
+//! `tests/index_equivalence.rs` checks that observing a run never changes
+//! its result. Event payloads are built by closures, so a disabled sink
+//! never allocates field vectors either.
 
 use crate::journal::{EventCategory, EventJournal, EventLevel, FieldValue};
 use crate::metrics::{MetricsFrame, Observe, NUM_CLASSES};

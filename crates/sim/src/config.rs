@@ -24,10 +24,6 @@ pub enum MigrationMode {
     /// computed from whole-run access knowledge; no runtime migration.
     /// Uses the pool if the system has one.
     StaticOracle,
-    /// A design-space ablation of Algorithm 1's selection criterion
-    /// (hotness-only / sharing-only / random pool fill). Uses perfect
-    /// region-level tracking so only the *selection* differs.
-    Ablation(starnuma_migration::AblationPolicy),
 }
 
 /// Socket modeling detail (§IV-B).

@@ -12,7 +12,7 @@ use starnuma_prof::{ProfScope, Site};
 use starnuma_topology::Network;
 use starnuma_trace::{TraceGenerator, WorkloadProfile};
 use starnuma_types::{CoreId, REGION_PAGES};
-use starnuma_types::{Location, SimRng, StarNumaError};
+use starnuma_types::{SimRng, StarNumaError};
 
 use crate::config::{MigrationMode, Modality, RunConfig};
 use crate::stats::{PhaseStats, RunResult};
@@ -142,7 +142,9 @@ impl Runner {
                         u32::try_from(scout.page_sharers(p).len()).unwrap_or(u32::MAX)
                     })
                 }
-                _ => {
+                MigrationMode::FirstTouchOnly
+                | MigrationMode::OracleDynamic
+                | MigrationMode::Threshold { .. } => {
                     // True first-touch semantics: a page lives where its first
                     // toucher over the *whole run* (warm-up + all phases) sits —
                     // a page is not allocated until someone touches it. Each
@@ -233,8 +235,6 @@ impl Runner {
             .config
             .replication
             .map(|cfg| ReplicaMap::new(n_sockets, cfg));
-        let mut ablation_migrated = 0u64;
-        let mut ablation_to_pool = 0u64;
         let mut phase_stats: Vec<PhaseStats> = Vec::with_capacity(self.config.phases);
         // LLCs and the directory persist across phases: the run's counters
         // are their growth since warm-up.
@@ -284,25 +284,7 @@ impl Runner {
                     let counts = PageAccessCounts::from_trace(&trace, fp, n_sockets, cps);
                     oracle.decide(&counts, &mut map)
                 }
-                MigrationMode::Ablation(ablation) => {
-                    // Perfect region-level tracking: only the selection
-                    // criterion is under test.
-                    let mut perfect = MetadataRegion::new(num_regions, n_sockets, 16);
-                    for a in trace.iter() {
-                        perfect.record(a.addr.page().region(), a.core.socket(cps), 1);
-                    }
-                    let plan = ablation.decide(
-                        &perfect,
-                        &mut map,
-                        self.config.migration_limit_pages,
-                        &mut rng,
-                    );
-                    ablation_migrated += plan.total();
-                    ablation_to_pool +=
-                        plan.moves.iter().filter(|m| m.to == Location::Pool).count() as u64;
-                    plan
-                }
-                _ => Default::default(),
+                MigrationMode::FirstTouchOnly | MigrationMode::StaticOracle => Default::default(),
             };
             drop(step_b_prof);
 
@@ -424,8 +406,7 @@ impl Runner {
         let (migrated, to_pool) = match self.config.migration {
             MigrationMode::Threshold { .. } => (policy.pages_migrated, policy.pages_to_pool),
             MigrationMode::OracleDynamic => (oracle.pages_migrated, 0),
-            MigrationMode::Ablation(_) => (ablation_migrated, ablation_to_pool),
-            _ => (0, 0),
+            MigrationMode::FirstTouchOnly | MigrationMode::StaticOracle => (0, 0),
         };
         // `RunConfig::check` rejects empty run shapes, so >= 1 measured phase.
         #[expect(

@@ -27,12 +27,10 @@
 //! assert_eq!(route.unloaded_total.raw(), 180.0);
 //! ```
 
-mod dot;
 pub mod latency;
 mod network;
 mod params;
 
-pub use dot::to_dot;
 pub use latency::{CxlLatencyBreakdown, LatencyModel};
 pub use network::{AccessClass, LinkId, LinkKind, Network, Route};
 pub use params::{BandwidthVariant, ScalePreset, SystemParams};

@@ -67,11 +67,6 @@ impl SimRng {
         result
     }
 
-    /// The next 32 raw bits (the high half of [`SimRng::next_u64`]).
-    pub fn gen_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn gen_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

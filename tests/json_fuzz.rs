@@ -42,7 +42,7 @@ fn number(rng: &mut SimRng) -> f64 {
         0 => -0.0,
         // Integers above 2^53, where f64 stops holding every integer.
         1 => (rng.gen_range((1u64 << 53)..u64::MAX) as f64).copysign(rng.gen_f64() - 0.5),
-        2 => f64::from(rng.gen_u32()) - 2e9,
+        2 => (rng.next_u64() >> 32) as f64 - 2e9,
         3 => rng.gen_f64() * 1e-3,
         // Any finite bit pattern: subnormals, huge exponents, everything.
         _ => loop {
