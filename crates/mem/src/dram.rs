@@ -2,7 +2,7 @@
 
 use starnuma_types::{BlockAddr, Cycles, GbPerSec};
 
-use crate::server::{FifoServer, ServerStats};
+use crate::server::{FifoServer, ServerStats, BLOCK_BYTES};
 
 /// DRAM bank/bus timing parameters.
 ///
@@ -47,10 +47,18 @@ impl Default for DramTimings {
 /// [`DramChannel::access`] returns the *contention delay* the access suffers
 /// (bank busy and/or bus busy); the fixed DRAM access latency is part of the
 /// analytic unloaded latency.
+///
+/// A block's row is `bfn / blocks_per_row` and the row's bank is
+/// `row % banks`; both counts are powers of two, so the channel takes them
+/// with a shift and a mask.
 #[derive(Clone, Debug)]
 pub struct DramChannel {
     bus: FifoServer,
     timings: DramTimings,
+    /// `log2(timings.blocks_per_row)`.
+    row_shift: u32,
+    /// `timings.banks - 1`.
+    bank_mask: u64,
     bank_busy_until: Vec<Cycles>,
     bank_open_row: Vec<Option<u64>>,
     row_hits: u64,
@@ -59,9 +67,26 @@ pub struct DramChannel {
 
 impl DramChannel {
     /// Creates an idle channel with the given data-bus bandwidth and timings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timings.banks` or `timings.blocks_per_row` is not a power
+    /// of two.
     pub fn new(bandwidth: GbPerSec, timings: DramTimings) -> Self {
+        assert!(
+            timings.banks.is_power_of_two(),
+            "bank count must be a power of two, got {}",
+            timings.banks
+        );
+        assert!(
+            timings.blocks_per_row.is_power_of_two(),
+            "blocks per row must be a power of two, got {}",
+            timings.blocks_per_row
+        );
         DramChannel {
             bus: FifoServer::new(bandwidth),
+            row_shift: timings.blocks_per_row.trailing_zeros(),
+            bank_mask: timings.banks as u64 - 1,
             bank_busy_until: vec![Cycles::ZERO; timings.banks],
             bank_open_row: vec![None; timings.banks],
             timings,
@@ -73,8 +98,7 @@ impl DramChannel {
     /// Services a 64 B block access arriving at `now`; returns its contention
     /// delay.
     pub fn access(&mut self, now: Cycles, block: BlockAddr) -> Cycles {
-        let row = block.bfn() / self.timings.blocks_per_row;
-        let bank = (row as usize) % self.timings.banks;
+        let (row, bank) = self.row_and_bank(block);
         let hit = self.bank_open_row[bank] == Some(row);
         if hit {
             self.row_hits += 1;
@@ -91,8 +115,14 @@ impl DramChannel {
         let bank_wait = bank_ready - now;
         self.bank_busy_until[bank] = bank_ready + occupancy;
         self.bank_open_row[bank] = Some(row);
-        let bus_wait = self.bus.enqueue(bank_ready, 64);
+        let bus_wait = self.bus.enqueue(bank_ready, BLOCK_BYTES);
         bank_wait + bus_wait
+    }
+
+    /// The DRAM row holding `block` and that row's bank.
+    fn row_and_bank(&self, block: BlockAddr) -> (u64, usize) {
+        let row = block.bfn() >> self.row_shift;
+        (row, (row & self.bank_mask) as usize)
     }
 
     /// Row-buffer hit rate observed so far (0 if no accesses).
@@ -121,11 +151,18 @@ impl DramChannel {
 }
 
 /// A group of DRAM channels with block-address interleaving: one socket's
-/// local memory (1 channel scaled down / 6 full scale) or the pool's MHD
-/// (2 channels scaled down / 16 full scale, §III-A).
+/// local memory (1 channel scaled down) or the pool's MHD (2 channels
+/// scaled down, §III-A).
+///
+/// Block `b` goes to channel `b % channels`; the channel count is a power
+/// of two, so the module takes it with a mask. (The timing model builds 1
+/// and 2 channels; Table I's full-scale 6-channel socket would need a
+/// 6-way interleave, which is rejected.)
 #[derive(Clone, Debug)]
 pub struct MemoryModule {
     channels: Vec<DramChannel>,
+    /// `channels.len() - 1`.
+    channel_mask: u64,
 }
 
 impl MemoryModule {
@@ -134,14 +171,20 @@ impl MemoryModule {
     ///
     /// # Panics
     ///
-    /// Panics if `channels` is zero.
+    /// Panics if `channels` is zero or not a power of two, or if
+    /// [`DramChannel::new`] rejects `timings`.
     pub fn new(channels: usize, total_bandwidth: GbPerSec, timings: DramTimings) -> Self {
         assert!(channels > 0, "a memory module needs at least one channel");
+        assert!(
+            channels.is_power_of_two(),
+            "channel count must be a power of two, got {channels}"
+        );
         let per_channel = total_bandwidth / channels as f64;
         MemoryModule {
             channels: (0..channels)
                 .map(|_| DramChannel::new(per_channel, timings))
                 .collect(),
+            channel_mask: channels as u64 - 1,
         }
     }
 
@@ -150,11 +193,21 @@ impl MemoryModule {
         self.channels.len()
     }
 
+    /// Data-bus bandwidth of each channel.
+    pub fn channel_bandwidth(&self) -> GbPerSec {
+        self.channels[0].bus.bandwidth()
+    }
+
     /// Services a block access arriving at `now`; returns its contention
     /// delay. Blocks are interleaved across channels.
     pub fn access(&mut self, now: Cycles, block: BlockAddr) -> Cycles {
-        let idx = (block.bfn() % self.channels.len() as u64) as usize;
+        let idx = self.channel_of(block);
         self.channels[idx].access(now, block)
+    }
+
+    /// The channel `block` is interleaved to.
+    fn channel_of(&self, block: BlockAddr) -> usize {
+        (block.bfn() & self.channel_mask) as usize
     }
 
     /// Aggregated data-bus statistics across all channels.
@@ -181,6 +234,7 @@ impl MemoryModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use starnuma_types::SimRng;
 
     fn channel() -> DramChannel {
         DramChannel::new(GbPerSec::new(25.0), DramTimings::ddr5_4800())
@@ -256,6 +310,88 @@ mod tests {
     #[should_panic(expected = "at least one channel")]
     fn module_rejects_zero_channels() {
         let _ = MemoryModule::new(0, GbPerSec::new(25.0), DramTimings::ddr5_4800());
+    }
+
+    /// Seeded block frame numbers: small, row- and bank-crossing, and
+    /// spread over the whole 64-bit range.
+    fn seeded_blocks() -> Vec<BlockAddr> {
+        let mut rng = SimRng::seed_from_u64(0x5eed);
+        (0..4096u64)
+            .chain((0..4096).map(|_| rng.next_u64() >> rng.gen_range(0..64usize)))
+            .chain([u64::MAX, u64::MAX - 1, 1 << 63])
+            .map(BlockAddr::new)
+            .collect()
+    }
+
+    #[test]
+    fn shift_and_mask_indices_equal_the_division_formulas() {
+        let blocks = seeded_blocks();
+        for banks in [1, 2, 4, 8, 16, 32, 64] {
+            for blocks_per_row in [1, 2, 8, 32, 128] {
+                let timings = DramTimings {
+                    banks,
+                    blocks_per_row,
+                    ..DramTimings::ddr5_4800()
+                };
+                let ch = DramChannel::new(GbPerSec::new(25.0), timings);
+                for &b in &blocks {
+                    let row = b.bfn() / blocks_per_row;
+                    assert_eq!(
+                        ch.row_and_bank(b),
+                        (row, (row as usize) % banks),
+                        "{banks} banks, {blocks_per_row} blocks per row, {b:?}"
+                    );
+                }
+            }
+        }
+        for channels in [1, 2, 4, 8, 16] {
+            let m = MemoryModule::new(channels, GbPerSec::new(50.0), DramTimings::ddr5_4800());
+            for &b in &blocks {
+                assert_eq!(
+                    m.channel_of(b),
+                    (b.bfn() % channels as u64) as usize,
+                    "{channels} channels, {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn channel_bus_stores_its_block_occupancy() {
+        let m = MemoryModule::new(2, GbPerSec::new(76.8), DramTimings::ddr5_4800());
+        assert_eq!(m.channel_bandwidth(), GbPerSec::new(38.4));
+        let mut idle = m.clone();
+        idle.access(Cycles::new(0), BlockAddr::new(0));
+        assert_eq!(
+            idle.stats().busy_cycles,
+            m.channel_bandwidth().service_cycles(BLOCK_BYTES)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be a power of two, got 24")]
+    fn channel_rejects_non_power_of_two_banks() {
+        let timings = DramTimings {
+            banks: 24,
+            ..DramTimings::ddr5_4800()
+        };
+        let _ = DramChannel::new(GbPerSec::new(25.0), timings);
+    }
+
+    #[test]
+    #[should_panic(expected = "blocks per row must be a power of two, got 48")]
+    fn channel_rejects_non_power_of_two_rows() {
+        let timings = DramTimings {
+            blocks_per_row: 48,
+            ..DramTimings::ddr5_4800()
+        };
+        let _ = DramChannel::new(GbPerSec::new(25.0), timings);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel count must be a power of two, got 6")]
+    fn module_rejects_non_power_of_two_channels() {
+        let _ = MemoryModule::new(6, GbPerSec::new(150.0), DramTimings::ddr5_4800());
     }
 
     #[test]

@@ -34,4 +34,4 @@ mod dram;
 mod server;
 
 pub use dram::{DramChannel, DramTimings, MemoryModule};
-pub use server::{FifoServer, ServerStats};
+pub use server::{FifoServer, ServerStats, BLOCK_BYTES, DATA_BYTES, REQ_BYTES};

@@ -3,6 +3,13 @@
 use starnuma_obs::{MetricsFrame, Observe};
 use starnuma_types::{Cycles, GbPerSec};
 
+/// Bytes on the wire for a request message (command + address).
+pub const REQ_BYTES: u64 = 16;
+/// Bytes a DRAM data bus moves per access: one 64 B block.
+pub const BLOCK_BYTES: u64 = 64;
+/// Bytes on the wire for a data-carrying message (64 B block + header).
+pub const DATA_BYTES: u64 = 72;
+
 /// Cumulative utilization statistics of a [`FifoServer`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ServerStats {
@@ -56,9 +63,17 @@ impl Observe for ServerStats {
 /// Transfers must be enqueued in nondecreasing arrival-time order per server;
 /// the discrete-event simulator guarantees this by processing events in
 /// timestamp order.
+///
+/// The occupancy of the three message sizes the simulator sends per access
+/// ([`REQ_BYTES`], [`BLOCK_BYTES`], [`DATA_BYTES`]) is computed once, by
+/// [`FifoServer::new`]; any other size (a migrated page) is computed when
+/// it is enqueued.
 #[derive(Clone, Debug)]
 pub struct FifoServer {
     bandwidth: GbPerSec,
+    /// `bandwidth.service_cycles` of [`REQ_BYTES`], [`BLOCK_BYTES`] and
+    /// [`DATA_BYTES`], in that order.
+    occupancy: [Cycles; 3],
     busy_until: Cycles,
     stats: ServerStats,
 }
@@ -68,6 +83,7 @@ impl FifoServer {
     pub fn new(bandwidth: GbPerSec) -> Self {
         FifoServer {
             bandwidth,
+            occupancy: [REQ_BYTES, BLOCK_BYTES, DATA_BYTES].map(|b| bandwidth.service_cycles(b)),
             busy_until: Cycles::ZERO,
             stats: ServerStats::default(),
         }
@@ -83,12 +99,24 @@ impl FifoServer {
         self.busy_until
     }
 
+    /// Cycles a transfer of `bytes` occupies the server:
+    /// `bandwidth().service_cycles(bytes)`, read from the values
+    /// [`FifoServer::new`] stored for the per-access message sizes.
+    pub fn occupancy(&self, bytes: u64) -> Cycles {
+        match bytes {
+            REQ_BYTES => self.occupancy[0],
+            BLOCK_BYTES => self.occupancy[1],
+            DATA_BYTES => self.occupancy[2],
+            _ => self.bandwidth.service_cycles(bytes),
+        }
+    }
+
     /// Enqueues a transfer of `bytes` arriving at `now` and returns the
     /// queuing delay it suffers (0 when the server is idle).
     pub fn enqueue(&mut self, now: Cycles, bytes: u64) -> Cycles {
         let start = self.busy_until.max(now);
         let wait = start - now;
-        let occupancy = self.bandwidth.service_cycles(bytes);
+        let occupancy = self.occupancy(bytes);
         self.busy_until = start + occupancy;
         self.stats.transfers += 1;
         self.stats.bytes += bytes;
@@ -178,6 +206,38 @@ mod tests {
     fn utilization_handles_zero_elapsed() {
         let s = server();
         assert_eq!(s.stats().utilization(Cycles::ZERO), 0.0);
+    }
+
+    #[test]
+    fn stored_occupancy_equals_service_cycles() {
+        // Table II's link and DRAM-bus rates with their §V-D and §V-G
+        // scalings, then a seeded sweep; at every size the simulator sends
+        // and at sizes it does not (a byte, a page, one byte short of it).
+        let mut rng = starnuma_types::SimRng::seed_from_u64(0x0cc);
+        let table = [
+            3.0,
+            3.0 * 26.4 / 20.8,
+            3.0 * 17.0 / 13.0,
+            6.0,
+            12.0,
+            12.0 * 17.0 / 13.0,
+            38.4,
+        ];
+        let sweep = (0..500).map(|_| 0.1 + 200.0 * rng.gen_f64());
+        for gbps in table.into_iter().chain(table.map(|g| g * 2.0)).chain(sweep) {
+            let bw = GbPerSec::new(gbps);
+            let server = FifoServer::new(bw);
+            for bytes in [1, REQ_BYTES, BLOCK_BYTES, DATA_BYTES, 4095, 4096] {
+                assert_eq!(
+                    server.occupancy(bytes),
+                    bw.service_cycles(bytes),
+                    "{gbps} GB/s, {bytes} B"
+                );
+                let mut idle = server.clone();
+                idle.enqueue(Cycles::new(5), bytes);
+                assert_eq!(idle.busy_until(), Cycles::new(5) + bw.service_cycles(bytes));
+            }
+        }
     }
 
     #[test]

@@ -17,21 +17,18 @@ use std::collections::BinaryHeap;
 
 use starnuma_cache::{CacheConfig, CacheOutcome, SetAssocCache};
 use starnuma_coherence::{Directory, TransferKind};
-use starnuma_mem::{DramTimings, FifoServer, MemoryModule};
+use starnuma_mem::{DramTimings, FifoServer, MemoryModule, DATA_BYTES, REQ_BYTES};
 use starnuma_migration::{MigrationCosts, PageMap, PageMove, ReplicaMap};
 use starnuma_obs::ObsSink;
 use starnuma_prof::{ProfScope, Site};
 use starnuma_topology::{AccessClass, Network};
 use starnuma_trace::PhaseTrace;
-use starnuma_types::{Cycles, GbPerSec, Location, MemAccess, PageId, SocketId};
+use starnuma_types::{
+    Cycles, GbPerSec, Location, MemAccess, Nanos, PageId, SocketId, SOCKETS_PER_CHASSIS,
+};
 
 use crate::config::Modality;
 use crate::stats::PhaseStats;
-
-/// Bytes on the wire for a request message (command + address).
-const REQ_BYTES: u64 = 16;
-/// Bytes on the wire for a data-carrying message (64 B block + header).
-const DATA_BYTES: u64 = 72;
 
 /// The reusable timing simulator for one system configuration.
 ///
@@ -45,14 +42,64 @@ pub struct TimingSim {
     llcs: Vec<SetAssocCache>,
     dir: Directory,
     cores_per_socket: usize,
-    local_unloaded_cycles: u64,
+    /// A demand access from memory, by [`demand_index`]; entry 0 is a
+    /// local access.
+    demand: [Unloaded; 4],
+    /// A 3-hop cache-to-cache transfer, by [`three_hop_index`].
+    three_hop: [Unloaded; 27],
+    /// A 4-hop cache-to-cache transfer via the pool.
+    four_hop: Unloaded,
     costs: MigrationCosts,
     /// CPI used by light sockets in mixed modality (regulated per phase).
     light_cpi: f64,
 }
 
+/// The unloaded latency of one kind of LLC miss, in nanoseconds and in
+/// (rounded) cycles, with its access class: computed once per
+/// configuration by [`TimingSim::new`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Unloaded {
+    ns: f64,
+    cycles: u64,
+    class: AccessClass,
+}
+
+impl Unloaded {
+    fn new(ns: Nanos, class: AccessClass) -> Self {
+        Unloaded {
+            ns: ns.raw(),
+            cycles: ns.to_cycles().raw(),
+            class,
+        }
+    }
+}
+
+/// How far apart two sockets are: 0 for the same socket, 1 within a
+/// chassis, 2 across chassis. The latency model's socket-to-socket one-way
+/// latency depends on nothing else.
+fn distance(a: SocketId, b: SocketId) -> usize {
+    usize::from(a != b) + usize::from(!a.same_chassis(b))
+}
+
+/// A demand access's entry in [`TimingSim::demand`]: the requester's
+/// distance to a socket home, or 3 for the pool (the [`AccessClass`] index).
+fn demand_index(requester: SocketId, home: Location) -> usize {
+    match home {
+        Location::Socket(h) => distance(requester, h),
+        Location::Pool => 3,
+    }
+}
+
+/// A 3-hop transfer's entry in [`TimingSim::three_hop`]: the distances of
+/// its R→H, H→O and O→R legs.
+fn three_hop_index(r: SocketId, h: SocketId, o: SocketId) -> usize {
+    distance(r, h) * 9 + distance(h, o) * 3 + distance(o, r)
+}
+
 struct CoreRun<'a> {
     stream: &'a [MemAccess],
+    /// The socket of the core this stream belongs to.
+    socket: SocketId,
     next: usize,
     /// Core-local clock: cycle at which the previous access was issued.
     time: f64,
@@ -85,11 +132,37 @@ impl TimingSim {
             .map(|_| SetAssocCache::new(CacheConfig::scaled_llc()))
             .collect();
         let dir = Directory::new(params.num_sockets);
-        let local_unloaded_cycles = net
-            .latency()
-            .demand_access(SocketId::new(0), Location::Socket(SocketId::new(0)))
-            .to_cycles()
-            .raw();
+        // Unloaded latencies depend only on how far apart the sockets
+        // involved are, so each table entry is filled from the latency model
+        // at witness sockets: three chassis hold every pattern of distances
+        // a transfer's three sockets can form.
+        let lat = net.latency();
+        let witnesses: Vec<SocketId> =
+            SocketId::all(params.num_sockets.min(3 * SOCKETS_PER_CHASSIS)).collect();
+        let mut demand = [Unloaded::new(Nanos::ZERO, AccessClass::Local); 4];
+        let mut three_hop = [Unloaded::new(Nanos::ZERO, AccessClass::BtSocket); 27];
+        for &r in &witnesses {
+            for home in witnesses
+                .iter()
+                .map(|&h| Location::Socket(h))
+                .chain([Location::Pool])
+            {
+                demand[demand_index(r, home)] =
+                    Unloaded::new(lat.demand_access(r, home), net.classify(r, home));
+            }
+            for &h in &witnesses {
+                for &o in &witnesses {
+                    three_hop[three_hop_index(r, h, o)] = Unloaded::new(
+                        lat.three_hop_transfer(r, h, o) + params.mem_base,
+                        AccessClass::BtSocket,
+                    );
+                }
+            }
+        }
+        let four_hop = Unloaded::new(
+            lat.four_hop_pool_transfer() + params.mem_base,
+            AccessClass::BtPool,
+        );
         let base_cpi_placeholder = 1.0;
         TimingSim {
             net,
@@ -99,7 +172,9 @@ impl TimingSim {
             llcs,
             dir,
             cores_per_socket: params.cores_per_socket,
-            local_unloaded_cycles,
+            demand,
+            three_hop,
+            four_hop,
             costs,
             light_cpi: base_cpi_placeholder,
         }
@@ -296,6 +371,7 @@ impl TimingSim {
                 };
                 CoreRun {
                     stream,
+                    socket,
                     next: 0,
                     time: 0.0,
                     last_icount: 0,
@@ -315,6 +391,7 @@ impl TimingSim {
         while let Some(Reverse((event_t, ci))) = heap.pop() {
             let core = &mut cores[ci];
             let a = core.stream[core.next];
+            debug_assert_eq!(a.core.socket(self.cores_per_socket), core.socket);
             let eff_cpi = if core.light { self.light_cpi } else { cpi };
             // Time instruction progress reaches this access.
             let mut t = core.time + (a.icount - core.last_icount) as f64 * eff_cpi;
@@ -370,7 +447,7 @@ impl TimingSim {
             // §V-F replication: local replica reads; write-collapse.
             if let Some(reps) = replicas.as_deref_mut() {
                 let region = a.addr.page().region();
-                let socket = a.core.socket(self.cores_per_socket);
+                let socket = core.socket;
                 if a.kind.is_write() {
                     for victim in reps.collapse_on_write(region) {
                         // Software-coherence invalidation message per holder.
@@ -386,7 +463,7 @@ impl TimingSim {
                 }
             }
             let (hit, class, unloaded_ns, measured_cycles) =
-                self.one_access(now, &a, map, home_override);
+                self.one_access(now, core.socket, &a, map, home_override);
             if collect {
                 if hit {
                     stats.llc_hits += 1;
@@ -397,15 +474,11 @@ impl TimingSim {
                     let measured_ns = measured_cycles as f64 / starnuma_types::CORE_GHZ;
                     stats.measured_ns_sum += measured_ns;
                     stats.class_measured_ns[idx] += measured_ns;
-                    obs.record_access(
-                        a.core.socket(self.cores_per_socket).index() as usize,
-                        idx,
-                        measured_ns,
-                    );
+                    obs.record_access(usize::from(core.socket.index()), idx, measured_ns);
                 }
             }
             if !core.light && !hit {
-                let extra = measured_cycles.saturating_sub(self.local_unloaded_cycles);
+                let extra = measured_cycles.saturating_sub(self.demand[0].cycles);
                 if extra > 0 {
                     #[expect(
                         clippy::cast_possible_truncation,
@@ -449,16 +522,16 @@ impl TimingSim {
         stats
     }
 
-    /// Simulates one LLC-missing access at `now`; returns
+    /// Simulates one access at `now` by a core of `socket`; returns
     /// `(llc_hit, class, unloaded_ns, measured_cycles)`.
     fn one_access(
         &mut self,
         now: Cycles,
+        socket: SocketId,
         a: &MemAccess,
         map: &PageMap,
         home_override: Option<Location>,
     ) -> (bool, AccessClass, f64, u64) {
-        let socket = a.core.socket(self.cores_per_socket);
         let block = a.addr.block();
         // LLC filter + dirty/eviction tracking.
         match self.llcs[socket.index() as usize].access(block, a.kind.is_write()) {
@@ -488,11 +561,8 @@ impl TimingSim {
                 self.links[link.index()].enqueue(now, REQ_BYTES);
             }
         }
-        let lat = self.net.latency();
-        match coh.transfer {
+        let (unloaded, wait) = match coh.transfer {
             TransferKind::FromMemory => {
-                let class = self.net.classify(socket, home);
-                let unloaded = lat.demand_access(socket, home);
                 let src = Location::Socket(socket);
                 // All stages are charged at the issue time: a first-order
                 // queuing approximation that keeps every server's backlog
@@ -502,19 +572,16 @@ impl TimingSim {
                 let mut wait = self.enqueue_legs(now, &[(src, home, REQ_BYTES)]);
                 wait += self.memory_contention(now, home, block);
                 wait += self.enqueue_legs(now, &[(home, src, DATA_BYTES)]);
-                let measured = unloaded.to_cycles().raw() + wait;
-                (false, class, unloaded.raw(), measured)
+                (self.demand[demand_index(socket, home)], wait)
             }
             TransferKind::CacheToCache { owner } => {
                 let r = Location::Socket(socket);
                 let o = Location::Socket(owner);
-                let mem_base = self.net.params().mem_base;
                 // No DRAM access: the data comes from the owner's cache and
                 // the home's coherence directory is SRAM (its 20 ns lookup is
                 // part of the unloaded latency, Fig. 3 / §V-A accounting).
-                let (class, unloaded_ns, wait) = match home {
+                match home {
                     Location::Pool => {
-                        let unloaded = lat.four_hop_pool_transfer() + mem_base;
                         // 4-hop via the pool: R→H, H→O, O→H, H→R.
                         let wait = self.enqueue_legs(
                             now,
@@ -525,10 +592,9 @@ impl TimingSim {
                                 (home, r, DATA_BYTES),
                             ],
                         );
-                        (AccessClass::BtPool, unloaded, wait)
+                        (self.four_hop, wait)
                     }
                     Location::Socket(h) => {
-                        let unloaded = lat.three_hop_transfer(socket, h, owner) + mem_base;
                         // 3-hop: R→H, H→O (forward), O→R (data).
                         let wait = self.enqueue_legs(
                             now,
@@ -538,13 +604,12 @@ impl TimingSim {
                                 (o, r, DATA_BYTES),
                             ],
                         );
-                        (AccessClass::BtSocket, unloaded, wait)
+                        (self.three_hop[three_hop_index(socket, h, owner)], wait)
                     }
-                };
-                let measured = unloaded_ns.to_cycles().raw() + wait;
-                (false, class, unloaded_ns.raw(), measured)
+                }
             }
-        }
+        };
+        (false, unloaded.class, unloaded.ns, unloaded.cycles + wait)
     }
 
     /// Enqueues each `(from, to, bytes)` message on the links of its leg at
@@ -580,7 +645,8 @@ impl TimingSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starnuma_topology::SystemParams;
+    use starnuma_mem::BLOCK_BYTES;
+    use starnuma_topology::{BandwidthVariant, ScalePreset, SystemParams};
     use starnuma_trace::{TraceGenerator, Workload};
 
     fn sim(params: SystemParams) -> TimingSim {
@@ -594,6 +660,124 @@ mod tests {
         PageMap::from_fn(footprint, 0, |p| {
             Location::Socket(SocketId::new((p.region().index() % 16) as u16))
         })
+    }
+
+    /// A superset of the parameters any run builds: both Table II systems
+    /// under each §V-D bandwidth variant, with and without the §V-C CXL
+    /// switch, at SC1 and SC3, plus one- and eight-chassis systems.
+    fn variants() -> Vec<SystemParams> {
+        let mut out = Vec::new();
+        for system in [
+            SystemParams::scaled_baseline(),
+            SystemParams::scaled_starnuma(),
+        ] {
+            for bw in [
+                BandwidthVariant::Default,
+                BandwidthVariant::BaselineIsoBw,
+                BandwidthVariant::Baseline2xBw,
+                BandwidthVariant::StarNumaHalfBw,
+            ] {
+                for preset in [ScalePreset::Sc1, ScalePreset::Sc3] {
+                    let params = system
+                        .clone()
+                        .with_bandwidth_variant(bw)
+                        .with_scale_preset(preset);
+                    out.push(params.clone().with_cxl_switch());
+                    out.push(params);
+                }
+            }
+            for n in [4, 32] {
+                let params = system
+                    .clone()
+                    .with_num_sockets(n)
+                    .expect("valid socket count");
+                out.push(params.clone().with_cxl_switch());
+                out.push(params);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn unloaded_tables_equal_the_latency_model() {
+        for params in variants() {
+            let sim = sim(params.clone());
+            let (net, lat) = (&sim.net, sim.net.latency());
+            let sockets: Vec<SocketId> = SocketId::all(params.num_sockets).collect();
+            for &r in &sockets {
+                for home in sockets
+                    .iter()
+                    .map(|&h| Location::Socket(h))
+                    .chain([Location::Pool])
+                {
+                    assert_eq!(
+                        sim.demand[demand_index(r, home)],
+                        Unloaded {
+                            ns: lat.demand_access(r, home).raw(),
+                            cycles: lat.demand_access(r, home).to_cycles().raw(),
+                            class: net.classify(r, home),
+                        },
+                        "{params:?}: demand {r:?} -> {home:?}"
+                    );
+                }
+                for &h in &sockets {
+                    for &o in &sockets {
+                        let unloaded = lat.three_hop_transfer(r, h, o) + params.mem_base;
+                        assert_eq!(
+                            sim.three_hop[three_hop_index(r, h, o)],
+                            Unloaded {
+                                ns: unloaded.raw(),
+                                cycles: unloaded.to_cycles().raw(),
+                                class: AccessClass::BtSocket,
+                            },
+                            "{params:?}: 3-hop {r:?} -> {h:?} -> {o:?}"
+                        );
+                    }
+                }
+            }
+            let four_hop = lat.four_hop_pool_transfer() + params.mem_base;
+            assert_eq!(
+                sim.four_hop,
+                Unloaded {
+                    ns: four_hop.raw(),
+                    cycles: four_hop.to_cycles().raw(),
+                    class: AccessClass::BtPool,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn every_server_stores_its_formula_occupancy() {
+        let sizes = [1, REQ_BYTES, BLOCK_BYTES, DATA_BYTES, 4095, 4096];
+        for params in variants() {
+            let sim = sim(params.clone());
+            for link in &sim.links {
+                for bytes in sizes {
+                    assert_eq!(
+                        link.occupancy(bytes),
+                        link.bandwidth().service_cycles(bytes),
+                        "{params:?}: {:?} link, {bytes} B",
+                        link.bandwidth()
+                    );
+                }
+            }
+            for module in sim.socket_mem.iter().chain(&sim.pool_mem) {
+                let bw = module.channel_bandwidth();
+                // An idle channel's bus is busy for exactly one block.
+                let mut idle = module.clone();
+                idle.access(Cycles::ZERO, starnuma_types::BlockAddr::new(0));
+                assert_eq!(idle.stats().busy_cycles, bw.service_cycles(BLOCK_BYTES));
+                let bus = FifoServer::new(bw);
+                for bytes in sizes {
+                    assert_eq!(
+                        bus.occupancy(bytes),
+                        bw.service_cycles(bytes),
+                        "{params:?}: {bw:?} DRAM bus, {bytes} B"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
