@@ -1,17 +1,20 @@
 //! Dependency-free command-line argument parsing.
 //!
-//! Grammar: `starnuma <command> [--flag value]... [--switch]...`.
-//! Unknown flags are errors; every command documents its flags in
+//! Grammar: `starnuma <command> [word]... [--flag value]... [--switch]...`.
+//! Every command states the most bare words it takes and the flags it
+//! accepts ([`Args::expect_only`]): an extra word or an unknown flag is an
+//! error that names it. Every command documents its flags in
 //! [`crate::usage`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A parsed command line: the command word plus `--flag value` pairs.
+/// A parsed command line: the command word, its bare words, and its
+/// `--flag value` pairs and switches.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     command: String,
-    subcommand: Option<String>,
+    positionals: Vec<String>,
     flags: BTreeMap<String, String>,
     switches: Vec<String>,
 }
@@ -37,9 +40,9 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError`] when no command is given, a flag is missing its
-    /// value, or a positional argument appears where none is expected.
+    /// value, or a flag is given twice.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
-        let mut iter = raw.into_iter().peekable();
+        let mut iter = raw.into_iter();
         let command = iter
             .next()
             .ok_or_else(|| ArgError("missing command; try `starnuma help`".into()))?;
@@ -47,17 +50,10 @@ impl Args {
             command,
             ..Args::default()
         };
-        // `profile run` / `inspect <path>` style subcommand.
-        if let Some(next) = iter.peek() {
-            if !next.starts_with("--") {
-                args.subcommand = iter.next();
-            }
-        }
         while let Some(token) = iter.next() {
             let Some(name) = token.strip_prefix("--") else {
-                return Err(ArgError(format!(
-                    "unexpected positional argument '{token}'"
-                )));
+                args.positionals.push(token);
+                continue;
             };
             if SWITCHES.contains(&name) {
                 args.switches.push(name.to_string());
@@ -76,11 +72,6 @@ impl Args {
     /// The command word (`run`, `compare`, ...).
     pub fn command(&self) -> &str {
         &self.command
-    }
-
-    /// The optional subcommand (`profile run` → `run`).
-    pub fn subcommand(&self) -> Option<&str> {
-        self.subcommand.as_deref()
     }
 
     /// A string flag, if present.
@@ -122,35 +113,44 @@ impl Args {
         self.switches.iter().any(|s| s == name)
     }
 
-    /// Re-targets a wrapper invocation at its inner command:
+    /// Re-targets a wrapper invocation at its first bare word:
     /// `profile run --workload bfs` dispatches as `run --workload bfs`.
-    pub(crate) fn rewrap(&self, inner: &str) -> Args {
-        let mut rewrapped = self.clone();
-        rewrapped.command = inner.to_string();
-        rewrapped.subcommand = None;
-        rewrapped
+    /// `None` when there is no bare word.
+    pub(crate) fn rewrap(&self) -> Option<Args> {
+        let (inner, rest) = self.positionals.split_first()?;
+        Some(Args {
+            command: inner.clone(),
+            positionals: rest.to_vec(),
+            ..self.clone()
+        })
     }
 
-    /// Rejects any flags outside the allowed set (catches typos).
+    /// Rejects more than `positionals` bare words and any flag outside
+    /// `flags` (catches typos), and returns the bare words.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] naming the first unknown flag.
-    pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
+    /// Returns [`ArgError`] naming the first extra word or unknown flag.
+    pub fn expect_only(&self, positionals: usize, flags: &[&str]) -> Result<&[String], ArgError> {
+        if let Some(extra) = self.positionals.get(positionals) {
+            return Err(ArgError(format!(
+                "unexpected positional argument '{extra}'"
+            )));
+        }
         for name in self
             .flags
             .keys()
             .map(String::as_str)
             .chain(self.switches.iter().map(String::as_str))
         {
-            if !allowed.contains(&name) {
+            if !flags.contains(&name) {
                 return Err(ArgError(format!(
                     "unknown flag --{name} for command '{}'",
                     self.command
                 )));
             }
         }
-        Ok(())
+        Ok(&self.positionals)
     }
 }
 
@@ -173,11 +173,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_subcommand() {
-        let a = parse(&["profile", "run", "--workload", "tc"]).unwrap();
-        assert_eq!(a.command(), "profile");
-        assert_eq!(a.subcommand(), Some("run"));
-        assert_eq!(a.get("workload"), Some("tc"));
+    fn keeps_every_bare_word() {
+        let a = parse(&["bench-diff", "old", "--tolerance", "0.1", "new"]).unwrap();
+        assert_eq!(a.command(), "bench-diff");
+        assert_eq!(a.expect_only(2, &["tolerance"]).unwrap(), ["old", "new"]);
+        assert_eq!(a.get("tolerance"), Some("0.1"));
     }
 
     #[test]
@@ -193,9 +193,11 @@ mod tests {
     }
 
     #[test]
-    fn unexpected_positional_is_an_error() {
-        let e = parse(&["run", "--seed", "1", "oops"]).unwrap_err();
-        assert!(e.to_string().contains("positional"));
+    fn extra_positional_is_named() {
+        let a = parse(&["inspect", "t.jsonl", "--top", "3", "oops"]).unwrap();
+        let e = a.expect_only(1, &["top"]).unwrap_err();
+        assert!(e.to_string().contains("'oops'"), "{e}");
+        assert_eq!(a.expect_only(2, &["top"]).unwrap(), ["t.jsonl", "oops"]);
     }
 
     #[test]
@@ -206,18 +208,19 @@ mod tests {
     #[test]
     fn expect_only_catches_typos() {
         let a = parse(&["run", "--workload", "bfs", "--sed", "1"]).unwrap();
-        let e = a.expect_only(&["workload", "seed"]).unwrap_err();
+        let e = a.expect_only(0, &["workload", "seed"]).unwrap_err();
         assert!(e.to_string().contains("--sed"));
-        assert!(a.expect_only(&["workload", "sed"]).is_ok());
+        assert!(a.expect_only(0, &["workload", "sed"]).is_ok());
     }
 
     #[test]
-    fn rewrap_retargets_at_the_inner_command() {
-        let a = parse(&["profile", "run", "--workload", "bfs"]).unwrap();
-        let inner = a.rewrap("run");
+    fn rewrap_retargets_at_the_first_bare_word() {
+        let a = parse(&["profile", "run", "x", "--workload", "bfs"]).unwrap();
+        let inner = a.rewrap().unwrap();
         assert_eq!(inner.command(), "run");
-        assert_eq!(inner.subcommand(), None);
+        assert_eq!(inner.expect_only(1, &["workload"]).unwrap(), ["x"]);
         assert_eq!(inner.get("workload"), Some("bfs"));
+        assert!(parse(&["profile"]).unwrap().rewrap().is_none());
     }
 
     #[test]

@@ -5,13 +5,13 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use starnuma::obs::{
-    parse_flat_object, trace_jsonl, try_percentile_from_counts, ObsReport, RunRecord, LEDGER_FILE,
+    parse_flat_object, trace_jsonl, try_percentile_from_counts, RunRecord, LEDGER_FILE,
     MAX_EXACT_INT,
 };
 use starnuma::prof;
 use starnuma::{
     geomean, AccessClass, CxlLatencyBreakdown, Experiment, JobPool, LatencyModel, RunResult,
-    Runner, ScaleConfig, SystemKind, Workload,
+    ScaleConfig, SystemKind, Workload,
 };
 use starnuma_topology::SystemParams;
 use starnuma_types::json::Json;
@@ -58,23 +58,40 @@ pub fn parse_system(name: &str) -> Result<SystemKind, ArgError> {
     Ok(kind)
 }
 
-/// Resolves the worker count for multi-run commands and installs it as the
-/// process-global [`JobPool`] setting: `--jobs N` wins, else `STARNUMA_JOBS`
-/// (validated here, at harness entry — a typo is an error, not a silent
-/// fallback), else the host's available parallelism.
-pub fn configure_jobs(args: &Args) -> Result<(), ArgError> {
-    let workers = match args.get("jobs") {
+/// The flags `run`, `compare` and `sweep` each take besides [`SIM_FLAGS`].
+pub const RUN_FLAGS: [&str; 3] = ["workload", "system", "replication"];
+/// See [`RUN_FLAGS`].
+pub const COMPARE_FLAGS: [&str; 2] = ["workload", "systems"];
+/// See [`RUN_FLAGS`].
+pub const SWEEP_FLAGS: [&str; 2] = ["system", "workloads"];
+
+/// The flags `run`, `compare` and `sweep` share.
+pub const SIM_FLAGS: [&str; 9] = [
+    "scale",
+    "phases",
+    "instructions",
+    "seed",
+    "jobs",
+    "json",
+    "trace-out",
+    "ledger",
+    "progress",
+];
+
+/// The worker count for multi-run commands: `--jobs N` wins, else
+/// `STARNUMA_JOBS` (validated here, at harness entry — a typo is an error,
+/// not a silent fallback), else the host's available parallelism.
+pub fn parse_jobs(args: &Args) -> Result<usize, ArgError> {
+    match args.get("jobs") {
         Some(v) => v
             .parse::<usize>()
             .ok()
             .filter(|&n| n >= 1)
-            .ok_or_else(|| ArgError(format!("--jobs expects a positive integer, got '{v}'")))?,
-        None => JobPool::from_env()
+            .ok_or_else(|| ArgError(format!("--jobs expects a positive integer, got '{v}'"))),
+        None => Ok(JobPool::from_env()
             .map_err(|e| ArgError(e.to_string()))?
-            .workers(),
-    };
-    starnuma::set_global_jobs(workers);
-    Ok(())
+            .workers()),
+    }
 }
 
 /// Resolved ledger directory: `--ledger DIR` wins, else the
@@ -87,70 +104,87 @@ fn ledger_dir(args: &Args) -> Option<String> {
     })
 }
 
-/// One observed run: its record and the report its trace section is
-/// rendered from.
-type Observed = (RunRecord, ObsReport);
-
 /// Host-side state of one simulation command, started *before* its runs
 /// so the wall timer covers them.
-struct Session {
+struct Session<'a> {
+    args: &'a Args,
+    scale: ScaleConfig,
     timer: prof::SessionTimer,
-    /// Whether the runs must be observed: an output needs their reports
-    /// when the command emits records (`--json`, a ledger) or writes a
-    /// trace.
-    observes: bool,
 }
 
-impl Session {
-    /// Starts the wall timer; `prints_records` is set when the command
-    /// prints its run records on stdout.
-    fn start(args: &Args, prints_records: bool) -> Session {
-        Session {
+impl<'a> Session<'a> {
+    /// Checks `args` (no bare words; `flags` plus [`SIM_FLAGS`]), installs
+    /// the worker count and the progress meter, resolves the scale, and
+    /// starts the wall timer.
+    fn start(args: &'a Args, flags: &[&str]) -> Result<Session<'a>, ArgError> {
+        args.expect_only(0, &[flags, &SIM_FLAGS].concat())?;
+        starnuma::set_global_jobs(parse_jobs(args)?);
+        starnuma::set_progress(args.switch("progress"));
+        Ok(Session {
+            args,
+            scale: parse_scale(args)?,
             timer: prof::SessionTimer::start(),
-            observes: prints_records
-                || ledger_dir(args).is_some()
-                || args.get("trace-out").is_some(),
-        }
+        })
     }
 
-    /// Stamps the command's wall time on every observed run's record,
-    /// writes the outputs that read from the records — the `--trace-out`
-    /// file (one section per run, each headed by its record line) and one
-    /// ledger line per run — and returns the stamped records in `runs`
-    /// order. Wall time is per *command*, shared by every record of a
-    /// batch (compare/sweep fan their runs out in parallel, so per-run
-    /// wall time does not exist).
-    fn finish(
-        self,
-        args: &Args,
-        mut runs: Vec<(RunRecord, &ObsReport)>,
-    ) -> Result<Vec<RunRecord>, ArgError> {
+    /// Runs `experiments`, each paired with whether its run is recorded,
+    /// and returns their results in input order with the records.
+    ///
+    /// Every configuration passes the pre-run model checks first, so one
+    /// the simulator would reject is an [`ArgError`] listing its problems
+    /// instead of a panic mid-run. The runs fan out on the global
+    /// [`JobPool`]. A recorded run is observed only when an output needs
+    /// its record: `prints_records` (the command prints them), a ledger,
+    /// or a trace. Every record carries the command's wall time (the runs
+    /// are parallel, so per-run wall time does not exist); then the
+    /// `--trace-out` file (one section per record, headed by its line)
+    /// and one ledger line per record are written.
+    fn run(
+        &self,
+        experiments: Vec<(Experiment, bool)>,
+        prints_records: bool,
+    ) -> Result<(Vec<RunResult>, Vec<RunRecord>), ArgError> {
+        for (experiment, _) in &experiments {
+            experiment
+                .run_config()
+                .check()
+                .map_err(|e| ArgError(e.to_string()))?;
+        }
+        let trace_out = self.args.get("trace-out");
+        let ledger = ledger_dir(self.args);
+        let observes = prints_records || trace_out.is_some() || ledger.is_some();
+        let runs = JobPool::global().run(experiments, |_, (experiment, recorded)| {
+            let (result, report) = experiment.run_with(recorded && observes);
+            let observed = report.map(|rep| (experiment.record(&result, &rep), rep));
+            (result, observed)
+        });
         let wall_ns = self.timer.elapsed_ns();
-        for (record, _) in &mut runs {
+        let (results, observed): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+        let mut observed: Vec<_> = observed.into_iter().flatten().collect();
+        for (record, _) in &mut observed {
             record.wall_ns = wall_ns;
         }
-        if let Some(path) = args.get("trace-out") {
-            let trace: String = runs
+        if let Some(path) = trace_out {
+            let trace: String = observed
                 .iter()
                 .map(|(record, report)| trace_jsonl(record, report))
                 .collect();
-            write_out(path, &trace)?;
+            std::fs::write(path, trace)
+                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         }
-        if let Some(dir) = ledger_dir(args) {
+        if let Some(dir) = ledger {
             let dir = std::path::Path::new(&dir);
-            for (record, _) in &runs {
+            for (record, _) in &observed {
                 record
                     .append_to(dir)
                     .map_err(|e| ArgError(format!("cannot write ledger {}: {e}", dir.display())))?;
             }
         }
-        Ok(runs.into_iter().map(|(record, _)| record).collect())
+        Ok((
+            results,
+            observed.into_iter().map(|(record, _)| record).collect(),
+        ))
     }
-}
-
-/// Writes an output file, mapping I/O failures onto [`ArgError`].
-fn write_out(path: &str, contents: &str) -> Result<(), ArgError> {
-    std::fs::write(path, contents).map_err(|e| ArgError(format!("cannot write {path}: {e}")))
 }
 
 /// Builds a [`ScaleConfig`] from `--scale/--phases/--instructions/--seed`.
@@ -178,62 +212,36 @@ pub fn parse_scale(args: &Args) -> Result<ScaleConfig, ArgError> {
     Ok(scale)
 }
 
-/// Runs the pre-run model checks on `experiment` of `workload`, so a
-/// configuration the simulator would reject is an [`ArgError`] listing its
-/// problems instead of a panic mid-run.
-fn preflight(workload: Workload, experiment: &Experiment) -> Result<(), ArgError> {
-    Runner::try_new(workload.profile(), experiment.run_config())
-        .map(drop)
-        .map_err(|e| ArgError(e.to_string()))
+/// The `--replication` value of `run`: a fraction in `[0, 1]`.
+pub fn parse_replication(v: &str) -> Result<f64, ArgError> {
+    let frac: f64 = v
+        .parse()
+        .map_err(|_| ArgError(format!("--replication expects a fraction, got '{v}'")))?;
+    if !(0.0..=1.0).contains(&frac) {
+        return Err(ArgError("--replication must be in [0, 1]".into()));
+    }
+    Ok(frac)
 }
 
 /// `starnuma run --workload W --system S [--replication FRAC] [--json]
 /// [--trace-out PATH] [--ledger DIR] [--progress]`
 pub fn cmd_run(args: &Args, out: &mut String) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "workload",
-        "system",
-        "scale",
-        "phases",
-        "instructions",
-        "seed",
-        "jobs",
-        "json",
-        "replication",
-        "trace-out",
-        "ledger",
-        "progress",
-    ])?;
-    configure_jobs(args)?;
-    starnuma::set_progress(args.switch("progress"));
+    let session = Session::start(args, &RUN_FLAGS)?;
     let workload = parse_workload(args.require("workload")?)?;
     let system = parse_system(args.get_or("system", "starnuma"))?;
-    let scale = parse_scale(args)?;
-    let mut experiment = Experiment::new(workload, system, scale.clone());
+    let mut experiment = Experiment::new(workload, system, session.scale.clone());
     if let Some(frac) = args.get("replication") {
-        let frac: f64 = frac
-            .parse()
-            .map_err(|_| ArgError(format!("--replication expects a fraction, got '{frac}'")))?;
-        if !(0.0..=1.0).contains(&frac) {
-            return Err(ArgError("--replication must be in [0, 1]".into()));
-        }
-        experiment = experiment.with_replication(frac);
+        experiment = experiment.with_replication(parse_replication(frac)?);
     }
-    preflight(workload, &experiment)?;
     let json = args.switch("json");
-    let session = Session::start(args, json);
-    let (result, report) = experiment.run_with(session.observes);
-    let runs = report
-        .iter()
-        .map(|rep| (experiment.record(&result, rep), rep))
-        .collect();
-    let records = session.finish(args, runs)?;
+    let (results, records) = session.run(vec![(experiment, true)], json)?;
     if json {
         for record in &records {
             let _ = writeln!(out, "{}", record.to_json_line());
         }
         return Ok(());
     }
+    let result = &results[0];
     let _ = writeln!(out, "{workload} on {system}");
     let _ = writeln!(out, "  per-core IPC      {:.3}", result.ipc);
     let _ = writeln!(
@@ -273,76 +281,39 @@ pub fn cmd_run(args: &Args, out: &mut String) -> Result<(), ArgError> {
 /// `starnuma compare --workload W [--systems a,b,...] [--json]
 /// [--trace-out PATH] [--ledger DIR] [--progress]`
 pub fn cmd_compare(args: &Args, out: &mut String) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "workload",
-        "systems",
-        "scale",
-        "phases",
-        "instructions",
-        "seed",
-        "jobs",
-        "json",
-        "trace-out",
-        "ledger",
-        "progress",
-    ])?;
-    configure_jobs(args)?;
-    starnuma::set_progress(args.switch("progress"));
+    let session = Session::start(args, &COMPARE_FLAGS)?;
     let workload = parse_workload(args.require("workload")?)?;
     let systems: Vec<SystemKind> = args
         .get_or("systems", "baseline,starnuma,t0")
         .split(',')
         .map(parse_system)
         .collect::<Result<_, _>>()?;
-    let scale = parse_scale(args)?;
-    let json = args.switch("json");
-    let session = Session::start(args, json);
-    let observe = session.observes;
-    // Fan every distinct system (plus the baseline, which anchors the
-    // speedup column) out on the job pool; results are keyed for the
-    // requested row order below.
+    // Every distinct system runs once, the baseline first: it anchors the
+    // speedup column. `rows[i]` is the run behind requested system `i`.
     let mut distinct = vec![SystemKind::Baseline];
-    for s in &systems {
-        if !distinct.contains(s) {
-            distinct.push(*s);
-        }
-    }
-    for &system in &distinct {
-        preflight(workload, &Experiment::new(workload, system, scale.clone()))?;
-    }
-    let computed: BTreeMap<SystemKind, (RunResult, Option<Observed>)> = JobPool::global()
-        .run(distinct.clone(), |_, system| {
-            let e = Experiment::new(workload, system, scale.clone());
-            let (result, report) = e.run_with(observe);
-            let observed = report.map(|rep| (e.record(&result, &rep), rep));
-            (system, (result, observed))
-        })
-        .into_iter()
-        .collect();
-    // One record per observed run, baseline first — the same
-    // deterministic order the fan-out used.
-    let runs = distinct
+    let rows: Vec<usize> = systems
         .iter()
-        .filter_map(|s| computed[s].1.as_ref())
-        .map(|(record, rep)| (record.clone(), rep))
+        .map(|s| {
+            distinct.iter().position(|d| d == s).unwrap_or_else(|| {
+                distinct.push(*s);
+                distinct.len() - 1
+            })
+        })
         .collect();
-    let records = session.finish(args, runs)?;
+    let experiments = distinct
+        .iter()
+        .map(|&s| (Experiment::new(workload, s, session.scale.clone()), true))
+        .collect();
+    let json = args.switch("json");
+    // `--json` records every run: one record per distinct system.
+    let (results, records) = session.run(experiments, json)?;
     if json {
-        // `--json` observes every run, so there is one record per distinct
-        // system, in `distinct` order; print them in the requested order.
-        let by_system: BTreeMap<&SystemKind, &RunRecord> = distinct.iter().zip(&records).collect();
-        for system in &systems {
-            let _ = writeln!(out, "{}", by_system[system].to_json_line());
+        for &i in &rows {
+            let _ = writeln!(out, "{}", records[i].to_json_line());
         }
         return Ok(());
     }
-    let computed: BTreeMap<SystemKind, RunResult> =
-        computed.into_iter().map(|(s, (r, _))| (s, r)).collect();
-    let baseline = computed[&SystemKind::Baseline].clone();
-    let rows: Vec<(SystemKind, RunResult)> = systems
-        .into_iter()
-        .map(|s| (s, computed[&s].clone()))
-        .collect();
+    let baseline = &results[0];
     let _ = writeln!(
         out,
         "{workload}: comparison against {}",
@@ -353,7 +324,8 @@ pub fn cmd_compare(args: &Args, out: &mut String) -> Result<(), ArgError> {
         "{:<30} {:>8} {:>9} {:>9} {:>8}",
         "system", "IPC", "AMAT(ns)", "cont.(ns)", "speedup"
     );
-    for (system, r) in &rows {
+    for (system, &i) in systems.iter().zip(&rows) {
+        let r = &results[i];
         let _ = writeln!(
             out,
             "{:<30} {:>8.3} {:>9.0} {:>9.0} {:>7.2}x",
@@ -370,21 +342,8 @@ pub fn cmd_compare(args: &Args, out: &mut String) -> Result<(), ArgError> {
 /// `starnuma sweep --system S [--workloads a,b,...] [--json]
 /// [--trace-out PATH] [--ledger DIR] [--progress]`
 pub fn cmd_sweep(args: &Args, out: &mut String) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "system",
-        "workloads",
-        "scale",
-        "phases",
-        "instructions",
-        "seed",
-        "jobs",
-        "json",
-        "trace-out",
-        "ledger",
-        "progress",
-    ])?;
-    configure_jobs(args)?;
-    starnuma::set_progress(args.switch("progress"));
+    let session = Session::start(args, &SWEEP_FLAGS)?;
+    let scale = &session.scale;
     let system = parse_system(args.get_or("system", "starnuma"))?;
     let workloads: Vec<Workload> = match args.get("workloads") {
         None => Workload::ALL.to_vec(),
@@ -393,30 +352,35 @@ pub fn cmd_sweep(args: &Args, out: &mut String) -> Result<(), ArgError> {
             .map(parse_workload)
             .collect::<Result<_, _>>()?,
     };
-    let scale = parse_scale(args)?;
-    for &w in &workloads {
-        for s in [system, SystemKind::Baseline] {
-            preflight(w, &Experiment::new(w, s, scale.clone()))?;
-        }
-    }
-    // `sweep --json` prints speedups, which compare two runs: no record
-    // holds one, so the records go only to the ledger and the trace.
-    let session = Session::start(args, false);
-    let observe = session.observes;
-    // One job per workload; each job runs the system and its baseline and
-    // carries back the *system* run (the baseline anchors speedups only —
-    // the record describes the system run).
-    let rows: Vec<(Workload, f64, Option<Observed>)> = JobPool::global().run(workloads, |_, w| {
-        let (speedup, _, observed) = starnuma::speedup_vs_baseline(w, system, &scale, observe);
-        (w, speedup, observed)
-    });
-    let runs = rows
+    // Each workload runs on the system and on the baseline, which anchors
+    // its speedup. `sweep --json` prints speedups, which no record holds:
+    // the system runs are recorded for the ledger and the trace only.
+    let experiments = workloads
         .iter()
-        .filter_map(|(_, _, observed)| observed.as_ref())
-        .map(|(record, rep)| (record.clone(), rep))
+        .flat_map(|&w| {
+            [
+                (Experiment::new(w, system, scale.clone()), true),
+                (
+                    Experiment::new(w, SystemKind::Baseline, scale.clone()),
+                    false,
+                ),
+            ]
+        })
         .collect();
-    session.finish(args, runs)?;
-    let rows: Vec<(&str, f64)> = rows.iter().map(|(w, s, _)| (w.name(), *s)).collect();
+    let (results, _) = session.run(experiments, false)?;
+    let rows: Vec<(&str, f64)> = workloads
+        .iter()
+        .zip(results.chunks_exact(2))
+        .map(|(w, pair)| {
+            let (sys, base) = (&pair[0], &pair[1]);
+            let speedup = if base.ipc > 0.0 {
+                sys.ipc / base.ipc
+            } else {
+                0.0
+            };
+            (w.name(), speedup)
+        })
+        .collect();
     if args.switch("json") {
         // Self-describing output: a `meta` header (scale preset, worker
         // count, seed, version) plus the per-workload results — so a sweep
@@ -459,7 +423,7 @@ pub fn cmd_sweep(args: &Args, out: &mut String) -> Result<(), ArgError> {
 
 /// `starnuma topology [--sockets N] [--full-scale]`
 pub fn cmd_topology(args: &Args, out: &mut String) -> Result<(), ArgError> {
-    args.expect_only(&["sockets", "full-scale"])?;
+    args.expect_only(0, &["sockets", "full-scale"])?;
     let sockets = args.get_u64("sockets", 16)? as usize;
     let base = if args.switch("full-scale") {
         SystemParams::full_scale_starnuma()
@@ -517,7 +481,7 @@ pub fn cmd_topology(args: &Args, out: &mut String) -> Result<(), ArgError> {
 
 /// `starnuma workloads`
 pub fn cmd_workloads(args: &Args, out: &mut String) -> Result<(), ArgError> {
-    args.expect_only(&[])?;
+    args.expect_only(0, &[])?;
     let _ = writeln!(
         out,
         "{:<10} {:>7} {:>8} {:>5} {:>12} {:>8}",
@@ -546,9 +510,9 @@ pub fn cmd_workloads(args: &Args, out: &mut String) -> Result<(), ArgError> {
 /// an unprofiled invocation. `--json` is rejected: the tree follows the
 /// wrapped command's output, so stdout would not be JSON.
 pub fn cmd_profile(args: &Args, out: &mut String) -> Result<(), ArgError> {
-    let sub = args
-        .subcommand()
-        .filter(|s| matches!(*s, "run" | "compare" | "sweep"))
+    let inner = args
+        .rewrap()
+        .filter(|inner| matches!(inner.command(), "run" | "compare" | "sweep"))
         .ok_or_else(|| {
             ArgError(
                 "profile wraps a simulation command: \
@@ -556,6 +520,7 @@ pub fn cmd_profile(args: &Args, out: &mut String) -> Result<(), ArgError> {
                     .into(),
             )
         })?;
+    let sub = inner.command();
     if args.switch("json") {
         return Err(ArgError(format!(
             "profile cannot take --json: it prints the attribution tree after \
@@ -563,7 +528,6 @@ pub fn cmd_profile(args: &Args, out: &mut String) -> Result<(), ArgError> {
              the JSON, or --json to get the tree"
         )));
     }
-    let inner = args.rewrap(sub);
     prof::reset();
     prof::set_enabled(true);
     let timer = prof::SessionTimer::start();
@@ -712,7 +676,7 @@ fn bench_diff_report(
 
 /// The `--tolerance` value of `bench-diff`: a finite, non-negative
 /// fraction.
-fn parse_tolerance(v: &str) -> Result<f64, ArgError> {
+pub fn parse_tolerance(v: &str) -> Result<f64, ArgError> {
     v.parse::<f64>()
         .ok()
         .filter(|t| t.is_finite() && *t >= 0.0)
@@ -728,30 +692,13 @@ fn parse_tolerance(v: &str) -> Result<f64, ArgError> {
 /// exits non-zero when any shared metric regressed beyond the tolerance
 /// band in its known-good direction, or when `<new>` lacks a key of
 /// `<old>` — the CI perf gate.
-/// Takes raw tokens because the `Args` grammar has no second positional.
-pub fn cmd_bench_diff(raw: &[String], out: &mut String) -> Result<ExitCode, ArgError> {
-    let mut positionals: Vec<&str> = Vec::new();
-    let mut tolerance = 0.2_f64;
-    let mut iter = raw.iter();
-    while let Some(token) = iter.next() {
-        if token == "--tolerance" {
-            let v = iter
-                .next()
-                .ok_or_else(|| ArgError("flag --tolerance requires a value".into()))?;
-            tolerance = parse_tolerance(v)?;
-        } else if let Some(name) = token.strip_prefix("--") {
-            return Err(ArgError(format!(
-                "unknown flag --{name} for command 'bench-diff'"
-            )));
-        } else {
-            positionals.push(token);
-        }
-    }
-    let [old_path, new_path] = positionals[..] else {
+pub fn cmd_bench_diff(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
+    let [old_path, new_path] = args.expect_only(2, &["tolerance"])? else {
         return Err(ArgError(
             "bench-diff needs two files: starnuma bench-diff <old> <new> [--tolerance FRAC]".into(),
         ));
     };
+    let tolerance = args.get("tolerance").map_or(Ok(0.2), parse_tolerance)?;
     let old = load_bench_metrics(old_path)?;
     let new = load_bench_metrics(new_path)?;
     let (table, regressions) = bench_diff_report(&old, &new, tolerance);
@@ -808,7 +755,7 @@ fn distinct<'a, T: PartialEq>(
 /// determinism-drift flags (one experiment, more than one result digest).
 /// Exits non-zero on any drift flag, so CI can gate on it.
 pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
-    args.expect_only(&["ledger", "json"])?;
+    args.expect_only(0, &["ledger", "json"])?;
     let dir = ledger_dir(args).ok_or_else(|| {
         ArgError("report needs a ledger: pass --ledger DIR or set STARNUMA_LEDGER".into())
     })?;
@@ -1249,10 +1196,11 @@ fn render_section(section: &TraceSection, top: usize) -> String {
 /// timeline, the most-migrated regions, and per-socket access-latency
 /// histograms.
 pub fn cmd_inspect(args: &Args, out: &mut String) -> Result<(), ArgError> {
-    args.expect_only(&["top"])?;
-    let path = args.subcommand().ok_or_else(|| {
-        ArgError("inspect needs a trace file: starnuma inspect <trace.jsonl>".into())
-    })?;
+    let [path] = args.expect_only(1, &["top"])? else {
+        return Err(ArgError(
+            "inspect needs a trace file: starnuma inspect <trace.jsonl>".into(),
+        ));
+    };
     let top = args.get_u64("top", 10)? as usize;
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;

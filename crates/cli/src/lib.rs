@@ -69,11 +69,6 @@ fn dispatch(raw: Vec<String>, out: &mut String) -> Result<ExitCode, ArgError> {
         out.push('\n');
         return Ok(ExitCode::SUCCESS);
     }
-    // `bench-diff <old> <new>` takes two positionals, which the `Args`
-    // grammar does not — dispatch it on the raw tokens.
-    if raw[0] == "bench-diff" {
-        return commands::cmd_bench_diff(&raw[1..], out);
-    }
     let args = Args::parse(raw)?;
     let done = |result: Result<(), ArgError>| result.map(|()| ExitCode::SUCCESS);
     match args.command() {
@@ -82,6 +77,7 @@ fn dispatch(raw: Vec<String>, out: &mut String) -> Result<ExitCode, ArgError> {
         "compare" => done(commands::cmd_compare(&args, out)),
         "sweep" => done(commands::cmd_sweep(&args, out)),
         "report" => commands::cmd_report(&args, out),
+        "bench-diff" => commands::cmd_bench_diff(&args, out),
         "topology" => done(commands::cmd_topology(&args, out)),
         "workloads" => done(commands::cmd_workloads(&args, out)),
         "inspect" => done(commands::cmd_inspect(&args, out)),
@@ -315,6 +311,153 @@ mod tests {
         assert!(run_tokens(&["bench-diff", old_s, "/nonexistent/x"]).is_err());
         let _ = std::fs::remove_file(old);
         let _ = std::fs::remove_file(new);
+    }
+
+    /// Seeded fuzz of the CLI grammar (no input panics): 3,000 token lists
+    /// of command words, every flag `usage` names, stray words and hostile
+    /// values (empty, negative, 2^64 − 1, `nan`, `inf`) go through
+    /// `Args::parse`, each simulation command's argument check and every
+    /// value parser. The commands that start no simulation also go through
+    /// full dispatch, on real files. Each list must give text or an
+    /// `ArgError`, never a panic; `run`, `compare`, `sweep` and `profile`
+    /// are never dispatched, since they would start simulations.
+    #[test]
+    fn fuzzed_command_lines_never_panic() {
+        use crate::commands::{
+            parse_jobs, parse_replication, parse_scale, parse_system, parse_tolerance,
+            parse_workload, COMPARE_FLAGS, RUN_FLAGS, SIM_FLAGS, SWEEP_FLAGS,
+        };
+        use starnuma_types::SimRng;
+
+        let dir = std::env::temp_dir().join(format!("starnuma-cli-fuzz-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let old = dir.join("old.json");
+        let new = dir.join("new.jsonl");
+        std::fs::write(&old, "{\"hot.minstr_per_sec\": 100.0}\n").expect("write old");
+        std::fs::write(
+            &new,
+            "{\"bench\": \"hot\", \"schema_version\": 1, \"minstr_per_sec\": 95.0}\n",
+        )
+        .expect("write new");
+        let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/report");
+        let trace = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/report/runs.jsonl"
+        );
+        let words = [
+            "x",
+            "run",
+            old.to_str().expect("utf-8 path"),
+            new.to_str().expect("utf-8 path"),
+            fixtures,
+            trace,
+        ];
+        let values = [
+            "",
+            "-1",
+            "18446744073709551615",
+            "nan",
+            "inf",
+            "-inf",
+            "0",
+            "1",
+            "16",
+            "0.5",
+            "quick",
+            "full",
+            "bfs",
+            "tc,nope",
+            "baseline,t0",
+            fixtures,
+        ];
+        let commands = [
+            "run",
+            "compare",
+            "sweep",
+            "profile",
+            "topology",
+            "workloads",
+            "report",
+            "bench-diff",
+            "inspect",
+            "help",
+            "frobnicate",
+        ];
+        let mut flags: Vec<String> = usage()
+            .split(|c: char| c.is_whitespace() || "()[]".contains(c))
+            .filter(|w| w.len() > 2 && w.starts_with("--"))
+            .chain(["--help", "--frobnicate"])
+            .map(str::to_string)
+            .collect();
+        flags.sort();
+        flags.dedup();
+        for flag in RUN_FLAGS.iter().chain(&COMPARE_FLAGS).chain(&SWEEP_FLAGS) {
+            assert!(flags.contains(&format!("--{flag}")), "usage lacks --{flag}");
+        }
+        assert!(flags.len() >= 20, "{flags:?}");
+        let pick = |rng: &mut SimRng, from: &[&str]| from[rng.gen_range(0..from.len())].to_string();
+
+        let mut rng = SimRng::seed_from_u64(0xC11_F022);
+        let mut rendered = std::collections::BTreeMap::new();
+        let mut rejected = 0;
+        for case in 0..3_000 {
+            let mut tokens = vec![if rng.gen_bool(0.95) {
+                pick(&mut rng, &commands)
+            } else {
+                pick(&mut rng, &values)
+            }];
+            for _ in 0..rng.gen_range(0..7usize) {
+                match rng.gen_range(0..4u32) {
+                    0 | 1 => {
+                        tokens.push(flags[rng.gen_range(0..flags.len())].clone());
+                        if rng.gen_bool(0.8) {
+                            tokens.push(pick(&mut rng, &values));
+                        }
+                    }
+                    2 => tokens.push(pick(&mut rng, &words)),
+                    _ => tokens.push(pick(&mut rng, &values)),
+                }
+            }
+            let outcome = std::panic::catch_unwind(|| {
+                let args = Args::parse(tokens.clone())?;
+                for own in [&RUN_FLAGS[..], &COMPARE_FLAGS, &SWEEP_FLAGS] {
+                    let _ = args.expect_only(0, &[own, &SIM_FLAGS].concat());
+                }
+                let _ = (parse_scale(&args), parse_jobs(&args));
+                for flag in &flags {
+                    let name = &flag[2..];
+                    if let Some(v) = args.get(name) {
+                        let _ = (parse_workload(v), parse_system(v));
+                        let _ = (parse_replication(v), parse_tolerance(v));
+                        let _ = args.get_u64(name, 0);
+                    }
+                }
+                if matches!(args.command(), "run" | "compare" | "sweep" | "profile") {
+                    return Ok(None);
+                }
+                let mut out = String::new();
+                dispatch(tokens.clone(), &mut out).map(|_| Some(out))
+            });
+            match outcome {
+                Ok(Ok(Some(_))) => *rendered.entry(tokens[0].clone()).or_insert(0) += 1,
+                Ok(Ok(None)) => {}
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panic!("case {case} panicked: {tokens:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let quiet = [
+            "topology",
+            "workloads",
+            "report",
+            "bench-diff",
+            "inspect",
+            "help",
+        ];
+        assert!(
+            rejected > 0 && quiet.iter().all(|c| rendered.contains_key(*c)),
+            "{rejected} rejected; rendered per command: {rendered:?}"
+        );
     }
 
     #[test]

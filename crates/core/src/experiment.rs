@@ -310,34 +310,6 @@ impl Experiment {
     }
 }
 
-/// Runs `workload` on `system` and on the §V-A baseline (in parallel on
-/// the global [`JobPool`]), both observed when `observe` is set, returning
-/// the speedup, the system's result, and — when observed — the system
-/// run's [`record`](Experiment::record) and report.
-pub fn speedup_vs_baseline(
-    workload: Workload,
-    system: SystemKind,
-    scale: &ScaleConfig,
-    observe: bool,
-) -> (f64, RunResult, Option<(RunRecord, ObsReport)>) {
-    let sys_experiment = Experiment::new(workload, system, scale.clone());
-    let pair = vec![
-        Experiment::new(workload, SystemKind::Baseline, scale.clone()),
-        sys_experiment.clone(),
-    ];
-    let mut results = JobPool::global().run(pair, |_, e| e.run_with(observe));
-    // The pool returns exactly one result per job, in input order.
-    let (sys, sys_report) = results.remove(1);
-    let (base, _) = results.remove(0);
-    let speedup = if base.ipc > 0.0 {
-        sys.ipc / base.ipc
-    } else {
-        0.0
-    };
-    let observed = sys_report.map(|rep| (sys_experiment.record(&sys, &rep), rep));
-    (speedup, sys, observed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,7 @@ pub mod report;
 mod scale;
 pub mod sweep;
 
-pub use experiment::{speedup_vs_baseline, Experiment, SystemKind};
+pub use experiment::{Experiment, SystemKind};
 pub use pool::{set_global_jobs, set_progress, JobPool};
 pub use scale::ScaleConfig;
 

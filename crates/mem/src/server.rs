@@ -23,26 +23,6 @@ pub struct ServerStats {
     pub wait_cycles: Cycles,
 }
 
-impl ServerStats {
-    /// Mean queuing delay per transfer in cycles (0 if no transfers).
-    pub fn mean_wait(&self) -> f64 {
-        if self.transfers == 0 {
-            0.0
-        } else {
-            self.wait_cycles.raw() as f64 / self.transfers as f64
-        }
-    }
-
-    /// Server utilization over `elapsed` (0 if `elapsed` is zero).
-    pub fn utilization(&self, elapsed: Cycles) -> f64 {
-        if elapsed == Cycles::ZERO {
-            0.0
-        } else {
-            self.busy_cycles.raw() as f64 / elapsed.raw() as f64
-        }
-    }
-}
-
 impl Observe for ServerStats {
     fn observe(&self, prefix: &str, frame: &mut MetricsFrame) {
         frame.add_counter(&format!("{prefix}.transfers"), self.transfers);
@@ -188,8 +168,6 @@ mod tests {
         assert_eq!(st.bytes, 128);
         assert_eq!(st.busy_cycles, Cycles::new(14));
         assert_eq!(st.wait_cycles, Cycles::new(7));
-        assert_eq!(st.mean_wait(), 3.5);
-        assert_eq!(st.utilization(Cycles::new(28)), 0.5);
     }
 
     #[test]
@@ -199,13 +177,7 @@ mod tests {
         s.reset();
         assert_eq!(s.busy_until(), Cycles::ZERO);
         assert_eq!(s.stats().transfers, 0);
-        assert_eq!(s.stats().mean_wait(), 0.0);
-    }
-
-    #[test]
-    fn utilization_handles_zero_elapsed() {
-        let s = server();
-        assert_eq!(s.stats().utilization(Cycles::ZERO), 0.0);
+        assert_eq!(s.stats(), ServerStats::default());
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl MigrationCosts {
             bytes_per_page: PAGE_SIZE as u64,
         }
     }
-
-    /// Total initiator-core busy time for `pages` migrations.
-    pub fn initiator_cost(&self, pages: u64) -> Cycles {
-        self.initiator_cycles_per_page * pages
-    }
 }
 
 impl Default for MigrationCosts {
@@ -76,7 +71,6 @@ mod tests {
         let c = MigrationCosts::paper();
         assert_eq!(c.initiator_cycles_per_page, Cycles::new(3_000));
         assert_eq!(c.bytes_per_page, 4096);
-        assert_eq!(c.initiator_cost(10), Cycles::new(30_000));
     }
 
     #[test]

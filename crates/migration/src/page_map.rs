@@ -125,26 +125,6 @@ impl PageMap {
         self.locations[page.pfn() as usize] = to;
     }
 
-    /// Moves all pages of `region` to `to`. Returns how many pages actually
-    /// moved (pages already at `to` do not count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the move would exceed pool capacity.
-    pub fn move_region(&mut self, region: RegionId, to: Location) -> u64 {
-        let mut moved = 0;
-        for page in region.pages() {
-            if page.pfn() >= self.len() {
-                break; // last region may be partial
-            }
-            if self.location(page) != to {
-                self.move_page(page, to);
-                moved += 1;
-            }
-        }
-        moved
-    }
-
     /// Number of regions covering the footprint.
     pub fn num_regions(&self) -> usize {
         (self.len() as usize).div_ceil(REGION_PAGES)
@@ -279,28 +259,6 @@ mod tests {
     #[should_panic(expected = "pool capacity exceeded")]
     fn initial_placement_cannot_overfill_the_pool() {
         let _ = PageMap::from_fn(4, 2, |_| Location::Pool);
-    }
-
-    #[test]
-    fn move_region_moves_all_pages() {
-        let mut m = PageMap::from_fn(256, 300, |_| socket(0));
-        let moved = m.move_region(RegionId::new(1), Location::Pool);
-        assert_eq!(moved, 128);
-        assert_eq!(m.pool_pages(), 128);
-        for page in RegionId::new(1).pages() {
-            assert_eq!(m.location(page), Location::Pool);
-        }
-        assert_eq!(m.region_location(RegionId::new(1)), Location::Pool);
-        // Moving again is free.
-        assert_eq!(m.move_region(RegionId::new(1), Location::Pool), 0);
-    }
-
-    #[test]
-    fn move_partial_last_region() {
-        let mut m = PageMap::from_fn(130, 200, |_| socket(0));
-        assert_eq!(m.num_regions(), 2);
-        let moved = m.move_region(RegionId::new(1), Location::Pool);
-        assert_eq!(moved, 2, "last region has only 2 pages");
     }
 
     #[test]

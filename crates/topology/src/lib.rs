@@ -23,8 +23,9 @@
 //!
 //! let params = SystemParams::scaled_starnuma();
 //! let net = Network::new(&params);
-//! let route = net.route(SocketId::new(0), Location::Pool);
-//! assert_eq!(route.unloaded_total.raw(), 180.0);
+//! let pool = net.latency().demand_access(SocketId::new(0), Location::Pool);
+//! assert_eq!(pool.raw(), 180.0);
+//! assert_eq!(net.leg(Location::Socket(SocketId::new(0)), Location::Pool).len(), 1);
 //! ```
 
 pub mod latency;
@@ -32,5 +33,5 @@ mod network;
 mod params;
 
 pub use latency::{CxlLatencyBreakdown, LatencyModel};
-pub use network::{AccessClass, LinkId, LinkKind, Network, Route};
+pub use network::{AccessClass, LinkId, LinkKind, Network};
 pub use params::{BandwidthVariant, ScalePreset, SystemParams};

@@ -14,7 +14,7 @@
 use core::fmt;
 use std::collections::BTreeMap;
 
-use starnuma_types::{ChassisId, Location, Nanos, SocketId};
+use starnuma_types::{ChassisId, Location, SocketId};
 
 use crate::latency::LatencyModel;
 use crate::params::SystemParams;
@@ -111,20 +111,6 @@ impl fmt::Display for AccessClass {
     }
 }
 
-/// The sequence of links traversed by a demand access, with its unloaded
-/// latency and classification.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Route {
-    /// Links traversed by the request (requester → memory).
-    pub request: Vec<LinkId>,
-    /// Links traversed by the response (memory → requester).
-    pub response: Vec<LinkId>,
-    /// End-to-end unloaded latency (includes `mem_base`).
-    pub unloaded_total: Nanos,
-    /// Access classification for statistics.
-    pub class: AccessClass,
-}
-
 /// The link database and router for one system configuration.
 ///
 /// # Examples
@@ -134,9 +120,11 @@ pub struct Route {
 /// use starnuma_types::{Location, SocketId};
 ///
 /// let net = Network::new(&SystemParams::scaled_starnuma());
-/// let r = net.route(SocketId::new(0), Location::Socket(SocketId::new(5)));
-/// assert_eq!(r.request.len(), 3); // UPI uplink, NUMALink, UPI downlink
-/// assert_eq!(r.unloaded_total.raw(), 360.0);
+/// let (s0, s5) = (SocketId::new(0), SocketId::new(5));
+/// let leg = net.leg(Location::Socket(s0), Location::Socket(s5));
+/// assert_eq!(leg.len(), 3); // UPI uplink, NUMALink, UPI downlink
+/// let latency = net.latency().demand_access(s0, Location::Socket(s5));
+/// assert_eq!(latency.raw(), 360.0);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Network {
@@ -346,18 +334,6 @@ impl Network {
             }
         }
     }
-
-    /// Computes the full route of a demand access from `requester` to memory
-    /// at `target`.
-    pub fn route(&self, requester: SocketId, target: Location) -> Route {
-        let src = Location::Socket(requester);
-        Route {
-            request: self.leg(src, target).to_vec(),
-            response: self.leg(target, src).to_vec(),
-            unloaded_total: self.latency.demand_access(requester, target),
-            class: self.classify(requester, target),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -545,18 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn route_latency_matches_model() {
-        let net = starnuma_net();
-        let r = net.route(SocketId::new(0), Location::Socket(SocketId::new(8)));
-        assert_eq!(r.unloaded_total.raw(), 360.0);
-        assert_eq!(r.request.len(), 3);
-        assert_eq!(r.response.len(), 3);
-        let p = net.route(SocketId::new(0), Location::Pool);
-        assert_eq!(p.unloaded_total.raw(), 180.0);
-        assert_eq!(p.class, AccessClass::Pool);
-    }
-
-    #[test]
     fn numalink_bandwidth_is_aggregated() {
         let net = starnuma_net();
         let leg = net.leg(
@@ -588,9 +552,9 @@ mod tests {
             .with_num_sockets(32)
             .unwrap();
         let net = Network::new(&params);
-        let r = net.route(SocketId::new(0), Location::Socket(SocketId::new(31)));
-        assert_eq!(r.class, AccessClass::TwoHop);
-        assert_eq!(r.unloaded_total.raw(), 360.0);
+        let (s0, s31) = (SocketId::new(0), Location::Socket(SocketId::new(31)));
+        assert_eq!(net.classify(s0, s31), AccessClass::TwoHop);
+        assert_eq!(net.latency().demand_access(s0, s31).raw(), 360.0);
         // 8 chassis: 8×12 intra + 2×32 asic + 8×7 numalink + 2×32 cxl.
         assert_eq!(net.link_count(), 96 + 64 + 56 + 64);
     }

@@ -98,11 +98,6 @@ impl RwMix {
     pub const fn read_fraction(self) -> f64 {
         self.0
     }
-
-    /// Returns the fraction of accesses that are writes.
-    pub fn write_fraction(self) -> f64 {
-        1.0 - self.0
-    }
 }
 
 impl Default for RwMix {
@@ -135,8 +130,7 @@ mod tests {
     fn rw_mix_fractions() {
         let m = RwMix::new(0.75);
         assert!((m.read_fraction() - 0.75).abs() < 1e-12);
-        assert!((m.write_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(RwMix::READ_ONLY.write_fraction(), 0.0);
+        assert_eq!(RwMix::READ_ONLY.read_fraction(), 1.0);
     }
 
     #[test]

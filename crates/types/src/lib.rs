@@ -34,7 +34,7 @@ pub use digest::{digest_hex, fnv1a, fnv1a_digest, parse_digest_hex, FNV_OFFSET, 
 pub use error::StarNumaError;
 pub use ids::{BlockAddr, ChassisId, CoreId, Location, PageId, PhysAddr, RegionId, SocketId};
 pub use rng::{SampleRange, SimRng};
-pub use units::{Bytes, Cycles, GbPerSec, Nanos, CORE_GHZ};
+pub use units::{Cycles, GbPerSec, Nanos, CORE_GHZ};
 
 /// Size of a virtual-memory page in bytes (4 KiB, as in the paper).
 pub const PAGE_SIZE: usize = 4096;

@@ -197,73 +197,6 @@ impl From<f64> for Nanos {
     }
 }
 
-/// A capacity or transfer size in bytes.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Bytes(u64);
-
-impl Bytes {
-    /// Zero bytes.
-    pub const ZERO: Bytes = Bytes(0);
-
-    /// Creates a size from a raw byte count.
-    pub const fn new(bytes: u64) -> Self {
-        Bytes(bytes)
-    }
-
-    /// Creates a size from a count of kibibytes.
-    pub const fn from_kib(kib: u64) -> Self {
-        Bytes(kib * 1024)
-    }
-
-    /// Creates a size from a count of mebibytes.
-    pub const fn from_mib(mib: u64) -> Self {
-        Bytes(mib * 1024 * 1024)
-    }
-
-    /// Creates a size from a count of gibibytes.
-    pub const fn from_gib(gib: u64) -> Self {
-        Bytes(gib * 1024 * 1024 * 1024)
-    }
-
-    /// Returns the raw byte count.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-impl Add for Bytes {
-    type Output = Bytes;
-    fn add(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Bytes {
-    fn add_assign(&mut self, rhs: Bytes) {
-        self.0 += rhs.0;
-    }
-}
-
-impl fmt::Debug for Bytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1 << 30 {
-            write!(f, "{:.1}GiB", self.0 as f64 / (1u64 << 30) as f64)
-        } else if self.0 >= 1 << 20 {
-            write!(f, "{:.1}MiB", self.0 as f64 / (1u64 << 20) as f64)
-        } else if self.0 >= 1 << 10 {
-            write!(f, "{:.1}KiB", self.0 as f64 / 1024.0)
-        } else {
-            write!(f, "{}B", self.0)
-        }
-    }
-}
-
-impl fmt::Display for Bytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
-    }
-}
-
 /// A bandwidth in gigabytes per second (10^9 bytes/s), per direction.
 ///
 /// Link and memory-channel bandwidths in the paper are given in GB/s.
@@ -360,16 +293,6 @@ mod tests {
         assert_eq!(c, a);
         let total: Cycles = [a, b].into_iter().sum();
         assert_eq!(total, Cycles::new(13));
-    }
-
-    #[test]
-    fn bytes_constructors() {
-        assert_eq!(Bytes::from_kib(1), Bytes::new(1024));
-        assert_eq!(Bytes::from_mib(2), Bytes::new(2 * 1024 * 1024));
-        assert_eq!(Bytes::from_gib(1), Bytes::new(1 << 30));
-        assert_eq!(format!("{:?}", Bytes::from_gib(3)), "3.0GiB");
-        assert_eq!(format!("{:?}", Bytes::from_mib(5)), "5.0MiB");
-        assert_eq!(format!("{:?}", Bytes::new(100)), "100B");
     }
 
     #[test]
