@@ -40,7 +40,8 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError`] when no command is given, a flag is missing its
-    /// value, or a flag is given twice.
+    /// value (a following `--flag` is not a value), or a flag is given
+    /// twice.
     pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
         let mut iter = raw.into_iter();
         let command = iter
@@ -62,6 +63,11 @@ impl Args {
             let value = iter
                 .next()
                 .ok_or_else(|| ArgError(format!("flag --{name} requires a value")))?;
+            if value.starts_with("--") {
+                return Err(ArgError(format!(
+                    "flag --{name} requires a value, got flag {value}"
+                )));
+            }
             if args.flags.insert(name.to_string(), value).is_some() {
                 return Err(ArgError(format!("flag --{name} given twice")));
             }
@@ -184,6 +190,21 @@ mod tests {
     fn missing_value_is_an_error() {
         let e = parse(&["run", "--workload"]).unwrap_err();
         assert!(e.to_string().contains("requires a value"));
+    }
+
+    /// A flag is not taken as the previous flag's value: `--trace-out
+    /// --json` would otherwise write a file named `--json`.
+    #[test]
+    fn a_flag_is_not_a_value() {
+        let e = parse(&["run", "--trace-out", "--json"]).unwrap_err();
+        assert!(e.to_string().contains("--trace-out"), "{e}");
+        assert!(e.to_string().contains("--json"), "{e}");
+        let e = parse(&["run", "--seed", "--workload", "bfs"]).unwrap_err();
+        assert!(e.to_string().contains("--seed") && e.to_string().contains("--workload"));
+        assert_eq!(
+            parse(&["run", "--seed", "-1"]).unwrap().get("seed"),
+            Some("-1")
+        );
     }
 
     #[test]

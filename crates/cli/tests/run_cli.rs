@@ -190,6 +190,32 @@ fn seeds_are_capped_at_two_to_the_53_and_round_trip_there() {
     let _ = std::fs::remove_file(trace);
 }
 
+/// Regression: `--trace-out --json` took `--json` as the trace path, so
+/// the run exited 0 and wrote a file named `--json`. A value that is itself
+/// a flag is a usage error (exit 1) naming both flags, and nothing runs.
+#[test]
+fn a_flag_is_not_taken_as_a_value() {
+    let dir = std::env::temp_dir().join(format!("starnuma-run-cli-flag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
+        .current_dir(&dir)
+        .args(["run", "--workload", "poa", "--scale", "quick"])
+        .args(["--phases", "1", "--instructions", "2000", "--jobs", "1"])
+        .args(["--trace-out", "--json"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--trace-out") && stderr.contains("--json"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("read dir").collect();
+    assert!(left.is_empty(), "wrote {left:?}");
+    let _ = std::fs::remove_dir(dir);
+}
+
 /// Regression: arguments the model checks reject panicked (exit 101) in
 /// `Runner::new` or the system-parameter checks; each must be a typed
 /// usage error (exit 1) that names the finding.

@@ -11,7 +11,7 @@ use starnuma_types::{CoreId, Location, PageId, RegionId, SocketId, REGION_PAGES}
 /// the pool. The map enforces the pool-capacity limit of §IV-D: the amount
 /// of data allowed in the pool is a fraction of the workload footprint
 /// (20 % by default, 1/17 in the §V-E study).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PageMap {
     locations: Vec<Location>,
     pool_pages: u64,
@@ -185,6 +185,34 @@ impl FirstTouch {
         }
     }
 
+    /// Folds in up to `phases` more phase traces drawn from `next`, and
+    /// stops drawing once the placement is [`settled`](Self::settled): the
+    /// traces it skips could not move a page, so the result equals the
+    /// full fold's.
+    pub fn add_phases(&mut self, phases: usize, mut next: impl FnMut() -> PhaseTrace) {
+        for _ in 0..phases {
+            if self.settled() {
+                return;
+            }
+            self.add(&next());
+        }
+    }
+
+    /// Whether no later access can change the placement: every page holds
+    /// a key, and every key's run icount is below the smallest per-core
+    /// `base`, which bounds every later access's key from below. A core
+    /// with no accesses yet has base 0, so the fold stays unsettled until
+    /// every core it has seen has touched memory. Later phases are assumed
+    /// to have no more cores than the phases folded so far.
+    pub fn settled(&self) -> bool {
+        let Some(&floor) = self.base.iter().min() else {
+            return false;
+        };
+        self.first
+            .iter()
+            .all(|key| key.is_some_and(|(icount, _)| icount < floor))
+    }
+
     /// Lays out the footprint: each touched page on its first toucher's
     /// socket, untouched pages round-robin over the sockets.
     pub fn finish(
@@ -310,12 +338,77 @@ mod tests {
         };
         let mut first = FirstTouch::new(2);
         first.add(&phase0);
+        assert!(!first.settled(), "core 1's base (11) is below key 900");
         first.add(&phase1);
+        assert!(first.settled(), "keys 16 and 10 are below both bases");
         let m = first.finish(0, 1, 2);
         assert_eq!(m.location(PageId::new(0)), socket(1));
         assert_eq!(m.location(PageId::new(1)), socket(1));
         // Alone, phase 0 gives page 0 to core 0.
         let m = PageMap::first_touch(2, 0, &phase0, 1, 2);
         assert_eq!(m.location(PageId::new(0)), socket(0));
+    }
+
+    /// A core that has not touched memory yet keeps base 0, so its next
+    /// access could win any page: the fold is not settled, however early
+    /// the other cores' keys are.
+    #[test]
+    fn a_core_without_accesses_keeps_the_fold_unsettled() {
+        let access = |core: u32, page: u64, icount: u64| {
+            MemAccess::new(
+                CoreId::new(core),
+                PageId::new(page).base_addr(),
+                AccessType::Read,
+                icount,
+            )
+        };
+        let mut first = FirstTouch::new(2);
+        assert!(!first.settled(), "nothing folded yet");
+        first.add(&PhaseTrace {
+            per_core: vec![
+                vec![access(0, 0, 1), access(0, 1, 2), access(0, 0, 50)],
+                vec![],
+            ],
+        });
+        assert!(!first.settled(), "core 1 still has base 0");
+        first.add(&PhaseTrace {
+            per_core: vec![vec![], vec![access(1, 0, 7)]],
+        });
+        assert!(first.settled(), "both bases are now above keys 1 and 2");
+    }
+
+    /// Stopping the scout once the fold is settled gives the full fold's
+    /// placement, for every workload at several seeds. Some of the runs
+    /// must actually stop early, or the check would be empty.
+    #[test]
+    fn stopping_when_settled_matches_the_full_fold() {
+        const PHASES: usize = 6;
+        let mut stopped_early = 0;
+        for workload in Workload::ALL {
+            for seed in [1, 7, 42] {
+                let profile = workload.profile();
+                let fp = profile.footprint_pages;
+                let gen = TraceGenerator::new(&profile, 16, 4, seed);
+                let (mut full, mut early) = (FirstTouch::new(fp), FirstTouch::new(fp));
+                let mut scout = gen.clone();
+                for _ in 0..PHASES {
+                    full.add(&scout.generate_phase(40_000));
+                }
+                let (mut scout, mut drawn) = (gen, 0);
+                early.add_phases(PHASES, || {
+                    drawn += 1;
+                    scout.generate_phase(40_000)
+                });
+                assert_eq!(
+                    early.finish(fp, 4, 16),
+                    full.finish(fp, 4, 16),
+                    "{workload:?} seed {seed}"
+                );
+                if drawn < PHASES {
+                    stopped_early += 1;
+                }
+            }
+        }
+        assert!(stopped_early > 0, "no fold settled before its last phase");
     }
 }

@@ -119,8 +119,9 @@ impl Runner {
         };
 
         // --- Initial placement (step B bootstrap). --- Both scouts replay
-        // every phase with a cloned generator (deterministic) and fold each
-        // phase in as it is generated, so only one phase trace is live.
+        // the run's phases with a cloned generator (deterministic) and fold
+        // each phase in as it is generated, so only one phase trace is
+        // live. The first-touch scout stops once placement is settled.
         let placement_prof = ProfScope::enter(Site::MigrationPolicy);
         let mut map = {
             let mut scout = gen.clone();
@@ -149,14 +150,13 @@ impl Runner {
                     // toucher over the *whole run* (warm-up + all phases) sits —
                     // a page is not allocated until someone touches it. Each
                     // core's icounts run on from its own last access, so a
-                    // later phase can win a page (see `FirstTouch`).
+                    // later phase can win a page (see `FirstTouch`). Once
+                    // no later access can win a page, the scout stops.
                     let mut first = FirstTouch::new(fp);
                     if let Some(w) = &warmup_trace {
                         first.add(w);
                     }
-                    for _ in 0..self.config.phases {
-                        first.add(&scout_phase());
-                    }
+                    first.add_phases(self.config.phases, scout_phase);
                     first.finish(pool_cap, cps, n_sockets)
                 }
             }
@@ -453,6 +453,27 @@ mod tests {
         .run();
         assert_eq!(r.pages_to_pool, 0, "POA places nothing in the pool");
         assert!(r.class_fracs[0] > 0.99, "POA accesses are local");
+    }
+
+    /// At the benchmark's poa-starnuma shape (seed 42, 25k warm-up, 8
+    /// phases of 250k instructions), warm-up and phase 0 touch every
+    /// socket-private page early enough that the first-touch scout settles
+    /// and generates one phase instead of eight.
+    #[test]
+    fn poa_scout_settles_after_phase_zero() {
+        let params = SystemParams::scaled_starnuma();
+        let profile = Workload::Poa.profile();
+        let mut gen =
+            TraceGenerator::new(&profile, params.num_sockets, params.cores_per_socket, 42);
+        let mut first = FirstTouch::new(profile.footprint_pages);
+        first.add(&gen.generate_phase(25_000));
+        let mut generated = 0;
+        first.add_phases(8, || {
+            generated += 1;
+            gen.generate_phase(250_000)
+        });
+        assert_eq!(generated, 1);
+        assert!(first.settled());
     }
 
     #[test]

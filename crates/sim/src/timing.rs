@@ -96,6 +96,49 @@ fn three_hop_index(r: SocketId, h: SocketId, o: SocketId) -> usize {
     distance(r, h) * 9 + distance(h, o) * 3 + distance(o, r)
 }
 
+/// Packs a replay event into one word, `(time << core_bits) | core`, so the
+/// event heap compares a `u64` instead of a `(time, core)` tuple and pops in
+/// the same order: by time, ties to the lower core. A time past the field's
+/// top saturates there and sorts last, as `u64::MAX` does in a tuple.
+#[derive(Clone, Copy, Debug)]
+struct EventKey {
+    core_bits: u32,
+    max_time: u64,
+}
+
+impl EventKey {
+    /// The packing for core indices below `cores`.
+    fn new(cores: usize) -> Self {
+        let core_bits = usize::BITS - cores.saturating_sub(1).leading_zeros();
+        EventKey {
+            core_bits,
+            max_time: u64::MAX >> core_bits,
+        }
+    }
+
+    /// `time`, saturated at the field's top.
+    fn saturate(self, time: u64) -> u64 {
+        time.min(self.max_time)
+    }
+
+    fn pack(self, time: u64, core: usize) -> u64 {
+        (self.saturate(time) << self.core_bits) | core as u64
+    }
+
+    /// The (saturated) time of `key`.
+    fn time(self, key: u64) -> u64 {
+        key >> self.core_bits
+    }
+
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the core field holds an index below a usize core count"
+    )]
+    fn core(self, key: u64) -> usize {
+        (key & !(u64::MAX << self.core_bits)) as usize
+    }
+}
+
 struct CoreRun<'a> {
     stream: &'a [MemAccess],
     /// The socket of the core this stream belongs to.
@@ -382,13 +425,15 @@ impl TimingSim {
             .collect();
 
         // --- Event loop: pop the core with the earliest next issue. ---
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = cores
+        let key = EventKey::new(cores.len());
+        let mut heap: BinaryHeap<Reverse<u64>> = cores
             .iter()
             .enumerate()
             .filter(|(_, c)| !c.stream.is_empty())
-            .map(|(i, _)| Reverse((0u64, i)))
+            .map(|(i, _)| Reverse(key.pack(0, i)))
             .collect();
-        while let Some(Reverse((event_t, ci))) = heap.pop() {
+        while let Some(Reverse(event)) = heap.pop() {
+            let (event_t, ci) = (key.time(event), key.core(event));
             let core = &mut cores[ci];
             let a = core.stream[core.next];
             debug_assert_eq!(a.core.socket(self.cores_per_socket), core.socket);
@@ -430,9 +475,10 @@ impl TimingSim {
                 clippy::cast_possible_truncation,
                 reason = "simulated times are far below 2^64 cycles, about 240 years at 2.4 GHz"
             )]
-            if let Some(&Reverse((next_t, _))) = heap.peek() {
-                if (t as u64) > next_t && (t as u64) > event_t {
-                    heap.push(Reverse((t as u64, ci)));
+            if let Some(&Reverse(next)) = heap.peek() {
+                let issue = key.saturate(t as u64);
+                if issue > key.time(next) && issue > event_t {
+                    heap.push(Reverse(key.pack(issue, ci)));
                     continue;
                 }
             }
@@ -497,7 +543,7 @@ impl TimingSim {
                     clippy::cast_possible_truncation,
                     reason = "simulated times are far below 2^64 cycles, about 240 years at 2.4 GHz"
                 )]
-                heap.push(Reverse((est as u64, ci)));
+                heap.push(Reverse(key.pack(est as u64, ci)));
             }
         }
 
@@ -696,6 +742,42 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The packed event heap pops in the `(time, core)` tuple heap's order:
+    /// by time, ties to the lower core, with `u64::MAX` (what an absurd
+    /// `f64` time casts to) last.
+    #[test]
+    fn packed_event_keys_pop_in_tuple_order() {
+        let mut rng = starnuma_types::SimRng::seed_from_u64(36);
+        for cores in [1usize, 2, 3, 64, 448, 1000] {
+            let key = EventKey::new(cores);
+            for round in 0..20 {
+                let mut tuples = BinaryHeap::new();
+                let mut packed = BinaryHeap::new();
+                for _ in 0..200 {
+                    let time = match round % 3 {
+                        0 => rng.gen_range(0u64..8),
+                        1 => rng.gen_range(0u64..1 << 40),
+                        _ if rng.gen_bool(0.2) => u64::MAX,
+                        _ => rng.gen_range(0u64..100),
+                    };
+                    let core = rng.gen_range(0..cores);
+                    tuples.push(Reverse((time, core)));
+                    packed.push(Reverse(key.pack(time, core)));
+                }
+                while let Some(Reverse((time, core))) = tuples.pop() {
+                    let Some(Reverse(event)) = packed.pop() else {
+                        panic!("packed heap ran out first");
+                    };
+                    assert_eq!(
+                        (key.time(event), key.core(event)),
+                        (key.saturate(time), core)
+                    );
+                }
+                assert!(packed.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! access streams with the profile's sharing structure.
 
 use starnuma_types::{
-    AccessType, CoreId, MemAccess, PageId, PhysAddr, SimRng, SocketId, BLOCK_SIZE, PAGE_SIZE,
-    REGION_PAGES, SOCKETS_PER_CHASSIS,
+    AccessType, CoreId, MemAccess, PageId, PhysAddr, SimRng, SocketId, UniformBelow, BLOCK_SIZE,
+    PAGE_SIZE, REGION_PAGES, SOCKETS_PER_CHASSIS,
 };
 
 use crate::profile::WorkloadProfile;
@@ -57,9 +57,9 @@ pub struct TraceGenerator {
     /// Sharer set of each region-sized page group.
     group_sharers: Vec<Vec<SocketId>>,
     /// `[socket][class]` → hot pages of that class this socket shares.
-    socket_pages_hot: Vec<Vec<Vec<PageId>>>,
+    socket_pages_hot: Vec<Vec<PageList>>,
     /// `[socket][class]` → cold pages of that class this socket shares.
-    socket_pages_cold: Vec<Vec<Vec<PageId>>>,
+    socket_pages_cold: Vec<Vec<PageList>>,
     /// `[socket][class]` → cumulative access-probability weights.
     socket_cum_weights: Vec<Vec<f64>>,
 }
@@ -161,6 +161,12 @@ impl TraceGenerator {
             );
         }
 
+        let page_lists = |lists: Vec<Vec<Vec<PageId>>>| -> Vec<Vec<PageList>> {
+            lists
+                .into_iter()
+                .map(|classes| classes.into_iter().map(PageList::new).collect())
+                .collect()
+        };
         TraceGenerator {
             profile: profile.clone(),
             num_sockets,
@@ -169,8 +175,8 @@ impl TraceGenerator {
             phase: 0,
             page_class,
             group_sharers,
-            socket_pages_hot,
-            socket_pages_cold,
+            socket_pages_hot: page_lists(socket_pages_hot),
+            socket_pages_cold: page_lists(socket_pages_cold),
             socket_cum_weights,
         }
     }
@@ -282,18 +288,23 @@ impl TraceGenerator {
         let weights = &self.socket_cum_weights[s];
         let total = weights.last().copied().unwrap_or(1.0);
         let x = rng.gen_f64() * total;
-        let cls = weights.partition_point(|&w| w <= x).min(weights.len() - 1);
+        // The weights never decrease, so the count of those `<= x` is
+        // their partition point, found without a data-dependent branch.
+        let cls = weights
+            .iter()
+            .filter(|&&w| w <= x)
+            .count()
+            .min(weights.len() - 1);
         let hot = &self.socket_pages_hot[s][cls];
         let cold = &self.socket_pages_cold[s][cls];
-        let pages = if hot.is_empty() {
+        let pages = if hot.pages.is_empty() {
             cold
-        } else if cold.is_empty() || rng.gen_f64() < self.profile.hot_access_frac {
+        } else if cold.pages.is_empty() || rng.gen_f64() < self.profile.hot_access_frac {
             hot
         } else {
             cold
         };
-        debug_assert!(!pages.is_empty());
-        let page = pages[rng.gen_range(0..pages.len())];
+        let page = pages.sample(rng);
         let block_in_page = rng.gen_range(0..(PAGE_SIZE / BLOCK_SIZE)) as u64;
         let addr = PhysAddr::new(page.pfn() * PAGE_SIZE as u64 + block_in_page * BLOCK_SIZE as u64);
         let kind = if rng.gen_f64() < self.profile.classes[cls].rw.read_fraction() {
@@ -302,6 +313,33 @@ impl TraceGenerator {
             AccessType::Write
         };
         MemAccess::new(core, addr, kind, icount)
+    }
+}
+
+/// Pages one socket samples from, with the uniform index draw over them
+/// prepared once.
+#[derive(Clone, Debug)]
+struct PageList {
+    pages: Vec<PageId>,
+    /// Draws an index into `pages`; an empty list keeps a span-1 draw that
+    /// [`TraceGenerator::sample_access`] never takes.
+    index: UniformBelow,
+}
+
+impl PageList {
+    fn new(pages: Vec<PageId>) -> Self {
+        let index = UniformBelow::new(pages.len().max(1) as u64);
+        PageList { pages, index }
+    }
+
+    /// A uniform page of the list: the draw `rng.gen_range(0..len)` makes.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the index is below the list's usize length"
+    )]
+    fn sample(&self, rng: &mut SimRng) -> PageId {
+        debug_assert!(!self.pages.is_empty());
+        self.pages[self.index.sample(rng) as usize]
     }
 }
 

@@ -33,7 +33,7 @@ pub use access::{AccessType, MemAccess, RwMix};
 pub use digest::{digest_hex, fnv1a, fnv1a_digest, parse_digest_hex, FNV_OFFSET, FNV_PRIME};
 pub use error::StarNumaError;
 pub use ids::{BlockAddr, ChassisId, CoreId, Location, PageId, PhysAddr, RegionId, SocketId};
-pub use rng::{SampleRange, SimRng};
+pub use rng::{SampleRange, SimRng, UniformBelow};
 pub use units::{Cycles, GbPerSec, Nanos, CORE_GHZ};
 
 /// Size of a virtual-memory page in bytes (4 KiB, as in the paper).

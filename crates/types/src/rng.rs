@@ -85,12 +85,49 @@ impl SimRng {
     /// Uniform in `[0, span)` by rejection sampling (unbiased); `span` must
     /// be nonzero (callers guard via the range impls).
     fn bounded(&mut self, span: u64) -> u64 {
-        // Reject draws from the tail zone that would bias the modulus.
-        let zone = u64::MAX - u64::MAX % span;
+        UniformBelow::new(span).sample(self)
+    }
+}
+
+/// A uniform draw from `[0, span)` with its rejection zone computed once.
+/// Sampling one span many times then costs one division per draw instead
+/// of two, and draws exactly what [`SimRng::gen_range`] over `0..span`
+/// draws.
+///
+/// ```
+/// use starnuma_types::{SimRng, UniformBelow};
+///
+/// let (mut a, mut b) = (SimRng::seed_from_u64(1), SimRng::seed_from_u64(1));
+/// let below = UniformBelow::new(10);
+/// assert_eq!(below.sample(&mut a), b.gen_range(0u64..10));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct UniformBelow {
+    span: u64,
+    /// Draws at or above this are rejected: they would bias the modulus.
+    zone: u64,
+}
+
+impl UniformBelow {
+    /// The draw for `[0, span)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` is zero.
+    pub fn new(span: u64) -> Self {
+        assert!(span > 0, "UniformBelow needs a nonzero span");
+        UniformBelow {
+            span,
+            zone: u64::MAX - u64::MAX % span,
+        }
+    }
+
+    /// One uniform value below the span.
+    pub fn sample(self, rng: &mut SimRng) -> u64 {
         loop {
-            let x = self.next_u64();
-            if x < zone {
-                return x % span;
+            let x = rng.next_u64();
+            if x < self.zone {
+                return x % self.span;
             }
         }
     }
@@ -240,6 +277,21 @@ mod tests {
         let mut r = SimRng::seed_from_u64(8);
         assert_eq!(r.gen_range(5usize..5), 5);
         assert_eq!(r.gen_range(9u16..=8), 9);
+    }
+
+    /// A prepared draw takes exactly the values and rejections
+    /// `gen_range` takes, including spans just above 2^63 that reject
+    /// about half of all raw draws.
+    #[test]
+    fn uniform_below_draws_the_gen_range_stream() {
+        for span in [1u64, 3, 64, 1000, 12_345, (1 << 63) + 1, u64::MAX] {
+            let below = UniformBelow::new(span);
+            let (mut a, mut b) = (SimRng::seed_from_u64(span), SimRng::seed_from_u64(span));
+            for _ in 0..1_000 {
+                assert_eq!(below.sample(&mut a), b.gen_range(0..span));
+            }
+            assert_eq!(a, b);
+        }
     }
 
     #[test]
