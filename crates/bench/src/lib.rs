@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use starnuma::{Experiment, JobPool, RunResult, ScaleConfig, SystemKind, Workload};
-use starnuma_types::json;
+use starnuma_types::json::Json;
 
 /// Prints the standard bench banner.
 pub fn banner(artifact: &str, paper_ref: &str) {
@@ -141,20 +141,17 @@ pub fn append_history(bench: &str, smoke: bool, metrics: &[(String, f64)]) {
     use std::io::Write as _;
     let path = std::env::var("STARNUMA_BENCH_HISTORY")
         .unwrap_or_else(|_| format!("{}/../../BENCH_history.jsonl", env!("CARGO_MANIFEST_DIR")));
-    let mut line = String::from("{\"schema_version\":1,\"bench\":");
-    json::write_str(&mut line, bench);
-    line.push_str(&format!(
-        ",\"smoke\":{},\"version\":\"{}\"",
-        u8::from(smoke),
-        env!("CARGO_PKG_VERSION"),
-    ));
-    for (key, value) in metrics {
-        line.push(',');
-        json::write_str(&mut line, key);
-        line.push(':');
-        json::write_num(&mut line, *value);
-    }
-    line.push_str("}\n");
+    let head = [
+        ("schema_version", Json::Num(1.0)),
+        ("bench", Json::Str(bench.to_string())),
+        ("smoke", Json::Num(f64::from(u8::from(smoke)))),
+        ("version", Json::Str(env!("CARGO_PKG_VERSION").to_string())),
+    ]
+    .map(|(key, value)| (key.to_string(), value));
+    let metrics = metrics
+        .iter()
+        .map(|(key, value)| (key.clone(), Json::Num(*value)));
+    let line = Json::Obj(head.into_iter().chain(metrics).collect()).render() + "\n";
     let written = std::fs::OpenOptions::new()
         .create(true)
         .append(true)

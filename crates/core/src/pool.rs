@@ -25,15 +25,15 @@
 //! threads, while every simulated timestamp stays virtual and is derived
 //! only from the run's own configuration. The one deliberate exception is
 //! the opt-in progress meter ([`set_progress`], the CLI's `--progress`
-//! flag), which uses host time purely for the operator-facing ETA printed
-//! to stderr — it never touches a simulated quantity.
+//! flag), which reads host time through `starnuma_prof::SessionTimer`
+//! purely for the operator-facing ETA printed to stderr — it never
+//! touches a simulated quantity.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-#[expect(clippy::disallowed_types, reason = "ProgressMeter's operator ETA only")]
-use std::time::Instant;
 
+use starnuma_prof::SessionTimer;
 use starnuma_types::StarNumaError;
 
 /// Process-wide worker-count override; 0 means "not set".
@@ -69,22 +69,20 @@ pub fn set_progress(enabled: bool) {
 }
 
 /// Counts completed jobs of one top-level fan-out and prints progress/ETA
-/// lines to stderr. Host wall-clock is used *only* here, for the operator
-/// ETA — it never feeds a simulated quantity.
+/// lines to stderr. Its host wall-clock feeds *only* the operator ETA —
+/// never a simulated quantity.
 struct ProgressMeter {
     total: usize,
     done: AtomicUsize,
-    #[expect(clippy::disallowed_types, reason = "operator ETA only")]
-    start: Instant,
+    timer: SessionTimer,
 }
 
 impl ProgressMeter {
-    #[expect(clippy::disallowed_types, reason = "operator ETA only")]
     fn new(total: usize) -> Self {
         ProgressMeter {
             total,
             done: AtomicUsize::new(0),
-            start: Instant::now(),
+            timer: SessionTimer::start(),
         }
     }
 
@@ -93,7 +91,7 @@ impl ProgressMeter {
     #[expect(clippy::print_stderr, reason = "operator-facing progress, stderr only")]
     fn tick(&self) {
         let done = self.done.fetch_add(1, Ordering::SeqCst) + 1;
-        let elapsed = self.start.elapsed().as_secs_f64();
+        let elapsed = self.timer.elapsed_ns() as f64 / 1e9;
         if done < self.total {
             let eta = elapsed / done as f64 * (self.total - done) as f64;
             eprintln!(
@@ -266,11 +264,6 @@ impl JobPool {
                                 m.tick();
                             }
                         }
-                        // Merge this worker's profiler table before the
-                        // scoped thread exits (no-op when profiling is off);
-                        // the caller's `snapshot` then sees every
-                        // worker's counts, merged in canonical site order.
-                        starnuma_prof::flush_thread();
                         done
                     })
                 })

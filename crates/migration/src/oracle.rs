@@ -195,7 +195,7 @@ pub fn static_oracle_placement_with_sharers(
         .take(pool_capacity_pages as usize)
         .map(|(_, p)| p)
         .collect();
-    let mut rr = 0u16;
+    let mut rr = 0usize;
     PageMap::from_fn(footprint, pool_capacity_pages, |page| {
         if pooled.contains(&page) {
             Location::Pool
@@ -204,9 +204,9 @@ pub fn static_oracle_placement_with_sharers(
                 Some(s) => Location::Socket(s),
                 None => {
                     // Untouched page: spread round-robin.
-                    let s = SocketId::new(rr % 16);
+                    let s = rr % counts.num_sockets;
                     rr += 1;
-                    Location::Socket(s)
+                    Location::Socket(SocketId::new(s as u16))
                 }
             }
         }

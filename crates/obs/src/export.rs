@@ -2,13 +2,12 @@
 //! flat-line reader `starnuma inspect`, the ledger and the bench history
 //! loader share.
 //!
-//! The exporter streams text through the workspace codec's writers
-//! ([`json::write_str`], [`json::write_num`]) rather than building a
-//! [`Json`] tree, because its bucket counts are `u64`. Output is
-//! deterministic: nothing consults the host clock.
+//! Every line is a [`Json::Obj`] rendered by the workspace codec; the
+//! counts it carries (sequence numbers, bucket counts) are far below
+//! 2^53, so [`Json::Num`] holds them exactly. Output is deterministic:
+//! nothing consults the host clock.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use starnuma_types::json::{self, Json};
 
@@ -17,48 +16,40 @@ use crate::ledger::RunRecord;
 use crate::metrics::LatencyHistogram;
 use crate::sink::ObsReport;
 
-fn field(key: &str, value: &FieldValue, out: &mut String) {
-    json::write_str(out, key);
-    out.push(':');
-    match value {
-        FieldValue::U64(u) => {
-            let _ = write!(out, "{u}");
-        }
-        FieldValue::F64(f) => json::write_num(out, *f),
-        FieldValue::Str(s) => json::write_str(out, s),
-    }
+fn text(s: &str) -> Json {
+    Json::Str(s.to_string())
 }
 
-fn event_line(e: &Event, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"type\":\"event\",\"seq\":{},\"phase\":{},\"level\":\"{}\",\"cat\":\"{}\",\"name\":",
-        e.seq,
-        e.phase,
-        e.level.label(),
-        e.category.label()
-    );
-    json::write_str(out, e.name);
-    for (k, v) in &e.fields {
-        out.push(',');
-        field(k, v, out);
-    }
-    out.push_str("}\n");
+fn event_line(e: &Event) -> Json {
+    let mut fields = vec![
+        ("type".into(), text("event")),
+        ("seq".into(), Json::Num(e.seq as f64)),
+        ("phase".into(), Json::Num(f64::from(e.phase))),
+        ("level".into(), text(e.level.label())),
+        ("cat".into(), text(e.category.label())),
+        ("name".into(), text(e.name)),
+    ];
+    fields.extend(e.fields.iter().map(|(key, value)| {
+        let value = match value {
+            FieldValue::U64(u) => Json::Num(*u as f64),
+            FieldValue::F64(f) => Json::Num(*f),
+            FieldValue::Str(s) => text(s),
+        };
+        (key.to_string(), value)
+    }));
+    Json::Obj(fields)
 }
 
-fn hist_line(socket: usize, label: &str, h: &LatencyHistogram, out: &mut String) {
-    let _ = write!(out, "{{\"type\":\"hist\",\"socket\":{socket},\"class\":");
-    json::write_str(out, label);
-    let _ = write!(out, ",\"count\":{},\"mean_ns\":", h.count());
-    json::write_num(out, h.mean_ns());
-    out.push_str(",\"buckets\":[");
-    for (i, b) in h.buckets().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{b}");
-    }
-    out.push_str("]}\n");
+fn hist_line(socket: usize, label: &str, h: &LatencyHistogram) -> Json {
+    let buckets = h.buckets().iter().map(|&b| Json::Num(b as f64)).collect();
+    Json::Obj(vec![
+        ("type".into(), text("hist")),
+        ("socket".into(), Json::Num(socket as f64)),
+        ("class".into(), text(label)),
+        ("count".into(), Json::Num(h.count() as f64)),
+        ("mean_ns".into(), Json::Num(h.mean_ns())),
+        ("buckets".into(), Json::Arr(buckets)),
+    ])
 }
 
 /// Renders one run's trace section as self-describing JSONL: the run's
@@ -69,13 +60,17 @@ fn hist_line(socket: usize, label: &str, h: &LatencyHistogram, out: &mut String)
 pub fn trace_jsonl(record: &RunRecord, report: &ObsReport) -> String {
     let mut out = record.to_json_line();
     out.push('\n');
+    let mut emit = |line: Json| {
+        out.push_str(&line.render());
+        out.push('\n');
+    };
     for e in &report.events {
-        event_line(e, &mut out);
+        emit(event_line(e));
     }
     for (socket, sm) in report.metrics.sockets.iter().enumerate() {
-        for (class, h) in sm.class_hist.iter().enumerate() {
+        for (h, label) in sm.class_hist.iter().zip(report.class_labels) {
             if h.count() > 0 {
-                hist_line(socket, report.class_labels[class], h, &mut out);
+                emit(hist_line(socket, label, h));
             }
         }
     }

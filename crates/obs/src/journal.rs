@@ -41,8 +41,6 @@ pub enum EventCategory {
     PoolPressure,
     /// Phase-barrier checkpoints (plan size, pool occupancy).
     Checkpoint,
-    /// Harness progress (sweep/compare bookkeeping).
-    Progress,
 }
 
 impl EventCategory {
@@ -53,7 +51,6 @@ impl EventCategory {
             EventCategory::Threshold => "threshold",
             EventCategory::PoolPressure => "pool_pressure",
             EventCategory::Checkpoint => "checkpoint",
-            EventCategory::Progress => "progress",
         }
     }
 }
@@ -140,11 +137,6 @@ impl EventJournal {
         self.events.iter()
     }
 
-    /// How many events were recorded in total (including dropped ones).
-    pub fn recorded(&self) -> u64 {
-        self.next_seq
-    }
-
     /// How many events the ring shed.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -178,7 +170,7 @@ mod tests {
         push_n(&mut j, 3);
         let seqs: Vec<u64> = j.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(j.recorded(), 3);
+        assert_eq!(j.next_seq, 3);
         assert_eq!(j.dropped(), 0);
     }
 

@@ -11,8 +11,8 @@
 //! contention, and per access class a sample count (its share is the
 //! count over `overall.count`), mean latency and percentiles.
 //! Records are *flat* JSON objects (dotted keys, like the bench history
-//! file), written with the workspace codec's writers
-//! ([`starnuma_types::json`]) and read back with
+//! file), rendered through the workspace codec ([`Json::render`]) and
+//! read back with
 //! [`parse_flat_object`](crate::parse_flat_object). Every field is a pure
 //! function of the run's configuration except the host fields `jobs` and
 //! `wall_ns`; determinism tests pin those and byte-compare whole lines.
@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use starnuma_types::json::{self, Json};
+use starnuma_types::json::Json;
 use starnuma_types::{digest_hex, parse_digest_hex};
 
 use crate::export::parse_flat_object;
@@ -137,35 +137,38 @@ impl RunRecord {
     /// starting `{"type":"run",`. Field order is fixed, so identical records
     /// render byte-identically.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"type\":\"run\"");
-        push_int(&mut out, "schema_version", self.schema_version);
-        push_str(&mut out, "workload", &self.workload);
-        push_str(&mut out, "system", &self.system);
-        push_str(&mut out, "preset", &self.preset);
-        push_int(&mut out, "jobs", self.jobs);
-        push_int(&mut out, "seed", self.seed);
-        push_str(&mut out, "version", &self.version);
-        push_str(&mut out, "config_digest", &digest_hex(self.config_digest));
-        push_str(&mut out, "result_digest", &digest_hex(self.result_digest));
-        push_int(&mut out, "wall_ns", self.wall_ns);
-        push_num(&mut out, "ipc", self.ipc);
-        push_num(&mut out, "amat_ns", self.amat_ns);
-        push_num(&mut out, "unloaded_amat_ns", self.unloaded_amat_ns);
-        push_num(&mut out, "contention_ns", self.contention_ns);
-        push_num(&mut out, "mpki", self.mpki);
-        push_int(&mut out, "pages_migrated", self.pages_migrated);
-        push_int(&mut out, "pages_to_pool", self.pages_to_pool);
-        push_int(&mut out, "dropped_events", self.dropped_events);
-        push_summary(&mut out, "overall", &self.overall, false);
+        let mut fields: Vec<(String, Json)> = [
+            ("type", Json::Str("run".into())),
+            ("schema_version", int(self.schema_version)),
+            ("workload", Json::Str(self.workload.clone())),
+            ("system", Json::Str(self.system.clone())),
+            ("preset", Json::Str(self.preset.clone())),
+            ("jobs", int(self.jobs)),
+            ("seed", int(self.seed)),
+            ("version", Json::Str(self.version.clone())),
+            ("config_digest", Json::Str(digest_hex(self.config_digest))),
+            ("result_digest", Json::Str(digest_hex(self.result_digest))),
+            ("wall_ns", int(self.wall_ns)),
+            ("ipc", Json::Num(self.ipc)),
+            ("amat_ns", Json::Num(self.amat_ns)),
+            ("unloaded_amat_ns", Json::Num(self.unloaded_amat_ns)),
+            ("contention_ns", Json::Num(self.contention_ns)),
+            ("mpki", Json::Num(self.mpki)),
+            ("pages_migrated", int(self.pages_migrated)),
+            ("pages_to_pool", int(self.pages_to_pool)),
+            ("dropped_events", int(self.dropped_events)),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect();
+        push_summary(&mut fields, "overall", &self.overall, false);
         for class in &self.classes {
-            push_summary(&mut out, &format!("class.{}", class.label), class, true);
+            push_summary(&mut fields, &format!("class.{}", class.label), class, true);
         }
         for (key, value) in &self.counters {
-            push_int(&mut out, &format!("counter.{key}"), *value);
+            fields.push((format!("counter.{key}"), int(*value)));
         }
-        out.push('}');
-        out
+        Json::Obj(fields).render()
     }
 
     /// Parses a line written by [`to_json_line`](Self::to_json_line).
@@ -272,39 +275,25 @@ fn float(value: &Json) -> Option<f64> {
     }
 }
 
-fn push_key(out: &mut String, key: &str) {
-    if out.len() > 1 {
-        out.push(',');
-    }
-    json::write_str(out, key);
-    out.push(':');
+/// An integer field as a JSON number: every count a record holds is at
+/// most [`MAX_EXACT_INT`], which `f64` represents exactly.
+fn int(value: u64) -> Json {
+    Json::Num(value as f64)
 }
 
-fn push_str(out: &mut String, key: &str, value: &str) {
-    push_key(out, key);
-    json::write_str(out, value);
-}
-
-fn push_num(out: &mut String, key: &str, value: f64) {
-    push_key(out, key);
-    json::write_num(out, value);
-}
-
-fn push_int(out: &mut String, key: &str, value: u64) {
-    push_num(out, key, value as f64);
-}
-
-/// Writes a summary's count and, for a non-empty one, its percentiles,
+/// Appends a summary's count and, for a non-empty one, its percentiles,
 /// preceded by its mean when `with_mean` is set.
-fn push_summary(out: &mut String, prefix: &str, c: &ClassSummary, with_mean: bool) {
-    push_int(out, &format!("{prefix}.count"), c.count);
+fn push_summary(fields: &mut Vec<(String, Json)>, prefix: &str, c: &ClassSummary, with_mean: bool) {
+    fields.push((format!("{prefix}.count"), int(c.count)));
     if c.count > 0 {
+        let mut num =
+            |key: &str, value: f64| fields.push((format!("{prefix}.{key}"), Json::Num(value)));
         if with_mean {
-            push_num(out, &format!("{prefix}.mean_ns"), c.mean_ns);
+            num("mean_ns", c.mean_ns);
         }
-        push_num(out, &format!("{prefix}.p50_ns"), c.p50_ns);
-        push_num(out, &format!("{prefix}.p95_ns"), c.p95_ns);
-        push_num(out, &format!("{prefix}.p99_ns"), c.p99_ns);
+        num("p50_ns", c.p50_ns);
+        num("p95_ns", c.p95_ns);
+        num("p99_ns", c.p99_ns);
     }
 }
 

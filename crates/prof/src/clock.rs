@@ -2,64 +2,39 @@
 //!
 //! Simulation crates must never read host time (`clippy.toml` disallows
 //! `Instant` and `SystemTime`): results are functions of simulated time
-//! only. Profiling needs host time, so it is funneled through exactly one
-//! type — [`ProfClock`] — whose module carries the one `#[expect]` for
-//! it. Everything else (the RAII stage scopes, the CLI's session
-//! timer) asks this clock, and when profiling is disabled the scopes never
-//! ask at all, so a normal run performs zero wall-clock reads outside the
-//! job-pool progress meter.
+//! only. Profiling and operator output need host time, so it is funneled
+//! through exactly one type — [`SessionTimer`] — whose module carries the
+//! one `#[expect]` for it. The RAII stage scopes, the CLI's command timer
+//! and the job pool's progress meter all hold one, and when profiling is
+//! disabled the scopes never start one.
 
 #![expect(
     clippy::disallowed_types,
-    reason = "ProfClock is the sole sanctioned wall-clock reader"
+    reason = "SessionTimer is the sole sanctioned wall-clock reader"
 )]
 
 use std::time::Instant;
 
-/// An opaque wall-clock stamp taken by [`ProfClock`].
-#[derive(Clone, Copy, Debug)]
-pub struct ClockStamp {
-    at: Instant,
-}
-
-/// The injected wall clock: the only way simulation code is allowed to
-/// observe host time, and only ever for attribution (never for results).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProfClock;
-
-impl ProfClock {
-    /// Take a stamp of the current host time.
-    #[inline]
-    pub fn stamp() -> ClockStamp {
-        ClockStamp { at: Instant::now() }
-    }
-
-    /// Nanoseconds elapsed since `stamp` was taken, saturating at `u64::MAX`.
-    #[inline]
-    pub fn elapsed_ns(stamp: ClockStamp) -> u64 {
-        let nanos = stamp.at.elapsed().as_nanos();
-        u64::try_from(nanos).unwrap_or(u64::MAX)
-    }
-}
-
-/// A coarse wall timer for whole-command spans (the `starnuma profile`
-/// wrapper times the wrapped command with one of these).
+/// A wall timer: the only way any crate is allowed to observe host time,
+/// and only ever for attribution and operator output (never for results).
 #[derive(Clone, Copy, Debug)]
 pub struct SessionTimer {
-    start: ClockStamp,
+    start: Instant,
 }
 
 impl SessionTimer {
     /// Start timing now.
+    #[inline]
     pub fn start() -> SessionTimer {
         SessionTimer {
-            start: ProfClock::stamp(),
+            start: Instant::now(),
         }
     }
 
-    /// Nanoseconds since [`SessionTimer::start`].
+    /// Nanoseconds since [`SessionTimer::start`], saturating at `u64::MAX`.
+    #[inline]
     pub fn elapsed_ns(&self) -> u64 {
-        ProfClock::elapsed_ns(self.start)
+        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 

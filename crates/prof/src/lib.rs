@@ -12,17 +12,17 @@
 //!   benchmark's traced probes, which do not perturb the loop.
 //! * **Scopes** ([`ProfScope`]): RAII guards around those stages.
 //!   Disabled (the default) a scope is one relaxed atomic load;
-//!   enabled it stamps [`ProfClock`] and charges inclusive ns + a call to
-//!   a `(parent, site)` edge in a thread-local table. Workers flush via
-//!   [`flush_thread`]; [`snapshot`] reads the merged registry without
-//!   clearing it, and [`reset`] clears it.
+//!   enabled it starts a [`SessionTimer`] and on exit charges inclusive
+//!   ns + a call to a `(parent, site)` edge of the one process-global
+//!   table, from whichever thread it closes on; [`snapshot`] reads the
+//!   table without clearing it, and [`reset`] clears it.
 //! * **Reports** ([`ProfReport`]): one run-level edge table, rendered as
 //!   the top-down attribution tree (`% wall`, ns/call, calls) that
 //!   `starnuma profile` prints. That command is the one place the
 //!   profiler is switched on outside benches and tests; run records carry
 //!   no profiler fields.
 //!
-//! Wall-clock isolation: [`ProfClock`] is the *only* sanctioned
+//! Wall-clock isolation: [`SessionTimer`] is the *only* sanctioned
 //! `Instant` reader in the workspace (`clippy.toml`'s `disallowed-types`
 //! enforces the boundary), and profiling never feeds back into simulation
 //! state — a profiled run produces bit-identical `RunResult`s and obs
@@ -51,7 +51,7 @@ mod report;
 mod scope;
 mod site;
 
-pub use clock::{ClockStamp, ProfClock, SessionTimer};
+pub use clock::SessionTimer;
 pub use report::{ProfEdge, ProfReport};
-pub use scope::{flush_thread, reset, set_enabled, snapshot, ProfScope};
+pub use scope::{reset, set_enabled, snapshot, ProfScope};
 pub use site::{Site, NUM_SITES};

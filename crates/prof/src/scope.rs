@@ -3,11 +3,13 @@
 //! The fast path is one relaxed atomic load: when profiling is disabled
 //! (the default), [`ProfScope::enter`] reads a flag and returns an inert
 //! guard — no wall-clock read, no thread-local access, no allocation.
-//! When enabled, each scope stamps the clock on entry, and on drop charges
-//! the elapsed nanoseconds to a `(parent-site, site)` edge in a
-//! thread-local table of fixed site-indexed arrays. Workers flush their
-//! tables into a process-global registry ([`flush_thread`], called by the
-//! `JobPool` worker loop), and [`snapshot`] reads the registry into a
+//! When enabled, each scope starts a [`SessionTimer`] on entry, and on
+//! drop charges the elapsed nanoseconds to a `(parent-site, site)` edge of
+//! the one process-global table of fixed site-indexed arrays; each thread
+//! keeps only its stack of open sites, for the parent. Scopes open a few
+//! times per phase, so the table's lock is never contended on a hot path,
+//! and a scope closed on a pool worker is in the table as soon as it
+//! closes. [`snapshot`] reads the table into a
 //! [`ProfReport`](crate::ProfReport) whose edges are emitted in canonical
 //! site order — merges are commutative sums over a fixed universe, so the
 //! *call counts* in a report are independent of worker scheduling, exactly
@@ -17,7 +19,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::clock::{ClockStamp, ProfClock};
+use crate::clock::SessionTimer;
 use crate::report::{ProfEdge, ProfReport};
 use crate::site::{Site, NUM_SITES};
 
@@ -31,52 +33,17 @@ const ZERO: Cell = Cell { ns: 0, calls: 0 };
 
 /// The `(parent, site)` edge matrix. Parent slot 0 is the root (no
 /// enclosing scope); slot `1 + s.index()` is site `s`.
-#[derive(Clone)]
-struct EdgeTable {
-    cells: [[Cell; NUM_SITES]; NUM_SITES + 1],
-}
+type EdgeTable = [[Cell; NUM_SITES]; NUM_SITES + 1];
 
-impl EdgeTable {
-    const fn new() -> EdgeTable {
-        EdgeTable {
-            cells: [[ZERO; NUM_SITES]; NUM_SITES + 1],
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.cells
-            .iter()
-            .all(|row| row.iter().all(|c| c.calls == 0 && c.ns == 0))
-    }
-
-    fn add(&mut self, other: &EdgeTable) {
-        for (drow, srow) in self.cells.iter_mut().zip(&other.cells) {
-            for (d, s) in drow.iter_mut().zip(srow) {
-                d.ns = d.ns.saturating_add(s.ns);
-                d.calls = d.calls.saturating_add(s.calls);
-            }
-        }
-    }
-}
-
-struct ThreadAcc {
-    /// Stack of currently-open sites on this thread (for parent edges).
-    stack: Vec<Site>,
-    /// Edges recorded on this thread since its last flush.
-    table: EdgeTable,
-}
+const EMPTY: EdgeTable = [[ZERO; NUM_SITES]; NUM_SITES + 1];
 
 thread_local! {
-    static ACC: RefCell<ThreadAcc> = const {
-        RefCell::new(ThreadAcc {
-            stack: Vec::new(),
-            table: EdgeTable::new(),
-        })
-    };
+    /// Stack of currently-open sites on this thread (for parent edges).
+    static STACK: RefCell<Vec<Site>> = const { RefCell::new(Vec::new()) };
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: Mutex<EdgeTable> = Mutex::new(EdgeTable::new());
+static GLOBAL: Mutex<EdgeTable> = Mutex::new(EMPTY);
 
 fn lock_global() -> MutexGuard<'static, EdgeTable> {
     match GLOBAL.lock() {
@@ -96,7 +63,7 @@ pub fn set_enabled(on: bool) {
 /// thread. Inert (one atomic load) when profiling is disabled.
 #[must_use = "a ProfScope measures the span until it is dropped"]
 pub struct ProfScope {
-    open: Option<(Site, ClockStamp)>,
+    open: Option<(Site, SessionTimer)>,
 }
 
 impl ProfScope {
@@ -111,13 +78,13 @@ impl ProfScope {
 
     #[cold]
     fn enter_enabled(site: Site) -> ProfScope {
-        ACC.with(|a| {
-            if let Ok(mut a) = a.try_borrow_mut() {
-                a.stack.push(site);
+        STACK.with(|stack| {
+            if let Ok(mut stack) = stack.try_borrow_mut() {
+                stack.push(site);
             }
         });
         ProfScope {
-            open: Some((site, ProfClock::stamp())),
+            open: Some((site, SessionTimer::start())),
         }
     }
 }
@@ -125,48 +92,32 @@ impl ProfScope {
 impl Drop for ProfScope {
     #[inline]
     fn drop(&mut self) {
-        if let Some((site, stamp)) = self.open.take() {
-            let ns = ProfClock::elapsed_ns(stamp);
-            record_exit(site, ns);
+        if let Some((site, timer)) = self.open.take() {
+            record_exit(site, timer.elapsed_ns());
         }
     }
 }
 
 #[cold]
 fn record_exit(site: Site, ns: u64) {
-    ACC.with(|a| {
-        let Ok(mut a) = a.try_borrow_mut() else {
-            return;
-        };
+    let parent_slot = STACK.with(|stack| {
+        let mut stack = stack.try_borrow_mut().ok()?;
         // Pop this scope; RAII drop order makes the top of the stack ours,
         // but tolerate imbalance (e.g. a scope moved across an early
         // return) by removing the deepest matching entry.
-        if a.stack.last() == Some(&site) {
-            a.stack.pop();
-        } else if let Some(pos) = a.stack.iter().rposition(|s| *s == site) {
-            a.stack.remove(pos);
+        if stack.last() == Some(&site) {
+            stack.pop();
+        } else if let Some(pos) = stack.iter().rposition(|s| *s == site) {
+            stack.remove(pos);
         }
-        let parent_slot = a.stack.last().map(|s| 1 + s.index()).unwrap_or(0);
-        let cell = &mut a.table.cells[parent_slot][site.index()];
-        cell.ns = cell.ns.saturating_add(ns);
-        cell.calls = cell.calls.saturating_add(1);
+        Some(stack.last().map(|s| 1 + s.index()).unwrap_or(0))
     });
-}
-
-/// Merge this thread's accumulated table into the process-global registry
-/// and clear it. The `JobPool` worker loop calls this before a worker
-/// thread exits; [`snapshot`] calls it for the reading thread.
-pub fn flush_thread() {
-    ACC.with(|a| {
-        let Ok(mut a) = a.try_borrow_mut() else {
-            return;
-        };
-        if a.table.is_empty() {
-            return;
-        }
-        lock_global().add(&a.table);
-        a.table = EdgeTable::new();
-    });
+    let Some(parent_slot) = parent_slot else {
+        return;
+    };
+    let cell = &mut lock_global()[parent_slot][site.index()];
+    cell.ns = cell.ns.saturating_add(ns);
+    cell.calls = cell.calls.saturating_add(1);
 }
 
 /// Read everything recorded since the last [`reset`] into a report,
@@ -175,10 +126,9 @@ pub fn flush_thread() {
 /// so two reports built from the same merged counts render identically
 /// regardless of which worker recorded what.
 pub fn snapshot() -> ProfReport {
-    flush_thread();
-    let table = lock_global().clone();
+    let table = *lock_global();
     let mut edges = Vec::new();
-    for (parent_slot, row) in table.cells.iter().enumerate() {
+    for (parent_slot, row) in table.iter().enumerate() {
         let parent = parent_slot.checked_sub(1).map(|i| Site::ALL[i]);
         for site in Site::ALL {
             let cell = row[site.index()];
@@ -195,24 +145,23 @@ pub fn snapshot() -> ProfReport {
     ProfReport { edges }
 }
 
-/// Discard everything recorded so far (this thread's table and open-scope
-/// stack, and the global registry). A command that profiles calls this
-/// before enabling so its report covers exactly that command.
+/// Discard everything recorded so far (this thread's open-scope stack and
+/// the global table). A command that profiles calls this before enabling
+/// so its report covers exactly that command.
 pub fn reset() {
-    ACC.with(|a| {
-        if let Ok(mut a) = a.try_borrow_mut() {
-            a.table = EdgeTable::new();
-            a.stack.clear();
+    STACK.with(|stack| {
+        if let Ok(mut stack) = stack.try_borrow_mut() {
+            stack.clear();
         }
     });
-    *lock_global() = EdgeTable::new();
+    *lock_global() = EMPTY;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The enable flag and global registry are process-wide; tests that
+    /// The enable flag and global table are process-wide; tests that
     /// touch them serialize on this lock.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -274,7 +223,6 @@ mod tests {
                     for _ in 0..5 {
                         let _s = ProfScope::enter(Site::Tlb);
                     }
-                    flush_thread();
                 });
             }
         });

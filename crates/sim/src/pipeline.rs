@@ -168,7 +168,8 @@ impl Runner {
         // site so short runs still attribute their wall time.)
         let model_prof = ProfScope::enter(Site::Timing);
         let net = Network::new(params);
-        let mut sim = TimingSim::new(net, MigrationCosts::paper());
+        let costs = MigrationCosts::paper();
+        let mut sim = TimingSim::new(net, costs);
         sim.set_light_cpi(self.profile.base_cpi());
         drop(model_prof);
 
@@ -306,8 +307,9 @@ impl Runner {
             // Step C: timing simulation from the phase-start snapshot, with
             // the first `modeled_migration_fraction` of the plan in flight.
             let mut timing_map = snapshot;
-            // The initiator core spends 3 k cycles per migrated page; at the
-            // paper's scale whole plans fit inside a billion-cycle phase, but
+            // The initiator core spends 3 k cycles per migrated page (the
+            // `costs` the timing model charges); at the paper's scale whole
+            // plans fit inside a billion-cycle phase, but
             // scaled-down windows cannot absorb them — so, exactly like the
             // paper's timing windows (which cover the first 10 % of each
             // phase, §IV-C), model the prefix of the plan whose initiator
@@ -318,7 +320,8 @@ impl Runner {
                 clippy::cast_possible_truncation,
                 reason = "a page budget of 10% of one phase is far below usize::MAX"
             )]
-            let budget_pages = (phase_cycles * 0.1 / 3_000.0).floor() as usize;
+            let budget_pages = (phase_cycles * 0.1 / costs.initiator_cycles_per_page.raw() as f64)
+                .floor() as usize;
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "a fraction of the plan's length is at most that length"

@@ -3,10 +3,10 @@
 //! Every JSON artifact the reproduction writes or reads back — the trace
 //! JSONL, the run ledger, the bench history and `--json` reports — goes
 //! through this module. [`Json`] is the value type, [`parse`] the reader and
-//! [`Json::render`] the tree writer. Exporters whose counters are `u64`
-//! (which [`Json::Num`]'s `f64` cannot hold exactly) stream text instead,
-//! through the same two primitives the tree writer uses: [`write_str`] and
-//! [`write_num`].
+//! [`Json::render`] the one writer: every exporter builds a [`Json::Obj`]
+//! and renders it. Exported integers are counts and indices far below
+//! 2^53, which [`Json::Num`]'s `f64` holds exactly and renders as the
+//! integer's own digits; 64-bit digests travel as hex strings.
 //!
 //! The rules, in one place:
 //!
@@ -116,7 +116,7 @@ impl Json {
 }
 
 /// Appends `s` as a quoted, escaped JSON string.
-pub fn write_str(out: &mut String, s: &str) {
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -136,7 +136,7 @@ pub fn write_str(out: &mut String, s: &str) {
 
 /// Appends `v` as a JSON number: shortest round-trip digits, `0` for
 /// `-0.0`, `null` for NaN and ±∞.
-pub fn write_num(out: &mut String, v: f64) {
+fn write_num(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v == 0.0 {
@@ -319,6 +319,15 @@ mod tests {
         assert_eq!(num(1e20), "100000000000000000000");
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::NEG_INFINITY), "null");
+    }
+
+    /// Every integer up to 2^53 renders as its own digits, so exporters
+    /// can hold counts in [`Json::Num`] without changing a byte.
+    #[test]
+    fn integers_up_to_two_to_the_53_render_as_their_digits() {
+        for n in [0u64, 1, u64::from(u32::MAX), 1 << 32, 1 << 53] {
+            assert_eq!(Json::Num(n as f64).render(), n.to_string());
+        }
     }
 
     #[test]

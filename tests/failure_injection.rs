@@ -77,6 +77,31 @@ fn eight_socket_system_runs() {
     assert!(r.class_fracs[2] > 0.0);
 }
 
+/// Regression: the static oracle spread untouched pages over 16 sockets
+/// whatever the system's size, so an 8-socket run whose footprint left a
+/// page untouched placed it on a socket the network does not have and
+/// panicked.
+#[test]
+fn eight_socket_static_oracle_places_untouched_pages_on_its_own_sockets() {
+    let mut cfg = Experiment::new(
+        Workload::Masstree,
+        SystemKind::StarNuma,
+        ScaleConfig::quick(),
+    )
+    .run_config();
+    cfg.phases = 1;
+    cfg.instructions_per_phase = 2_000;
+    cfg.warmup_instructions = 20_000;
+    cfg.migration = MigrationMode::StaticOracle;
+    cfg.params = SystemParams::scaled_starnuma()
+        .with_num_sockets(8)
+        .expect("8 sockets is valid");
+    let r = Runner::try_new(Workload::Masstree.profile(), cfg)
+        .expect("the configuration is valid")
+        .run();
+    assert!(r.ipc > 0.0);
+}
+
 #[test]
 fn thirty_two_socket_system_runs() {
     let mut cfg = tiny(
