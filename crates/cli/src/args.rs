@@ -192,12 +192,12 @@ mod tests {
         assert!(e.to_string().contains("requires a value"));
     }
 
-    /// A flag is not taken as the previous flag's value: `--trace-out
-    /// --json` would otherwise write a file named `--json`.
+    /// A flag is not taken as the previous flag's value: `--ledger
+    /// --json` would otherwise write a ledger directory named `--json`.
     #[test]
     fn a_flag_is_not_a_value() {
-        let e = parse(&["run", "--trace-out", "--json"]).unwrap_err();
-        assert!(e.to_string().contains("--trace-out"), "{e}");
+        let e = parse(&["run", "--ledger", "--json"]).unwrap_err();
+        assert!(e.to_string().contains("--ledger"), "{e}");
         assert!(e.to_string().contains("--json"), "{e}");
         let e = parse(&["run", "--seed", "--workload", "bfs"]).unwrap_err();
         assert!(e.to_string().contains("--seed") && e.to_string().contains("--workload"));

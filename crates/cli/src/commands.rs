@@ -5,8 +5,8 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use starnuma::obs::{
-    parse_flat_object, trace_jsonl, try_percentile_from_counts, RunRecord, LEDGER_FILE,
-    MAX_EXACT_INT,
+    append_run_log, parse_flat_object, parse_run_log, trace_jsonl, try_percentile_from_counts,
+    RunRecord, RunSection, LEDGER_FILE, MAX_EXACT_INT,
 };
 use starnuma::prof;
 use starnuma::{
@@ -66,14 +66,13 @@ pub const COMPARE_FLAGS: [&str; 2] = ["workload", "systems"];
 pub const SWEEP_FLAGS: [&str; 2] = ["system", "workloads"];
 
 /// The flags `run`, `compare` and `sweep` share.
-pub const SIM_FLAGS: [&str; 9] = [
+pub const SIM_FLAGS: [&str; 8] = [
     "scale",
     "phases",
     "instructions",
     "seed",
     "jobs",
     "json",
-    "trace-out",
     "ledger",
     "progress",
 ];
@@ -92,16 +91,6 @@ pub fn parse_jobs(args: &Args) -> Result<usize, ArgError> {
             .map_err(|e| ArgError(e.to_string()))?
             .workers()),
     }
-}
-
-/// Resolved ledger directory: `--ledger DIR` wins, else the
-/// `STARNUMA_LEDGER` environment variable; `None` when neither is set.
-fn ledger_dir(args: &Args) -> Option<String> {
-    args.get("ledger").map(str::to_string).or_else(|| {
-        std::env::var("STARNUMA_LEDGER")
-            .ok()
-            .filter(|v| !v.is_empty())
-    })
 }
 
 /// Host-side state of one simulation command, started *before* its runs
@@ -134,11 +123,11 @@ impl<'a> Session<'a> {
     /// the simulator would reject is an [`ArgError`] listing its problems
     /// instead of a panic mid-run. The runs fan out on the global
     /// [`JobPool`]. A recorded run is observed only when an output needs
-    /// its record: `prints_records` (the command prints them), a ledger,
-    /// or a trace. Every record carries the command's wall time (the runs
-    /// are parallel, so per-run wall time does not exist); then the
-    /// `--trace-out` file (one section per record, headed by its line)
-    /// and one ledger line per record are written.
+    /// its record: `prints_records` (the command prints them) or a
+    /// ledger. Every record carries the command's wall time (the runs are
+    /// parallel, so per-run wall time does not exist); then each record's
+    /// whole section of the run log (its line, events and histograms) is
+    /// appended to the `--ledger` file.
     fn run(
         &self,
         experiments: Vec<(Experiment, bool)>,
@@ -150,9 +139,8 @@ impl<'a> Session<'a> {
                 .check()
                 .map_err(|e| ArgError(e.to_string()))?;
         }
-        let trace_out = self.args.get("trace-out");
-        let ledger = ledger_dir(self.args);
-        let observes = prints_records || trace_out.is_some() || ledger.is_some();
+        let ledger = self.args.get("ledger");
+        let observes = prints_records || ledger.is_some();
         let runs = JobPool::global().run(experiments, |_, (experiment, recorded)| {
             let (result, report) = experiment.run_with(recorded && observes);
             let observed = report.map(|rep| (experiment.record(&result, &rep), rep));
@@ -164,21 +152,13 @@ impl<'a> Session<'a> {
         for (record, _) in &mut observed {
             record.wall_ns = wall_ns;
         }
-        if let Some(path) = trace_out {
-            let trace: String = observed
+        if let Some(dir) = ledger {
+            let sections: String = observed
                 .iter()
                 .map(|(record, report)| trace_jsonl(record, report))
                 .collect();
-            std::fs::write(path, trace)
-                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        }
-        if let Some(dir) = ledger {
-            let dir = std::path::Path::new(&dir);
-            for (record, _) in &observed {
-                record
-                    .append_to(dir)
-                    .map_err(|e| ArgError(format!("cannot write ledger {}: {e}", dir.display())))?;
-            }
+            append_run_log(std::path::Path::new(dir), &sections)
+                .map_err(|e| ArgError(format!("cannot write ledger {dir}: {e}")))?;
         }
         Ok((
             results,
@@ -224,7 +204,7 @@ pub fn parse_replication(v: &str) -> Result<f64, ArgError> {
 }
 
 /// `starnuma run --workload W --system S [--replication FRAC] [--json]
-/// [--trace-out PATH] [--ledger DIR] [--progress]`
+/// [--ledger DIR] [--progress]`
 pub fn cmd_run(args: &Args, out: &mut String) -> Result<(), ArgError> {
     let session = Session::start(args, &RUN_FLAGS)?;
     let workload = parse_workload(args.require("workload")?)?;
@@ -279,7 +259,7 @@ pub fn cmd_run(args: &Args, out: &mut String) -> Result<(), ArgError> {
 }
 
 /// `starnuma compare --workload W [--systems a,b,...] [--json]
-/// [--trace-out PATH] [--ledger DIR] [--progress]`
+/// [--ledger DIR] [--progress]`
 pub fn cmd_compare(args: &Args, out: &mut String) -> Result<(), ArgError> {
     let session = Session::start(args, &COMPARE_FLAGS)?;
     let workload = parse_workload(args.require("workload")?)?;
@@ -340,7 +320,7 @@ pub fn cmd_compare(args: &Args, out: &mut String) -> Result<(), ArgError> {
 }
 
 /// `starnuma sweep --system S [--workloads a,b,...] [--json]
-/// [--trace-out PATH] [--ledger DIR] [--progress]`
+/// [--ledger DIR] [--progress]`
 pub fn cmd_sweep(args: &Args, out: &mut String) -> Result<(), ArgError> {
     let session = Session::start(args, &SWEEP_FLAGS)?;
     let scale = &session.scale;
@@ -354,7 +334,7 @@ pub fn cmd_sweep(args: &Args, out: &mut String) -> Result<(), ArgError> {
     };
     // Each workload runs on the system and on the baseline, which anchors
     // its speedup. `sweep --json` prints speedups, which no record holds:
-    // the system runs are recorded for the ledger and the trace only.
+    // the system runs are recorded for the ledger only.
     let experiments = workloads
         .iter()
         .flat_map(|&w| {
@@ -750,32 +730,37 @@ fn distinct<'a, T: PartialEq>(
     values
 }
 
-/// `starnuma report [--ledger DIR] [--json]`: cross-run trends from the
-/// run ledger — per-experiment IPC/p95 series with sparklines and
-/// determinism-drift flags (one experiment, more than one result digest).
-/// Exits non-zero on any drift flag, so CI can gate on it.
+/// Reads the run log at `path` ([`parse_run_log`]).
+fn read_run_log(path: &str) -> Result<Vec<RunSection>, ArgError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+    parse_run_log(path, &text).map_err(ArgError)
+}
+
+/// `starnuma report --ledger DIR [--json]`: cross-run trends from the
+/// records of the run ledger — per-experiment IPC/p95 series with
+/// sparklines and determinism-drift flags (one experiment, more than one
+/// result digest). Exits non-zero on any drift flag, so CI can gate on it.
 pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
     args.expect_only(0, &["ledger", "json"])?;
-    let dir = ledger_dir(args).ok_or_else(|| {
-        ArgError("report needs a ledger: pass --ledger DIR or set STARNUMA_LEDGER".into())
-    })?;
-    let ledger_path = std::path::Path::new(&dir).join(LEDGER_FILE);
-    let shown_path = ledger_path.display().to_string();
-    let text = std::fs::read_to_string(&ledger_path)
-        .map_err(|e| ArgError(format!("cannot read {shown_path}: {e}")))?;
-    let mut records: Vec<RunRecord> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        records.push(RunRecord::from_json_line(line).ok_or_else(|| {
-            ArgError(format!(
-                "{shown_path}:{}: not a valid ledger record (schema {})",
-                i + 1,
-                starnuma::obs::LEDGER_SCHEMA_VERSION
-            ))
-        })?);
-    }
+    let dir = args.require("ledger")?;
+    let path = std::path::Path::new(dir)
+        .join(LEDGER_FILE)
+        .display()
+        .to_string();
+    let sections = read_run_log(&path)?;
+    Ok(render_report(&path, &sections, args.switch("json"), out))
+}
+
+/// Renders `report`'s trends over the records of `sections`, read from
+/// the ledger file `shown_path`.
+fn render_report(
+    shown_path: &str,
+    sections: &[RunSection],
+    json: bool,
+    out: &mut String,
+) -> ExitCode {
+    let records: Vec<&RunRecord> = sections.iter().map(|s| &s.record).collect();
 
     // Group into per-experiment trends, preserving file order inside each
     // group (the ledger is append-only, so file order is time order). An
@@ -783,7 +768,7 @@ pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
     // records that differ in any of these never form one trend.
     type Identity<'a> = (&'a str, &'a str, &'a str, u64, u64);
     let mut groups: BTreeMap<Identity, Vec<&RunRecord>> = BTreeMap::new();
-    for r in &records {
+    for &r in &records {
         let identity = (
             r.workload.as_str(),
             r.system.as_str(),
@@ -815,7 +800,7 @@ pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
         (last, delta, p95, sparkline(&ipc_series))
     };
 
-    if args.switch("json") {
+    if json {
         let experiments = Json::Arr(
             groups
                 .iter()
@@ -861,7 +846,7 @@ pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
                 .collect(),
         );
         let doc = vec![
-            ("ledger".into(), Json::Str(shown_path.clone())),
+            ("ledger".into(), Json::Str(shown_path.into())),
             ("records".into(), Json::Num(records.len() as f64)),
             ("experiments".into(), experiments),
             ("drift".into(), drift_json),
@@ -924,19 +909,10 @@ pub fn cmd_report(args: &Args, out: &mut String) -> Result<ExitCode, ArgError> {
         }
     }
     if !drift.is_empty() {
-        Ok(ExitCode::FAILURE)
+        ExitCode::FAILURE
     } else {
-        Ok(ExitCode::SUCCESS)
+        ExitCode::SUCCESS
     }
-}
-
-/// One run's section of a `--trace-out` file: the run record that heads
-/// it, then its `event` and `hist` lines. A multi-run file (from
-/// `compare` or `sweep --trace-out`) concatenates sections.
-struct TraceSection {
-    record: RunRecord,
-    events: Vec<BTreeMap<String, Json>>,
-    hists: Vec<BTreeMap<String, Json>>,
 }
 
 fn num_of(obj: &BTreeMap<String, Json>, key: &str) -> f64 {
@@ -945,53 +921,6 @@ fn num_of(obj: &BTreeMap<String, Json>, key: &str) -> f64 {
 
 fn str_of<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> &'a str {
     obj.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-/// Parses the text of the `--trace-out` file at `path` into sections, one
-/// per `run` line.
-fn parse_trace(path: &str, text: &str) -> Result<Vec<TraceSection>, ArgError> {
-    let mut sections: Vec<TraceSection> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let at = || format!("{path}:{}", i + 1);
-        let obj = parse_flat_object(line)
-            .ok_or_else(|| ArgError(format!("{}: not a flat JSON object line", at())))?;
-        let kind = obj
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ArgError(format!("{}: line has no type field", at())))?;
-        if kind == "run" {
-            let record = RunRecord::from_json_line(line).ok_or_else(|| {
-                ArgError(format!(
-                    "{}: not a valid run record (schema {})",
-                    at(),
-                    starnuma::obs::LEDGER_SCHEMA_VERSION
-                ))
-            })?;
-            sections.push(TraceSection {
-                record,
-                events: Vec::new(),
-                hists: Vec::new(),
-            });
-            continue;
-        }
-        let section = sections
-            .last_mut()
-            .ok_or_else(|| ArgError(format!("{}: '{kind}' line before any run line", at())))?;
-        match kind {
-            "event" => section.events.push(obj),
-            "hist" => section.hists.push(obj),
-            other => return Err(ArgError(format!("{}: unknown line type '{other}'", at()))),
-        }
-    }
-    if sections.is_empty() {
-        return Err(ArgError(format!(
-            "{path}: no run line — not a starnuma trace"
-        )));
-    }
-    Ok(sections)
 }
 
 /// A 32-column sparkline over histogram buckets (log2-ns, bucket i covers
@@ -1013,10 +942,10 @@ fn sparkline(buckets: &[f64]) -> String {
         .collect()
 }
 
-/// Renders one trace section as text: run identity and result digest,
+/// Renders one run-log section as text: run identity and result digest,
 /// the per-phase migration-decision timeline, the most-migrated regions,
 /// and the run's per-socket latency histograms.
-fn render_section(section: &TraceSection, top: usize) -> String {
+fn render_section(section: &RunSection, top: usize) -> String {
     let mut out = String::new();
     let r = &section.record;
     let _ = writeln!(
@@ -1182,7 +1111,7 @@ fn render_section(section: &TraceSection, top: usize) -> String {
     if !r.counters.is_empty() {
         let _ = writeln!(
             out,
-            "substrate counters: {} keys (see --trace-out JSONL)",
+            "substrate counters: {} keys (see the run line)",
             r.counters.len()
         );
     }
@@ -1190,21 +1119,24 @@ fn render_section(section: &TraceSection, top: usize) -> String {
     out
 }
 
-/// `starnuma inspect <trace.jsonl> [--top N]`: renders a human summary
-/// of a `--trace-out` file — run identity and result digest (to match
-/// each section to its ledger line), the per-phase migration-decision
-/// timeline, the most-migrated regions, and per-socket access-latency
-/// histograms.
+/// `starnuma inspect <runs.jsonl> [--top N]`: renders a human summary
+/// of each section of a run log (a ledger file, or a trace file from an
+/// earlier build) — run identity and result digest, the per-phase
+/// migration-decision timeline, the most-migrated regions, and
+/// per-socket access-latency histograms.
 pub fn cmd_inspect(args: &Args, out: &mut String) -> Result<(), ArgError> {
     let [path] = args.expect_only(1, &["top"])? else {
         return Err(ArgError(
-            "inspect needs a trace file: starnuma inspect <trace.jsonl>".into(),
+            "inspect needs a run log: starnuma inspect <ledger dir>/runs.jsonl".into(),
         ));
     };
     let top = args.get_u64("top", 10)? as usize;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-    let sections = parse_trace(path, &text)?;
+    let sections = read_run_log(path)?;
+    if sections.is_empty() {
+        return Err(ArgError(format!(
+            "{path}: no run line — not a starnuma run log"
+        )));
+    }
     for section in &sections {
         out.push_str(&render_section(section, top));
     }
@@ -1215,26 +1147,27 @@ pub fn cmd_inspect(args: &Args, out: &mut String) -> Result<(), ArgError> {
 mod tests {
     use super::*;
 
-    /// Seeded fuzz of `inspect` (no input panics): 2,000 copies of a real
-    /// quick-scale BFS trace, each truncated or with one to three bytes
-    /// overwritten, go through the trace parser and the renderer. Each
-    /// must give an `ArgError` or text, never a panic, and both outcomes
-    /// must occur.
+    /// Seeded fuzz of `inspect` and `report` (no input panics): 2,000
+    /// copies of a real quick-scale BFS run log, each truncated or with one
+    /// to three bytes overwritten, go through the run-log reader, then
+    /// `inspect`'s renderer and `report` (text and `--json`). Each must
+    /// give an error that names `path:line` or text, never a panic, and
+    /// both outcomes must occur.
     #[test]
-    fn damaged_traces_never_panic_inspect() {
+    fn damaged_run_logs_never_panic_inspect_or_report() {
         use starnuma_types::SimRng;
 
         let experiment = Experiment::new(Workload::Bfs, SystemKind::StarNuma, ScaleConfig::quick());
-        let (result, report) = experiment.run_with(true);
-        let report = report.expect("observed run");
-        let trace = trace_jsonl(&experiment.record(&result, &report), &report);
-        let intact = parse_trace("t.jsonl", &trace).expect("intact trace parses");
+        let (result, observed) = experiment.run_with(true);
+        let observed = observed.expect("observed run");
+        let log = trace_jsonl(&experiment.record(&result, &observed), &observed);
+        let intact = parse_run_log("t.jsonl", &log).expect("intact log parses");
         assert!(render_section(&intact[0], 10).contains("migration timeline:"));
 
         let mut rng = SimRng::seed_from_u64(0x1A5_9EC7);
         let (mut rendered, mut rejected) = (0, 0);
         for case in 0..2_000 {
-            let mut bytes = trace.as_bytes().to_vec();
+            let mut bytes = log.as_bytes().to_vec();
             if rng.gen_bool(0.5) {
                 bytes.truncate(rng.gen_range(0..bytes.len()));
             } else {
@@ -1245,17 +1178,31 @@ mod tests {
             }
             let text = String::from_utf8_lossy(&bytes);
             let outcome = std::panic::catch_unwind(|| {
-                parse_trace("t.jsonl", &text).map(|sections| {
-                    sections
+                parse_run_log("t.jsonl", &text).map(|sections| {
+                    let mut out: String = sections
                         .iter()
                         .map(|section| render_section(section, 10))
-                        .collect::<String>()
+                        .collect();
+                    for json in [false, true] {
+                        render_report("t.jsonl", &sections, json, &mut out);
+                    }
+                    out
                 })
             });
             match outcome {
                 Ok(Ok(_)) => rendered += 1,
-                Ok(Err(_)) => rejected += 1,
-                Err(_) => panic!("case {case} panicked inspect"),
+                Ok(Err(e)) => {
+                    let line = e
+                        .strip_prefix("t.jsonl:")
+                        .and_then(|rest| rest.split_once(": "))
+                        .map(|(line, _)| line);
+                    assert!(
+                        line.is_some_and(|l| l.parse::<usize>().is_ok()),
+                        "case {case}: error does not name path:line: {e}"
+                    );
+                    rejected += 1;
+                }
+                Err(_) => panic!("case {case} panicked inspect or report"),
             }
         }
         assert!(

@@ -7,19 +7,20 @@
 //! starnuma topology [--sockets 32] [--full-scale]
 //! starnuma workloads
 //! starnuma profile  <run|compare|sweep> ...
-//! starnuma report   [--ledger DIR] [--json]
+//! starnuma report   --ledger DIR [--json]
 //! starnuma bench-diff <old> <new> [--tolerance 0.2]
-//! starnuma inspect  trace.jsonl [--top N]
+//! starnuma inspect  DIR/runs.jsonl [--top N]
 //! ```
 //!
 //! All simulation commands accept `--scale quick|default|full`,
 //! `--phases N`, `--instructions N`, `--seed N`, and `--jobs N` (worker
 //! threads for independent runs; `STARNUMA_JOBS` sets the default), plus
-//! the observability flags `--trace-out <path>` (per run: the run record
-//! line, the structured event journal, and the run's per-socket latency
-//! histograms), `--ledger <dir>` (the same run record appended to
-//! `<dir>/runs.jsonl`), and `--progress` (live run counts on stderr).
-//! `run --json` and `compare --json` print that record, one line per run.
+//! the observability flags `--ledger <dir>` (per run, its section of the
+//! run log appended to `<dir>/runs.jsonl`: the run record line, the
+//! structured event journal, and the run's per-socket latency histograms)
+//! and `--progress` (live run counts on stderr). `report` reads the
+//! ledger's records and `inspect` its sections, through one reader.
+//! `run --json` and `compare --json` print the record, one line per run.
 //! Recording a run does not profile it: only `profile` switches the
 //! self-profiler on, and the record's `wall_ns` is the command's wall time.
 
@@ -95,8 +96,8 @@ commands:
               --system <name>          (default starnuma; see `compare`)
               --replication <frac>     enable §V-F replication with the given
                                        per-socket capacity fraction
-              --json                   print the run's record: the line
-                                       --ledger appends (schema 4)
+              --json                   print the run's record: the run
+                                       line --ledger appends (schema 4)
   compare   compare systems on one workload
               --workload <name>        (required)
               --systems a,b,c          (default baseline,starnuma,t0)
@@ -120,7 +121,7 @@ commands:
             p95 series with sparklines, and a determinism-drift flag
             for an experiment with more than one result digest;
             exits non-zero on any drift flag
-              --ledger <dir>           ledger directory (or STARNUMA_LEDGER)
+              --ledger <dir>           ledger directory (required)
               --json                   machine-readable output
   bench-diff compare two bench-metric files (flat JSON object or
             BENCH_history.jsonl, keyed <bench>.<metric>, later lines
@@ -129,11 +130,10 @@ commands:
             exits non-zero when a metric regresses beyond the band
             in its known-good direction (default tolerance 0.2) or
             when <new> lacks a key of <old>
-  inspect   summarize a --trace-out JSONL file, one section per run:
-            run identity and result digest (matching its ledger
-            line), the per-phase migration timeline, top migrated
-            regions, and the run's per-socket access-latency
-            histograms (mean + p95)
+  inspect   summarize a run log (<dir>/runs.jsonl), one section per
+            run: run identity and result digest, the per-phase
+            migration timeline, top migrated regions, and the run's
+            per-socket access-latency histograms (mean + p95)
               --top <n>                regions to list (default 10)
 
 common simulation flags:
@@ -143,12 +143,11 @@ common simulation flags:
               else all cores; results are bit-identical at any worker count)
 
 observability (run, compare, sweep):
-  --trace-out <path>    JSONL, one section per run: its run record line,
-                        then events and per-socket latency histograms
+  --ledger <dir>        append each run's section to <dir>/runs.jsonl:
+                        its record line (schema 4), then its events and
+                        per-socket latency histograms; read it back with
+                        `starnuma report` and `starnuma inspect`
   --progress            live `k/n runs complete` + ETA lines on stderr
-  --ledger <dir>        append each run's record (schema 4) to
-                        <dir>/runs.jsonl (or set STARNUMA_LEDGER);
-                        read it back with `starnuma report`
 
 systems: baseline, first-touch, isobw, 2xbw, baseline-static,
          starnuma (t16), t0, halfbw, cxlswitch, smallpool, starnuma-static"
@@ -394,7 +393,7 @@ mod tests {
         for flag in RUN_FLAGS.iter().chain(&COMPARE_FLAGS).chain(&SWEEP_FLAGS) {
             assert!(flags.contains(&format!("--{flag}")), "usage lacks --{flag}");
         }
-        assert!(flags.len() >= 20, "{flags:?}");
+        assert!(flags.len() >= 19, "{flags:?}");
         let pick = |rng: &mut SimRng, from: &[&str]| from[rng.gen_range(0..from.len())].to_string();
 
         let mut rng = SimRng::seed_from_u64(0xC11_F022);

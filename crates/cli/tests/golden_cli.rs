@@ -1,6 +1,6 @@
 //! Byte-exact pins on what the CLI prints and writes: the stdout of
-//! `run`, `compare` and `sweep` (text and `--json`), their `--trace-out`
-//! files and ledger lines, and the `inspect`, `report`, `topology` and
+//! `run`, `compare` and `sweep` (text and `--json`), the run-log sections
+//! their `--ledger` appends, and the `inspect`, `report`, `topology` and
 //! `workloads` output. Each output is reduced to an FNV-1a digest at a
 //! tiny scale; the host fields `wall_ns` and `jobs` of every run-record
 //! line are zeroed first, since they measure the host, not the model.
@@ -36,7 +36,6 @@ fn stdout_in(dir: &Path, args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
         .current_dir(dir)
         .args(args)
-        .env_remove("STARNUMA_LEDGER")
         .env_remove("STARNUMA_JOBS")
         .output()
         .expect("binary runs");
@@ -110,48 +109,40 @@ fn digests(dir: &Path) -> Vec<(&'static str, String)> {
             sim(&["sweep", "--system", "t0", "--workloads", "bfs,tc", "--json"]),
         ),
     ];
-    // The outputs read from run records: traces, the ledger, and the
-    // commands that read them back.
-    sim(&[
-        "run",
-        "--workload",
-        "bfs",
-        "--trace-out",
-        "run.jsonl",
-        "--ledger",
-        "led",
-    ]);
+    // The outputs read from run logs: each command's ledger, one ledger
+    // holding all three, and the commands that read them back.
+    sim(&["run", "--workload", "bfs", "--ledger", "run"]);
     sim(&[
         "compare",
         "--workload",
         "cc",
         "--systems",
         "t0,starnuma",
-        "--trace-out",
-        "compare.jsonl",
         "--ledger",
-        "led",
+        "compare",
     ]);
-    sim(&[
-        "sweep",
-        "--workloads",
-        "poa,bfs",
-        "--trace-out",
-        "sweep.jsonl",
-        "--ledger",
-        "led",
-    ]);
+    sim(&["sweep", "--workloads", "poa,bfs", "--ledger", "sweep"]);
+    let sections = ["run", "compare", "sweep"].map(|led| read(&format!("{led}/runs.jsonl")));
+    std::fs::create_dir_all(dir.join("led")).expect("ledger dir");
+    std::fs::write(dir.join("led/runs.jsonl"), sections.concat()).expect("write ledger");
+    let [run, compare, sweep] = sections;
     cases.extend([
-        ("run-trace", read("run.jsonl")),
-        ("compare-trace", read("compare.jsonl")),
-        ("sweep-trace", read("sweep.jsonl")),
+        ("run-trace", run),
+        ("compare-trace", compare),
+        ("sweep-trace", sweep),
         ("ledger", read("led/runs.jsonl")),
-        ("inspect-run", stdout_in(dir, &["inspect", "run.jsonl"])),
+        (
+            "inspect-run",
+            stdout_in(dir, &["inspect", "run/runs.jsonl"]),
+        ),
         (
             "inspect-compare",
-            stdout_in(dir, &["inspect", "compare.jsonl", "--top", "3"]),
+            stdout_in(dir, &["inspect", "compare/runs.jsonl", "--top", "3"]),
         ),
-        ("inspect-sweep", stdout_in(dir, &["inspect", "sweep.jsonl"])),
+        (
+            "inspect-sweep",
+            stdout_in(dir, &["inspect", "sweep/runs.jsonl"]),
+        ),
         ("report", stdout_in(dir, &["report", "--ledger", "led"])),
         (
             "report-json",
@@ -182,10 +173,10 @@ const GOLDEN: &[(&str, &str)] = &[
     ("run-trace", "0x313994dca3a6020c"),
     ("compare-trace", "0xfa1a6cb64992aa50"),
     ("sweep-trace", "0x2c4b52c15ef942a0"),
-    ("ledger", "0x21729b9b92cc8903"),
-    ("inspect-run", "0x96c3d7118abfd5d8"),
-    ("inspect-compare", "0x33ee7c287d25c6a1"),
-    ("inspect-sweep", "0x0a46f5e1dfa2456f"),
+    ("ledger", "0x1fc20135ca09a17a"),
+    ("inspect-run", "0x26c27a4f3aa36ade"),
+    ("inspect-compare", "0x28512d58c55ae843"),
+    ("inspect-sweep", "0x13304d825ec0f0b1"),
     ("report", "0xdca67ab195822555"),
     ("report-json", "0x804131eb1d51ed21"),
     ("topology", "0x900771d21021f540"),

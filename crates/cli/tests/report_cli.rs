@@ -74,10 +74,10 @@ fn report_flags_determinism_drift() {
     assert!(stdout.contains("0xdeadbeefdeadbeef"), "stdout: {stdout}");
 }
 
-/// A real run appends a parseable record per run, with no profiler
-/// `site.*` fields even under a `profile` wrapper; `report --json` over
-/// the fresh ledger succeeds, counts them, and finds no drift between the
-/// profiled and unprofiled runs.
+/// A real run appends its section, headed by a parseable record, with no
+/// profiler `site.*` fields even under a `profile` wrapper; `report
+/// --json` over the fresh ledger succeeds, counts the records, and finds
+/// no drift between the profiled and unprofiled runs.
 #[test]
 fn run_appends_ledger_records_report_reads_back() {
     let dir = temp_dir("starnuma-report-cli-ledger");
@@ -105,7 +105,11 @@ fn run_appends_ledger_records_report_reads_back() {
         assert!(out.status.success(), "run with --ledger must succeed");
     }
     let ledger = fs::read_to_string(dir.join("runs.jsonl")).expect("ledger written");
-    assert_eq!(ledger.lines().count(), 3, "one record per run");
+    let runs = ledger
+        .lines()
+        .filter(|l| l.contains("\"type\":\"run\""))
+        .count();
+    assert_eq!(runs, 3, "one record per run");
     for line in ledger.lines() {
         assert!(!line.contains("\"site."), "profiler fields: {line}");
     }
@@ -258,5 +262,107 @@ fn report_rejects_corrupt_ledgers_and_unknown_flags() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(expected), "{args:?}: {stderr}");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The records of a ledger of whole sections report exactly as a
+/// record-only ledger of the same runs, which earlier builds wrote: text
+/// and `--json` are byte-identical. An empty ledger is 0 records and
+/// exits zero.
+#[test]
+fn report_reads_section_and_record_only_ledgers_alike() {
+    let sections = temp_dir("starnuma-report-cli-sections");
+    let out = starnuma()
+        .args([
+            "compare",
+            "--workload",
+            "tc",
+            "--systems",
+            "baseline,starnuma",
+        ])
+        .args([
+            "--scale",
+            "quick",
+            "--phases",
+            "2",
+            "--instructions",
+            "6000",
+        ])
+        .args(["--jobs", "1", "--ledger"])
+        .arg(&sections)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "compare failed: {out:?}");
+    let ledger = fs::read_to_string(sections.join("runs.jsonl")).expect("ledger written");
+    let record_lines: Vec<&str> = ledger
+        .lines()
+        .filter(|l| l.starts_with("{\"type\":\"run\""))
+        .collect();
+    assert_eq!(record_lines.len(), 2, "{ledger}");
+    assert!(
+        ledger.lines().count() > record_lines.len(),
+        "sections carry events and histograms"
+    );
+    let records = temp_dir("starnuma-report-cli-records");
+    fs::write(records.join("runs.jsonl"), record_lines.join("\n")).expect("write ledger");
+    let empty = temp_dir("starnuma-report-cli-empty");
+    fs::write(empty.join("runs.jsonl"), "").expect("write ledger");
+    let report = |dir: &Path, json: bool| {
+        let out = starnuma()
+            .current_dir(dir)
+            .args(["report", "--ledger", "."])
+            .args(json.then_some("--json"))
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "report failed: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    for json in [false, true] {
+        assert_eq!(report(&sections, json), report(&records, json));
+    }
+    assert!(report(&sections, false).contains(": 2 record(s)"));
+    assert!(report(&empty, false).contains(": 0 record(s)"));
+    assert!(report(&empty, true).contains("\"records\":0,"));
+    for dir in [sections, records, empty] {
+        let _ = fs::remove_dir_all(dir);
+    }
+}
+
+/// `report` and `inspect` read a log through one reader, so a bad record
+/// line is one error for both; and `report` takes its ledger from
+/// `--ledger` alone (the `STARNUMA_LEDGER` variable is not read).
+#[test]
+fn report_and_inspect_share_one_reader() {
+    let dir = temp_dir("starnuma-report-cli-reader");
+    let ledger = fs::read_to_string(fixtures().join("runs.jsonl")).expect("fixture ledger");
+    let mut lines: Vec<String> = ledger.lines().map(str::to_string).collect();
+    let intact = lines[1].clone();
+    lines[1] = intact.replacen("\"pages_migrated\":2763", "\"pages_migrated\":-3", 1);
+    assert_ne!(lines[1], intact, "fixture carries the field");
+    fs::write(dir.join("runs.jsonl"), lines.join("\n")).expect("write ledger");
+    for args in [&["report", "--ledger", "."][..], &["inspect", "runs.jsonl"]] {
+        let out = starnuma()
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("runs.jsonl:2: not a valid ledger record (schema 4)"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let out = starnuma()
+        .arg("report")
+        .env("STARNUMA_LEDGER", fixtures())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("missing required flag --ledger"),
+        "{stderr}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

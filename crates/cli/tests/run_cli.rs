@@ -69,9 +69,10 @@ fn zero_replication_matches_the_flagless_run() {
     }
 }
 
-/// `run --json` prints the record `--ledger` appends, byte for byte, host
-/// fields included, and nothing else. Recording a run does not profile
-/// it: the record carries no profiler `site.*` fields.
+/// `run --json` prints the run line `--ledger` appends, byte for byte,
+/// host fields included, and nothing else; the ledger holds that one run
+/// line, at the head of the run's section. Recording a run does not
+/// profile it: the record carries no profiler `site.*` fields.
 #[test]
 fn run_json_prints_the_ledger_record() {
     let dir = std::env::temp_dir().join(format!("starnuma-run-cli-json-{}", std::process::id()));
@@ -79,12 +80,24 @@ fn run_json_prints_the_ledger_record() {
     let dir_s = dir.to_str().expect("utf-8 path");
     let printed = stdout_of(&run_json_args("starnuma", &["--ledger", dir_s]));
     let ledger = std::fs::read_to_string(dir.join("runs.jsonl")).expect("ledger written");
-    let last = ledger.lines().last().expect("a ledger line");
-    assert_eq!(printed, format!("{last}\n"));
-    let record = RunRecord::from_json_line(last).expect("a run record");
+    let runs: Vec<&str> = ledger
+        .lines()
+        .filter(|l| l.starts_with("{\"type\":\"run\""))
+        .collect();
+    assert_eq!(runs.len(), 1, "one run line: {ledger}");
+    assert_eq!(
+        ledger.lines().next(),
+        Some(runs[0]),
+        "the run line heads it"
+    );
+    assert_eq!(printed, format!("{}\n", runs[0]));
+    let record = RunRecord::from_json_line(runs[0]).expect("a run record");
     assert_eq!((record.workload.as_str(), record.jobs), ("BFS", 1));
     assert!(record.wall_ns > 0, "host wall time stamped");
-    assert!(!last.contains("\"site."), "profiler fields stamped: {last}");
+    assert!(
+        !ledger.contains("\"site."),
+        "profiler fields stamped: {ledger}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -152,7 +165,7 @@ fn a_closed_stdout_pipe_is_not_a_failure() {
 
 /// Regression: seeds above 2^53 lost precision in the run record (`u64::MAX`
 /// and `u64::MAX - 1` both wrote `18446744073709552000`), so `--seed` is
-/// capped at 2^53, which a trace and `inspect` carry exactly.
+/// capped at 2^53, which the ledger and `inspect` carry exactly.
 #[test]
 fn seeds_are_capped_at_two_to_the_53_and_round_trip_there() {
     let run = |seed: &str, extra: &[&str]| {
@@ -171,28 +184,34 @@ fn seeds_are_capped_at_two_to_the_53_and_round_trip_there() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("at most 2^53"), "stderr: {stderr}");
     }
-    let trace = std::env::temp_dir().join("starnuma-run-cli-seed.jsonl");
-    let trace_s = trace.to_str().expect("utf-8 path");
-    let out = run("9007199254740992", &["--trace-out", trace_s]);
+    let dir = std::env::temp_dir().join(format!("starnuma-run-cli-seed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = run(
+        "9007199254740992",
+        &["--ledger", dir.to_str().expect("utf-8 path")],
+    );
     assert!(out.status.success(), "--seed 2^53 must run: {out:?}");
-    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let ledger = dir.join("runs.jsonl");
+    let text = std::fs::read_to_string(&ledger).expect("ledger written");
     let run_line = text.lines().next().expect("run line");
     assert!(
         run_line.contains("\"seed\":9007199254740992,"),
         "{run_line}"
     );
     let inspect = Command::new(env!("CARGO_BIN_EXE_starnuma"))
-        .args(["inspect", trace_s])
+        .arg("inspect")
+        .arg(&ledger)
         .output()
         .expect("binary runs");
     assert!(inspect.status.success());
     assert!(String::from_utf8_lossy(&inspect.stdout).contains("seed 9007199254740992 "));
-    let _ = std::fs::remove_file(trace);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
-/// Regression: `--trace-out --json` took `--json` as the trace path, so
-/// the run exited 0 and wrote a file named `--json`. A value that is itself
-/// a flag is a usage error (exit 1) naming both flags, and nothing runs.
+/// Regression: a path flag followed by `--json` took `--json` as its path,
+/// so the run exited 0 and wrote a file named `--json`. A value that is
+/// itself a flag is a usage error (exit 1) naming both flags, and nothing
+/// runs: `--ledger --json` writes no ledger directory named `--json`.
 #[test]
 fn a_flag_is_not_taken_as_a_value() {
     let dir = std::env::temp_dir().join(format!("starnuma-run-cli-flag-{}", std::process::id()));
@@ -201,15 +220,37 @@ fn a_flag_is_not_taken_as_a_value() {
         .current_dir(&dir)
         .args(["run", "--workload", "poa", "--scale", "quick"])
         .args(["--phases", "1", "--instructions", "2000", "--jobs", "1"])
-        .args(["--trace-out", "--json"])
+        .args(["--ledger", "--json"])
         .output()
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
-        stderr.contains("--trace-out") && stderr.contains("--json"),
+        stderr.contains("--ledger") && stderr.contains("--json"),
         "{stderr}"
     );
+    assert!(out.stdout.is_empty());
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("read dir").collect();
+    assert!(left.is_empty(), "wrote {left:?}");
+    let _ = std::fs::remove_dir(dir);
+}
+
+/// `--trace-out` is gone: the ledger holds each run's whole section. The
+/// flag is unknown (exit 1), nothing runs and no file is written.
+#[test]
+fn trace_out_is_an_unknown_flag() {
+    let dir = std::env::temp_dir().join(format!("starnuma-run-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
+        .current_dir(&dir)
+        .args(["run", "--workload", "poa", "--scale", "quick"])
+        .args(["--phases", "1", "--instructions", "2000", "--jobs", "1"])
+        .args(["--trace-out", "x"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown flag --trace-out"), "{stderr}");
     assert!(out.stdout.is_empty());
     let left: Vec<_> = std::fs::read_dir(&dir).expect("read dir").collect();
     assert!(left.is_empty(), "wrote {left:?}");

@@ -43,7 +43,6 @@ fn stray_positionals_are_rejected() {
         }
         let out = Command::new(env!("CARGO_BIN_EXE_starnuma"))
             .args(&args)
-            .env_remove("STARNUMA_LEDGER")
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);

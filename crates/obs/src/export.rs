@@ -1,6 +1,8 @@
-//! The trace exporter, [`trace_jsonl`], plus [`parse_flat_object`], the
-//! flat-line reader `starnuma inspect`, the ledger and the bench history
-//! loader share.
+//! The run log: its writer, [`trace_jsonl`], which renders one run's
+//! section, [`append_run_log`], which appends sections to a ledger, and
+//! its reader, [`parse_run_log`], which `starnuma report` and `starnuma
+//! inspect` share — plus [`parse_flat_object`], the flat-line reader
+//! under it and under the bench history loader.
 //!
 //! Every line is a [`Json::Obj`] rendered by the workspace codec; the
 //! counts it carries (sequence numbers, bucket counts) are far below
@@ -8,11 +10,13 @@
 //! nothing consults the host clock.
 
 use std::collections::BTreeMap;
+use std::io::Write as _;
+use std::path::Path;
 
 use starnuma_types::json::{self, Json};
 
 use crate::journal::{Event, FieldValue};
-use crate::ledger::RunRecord;
+use crate::ledger::{RunRecord, LEDGER_FILE, LEDGER_SCHEMA_VERSION};
 use crate::metrics::LatencyHistogram;
 use crate::sink::ObsReport;
 
@@ -52,11 +56,11 @@ fn hist_line(socket: usize, label: &str, h: &LatencyHistogram) -> Json {
     ])
 }
 
-/// Renders one run's trace section as self-describing JSONL: the run's
-/// [`RunRecord`] line (`"type":"run"`), one `event` line per retained
-/// event, then one `hist` line per non-empty (socket, class) histogram of
-/// the whole run. The record carries the run's counters. This is the
-/// format `starnuma inspect` consumes.
+/// Renders one run's section of the run log as self-describing JSONL: the
+/// run's [`RunRecord`] line (`"type":"run"`), one `event` line per
+/// retained event, then one `hist` line per non-empty (socket, class)
+/// histogram of the whole run. The record carries the run's counters.
+/// [`parse_run_log`] reads it back.
 pub fn trace_jsonl(record: &RunRecord, report: &ObsReport) -> String {
     let mut out = record.to_json_line();
     out.push('\n');
@@ -75,6 +79,80 @@ pub fn trace_jsonl(record: &RunRecord, report: &ObsReport) -> String {
         }
     }
     out
+}
+
+/// Appends `sections` (concatenated [`trace_jsonl`] output) to the ledger
+/// file [`LEDGER_FILE`] in `dir`, creating the directory if needed.
+pub fn append_run_log(dir: &Path, sections: &str) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(dir.join(LEDGER_FILE))?
+        .write_all(sections.as_bytes())
+}
+
+/// One run's section of the run log: the run record that heads it, then
+/// its `event` and `hist` lines as flat objects. A section read from a
+/// record-only ledger has neither.
+#[derive(Debug, PartialEq)]
+pub struct RunSection {
+    /// The `run` line.
+    pub record: RunRecord,
+    /// The `event` lines, in file order.
+    pub events: Vec<BTreeMap<String, Json>>,
+    /// The `hist` lines, in file order.
+    pub hists: Vec<BTreeMap<String, Json>>,
+}
+
+/// Reads the text of the run log at `path` into its sections, one per
+/// `run` line. Any concatenation of [`trace_jsonl`] sections reads: a
+/// ledger, a record-only ledger from an earlier build, a trace file from
+/// an earlier build. Blank lines are skipped, and an empty log has no
+/// sections.
+///
+/// # Errors
+///
+/// A line that is not a flat JSON object, has no `type`, is a `run` line
+/// [`RunRecord::from_json_line`] rejects, is an `event` or `hist` line
+/// before any `run` line, or has another type, fails the whole log with a
+/// message that starts `path:line:`.
+pub fn parse_run_log(path: &str, text: &str) -> Result<Vec<RunSection>, String> {
+    let mut sections: Vec<RunSection> = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let fail = |why: String| format!("{path}:{}: {why}", i + 1);
+        let obj =
+            parse_flat_object(line).ok_or_else(|| fail("not a flat JSON object line".into()))?;
+        let kind = obj
+            .get("type")
+            .and_then(Json::as_str)
+            .ok_or_else(|| fail("line has no type field".into()))?;
+        if kind == "run" {
+            let record = RunRecord::from_flat(&obj).ok_or_else(|| {
+                fail(format!(
+                    "not a valid ledger record (schema {LEDGER_SCHEMA_VERSION})"
+                ))
+            })?;
+            sections.push(RunSection {
+                record,
+                events: Vec::new(),
+                hists: Vec::new(),
+            });
+            continue;
+        }
+        let section = sections
+            .last_mut()
+            .ok_or_else(|| fail(format!("'{kind}' line before any run line")))?;
+        match kind {
+            "event" => section.events.push(obj),
+            "hist" => section.hists.push(obj),
+            other => return Err(fail(format!("unknown line type '{other}'"))),
+        }
+    }
+    Ok(sections)
 }
 
 /// Parses one flat JSON object line: string keys with scalar values or
@@ -195,6 +273,77 @@ mod tests {
         let head = RunRecord::from_json_line(text.lines().next().expect("run line"))
             .expect("run line with control char parses");
         assert_eq!(head.workload, "bc\u{8}web");
+    }
+
+    /// A log of two sections reads back as two sections holding their own
+    /// lines, and a record-only ledger as sections without events or
+    /// histograms.
+    #[test]
+    fn run_log_reads_back_sections_and_record_only_ledgers() {
+        let section = trace_jsonl(&record(), &sample_report());
+        let log = format!("{section}\n{section}");
+        let sections = parse_run_log("runs.jsonl", &log).expect("log reads");
+        assert_eq!(sections.len(), 2);
+        for s in &sections {
+            assert_eq!(s.record, record());
+            assert_eq!((s.events.len(), s.hists.len()), (1, 2));
+            assert_eq!(s.events[0]["name"].as_str(), Some("region_migrated"));
+        }
+        let records = format!("{}\n{}\n", record().to_json_line(), record().to_json_line());
+        let sections = parse_run_log("runs.jsonl", &records).expect("record-only ledger reads");
+        assert_eq!(sections.len(), 2);
+        assert!(sections
+            .iter()
+            .all(|s| s.events.is_empty() && s.hists.is_empty()));
+        assert_eq!(parse_run_log("runs.jsonl", " \n"), Ok(Vec::new()));
+    }
+
+    /// Every rejected log names the file and the line at fault.
+    #[test]
+    fn run_log_errors_name_path_and_line() {
+        let run = record().to_json_line();
+        let event = r#"{"type":"event","seq":0,"phase":0}"#;
+        for (log, at, why) in [
+            (format!("{run}\nnot json"), 2, "not a flat JSON object line"),
+            (
+                format!("\n{run}\n{{\"seq\":1}}"),
+                3,
+                "line has no type field",
+            ),
+            (
+                format!("{run}\n{}", run.replacen("\"jobs\":4", "\"jobs\":-4", 1)),
+                2,
+                "not a valid ledger record (schema 4)",
+            ),
+            (
+                format!("{event}\n{run}"),
+                1,
+                "'event' line before any run line",
+            ),
+            (
+                format!("{run}\n{{\"type\":\"meta\"}}"),
+                2,
+                "unknown line type 'meta'",
+            ),
+        ] {
+            assert_eq!(
+                parse_run_log("runs.jsonl", &log),
+                Err(format!("runs.jsonl:{at}: {why}"))
+            );
+        }
+    }
+
+    #[test]
+    fn append_creates_directory_and_accumulates_sections() {
+        let dir =
+            std::env::temp_dir().join(format!("starnuma-run-log-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let section = trace_jsonl(&record(), &sample_report());
+        append_run_log(&dir, &section).expect("append");
+        append_run_log(&dir, &section).expect("append again");
+        let text = std::fs::read_to_string(dir.join(LEDGER_FILE)).expect("ledger written");
+        assert_eq!(text, format!("{section}{section}"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

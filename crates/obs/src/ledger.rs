@@ -1,15 +1,18 @@
 //! The run record: one flat JSONL line per completed run, the single
 //! summary every per-run output points to.
 //!
-//! `starnuma run/compare/sweep --ledger DIR` append a [`RunRecord`] per
-//! run to `DIR/runs.jsonl`, `starnuma run/compare --json` print the same
-//! line, and it heads the run's section of a `--trace-out` file
-//! ([`trace_jsonl`](crate::trace_jsonl)); `starnuma report` reads the
-//! ledger back and renders cross-run trends and determinism-drift flags,
-//! `starnuma inspect` reads the trace header. A record states a result
-//! the way the paper's Fig 8 does: AMAT split into unloaded latency plus
-//! contention, and per access class a sample count (its share is the
-//! count over `overall.count`), mean latency and percentiles.
+//! `starnuma run/compare/sweep --ledger DIR` append each run's section of
+//! the run log to `DIR/runs.jsonl` ([`append_run_log`](crate::append_run_log)):
+//! its [`RunRecord`] line, then its events and histograms
+//! ([`trace_jsonl`](crate::trace_jsonl)). `starnuma run/compare --json`
+//! print the same record line. `starnuma report` reads the ledger's
+//! records back and renders cross-run trends and determinism-drift flags;
+//! `starnuma inspect` renders each section
+//! ([`parse_run_log`](crate::parse_run_log) reads for both). A record
+//! states a result the way the paper's Fig 8 does: AMAT split into
+//! unloaded latency plus contention, and per access class a sample count
+//! (its share is the count over `overall.count`), mean latency and
+//! percentiles.
 //! Records are *flat* JSON objects (dotted keys, like the bench history
 //! file), rendered through the workspace codec ([`Json::render`]) and
 //! read back with
@@ -27,8 +30,6 @@
 //! byte-identically.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 use starnuma_types::json::Json;
 use starnuma_types::{digest_hex, parse_digest_hex};
@@ -83,8 +84,7 @@ impl ClassSummary {
     }
 }
 
-/// One completed run, as persisted in the ledger and at the head of its
-/// trace section.
+/// One completed run, as it heads the run's section of the run log.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RunRecord {
     /// Ledger schema version ([`LEDGER_SCHEMA_VERSION`]).
@@ -177,7 +177,12 @@ impl RunRecord {
     /// integer field that is negative, fractional, non-finite or above
     /// [`MAX_EXACT_INT`].
     pub fn from_json_line(line: &str) -> Option<Self> {
-        let map = parse_flat_object(line)?;
+        Self::from_flat(&parse_flat_object(line)?)
+    }
+
+    /// [`from_json_line`](Self::from_json_line) on a line already parsed
+    /// by [`parse_flat_object`].
+    pub(crate) fn from_flat(map: &BTreeMap<String, Json>) -> Option<Self> {
         let num = |key: &str| -> Option<f64> { float(map.get(key)?) };
         let int = |key: &str| -> Option<u64> { exact_int(map.get(key)?) };
         let text = |key: &str| -> Option<String> { Some(map.get(key)?.as_str()?.to_string()) };
@@ -186,7 +191,7 @@ impl RunRecord {
         }
         let mut classes: BTreeMap<String, ClassSummary> = BTreeMap::new();
         let mut counters = BTreeMap::new();
-        for (key, value) in &map {
+        for (key, value) in map {
             if let Some(rest) = key.strip_prefix("class.") {
                 let (label, field) = rest.rsplit_once('.')?;
                 let entry = classes
@@ -231,19 +236,6 @@ impl RunRecord {
             classes: classes.into_values().collect(),
             counters,
         })
-    }
-
-    /// Appends the record to `dir/runs.jsonl`, creating the directory if
-    /// needed. Returns the ledger file path.
-    pub fn append_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(LEDGER_FILE);
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        writeln!(file, "{}", self.to_json_line())?;
-        Ok(path)
     }
 }
 
@@ -479,20 +471,5 @@ mod tests {
         assert_eq!(RunRecord::from_json_line(&line), Some(rec));
         let above = line.replacen("9007199254740992", "9007199254740994", 1);
         assert!(RunRecord::from_json_line(&above).is_none());
-    }
-
-    #[test]
-    fn append_creates_directory_and_accumulates_lines() {
-        let dir = std::env::temp_dir().join(format!("starnuma-ledger-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let rec = sample();
-        let path = rec.append_to(&dir).expect("append");
-        rec.append_to(&dir).expect("append again");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert_eq!(RunRecord::from_json_line(line).as_ref(), Some(&rec));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

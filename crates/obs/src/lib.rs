@@ -16,13 +16,16 @@
 //! * **one run record** ([`RunRecord`]): the flat JSON line that states a
 //!   run's identity and summary (digests, IPC, AMAT and its
 //!   unloaded/contention split, MPKI, per-class counts, mean latencies and
-//!   percentiles, counters). The run ledger appends it, `--json` prints
-//!   it, and it heads the run's section of the trace.
-//! * **one export** ([`trace_jsonl`]): the record line, then the journal's
-//!   `event` lines and the run's per-socket, per-class `hist` lines, written
-//!   through the workspace codec ([`starnuma_types::json`]) — plus
-//!   [`parse_flat_object`], the flat-line reader `starnuma inspect`, the
-//!   run ledger and the bench history loader share.
+//!   percentiles, counters). It heads the run's section of the run log,
+//!   and `--json` prints it.
+//! * **one run log**: each run's section ([`trace_jsonl`]) is the record
+//!   line, then the journal's `event` lines and the run's per-socket,
+//!   per-class `hist` lines, written through the workspace codec
+//!   ([`starnuma_types::json`]). `--ledger DIR` appends sections to
+//!   `DIR/runs.jsonl` ([`append_run_log`]), and one reader
+//!   ([`parse_run_log`]) gives them back to `starnuma report` and
+//!   `starnuma inspect`. [`parse_flat_object`] is the flat-line reader
+//!   under it and under the bench history loader.
 //!
 //! Everything is deterministic: events are ordered by a monotonic sequence
 //! number (never the host clock), counter maps are `BTreeMap`s, and every
@@ -50,7 +53,7 @@ mod ledger;
 mod metrics;
 mod sink;
 
-pub use export::{parse_flat_object, trace_jsonl};
+pub use export::{append_run_log, parse_flat_object, parse_run_log, trace_jsonl, RunSection};
 pub use journal::{Event, EventCategory, EventJournal, EventLevel, FieldValue};
 pub use ledger::{ClassSummary, RunRecord, LEDGER_FILE, LEDGER_SCHEMA_VERSION, MAX_EXACT_INT};
 pub use metrics::{

@@ -119,8 +119,8 @@ impl LatencyHistogram {
 }
 
 /// Percentile estimation over raw log2 bucket counts (the shape exported
-/// in trace JSONL `hist` lines, so the CLI can compute percentiles from a
-/// parsed trace without rebuilding a [`LatencyHistogram`]). `None` when
+/// in the run log's `hist` lines, so the CLI can compute percentiles from
+/// a parsed log without rebuilding a [`LatencyHistogram`]). `None` when
 /// the histogram holds no samples, so a caller that renders percentiles
 /// can show `-` instead of a misleading `0`.
 ///

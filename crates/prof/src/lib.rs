@@ -18,7 +18,9 @@
 //!   table without clearing it, and [`reset`] clears it.
 //! * **Reports** ([`ProfReport`]): one run-level edge table, rendered as
 //!   the top-down attribution tree (`% wall`, ns/call, calls) that
-//!   `starnuma profile` prints. That command is the one place the
+//!   `starnuma profile` prints. Scopes that closed on several threads
+//!   share one wall time, so percentages are of wall × the threads that
+//!   closed a top-level scope. That command is the one place the
 //!   profiler is switched on outside benches and tests; run records carry
 //!   no profiler fields.
 //!

@@ -33,6 +33,10 @@ pub struct ProfEdge {
 pub struct ProfReport {
     /// Edges in canonical order.
     pub edges: Vec<ProfEdge>,
+    /// How many threads closed a top-level scope. Each thread's scopes
+    /// lie inside the command's wall time, so the tree divides by wall ×
+    /// this (taken as at least 1).
+    pub threads: u64,
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -55,8 +59,9 @@ impl ProfReport {
     }
 
     /// Total nanoseconds attributed at the top level (root-parented
-    /// edges). This is what the ≥ 90 %-of-wall acceptance check compares
-    /// against command wall time.
+    /// edges), summed over threads. This is what the ≥ 90 %-of-wall
+    /// acceptance check compares against command wall time × the threads
+    /// that recorded it.
     pub fn attributed_ns(&self) -> u64 {
         self.edges
             .iter()
@@ -65,22 +70,25 @@ impl ProfReport {
             .fold(0, u64::saturating_add)
     }
 
-    /// Render the top-down attribution tree: per site, percent of `wall_ns`,
-    /// inclusive total, call count, and ns per call, children indented under
-    /// their parent site.
+    /// Render the top-down attribution tree: per site, percent of
+    /// `wall_ns` × [`threads`](Self::threads), inclusive total, call
+    /// count, and ns per call, children indented under their parent site.
     pub fn render_tree(&self, wall_ns: u64) -> String {
         let mut out = String::new();
         let attributed = self.attributed_ns();
-        let pct = if wall_ns > 0 {
-            100.0 * attributed as f64 / wall_ns as f64
+        let threads = self.threads.max(1);
+        let budget_ns = wall_ns.saturating_mul(threads);
+        let across = if threads > 1 {
+            format!(" × {threads} threads")
         } else {
-            0.0
+            String::new()
         };
         let _ = writeln!(
             out,
-            "profile: {} of {} wall attributed ({pct:.1}%)",
+            "profile: {} of {} wall{across} attributed ({:.1}%)",
             fmt_ns(attributed),
             fmt_ns(wall_ns),
+            percent(attributed, budget_ns),
         );
         let _ = writeln!(
             out,
@@ -89,9 +97,18 @@ impl ProfReport {
         );
         let mut expanded = BTreeSet::new();
         for e in self.edges.iter().filter(|e| e.parent.is_none()) {
-            render_edge(&mut out, &self.edges, e, 0, wall_ns, &mut expanded);
+            render_edge(&mut out, &self.edges, e, 0, budget_ns, &mut expanded);
         }
         out
+    }
+}
+
+/// `ns` as a percentage of `budget_ns` (0 for an empty budget).
+fn percent(ns: u64, budget_ns: u64) -> f64 {
+    if budget_ns > 0 {
+        100.0 * ns as f64 / budget_ns as f64
+    } else {
+        0.0
     }
 }
 
@@ -100,14 +117,10 @@ fn render_edge(
     edges: &[ProfEdge],
     e: &ProfEdge,
     depth: usize,
-    wall_ns: u64,
+    budget_ns: u64,
     expanded: &mut BTreeSet<usize>,
 ) {
-    let pct = if wall_ns > 0 {
-        100.0 * e.ns as f64 / wall_ns as f64
-    } else {
-        0.0
-    };
+    let pct = percent(e.ns, budget_ns);
     let ns_per_call = if e.calls > 0 {
         e.ns as f64 / e.calls as f64
     } else {
@@ -127,7 +140,7 @@ fn render_edge(
     // occurrence; the edge model keeps one level of ancestry.
     if expanded.insert(e.site.index()) {
         for child in edges.iter().filter(|c| c.parent == Some(e.site)) {
-            render_edge(out, edges, child, depth + 1, wall_ns, expanded);
+            render_edge(out, edges, child, depth + 1, budget_ns, expanded);
         }
     }
 }
@@ -158,6 +171,7 @@ mod tests {
                     calls: 2,
                 },
             ],
+            threads: 1,
         }
     }
 
@@ -169,9 +183,31 @@ mod tests {
     #[test]
     fn tree_indents_children_and_reports_percentages() {
         let tree = sample().render_tree(20_000);
-        assert!(tree.contains("(50.0%)"), "attribution header: {tree}");
+        assert!(
+            tree.starts_with("profile: 10.0 us of 20.0 us wall attributed (50.0%)\n"),
+            "attribution header: {tree}"
+        );
         assert!(tree.contains("timing"), "{tree}");
         assert!(tree.contains("\n    trace-gen"), "child indented: {tree}");
         assert!(tree.contains("migration-policy"), "{tree}");
+    }
+
+    /// Scopes closed on several threads share one wall time: each row and
+    /// the header divide by wall × threads, and the header says so.
+    #[test]
+    fn several_threads_divide_by_wall_times_threads() {
+        let report = ProfReport {
+            threads: 2,
+            ..sample()
+        };
+        let tree = report.render_tree(20_000);
+        assert!(
+            tree.starts_with("profile: 10.0 us of 20.0 us wall × 2 threads attributed (25.0%)\n"),
+            "attribution header: {tree}"
+        );
+        assert!(
+            tree.contains("timing                         20.0%"),
+            "{tree}"
+        );
     }
 }

@@ -5,8 +5,10 @@
 //! guard — no wall-clock read, no thread-local access, no allocation.
 //! When enabled, each scope starts a [`SessionTimer`] on entry, and on
 //! drop charges the elapsed nanoseconds to a `(parent-site, site)` edge of
-//! the one process-global table of fixed site-indexed arrays; each thread
-//! keeps only its stack of open sites, for the parent. Scopes open a few
+//! the one process-global table of fixed site-indexed arrays, which also
+//! counts the threads that closed a top-level scope; each thread keeps
+//! only its stack of open sites, for the parent, and whether it has been
+//! counted since the last [`reset`]. Scopes open a few
 //! times per phase, so the table's lock is never contended on a hot path,
 //! and a scope closed on a pool worker is in the table as soon as it
 //! closes. [`snapshot`] reads the table into a
@@ -35,17 +37,34 @@ const ZERO: Cell = Cell { ns: 0, calls: 0 };
 /// enclosing scope); slot `1 + s.index()` is site `s`.
 type EdgeTable = [[Cell; NUM_SITES]; NUM_SITES + 1];
 
-const EMPTY: EdgeTable = [[ZERO; NUM_SITES]; NUM_SITES + 1];
+/// What the profiler has recorded since the last [`reset`].
+struct Recorded {
+    edges: EdgeTable,
+    /// Bumped by every [`reset`], so a thread counts itself once per
+    /// recording.
+    generation: u64,
+    /// How many threads closed a top-level scope in this generation.
+    top_level_threads: u64,
+}
+
+const EMPTY: Recorded = Recorded {
+    edges: [[ZERO; NUM_SITES]; NUM_SITES + 1],
+    generation: 1,
+    top_level_threads: 0,
+};
 
 thread_local! {
     /// Stack of currently-open sites on this thread (for parent edges).
     static STACK: RefCell<Vec<Site>> = const { RefCell::new(Vec::new()) };
+    /// The [`Recorded`] generation in which this thread last closed a
+    /// top-level scope (0: never).
+    static COUNTED_IN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: Mutex<EdgeTable> = Mutex::new(EMPTY);
+static GLOBAL: Mutex<Recorded> = Mutex::new(EMPTY);
 
-fn lock_global() -> MutexGuard<'static, EdgeTable> {
+fn lock_global() -> MutexGuard<'static, Recorded> {
     match GLOBAL.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -115,7 +134,12 @@ fn record_exit(site: Site, ns: u64) {
     let Some(parent_slot) = parent_slot else {
         return;
     };
-    let cell = &mut lock_global()[parent_slot][site.index()];
+    let mut recorded = lock_global();
+    let generation = recorded.generation;
+    if parent_slot == 0 && COUNTED_IN.with(|counted| counted.replace(generation)) != generation {
+        recorded.top_level_threads += 1;
+    }
+    let cell = &mut recorded.edges[parent_slot][site.index()];
     cell.ns = cell.ns.saturating_add(ns);
     cell.calls = cell.calls.saturating_add(1);
 }
@@ -126,9 +150,9 @@ fn record_exit(site: Site, ns: u64) {
 /// so two reports built from the same merged counts render identically
 /// regardless of which worker recorded what.
 pub fn snapshot() -> ProfReport {
-    let table = *lock_global();
+    let recorded = lock_global();
     let mut edges = Vec::new();
-    for (parent_slot, row) in table.iter().enumerate() {
+    for (parent_slot, row) in recorded.edges.iter().enumerate() {
         let parent = parent_slot.checked_sub(1).map(|i| Site::ALL[i]);
         for site in Site::ALL {
             let cell = row[site.index()];
@@ -142,19 +166,26 @@ pub fn snapshot() -> ProfReport {
             }
         }
     }
-    ProfReport { edges }
+    ProfReport {
+        edges,
+        threads: recorded.top_level_threads,
+    }
 }
 
-/// Discard everything recorded so far (this thread's open-scope stack and
-/// the global table). A command that profiles calls this before enabling
-/// so its report covers exactly that command.
+/// Discard everything recorded so far (this thread's open-scope stack, the
+/// global table and its thread count). A command that profiles calls this
+/// before enabling so its report covers exactly that command.
 pub fn reset() {
     STACK.with(|stack| {
         if let Ok(mut stack) = stack.try_borrow_mut() {
             stack.clear();
         }
     });
-    *lock_global() = EMPTY;
+    let mut recorded = lock_global();
+    *recorded = Recorded {
+        generation: recorded.generation + 1,
+        ..EMPTY
+    };
 }
 
 #[cfg(test)]
@@ -232,6 +263,48 @@ mod tests {
         let edge = &report.edges[0];
         assert_eq!((edge.site, edge.parent), (Site::Tlb, None));
         assert_eq!(edge.calls, 15, "3 workers x 5 scopes");
+    }
+
+    /// Regression: a fan-out's scopes close on several threads at once,
+    /// and the tree divided their sum by one wall time, so two workers
+    /// reported about 200 % of wall attributed. Each thread's scopes lie
+    /// inside the wall time, so no report may exceed 100 %.
+    #[test]
+    fn concurrent_threads_never_attribute_more_than_the_wall() {
+        let _l = locked();
+        reset();
+        set_enabled(true);
+        let wall = SessionTimer::start();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    let _s = ProfScope::enter(Site::Timing);
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                });
+            }
+        });
+        let wall_ns = wall.elapsed_ns();
+        set_enabled(false);
+        let tree = snapshot().render_tree(wall_ns);
+        let pct: f64 = tree
+            .lines()
+            .next()
+            .and_then(|header| header.rsplit_once('('))
+            .and_then(|(_, pct)| pct.strip_suffix("%)"))
+            .and_then(|pct| pct.parse().ok())
+            .expect("header ends with a percentage");
+        assert!(pct <= 100.0, "{tree}");
+        assert!(tree.contains(" wall × 2 threads attributed "), "{tree}");
+        // A reset forgets which threads were counted.
+        reset();
+        set_enabled(true);
+        {
+            let _s = ProfScope::enter(Site::Timing);
+        }
+        set_enabled(false);
+        assert_eq!(snapshot().threads, 1);
     }
 
     #[test]

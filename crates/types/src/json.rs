@@ -1,7 +1,7 @@
 //! The workspace's one JSON codec.
 //!
-//! Every JSON artifact the reproduction writes or reads back — the trace
-//! JSONL, the run ledger, the bench history and `--json` reports — goes
+//! Every JSON artifact the reproduction writes or reads back — the run
+//! ledger, the bench history and `--json` reports — goes
 //! through this module. [`Json`] is the value type, [`parse`] the reader and
 //! [`Json::render`] the one writer: every exporter builds a [`Json::Obj`]
 //! and renders it. Exported integers are counts and indices far below

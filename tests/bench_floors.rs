@@ -117,3 +117,55 @@ fn every_end_to_end_metric_has_its_stated_direction() {
         }
     }
 }
+
+/// `bench-diff` gates a key only in the direction `higher_is_better`
+/// infers; a key it infers none for is reported as `info` and never
+/// trips. So every committed floor must get a direction, and no direction
+/// the function infers for any metric `BENCHMARK.json` names (end-to-end
+/// or per-layer, under the key each workload's history line gives it) may
+/// contradict the stated `better`. A per-layer metric with no inferred
+/// direction stays ungated and is allowed here.
+#[test]
+fn the_gate_never_goes_silent_or_contradicts_a_stated_direction() {
+    let spec = load(include_str!("../BENCHMARK.json"), "BENCHMARK.json");
+    let baseline = load(
+        include_str!("../ci/bench_baseline.json"),
+        "ci/bench_baseline.json",
+    );
+    let silent: Vec<&str> = baseline
+        .as_object()
+        .expect("baseline is an object")
+        .iter()
+        .map(|(key, _)| key.as_str())
+        .filter(|key| *key != "note" && higher_is_better(key).is_none())
+        .collect();
+    assert!(
+        silent.is_empty(),
+        "floors bench-diff would never gate: {silent:?}"
+    );
+
+    let workloads = field(&spec, "workloads")
+        .as_array()
+        .expect("a workload list");
+    let mut contradicted = Vec::new();
+    for w in workloads {
+        let name = text(w, "name");
+        for (list, bench) in [
+            ("end_to_end", format!("e2e.{name}")),
+            ("per_layer", format!("e2e.{name}+trace")),
+        ] {
+            for (metric, better) in metrics(&spec, list) {
+                let key = format!("{bench}.{metric}");
+                if let Some(higher) = higher_is_better(&key) {
+                    if higher != (better == "higher") {
+                        contradicted.push(format!("{key} (BENCHMARK.json: {better})"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        contradicted.is_empty(),
+        "bench-diff infers the opposite direction for {contradicted:?}"
+    );
+}

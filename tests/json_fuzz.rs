@@ -11,7 +11,7 @@
 
 use std::panic::catch_unwind;
 
-use starnuma::obs::{parse_flat_object, RunRecord};
+use starnuma::obs::{parse_flat_object, parse_run_log, RunRecord};
 use starnuma_types::json::{parse, Json};
 use starnuma_types::SimRng;
 
@@ -104,11 +104,21 @@ fn ledger_line() -> &'static str {
 /// Bytes a mutation swaps in to break structure rather than content.
 const SYNTAX: &[u8] = b"{}[]\",:\\0-.enulu";
 
-/// Feeds `text` to every reader of the codec; none may panic.
-fn read_everywhere(text: &str) {
+/// Feeds `text` to every reader of the codec; none may panic. Returns the
+/// run-log reader's error, if any.
+fn read_everywhere(text: &str) -> Option<String> {
     let _ = parse(text);
     let _ = parse_flat_object(text);
     let _ = RunRecord::from_json_line(text);
+    parse_run_log("runs.jsonl", text).err()
+}
+
+/// True when `error` starts `runs.jsonl:<line>: `.
+fn names_path_and_line(error: &str) -> bool {
+    error
+        .strip_prefix("runs.jsonl:")
+        .and_then(|rest| rest.split_once(": "))
+        .is_some_and(|(line, _)| line.parse::<usize>().is_ok())
 }
 
 #[test]
@@ -144,10 +154,15 @@ fn damaged_artifacts_never_panic_a_reader() {
             bytes.truncate(rng.gen_range(0..bytes.len() + 1));
             let text = String::from_utf8_lossy(&bytes);
             let outcome = catch_unwind(|| read_everywhere(&text));
-            assert!(
-                outcome.is_ok(),
-                "artifact {i} case {case} panicked on {text:?}"
-            );
+            let Ok(error) = outcome else {
+                panic!("artifact {i} case {case} panicked on {text:?}");
+            };
+            if let Some(e) = error {
+                assert!(
+                    names_path_and_line(&e),
+                    "artifact {i} case {case}: {e} names no path:line"
+                );
+            }
         }
     }
 }
